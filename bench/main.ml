@@ -22,7 +22,7 @@
      bench/main.exe native       native x86-64 Ion tier vs the LIR executor
                                  (numeric-loop corpus, byte-equal outputs)
      bench/main.exe service      jitbulld verdict-service throughput: client
-                                 concurrency x batch size x index shards
+                                 concurrency x batch size
                                  (JITBULL_BENCH_SERVICE_BUDGET_S / _MAXC trim it)
      bench/main.exe bechamel     Bechamel micro-benchmarks of the JITBULL machinery *)
 
@@ -1228,15 +1228,14 @@ let concurrency () =
    verdict computed at record time — then replays it against a live
    in-process [Service] over raw keep-alive connections
    ([Client.verdict_roundtrip], one systhread per simulated engine).
-   Replayed requests perturb the feedback hash per iteration so every
-   request misses the server's req_key verdict cache and pays the full
-   DNA parse + sharded scatter/gather — the cold path the sharding
-   exists for; cache-hit throughput is far higher and less interesting.
+   Hot replays hit the server's line cache; cold replays perturb the
+   feedback hash per iteration so every request misses both server
+   cache levels and pays the full DNA parse + indexed query.
 
-   Swept: client concurrency C (1/8/64/256), batch size K (1/8/32) and
-   index shards N (1 vs 4). Every response is checked against the
-   verdict recorded locally for that stream entry — the remote==local
-   oracle holds on every benched request or the section fails.
+   Swept: client concurrency C (1/8/64/256) and batch size K (1/8/32).
+   Every response is checked against the verdict recorded locally for
+   that stream entry — the remote==local oracle holds on every benched
+   request or the section fails.
 
    JITBULL_BENCH_SERVICE_BUDGET_S (default 0.6) is the per-config time
    budget; JITBULL_BENCH_SERVICE_MAXC caps the concurrency sweep (CI
@@ -1325,9 +1324,9 @@ type service_run = {
      serialization off the measured path too.
    - [`Cold]: every replayed request perturbs its feedback hash with
      the replay counter, so every request misses both server caches and
-     pays the full JSON parse + DNA parse + sharded query. This is the
-     path the shard A/B exercises; the verdict (a function of the DNA
-     alone) is unchanged, so the oracle still applies. *)
+     pays the full JSON parse + DNA parse + indexed query; the verdict
+     (a function of the DNA alone) is unchanged, so the oracle still
+     applies. *)
 (* Cheap oracle check without a full JSON parse. [Proto.resp_to_json]
    renders compactly with [id] first and [verdict] second
    ({"id":N,"verdict":"allow",...}), so the measured loop can extract
@@ -1461,7 +1460,7 @@ let service_run ~port ~clients ~batch ~budget_s ~mode ~stream ~expected =
   }
 
 let service_bench () =
-  section "Fleet-scale verdict service: jitbulld throughput (shards x batch x concurrency)";
+  section "Fleet-scale verdict service: jitbulld throughput (batch x concurrency)";
   let budget_s =
     match Sys.getenv_opt "JITBULL_BENCH_SERVICE_BUDGET_S" with
     | Some s -> (try float_of_string s with _ -> 0.6)
@@ -1489,7 +1488,7 @@ let service_bench () =
      verdict recorded locally for that stream entry. 'hot' replays the\n\
      stream verbatim (server line-cache hits: the fleet regime); 'cold'\n\
      perturbs each request's feedback hash so every request pays the\n\
-     full JSON parse + DNA parse + sharded query.\n\n"
+     full JSON parse + DNA parse + indexed query.\n\n"
     (Array.length stream)
     (Hashtbl.fold (fun _ v n -> if v <> `Allow then n + 1 else n) expected 0)
     (stream_bytes / max 1 (Array.length stream));
@@ -1502,50 +1501,44 @@ let service_bench () =
   in
   let cold_c = min 8 anchor_c in
   (* hot: concurrency sweep at K=8, batch sweep at the anchor
-     concurrency; cold: the shard A/B at one moderate configuration *)
-  let configs shards =
-    List.map (fun c -> (`Hot, shards, c, 8)) cs
-    @ [ (`Hot, shards, anchor_c, 1); (`Hot, shards, anchor_c, 32);
-        (`Cold, shards, cold_c, 8) ]
+     concurrency; cold: the uncached path at one moderate configuration *)
+  let configs =
+    List.map (fun c -> (`Hot, c, 8)) cs
+    @ [ (`Hot, anchor_c, 1); (`Hot, anchor_c, 32); (`Cold, cold_c, 8) ]
   in
   let results = ref [] in
   let mode_name = function `Hot -> "hot" | `Cold -> "cold" in
   (* [workers] sized to the host: extra accept domains on a small
      machine only add stop-the-world GC participants *)
   let workers = max 1 (min 4 (Domain.recommended_domain_count ())) in
-  List.iter
-    (fun shards ->
-      let svc = Service.create ~shards ~workers ~db:(cached_db 8) ~port:0 () in
-      Fun.protect ~finally:(fun () -> Service.stop svc) (fun () ->
-          List.iter
-            (fun (mode, shards, clients, batch) ->
-              let r =
-                service_run ~port:(Service.port svc) ~clients ~batch ~budget_s
-                  ~mode ~stream ~expected
-              in
-              results := ((mode_name mode, shards, clients, batch), r) :: !results)
-            (configs shards)))
-    [ 1; 4 ];
-  (* the pre-service baseline: unsharded, unbatched, server caches off —
-     every request pays full JSON parse + DNA parse + query, as a naive
+  let with_service ?server_cache f =
+    let svc = Service.create ~workers ?server_cache ~db:(cached_db 8) ~port:0 () in
+    Fun.protect ~finally:(fun () -> Service.stop svc) (fun () ->
+        f (Service.port svc))
+  in
+  with_service (fun port ->
+      List.iter
+        (fun (mode, clients, batch) ->
+          let r =
+            service_run ~port ~clients ~batch ~budget_s ~mode ~stream ~expected
+          in
+          results := ((mode_name mode, clients, batch), r) :: !results)
+        configs);
+  (* the pre-service baseline: unbatched, server caches off — every
+     request pays full JSON parse + DNA parse + query, as a naive
      verdict server would *)
-  (let svc =
-     Service.create ~shards:1 ~workers ~server_cache:false ~db:(cached_db 8)
-       ~port:0 ()
-   in
-   Fun.protect ~finally:(fun () -> Service.stop svc) (fun () ->
-       let r =
-         service_run ~port:(Service.port svc) ~clients:anchor_c ~batch:1
-           ~budget_s ~mode:`Hot ~stream ~expected
-       in
-       results := (("naive", 1, anchor_c, 1), r) :: !results));
+  with_service ~server_cache:false (fun port ->
+      let r =
+        service_run ~port ~clients:anchor_c ~batch:1 ~budget_s ~mode:`Hot
+          ~stream ~expected
+      in
+      results := (("naive", anchor_c, 1), r) :: !results);
   let results = List.rev !results in
   let rows =
     List.map
-      (fun ((label, shards, clients, batch), r) ->
+      (fun ((label, clients, batch), r) ->
         [
           label;
-          string_of_int shards;
           string_of_int clients;
           string_of_int batch;
           string_of_int r.sr_requests;
@@ -1560,37 +1553,27 @@ let service_bench () =
   in
   Table.print
     ~headers:
-      [ "mode"; "shards"; "clients"; "batch"; "requests"; "req/s"; "p50 ms";
-        "p99 ms"; "oracle"; "errors" ]
+      [ "mode"; "clients"; "batch"; "requests"; "req/s"; "p50 ms"; "p99 ms";
+        "oracle"; "errors" ]
     rows;
   let find key = List.assoc_opt key results in
-  let speedup =
-    match (find ("hot", 4, anchor_c, 8), find ("naive", 1, anchor_c, 1)) with
+  let speedup_over base =
+    match (find ("hot", anchor_c, 8), find base) with
     | Some fast, Some base when base.sr_rps > 0.0 -> fast.sr_rps /. base.sr_rps
     | _ -> 0.0
   in
-  let batch_only =
-    match (find ("hot", 4, anchor_c, 8), find ("hot", 1, anchor_c, 1)) with
-    | Some fast, Some base when base.sr_rps > 0.0 -> fast.sr_rps /. base.sr_rps
-    | _ -> 0.0
-  in
-  let cold_ab =
-    match (find ("cold", 4, cold_c, 8), find ("cold", 1, cold_c, 8)) with
-    | Some s4, Some s1 when s1.sr_rps > 0.0 -> s4.sr_rps /. s1.sr_rps
-    | _ -> 0.0
-  in
+  let speedup = speedup_over ("naive", anchor_c, 1) in
+  let batch_only = speedup_over ("hot", anchor_c, 1) in
   let total_mismatches =
     List.fold_left (fun a (_, r) -> a + r.sr_mismatches) 0 results
   in
   Printf.printf
-    "\nbatched (K=8) + sharded (N=4) + server cache vs the naive baseline\n\
-     (unsharded, batch-1, caches off) at C=%d: %.1fx (target: >= 5x)\n\
-     batching alone (same server, K=8 N=4 vs K=1 N=1): %.1fx\n\
-     cold-path shards 4 vs 1 at C=%d, K=8: %.2fx\n\
-     (this host has %d core(s) — parallel shard wins need real cores,\n\
-     the batching + server-cache wins do not)\n\
+    "\nbatched (K=8) + server cache vs the naive baseline\n\
+     (batch-1, caches off) at C=%d: %.1fx (target: >= 5x)\n\
+     batching alone (same server, K=8 vs K=1): %.1fx\n\
+     (this host has %d core(s))\n\
      remote==local oracle: %s\n"
-    anchor_c speedup batch_only cold_c cold_ab
+    anchor_c speedup batch_only
     (Domain.recommended_domain_count ())
     (if total_mismatches = 0 then "held on every request"
      else Printf.sprintf "%d MISMATCHES" total_mismatches);
@@ -1604,11 +1587,10 @@ let service_bench () =
          ( "runs",
            Jsonx.List
              (List.map
-                (fun ((label, shards, clients, batch), r) ->
+                (fun ((label, clients, batch), r) ->
                   Jsonx.Assoc
                     [
                       ("mode", Jsonx.String label);
-                      ("shards", Jsonx.Int shards);
                       ("clients", Jsonx.Int clients);
                       ("batch", Jsonx.Int batch);
                       ("requests", Jsonx.Int r.sr_requests);
@@ -1620,9 +1602,8 @@ let service_bench () =
                       ("errors", Jsonx.Int r.sr_errors);
                     ])
                 results) );
-         ("speedup_batched_sharded", Jsonx.Float speedup);
+         ("speedup_vs_naive", Jsonx.Float speedup);
          ("speedup_batch_only", Jsonx.Float batch_only);
-         ("cold_shard_speedup", Jsonx.Float cold_ab);
          ("oracle_held", Jsonx.Bool (total_mismatches = 0));
        ])
 

@@ -3,7 +3,7 @@
      jitbulld --db jitbull.db                serve an existing database
      jitbulld --builtin                      self-harvest the bundled VDCs' DNA
      jitbulld --port 7433 ...                fixed port (default 0: pick + print)
-     jitbulld --shards 8 --workers 8 ...     index shards / server domains
+     jitbulld --workers 8 ...                server domains
      jitbulld --hold 30 ...                  exit after SECONDS (CI smoke)
      jitbulld --thr 4 --ratio 0.5 ...        comparator thresholds
 
@@ -11,10 +11,10 @@
      jitbulld --audit-rotate-bytes N ...     rotate it after N bytes
 
    Serves POST /verdict (JSONL batches), GET /subscribe (generation long
-   poll), GET /delta (replica catch-up), GET /warm (hottest verdicts),
-   POST /install, POST /remove, POST /push + GET /fleet (fleet
-   telemetry) — plus the observability routes (/metrics, /healthz,
-   /audit, /explain, /profile) from the same listener. *)
+   poll), GET /delta (replica catch-up), POST /install, POST /remove,
+   POST /push + GET /fleet (fleet telemetry) — plus the observability
+   routes (/metrics, /healthz, /audit, /explain, /profile) from the same
+   listener. *)
 
 open Cmdliner
 module Db = Jitbull_core.Db
@@ -47,7 +47,7 @@ let harvested_db () =
     VC.all;
   db
 
-let run port shards workers db_path builtin hold thr ratio no_cache audit_file
+let run port workers db_path builtin hold thr ratio no_cache audit_file
     audit_rotate_bytes quiet verbose =
   setup_logging ~quiet ~verbose:(List.length verbose);
   (* Long-lived server: a larger minor heap keeps per-request body
@@ -67,14 +67,12 @@ let run port shards workers db_path builtin hold thr ratio no_cache audit_file
   | Some path -> Obs.set_audit_file obs ?max_bytes:audit_rotate_bytes path
   | None -> ());
   let t =
-    Service.create ~params ~shards ~workers ~obs ~server_cache:(not no_cache)
-      ~db ~port ()
+    Service.create ~params ~workers ~obs ~server_cache:(not no_cache) ~db
+      ~port ()
   in
   (* CI smoke parses this line to find the port; keep the format stable *)
-  Printf.printf "jitbulld listening on 127.0.0.1:%d (%d entries, %d shards, %d workers)\n%!"
-    (Service.port t)
-    (List.length (Db.entries db))
-    shards workers;
+  Printf.printf "jitbulld listening on 127.0.0.1:%d (%d entries, %d workers)\n%!"
+    (Service.port t) (Db.size db) workers;
   let finish () =
     Service.stop t;
     Obs.close (Some obs)
@@ -94,18 +92,12 @@ let port =
            ~doc:"Listen on 127.0.0.1:$(docv). 0 picks a free port (printed \
                  on stdout).")
 
-let shards =
-  Arg.(value & opt int 4
-       & info [ "shards" ] ~docv:"N"
-           ~doc:"Shard the sub-chain postings index across $(docv) \
-                 per-shard-locked partitions (scatter/gather queries).")
-
 let workers =
   Arg.(value & opt int 4
        & info [ "workers" ] ~docv:"N"
            ~doc:"Accept/serve domains sharing the listening socket. Each \
                  long-poll subscriber occupies one for the duration of its \
-                 wait; size to shards + expected subscribers.")
+                 wait; size to cores + expected subscribers.")
 
 let db_path =
   Arg.(value & opt (some non_dir_file) None
@@ -135,7 +127,7 @@ let no_cache =
   Arg.(value & flag
        & info [ "no-server-cache" ]
            ~doc:"Disable the server-side verdict caches; every request \
-                 pays the full parse + sharded query (A/B baseline).")
+                 pays the full parse + indexed query (A/B baseline).")
 
 let audit_file =
   Arg.(value & opt (some string) None
@@ -163,7 +155,7 @@ let cmd =
   let doc = "serve go/no-go verdicts and DNA-DB deltas to a fleet of engines" in
   Cmd.v
     (Cmd.info "jitbulld" ~doc)
-    Term.(ret (const run $ port $ shards $ workers $ db_path $ builtin $ hold
+    Term.(ret (const run $ port $ workers $ db_path $ builtin $ hold
                $ thr $ ratio $ no_cache $ audit_file $ audit_rotate_bytes
                $ quiet $ verbose))
 

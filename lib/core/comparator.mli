@@ -12,7 +12,11 @@ type params = {
   ratio : float;
 }
 
-val default_params : params  (** Thr = 3, Ratio = 0.5 *)
+(** The repo default: Thr = 2, Ratio = 0.5. The paper's Thr = 3 counts
+    sub-chains per chain pair; this repo's edge multiset yields about two
+    sub-chain instances per eliminated bounds check, so Thr scales to 2
+    (DESIGN.md §2). *)
+val default_params : params
 
 (** [side_score d d'] = ([EqChains], [MaxEqChains]) for one side — the
     raw inputs to the Thr/Ratio test, exposed so the audit trail can

@@ -151,10 +151,10 @@ let naive_matching_detailed ?params ?obs t (dna : Dna.t) =
       | mds -> Some (e.cve, mds))
     (entries_unlocked t)
 
-(* The Thr/Ratio phase shared by the single-table and sharded scans:
-   given the accumulated EqChains cells [acc] and the function's
-   per-(pass, side) totals, apply the prefilter and the Ratio bound and
-   materialize the matches in entry order. Must run under the DB read
+(* The Thr/Ratio phase of the indexed scan: given the accumulated
+   EqChains cells [acc] and the function's per-(pass, side) totals,
+   apply the prefilter and the Ratio bound and materialize the matches
+   in entry order. Must run under the DB read
    lock — it reads [t.totals], [t.arr] and [t.count]. *)
 let finalize_matching ~params ?obs t ~acc ~func_totals (dna : Dna.t) =
   let module Obs = Jitbull_obs.Obs in
@@ -355,218 +355,3 @@ let delta_since t g =
       if g >= t.base_gen && g <= gen then
         (gen, Append (list_drop (t.count - (gen - g)) (entries_unlocked t)))
       else (gen, Resync (entries_unlocked t)))
-
-(* ---- the sharded postings index ---- *)
-
-module Sharded = struct
-  type db = t
-
-  type shard = {
-    sh_lock : Rwlock.t;
-    mutable sh_postings :
-      (Intern.id * bool * Intern.id, (int * int) list ref) Hashtbl.t;
-  }
-
-  type t = {
-    sdb : db;
-    shards : shard array;
-    indexed_gen : int Atomic.t;  (** DB generation the shards reflect *)
-    indexed_count : int Atomic.t;  (** entries reflected in the shards *)
-    refresh_mu : Mutex.t;  (** serializes {!refresh}; queries never take it *)
-  }
-
-  let shards t = Array.length t.shards
-  let generation t = Atomic.get t.indexed_gen
-  let db t = t.sdb
-
-  (* Shard by sub-chain key id: ids are dense small ints ({!Intern}), so
-     mod spreads a function's keys across shards roughly uniformly
-     regardless of which passes produced them. Sharding by pass instead
-     would put all load of a hot pass (LICM, GVN dominate real DNA) on
-     one shard. *)
-  let shard_of n (k : Intern.id) = k land max_int mod n
-
-  let add_posting tbl (key, posting) =
-    match Hashtbl.find_opt tbl key with
-    | Some lst -> lst := posting :: !lst
-    | None -> Hashtbl.add tbl key (ref [ posting ])
-
-  (* Per-shard posting additions for [ents] numbered from [base_idx] —
-     grouped so each shard's write lock is taken once per refresh. *)
-  let collect_adds n ~base_idx ents =
-    let buckets = Array.make n [] in
-    List.iteri
-      (fun j (e : entry) ->
-        let idx = base_idx + j in
-        List.iter
-          (fun (pass, (d : Delta.t)) ->
-            let pid = Intern.intern pass in
-            let side flag (sd : Delta.side) =
-              Hashtbl.iter
-                (fun k c ->
-                  let si = shard_of n k in
-                  buckets.(si) <- ((pid, flag, k), (idx, c)) :: buckets.(si))
-                sd
-            in
-            side false d.Delta.removed;
-            side true d.Delta.added)
-          e.dna.Dna.deltas)
-      ents;
-    buckets
-
-  let refresh t =
-    Mutex.lock t.refresh_mu;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.refresh_mu)
-      (fun () ->
-        let db = t.sdb in
-        let gen, base_gen, ents =
-          Rwlock.with_read db.lock (fun () ->
-              (db.generation, db.base_gen, entries_unlocked db))
-        in
-        let cur = Atomic.get t.indexed_gen in
-        if gen <> cur then begin
-          let n = Array.length t.shards in
-          let count = List.length ents in
-          let icount = Atomic.get t.indexed_count in
-          if cur >= base_gen && count >= icount then begin
-            (* append-only since our snapshot: index only the new suffix *)
-            let buckets =
-              collect_adds n ~base_idx:icount (list_drop icount ents)
-            in
-            Array.iteri
-              (fun i adds ->
-                if adds <> [] then
-                  let sh = t.shards.(i) in
-                  Rwlock.with_write sh.sh_lock (fun () ->
-                      List.iter (add_posting sh.sh_postings) adds))
-              buckets
-          end
-          else begin
-            (* a removal rebuilt the entry numbering: rebuild the shard
-               tables off-lock from the snapshot, then swap each in *)
-            let fresh = Array.init n (fun _ -> Hashtbl.create 256) in
-            let buckets = collect_adds n ~base_idx:0 ents in
-            Array.iteri
-              (fun i adds -> List.iter (add_posting fresh.(i)) adds)
-              buckets;
-            Array.iteri
-              (fun i sh ->
-                Rwlock.with_write sh.sh_lock (fun () ->
-                    sh.sh_postings <- fresh.(i)))
-              t.shards
-          end;
-          Atomic.set t.indexed_count count;
-          Atomic.set t.indexed_gen gen
-        end)
-
-  let create ?(shards = 4) db =
-    let n = max 1 shards in
-    let t =
-      {
-        sdb = db;
-        shards =
-          Array.init n (fun _ ->
-              { sh_lock = Rwlock.create (); sh_postings = Hashtbl.create 64 });
-        indexed_gen = Atomic.make 0;
-        indexed_count = Atomic.make 0;
-        refresh_mu = Mutex.create ();
-      }
-    in
-    refresh t;
-    t
-
-  (* Scatter/gather query. Lock discipline: every phase releases all its
-     locks before the next acquires any — shard read locks one at a time
-     during the scatter, then the DB read lock alone for the Thr/Ratio
-     finalization — so there is no hold-and-wait against [refresh] (which
-     takes the DB read lock, releases it, then shard write locks one at a
-     time). Consistency comes from validation instead: the finalize phase
-     re-checks that neither the DB generation nor the indexed generation
-     moved since the scatter began, and retries (after a refresh) when
-     one did. *)
-  let rec matching_attempt ~params ?obs t (dna : Dna.t) ~attempts =
-    let module Obs = Jitbull_obs.Obs in
-    let db = t.sdb in
-    let g0 = Atomic.get t.indexed_gen in
-    let n = Array.length t.shards in
-    let acc : (int * Intern.id * bool, int) Hashtbl.t = Hashtbl.create 64 in
-    let func_totals : (Intern.id * bool, int) Hashtbl.t = Hashtbl.create 16 in
-    let buckets = Array.make n [] in
-    List.iter
-      (fun (pass, (d : Delta.t)) ->
-        let pid = Intern.intern pass in
-        let scan flag (side : Delta.side) =
-          let total = ref 0 in
-          Hashtbl.iter
-            (fun k c ->
-              total := !total + c;
-              let si = shard_of n k in
-              buckets.(si) <- (pid, flag, k, c) :: buckets.(si))
-            side;
-          if !total > 0 then Hashtbl.replace func_totals (pid, flag) !total
-        in
-        scan false d.Delta.removed;
-        scan true d.Delta.added)
-      dna.Dna.deltas;
-    Array.iteri
-      (fun i sh ->
-        match buckets.(i) with
-        | [] -> ()
-        | keys ->
-          (* the verdict service is the only sharded-index consumer, hence
-             the service-namespaced per-shard series *)
-          Obs.time obs
-            (Printf.sprintf "service.shard_lookup.shard%d" i)
-            (fun () ->
-              Rwlock.with_read sh.sh_lock (fun () ->
-                  List.iter
-                    (fun (pid, flag, k, c) ->
-                      match Hashtbl.find_opt sh.sh_postings (pid, flag, k) with
-                      | None -> ()
-                      | Some lst ->
-                        List.iter
-                          (fun (eidx, c') ->
-                            let key = (eidx, pid, flag) in
-                            let cur =
-                              Option.value ~default:0 (Hashtbl.find_opt acc key)
-                            in
-                            Hashtbl.replace acc key (cur + min c c'))
-                          !lst)
-                    keys)))
-      t.shards;
-    let result =
-      Rwlock.with_read db.lock (fun () ->
-          if db.generation <> g0 || Atomic.get t.indexed_gen <> g0 then None
-          else
-            let out, candidates, hits =
-              finalize_matching ~params ?obs db ~acc ~func_totals dna
-            in
-            Some
-              {
-                q_matches = out;
-                q_prefilter_candidates = candidates;
-                q_prefilter_hits = hits;
-                q_generation = g0;
-                q_size = db.count;
-              })
-    in
-    match result with
-    | Some q -> q
-    | None ->
-      if attempts <= 0 then
-        (* mutations arriving faster than we can validate — the unsharded
-           path answers atomically under the DB read lock *)
-        matching_detailed ~params ?obs db dna
-      else begin
-        refresh t;
-        matching_attempt ~params ?obs t dna ~attempts:(attempts - 1)
-      end
-
-  let matching_detailed ?(params = Comparator.default_params) ?obs t
-      (dna : Dna.t) =
-    if params.Comparator.thr < 1 then
-      (* same naive-scan fallback as the unsharded path *)
-      matching_detailed ~params ?obs t.sdb dna
-    else matching_attempt ~params ?obs t dna ~attempts:3
-end

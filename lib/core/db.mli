@@ -135,49 +135,3 @@ val delta_since : t -> int -> int * sync
 
 val save : t -> string -> unit
 val load : string -> t
-
-(** The postings index sharded by interned sub-chain key across N
-    per-shard reader/writer locks, for the verdict service: concurrent
-    queries whose DNA lands on different shards never contend, and a
-    DB-generation bump only write-locks one shard at a time.
-
-    The shards are a derived index over an existing {!t}: mutate the DB
-    through {!add} / {!remove_cve} as usual, then {!Sharded.refresh} to
-    bring the shards up to date (append-only growth indexes just the new
-    suffix; a removal rebuilds off-lock and swaps). Queries validate
-    generations instead of holding cross-shard locks — a query racing a
-    refresh retries and, if the DB keeps moving, falls back to the
-    unsharded {!matching_detailed} — so {!Sharded.matching_detailed}
-    always equals the unsharded answer at its [q_generation]. *)
-module Sharded : sig
-  type db = t
-
-  type t
-
-  (** [create ?shards db] (default 4) builds the sharded index and
-      refreshes it to [db]'s current generation. *)
-  val create : ?shards:int -> db -> t
-
-  val shards : t -> int
-
-  (** The DB generation the shards currently reflect. *)
-  val generation : t -> int
-
-  val db : t -> db
-
-  (** Bring the shards up to date with the DB; serialized internally,
-      cheap no-op when already current. *)
-  val refresh : t -> unit
-
-  (** Scatter/gather {!matching_detailed}: same matches, same order,
-      same prefilter counts as the unsharded query at [q_generation].
-      With [obs]: per-shard [service.shard_lookup.shard<i>.seconds]
-      histograms (plus the comparator counters recorded by the shared
-      finalization). *)
-  val matching_detailed :
-    ?params:Comparator.params ->
-    ?obs:Jitbull_obs.Obs.t ->
-    t ->
-    Dna.t ->
-    query
-end

@@ -124,7 +124,12 @@ let side_of_sexprs payload : side =
   List.iter
     (fun s ->
       match Sexpr.to_list s with
-      | [ k; c ] -> Hashtbl.replace tbl (Intern.intern (Sexpr.to_atom k)) (Sexpr.to_int c)
+      | [ k; c ] ->
+        (* [diff] only produces counts >= 1; a lower one from the wire or
+           a DB file would subtract from EqChains = Σ min(c, c') *)
+        let c = Sexpr.to_int c in
+        if c < 1 then raise (Sexpr.Decode_error "delta multiplicity below 1");
+        Hashtbl.replace tbl (Intern.intern (Sexpr.to_atom k)) c
       | _ -> raise (Sexpr.Decode_error "bad delta entry"))
     payload;
   tbl

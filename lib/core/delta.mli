@@ -46,7 +46,9 @@ val side_of_list : (string * int) list -> side
 val find_key : side -> string -> int option
 val mem_key : side -> string -> bool
 
-(** Serialization for the on-disk DNA database. *)
+(** Serialization for the on-disk DNA database. [of_sexpr] raises
+    [Sexpr.Decode_error] on a malformed entry or a multiplicity below 1
+    ({!compute} never produces one). *)
 
 val to_sexpr : t -> Jitbull_util.Sexpr.t
 val of_sexpr : Jitbull_util.Sexpr.t -> t

@@ -68,10 +68,6 @@ type t = {
   replica : Db.t;  (** local-fallback DB, synced via [/delta] *)
   replica_gen : int Atomic.t;  (** server generation [replica] reflects *)
   replica_mu : Mutex.t;  (** serializes replica syncs *)
-  warm_mu : Mutex.t;
-  warm : (int * int, int * Engine.decision) Hashtbl.t;
-      (** (bytecode hash, feedback hash) → (generation, decision) from
-          [/warm]; consulted only while the generation still matches *)
   coal : coalescer;
   mutable disp_conn : Http.Conn.t option;  (** dispatcher's connection *)
   sub_mu : Mutex.t;
@@ -235,9 +231,9 @@ let submit t (req : Proto.verdict_req) =
 (* ---- replica sync (the local-fallback DB) ---- *)
 
 (* Every request this client issues — verdict batches, replica syncs,
-   warm prefetches, long polls, telemetry pushes — carries its fleet
-   label, so server logs and spans attribute wire traffic per client
-   even off the verdict path. *)
+   long polls, telemetry pushes — carries its fleet label, so server
+   logs and spans attribute wire traffic per client even off the
+   verdict path. *)
 let base_headers t = [ ("x-jitbull-client", t.client_id) ]
 
 let fetch_json conn ?headers ?timeout_s path =
@@ -291,48 +287,6 @@ let with_conn t f =
 
 let sync t = with_conn t (fun conn -> sync_replica t conn)
 
-(* ---- cache warming ---- *)
-
-let warm t ~n =
-  with_conn t (fun conn ->
-      match fetch_json conn ~headers:(base_headers t) (Printf.sprintf "/warm?n=%d" n) with
-      | Error e -> Error e
-      | Ok j -> (
-        (* parse fully before touching the table, so a malformed payload
-           never leaves it half-updated *)
-        match
-          let gen = Jsonx.to_int (Jsonx.member "generation" j) in
-          let cells =
-            List.map
-              (fun e ->
-                let passes =
-                  List.map Jsonx.to_str
-                    (Jsonx.to_list_exn (Jsonx.member "passes" e))
-                in
-                let verdict =
-                  match Jsonx.to_str (Jsonx.member "verdict" e) with
-                  | "allow" -> `Allow
-                  | "disable" -> `Disable passes
-                  | "forbid" -> `Forbid
-                  | s -> raise (Jsonx.Parse_error ("unknown verdict: " ^ s))
-                in
-                ( Jsonx.to_int (Jsonx.member "bytecode_hash" e),
-                  Jsonx.to_int (Jsonx.member "feedback_hash" e),
-                  Proto.decision_of_verdict verdict ))
-              (Jsonx.to_list_exn (Jsonx.member "entries" j))
-          in
-          (gen, cells)
-        with
-        | gen, cells ->
-          Mutex.lock t.warm_mu;
-          List.iter
-            (fun (bh, fh, d) -> Hashtbl.replace t.warm (bh, fh) (gen, d))
-            cells;
-          Mutex.unlock t.warm_mu;
-          note_generation t gen;
-          Ok (List.length cells)
-        | exception Jsonx.Parse_error msg -> Error ("bad warm payload: " ^ msg)))
-
 (* ---- push subscription ---- *)
 
 let register_cache t cache =
@@ -351,16 +305,13 @@ let apply_push t gen =
   (* order matters for the no-stale-verdict guarantee: advance the
      generation the policy caches key on FIRST (any later lookup now
      revalidates against the post-push generation), then eagerly flush,
-     then resync the replica and drop stale warm entries *)
+     then resync the replica *)
   note_generation t gen;
   let cmu, caches = t.caches in
   Mutex.lock cmu;
   let cs = !caches in
   Mutex.unlock cmu;
   List.iter Engine.Policy_cache.flush cs;
-  Mutex.lock t.warm_mu;
-  Hashtbl.reset t.warm;
-  Mutex.unlock t.warm_mu;
   Obs.incr t.obs "engine.remote_pushes";
   let pmu, fs = t.on_push in
   Mutex.lock pmu;
@@ -492,8 +443,6 @@ let connect ?(timeout_s = 2.0) ?(max_batch = 32) ?(max_queue = 256) ?obs
       replica = Db.create ();
       replica_gen = Atomic.make 0;
       replica_mu = Mutex.create ();
-      warm_mu = Mutex.create ();
-      warm = Hashtbl.create 64;
       coal =
         {
           c_mu = Mutex.create ();
@@ -555,55 +504,35 @@ let close t =
 
 (* ---- the remote analyzer and engine configuration ---- *)
 
-let warm_lookup t ~bytecode_hash ~feedback_hash =
-  let g = Atomic.get t.gen in
-  Mutex.lock t.warm_mu;
-  let r =
-    match Hashtbl.find_opt t.warm (bytecode_hash, feedback_hash) with
-    | Some (wg, d) when wg = g -> Some d
-    | _ -> None
-  in
-  Mutex.unlock t.warm_mu;
-  r
-
 let analyzer ?params t : Engine.analyzer =
   let fallback = Jitbull.analyzer ?params ?obs:t.obs t.replica in
  fun ~ctx ~func_index ~name ~trace ->
+  let dna = Dna.extract trace in
+  let req =
+    {
+      Proto.vr_id = 0;
+      vr_func = name;
+      vr_bytecode_hash = ctx.Engine.cc_bytecode_hash;
+      vr_feedback_hash = ctx.Engine.cc_feedback_hash;
+      vr_dna = Sexpr.to_string (Dna.to_sexpr dna);
+    }
+  in
   match
-    warm_lookup t ~bytecode_hash:ctx.Engine.cc_bytecode_hash
-      ~feedback_hash:ctx.Engine.cc_feedback_hash
+    (* the span whose id rides the wire as the batch's remote parent:
+       [submit] captures it as [p_parent] before parking the request *)
+    Obs.span t.obs
+      ~fields:[ ("func", Jsonx.String name) ]
+      "remote_verdict"
+      (fun () -> submit t req)
   with
-  | Some d ->
+  | Ok resp ->
     Obs.incr t.obs "engine.remote_verdicts";
-    Obs.incr t.obs "engine.warm_hits";
-    d
-  | None -> (
-    let dna = Dna.extract trace in
-    let req =
-      {
-        Proto.vr_id = 0;
-        vr_func = name;
-        vr_bytecode_hash = ctx.Engine.cc_bytecode_hash;
-        vr_feedback_hash = ctx.Engine.cc_feedback_hash;
-        vr_dna = Sexpr.to_string (Dna.to_sexpr dna);
-      }
-    in
-    match
-      (* the span whose id rides the wire as the batch's remote parent:
-         [submit] captures it as [p_parent] before parking the request *)
-      Obs.span t.obs
-        ~fields:[ ("func", Jsonx.String name) ]
-        "remote_verdict"
-        (fun () -> submit t req)
-    with
-    | Ok resp ->
-      Obs.incr t.obs "engine.remote_verdicts";
-      Proto.decision_of_verdict resp.Proto.vs_verdict
-    | Error _ ->
-      (* server unreachable or timed out: decide locally against the
-         replica — possibly stale, but never unprotected *)
-      Obs.incr t.obs "engine.remote_fallbacks";
-      fallback ~ctx ~func_index ~name ~trace)
+    Proto.decision_of_verdict resp.Proto.vs_verdict
+  | Error _ ->
+    (* server unreachable or timed out: decide locally against the
+       replica — possibly stale, but never unprotected *)
+    Obs.incr t.obs "engine.remote_fallbacks";
+    fallback ~ctx ~func_index ~name ~trace
 
 let engine_config ?params t ~vulns () =
   let cache =

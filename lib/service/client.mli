@@ -5,8 +5,8 @@
     fallback when the server is unreachable.
 
     Wiring it into an engine is one call: {!engine_config} returns an
-    {!Jitbull_jit.Engine.config} whose analyzer asks the server (warm
-    table → coalescer → wire) and whose policy cache keys on the latest
+    {!Jitbull_jit.Engine.config} whose analyzer asks the server
+    (coalescer → wire) and whose policy cache keys on the latest
     server generation this client has observed — a generation push
     advances that value {e before} anything else happens, so a verdict
     cached pre-push can never be accepted post-push (the
@@ -29,7 +29,7 @@
     {!Jitbull_obs.Fleet}.
 
     Counters (via [obs]): [engine.remote_verdicts] (answered by the
-    server or the warm table), [engine.warm_hits],
+    server),
     [engine.remote_fallbacks] (answered locally against the replica),
     [engine.remote_pushes] (generation bumps observed),
     [engine.fleet_pushes] (accepted telemetry pushes). *)
@@ -99,11 +99,6 @@ val verdict_roundtrip_raw :
     generation synced to. *)
 val sync : t -> (int, string) result
 
-(** Prefill the warm table from [/warm?n=K]. Returns entries loaded.
-    Warm entries are consulted only while their generation matches the
-    client's current one, and the table is dropped on every push. *)
-val warm : t -> n:int -> (int, string) result
-
 (** Push one telemetry snapshot + audit delta to [/push] now. [Ok n]
     is the number of delta records accepted; the delta cursor advances
     only on success, so failed pushes retry their records. [Ok 0]
@@ -118,8 +113,7 @@ val on_push : t -> (int -> unit) -> unit
     ({!engine_config} registers its own automatically). *)
 val register_cache : t -> Jitbull_jit.Engine.Policy_cache.t -> unit
 
-(** The remote analyzer: warm-table hit, else DNA extraction + coalesced
-    wire query, else ([Error]/timeout) local fallback against the
+(** The remote analyzer: DNA extraction + coalesced wire query, else ([Error]/timeout) local fallback against the
     replica with {!Jitbull_core.Jitbull.analyzer}. [params] must match
     the server's for remote==local equality. *)
 val analyzer :

@@ -31,8 +31,6 @@ type verdict_resp = {
 
 val verdict_name : verdict -> string
 
-(** JSON string-list helper shared with the service's ad-hoc bodies. *)
-val strings : string list -> Jitbull_obs.Jsonx.t
 val verdict_of_decision : Jitbull_jit.Engine.decision -> verdict
 val decision_of_verdict : verdict -> Jitbull_jit.Engine.decision
 

@@ -12,20 +12,7 @@ module Dna = Jitbull_core.Dna
 module Comparator = Jitbull_core.Comparator
 module Jitbull = Jitbull_core.Jitbull
 
-(* Hottest-function tracker feeding [/warm]: per (bytecode hash,
-   feedback hash), the decision count and the latest verdict with the
-   generation it was decided at. [/warm] only ships cells still valid at
-   the current generation — a warm entry must never outlive the verdict
-   it carries. *)
-type warm_cell = {
-  mutable w_count : int;
-  mutable w_verdict : Proto.verdict;
-  mutable w_passes : string list;
-  mutable w_gen : int;
-}
-
-(* Outer verdict cache: raw JSONL request line → pre-rendered response
-   line (plus the fields needed to keep the warm tracker counting).
+(* Verdict memo: raw JSONL request line → pre-rendered response line.
    A hit skips JSON parse, DNA parse, the DB query AND response
    rendering — under fleet load, where many engines compile the same
    hot functions, this is most requests, and on the wire path it is the
@@ -35,33 +22,16 @@ type warm_cell = {
    [store ~if_generation] discipline as the policy cache. *)
 type line_cell = {
   l_gen : int;
-  l_bh : int;
-  l_fh : int;
-  l_verdict : Proto.verdict;
-  l_passes : string list;
   l_line : string;  (** rendered response line, [vs_cached = true] *)
-}
-
-(* Outermost level: whole request body → whole pre-rendered response
-   body. In the fleet regime the same hot batch recurs verbatim, and a
-   hit costs one hash of the body plus the warm-tracker touches —
-   per-line splitting, hashing and lookup are all skipped. Same
-   generation discipline as the line cells. *)
-type body_cell = {
-  b_gen : int;
-  b_resp : string;  (** full response body, every line [vs_cached = true] *)
-  b_warm : (int * int * Proto.verdict * string list) list;
-  b_lines : int;  (** batch size, for the histogram *)
 }
 
 type t = {
   db : Db.t;
-  idx : Db.Sharded.t;
   params : Comparator.params;
   obs : Obs.t option;
   use_cache : bool;
-      (** [false] disables all three server cache levels — the A/B
-          baseline where every request pays parse + query *)
+      (** [false] disables both server cache levels — the A/B baseline
+          where every request pays parse + query *)
   cache : Engine.Policy_cache.t;
       (** inner verdict cache keyed by {!Proto.req_key} (full request
           identity) — catches re-decides that miss the line cache, e.g.
@@ -69,19 +39,12 @@ type t = {
   line_mu : Mutex.t;
   lines : (int, line_cell) Hashtbl.t;  (** keyed by {!Proto.line_key} *)
   max_lines : int;
-  body_mu : Mutex.t;
-  bodies : (int, body_cell) Hashtbl.t;
-      (** keyed by {!Proto.line_key} of the whole body *)
-  max_bodies : int;
-  warm_mu : Mutex.t;
-  warm : (int * int, warm_cell) Hashtbl.t;
   fleet : Fleet.t;  (** per-client telemetry pushed via [POST /push] *)
   subscribe_poll_s : float;
   mutable server : Http.Server.t option;
 }
 
 let db t = t.db
-let sharded t = t.idx
 let fleet t = t.fleet
 
 let port t =
@@ -115,12 +78,23 @@ let audit_decision t ?client_id ?remote_parent ~(req : Proto.verdict_req)
          ~prefilter_candidates ~prefilter_hits ~db_generation
          ~db_size:(Db.size t.db) ~source ~duration ())
 
-let decide_no_warm t ?client_id ?remote_parent (req : Proto.verdict_req) :
+let decide t ?client_id ?remote_parent (req : Proto.verdict_req) :
     Proto.verdict_resp =
   let key = Proto.req_key req in
-  match if t.use_cache then Engine.Policy_cache.lookup t.cache key else None with
-  | Some d ->
-    let gen = Engine.Policy_cache.current_generation t.cache in
+  (* a hit was decided at the generation its lookup revalidated
+     against; two equal reads around the lookup pin that generation
+     (generations only grow), so an install racing the lookup can never
+     stamp an old verdict with the new generation *)
+  let cached =
+    if not t.use_cache then None
+    else
+      let gen = Db.generation t.db in
+      match Engine.Policy_cache.lookup t.cache key with
+      | Some d when Db.generation t.db = gen -> Some (d, gen)
+      | _ -> None
+  in
+  match cached with
+  | Some (d, gen) ->
     let verdict = Proto.verdict_of_decision d in
     let resp =
       {
@@ -139,7 +113,7 @@ let decide_no_warm t ?client_id ?remote_parent (req : Proto.verdict_req) :
   | None ->
     let t0 = Obs.now t.obs in
     let dna = Dna.of_sexpr (Sexpr.of_string req.Proto.vr_dna) in
-    let q = Db.Sharded.matching_detailed ~params:t.params ?obs:t.obs t.idx dna in
+    let q = Db.matching_detailed ~params:t.params ?obs:t.obs t.db dna in
     let matched = Db.drop_details q.Db.q_matches in
     let dangerous, verdict = Jitbull.verdict_of_matches matched in
     if t.use_cache then
@@ -161,156 +135,69 @@ let decide_no_warm t ?client_id ?remote_parent (req : Proto.verdict_req) :
       vs_cached = false;
     }
 
-let touch_warm t ~bh ~fh ~verdict ~passes ~gen =
-  let key = (bh, fh) in
-  Mutex.lock t.warm_mu;
-  (match Hashtbl.find_opt t.warm key with
-  | Some c ->
-    c.w_count <- c.w_count + 1;
-    if gen >= c.w_gen then begin
-      c.w_verdict <- verdict;
-      c.w_passes <- passes;
-      c.w_gen <- gen
-    end
-  | None ->
-    Hashtbl.add t.warm key
-      { w_count = 1; w_verdict = verdict; w_passes = passes; w_gen = gen });
-  Mutex.unlock t.warm_mu
-
-let decide t ?client_id ?remote_parent req =
-  let resp = decide_no_warm t ?client_id ?remote_parent req in
-  touch_warm t ~bh:req.Proto.vr_bytecode_hash ~fh:req.Proto.vr_feedback_hash
-    ~verdict:resp.Proto.vs_verdict ~passes:resp.Proto.vs_passes
-    ~gen:resp.Proto.vs_generation;
-  resp
-
-(* line cache: lookups are valid only at the current generation, so a
-   DB mutation implicitly drops every stored line *)
-let line_find t key =
+(* line cache: lookups are valid only at the generation [gen] the batch
+   read on arrival, so a DB mutation implicitly drops every stored
+   line *)
+let line_find t ~gen key =
   if not t.use_cache then None
   else begin
-  Mutex.lock t.line_mu;
-  let r =
-    match Hashtbl.find_opt t.lines key with
-    | Some c when c.l_gen = Db.generation t.db -> Some c
-    | _ -> None
-  in
-  Mutex.unlock t.line_mu;
-  r
-  end
-
-let line_store t key cell =
-  if t.use_cache then begin
     Mutex.lock t.line_mu;
-    if Hashtbl.length t.lines >= t.max_lines then Hashtbl.reset t.lines;
-    Hashtbl.replace t.lines key cell;
-    Mutex.unlock t.line_mu
-  end
-
-let body_find t key =
-  if not t.use_cache then None
-  else begin
-    Mutex.lock t.body_mu;
     let r =
-      match Hashtbl.find_opt t.bodies key with
-      | Some c when c.b_gen = Db.generation t.db -> Some c
+      match Hashtbl.find_opt t.lines key with
+      | Some c when c.l_gen = gen -> Some c
       | _ -> None
     in
-    Mutex.unlock t.body_mu;
+    Mutex.unlock t.line_mu;
     r
   end
 
-let body_store t key cell =
-  if t.use_cache then begin
-    Mutex.lock t.body_mu;
-    if Hashtbl.length t.bodies >= t.max_bodies then Hashtbl.reset t.bodies;
-    Hashtbl.replace t.bodies key cell;
-    Mutex.unlock t.body_mu
-  end
+let line_store t key cell =
+  Mutex.lock t.line_mu;
+  if Hashtbl.length t.lines >= t.max_lines then Hashtbl.reset t.lines;
+  Hashtbl.replace t.lines key cell;
+  Mutex.unlock t.line_mu
 
 let verdict_body t ?client_id ?remote_parent body =
-  let bkey = Proto.line_key body in
-  match body_find t bkey with
-  | Some c ->
-    (* whole-batch hit: one body hash bought the entire response *)
-    Obs.add t.obs "service.cache_hits" c.b_lines;
+  let lines =
+    String.split_on_char '\n' body
+    |> List.filter_map (fun l ->
+           let l = String.trim l in
+           if l = "" then None else Some l)
+  in
+  if lines = [] then json_error 400 "empty batch"
+  else begin
     Obs.observe t.obs ~bounds:Metrics.size_bounds "service.batch_size"
-      (float_of_int c.b_lines);
-    List.iter
-      (fun (bh, fh, verdict, passes) ->
-        touch_warm t ~bh ~fh ~verdict ~passes ~gen:c.b_gen)
-      c.b_warm;
-    Http.respond ~content_type:"application/jsonl" c.b_resp
-  | None -> (
-    let lines =
-      String.split_on_char '\n' body
-      |> List.filter_map (fun l ->
-             let l = String.trim l in
-             if l = "" then None else Some l)
-    in
-    if lines = [] then json_error 400 "empty batch"
-    else begin
-      Obs.observe t.obs ~bounds:Metrics.size_bounds "service.batch_size"
-        (float_of_int (List.length lines));
-      (* [answer] yields the line to send now, the [vs_cached = true]
-         rendering a repeat would get, and the warm-tracker fields with
-         the generation the verdict was decided at. *)
-      let answer line =
-        let key = Proto.line_key line in
-        match line_find t key with
-        | Some c ->
-          Obs.incr t.obs "service.cache_hits";
-          touch_warm t ~bh:c.l_bh ~fh:c.l_fh ~verdict:c.l_verdict
-            ~passes:c.l_passes ~gen:c.l_gen;
-          (c.l_line, c.l_line, (c.l_bh, c.l_fh, c.l_verdict, c.l_passes, c.l_gen))
-        | None ->
-          Obs.incr t.obs "service.cache_misses";
-          let req = Proto.req_of_json (Jsonx.parse line) in
-          let resp = decide t ?client_id ?remote_parent req in
-          let cached_line =
-            Jsonx.to_string
-              (Proto.resp_to_json { resp with Proto.vs_cached = true })
-          in
-          (* store only a verdict decided at (and still valid at) one
-             generation; the stored line answers repeats as cached *)
-          if resp.Proto.vs_generation = Db.generation t.db then
-            line_store t key
-              {
-                l_gen = resp.Proto.vs_generation;
-                l_bh = req.Proto.vr_bytecode_hash;
-                l_fh = req.Proto.vr_feedback_hash;
-                l_verdict = resp.Proto.vs_verdict;
-                l_passes = resp.Proto.vs_passes;
-                l_line = cached_line;
-              };
-          ( Jsonx.to_string (Proto.resp_to_json resp),
-            cached_line,
-            ( req.Proto.vr_bytecode_hash,
-              req.Proto.vr_feedback_hash,
-              resp.Proto.vs_verdict,
-              resp.Proto.vs_passes,
-              resp.Proto.vs_generation ) )
-      in
-      match List.map answer lines with
-      | answers ->
-        let gen = Db.generation t.db in
-        if List.for_all (fun (_, _, (_, _, _, _, g)) -> g = gen) answers then
-          body_store t bkey
+      (float_of_int (List.length lines));
+    let gen = Db.generation t.db in
+    let answer line =
+      let key = Proto.line_key line in
+      match line_find t ~gen key with
+      | Some c ->
+        Obs.incr t.obs "service.cache_hits";
+        c.l_line
+      | None ->
+        Obs.incr t.obs "service.cache_misses";
+        let req = Proto.req_of_json (Jsonx.parse line) in
+        let resp = decide t ?client_id ?remote_parent req in
+        (* store only a verdict decided at (and still valid at) one
+           generation; the stored line answers repeats as cached *)
+        if t.use_cache && resp.Proto.vs_generation = Db.generation t.db then
+          line_store t key
             {
-              b_gen = gen;
-              b_resp =
-                String.concat "\n" (List.map (fun (_, c, _) -> c) answers);
-              b_warm =
-                List.map
-                  (fun (_, _, (bh, fh, v, ps, _)) -> (bh, fh, v, ps))
-                  answers;
-              b_lines = List.length answers;
+              l_gen = resp.Proto.vs_generation;
+              l_line =
+                Jsonx.to_string
+                  (Proto.resp_to_json { resp with Proto.vs_cached = true });
             };
-        Http.respond ~content_type:"application/jsonl"
-          (String.concat "\n" (List.map (fun (o, _, _) -> o) answers))
-      | exception Jsonx.Parse_error msg -> json_error 400 ("bad request: " ^ msg)
-      | exception Sexpr.Decode_error msg -> json_error 400 ("bad dna: " ^ msg)
-    end)
+        Jsonx.to_string (Proto.resp_to_json resp)
+    in
+    match List.map answer lines with
+    | answers ->
+      Http.respond ~content_type:"application/jsonl"
+        (String.concat "\n" answers)
+    | exception Jsonx.Parse_error msg -> json_error 400 ("bad request: " ^ msg)
+    | exception Sexpr.Decode_error msg -> json_error 400 ("bad dna: " ^ msg)
+  end
 
 (* One "service.verdict" span per HTTP request, parented — via the
    traceparent header — on the client-side span that issued the batch:
@@ -338,7 +225,7 @@ let verdict_response t ?ctx ?client body =
        "service.verdict");
   resp
 
-(* ---- subscribe / delta / warm / gen ---- *)
+(* ---- subscribe / delta / gen ---- *)
 
 let gen_json g = Jsonx.to_string (Jsonx.Assoc [ ("generation", Jsonx.Int g) ])
 
@@ -394,54 +281,12 @@ let delta_response t query =
                      entries) );
             ]))
 
-let warm_response t query =
-  match Http.parse_count "n" query ~default:32 with
-  | Error msg -> Http.bad_request msg
-  | Ok n ->
-    let gen = Db.generation t.db in
-    Mutex.lock t.warm_mu;
-    let cells =
-      Hashtbl.fold
-        (fun (bh, fh) c acc ->
-          if c.w_gen = gen then (bh, fh, c.w_count, c.w_verdict, c.w_passes) :: acc
-          else acc)
-        t.warm []
-    in
-    Mutex.unlock t.warm_mu;
-    let top =
-      List.sort (fun (_, _, a, _, _) (_, _, b, _, _) -> compare b a) cells
-      |> List.filteri (fun i _ -> i < n)
-    in
-    Http.respond ~content_type:"application/json"
-      (Jsonx.to_string
-         (Jsonx.Assoc
-            [
-              ("generation", Jsonx.Int gen);
-              ( "entries",
-                Jsonx.List
-                  (List.map
-                     (fun (bh, fh, count, verdict, passes) ->
-                       Jsonx.Assoc
-                         [
-                           ("bytecode_hash", Jsonx.Int bh);
-                           ("feedback_hash", Jsonx.Int fh);
-                           ("count", Jsonx.Int count);
-                           ("verdict", Jsonx.String (Proto.verdict_name verdict));
-                           ("passes", Proto.strings passes);
-                         ])
-                     top) );
-            ]))
+(* ---- mutation (subscribers observe the generation bump on their next
+   poll tick) ---- *)
 
-(* ---- mutation (DB update + shard refresh; subscribers observe the
-   generation bump on their next poll tick) ---- *)
+let install t entry = Db.add t.db entry
 
-let install t entry =
-  Db.add t.db entry;
-  Db.Sharded.refresh t.idx
-
-let remove_cve t cve =
-  Db.remove_cve t.db cve;
-  Db.Sharded.refresh t.idx
+let remove_cve t cve = Db.remove_cve t.db cve
 
 let install_response t body =
   match Db.entry_of_sexpr (Sexpr.of_string body) with
@@ -521,9 +366,6 @@ let handle t (req : Http.request) =
     | "/delta", _ ->
       count "delta";
       delta_response t req.Http.rq_query
-    | "/warm", _ ->
-      count "warm";
-      warm_response t req.Http.rq_query
     | "/gen", _ ->
       count "gen";
       Http.respond ~content_type:"application/json"
@@ -545,12 +387,11 @@ let handle t (req : Http.request) =
         | None -> Http.not_found ())
       | None -> Http.not_found ()))
 
-let create ?(params = Comparator.default_params) ?(shards = 4) ?(workers = 4)
+let create ?(params = Comparator.default_params) ?(workers = 4)
     ?obs ?(subscribe_poll_s = 0.005) ?(server_cache = true) ~db ~port () =
   let t =
     {
       db;
-      idx = Db.Sharded.create ~shards db;
       params;
       obs;
       use_cache = server_cache;
@@ -561,11 +402,6 @@ let create ?(params = Comparator.default_params) ?(shards = 4) ?(workers = 4)
       line_mu = Mutex.create ();
       lines = Hashtbl.create 1024;
       max_lines = 65536;
-      body_mu = Mutex.create ();
-      bodies = Hashtbl.create 1024;
-      max_bodies = 16384;
-      warm_mu = Mutex.create ();
-      warm = Hashtbl.create 256;
       fleet = Fleet.create ();
       subscribe_poll_s;
       server = None;

@@ -6,16 +6,14 @@
 
     - [POST /verdict] — JSONL batch of {!Proto.verdict_req}, answered
       with one {!Proto.verdict_resp} per line. Repeat requests hit a
-      three-level server-side verdict cache: the outermost level maps
-      the raw request body to the whole pre-rendered response (a hit
-      costs one hash of the body); the middle level maps each unparsed
-      request line ({!Proto.line_key}) to a pre-rendered response
-      line — a hit skips JSON parse, DNA parse, query and response
-      rendering; and the inner level maps the request identity
-      ({!Proto.req_key}) to a decision. All three are invalidated by
-      DB-generation moves exactly like the engine's policy cache.
-      Fresh requests run the sharded scatter/gather query
-      ({!Jitbull_core.Db.Sharded}) and the shared go/no-go rule
+      two-level server-side verdict cache: the outer level maps each
+      unparsed request line ({!Proto.line_key}) to a pre-rendered
+      response line — a hit skips JSON parse, DNA parse, query and
+      response rendering — and the inner level maps the request
+      identity ({!Proto.req_key}) to a decision. Both are invalidated
+      by DB-generation moves exactly like the engine's policy cache.
+      Fresh requests run the DB's indexed query
+      ({!Jitbull_core.Db.matching_detailed}) and the shared go/no-go rule
       ({!Jitbull_core.Jitbull.verdict_of_matches}), so a remote verdict
       structurally equals the in-process analyzer's at the same
       generation.
@@ -27,9 +25,6 @@
       [mode] "append" with the missing entries (as
       {!Jitbull_core.Db.entry_to_sexpr} text), or "resync" with the
       full list after a removal.
-    - [GET /warm?n=K] — the top-K hottest (bytecode hash, feedback
-      hash, verdict) triples by decision count, restricted to verdicts
-      still valid at the current generation.
     - [GET /gen] — current generation. [POST /install] (entry sexpr
       body) / [POST /remove?cve=C] — DB mutation over the wire.
     - [POST /push] — fleet telemetry: a cumulative snapshot + audit
@@ -51,24 +46,22 @@
     Metrics (via [obs]): [service.requests_total] and per-endpoint
     [service.requests.<endpoint>] counters,
     [service.batch_size] histogram, [service.cache_hits] /
-    [service.cache_misses] (per request line, body- and line-cache hits
-    combined), [service.gen_pushes_total],
-    per-shard [service.shard_lookup.shard<i>.seconds] histograms. *)
+    [service.cache_misses] (per request line),
+    [service.gen_pushes_total]. *)
 
 type t
 
-(** [create ~db ~port ()] builds the sharded index over [db] (default 4
-    shards), starts [workers] (default 4) server domains on
-    127.0.0.1:[port] ([0] picks a free one) and serves until {!stop}.
+(** [create ~db ~port ()] starts [workers] (default 4) server domains
+    on 127.0.0.1:[port] ([0] picks a free one) and serves [db] until
+    {!stop}.
     [params] are the comparator thresholds verdicts are decided with.
     Each accepted connection is served on its own thread, so [workers]
     sizes CPU parallelism, not the connection limit — long-poll
     subscribers park a thread each without starving verdict traffic.
-    [server_cache:false] disables all three verdict cache levels: the
-    A/B baseline where every request pays full parse + query. *)
+    [server_cache:false] disables both verdict cache levels: the A/B
+    baseline where every request pays full parse + query. *)
 val create :
   ?params:Jitbull_core.Comparator.params ->
-  ?shards:int ->
   ?workers:int ->
   ?obs:Jitbull_obs.Obs.t ->
   ?subscribe_poll_s:float ->
@@ -80,22 +73,22 @@ val create :
 
 val port : t -> int
 val db : t -> Jitbull_core.Db.t
-val sharded : t -> Jitbull_core.Db.Sharded.t
 val server : t -> Jitbull_obs.Http_export.Server.t
 
 (** The fleet-telemetry aggregator behind [/push] and [/fleet]. *)
 val fleet : t -> Jitbull_obs.Fleet.t
 
-(** In-process mutation: DB update + shard refresh. Subscribers observe
+(** In-process mutation ({!Jitbull_core.Db.add}). Subscribers observe
     the generation bump on their next poll tick. *)
 val install : t -> Jitbull_core.Db.entry -> unit
 
 val remove_cve : t -> string -> unit
 
-(** One verdict, computed exactly as [POST /verdict] would (cache,
-    sharded query, warm tracking) — exposed for tests and the
-    remote==local oracle. [client_id]/[remote_parent] stamp fleet
-    provenance into the audit record, as the wire path does. *)
+(** One verdict, computed exactly as [POST /verdict] would on a
+    line-cache miss (policy cache, then the indexed query) — exposed
+    for tests and the remote==local oracle. [client_id]/[remote_parent]
+    stamp fleet provenance into the audit record, as the wire path
+    does. *)
 val decide :
   t -> ?client_id:string -> ?remote_parent:int -> Proto.verdict_req ->
   Proto.verdict_resp

@@ -1,7 +1,7 @@
 (** A small many-readers / one-writer lock for structures that are read
     from helper domains while the main thread occasionally mutates them
-    (the DNA database during background compilation; the verdict
-    service's postings shards under fleet load).
+    (the DNA database, queried by background compiles and by the verdict
+    service's server domains).
 
     Writers make progress: a reader is admitted only when no writer
     holds the lock {e and none is waiting for it}, so a DB-generation

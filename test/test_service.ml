@@ -1,7 +1,7 @@
 (* Tests for the jitbulld verdict service: wire protocol, keep-alive
-   HTTP layer, sharded-vs-indexed query equality, the three-level server
-   cache with generation invalidation, push-driven cache flushes on the
-   client, and the remote==local analyzer oracle. *)
+   HTTP layer, the two-level server cache with generation invalidation,
+   verdicts decided while installs land, push-driven cache flushes on
+   the client, and the remote==local analyzer oracle. *)
 
 open Helpers
 module Http = Jitbull_obs.Http_export
@@ -9,6 +9,7 @@ module Jsonx = Jitbull_obs.Jsonx
 module Sexpr = Jitbull_util.Sexpr
 module Db = Jitbull_core.Db
 module Dna = Jitbull_core.Dna
+module Delta = Jitbull_core.Delta
 module Comparator = Jitbull_core.Comparator
 module Jitbull = Jitbull_core.Jitbull
 module V = Jitbull_vdc.Demonstrators
@@ -123,30 +124,6 @@ let test_delta_since () =
     check_int "resync generation is current" (Db.generation db) g
   | _, Db.Append _ -> Alcotest.fail "pre-removal generation must Resync"
 
-(* ---- sharded == indexed ---- *)
-
-(* Random sub-DNAs of real harvested entries, matched through the
-   scatter/gather sharded index at 1/2/4 shards and through the plain
-   indexed path — the match lists must be identical. *)
-let qcheck_sharded_equals_indexed =
-  QCheck.Test.make ~count:(qcheck_count 30)
-    ~name:"service: sharded scatter/gather == indexed matching"
-    QCheck.(triple (int_range 0 1000) (int_bound 0xFFFF) (int_range 1 4))
-    (fun (pick, mask, shards) ->
-      let db = Lazy.force shared_db in
-      let entries = Array.of_list (Db.entries db) in
-      let e = entries.(pick mod Array.length entries) in
-      let deltas =
-        List.filteri (fun i _ -> mask land (1 lsl i) <> 0) e.Db.dna.Dna.deltas
-      in
-      let dna = { e.Db.dna with Dna.deltas } in
-      let idx = Db.Sharded.create ~shards db in
-      let q = Db.Sharded.matching_detailed ~params idx dna in
-      let sorted l = List.sort compare l in
-      sorted (Db.drop_details q.Db.q_matches)
-      = sorted (Db.matching ~params db dna)
-      && q.Db.q_generation = Db.generation db)
-
 (* ---- keep-alive regression ---- *)
 
 (* Two sequential requests on one connection must reuse the socket: the
@@ -177,8 +154,8 @@ let test_keep_alive_reuses_socket () =
 
 (* ---- service end-to-end ---- *)
 
-let with_service ?(shards = 2) ?server_cache db f =
-  let svc = Service.create ~shards ~workers:1 ?server_cache ~db ~port:0 () in
+let with_service ?server_cache db f =
+  let svc = Service.create ~workers:1 ?server_cache ~db ~port:0 () in
   Fun.protect ~finally:(fun () -> Service.stop svc) (fun () -> f svc)
 
 let test_verdict_endpoint_and_cache () =
@@ -191,7 +168,7 @@ let test_verdict_endpoint_and_cache () =
       Fun.protect
         ~finally:(fun () -> Http.Conn.close conn)
         (fun () ->
-          (* fresh: decided by the sharded query, not cached *)
+          (* fresh: decided by the indexed query, not cached *)
           let resp =
             match Client.verdict_roundtrip conn [ req ] with
             | Ok [ r ] -> r
@@ -224,6 +201,16 @@ let test_verdict_endpoint_and_cache () =
               (r2.Proto.vs_verdict = local_verdict db e2.Db.dna)
           | Ok l -> Alcotest.failf "expected 2 responses, got %d" (List.length l)
           | Error m -> Alcotest.fail m);
+          (* the same batch again: the line cache answers every line,
+             each still echoing its own id *)
+          (match Client.verdict_roundtrip conn batch with
+          | Ok [ r1; r2 ] ->
+            check_bool "repeated batch line 1 cached" true r1.Proto.vs_cached;
+            check_bool "repeated batch line 2 cached" true r2.Proto.vs_cached;
+            check_int "repeated batch echoes id 1" 1 r1.Proto.vs_id;
+            check_int "repeated batch echoes id 2" 2 r2.Proto.vs_id
+          | Ok l -> Alcotest.failf "expected 2 responses, got %d" (List.length l)
+          | Error m -> Alcotest.fail m);
           (* DB mutation invalidates every cache level *)
           let gen_before = Db.generation db in
           Service.install svc { Db.cve = "CVE-TEST-INSTALL"; dna = e.Db.dna };
@@ -238,19 +225,6 @@ let test_verdict_endpoint_and_cache () =
             after.Proto.vs_cached;
           check_int "post-install generation" (Db.generation db)
             after.Proto.vs_generation;
-          (* warm endpoint reflects the touched (bytecode, feedback) pair *)
-          let status, _, body = Http.Conn.request conn "/warm?n=8" in
-          check_int "warm status" 200 status;
-          let j = Jsonx.parse body in
-          let warm_entries = Jsonx.to_list_exn (Jsonx.member "entries" j) in
-          check_bool "warm lists the hot pair" true
-            (List.exists
-               (fun w ->
-                 Jsonx.to_int (Jsonx.member "bytecode_hash" w)
-                 = req.Proto.vr_bytecode_hash
-                 && Jsonx.to_int (Jsonx.member "feedback_hash" w)
-                    = req.Proto.vr_feedback_hash)
-               warm_entries);
           (* subscribe long-poll answers immediately for a stale gen *)
           let status, _, body = Http.Conn.request conn "/subscribe?gen=0&timeout_ms=200" in
           check_int "subscribe status" 200 status;
@@ -262,6 +236,38 @@ let test_verdict_endpoint_and_cache () =
             Http.Conn.request conn ~meth:"POST" ~body:"not json" "/verdict"
           in
           check_int "malformed batch is a 400" 400 status;
+          (* a delta multiplicity below 1 is malformed DNA on both the
+             verdict and the install path *)
+          let bad =
+            {
+              e.Db.dna with
+              Dna.deltas =
+                [
+                  ( "gvn",
+                    {
+                      Delta.removed = Delta.side_of_list [ ("a->b->c", -3) ];
+                      added = Delta.side_of_list [];
+                    } );
+                ];
+            }
+          in
+          let status, _, _ =
+            Http.Conn.request conn ~meth:"POST"
+              ~body:(Proto.encode_reqs [ { req with Proto.vr_dna = dna_text bad } ])
+              "/verdict"
+          in
+          check_int "negative multiplicity in a verdict is a 400" 400 status;
+          let gen_before = Db.generation db in
+          let status, _, _ =
+            Http.Conn.request conn ~meth:"POST"
+              ~body:
+                (Sexpr.to_string
+                   (Db.entry_to_sexpr { Db.cve = "CVE-TEST-BAD"; dna = bad }))
+              "/install"
+          in
+          check_int "negative multiplicity in an install is a 400" 400 status;
+          check_int "rejected install leaves the DB alone" gen_before
+            (Db.generation db);
           let status, _, _ = Http.Conn.request conn "/first" in
           check_int "connection survives the 400" 404 status))
 
@@ -283,6 +289,97 @@ let test_uncached_baseline_still_correct () =
               && b.Proto.vs_verdict = a.Proto.vs_verdict)
           | _ -> Alcotest.fail "round-trips failed"))
 
+(* ---- verdicts decided while installs land ---- *)
+
+(* Every bundled demonstrator's entries, for the install race below. *)
+let all_entries =
+  lazy
+    (let db = Db.create () in
+     List.iter
+       (fun cve ->
+         let d = V.find cve in
+         ignore (Db.harvest db ~cve:d.V.name ~vulns:(VC.make [ cve ]) d.V.source))
+       VC.all;
+     Array.of_list (Db.entries db))
+
+(* One domain loops [Service.decide] over harvested entries while the
+   main thread installs them one by one into an empty DB (appends
+   only). Every response must be the verdict of the DB as it stood at
+   the response's generation: with appends only, that is the first
+   [vs_generation] entries. With the server cache off every decide is
+   a fresh query racing the installs; with it on, policy-cache hits
+   race them too. *)
+let decide_during_installs ~server_cache =
+  let all = Lazy.force all_entries in
+  let n = Array.length all in
+  let db = Db.create () in
+  let prefix =
+    Array.init (n + 1) (fun g ->
+        lazy
+          (let p = Db.create () in
+           Array.iter (Db.add p) (Array.sub all 0 g);
+           p))
+  in
+  with_service ~server_cache db (fun svc ->
+      let stop = Atomic.make false in
+      let decided = Atomic.make 0 in
+      (* the entry about to be installed: its own verdict is the one an
+         install flips, so the reader keeps asking about it *)
+      let next = Atomic.make 0 in
+      let reader =
+        Domain.spawn (fun () ->
+            let out = ref [] in
+            let i = ref 0 in
+            while not (Atomic.get stop) do
+              let j = if !i land 1 = 0 then Atomic.get next else !i / 2 mod n in
+              let e = all.(j) in
+              out := (e, Service.decide svc (req_of_entry ~id:j e)) :: !out;
+              incr i;
+              Atomic.incr decided
+            done;
+            !out)
+      in
+      (* let the reader decide a few times at every generation *)
+      let wait_for_reader () =
+        let target = Atomic.get decided + 3 in
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while Atomic.get decided < target && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.001
+        done
+      in
+      for i = 0 to n - 1 do
+        Atomic.set next i;
+        wait_for_reader ();
+        Service.install svc all.(i)
+      done;
+      wait_for_reader ();
+      Atomic.set stop true;
+      let responses = Domain.join reader in
+      check_bool "the reader decided across installs" true
+        (List.length responses >= 3 * (n + 1));
+      List.iter
+        (fun ((e : Db.entry), (r : Proto.verdict_resp)) ->
+          let g = r.Proto.vs_generation in
+          if g < 0 || g > n then
+            Alcotest.failf "generation %d outside the install window" g;
+          let expected =
+            snd
+              (Jitbull.verdict_of_matches
+                 (Db.matching ~params (Lazy.force prefix.(g)) e.Db.dna))
+          in
+          let show = function
+            | `Disable ps -> "disable " ^ String.concat "," ps
+            | v -> Proto.verdict_name v
+          in
+          if r.Proto.vs_verdict <> expected then
+            Alcotest.failf "%s at generation %d: %s, the prefix DB says %s"
+              e.Db.dna.Dna.func_name g (show r.Proto.vs_verdict) (show expected))
+        responses)
+
+let test_decide_during_installs () =
+  decide_during_installs ~server_cache:false;
+  decide_during_installs ~server_cache:true
+
 (* ---- client: replica sync and push invalidation ---- *)
 
 let test_client_sync_replica () =
@@ -297,10 +394,7 @@ let test_client_sync_replica () =
           | Error m -> Alcotest.fail m);
           check_int "replica has every entry"
             (List.length (Db.entries db))
-            (List.length (Db.entries (Client.replica client)));
-          match Client.warm client ~n:4 with
-          | Ok _ -> ()
-          | Error m -> Alcotest.fail ("warm: " ^ m)))
+            (List.length (Db.entries (Client.replica client)))))
 
 (* The push-invalidation acceptance property: once the client has
    observed a generation push, a verdict cached before the bump is never
@@ -373,14 +467,15 @@ let suite =
       Alcotest.test_case "proto round-trip" `Quick test_proto_roundtrip;
       Alcotest.test_case "proto cache keys" `Quick test_proto_keys;
       Alcotest.test_case "delta_since append/resync" `Quick test_delta_since;
-      qtest qcheck_sharded_equals_indexed;
       Alcotest.test_case "keep-alive reuses one socket" `Quick
         test_keep_alive_reuses_socket;
       Alcotest.test_case "verdict endpoint, cache, invalidation" `Quick
         test_verdict_endpoint_and_cache;
       Alcotest.test_case "uncached baseline stays correct" `Quick
         test_uncached_baseline_still_correct;
-      Alcotest.test_case "client replica sync + warm" `Quick test_client_sync_replica;
+      Alcotest.test_case "decide while installs land" `Quick
+        test_decide_during_installs;
+      Alcotest.test_case "client replica sync" `Quick test_client_sync_replica;
       Alcotest.test_case "push invalidates pre-bump verdicts" `Quick
         test_push_invalidates_policy_cache;
       Alcotest.test_case "remote == local analyzer (oracle)" `Quick

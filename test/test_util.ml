@@ -138,9 +138,9 @@ let test_jobs =
   | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 2)
   | None -> 2
 
-(* The per-shard Rwlocks of the verdict service's sharded index see a
-   stream of short read sections (queries) with occasional writers
-   (refresh after install/remove). The property: a writer always makes
+(* The DNA database's Rwlock sees a stream of short read sections
+   (verdict queries from compile and server domains) with occasional
+   writers (install/remove). The property: a writer always makes
    progress — [writes] write sections complete under continuous read
    pressure from [test_jobs] domains, every reader observes only
    fully-applied writes (the pair invariant), and the final state
