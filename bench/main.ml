@@ -1229,8 +1229,8 @@ let concurrency () =
    in-process [Service] over raw keep-alive connections
    ([Client.verdict_roundtrip], one systhread per simulated engine).
    Hot replays hit the server's line cache; cold replays perturb the
-   feedback hash per iteration so every request misses both server
-   cache levels and pays the full DNA parse + indexed query.
+   feedback hash per iteration so every request misses it and pays the
+   full DNA parse + indexed query.
 
    Swept: client concurrency C (1/8/64/256) and batch size K (1/8/32).
    Every response is checked against the verdict recorded locally for
@@ -1323,7 +1323,7 @@ type service_run = {
      are pre-encoded once (one per cursor offset), keeping client-side
      serialization off the measured path too.
    - [`Cold]: every replayed request perturbs its feedback hash with
-     the replay counter, so every request misses both server caches and
+     the replay counter, so every request misses the line cache and
      pays the full JSON parse + DNA parse + indexed query; the verdict
      (a function of the DNA alone) is unchanged, so the oracle still
      applies. *)
@@ -1524,7 +1524,7 @@ let service_bench () =
           in
           results := ((mode_name mode, clients, batch), r) :: !results)
         configs);
-  (* the pre-service baseline: unbatched, server caches off — every
+  (* the pre-service baseline: unbatched, line cache off — every
      request pays full JSON parse + DNA parse + query, as a naive
      verdict server would *)
   with_service ~server_cache:false (fun port ->
@@ -1569,7 +1569,7 @@ let service_bench () =
   in
   Printf.printf
     "\nbatched (K=8) + server cache vs the naive baseline\n\
-     (batch-1, caches off) at C=%d: %.1fx (target: >= 5x)\n\
+     (batch-1, line cache off) at C=%d: %.1fx (target: >= 5x)\n\
      batching alone (same server, K=8 vs K=1): %.1fx\n\
      (this host has %d core(s))\n\
      remote==local oracle: %s\n"

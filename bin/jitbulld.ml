@@ -126,7 +126,7 @@ let ratio =
 let no_cache =
   Arg.(value & flag
        & info [ "no-server-cache" ]
-           ~doc:"Disable the server-side verdict caches; every request \
+           ~doc:"Disable the server-side verdict line cache; every request \
                  pays the full parse + indexed query (A/B baseline).")
 
 let audit_file =

@@ -182,16 +182,17 @@ type tier =
   | Ion
   | Blacklisted
 
-(* A compile that finished on a helper domain, waiting in the mailbox for
-   the main thread to install at the next function-entry safepoint. *)
-type async_result =
+(* What an Ion compile job hands to [apply]: directly when the job ran
+   inline, through the mailbox (installed at the next function-entry
+   safepoint) when it ran on a helper domain. *)
+type compile_result =
   | A_install of {
       decision : decision option;  (* [None] = no analyzer configured *)
       lir : Lir.func option;  (* [None] when the verdict forbids JIT *)
       traced : bool;  (* a snapshot-traced compile ran (cache miss) *)
       peephole : int;
     }
-  | A_error of exn
+  | A_error of exn * Printexc.raw_backtrace
 
 type inflight = {
   job : Compile_queue.job;
@@ -219,7 +220,7 @@ type t = {
      the main thread only. *)
   (* each mailbox item carries its publish time, so the main thread can
      histogram the publish → safepoint-install latency *)
-  results : (int * float * async_result) Queue.t;
+  results : (int * float * compile_result) Queue.t;
   results_mu : Mutex.t;
   results_ready : bool Atomic.t;
   async_inflight : (int, inflight) Hashtbl.t;
@@ -283,114 +284,28 @@ let executor_callbacks t : Executor.callbacks =
     declare_global = (fun name -> Vm.declare_global t.vm name);
   }
 
-(* Inline resolver: name → freshly built callee MIR, for names statically
-   bound to a function and never reassigned. The callee MIR uses the
-   callee's own warm feedback. *)
-let inline_resolver t ~caller_idx : string -> Jitbull_mir.Mir.t option =
- fun name ->
-  if Hashtbl.mem t.reassigned_globals name then None
-  else
-    match Hashtbl.find_opt t.vm.Vm.globals name with
-    | Some (Value.Function idx) when idx <> caller_idx ->
-      let func = t.vm.Vm.program.Op.funcs.(idx) in
-      Some (Builder.build func ~feedback_row:t.vm.Vm.feedback.(idx))
-    | _ -> None
-
-(* Enqueue-time snapshot of the inline resolver: the callees it would
-   resolve, with their feedback rows deep-copied, so a helper domain
-   never reads live VM state. Mirrors [inline_resolver]'s conditions. *)
-let snapshot_resolver t ~caller_idx (func : Op.func) :
-    string -> Jitbull_mir.Mir.t option =
-  let tbl = Hashtbl.create 8 in
-  Array.iter
-    (function
-      | Op.Load_global name
-        when (not (Hashtbl.mem t.reassigned_globals name))
-             && not (Hashtbl.mem tbl name) -> (
-        match Hashtbl.find_opt t.vm.Vm.globals name with
-        | Some (Value.Function cidx) when cidx <> caller_idx ->
-          Hashtbl.add tbl name
-            ( t.vm.Vm.program.Op.funcs.(cidx),
-              Feedback.copy_row t.vm.Vm.feedback.(cidx) )
-        | _ -> ())
-      | _ -> ())
-    func.Op.code;
-  fun name ->
-    match Hashtbl.find_opt tbl name with
-    | Some (cf, row) -> Some (Builder.build cf ~feedback_row:row)
-    | None -> None
-
-(* The two optimizing compile bodies, parameterized over the feedback row
-   and resolver so they can run on a helper domain against frozen
-   enqueue-time snapshots. They mutate no engine state: the peephole
+(* The optimizing compile, over inputs frozen by [prepare] so it can run
+   on a helper domain as well as inline. [traced] collects the per-pass
+   snapshot trace the analyzer consumes ([[]] otherwise: the paper's
+   zero-overhead empty-DB path). It mutates no engine state: the peephole
    count is returned for the main thread to account. *)
-
-let compile_opt_with config (func : Op.func) ~feedback_row ~resolver ~disabled =
+let compile_ion_with config (func : Op.func) ~feedback_row ~resolver ~traced
+    ~disabled =
   let g = Builder.build func ~feedback_row in
-  Pipeline.run_quiet config.vulns ?obs:config.obs ~inline_resolver:resolver
-    ~disabled ~verify:config.verify_passes g;
-  let lir = Lower.lower g in
-  Regalloc.allocate lir;
-  let removed = Jitbull_lir.Peephole.run lir in
-  (lir, removed)
-
-let compile_traced_with config (func : Op.func) ~feedback_row ~resolver ~disabled =
-  let g = Builder.build func ~feedback_row in
+  let obs = config.obs and verify = config.verify_passes in
   let trace =
-    Pipeline.run config.vulns ?obs:config.obs ~inline_resolver:resolver
-      ~disabled ~verify:config.verify_passes g
+    if traced then
+      Pipeline.run config.vulns ?obs ~inline_resolver:resolver ~disabled ~verify g
+    else begin
+      Pipeline.run_quiet config.vulns ?obs ~inline_resolver:resolver ~disabled
+        ~verify g;
+      []
+    end
   in
   let lir = Lower.lower g in
   Regalloc.allocate lir;
   let removed = Jitbull_lir.Peephole.run lir in
   (lir, trace, removed)
-
-let compile_lir t idx ~optimize ~disabled =
-  let func = t.vm.Vm.program.Op.funcs.(idx) in
-  if optimize then begin
-    (* no snapshots: either no analyzer is installed (the paper's
-       zero-overhead empty-DB case) or this is the post-verdict
-       recompilation, which is not re-analyzed *)
-    let lir, removed =
-      compile_opt_with t.config func ~feedback_row:t.vm.Vm.feedback.(idx)
-        ~resolver:(inline_resolver t ~caller_idx:idx)
-        ~disabled
-    in
-    t.stats.peephole_removed <- t.stats.peephole_removed + removed;
-    lir
-  end
-  else begin
-    (* the baseline tier does not speculate: like Baseline's inline caches
-       it handles every type dynamically, so it can never bail out. Only
-       Ion consumes type feedback. *)
-    let feedback_row =
-      Array.init
-        (Array.length t.vm.Vm.feedback.(idx))
-        (fun _ -> Feedback.fresh_site ())
-    in
-    let g = Builder.build func ~feedback_row in
-    (* baseline: only the mandatory structural passes, no optimization *)
-    let ctx = Jitbull_passes.Pass.make_ctx t.config.vulns in
-    let split = Jitbull_passes.Split_critical_edges.pass in
-    split.Jitbull_passes.Pass.run ctx g;
-    Jitbull_mir.Mir.renumber g;
-    let lir = Lower.lower g in
-    Regalloc.allocate lir;
-    t.stats.peephole_removed <- t.stats.peephole_removed + Jitbull_lir.Peephole.run lir;
-    lir
-  end
-
-(* The traced optimizing compile: builds MIR, runs the pipeline collecting
-   snapshots, returns both. *)
-let compile_traced t idx ~disabled =
-  let func = t.vm.Vm.program.Op.funcs.(idx) in
-  let lir, trace, removed =
-    compile_traced_with t.config func ~feedback_row:t.vm.Vm.feedback.(idx)
-      ~resolver:(inline_resolver t ~caller_idx:idx)
-      ~disabled
-  in
-  t.stats.peephole_removed <- t.stats.peephole_removed + removed;
-  (lir, trace)
 
 (* Drop a queued-but-unclaimed compile job for [idx], if any. A job that
    already started runs to completion; its result is discarded as stale
@@ -499,14 +414,17 @@ let tier_up t idx tier_name =
   Obs.event t.config.obs "tier_up"
     ~fields:[ func_field t idx; ("tier", Jsonx.String tier_name) ]
 
-(* ---- policy-cache keys ----
+(* ---- the Ion tier-up ----
 
-   The traced Ion compile is a function of the bytecode, the function's
-   type-feedback row, and (through the inline resolver) the bytecode and
-   feedback of every statically bound callee it loads — so the cache key
-   hashes all three. Feedback is included deliberately: a re-JIT after a
-   bailout sees different feedback, gets a different key, and is
-   re-analyzed rather than served a stale verdict. *)
+   One procedure — SpiderMonkey's [OptimizeMIR] with the go/no-go check
+   inside — used with or without a [compile_pool]:
+   - [prepare] runs on the main thread, once per tier-up: it freezes the
+     compile inputs, derives the policy key and consults the cache;
+   - the compile job reads only those frozen inputs, so the same closure
+     runs inline (no pool, or the queue refused it) or on a helper
+     domain;
+   - [apply] runs on the main thread: accounting, logging, install or
+     blacklist. *)
 
 let hash_mix h x = (h * 0x01000193) lxor x [@@inline]
 
@@ -516,27 +434,41 @@ let func_code_hash (f : Op.func) =
 let feedback_hash row =
   Array.fold_left (fun h site -> hash_mix h (Hashtbl.hash site)) 17 row
 
-let policy_key t idx =
-  let func = t.vm.Vm.program.Op.funcs.(idx) in
-  let h =
-    ref (hash_mix (func_code_hash func) (feedback_hash t.vm.Vm.feedback.(idx)))
+(* The callees the inliner may ask for: every name loaded by the function
+   or, transitively, by a callee (the inliner re-scans inlined bodies)
+   that is statically bound to another function and never reassigned.
+   Each appears once, in first-load order, with its feedback row
+   deep-copied so a helper domain never reads live VM state. *)
+let inline_callees t idx =
+  let seen = Hashtbl.create 8 in
+  let rec scan acc (f : Op.func) =
+    Array.fold_left
+      (fun acc op ->
+        match op with
+        | Op.Load_global name
+          when not (Hashtbl.mem seen name || Hashtbl.mem t.reassigned_globals name)
+          -> (
+          Hashtbl.add seen name ();
+          match Hashtbl.find_opt t.vm.Vm.globals name with
+          | Some (Value.Function cidx) when cidx <> idx ->
+            let cf = t.vm.Vm.program.Op.funcs.(cidx) in
+            scan ((name, cf, Feedback.copy_row t.vm.Vm.feedback.(cidx)) :: acc) cf
+          | _ -> acc)
+        | _ -> acc)
+      acc f.Op.code
   in
-  (* depth-1 inline closure: the callees [inline_resolver] would build MIR
-     for, hashed with their own feedback *)
-  Array.iter
-    (function
-      | Op.Load_global name when not (Hashtbl.mem t.reassigned_globals name) -> (
-        match Hashtbl.find_opt t.vm.Vm.globals name with
-        | Some (Value.Function cidx) when cidx <> idx ->
-          let cf = t.vm.Vm.program.Op.funcs.(cidx) in
-          h :=
-            hash_mix
-              (hash_mix !h (func_code_hash cf))
-              (feedback_hash t.vm.Vm.feedback.(cidx))
-        | _ -> ())
-      | _ -> ())
-    func.Op.code;
-  !h
+  List.rev (scan [] t.vm.Vm.program.Op.funcs.(idx))
+
+(* The policy-cache key hashes everything the traced compile reads: the
+   bytecode and feedback row, then each inline callee's bytecode and
+   feedback. Feedback is included deliberately: a re-JIT after a bailout
+   sees different feedback, gets a different key, and is re-analyzed
+   rather than served a stale verdict. *)
+let policy_key ctx callees =
+  List.fold_left
+    (fun h (_, cf, row) -> hash_mix (hash_mix h (func_code_hash cf)) (feedback_hash row))
+    (hash_mix ctx.cc_bytecode_hash ctx.cc_feedback_hash)
+    callees
 
 (* On a policy-cache hit the analyzer never runs, so the engine itself
    appends the audit record: the verdict is replayed with no fresh match
@@ -570,7 +502,7 @@ let blacklist t idx reason =
   Obs.event t.config.obs "blacklist"
     ~fields:[ func_field t idx; ("reason", Jsonx.String reason) ]
 
-(* Go/no-go verdict kind counters: one increment per decision applied
+(* Go/no-go verdict kind counters: one increment per decision reached
    (fresh or cached, sync or async) — a cheap engine-event signal the
    fuzzer's coverage map consumes alongside bailout/blacklist events. *)
 let record_verdict obs = function
@@ -578,34 +510,96 @@ let record_verdict obs = function
   | Disable_passes _ -> Obs.incr obs "engine.verdict.disable"
   | Forbid_jit -> Obs.incr obs "engine.verdict.forbid"
 
-let ion_compile t idx =
-  ensure_sentinel t;
-  t.stats.nr_jit <- t.stats.nr_jit + 1;
-  t.stats.ion_compiles <- t.stats.ion_compiles + 1;
-  Log.debug (fun m ->
-      m "ion-compiling %s (invocations reached %d)"
-        t.vm.Vm.program.Op.funcs.(idx).Op.name t.config.ion_threshold);
-  let obs = t.config.obs in
-  match t.config.analyzer with
-  | None ->
-    let lir =
-      Obs.span obs ~fields:[ func_field t idx ] "compile_ion" (fun () ->
-          compile_lir t idx ~optimize:true ~disabled:[])
+(* A verdict the function can still be Ion-compiled under. *)
+let compilable = function
+  | Allow -> true
+  | Disable_passes ps -> List.for_all Pipeline.can_disable ps
+  | Forbid_jit -> false
+
+(* Main thread: account for one finished compile and act on its verdict. *)
+let apply t idx = function
+  | A_error (e, bt) -> Printexc.raise_with_backtrace e bt
+  | A_install { decision; lir; traced; peephole } -> (
+    let obs = t.config.obs in
+    t.stats.peephole_removed <- t.stats.peephole_removed + peephole;
+    t.stats.nr_jit <- t.stats.nr_jit + 1;
+    t.stats.ion_compiles <- t.stats.ion_compiles + 1;
+    let name = t.vm.Vm.program.Op.funcs.(idx).Op.name in
+    let install_ion lir =
+      install ~tier_native:true t idx lir;
+      t.tiers.(idx) <- Ion;
+      tier_up t idx "ion"
     in
-    install ~tier_native:true t idx lir;
-    t.tiers.(idx) <- Ion;
-    tier_up t idx "ion"
+    match (decision, lir) with
+    | (None | Some Allow), Some lir -> install_ion lir
+    | Some (Disable_passes passes), Some lir ->
+      Log.info (fun m ->
+          m "JITBULL: recompiling %s without dangerous passes [%s]" name
+            (String.concat ", " passes));
+      (* a cached verdict compiled once, not a recompile after a trace *)
+      if traced then begin
+        t.stats.ion_compiles <- t.stats.ion_compiles + 1;
+        Obs.incr obs "engine.recompiles"
+      end;
+      t.stats.nr_disjit <- t.stats.nr_disjit + 1;
+      install_ion lir
+    | Some (Disable_passes passes), None ->
+      (* scenario 3: a mandatory pass matched — no JIT for this function *)
+      Log.info (fun m ->
+          m "JITBULL: mandatory pass among [%s] matched — no JIT for %s"
+            (String.concat ", " passes) name);
+      blacklist t idx "mandatory_pass"
+    | Some Forbid_jit, _ ->
+      Log.info (fun m -> m "JITBULL: JIT forbidden for %s" name);
+      blacklist t idx "forbid_jit"
+    | (None | Some Allow), None -> assert false)
+
+(* Main thread, once per tier-up: freeze the compile inputs — the feedback
+   row and the inline callees, collected once — and consult the policy
+   cache. Returns the compile job, or [None] when a cached verdict forbids
+   compiling, in which case the function is blacklisted at once. *)
+let prepare t idx : (unit -> compile_result) option =
+  ensure_sentinel t;
+  let config = t.config in
+  let obs = config.obs in
+  let func = t.vm.Vm.program.Op.funcs.(idx) in
+  let name = func.Op.name in
+  Log.debug (fun m ->
+      m "ion-compiling %s (invocations reached %d)" name config.ion_threshold);
+  let feedback_row = Feedback.copy_row t.vm.Vm.feedback.(idx) in
+  let callees = inline_callees t idx in
+  let resolver callee =
+    List.find_map
+      (fun (n, cf, row) ->
+        if String.equal n callee then Some (Builder.build cf ~feedback_row:row)
+        else None)
+      callees
+  in
+  let compile ?(fields = []) ~traced disabled =
+    Obs.span obs ~fields:(("func", Jsonx.String name) :: fields) "compile_ion"
+      (fun () ->
+        compile_ion_with config func ~feedback_row ~resolver ~traced ~disabled)
+  in
+  let disabled_field passes =
+    ("disabled", Jsonx.List (List.map (fun p -> Jsonx.String p) passes))
+  in
+  let job body () =
+    try body () with e -> A_error (e, Printexc.get_raw_backtrace ())
+  in
+  let compiled ?decision ~traced (lir, _, peephole) =
+    A_install { decision; lir = Some lir; traced; peephole }
+  in
+  match config.analyzer with
+  | None -> Some (job (fun () -> compiled ~traced:false (compile ~traced:false [])))
   | Some analyze -> (
-    let func = t.vm.Vm.program.Op.funcs.(idx) in
-    let name = func.Op.name in
     let ctx =
       {
         cc_bytecode_hash = func_code_hash func;
-        cc_feedback_hash = feedback_hash t.vm.Vm.feedback.(idx);
+        cc_feedback_hash = feedback_hash feedback_row;
       }
     in
-    let cache = t.config.policy_cache in
-    let key = match cache with Some _ -> policy_key t idx | None -> 0 in
+    let cache = config.policy_cache in
+    let key = match cache with Some _ -> policy_key ctx callees | None -> 0 in
     let cached =
       match cache with Some c -> Policy_cache.lookup c key | None -> None
     in
@@ -613,87 +607,78 @@ let ion_compile t idx =
     | Some _, Some d ->
       Obs.incr obs "policy.cache_hits";
       Obs.event obs "policy_cache_hit" ~fields:[ func_field t idx ];
-      audit_cache_hit t idx ctx d
+      audit_cache_hit t idx ctx d;
+      record_verdict obs d
     | Some _, None -> Obs.incr obs "policy.cache_misses"
     | None, _ -> ());
-    (* On a cache hit [precompiled] stays [None]: the traced compile, the
-       Δ extraction and the DB comparison are all skipped (and so is the
-       monitor record — only fresh analyses are recorded; the audit trail
-       gets a [Cache_hit] record instead). *)
-    let decision, precompiled =
-      match cached with
-      | Some d -> (d, None)
-      | None ->
-        let g0 = current_gen t in
-        let lir, trace =
-          Obs.span obs
-            ~fields:[ func_field t idx; ("traced", Jsonx.Bool true) ]
-            "compile_ion"
-            (fun () -> compile_traced t idx ~disabled:[])
-        in
-        let d = analyze ~ctx ~func_index:idx ~name ~trace in
-        (match cache with
-        | Some c -> Policy_cache.store ~if_generation:g0 c key d
-        | None -> ());
-        (d, Some lir)
-    in
-    record_verdict obs decision;
-    match decision with
-    | Allow ->
-      let lir =
-        match precompiled with
-        | Some lir -> lir
-        | None ->
-          Obs.span obs
-            ~fields:[ func_field t idx; ("cached_verdict", Jsonx.Bool true) ]
-            "compile_ion"
-            (fun () -> compile_lir t idx ~optimize:true ~disabled:[])
+    match cached with
+    | Some d when not (compilable d) ->
+      apply t idx
+        (A_install { decision = Some d; lir = None; traced = false; peephole = 0 });
+      None
+    | Some d ->
+      (* a cache hit skips the snapshot trace, the Δ extraction and the
+         DB comparison (and so the monitor record: the audit trail got a
+         [Cache_hit] record instead) *)
+      let passes = match d with Disable_passes ps -> ps | _ -> [] in
+      let fields =
+        ("cached_verdict", Jsonx.Bool true)
+        :: (if passes = [] then [] else [ disabled_field passes ])
       in
-      install ~tier_native:true t idx lir;
-      t.tiers.(idx) <- Ion;
-      tier_up t idx "ion"
-    | Disable_passes passes when List.for_all Pipeline.can_disable passes ->
-      Log.info (fun m ->
-          m "JITBULL: recompiling %s without dangerous passes [%s]" name
-            (String.concat ", " passes));
-      (* from a cached verdict this is the first (and only) compile of the
-         function, not a recompilation after a traced compile *)
-      (match precompiled with
-      | Some _ ->
-        t.stats.ion_compiles <- t.stats.ion_compiles + 1;
-        Obs.incr obs "engine.recompiles"
-      | None -> ());
-      t.stats.nr_disjit <- t.stats.nr_disjit + 1;
-      let lir =
-        Obs.span obs
-          ~fields:
-            [
-              func_field t idx;
-              ("disabled", Jsonx.List (List.map (fun p -> Jsonx.String p) passes));
-            ]
-          "compile_ion"
-          (fun () -> compile_lir t idx ~optimize:true ~disabled:passes)
-      in
-      install ~tier_native:true t idx lir;
-      t.tiers.(idx) <- Ion;
-      tier_up t idx "ion"
-    | Disable_passes passes ->
-      (* scenario 3: a mandatory pass matched — no JIT for this function *)
-      Log.info (fun m ->
-          m "JITBULL: mandatory pass among [%s] matched — no JIT for %s"
-            (String.concat ", " passes) name);
-      blacklist t idx "mandatory_pass"
-    | Forbid_jit ->
-      Log.info (fun m -> m "JITBULL: JIT forbidden for %s" name);
-      blacklist t idx "forbid_jit")
+      Some
+        (job (fun () ->
+             compiled ~decision:d ~traced:false (compile ~fields ~traced:false passes)))
+    | None ->
+      let g0 = current_gen t in
+      Some
+        (job (fun () ->
+             let ((_, trace, removed) as first) =
+               compile ~fields:[ ("traced", Jsonx.Bool true) ] ~traced:true []
+             in
+             let d = analyze ~ctx ~func_index:idx ~name ~trace in
+             (match cache with
+             | Some c -> Policy_cache.store ~if_generation:g0 c key d
+             | None -> ());
+             record_verdict obs d;
+             match d with
+             | Allow -> compiled ~decision:d ~traced:true first
+             | Disable_passes passes when compilable d ->
+               let lir, _, removed2 =
+                 compile ~fields:[ disabled_field passes ] ~traced:false passes
+               in
+               A_install
+                 { decision = Some d; lir = Some lir; traced = true;
+                   peephole = removed + removed2 }
+             | Disable_passes _ | Forbid_jit ->
+               A_install
+                 { decision = Some d; lir = None; traced = true; peephole = removed })))
 
 let baseline_compile t idx =
   ensure_sentinel t;
-  Log.debug (fun m -> m "baseline-compiling %s" t.vm.Vm.program.Op.funcs.(idx).Op.name);
+  let func = t.vm.Vm.program.Op.funcs.(idx) in
+  Log.debug (fun m -> m "baseline-compiling %s" func.Op.name);
   t.stats.baseline_compiles <- t.stats.baseline_compiles + 1;
   let lir =
     Obs.span t.config.obs ~fields:[ func_field t idx ] "compile_baseline" (fun () ->
-        compile_lir t idx ~optimize:false ~disabled:[])
+        (* the baseline tier does not speculate: like Baseline's inline
+           caches it handles every type dynamically, so it can never bail
+           out. Only Ion consumes type feedback. *)
+        let feedback_row =
+          Array.init
+            (Array.length t.vm.Vm.feedback.(idx))
+            (fun _ -> Feedback.fresh_site ())
+        in
+        let g = Builder.build func ~feedback_row in
+        (* only the mandatory structural passes, no optimization *)
+        let ctx = Jitbull_passes.Pass.make_ctx t.config.vulns in
+        let split = Jitbull_passes.Split_critical_edges.pass in
+        split.Jitbull_passes.Pass.run ctx g;
+        Jitbull_mir.Mir.renumber g;
+        let lir = Lower.lower g in
+        Regalloc.allocate lir;
+        t.stats.peephole_removed <-
+          t.stats.peephole_removed + Jitbull_lir.Peephole.run lir;
+        lir)
   in
   install t idx lir;
   t.tiers.(idx) <- Baseline;
@@ -713,11 +698,11 @@ let set_queue_depth t pool =
   Obs.set_gauge t.config.obs "compile.queue_depth"
     (float_of_int (Compile_queue.pending pool))
 
-(* Main-thread side: install one finished background compile, replicating
-   the synchronous [ion_compile] accounting exactly. A result is stale —
-   counted and dropped — when the function was blacklisted mid-compile or
-   the DNA DB generation moved since enqueue (the verdict may no longer
-   hold; the next invocation re-enqueues against the new generation). *)
+(* Main-thread side: install one finished background compile. A result is
+   stale — counted and dropped — when the function was blacklisted
+   mid-compile or the DNA DB generation moved since enqueue (the verdict
+   may no longer hold; the next invocation re-enqueues against the new
+   generation). *)
 let apply_async t idx (info : inflight) ~published result =
   let obs = t.config.obs in
   let now = Clock.now () in
@@ -738,44 +723,15 @@ let apply_async t idx (info : inflight) ~published result =
   in
   if t.tiers.(idx) = Blacklisted then stale "blacklisted"
   else if info.enq_gen <> current_gen t then stale "generation_moved"
-  else
-    match result with
-    | A_error e -> raise e
-    | A_install { decision; lir; traced; peephole } -> (
-      t.stats.peephole_removed <- t.stats.peephole_removed + peephole;
-      t.stats.nr_jit <- t.stats.nr_jit + 1;
-      t.stats.ion_compiles <- t.stats.ion_compiles + 1;
-      let name = t.vm.Vm.program.Op.funcs.(idx).Op.name in
-      let install_ion lir =
-        install ~tier_native:true t idx lir;
-        t.tiers.(idx) <- Ion;
-        tier_up t idx "ion";
-        t.stats.async_installs <- t.stats.async_installs + 1;
-        Obs.incr obs "engine.async_installs";
-        Obs.event obs "async_install" ?parent:info.anchor
-          ~fields:[ func_field t idx ]
-      in
-      match (decision, lir) with
-      | (None | Some Allow), Some lir -> install_ion lir
-      | Some (Disable_passes passes), Some lir ->
-        Log.info (fun m ->
-            m "JITBULL: recompiling %s without dangerous passes [%s]" name
-              (String.concat ", " passes));
-        if traced then begin
-          t.stats.ion_compiles <- t.stats.ion_compiles + 1;
-          Obs.incr obs "engine.recompiles"
-        end;
-        t.stats.nr_disjit <- t.stats.nr_disjit + 1;
-        install_ion lir
-      | Some (Disable_passes passes), None ->
-        Log.info (fun m ->
-            m "JITBULL: mandatory pass among [%s] matched — no JIT for %s"
-              (String.concat ", " passes) name);
-        blacklist t idx "mandatory_pass"
-      | Some Forbid_jit, _ ->
-        Log.info (fun m -> m "JITBULL: JIT forbidden for %s" name);
-        blacklist t idx "forbid_jit"
-      | (None | Some Allow), None -> assert false)
+  else begin
+    apply t idx result;
+    (* the function ran baseline code until now: Ion means installed *)
+    if t.tiers.(idx) = Ion then begin
+      t.stats.async_installs <- t.stats.async_installs + 1;
+      Obs.incr obs "engine.async_installs";
+      Obs.event obs "async_install" ?parent:info.anchor ~fields:[ func_field t idx ]
+    end
+  end
 
 (* The safepoint: called at every function entry (and from [drain]).
    Clears the flag before draining so a publish racing the drain leaves
@@ -805,208 +761,56 @@ let poll t =
     | None -> ()
   end
 
-(* Enqueue an Ion compile for [idx] on the helper pool. Everything the
-   compile reads — the function's feedback row and the inline-resolver
-   closure over its callees — is snapshotted here, on the main thread;
-   the helper domain touches no live VM state. Cached Forbid/mandatory
-   verdicts apply immediately (nothing to compile); cached Allow/Disable
-   verdicts still compile, just without the snapshot trace. When the
-   queue is full the engine falls back to a synchronous compile rather
-   than dropping the tier-up. *)
-let enqueue_ion t pool idx =
-  ensure_sentinel t;
-  let obs = t.config.obs in
-  let func = t.vm.Vm.program.Op.funcs.(idx) in
-  let name = func.Op.name in
-  let config = t.config in
-  (* The cross-domain trace edge: an anchored point event stands for this
-     tier-up request on the main thread; the helper-domain queue-wait and
-     compile spans, and the eventual install/stale event at the
-     safepoint, all carry its id as their parent. *)
-  let anchor = Obs.alloc_id obs in
-  let enq_rel = Obs.now obs in
-  Obs.event obs ?id:anchor ~fields:[ func_field t idx ] "tier_up_request";
-  (* Wrap the worker body: measure time spent waiting in the queue (a
-     synthesized [queue_wait] span — its start was stamped here, on the
-     main thread), then run the compile under a [compile_task] span so
-     every span the helper opens ([compile_ion], [policy_decide],
-     [pass.<name>], …) parents back to the anchor through it. *)
-  let in_task body () =
-    let wait = Float.max 0.0 (Obs.now obs -. enq_rel) in
-    Obs.observe obs ~bounds:Jitbull_obs.Metrics.queue_latency_bounds
-      "compile.queue_wait_seconds" wait;
-    Obs.record_span obs ?parent:anchor ~ts:enq_rel ~dur:wait
-      ~fields:[ ("func", Jsonx.String name) ]
-      "queue_wait";
-    Obs.span obs ?parent:anchor
-      ~fields:[ ("func", Jsonx.String name) ]
-      "compile_task" body
-  in
-  let submit work =
-    match Compile_queue.try_submit pool work with
-    | Some job ->
-      Hashtbl.replace t.async_inflight idx
-        { job; enq_gen = current_gen t; enq_time = Clock.now (); anchor };
-      Obs.incr obs "compile.enqueued";
-      set_queue_depth t pool
-    | None ->
-      Obs.incr obs "compile.queue_full";
-      stalled t (fun () -> ion_compile t idx)
-  in
-  match t.config.analyzer with
-  | None ->
-    let feedback_row = Feedback.copy_row t.vm.Vm.feedback.(idx) in
-    let resolver = snapshot_resolver t ~caller_idx:idx func in
-    submit
-      (in_task (fun () ->
-           let result =
-             try
-               let lir, removed =
-                 Obs.span obs
-                   ~fields:[ ("func", Jsonx.String name); ("async", Jsonx.Bool true) ]
-                   "compile_ion"
-                   (fun () ->
-                     compile_opt_with config func ~feedback_row ~resolver ~disabled:[])
-               in
-               A_install
-                 { decision = None; lir = Some lir; traced = false; peephole = removed }
-             with e -> A_error e
-           in
-           publish t idx result))
-  | Some analyze -> (
-    let cache = t.config.policy_cache in
-    let key = match cache with Some _ -> policy_key t idx | None -> 0 in
-    let cached =
-      match cache with Some c -> Policy_cache.lookup c key | None -> None
-    in
-    (match (cache, cached) with
-    | Some _, Some d ->
-      Obs.incr obs "policy.cache_hits";
-      Obs.event obs "policy_cache_hit" ~fields:[ func_field t idx ];
-      audit_cache_hit t idx
-        {
-          cc_bytecode_hash = func_code_hash func;
-          cc_feedback_hash = feedback_hash t.vm.Vm.feedback.(idx);
-        }
-        d
-    | Some _, None -> Obs.incr obs "policy.cache_misses"
-    | None, _ -> ());
-    match cached with
-    | Some Forbid_jit ->
-      t.stats.nr_jit <- t.stats.nr_jit + 1;
-      t.stats.ion_compiles <- t.stats.ion_compiles + 1;
-      record_verdict obs Forbid_jit;
-      Log.info (fun m -> m "JITBULL: JIT forbidden for %s" name);
-      blacklist t idx "forbid_jit"
-    | Some (Disable_passes passes)
-      when not (List.for_all Pipeline.can_disable passes) ->
-      t.stats.nr_jit <- t.stats.nr_jit + 1;
-      t.stats.ion_compiles <- t.stats.ion_compiles + 1;
-      record_verdict obs (Disable_passes passes);
-      Log.info (fun m ->
-          m "JITBULL: mandatory pass among [%s] matched — no JIT for %s"
-            (String.concat ", " passes) name);
-      blacklist t idx "mandatory_pass"
-    | cached ->
-      (* [None], or a cached Allow / disableable Disable_passes *)
-      (match cached with Some d -> record_verdict obs d | None -> ());
-      let feedback_row = Feedback.copy_row t.vm.Vm.feedback.(idx) in
-      let resolver = snapshot_resolver t ~caller_idx:idx func in
-      let g0 = current_gen t in
-      submit
-        (in_task (fun () ->
-          let result =
-            try
-              match cached with
-              | Some d ->
-                let disabled =
-                  match d with Disable_passes ps -> ps | _ -> []
-                in
-                let lir, removed =
-                  Obs.span obs
-                    ~fields:
-                      [
-                        ("func", Jsonx.String name);
-                        ("async", Jsonx.Bool true);
-                        ("cached_verdict", Jsonx.Bool true);
-                      ]
-                    "compile_ion"
-                    (fun () ->
-                      compile_opt_with config func ~feedback_row ~resolver ~disabled)
-                in
-                A_install
-                  { decision = Some d; lir = Some lir; traced = false; peephole = removed }
-              | None -> (
-                let lir, trace, removed =
-                  Obs.span obs
-                    ~fields:
-                      [
-                        ("func", Jsonx.String name);
-                        ("async", Jsonx.Bool true);
-                        ("traced", Jsonx.Bool true);
-                      ]
-                    "compile_ion"
-                    (fun () ->
-                      compile_traced_with config func ~feedback_row ~resolver
-                        ~disabled:[])
-                in
-                let ctx =
-                  {
-                    cc_bytecode_hash = func_code_hash func;
-                    cc_feedback_hash = feedback_hash feedback_row;
-                  }
-                in
-                let d = analyze ~ctx ~func_index:idx ~name ~trace in
-                (match cache with
-                | Some c -> Policy_cache.store ~if_generation:g0 c key d
-                | None -> ());
-                record_verdict obs d;
-                match d with
-                | Allow ->
-                  A_install
-                    { decision = Some d; lir = Some lir; traced = true; peephole = removed }
-                | Disable_passes passes when List.for_all Pipeline.can_disable passes ->
-                  let lir2, removed2 =
-                    Obs.span obs
-                      ~fields:
-                        [
-                          ("func", Jsonx.String name);
-                          ("async", Jsonx.Bool true);
-                          ( "disabled",
-                            Jsonx.List (List.map (fun p -> Jsonx.String p) passes) );
-                        ]
-                      "compile_ion"
-                      (fun () ->
-                        compile_opt_with config func ~feedback_row ~resolver
-                          ~disabled:passes)
-                  in
-                  A_install
-                    {
-                      decision = Some d;
-                      lir = Some lir2;
-                      traced = true;
-                      peephole = removed + removed2;
-                    }
-                | Disable_passes _ | Forbid_jit ->
-                  A_install
-                    { decision = Some d; lir = None; traced = true; peephole = removed })
-            with e -> A_error e
-          in
-          publish t idx result)))
-
-(* Tier-up to Ion: synchronous without a pool; with a pool, make sure the
-   function stops interpreting (so its feedback row is frozen — the
-   baseline tier neither speculates nor collects feedback), then enqueue.
-   A function with a compile already in flight just keeps running
-   baseline code. *)
+(* Tier-up to Ion. Without a pool the job runs inline. With one, the
+   function first stops interpreting (so its feedback row is frozen — the
+   baseline tier neither speculates nor collects feedback) and the job is
+   enqueued; the function keeps running baseline code until the result is
+   installed at a safepoint, and one with a compile in flight is left
+   alone. A full queue runs the job inline rather than drop the tier-up. *)
 let request_ion t idx =
   match t.config.compile_pool with
-  | None -> stalled t (fun () -> ion_compile t idx)
-  | Some pool ->
-    if not (Hashtbl.mem t.async_inflight idx) then begin
-      if t.tiers.(idx) = Interpreted then baseline_compile t idx;
-      enqueue_ion t pool idx
-    end
+  | None ->
+    stalled t (fun () -> Option.iter (fun job -> apply t idx (job ())) (prepare t idx))
+  | Some pool when not (Hashtbl.mem t.async_inflight idx) -> (
+    if t.tiers.(idx) = Interpreted then baseline_compile t idx;
+    let obs = t.config.obs in
+    let name = t.vm.Vm.program.Op.funcs.(idx).Op.name in
+    (* The cross-domain trace edge: an anchored point event stands for
+       this tier-up request on the main thread; the helper-domain
+       queue-wait and compile spans, and the eventual install/stale event
+       at the safepoint, all carry its id as their parent. *)
+    let anchor = Obs.alloc_id obs in
+    let enq_rel = Obs.now obs in
+    Obs.event obs ?id:anchor ~fields:[ func_field t idx ] "tier_up_request";
+    match prepare t idx with
+    | None -> ()
+    | Some job -> (
+      (* measure the time spent waiting in the queue (a synthesized
+         [queue_wait] span whose start was stamped here), then run the job
+         under a [compile_task] span so every span it opens parents back
+         to the anchor *)
+      let task () =
+        let wait = Float.max 0.0 (Obs.now obs -. enq_rel) in
+        Obs.observe obs ~bounds:Jitbull_obs.Metrics.queue_latency_bounds
+          "compile.queue_wait_seconds" wait;
+        Obs.record_span obs ?parent:anchor ~ts:enq_rel ~dur:wait
+          ~fields:[ ("func", Jsonx.String name) ]
+          "queue_wait";
+        Obs.span obs ?parent:anchor
+          ~fields:[ ("func", Jsonx.String name) ]
+          "compile_task"
+          (fun () -> publish t idx (job ()))
+      in
+      match Compile_queue.try_submit pool task with
+      | Some cq_job ->
+        Hashtbl.replace t.async_inflight idx
+          { job = cq_job; enq_gen = current_gen t; enq_time = Clock.now (); anchor };
+        Obs.incr obs "compile.enqueued";
+        set_queue_depth t pool
+      | None ->
+        Obs.incr obs "compile.queue_full";
+        stalled t (fun () -> apply t idx (job ()))))
+  | Some _ -> ()
 
 let drain t =
   match t.config.compile_pool with

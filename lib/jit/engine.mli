@@ -17,12 +17,14 @@
       [max_bailouts] (replay-from-entry deoptimization; see DESIGN.md for
       the fidelity note).
 
-    With a [compile_pool] configured, the Ion tier-up runs off the main
-    thread: the engine snapshots the compile inputs (feedback row, callee
-    closure), enqueues a job on the helper-domain pool, and keeps
-    executing baseline code; the finished [(code, verdict)] is installed
-    at the next function-entry safepoint. See DESIGN.md §9 for the
-    staleness rules and memory-model notes.
+    Every Ion tier-up is one compile job over inputs frozen on the main
+    thread (the feedback row and the inline callees' rows, from which
+    the policy key also comes). Without a [compile_pool] the job runs
+    inline. With one it runs on a helper domain while the function keeps
+    executing baseline code, and the finished [(code, verdict)] is
+    installed at the next function-entry safepoint; a full queue runs
+    the same job inline. See DESIGN.md §9 for the staleness rules and
+    memory-model notes.
 
     The heap sentinel standing in for JIT code pointers is installed when
     the first function is JIT-compiled; the VM checks it on every transfer
@@ -37,7 +39,7 @@ type decision =
 
 (** What the engine knows about the compile a verdict is being asked
     for: hashes of the function's bytecode and of the type-feedback row
-    the compile consumed (the enqueue-time snapshot in background mode).
+    the compile consumed (the copy frozen at tier-up).
     The analyzer records them in the audit trail so a decision can be
     tied to the exact program state it was made against. *)
 type compile_ctx = {
@@ -55,11 +57,11 @@ type analyzer =
 (** The policy-decision cache: go/no-go verdicts memoized across Ion
     compiles (and across engines sharing one {!config}), keyed by a hash
     of the function's bytecode, its type-feedback row and the bytecode +
-    feedback of its statically bound callees (the inline resolver's
-    inputs). The [generation] closure — typically the DNA database's
-    mutation counter — is consulted on every access; when it moves, the
-    whole cache is dropped, so [Db.add]/[Db.remove_cve] invalidate
-    previously cached verdicts.
+    feedback of the statically bound callees the inliner may resolve
+    (the frozen inline resolver's inputs). The [generation] closure —
+    typically the DNA database's mutation counter — is consulted on
+    every access; when it moves, the whole cache is dropped, so
+    [Db.add]/[Db.remove_cve] invalidate previously cached verdicts.
 
     On a hit the engine skips the snapshot-traced compile, the Δ
     extraction and the DB comparison (a [Forbid_jit] hit skips compilation
@@ -131,9 +133,10 @@ type config = {
           compile afresh. Only consulted when [analyzer] is present. *)
   compile_pool : Compile_queue.t option;
       (** helper-domain pool for off-main-thread Ion compilation; [None]
-          (default) compiles synchronously at the tier-up site. The pool
-          is owned by the caller (shareable across engines) and must be
-          {!Compile_queue.shutdown} by it. Background mode also needs a
+          (default) runs the same compile job inline at the tier-up
+          site. The pool is owned by the caller (shareable across
+          engines) and must be {!Compile_queue.shutdown} by it.
+          Background mode also needs a
           [policy_cache] with a DB-generation closure for results to be
           invalidated by concurrent DB mutation — without one, finished
           compiles are never considered stale. *)

@@ -25,11 +25,6 @@ let verdict_name = function
   | `Disable _ -> "disable"
   | `Forbid -> "forbid"
 
-let verdict_of_decision = function
-  | Engine.Allow -> `Allow
-  | Engine.Disable_passes ps -> `Disable ps
-  | Engine.Forbid_jit -> `Forbid
-
 let decision_of_verdict = function
   | `Allow -> Engine.Allow
   | `Disable ps -> Engine.Disable_passes ps
@@ -110,10 +105,10 @@ let decode_reqs = of_jsonl req_of_json
 let encode_resps = jsonl resp_to_json
 let decode_resps = of_jsonl resp_of_json
 
-(* FNV-1a-style fold over the whole request identity — the server-side
-   verdict cache key. Unlike [Hashtbl.hash] (which samples a bounded
-   prefix), every byte of the DNA text contributes, so two requests
-   collide only on a genuine 62-bit hash collision. (The offset basis is
+(* FNV-1a-style fold over the whole raw request line — the server's
+   line-cache key. Unlike [Hashtbl.hash] (which samples a bounded
+   prefix), every byte contributes. A 62-bit hash still collides, so the
+   cache checks the stored line's bytes on a hit. (The offset basis is
    not FNV's — that constant doesn't fit OCaml's 63-bit int — but any
    large odd seed serves the same purpose.) *)
 let fnv s =
@@ -123,15 +118,4 @@ let fnv s =
   done;
   !h
 
-let req_key r =
-  let h = ref (fnv r.vr_dna) in
-  let mix x = h := (!h lxor x) * 0x100000001b3 in
-  mix (r.vr_bytecode_hash land max_int);
-  mix (r.vr_feedback_hash land max_int);
-  !h land max_int
-
-(* The outer server cache key: the raw, still-unparsed JSONL request
-   line. A hit answers with a pre-rendered response line, skipping JSON
-   parse and render entirely — under fleet load, where many engines
-   compile the same functions, this is most requests. *)
 let line_key line = fnv line land max_int

@@ -31,7 +31,6 @@ type verdict_resp = {
 
 val verdict_name : verdict -> string
 
-val verdict_of_decision : Jitbull_jit.Engine.decision -> verdict
 val decision_of_verdict : verdict -> Jitbull_jit.Engine.decision
 
 val req_to_json : verdict_req -> Jitbull_obs.Jsonx.t
@@ -47,11 +46,8 @@ val decode_reqs : string -> verdict_req list
 val encode_resps : verdict_resp list -> string
 val decode_resps : string -> verdict_resp list
 
-(** FNV-1a over the full request identity (every DNA byte + both
-    hashes) — the server-side verdict cache key. *)
-val req_key : verdict_req -> int
-
-(** FNV-1a over a raw, unparsed JSONL request line — the server's outer
+(** FNV-1a over a raw, unparsed JSONL request line — the server's line
     cache key. A hit answers with a pre-rendered response line, skipping
-    JSON parse and render entirely. *)
+    JSON parse and render entirely; the server compares the stored
+    line's bytes too, since 62 bits can collide. *)
 val line_key : string -> int

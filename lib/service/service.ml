@@ -6,7 +6,6 @@ module Audit = Jitbull_obs.Audit
 module Propagate = Jitbull_obs.Propagate
 module Fleet = Jitbull_obs.Fleet
 module Sexpr = Jitbull_util.Sexpr
-module Engine = Jitbull_jit.Engine
 module Db = Jitbull_core.Db
 module Dna = Jitbull_core.Dna
 module Comparator = Jitbull_core.Comparator
@@ -17,11 +16,14 @@ module Jitbull = Jitbull_core.Jitbull
    rendering — under fleet load, where many engines compile the same
    hot functions, this is most requests, and on the wire path it is the
    difference between per-request work that scales with the DNA size
-   and work that scales with one hash of the line. Entries are valid
-   only at the generation they were decided at, the same
+   and work that scales with one hash of the line. A hit must match the
+   stored request bytes, not just their hash: a hash collision is then
+   a miss, never another request's verdict. Entries are valid only at
+   the generation they were decided at, the same
    [store ~if_generation] discipline as the policy cache. *)
 type line_cell = {
   l_gen : int;
+  l_req : string;  (** the request line this cell answers *)
   l_line : string;  (** rendered response line, [vs_cached = true] *)
 }
 
@@ -30,12 +32,8 @@ type t = {
   params : Comparator.params;
   obs : Obs.t option;
   use_cache : bool;
-      (** [false] disables both server cache levels — the A/B baseline
-          where every request pays parse + query *)
-  cache : Engine.Policy_cache.t;
-      (** inner verdict cache keyed by {!Proto.req_key} (full request
-          identity) — catches re-decides that miss the line cache, e.g.
-          the same compile arriving with a different request id *)
+      (** [false] disables the line cache — the A/B baseline where every
+          request pays parse + query *)
   line_mu : Mutex.t;
   lines : (int, line_cell) Hashtbl.t;  (** keyed by {!Proto.line_key} *)
   max_lines : int;
@@ -62,10 +60,14 @@ let json_error status msg =
 (* Every served decision is audited (when obs is installed) with the
    same evidence shape as a local one, plus fleet provenance: the
    requesting client id and the remote parent span that asked. *)
-let audit_decision t ?client_id ?remote_parent ~(req : Proto.verdict_req)
-    ~verdict ~matches ~prefilter_candidates ~prefilter_hits ~db_generation
-    ~source ~duration () =
-  match t.obs with
+let decide t ?client_id ?remote_parent (req : Proto.verdict_req) :
+    Proto.verdict_resp =
+  let t0 = Obs.now t.obs in
+  let dna = Dna.of_sexpr (Sexpr.of_string req.Proto.vr_dna) in
+  let q = Db.matching_detailed ~params:t.params ?obs:t.obs t.db dna in
+  let matched = Db.drop_details q.Db.q_matches in
+  let dangerous, verdict = Jitbull.verdict_of_matches matched in
+  (match t.obs with
   | None -> ()
   | Some o ->
     ignore
@@ -74,77 +76,32 @@ let audit_decision t ?client_id ?remote_parent ~(req : Proto.verdict_req)
          ~bytecode_hash:req.Proto.vr_bytecode_hash
          ~feedback_hash:req.Proto.vr_feedback_hash
          ~verdict:(Jitbull.audit_verdict verdict)
-         ~matches ~thr:t.params.Comparator.thr ~ratio:t.params.Comparator.ratio
-         ~prefilter_candidates ~prefilter_hits ~db_generation
-         ~db_size:(Db.size t.db) ~source ~duration ())
-
-let decide t ?client_id ?remote_parent (req : Proto.verdict_req) :
-    Proto.verdict_resp =
-  let key = Proto.req_key req in
-  (* a hit was decided at the generation its lookup revalidated
-     against; two equal reads around the lookup pin that generation
-     (generations only grow), so an install racing the lookup can never
-     stamp an old verdict with the new generation *)
-  let cached =
-    if not t.use_cache then None
-    else
-      let gen = Db.generation t.db in
-      match Engine.Policy_cache.lookup t.cache key with
-      | Some d when Db.generation t.db = gen -> Some (d, gen)
-      | _ -> None
-  in
-  match cached with
-  | Some (d, gen) ->
-    let verdict = Proto.verdict_of_decision d in
-    let resp =
-      {
-        Proto.vs_id = req.Proto.vr_id;
-        vs_verdict = verdict;
-        vs_passes = (match verdict with `Disable ps -> ps | _ -> []);
-        vs_matched = [];
-        vs_generation = gen;
-        vs_cached = true;
-      }
-    in
-    audit_decision t ?client_id ?remote_parent ~req ~verdict ~matches:[]
-      ~prefilter_candidates:0 ~prefilter_hits:0 ~db_generation:gen
-      ~source:Audit.Cache_hit ~duration:0.0 ();
-    resp
-  | None ->
-    let t0 = Obs.now t.obs in
-    let dna = Dna.of_sexpr (Sexpr.of_string req.Proto.vr_dna) in
-    let q = Db.matching_detailed ~params:t.params ?obs:t.obs t.db dna in
-    let matched = Db.drop_details q.Db.q_matches in
-    let dangerous, verdict = Jitbull.verdict_of_matches matched in
-    if t.use_cache then
-      Engine.Policy_cache.store ~if_generation:q.Db.q_generation t.cache key
-        (Proto.decision_of_verdict verdict);
-    audit_decision t ?client_id ?remote_parent ~req ~verdict
-      ~matches:(Jitbull.audit_matches q.Db.q_matches)
-      ~prefilter_candidates:q.Db.q_prefilter_candidates
-      ~prefilter_hits:q.Db.q_prefilter_hits ~db_generation:q.Db.q_generation
-      ~source:Audit.Fresh
-      ~duration:(Float.max 0.0 (Obs.now t.obs -. t0))
-      ();
-    {
-      Proto.vs_id = req.Proto.vr_id;
-      vs_verdict = verdict;
-      vs_passes = dangerous;
-      vs_matched = matched;
-      vs_generation = q.Db.q_generation;
-      vs_cached = false;
-    }
+         ~matches:(Jitbull.audit_matches q.Db.q_matches)
+         ~thr:t.params.Comparator.thr ~ratio:t.params.Comparator.ratio
+         ~prefilter_candidates:q.Db.q_prefilter_candidates
+         ~prefilter_hits:q.Db.q_prefilter_hits ~db_generation:q.Db.q_generation
+         ~db_size:(Db.size t.db) ~source:Audit.Fresh
+         ~duration:(Float.max 0.0 (Obs.now t.obs -. t0))
+         ()));
+  {
+    Proto.vs_id = req.Proto.vr_id;
+    vs_verdict = verdict;
+    vs_passes = dangerous;
+    vs_matched = matched;
+    vs_generation = q.Db.q_generation;
+    vs_cached = false;
+  }
 
 (* line cache: lookups are valid only at the generation [gen] the batch
    read on arrival, so a DB mutation implicitly drops every stored
    line *)
-let line_find t ~gen key =
+let line_find t ~gen key line =
   if not t.use_cache then None
   else begin
     Mutex.lock t.line_mu;
     let r =
       match Hashtbl.find_opt t.lines key with
-      | Some c when c.l_gen = gen -> Some c
+      | Some c when c.l_gen = gen && String.equal c.l_req line -> Some c
       | _ -> None
     in
     Mutex.unlock t.line_mu;
@@ -171,7 +128,7 @@ let verdict_body t ?client_id ?remote_parent body =
     let gen = Db.generation t.db in
     let answer line =
       let key = Proto.line_key line in
-      match line_find t ~gen key with
+      match line_find t ~gen key line with
       | Some c ->
         Obs.incr t.obs "service.cache_hits";
         c.l_line
@@ -185,6 +142,7 @@ let verdict_body t ?client_id ?remote_parent body =
           line_store t key
             {
               l_gen = resp.Proto.vs_generation;
+              l_req = line;
               l_line =
                 Jsonx.to_string
                   (Proto.resp_to_json { resp with Proto.vs_cached = true });
@@ -395,10 +353,6 @@ let create ?(params = Comparator.default_params) ?(workers = 4)
       params;
       obs;
       use_cache = server_cache;
-      cache =
-        Engine.Policy_cache.create ~max_entries:65536
-          ~generation:(fun () -> Db.generation db)
-          ();
       line_mu = Mutex.create ();
       lines = Hashtbl.create 1024;
       max_lines = 65536;

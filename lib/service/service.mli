@@ -5,13 +5,15 @@
     Endpoints:
 
     - [POST /verdict] — JSONL batch of {!Proto.verdict_req}, answered
-      with one {!Proto.verdict_resp} per line. Repeat requests hit a
-      two-level server-side verdict cache: the outer level maps each
-      unparsed request line ({!Proto.line_key}) to a pre-rendered
-      response line — a hit skips JSON parse, DNA parse, query and
-      response rendering — and the inner level maps the request
-      identity ({!Proto.req_key}) to a decision. Both are invalidated
-      by DB-generation moves exactly like the engine's policy cache.
+      with one {!Proto.verdict_resp} per line. Repeat requests hit one
+      server-side memo, the line cache: it maps each unparsed request
+      line ({!Proto.line_key}) to a pre-rendered response line — a hit
+      skips JSON parse, DNA parse, query and response rendering. A hit
+      must also equal the stored request bytes, so a hash collision is
+      a miss. DB-generation moves invalidate it exactly like the
+      engine's policy cache. There is no memo per request identity:
+      a hash over (dna, hashes) can be forged by a client, and traffic
+      never repeated a compile under a new request line.
       Fresh requests run the DB's indexed query
       ({!Jitbull_core.Db.matching_detailed}) and the shared go/no-go rule
       ({!Jitbull_core.Jitbull.verdict_of_matches}), so a remote verdict
@@ -58,8 +60,8 @@ type t
     Each accepted connection is served on its own thread, so [workers]
     sizes CPU parallelism, not the connection limit — long-poll
     subscribers park a thread each without starving verdict traffic.
-    [server_cache:false] disables both verdict cache levels: the A/B
-    baseline where every request pays full parse + query. *)
+    [server_cache:false] disables the line cache: the A/B baseline
+    where every request pays full parse + query. *)
 val create :
   ?params:Jitbull_core.Comparator.params ->
   ?workers:int ->
@@ -85,7 +87,7 @@ val install : t -> Jitbull_core.Db.entry -> unit
 val remove_cve : t -> string -> unit
 
 (** One verdict, computed exactly as [POST /verdict] would on a
-    line-cache miss (policy cache, then the indexed query) — exposed
+    line-cache miss (the indexed query) — exposed
     for tests and the remote==local oracle. [client_id]/[remote_parent]
     stamp fleet provenance into the audit record, as the wire path
     does. *)

@@ -317,6 +317,80 @@ let async_src =
 
 let make_engine config = Engine.create config (Compiler.compile (Parser.parse async_src))
 
+(* One function per verdict kind, decided by a stub analyzer: a plain
+   install, a recompile without a disableable pass, a blacklist for a
+   mandatory pass, and a forbid. Each mode runs two engines over one
+   policy cache, so the second pass applies every kind from the cache
+   (the forbid and mandatory ones without compiling at all). *)
+let verdict_src =
+  "function allow(x) { return x + 1; } \
+   function nogvn(x) { var t = 0; for (var i = 0; i < x; i++) { t = t + i; } return t; } \
+   function norenumber(x) { return x * 2; } \
+   function forbid(x) { return x - 1; }"
+
+let verdict_names = [ "allow"; "nogvn"; "norenumber"; "forbid" ]
+
+let stub_analyzer ~ctx:_ ~func_index:_ ~name ~trace:_ =
+  match name with
+  | "nogvn" -> Engine.Disable_passes [ "gvn" ]
+  | "norenumber" -> Engine.Disable_passes [ "renumber" ]
+  | "forbid" -> Engine.Forbid_jit
+  | _ -> Engine.Allow
+
+let every_verdict_kind_agrees pool =
+  let run_mode compile_pool =
+    let obs = Jitbull_obs.Obs.create () in
+    let config =
+      {
+        Engine.default_config with
+        Engine.baseline_threshold = 2;
+        ion_threshold = 4;
+        analyzer = Some stub_analyzer;
+        policy_cache = Some (Engine.Policy_cache.create ());
+        compile_pool;
+        obs = Some obs;
+      }
+    in
+    List.init 2 (fun _ ->
+        let eng = Engine.create config (Compiler.compile (Parser.parse verdict_src)) in
+        let out =
+          List.concat_map
+            (fun i ->
+              let rs =
+                List.map (fun f -> call eng (func_idx eng f) [ num i ]) verdict_names
+              in
+              Engine.drain eng;
+              rs)
+            (List.init 10 Fun.id)
+        in
+        let s = Engine.stats eng in
+        ( out,
+          List.map (fun f -> Engine.tier_of eng (func_idx eng f)) verdict_names,
+          [
+            s.Engine.nr_jit; s.Engine.nr_disjit; s.Engine.nr_nojit;
+            s.Engine.ion_compiles;
+          ],
+          Jitbull_obs.Audit.total (Jitbull_obs.Obs.audit obs) ))
+  in
+  let sync_passes = run_mode None and async_passes = run_mode (Some pool) in
+  List.iteri
+    (fun i ((so, st, ss, sa), (ao, at, as_, aa)) ->
+      let pass = Printf.sprintf "pass %d: " (i + 1) in
+      check_bool (pass ^ "every call agrees") true (List.equal String.equal so ao);
+      check_bool (pass ^ "final tiers agree") true (st = at);
+      Alcotest.(check (list int))
+        (pass ^ "Nr_JIT/DisJIT/NoJIT/ion compiles agree") ss as_;
+      check_int (pass ^ "audit totals agree") sa aa)
+    (List.combine sync_passes async_passes);
+  match sync_passes with
+  | [ (_, tiers, stats, _); (_, tiers2, stats2, _) ] ->
+    check_bool "verdicts reached the tiers" true
+      (tiers = Engine.[ Ion; Ion; Blacklisted; Blacklisted ] && tiers2 = tiers);
+    (* the fresh Disable recompiles; its cached replay compiles once *)
+    Alcotest.(check (list int)) "fresh pass counts" [ 4; 1; 2; 5 ] stats;
+    Alcotest.(check (list int)) "cached pass counts" [ 4; 1; 2; 4 ] stats2
+  | _ -> assert false
+
 (* Drive the same call sequence through a synchronous and a background
    engine, draining the pool after every call so installation points are
    deterministic; every return value, every final tier and the policy
@@ -353,7 +427,8 @@ let test_async_equals_sync () =
       check_int "ion compiles agree" ss.Engine.ion_compiles sa.Engine.ion_compiles;
       check_bool "installs went through the safepoint" true
         (sa.Engine.async_installs >= 2);
-      check_int "nothing was stale" 0 sa.Engine.stale_results)
+      check_int "nothing was stale" 0 sa.Engine.stale_results;
+      every_verdict_kind_agrees pool)
 
 (* A mid-compile [Db.add] moves the DB generation: the finished result
    must be discarded (stale), the verdict computed against the old DB
@@ -405,6 +480,59 @@ let test_async_bailout_blacklist () =
       check_bool "async run blacklists too" true
         (Engine.tier_of ae (func_idx ae "at") = Engine.Blacklisted);
       check_bool "async saw bailouts" true ((Engine.stats ae).Engine.bailouts > 0))
+
+(* A full queue runs the compile job inline: two tier-ups of one function
+   (the second a policy-cache hit) must account exactly like the
+   synchronous engine — one lookup, one verdict and one audit record per
+   tier-up. The single worker and the single queue slot are held by
+   latch jobs for the whole run. *)
+let hot_twice ?compile_pool () =
+  let db = Db.create () in
+  Db.add db (synthetic_entry "CVE-QUEUE-FULL");
+  let obs = Jitbull_obs.Obs.create () in
+  let cfg = Jitbull.config ?compile_pool ~obs ~vulns:VC.none db in
+  let cfg = { cfg with Engine.baseline_threshold = 2; ion_threshold = 4 } in
+  let outs = List.init 2 (fun _ -> fst (Engine.run_source cfg hot_src)) in
+  let pc = Option.get cfg.Engine.policy_cache in
+  let view = Jitbull_obs.Obs.view (Some obs) in
+  let counter name =
+    Option.value (Jitbull_obs.Metrics.find_counter view name) ~default:0
+  in
+  ( outs,
+    counter "compile.queue_full",
+    [
+      ("Policy_cache.hits", Engine.Policy_cache.hits pc);
+      ("Policy_cache.misses", Engine.Policy_cache.misses pc);
+      ("policy.cache_hits", counter "policy.cache_hits");
+      ("policy.cache_misses", counter "policy.cache_misses");
+      ("engine.verdict.allow", counter "engine.verdict.allow");
+      ("engine.verdict.disable", counter "engine.verdict.disable");
+      ("engine.verdict.forbid", counter "engine.verdict.forbid");
+      ("Audit.total", Jitbull_obs.Audit.total (Jitbull_obs.Obs.audit obs));
+    ] )
+
+let test_queue_full_runs_the_job_inline () =
+  let pool = CQ.create ~capacity:1 ~jobs:1 () in
+  let gate = Atomic.make false in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set gate true;
+      CQ.shutdown pool)
+    (fun () ->
+      let latch () = while not (Atomic.get gate) do Domain.cpu_relax () done in
+      ignore (CQ.submit pool latch);
+      while CQ.in_flight pool < 1 do Domain.cpu_relax () done;
+      ignore (CQ.submit pool latch);
+      check_bool "worker and queue slot are held" true
+        (CQ.try_submit pool (fun () -> ()) = None);
+      let sync_outs, _, sync_counts = hot_twice () in
+      let outs, queue_full, counts = hot_twice ~compile_pool:pool () in
+      check_int "both tier-ups found the queue full" 2 queue_full;
+      check_bool "outputs agree" true (List.equal String.equal sync_outs outs);
+      List.iter2
+        (fun (name, sync_v) (_, v) -> check_int (name ^ " equals sync") sync_v v)
+        sync_counts counts;
+      check_int "one miss then one hit" 1 (List.assoc "Policy_cache.hits" counts))
 
 (* -- QCheck stress: random interleavings of hot calls, forced bailouts
    and DB mutations -- *)
@@ -534,6 +662,8 @@ let suite =
         test_async_stale_result;
       Alcotest.test_case "async bailouts blacklist like sync" `Quick
         test_async_bailout_blacklist;
+      Alcotest.test_case "queue full runs the job inline" `Quick
+        test_queue_full_runs_the_job_inline;
       qtest qcheck_async_stress;
       Alcotest.test_case "manual clock determinism" `Quick test_clock_manual_determinism;
     ] )

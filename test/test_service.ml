@@ -1,7 +1,7 @@
 (* Tests for the jitbulld verdict service: wire protocol, keep-alive
-   HTTP layer, the two-level server cache with generation invalidation,
-   verdicts decided while installs land, push-driven cache flushes on
-   the client, and the remote==local analyzer oracle. *)
+   HTTP layer, the content-checked line cache with generation
+   invalidation, verdicts decided while installs land, push-driven cache
+   flushes on the client, and the remote==local analyzer oracle. *)
 
 open Helpers
 module Http = Jitbull_obs.Http_export
@@ -81,21 +81,9 @@ let test_proto_roundtrip () =
   check_bool "resp batch round-trips" true (round = resps)
 
 let test_proto_keys () =
-  let r =
-    { Proto.vr_id = 7; vr_func = "f"; vr_bytecode_hash = 11;
-      vr_feedback_hash = 22; vr_dna = "(dna (func f) (deltas))" }
-  in
-  (* the request identity is (dna, hashes): id and func are not part of it *)
-  check_bool "req_key ignores id and func" true
-    (Proto.req_key r = Proto.req_key { r with Proto.vr_id = 99; vr_func = "g" });
-  check_bool "req_key sees the feedback hash" true
-    (Proto.req_key r <> Proto.req_key { r with Proto.vr_feedback_hash = 23 });
-  check_bool "req_key sees the dna" true
-    (Proto.req_key r <> Proto.req_key { r with Proto.vr_dna = "(dna (func g) (deltas))" });
   check_bool "line_key distinguishes lines" true
     (Proto.line_key "{\"id\":1}" <> Proto.line_key "{\"id\":2}");
-  check_bool "keys are non-negative" true
-    (Proto.req_key r >= 0 && Proto.line_key "x" >= 0)
+  check_bool "line_key is non-negative" true (Proto.line_key "x" >= 0)
 
 (* ---- delta_since ---- *)
 
@@ -211,7 +199,7 @@ let test_verdict_endpoint_and_cache () =
             check_int "repeated batch echoes id 2" 2 r2.Proto.vs_id
           | Ok l -> Alcotest.failf "expected 2 responses, got %d" (List.length l)
           | Error m -> Alcotest.fail m);
-          (* DB mutation invalidates every cache level *)
+          (* DB mutation invalidates the line cache *)
           let gen_before = Db.generation db in
           Service.install svc { Db.cve = "CVE-TEST-INSTALL"; dna = e.Db.dna };
           check_bool "install bumped the generation" true
@@ -289,6 +277,70 @@ let test_uncached_baseline_still_correct () =
               && b.Proto.vs_verdict = a.Proto.vs_verdict)
           | _ -> Alcotest.fail "round-trips failed"))
 
+(* ---- the line cache answers only the bytes it stored ---- *)
+
+let gvn_dna = "(dna (func f) (deltas (gvn (delta (removed (x->y 3)) (added)))))"
+
+let gvn_db () =
+  let db = Db.create () in
+  Db.add db { Db.cve = "CVE-COLLIDE"; dna = Dna.of_sexpr (Sexpr.of_string gvn_dna) };
+  db
+
+let roundtrip conn req =
+  match Client.verdict_roundtrip conn [ req ] with
+  | Ok [ r ] -> r
+  | Ok l -> Alcotest.failf "expected 1 response, got %d" (List.length l)
+  | Error m -> Alcotest.fail m
+
+(* Two request lines with one 62-bit line key (a claw search over the
+   [pad] field found them): the second must be decided on its own
+   bytes, not served the first's cached verdict. *)
+let test_line_cache_checks_bytes () =
+  let line_a =
+    {|{"id":1,"func":"f","bytecode_hash":0,"feedback_hash":0,"dna":"(dna (func f) (deltas))","pad":"2ee4e51d68b56f56"}|}
+  and line_b =
+    {|{"id":1,"func":"f","bytecode_hash":0,"feedback_hash":0,"dna":"(dna (func f) (deltas (gvn (delta (removed (x->y 3)) (added)))))","pad":"07380af8f9a37ea9"}|}
+  in
+  check_bool "the two lines share a line key" true
+    (Proto.line_key line_a = Proto.line_key line_b);
+  with_service (gvn_db ()) (fun svc ->
+      let conn = Http.Conn.connect ~port:(Service.port svc) () in
+      Fun.protect
+        ~finally:(fun () -> Http.Conn.close conn)
+        (fun () ->
+          let post line =
+            match Http.Conn.request conn ~meth:"POST" ~body:line "/verdict" with
+            | 200, _, body -> (
+              match Proto.decode_resps body with
+              | [ r ] -> r.Proto.vs_verdict
+              | l -> Alcotest.failf "expected 1 response, got %d" (List.length l))
+            | status, _, body -> Alcotest.failf "status %d: %s" status body
+          in
+          check_bool "A is allowed" true (post line_a = `Allow);
+          check_bool "B is decided on its own bytes" true
+            (post line_b = `Disable [ "gvn" ])))
+
+(* Two requests whose identities an xor-folded hash of (dna, bytecode
+   hash, feedback hash) would confuse: A's bytecode hash is
+   fnv(dna A) xor fnv(dna B) xor B's. The server must decide B on its
+   own DNA after answering A. *)
+let test_forged_identity_decided_apart () =
+  let b =
+    { Proto.vr_id = 1; vr_func = "f"; vr_bytecode_hash = 0x1234;
+      vr_feedback_hash = 0x5678; vr_dna = gvn_dna }
+  in
+  let a =
+    { b with Proto.vr_bytecode_hash = 4585242521019323057;
+             vr_dna = "(dna (func f) (deltas))" }
+  in
+  with_service (gvn_db ()) (fun svc ->
+      let conn = Http.Conn.connect ~port:(Service.port svc) () in
+      Fun.protect
+        ~finally:(fun () -> Http.Conn.close conn)
+        (fun () ->
+          check_bool "A is allowed" true ((roundtrip conn a).Proto.vs_verdict = `Allow);
+          check_bool "B is decided on its own DNA" true
+            ((roundtrip conn b).Proto.vs_verdict = `Disable [ "gvn" ])))
 (* ---- verdicts decided while installs land ---- *)
 
 (* Every bundled demonstrator's entries, for the install race below. *)
@@ -306,10 +358,8 @@ let all_entries =
    main thread installs them one by one into an empty DB (appends
    only). Every response must be the verdict of the DB as it stood at
    the response's generation: with appends only, that is the first
-   [vs_generation] entries. With the server cache off every decide is
-   a fresh query racing the installs; with it on, policy-cache hits
-   race them too. *)
-let decide_during_installs ~server_cache =
+   [vs_generation] entries. *)
+let test_decide_during_installs () =
   let all = Lazy.force all_entries in
   let n = Array.length all in
   let db = Db.create () in
@@ -320,7 +370,7 @@ let decide_during_installs ~server_cache =
            Array.iter (Db.add p) (Array.sub all 0 g);
            p))
   in
-  with_service ~server_cache db (fun svc ->
+  with_service db (fun svc ->
       let stop = Atomic.make false in
       let decided = Atomic.make 0 in
       (* the entry about to be installed: its own verdict is the one an
@@ -375,10 +425,6 @@ let decide_during_installs ~server_cache =
             Alcotest.failf "%s at generation %d: %s, the prefix DB says %s"
               e.Db.dna.Dna.func_name g (show r.Proto.vs_verdict) (show expected))
         responses)
-
-let test_decide_during_installs () =
-  decide_during_installs ~server_cache:false;
-  decide_during_installs ~server_cache:true
 
 (* ---- client: replica sync and push invalidation ---- *)
 
@@ -473,6 +519,10 @@ let suite =
         test_verdict_endpoint_and_cache;
       Alcotest.test_case "uncached baseline stays correct" `Quick
         test_uncached_baseline_still_correct;
+      Alcotest.test_case "line cache checks the request bytes" `Quick
+        test_line_cache_checks_bytes;
+      Alcotest.test_case "forged request identities decided apart" `Quick
+        test_forged_identity_decided_apart;
       Alcotest.test_case "decide while installs land" `Quick
         test_decide_during_installs;
       Alcotest.test_case "client replica sync" `Quick test_client_sync_replica;
