@@ -8,91 +8,78 @@ type t = {
   added : side;
 }
 
-let key_of_ngram ng = String.concat "->" ng
+module Ints = Depgraph.Ints
 
-(* Multiset of sub-chains of a dependency graph, keyed by interned
-   sub-chain ids.
+type multiset = { n : int; counts : int ref Ints.t }
+
+(* n = 2 and n = 3 sub-chains are counted under packed integer keys: three
+   21-bit slots of dense opcode index + 1, where 0 marks an absent slot —
+   a→b is (0, a, b), the root-boundary ^a→b is (a, 0, b) and a→b→c is
+   (a, b, c). Only the keys that survive a diff become {!Intern} ids. *)
+let pack a b c = (a lsl 42) lor (b lsl 21) lor c
+let slot k s = (k lsr (21 * s)) land 0x1FFFFF
+
+let key_id n k =
+  if n <> 2 && n <> 3 then k
+  else
+    let id s = Depgraph.opcode_id (slot k s - 1) in
+    if slot k 2 = 0 then Intern.pair (id 1) (id 0)
+    else if slot k 1 = 0 then Intern.pair (Intern.rooted (id 2)) (id 0)
+    else Intern.triple (id 2) (id 1) (id 0)
+
+(* Multiset of sub-chains of a dependency graph:
    - n = 2: the edge multiset (identical to enumerating chains and taking
      2-grams, without the path explosion);
-   - n = 3 (the default): length-2 walk counts — for every node, one
-     sub-chain per (user, dependency) pair. Same keys as path-enumerated
-     3-grams but computed in O(Σ degᵢₙ·degₒᵤₜ), which keeps the Δ
-     extractor cheap enough for the paper's 1-20% overhead envelope;
-   - n ≥ 4: full chain enumeration under the standard caps. *)
-let subchain_multiset ~n (g : Depgraph.t) : side =
-  let counts = Hashtbl.create 64 in
-  let bump ?(by = 1) k =
-    Hashtbl.replace counts k (by + Option.value ~default:0 (Hashtbl.find_opt counts k))
+   - n = 3 (the default): every length-2 walk u→m→d, plus each edge out
+     of a root as a root-boundary pair so removals at chain ends (an
+     unused guard is a root!) stay visible. Same keys as path-enumerated
+     3-grams, computed in O(Σ degᵢₙ·degₒᵤₜ);
+   - otherwise: full chain enumeration under the standard caps, keyed by
+     the interned n-gram string. *)
+let multiset ~n (g : Depgraph.t) =
+  let counts = Ints.create 64 in
+  let bump k =
+    match Ints.find counts k with c -> incr c | exception Not_found -> Ints.add counts k (ref 1)
   in
-  if n = 2 then
-    List.iter
-      (fun (node : Depgraph.node) ->
-        List.iter
-          (fun (dep : Depgraph.node) ->
-            bump (Intern.pair node.Depgraph.opcode_id dep.Depgraph.opcode_id))
-          node.Depgraph.deps)
-      g.Depgraph.nodes
-  else if n = 3 then begin
-    (* users-per-node map *)
-    let user_ops : (int, Intern.id list) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun (node : Depgraph.node) ->
-        List.iter
-          (fun (dep : Depgraph.node) ->
-            let cur =
-              Option.value ~default:[] (Hashtbl.find_opt user_ops dep.Depgraph.num)
-            in
-            Hashtbl.replace user_ops dep.Depgraph.num (node.Depgraph.opcode_id :: cur))
-          node.Depgraph.deps)
-      g.Depgraph.nodes;
-    List.iter
-      (fun (mid : Depgraph.node) ->
-        match Hashtbl.find_opt user_ops mid.Depgraph.num with
-        | None -> ()
-        | Some users ->
-          List.iter
-            (fun user_op ->
-              List.iter
-                (fun (dep : Depgraph.node) ->
-                  bump (Intern.triple user_op mid.Depgraph.opcode_id dep.Depgraph.opcode_id))
-                mid.Depgraph.deps)
-            users)
-      g.Depgraph.nodes;
-    (* edges whose endpoint is a root or a leaf still carry signal: count
-       the boundary 2-grams as well so removals at chain ends (an unused
-       guard is a root!) stay visible *)
-    List.iter
-      (fun (root : Depgraph.node) ->
-        List.iter
-          (fun (dep : Depgraph.node) ->
-            bump (Intern.pair (Intern.rooted root.Depgraph.opcode_id) dep.Depgraph.opcode_id))
-          root.Depgraph.deps)
-      g.Depgraph.roots
-  end
+  let op v = g.Depgraph.ops.(v) + 1 and first v = g.Depgraph.dep_start.(v) in
+  let last v = g.Depgraph.dep_start.(v + 1) - 1 and deps = g.Depgraph.deps in
+  if n = 2 || n = 3 then
+    for u = 0 to Depgraph.size g - 1 do
+      for i = first u to last u do
+        let m = deps.(i) in
+        if n = 2 then bump (pack 0 (op u) (op m))
+        else begin
+          if Depgraph.is_root g u then bump (pack (op u) 0 (op m));
+          for j = first m to last m do
+            bump (pack (op u) (op m) (op deps.(j)))
+          done
+        end
+      done
+    done
   else
     List.iter
       (fun chain ->
-        List.iter (fun ng -> bump (Intern.intern (key_of_ngram ng))) (Chains.ngrams n chain))
+        List.iter (fun ng -> bump (Intern.intern (String.concat "->" ng))) (Chains.ngrams n chain))
       (Chains.extract g);
-  counts
+  { n; counts }
 
-let diff (a : side) (b : side) =
-  (* multiset difference a − b *)
+(* multiset difference a − b, keyed by interned sub-chain ids *)
+let diff n a b : side =
   let out = Hashtbl.create 16 in
-  Hashtbl.iter
+  Ints.iter
     (fun k ca ->
-      let cb = Option.value ~default:0 (Hashtbl.find_opt b k) in
-      if ca > cb then Hashtbl.replace out k (ca - cb))
+      let cb = match Ints.find b k with c -> !c | exception Not_found -> 0 in
+      if !ca > cb then Hashtbl.replace out (key_id n k) (!ca - cb))
     a;
   out
 
-(* [of_multisets] lets callers that walk a whole snapshot trace compute
-   each graph's multiset once instead of once per adjacent pair. *)
-let of_multisets ~(before : side) ~(after : side) : t =
-  { removed = diff before after; added = diff after before }
+let of_multisets ~before ~after =
+  {
+    removed = diff before.n before.counts after.counts;
+    added = diff before.n after.counts before.counts;
+  }
 
-let compute ?(n = 3) (before : Depgraph.t) (after : Depgraph.t) : t =
-  of_multisets ~before:(subchain_multiset ~n before) ~after:(subchain_multiset ~n after)
+let empty () = { removed = Hashtbl.create 1; added = Hashtbl.create 1 }
 
 let is_empty t = Hashtbl.length t.removed = 0 && Hashtbl.length t.added = 0
 
@@ -103,9 +90,7 @@ let side_of_list entries : side =
   List.iter (fun (k, c) -> Hashtbl.replace tbl (Intern.intern k) c) entries;
   tbl
 
-let find_key (side : side) key = Hashtbl.find_opt side (Intern.intern key)
-
-let mem_key side key = find_key side key <> None
+let mem_key (side : side) key = Hashtbl.mem side (Intern.intern key)
 
 (* serialization: (delta (removed (<key> <count>) ...) (added ...)) —
    keys are written back as strings, so the on-disk format is unchanged

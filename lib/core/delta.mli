@@ -23,15 +23,17 @@ type t = {
   added : side;
 }
 
-(** [compute ?n before after] diffs two dependency graphs. *)
-val compute : ?n:int -> Depgraph.t -> Depgraph.t -> t
+(** A graph's sub-chain n-gram multiset under packed integer keys;
+    [of_multisets] diffs two built with the same [n] and interns only the
+    keys that differ. Exact while no opcode name contains ["->"] or starts
+    with ["^"] (no MIR opcode does), which could alias two key shapes. *)
+type multiset
 
-(** [subchain_multiset ~n g] — the n-gram multiset of a graph;
-    [of_multisets] diffs two precomputed multisets (used by {!Dna.extract}
-    to compute each trace snapshot's multiset exactly once). *)
+val multiset : n:int -> Depgraph.t -> multiset
+val of_multisets : before:multiset -> after:multiset -> t
 
-val subchain_multiset : n:int -> Depgraph.t -> side
-val of_multisets : before:side -> after:side -> t
+(** [empty ()] — a fresh Δ of a pass that changed nothing. *)
+val empty : unit -> t
 
 (** [is_empty t] — the pass changed nothing (or was disabled). *)
 val is_empty : t -> bool
@@ -40,15 +42,14 @@ val is_empty : t -> bool
 val total : side -> int
 
 (** [side_of_list entries] — build a side from string keys (tests, bench
-    synthesis); [find_key]/[mem_key] look a string key up in a side. *)
+    synthesis); [mem_key] looks a string key up in a side. *)
 val side_of_list : (string * int) list -> side
 
-val find_key : side -> string -> int option
 val mem_key : side -> string -> bool
 
 (** Serialization for the on-disk DNA database. [of_sexpr] raises
     [Sexpr.Decode_error] on a malformed entry or a multiplicity below 1
-    ({!compute} never produces one). *)
+    (extraction never produces one). *)
 
 val to_sexpr : t -> Jitbull_util.Sexpr.t
 val of_sexpr : Jitbull_util.Sexpr.t -> t

@@ -1,82 +1,83 @@
 module Snapshot = Jitbull_mir.Snapshot
 module Intern = Jitbull_util.Intern
+module Ints = Hashtbl.Make (struct
+  include Int
 
-type node = {
-  num : int;
-  opcode : string;
-  opcode_id : Intern.id;
-  mutable deps : node list;
-}
+  (* inline multiplicative hash: mixes the high slots of a packed key into
+     the low bits Hashtbl indexes by *)
+  let hash k = (k * 0x1E3779B97F4A7C15) lsr 17
+end)
+module Strings = Hashtbl.Make (String)
+
+(* The process-wide dense opcode index: lookups read a frozen table without
+   a lock; a new opcode (MIR has a few dozen) publishes an extended copy.
+   Each name is interned once, when it is first indexed. *)
+let opcodes = Atomic.make (Strings.create 64, [||])
+let grow = Mutex.create ()
+
+let opcode_index s =
+  match Strings.find_opt (fst (Atomic.get opcodes)) s with
+  | Some i -> i
+  | None ->
+    Mutex.protect grow (fun () ->
+        let index, names = Atomic.get opcodes in
+        match Strings.find_opt index s with
+        | Some i -> i
+        | None ->
+          let index = Strings.copy index and i = Array.length names in
+          if i >= (1 lsl 21) - 1 then failwith "Depgraph: too many distinct opcodes";
+          Strings.add index s i;
+          Atomic.set opcodes (index, Array.append names [| (s, Intern.intern s) |]);
+          i)
+
+let opcode_id i = snd (snd (Atomic.get opcodes)).(i)
 
 type t = {
-  nodes : node list;
-  roots : node list;
+  ops : int array;
+  has_operands : bool array;
+  used : bool array;
+  dep_start : int array;
+  deps : int array;
 }
 
 (* Algorithm 1, lines 1–15: for every instruction V with operands, add V
    as a root if absent; each operand V' loses root status and becomes a
-   dependency of V. *)
+   dependency of V. So V is a root iff it has operands and is used by
+   none, and in the graph iff it has operands or is used. *)
 let build (snapshot : Snapshot.t) : t =
-  let by_num : (int, node) Hashtbl.t = Hashtbl.create 64 in
-  let nodes =
-    List.map
-      (fun (e : Snapshot.entry) ->
-        let n =
-          {
-            num = e.Snapshot.num;
-            opcode = e.Snapshot.opcode;
-            opcode_id = Intern.intern e.Snapshot.opcode;
-            deps = [];
-          }
-        in
-        Hashtbl.replace by_num e.Snapshot.num n;
-        n)
-      snapshot.Snapshot.entries
-  in
-  let in_graph : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let is_root : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Snapshot.entry) ->
-      if e.Snapshot.operands <> [] then begin
-        let v = Hashtbl.find by_num e.Snapshot.num in
-        if not (Hashtbl.mem in_graph v.num) then begin
-          Hashtbl.replace in_graph v.num ();
-          Hashtbl.replace is_root v.num ()
-        end;
-        (* deps accumulate newest-first here and are flipped once below —
-           the old per-operand [deps @ [v']] append was quadratic in the
-           operand count *)
-        List.iter
-          (fun op_num ->
-            match Hashtbl.find_opt by_num op_num with
-            | None -> ()
-            | Some v' ->
-              Hashtbl.remove is_root v'.num;
-              Hashtbl.replace in_graph v'.num ();
-              v.deps <- v' :: v.deps)
-          e.Snapshot.operands
-      end)
-    snapshot.Snapshot.entries;
-  List.iter (fun n -> n.deps <- List.rev n.deps) nodes;
-  let roots = List.filter (fun n -> Hashtbl.mem is_root n.num) nodes in
-  let nodes = List.filter (fun n -> Hashtbl.mem in_graph n.num) nodes in
-  { nodes; roots }
+  let entries = Array.of_list snapshot.Snapshot.entries in
+  let n = Array.length entries in
+  let pos = Ints.create n in
+  Array.iteri (fun v (e : Snapshot.entry) -> Ints.replace pos e.Snapshot.num v) entries;
+  let count a (e : Snapshot.entry) = a + List.length e.Snapshot.operands in
+  let deps = Array.make (Array.fold_left count 0 entries) 0 and dep_start = Array.make (n + 1) 0 in
+  let used = Array.make n false in
+  Array.iteri
+    (fun v (e : Snapshot.entry) ->
+      let k = ref dep_start.(v) in
+      List.iter
+        (fun num ->
+          match Ints.find pos num with
+          | d ->
+            deps.(!k) <- d;
+            used.(d) <- true;
+            incr k
+          | exception Not_found -> ())
+        e.Snapshot.operands;
+      dep_start.(v + 1) <- !k)
+    entries;
+  {
+    ops = Array.map (fun (e : Snapshot.entry) -> opcode_index e.Snapshot.opcode) entries;
+    has_operands = Array.map (fun (e : Snapshot.entry) -> e.Snapshot.operands <> []) entries;
+    used;
+    dep_start;
+    deps;
+  }
 
-let edges t =
-  List.concat_map (fun n -> List.map (fun d -> (n.opcode, d.opcode)) n.deps) t.nodes
-
-let node_count t = List.length t.nodes
-
-let edge_count t =
-  List.fold_left (fun acc n -> acc + List.length n.deps) 0 t.nodes
-
-let to_string t =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun n ->
-      let root = if List.memq n t.roots then "*" else " " in
-      Buffer.add_string buf
-        (Printf.sprintf "%s %d %s -> [%s]\n" root n.num n.opcode
-           (String.concat "; " (List.map (fun d -> Printf.sprintf "%d %s" d.num d.opcode) n.deps))))
-    t.nodes;
-  Buffer.contents buf
+let size g = Array.length g.ops
+let opcode g v = fst (snd (Atomic.get opcodes)).(g.ops.(v))
+let is_root g v = g.has_operands.(v) && not g.used.(v)
+let positions g = List.init (size g) Fun.id
+let roots g = List.filter (is_root g) (positions g)
+let node_count g = List.length (List.filter (fun v -> is_root g v || g.used.(v)) (positions g))
+let edge_count g = g.dep_start.(size g)

@@ -5,34 +5,35 @@
     another becomes a dependency of it and stops being a root. Roots are
     therefore the instructions no other instruction uses.
 
-    Nodes carry opcodes, not instruction numbers — chains must compare
-    across different functions and across renumbering. *)
+    Vertices are snapshot positions; they carry dense opcode indices, not
+    instruction numbers — chains must compare across different functions
+    and across renumbering. *)
 
-type node = {
-  num : int;  (** snapshot display number (diagnostics only) *)
-  opcode : string;
-  opcode_id : Jitbull_util.Intern.id;
-      (** interned [opcode] — the Δ extractor builds sub-chain keys from
-          ids so the hot path never re-hashes opcode strings *)
-  mutable deps : node list;  (** dependencies = operands, in operand order *)
+module Ints : Hashtbl.S with type key = int
+
+type t = private {
+  ops : int array;  (** position → dense opcode index *)
+  has_operands : bool array;
+  used : bool array;  (** some entry has the position as an operand *)
+  dep_start : int array;
+  deps : int array;
+      (** the dependencies (= operands, in operand order) of position [v]
+          are [deps.(dep_start.(v)) .. deps.(dep_start.(v + 1) - 1)] *)
 }
 
-type t = {
-  nodes : node list;  (** every node, in snapshot order *)
-  roots : node list;  (** nodes not used as an operand of any other *)
-}
-
-(** [build snapshot] runs Algorithm 1's BUILDGRAPH. Operand references to
-    numbers missing from the snapshot (impossible for well-formed
-    snapshots) are ignored. *)
+(** [build snapshot] runs Algorithm 1's BUILDGRAPH. Snapshot numbers are
+    unique, as {!Jitbull_mir.Snapshot.take} makes them; operand numbers
+    missing from the snapshot are ignored. Each opcode string is hashed
+    once, without a lock, against a process-wide dense opcode index. *)
 val build : Jitbull_mir.Snapshot.t -> t
 
-(** [edges t] — every dependency edge as an (user opcode, dependency
-    opcode) pair, one per instruction-level edge. This is the multiset the
-    2-gram Δ works on. *)
-val edges : t -> (string * string) list
+(** [opcode_id i] — the {!Jitbull_util.Intern} id of the opcode with
+    dense index [i] (below [2{^21} - 1]). *)
+val opcode_id : int -> Jitbull_util.Intern.id
 
+val size : t -> int
+val opcode : t -> int -> string
+val is_root : t -> int -> bool
+val roots : t -> int list
 val node_count : t -> int
 val edge_count : t -> int
-
-val to_string : t -> string

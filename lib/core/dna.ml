@@ -6,20 +6,28 @@ type t = {
   deltas : (string * Delta.t) list;
 }
 
+let same (a : Snapshot.entry) (b : Snapshot.entry) =
+  a.Snapshot.num = b.Snapshot.num && String.equal a.Snapshot.opcode b.Snapshot.opcode
+  && List.equal Int.equal a.Snapshot.operands b.Snapshot.operands
+
 let extract ?(n = 3) (trace : (string * Snapshot.t) list) : t =
   match trace with
   | [] -> { func_name = "?"; deltas = [] }
   | (_, first) :: rest ->
-    let func_name = first.Snapshot.func_name in
-    let deltas = ref [] in
-    let prev = ref (Delta.subchain_multiset ~n (Depgraph.build first)) in
-    List.iter
-      (fun (pass_name, snap) ->
-        let m = Delta.subchain_multiset ~n (Depgraph.build snap) in
-        deltas := (pass_name, Delta.of_multisets ~before:!prev ~after:m) :: !deltas;
-        prev := m)
-      rest;
-    { func_name; deltas = List.rev !deltas }
+    let multiset snap = Delta.multiset ~n (Depgraph.build snap) in
+    (* a pass that left the entries unchanged has an empty Δ, and the
+       previous multiset carries forward *)
+    let _, deltas =
+      List.fold_left_map
+        (fun ((entries, m) as prev) (pass, (snap : Snapshot.t)) ->
+          if List.equal same snap.Snapshot.entries entries then (prev, (pass, Delta.empty ()))
+          else
+            let m' = multiset snap in
+            ((snap.Snapshot.entries, m'), (pass, Delta.of_multisets ~before:m ~after:m')))
+        (first.Snapshot.entries, multiset first)
+        rest
+    in
+    { func_name = first.Snapshot.func_name; deltas }
 
 let nonempty_passes t =
   List.filter_map

@@ -8,8 +8,9 @@ type t = {
 
 (** [extract ?n trace] consumes the pipeline's snapshot trace
     (IR₀ … IRₙ with pass names) and computes Δᵢ between consecutive
-    snapshots through the dependency graphs. [n] is the sub-chain n-gram
-    size (default 3, see {!Delta}). *)
+    snapshots through the dependency graphs. A snapshot with the same
+    entries as the one before it gets an empty Δ without building a
+    graph. [n] is the sub-chain n-gram size (default 3, see {!Delta}). *)
 val extract : ?n:int -> (string * Jitbull_mir.Snapshot.t) list -> t
 
 (** [nonempty_passes t] — passes that modified the IR. *)

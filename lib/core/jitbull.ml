@@ -76,10 +76,11 @@ let opcode_multiset_diff a b =
     a []
   |> List.sort (fun (x, _) (y, _) -> String.compare x y)
 
+(* each key is materialized once, not once per comparison *)
 let chain_side_to_list (side : Delta.side) =
-  Hashtbl.fold (fun k c acc -> (k, c) :: acc) side []
-  |> List.sort (fun (a, _) (b, _) ->
-         String.compare (Intern.to_string a) (Intern.to_string b))
+  Hashtbl.fold (fun k c acc -> (Intern.to_string k, (k, c)) :: acc) side []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map snd
 
 (* One [Irdiff.pass_diff] per pass that changed the IR: instruction and
    block counts from adjacent snapshots, the opcode multiset diff, and

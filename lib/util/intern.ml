@@ -1,9 +1,9 @@
 type id = int
 
-(* One mutex guards every table below. Helper domains intern sub-chain
-   keys concurrently during background Δ extraction; the sections are a
-   few hash operations long, so an uncontended lock costs nanoseconds and
-   a contended one still beats re-hashing strings. *)
+(* One mutex guards every table below. Helper domains intern the keys of
+   non-empty Δ sides concurrently during background extraction; the
+   sections are a few hash operations long, so an uncontended lock costs
+   nanoseconds. *)
 let mu = Mutex.create ()
 
 let locked f =

@@ -1,10 +1,13 @@
-(** Global string interner for the Δ machinery's hot path.
+(** Global string interner for the Δ machinery.
 
     Sub-chain keys ("a->b->c"), opcodes and pass names are compared and
-    hashed millions of times per benchmark run; interning maps each
-    distinct string to a small integer id exactly once, so multiset
-    tables become [(int, int) Hashtbl.t] and every subsequent lookup
-    hashes a machine word instead of re-hashing the string.
+    hashed millions of times per benchmark run by the comparator and the
+    DB index; interning maps each distinct string to a small integer id
+    exactly once, so Δ sides become [(int, int) Hashtbl.t] and every
+    lookup hashes a machine word instead of the string. The Δ extractor
+    itself counts sub-chains under its own packed keys over a lock-free
+    dense opcode index ([Jitbull_core.Depgraph]) and calls in here only
+    for the keys of a non-empty δ⁻/δ⁺.
 
     Composite entry points ([pair]/[triple]/[rooted]) intern a sub-chain
     from the ids of its constituent opcodes without building the

@@ -26,6 +26,10 @@ let snap entries =
         entries;
   }
 
+(* Δ between two dependency graphs *)
+let compute ?(n = 3) before after =
+  Delta.of_multisets ~before:(Delta.multiset ~n before) ~after:(Delta.multiset ~n after)
+
 let test_buildgraph_roots () =
   (* 8 boundscheck uses 2 (unbox) and 7 (initializedlength); 9 uses 8 —
      so 9 is the only root among instructions with operands *)
@@ -39,8 +43,8 @@ let test_buildgraph_roots () =
            (9, "loadelement", [ 8 ]);
          ])
   in
-  check_int "roots" 1 (List.length g.Depgraph.roots);
-  check_string "root opcode" "loadelement" (List.hd g.Depgraph.roots).Depgraph.opcode;
+  check_int "roots" 1 (List.length (Depgraph.roots g));
+  check_string "root opcode" "loadelement" (Depgraph.opcode g (List.hd (Depgraph.roots g)));
   check_int "edges" 3 (Depgraph.edge_count g)
 
 let test_buildgraph_operandless_excluded () =
@@ -90,7 +94,7 @@ let test_delta_paper_example () =
     Depgraph.build (snap [ (1, "e", []); (2, "c", [ 1 ]); (3, "b", [ 2 ]) ])
   in
   (* the paper's example is in 2-gram terms *)
-  let d = Delta.compute ~n:2 before after in
+  let d = compute ~n:2 before after in
   check_int "two removed subchains" 2 (Delta.total d.Delta.removed);
   check_int "one added subchain" 1 (Delta.total d.Delta.added);
   check_bool "A->B removed" true (Delta.mem_key d.Delta.removed "a->b");
@@ -99,7 +103,7 @@ let test_delta_paper_example () =
 
 let test_delta_empty_on_identical () =
   let g = Depgraph.build (snap [ (1, "x", []); (2, "y", [ 1 ]) ]) in
-  let d = Delta.compute g g in
+  let d = compute g g in
   check_bool "empty" true (Delta.is_empty d)
 
 let test_delta_multiplicity () =
@@ -109,7 +113,7 @@ let test_delta_multiplicity () =
       (snap [ (1, "x", []); (2, "y", [ 1 ]); (3, "x", []); (4, "y", [ 3 ]) ])
   in
   let after = Depgraph.build (snap []) in
-  let d = Delta.compute ~n:2 before after in
+  let d = compute ~n:2 before after in
   check_int "multiplicity 2" 2 (Delta.total d.Delta.removed);
   check_int "single key" 1 (Hashtbl.length d.Delta.removed)
 
@@ -119,7 +123,7 @@ let test_delta_sexpr_roundtrip () =
       (snap [ (1, "d", []); (2, "c", [ 1 ]); (3, "b", [ 2 ]); (4, "a", [ 3 ]) ])
   in
   let after = Depgraph.build (snap [ (1, "e", []); (2, "c", [ 1 ]) ]) in
-  let d = Delta.compute before after in
+  let d = compute before after in
   let d' = Delta.of_sexpr (Sexpr.of_string (Sexpr.to_string (Delta.to_sexpr d))) in
   check_int "removed preserved" (Delta.total d.Delta.removed) (Delta.total d'.Delta.removed);
   check_int "added preserved" (Delta.total d.Delta.added) (Delta.total d'.Delta.added)
@@ -398,6 +402,393 @@ let test_monitor_newest_first () =
        "function a1(x) { return x + 1; } function b2(x) { return x + 2; } var s = 0; for (var i = 0; i < 80; i++) { s = a1(i) + b2(i); } print(s);");
   check_int "two analyzed functions" 2 (List.length monitor.Jitbull.records)
 
+(* ---- the Δ extractor against a brute-force reference ---- *)
+
+(* String-keyed reference sub-chain multiset, straight from the entry
+   list: the edge list, then (n = 3) every length-2 walk plus the edges
+   out of roots as root-boundary pairs. Sorted (key, count) list. *)
+let reference_multiset n (s : Snapshot.t) =
+  let by_num = Hashtbl.create 16 in
+  List.iter
+    (fun (e : Snapshot.entry) -> Hashtbl.replace by_num e.Snapshot.num e)
+    s.Snapshot.entries;
+  let edges =
+    List.concat_map
+      (fun (u : Snapshot.entry) ->
+        List.filter_map (fun o -> Option.map (fun d -> (u, d)) (Hashtbl.find_opt by_num o))
+          u.Snapshot.operands)
+      s.Snapshot.entries
+  in
+  let op (e : Snapshot.entry) = e.Snapshot.opcode in
+  let keys =
+    if n = 2 then List.map (fun (u, d) -> op u ^ "->" ^ op d) edges
+    else begin
+      let deps_of = Hashtbl.create 16 and used = Hashtbl.create 16 in
+      List.iter
+        (fun ((u : Snapshot.entry), (d : Snapshot.entry)) ->
+          Hashtbl.add deps_of u.Snapshot.num d;
+          Hashtbl.replace used d.Snapshot.num ())
+        edges;
+      List.concat_map
+        (fun (u, (m : Snapshot.entry)) ->
+          List.map
+            (fun d -> op u ^ "->" ^ op m ^ "->" ^ op d)
+            (Hashtbl.find_all deps_of m.Snapshot.num))
+        edges
+      @ List.filter_map
+          (fun ((r : Snapshot.entry), d) ->
+            if Hashtbl.mem used r.Snapshot.num then None else Some ("^" ^ op r ^ "->" ^ op d))
+          edges
+    end
+  in
+  let counts = Hashtbl.create 16 in
+  List.iter
+    (fun k -> Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
+    keys;
+  counts
+
+let reference_diff a b =
+  Hashtbl.fold
+    (fun k ca acc ->
+      let cb = Option.value ~default:0 (Hashtbl.find_opt b k) in
+      if ca > cb then (k, ca - cb) :: acc else acc)
+    a []
+  |> List.sort compare
+
+(* per pass: (pass, removed, added) between each adjacent snapshot pair *)
+let reference_dna n trace =
+  let rec go = function
+    | (_, a) :: ((pass, b) :: _ as rest) ->
+      let ma = reference_multiset n a and mb = reference_multiset n b in
+      (pass, reference_diff ma mb, reference_diff mb ma) :: go rest
+    | _ -> []
+  in
+  go trace
+
+let side_strings (side : Delta.side) =
+  Hashtbl.fold (fun k c acc -> (Jitbull_util.Intern.to_string k, c) :: acc) side []
+  |> List.sort compare
+
+let extracted_dna n trace =
+  List.map
+    (fun (pass, (d : Delta.t)) -> (pass, side_strings d.Delta.removed, side_strings d.Delta.added))
+    (Dna.extract ~n trace).Dna.deltas
+
+(* Random snapshot traces. Numbers are even, so odd operand numbers
+   dangle; operands are drawn from every number in the snapshot, so they
+   include forward references (as phis make), self-operands and repeats;
+   an empty operand list is common. Each later snapshot repeats the last
+   one, renumbers it, edits one entry or is drawn afresh. *)
+let snapshot_gen =
+  let open QCheck.Gen in
+  let* k = int_range 0 9 in
+  let* nums = shuffle_l (List.init k (fun i -> 2 * i)) in
+  let operand =
+    if nums = [] then map (fun x -> (2 * x) + 1) (int_range 0 20)
+    else frequency [ (5, oneofl nums); (1, map (fun x -> (2 * x) + 1) (int_range 0 20)) ]
+  in
+  let+ entries =
+    flatten_l
+      (List.map
+         (fun num ->
+           map2
+             (fun opcode operands -> (num, opcode, operands))
+             (oneofl [ "a"; "b"; "c"; "phi" ])
+             (list_size (int_range 0 3) operand))
+         nums)
+  in
+  snap entries
+
+let renumber shift (s : Snapshot.t) =
+  let re n = if n mod 2 = 0 then n + (2 * shift) else n in
+  {
+    s with
+    Snapshot.entries =
+      List.map
+        (fun (e : Snapshot.entry) ->
+          { e with Snapshot.num = re e.Snapshot.num; operands = List.map re e.Snapshot.operands })
+        s.Snapshot.entries;
+  }
+
+let edit_one i opcode (s : Snapshot.t) =
+  {
+    s with
+    Snapshot.entries =
+      List.mapi
+        (fun j (e : Snapshot.entry) -> if j = i then { e with Snapshot.opcode } else e)
+        s.Snapshot.entries;
+  }
+
+let trace_gen =
+  let open QCheck.Gen in
+  let step prev =
+    frequency
+      [
+        (2, return prev);
+        (1, map (fun shift -> renumber shift prev) (int_range 1 7));
+        (2, map2 (fun i op -> edit_one i op prev) (int_range 0 8) (oneofl [ "a"; "d" ]));
+        (2, snapshot_gen);
+      ]
+  in
+  let* first = snapshot_gen in
+  let* steps = int_range 1 6 in
+  let rec grow i prev acc =
+    if i > steps then return (List.rev acc)
+    else
+      let* s = step prev in
+      grow (i + 1) s ((Printf.sprintf "p%d" i, s) :: acc)
+  in
+  grow 1 first [ ("initial", first) ]
+
+let print_trace trace =
+  String.concat "" (List.map (fun (p, s) -> p ^ ": " ^ Snapshot.to_string s) trace)
+
+let qcheck_extract_equals_reference =
+  QCheck.Test.make ~count:(qcheck_count 300) ~name:"dna extract equals brute-force reference"
+    (QCheck.make ~print:print_trace trace_gen)
+    (fun trace ->
+      List.for_all (fun n -> extracted_dna n trace = reference_dna n trace) [ 2; 3 ])
+
+let test_extract_carries_forward () =
+  (* a pass that changes nothing leaves the multiset to the next pass:
+     trace [A; A; B] gives Δ(A→B) at position 3 *)
+  let a = snap [ (1, "x", []); (2, "y", [ 1 ]); (3, "z", [ 2; 1 ]) ] in
+  let b = snap [ (1, "x", []); (2, "w", [ 1 ]); (3, "z", [ 2 ]) ] in
+  let trace = [ ("initial", a); ("p1", a); ("p2", b) ] in
+  List.iter
+    (fun n ->
+      match extracted_dna n trace with
+      | [ ("p1", [], []); ("p2", removed, added) ] ->
+        let ab = extracted_dna n [ ("initial", a); ("p2", b) ] in
+        check_bool "Δ(A→B) at position 3" true (ab = [ ("p2", removed, added) ]);
+        check_bool "matches the reference" true
+          (reference_dna n [ ("initial", a); ("p2", b) ] = ab);
+        check_bool "non-empty" true (removed <> [] && added <> [])
+      | _ -> Alcotest.fail "expected an empty Δ then Δ(A→B)")
+    [ 2; 3 ]
+
+(* ---- corpus equality: every VDC and 16 generated programs ---- *)
+
+module Demonstrators = Jitbull_vdc.Demonstrators
+module Generator = Jitbull_fuzz.Generator
+
+(* every (trace, DNA) the engine extracts while running [source] *)
+let analysed ~vulns source =
+  let out = ref [] in
+  let analyzer ~ctx:_ ~func_index:_ ~name:_ ~trace =
+    out := (trace, Dna.extract trace) :: !out;
+    Engine.Allow
+  in
+  (try
+     ignore
+       (Engine.run_source
+          { Engine.default_config with Engine.vulns; analyzer = Some analyzer }
+          source)
+   with
+  | Jitbull_runtime.Errors.Crash _ | Jitbull_runtime.Errors.Shellcode_executed _
+  | Jitbull_runtime.Errors.Type_error _ ->
+    ());
+  List.rev !out
+
+(* Per program: name, MD5 of its DNAs' [Dna.to_sexpr] strings joined by
+   newlines, and each DNA's verdict against the 8-VDC DB, in compile
+   order. Recorded with
+   the Hashtbl-based extractor this one replaced. *)
+let corpus_golden =
+  [
+    ( "CVE-2019-17026",
+      "4125a7e23306d7b3b5e6fe2517e2863e",
+      [ "disable:applytypes,gvn,foldconstants" ] );
+    ( "CVE-2019-9810",
+      "60c3cf6124e9f568c5a03b7ad57a442c",
+      [ "disable:applytypes,gvn,foldconstants" ] );
+    ( "CVE-2019-9791",
+      "d11204e0eff0b3485ed73e7b2946df1c",
+      [ "disable:eliminatephis,applytypes,dce" ] );
+    ( "CVE-2019-11707",
+      "c496bc7a8e754a7f058e010cc1ad8523",
+      [ "disable:eliminatephis,applytypes,boundscheckelim,dce" ] );
+    ( "CVE-2019-9792",
+      "2728ae72138df9b90587db1c944ef0b0",
+      [ "disable:eliminatephis,applytypes,dce" ] );
+    ( "CVE-2019-9795",
+      "1d8e2b1b568157510b526e4bb8632bd1",
+      [ "disable:foldconstants,dce" ] );
+    ( "CVE-2019-9813",
+      "9f9de2ce885b5d5c51f24535a8e9f0f9",
+      [ "disable:dce" ] );
+    ( "CVE-2020-26952",
+      "1d89c76e3ed0dfd043352260435d959a",
+      [ "disable:foldconstants,sink"; "disable:eliminatephis,applytypes,gvn,dce" ] );
+    ( "benign00",
+      "c3af8af2023092c69bdd5012fa575b2b",
+      [
+        "disable:applytypes,gvn,dce"; "disable:applytypes,gvn,dce"; "disable:applytypes,gvn,dce";
+        "disable:applytypes,dce"; "disable:eliminatephis,applytypes,dce";
+        "disable:eliminatephis,applytypes,dce"; "disable:eliminatephis,applytypes,gvn,dce";
+        "disable:applytypes,dce";
+      ] );
+    ( "benign01",
+      "d60ba07170cba08f03dd3b6e5ee85bfc",
+      [
+        "disable:applytypes,gvn,dce"; "disable:applytypes,gvn,dce";
+        "disable:eliminatephis,applytypes,dce"; "disable:eliminatephis,applytypes,gvn,dce";
+        "disable:applytypes,dce"; "disable:applytypes,gvn,dce"; "disable:applytypes,gvn,dce";
+        "disable:eliminatephis,applytypes,dce";
+      ] );
+    ( "benign02",
+      "63f4654cc44463f50f23c0de8c941070",
+      [
+        "disable:eliminatephis,applytypes,dce"; "disable:eliminatephis,applytypes,gvn,dce";
+        "disable:applytypes,dce"; "disable:applytypes,dce";
+        "disable:eliminatephis,applytypes,gvn,dce"; "disable:applytypes,gvn,dce";
+        "disable:applytypes,gvn,dce"; "disable:applytypes,dce";
+      ] );
+    ( "benign03",
+      "beed6682822bdd22f425af93a63c4162",
+      [
+        "disable:applytypes,gvn,dce"; "disable:eliminatephis,applytypes,dce";
+        "disable:applytypes,dce"; "disable:applytypes,dce"; "disable:applytypes,dce";
+        "disable:applytypes,gvn,dce"; "disable:eliminatephis,applytypes,dce";
+        "disable:eliminatephis,applytypes,dce";
+      ] );
+    ( "benign04",
+      "8fa00489c4373281306a05ca208a2d82",
+      [
+        "disable:applytypes,dce"; "disable:applytypes,gvn,dce"; "disable:applytypes,dce";
+        "disable:eliminatephis,applytypes,dce"; "disable:eliminatephis,applytypes,gvn,dce";
+        "disable:applytypes,gvn,dce"; "disable:eliminatephis,applytypes,dce";
+        "disable:applytypes,gvn,dce";
+      ] );
+    ( "benign05",
+      "62e6391b22d217e11fd7f01b120994e8",
+      [
+        "disable:eliminatephis,applytypes,gvn,dce"; "disable:applytypes,gvn,dce";
+        "disable:applytypes,gvn,dce"; "disable:applytypes,gvn,dce"; "disable:applytypes,gvn,dce";
+        "disable:applytypes,dce"; "disable:eliminatephis,applytypes,gvn,dce";
+        "disable:applytypes,gvn,dce";
+      ] );
+    ( "benign06",
+      "9d4a4a0a1764fc2d7ae876abc291b032",
+      [
+        "disable:eliminatephis,applytypes,gvn,dce"; "disable:applytypes,dce";
+        "disable:eliminatephis,applytypes,dce"; "disable:applytypes,gvn,dce";
+        "disable:applytypes,dce"; "disable:eliminatephis,applytypes,dce";
+        "disable:eliminatephis,applytypes,dce"; "disable:eliminatephis,applytypes,gvn,dce";
+      ] );
+    ( "benign07",
+      "3c6f5e2662a57f8630182bfdab5689fa",
+      [
+        "disable:applytypes,gvn,dce"; "disable:eliminatephis,applytypes,dce";
+        "disable:applytypes,dce"; "disable:applytypes,dce"; "disable:eliminatephis,applytypes,dce";
+        "disable:applytypes,gvn,dce"; "disable:applytypes,dce"; "disable:applytypes,gvn,dce";
+      ] );
+    ( "benign08",
+      "7d30f1f1cfede0d20a10338f09e0d33b",
+      [
+        "disable:applytypes,dce"; "disable:eliminatephis,applytypes,dce";
+        "disable:eliminatephis,applytypes,gvn,dce"; "disable:eliminatephis,applytypes,dce";
+        "disable:eliminatephis,applytypes,gvn,dce"; "disable:applytypes,dce";
+        "disable:eliminatephis,applytypes,gvn,dce"; "disable:applytypes,gvn,dce";
+      ] );
+    ( "benign09",
+      "456d0688460d62df2d38e6b2575a8757",
+      [
+        "disable:applytypes,gvn,dce"; "disable:applytypes,dce";
+        "disable:eliminatephis,applytypes,dce"; "disable:applytypes,dce";
+        "disable:eliminatephis,applytypes,gvn,dce"; "disable:eliminatephis,applytypes,gvn,dce";
+        "disable:applytypes,gvn,dce"; "disable:applytypes,dce";
+      ] );
+    ( "benign10",
+      "5a6d3cdbd3707773bf4c45207ec2bf3e",
+      [
+        "disable:applytypes,dce"; "disable:eliminatephis,applytypes,gvn,dce";
+        "disable:applytypes,gvn,dce"; "disable:applytypes,dce"; "disable:applytypes,dce";
+        "disable:applytypes,dce"; "disable:applytypes,gvn,dce"; "disable:applytypes,gvn,dce";
+      ] );
+    ( "benign11",
+      "58ca57389ee6d1499e783247841cb626",
+      [
+        "disable:applytypes,gvn,dce"; "disable:applytypes,dce"; "disable:applytypes,dce";
+        "disable:eliminatephis,applytypes,gvn,dce"; "disable:applytypes,gvn,dce";
+        "disable:applytypes,gvn,dce"; "disable:eliminatephis,applytypes,gvn,dce";
+        "disable:applytypes,dce";
+      ] );
+    ( "benign12",
+      "6b869ed1c843aaea6e7510b7462a6004",
+      [
+        "disable:applytypes,dce"; "disable:applytypes,gvn,dce"; "disable:applytypes,dce";
+        "disable:applytypes,gvn,dce"; "disable:applytypes,gvn,dce"; "disable:applytypes,gvn,dce";
+        "disable:eliminatephis,applytypes,dce"; "disable:eliminatephis,applytypes,gvn,dce";
+      ] );
+    ( "benign13",
+      "c7eca6732e25e84228379212536f58b7",
+      [
+        "disable:applytypes,gvn,dce"; "disable:applytypes,gvn,dce"; "disable:applytypes,gvn,dce";
+        "disable:applytypes,gvn,dce"; "disable:eliminatephis,applytypes,dce";
+        "disable:applytypes,dce"; "disable:applytypes,gvn,dce";
+        "disable:eliminatephis,applytypes,dce";
+      ] );
+    ( "benign14",
+      "c20c6e7f09ba5832a54c8c77cf7a3041",
+      [
+        "disable:applytypes,gvn,dce"; "disable:eliminatephis,applytypes,dce";
+        "disable:applytypes,dce"; "disable:eliminatephis,applytypes,dce";
+        "disable:applytypes,gvn,dce"; "disable:applytypes,gvn,dce"; "disable:applytypes,dce";
+        "disable:eliminatephis,applytypes,gvn,dce";
+      ] );
+    ( "benign15",
+      "eaac23483db9b0b5d80634efa9dc5868",
+      [
+        "disable:applytypes,dce"; "disable:applytypes,dce"; "disable:applytypes,dce";
+        "disable:eliminatephis,applytypes,dce"; "disable:applytypes,gvn,dce";
+        "disable:applytypes,dce"; "disable:applytypes,gvn,dce"; "disable:applytypes,gvn,dce";
+      ] );
+  ]
+
+let verdict_string db dna =
+  match snd (Jitbull.verdict_of_matches (Db.matching db dna)) with
+  | `Allow -> "allow"
+  | `Disable ps -> "disable:" ^ String.concat "," ps
+  | `Forbid -> "forbid"
+
+let test_corpus_dna_unchanged () =
+  let db = Db.create () in
+  List.iter
+    (fun (d : Demonstrators.t) ->
+      ignore
+        (Db.harvest db ~cve:d.Demonstrators.name ~vulns:(VC.make [ d.Demonstrators.cve ])
+           d.Demonstrators.source))
+    Demonstrators.all;
+  let corpus =
+    List.map
+      (fun (d : Demonstrators.t) ->
+        (d.Demonstrators.name, VC.make [ d.Demonstrators.cve ], d.Demonstrators.source))
+      Demonstrators.all
+    @ List.init 16 (fun i ->
+          ( Printf.sprintf "benign%02d" i,
+            VC.none,
+            Generator.benign_params
+              { Generator.p_seed = i; p_funcs = 8; p_rounds = 40; p_depth = 2 } ))
+  in
+  check_int "corpus size" (List.length corpus_golden) (List.length corpus);
+  List.iter2
+    (fun (name, vulns, source) (name', digest, verdicts) ->
+      check_string "corpus order" name' name;
+      let runs = analysed ~vulns source in
+      let dnas = List.map snd runs in
+      check_string (name ^ " DNA digest") digest
+        (Digest.to_hex
+           (Digest.string
+              (String.concat "\n" (List.map (fun d -> Sexpr.to_string (Dna.to_sexpr d)) dnas))));
+      check_bool (name ^ " verdicts") true (verdicts = List.map (verdict_string db) dnas);
+      List.iter
+        (fun (trace, _) ->
+          check_bool (name ^ " equals the reference") true
+            (extracted_dna 3 trace = reference_dna 3 trace))
+        runs)
+    corpus corpus_golden
+
 let suite =
   ( "jitbull-core",
     [
@@ -419,6 +810,11 @@ let suite =
       Alcotest.test_case "dna from trace" `Quick test_dna_from_trace;
       Alcotest.test_case "dna rename-insensitive" `Quick test_dna_insensitive_to_renaming;
       Alcotest.test_case "dna sexpr roundtrip" `Quick test_dna_sexpr_roundtrip;
+      qtest qcheck_extract_equals_reference;
+      Alcotest.test_case "dna extract carries an unchanged pass forward" `Quick
+        test_extract_carries_forward;
+      Alcotest.test_case "dna and verdicts unchanged on the corpus" `Quick
+        test_corpus_dna_unchanged;
       Alcotest.test_case "db lifecycle" `Quick test_db_lifecycle;
       Alcotest.test_case "db save/load" `Quick test_db_save_load;
       Alcotest.test_case "empty db: no analyzer" `Quick test_empty_db_no_analyzer;
