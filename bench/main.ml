@@ -488,35 +488,18 @@ let fuzz_pipeline () =
       ]
   in
 
-  (* ---- typed-IL vs AST mutation yield (A/B at equal budget) ---- *)
-  Printf.printf "\ntyped-IL vs AST mutation yield (equal budget, same engine):\n";
+  (* ---- typed-IL mutation yield over a longer guided campaign ---- *)
   let yield_budget = 400 in
-  let il_run =
-    F.Harness.guided_campaign ~config:all_vulns ~il:true ~rng_seed:7
-      ~max_execs:yield_budget ()
-  in
-  let ast_run =
+  let long_run =
     F.Harness.guided_campaign ~config:all_vulns ~rng_seed:7 ~max_execs:yield_budget ()
   in
-  let yield_row name (y : F.Harness.yield) =
-    Printf.printf "  %-4s %5d mutants %5d valid  %5.1f%% yield\n" name
-      y.F.Harness.y_mutants y.F.Harness.y_valid
-      (100.0 *. F.Harness.yield_ratio y)
-  in
-  yield_row "il" il_run.F.Harness.g_il_yield;
-  yield_row "ast" ast_run.F.Harness.g_ast_yield;
-  Printf.printf
-    "  typed IL keeps %.1f%% of mutants clean on the reference tier vs %.1f%% for AST splicing\n"
-    (100.0 *. F.Harness.yield_ratio il_run.F.Harness.g_il_yield)
-    (100.0 *. F.Harness.yield_ratio ast_run.F.Harness.g_ast_yield);
-  let yield_json (y : F.Harness.yield) =
-    Jsonx.Assoc
-      [
-        ("mutants", Jsonx.Int y.F.Harness.y_mutants);
-        ("valid", Jsonx.Int y.F.Harness.y_valid);
-        ("ratio", Jsonx.Float (F.Harness.yield_ratio y));
-      ]
-  in
+  Printf.printf "\ntyped-IL mutation yield (%d-exec guided campaign, same engine):\n"
+    yield_budget;
+  row "guided" long_run;
+  let y = long_run.F.Harness.g_yield in
+  Printf.printf "  %d mutants, %d clean on the reference tier: %.1f%% yield\n"
+    y.F.Harness.y_mutants y.F.Harness.y_valid
+    (100.0 *. F.Harness.yield_ratio y);
 
   (* ---- distributed campaign: worker-scaling curves + CVE attribution ---- *)
   let topo_execs = 200 and topo_rounds = 2 in
@@ -535,7 +518,7 @@ let fuzz_pipeline () =
             (fun i ->
               results.(i) <-
                 Some
-                  (F.Sync.Worker.run ~config:all_vulns ~il:true ~track_cves:true
+                  (F.Sync.Worker.run ~config:all_vulns ~track_cves:true
                      ~rounds:topo_rounds ~execs_per_round:topo_execs
                      ~rng_seed:(97 * n + i)
                      ~id:(Printf.sprintf "bench-w%d" (i + 1))
@@ -608,8 +591,14 @@ let fuzz_pipeline () =
          ("blind", mode_json blind);
          ( "guided_dominates",
            Jsonx.Bool (guided.F.Harness.g_coverage > blind.F.Harness.g_coverage) );
-         ("il_yield", yield_json il_run.F.Harness.g_il_yield);
-         ("ast_yield", yield_json ast_run.F.Harness.g_ast_yield);
+         ("guided_400", mode_json long_run);
+         ( "yield",
+           Jsonx.Assoc
+             [
+               ("mutants", Jsonx.Int y.F.Harness.y_mutants);
+               ("valid", Jsonx.Int y.F.Harness.y_valid);
+               ("ratio", Jsonx.Float (F.Harness.yield_ratio y));
+             ] );
          ("topologies", Jsonx.List !topo_json);
          ("scaling_1_to_2_workers", Jsonx.Float scaling_1_2);
        ])

@@ -3,15 +3,20 @@
 
      jitbull-fuzz --count 100                        benign differential run
      jitbull-fuzz --aggressive --vuln all --count 50
+     jitbull-fuzz --guided --count 450               benign guided campaign
      jitbull-fuzz --aggressive --vuln all --corpus corpus/ --time-budget 60
                                                      coverage-guided campaign
      jitbull-fuzz --aggressive --vuln all --auto-db out.db --minimize
                                                      harvest + shrink findings
-     jitbull-fuzz --il --guided --vuln all           typed-IL mutation mode
      jitbull-fuzz --master --port 9300 --corpus c/   corpus-sync master
-     jitbull-fuzz --worker w1 --connect 9300 --il    one sync worker
-     jitbull-fuzz --workers 2 --il --vuln all        in-process 2-worker fleet
+     jitbull-fuzz --worker w1 --connect 9300         one sync worker
+     jitbull-fuzz --workers 2 --vuln all             in-process 2-worker fleet
      jitbull-fuzz --corpus c/ --distill distilled/   coverage-preserving subset
+
+   Guided campaigns (--guided, --corpus, sync workers) run their seed
+   programs as-is and mutate only at the typed-IL level: every mutant is
+   an Il_mutate offspring of an IL-carrying corpus entry or an IL seed,
+   and the "yield:" line reports how many of them ran clean.
 
    Exit status is nonzero whenever the campaign ends with un-harvested
    signals: any signal at all without --auto-db, or a signal the freshly
@@ -43,14 +48,9 @@ let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc contents)
 
-let print_yields (il_y : F.Harness.yield) (ast_y : F.Harness.yield) =
-  if il_y.F.Harness.y_mutants > 0 || ast_y.F.Harness.y_mutants > 0 then
-    Printf.printf
-      "yield: il %d/%d (%.1f%%)  ast %d/%d (%.1f%%)\n"
-      il_y.F.Harness.y_valid il_y.F.Harness.y_mutants
-      (100. *. F.Harness.yield_ratio il_y)
-      ast_y.F.Harness.y_valid ast_y.F.Harness.y_mutants
-      (100. *. F.Harness.yield_ratio ast_y)
+let print_yield (y : F.Harness.yield) =
+  Printf.printf "yield: il %d/%d (%.1f%%)\n" y.F.Harness.y_valid y.F.Harness.y_mutants
+    (100. *. F.Harness.yield_ratio y)
 
 (* --distill: minimize the persisted corpus to a coverage-preserving
    subset and commit it (MANIFEST + renumbered entries) to OUT. *)
@@ -93,7 +93,7 @@ let print_worker id (r : F.Sync.Worker.result) =
     "worker %s: %d rounds, %d execs, coverage %d, corpus %d, uploaded %d, imported %d, signals %d\n"
     id r.F.Sync.Worker.w_rounds r.w_execs r.w_coverage r.w_corpus_size r.w_uploaded
     r.w_imported (List.length r.w_signals);
-  print_yields r.w_il_yield r.w_ast_yield;
+  print_yield r.w_yield;
   match r.w_cve_execs with
   | [] -> ()
   | l ->
@@ -102,7 +102,7 @@ let print_worker id (r : F.Sync.Worker.result) =
          (List.map (fun (c, e) -> Printf.sprintf "%s@%d" (VC.cve_name c) e) l))
 
 let run count seed0 aggressive vuln_names auto_db verbose corpus_dir guided minimize
-    time_budget jobs il master worker connect port rounds serve_seconds workers
+    time_budget jobs master worker connect port rounds serve_seconds workers
     distill_out =
   let vulns = parse_vulns vuln_names in
   let pool = if jobs > 0 then Some (Compile_queue.create ~jobs ()) else None in
@@ -117,7 +117,7 @@ let run count seed0 aggressive vuln_names auto_db verbose corpus_dir guided mini
       | None, true, _ -> run_master config corpus_dir port serve_seconds
       | None, false, Some id ->
         let r =
-          F.Sync.Worker.run ~config ~il ~rounds ~execs_per_round:count
+          F.Sync.Worker.run ~config ~rounds ~execs_per_round:count
             ~rng_seed:seed0 ~id ~port:connect ()
         in
         print_worker id r;
@@ -140,7 +140,7 @@ let run count seed0 aggressive vuln_names auto_db verbose corpus_dir guided mini
                   results.(i) <-
                     Some
                       ( id,
-                        F.Sync.Worker.run ~config ~il ~rounds ~execs_per_round:count
+                        F.Sync.Worker.run ~config ~rounds ~execs_per_round:count
                           ~rng_seed:(seed0 + i) ~id ~port:(F.Sync.Master.port m) () ))
                 i)
         in
@@ -164,8 +164,8 @@ let run count seed0 aggressive vuln_names auto_db verbose corpus_dir guided mini
               Printf.sprintf "%d signal%s" (List.length !signals)
                 (if List.length !signals = 1 then "" else "s") )
       | None, false, None ->
-      let use_guided = guided || corpus_dir <> None || il in
-      let signals, total =
+      let use_guided = guided || corpus_dir <> None in
+      let signals =
         if use_guided then begin
           let corpus = F.Corpus.create ?dir:corpus_dir () in
           let seed_sources =
@@ -174,15 +174,15 @@ let run count seed0 aggressive vuln_names auto_db verbose corpus_dir guided mini
           in
           let g =
             F.Harness.guided_campaign ~config ~corpus ~rng_seed:seed0 ?time_budget
-              ~seed_sources ~il ~max_execs:count ()
+              ~seed_sources ~max_execs:count ()
           in
           Printf.printf
             "execs: %d  coverage: %d features  corpus: %d entries  signals: %d  (%.1f execs/s)\n"
             g.F.Harness.g_execs g.F.Harness.g_coverage g.F.Harness.g_corpus_size
             (List.length g.F.Harness.g_signals)
             (float_of_int g.F.Harness.g_execs /. Float.max 1e-9 g.F.Harness.g_seconds);
-          print_yields g.F.Harness.g_il_yield g.F.Harness.g_ast_yield;
-          (g.F.Harness.g_signals, g.F.Harness.g_execs)
+          print_yield g.F.Harness.g_yield;
+          g.F.Harness.g_signals
         end
         else begin
           let profile = if aggressive then `Aggressive else `Benign in
@@ -191,10 +191,9 @@ let run count seed0 aggressive vuln_names auto_db verbose corpus_dir guided mini
           Printf.printf "programs: %d  agree: %d  signals: %d\n" report.F.Harness.total
             report.F.Harness.agreements
             (List.length report.F.Harness.signals);
-          (report.F.Harness.signals, report.F.Harness.total)
+          report.F.Harness.signals
         end
       in
-      ignore total;
       List.iter
         (fun (f : F.Harness.finding) ->
           Printf.printf "  %s %-6d %s\n"
@@ -289,10 +288,6 @@ let time_budget =
 let jobs =
   Arg.(value & opt int 0 & info [ "jobs" ] ~docv:"N"
        ~doc:"Background-compile the campaign engine with $(docv) helper domains.")
-let il =
-  Arg.(value & flag & info [ "il" ]
-       ~doc:"Typed-IL mutation mode: mutate at the verifier-safe IL level and \
-             report the IL-vs-AST mutation yield (implies $(b,--guided)).")
 let master =
   Arg.(value & flag & info [ "master" ]
        ~doc:"Serve the corpus-sync master ($(b,/fuzz/*), $(b,/push), $(b,/fleet)) \
@@ -326,7 +321,7 @@ let cmd =
     Term.(
       ret
         (const run $ count $ seed0 $ aggressive $ vuln_names $ auto_db $ verbose
-       $ corpus_dir $ guided $ minimize $ time_budget $ jobs $ il $ master $ worker
+       $ corpus_dir $ guided $ minimize $ time_budget $ jobs $ master $ worker
        $ connect $ port $ rounds $ serve_seconds $ workers $ distill_out))
 
 let () = exit (Cmd.eval cmd)

@@ -11,7 +11,6 @@ type t = {
   dir : string option;
   mutable next_id : int;
   mutable items : entry list;  (* newest first *)
-  mutable total_gain : int;
 }
 
 let rec mkdir_p path =
@@ -55,7 +54,7 @@ let load_dir dir =
 let create ?dir () =
   let items = match dir with None -> [] | Some d -> List.rev (load_dir d) in
   let next_id = List.fold_left (fun acc e -> max acc (e.id + 1)) 0 items in
-  { dir; next_id; items; total_gain = List.fold_left (fun acc e -> acc + e.gain) 0 items }
+  { dir; next_id; items }
 
 let length t = List.length t.items
 let entries t = List.rev t.items
@@ -66,7 +65,6 @@ let add t ?il ~gain source =
   let e = { id = t.next_id; source; gain; il } in
   t.next_id <- t.next_id + 1;
   t.items <- e :: t.items;
-  t.total_gain <- t.total_gain + gain;
   (match t.dir with
   | None -> ()
   | Some d ->
@@ -75,10 +73,10 @@ let add t ?il ~gain source =
   e
 
 let pick rng t =
-  match t.items with
+  match List.filter (fun e -> e.il <> None) t.items with
   | [] -> None
   | items ->
-    let target = Prng.int rng (max 1 t.total_gain) in
+    let target = Prng.int rng (List.fold_left (fun acc e -> acc + e.gain) 0 items) in
     let rec walk acc = function
       | [] -> List.hd items
       | e :: rest -> if acc + e.gain > target then e else walk (acc + e.gain) rest

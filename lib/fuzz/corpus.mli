@@ -1,16 +1,17 @@
 (** Corpus of coverage-increasing inputs.
 
     The harness adds an input only when it contributed new coverage
-    features (or produced a signal); {!pick} draws a mutation parent,
-    weighted by how much coverage the entry gained when admitted, so
-    inputs that opened new engine behavior are mutated more often.
+    features; {!pick} draws a mutation parent, weighted by how much
+    coverage the entry gained when admitted, so inputs that opened new
+    engine behavior are mutated more often.
 
     With a [dir], entries persist as [NNNNNN.js] files; {!create} reloads
     whatever a previous campaign left there (the nightly CI job keeps the
     directory as a cached artifact), and {!add} writes through. Entries
     born from the typed mutation IL additionally carry their serialized
-    {!Il} program (persisted as an [NNNNNN.il] sidecar) so later
-    campaigns and sync peers can keep mutating them at the IL level. *)
+    {!Il} program (persisted as an [NNNNNN.il] sidecar): only those are
+    mutation parents — source-only entries are kept for their coverage
+    and never mutated. *)
 
 type entry = {
   id : int;
@@ -33,5 +34,6 @@ val dir : t -> string option
     directory ([?il] is the serialized IL form, if the input has one). *)
 val add : t -> ?il:string -> gain:int -> string -> entry
 
-(** Gain-weighted random draw; [None] on an empty corpus. *)
+(** Gain-weighted random draw of a mutation parent among the entries
+    carrying an IL form; [None] when there are none. *)
 val pick : Jitbull_util.Prng.t -> t -> entry option

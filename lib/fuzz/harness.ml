@@ -67,8 +67,7 @@ type guided = {
   g_corpus_size : int;
   g_seconds : float;
   g_cve_execs : (VC.cve * int) list;
-  g_il_yield : yield;
-  g_ast_yield : yield;
+  g_yield : yield;
 }
 
 let vdc_seed_sources () =
@@ -95,12 +94,8 @@ let exploits_single_cve ~base cve source =
   in
   Oracle.is_exploit_signal (Oracle.run ~config source)
 
-let il_seed_sources () =
-  List.map (fun p -> (Il.to_source p, Some (Il.serialize p))) (Il.seeds ())
-
 let guided_campaign ?(config = Oracle.default_config) ?corpus ?coverage ?(rng_seed = 0)
-    ?time_budget ?seed_sources ?(mutation = true) ?(il = false) ?(track_cves = false)
-    ~max_execs () =
+    ?time_budget ?seed_sources ?(mutation = true) ?(track_cves = false) ~max_execs () =
   let cov = match coverage with Some c -> c | None -> Coverage.create () in
   let corpus = match corpus with Some c -> c | None -> Corpus.create () in
   let rng = Prng.create (0x6a21b011 + rng_seed) in
@@ -111,33 +106,32 @@ let guided_campaign ?(config = Oracle.default_config) ?corpus ?coverage ?(rng_se
   let replay =
     ref (List.map (fun e -> (e.Corpus.source, e.Corpus.il)) (Corpus.entries corpus))
   in
+  let il_seeds = if mutation then Il.seeds () else [] in
   let seeds =
     let plain = match seed_sources with Some l -> l | None -> default_seed_sources () in
-    ref (List.map (fun s -> (s, None)) plain @ if il then il_seed_sources () else [])
+    ref
+      (List.map (fun s -> (s, None)) plain
+      @ List.map (fun p -> (Il.to_source p, Some (Il.serialize p))) il_seeds)
   in
-  let il_seed_pool = lazy (Array.of_list (Il.seeds ())) in
-  (* donor for splice/combine: a random IL-carrying corpus entry, or a
-     hand-written IL seed when the corpus has none yet *)
-  let pick_donor () =
-    let texts = List.filter_map (fun e -> e.Corpus.il) (Corpus.entries corpus) in
-    let fallback () =
-      let pool = Lazy.force il_seed_pool in
-      pool.(Prng.int rng (Array.length pool))
+  let il_seed_pool = Array.of_list il_seeds in
+  (* mutation parent or donor: a gain-weighted IL-carrying corpus entry
+     (only the drawn entry is parsed), or a hand-written IL seed when the
+     corpus has none yet *)
+  let pick_prog () =
+    let drawn =
+      match Corpus.pick rng corpus with
+      | Some { Corpus.il = Some text; _ } -> Result.to_option (Il.parse text)
+      | _ -> None
     in
-    match texts with
-    | [] -> fallback ()
-    | l -> (
-      match Il.parse (List.nth l (Prng.int rng (List.length l))) with
-      | Ok p -> p
-      | Error _ -> fallback ())
+    match drawn with
+    | Some p -> p
+    | None -> il_seed_pool.(Prng.int rng (Array.length il_seed_pool))
   in
   let execs = ref 0 in
   let signals = ref [] in
   let curve = ref [] in
-  let il_mutants = ref 0 in
-  let il_valid = ref 0 in
-  let ast_mutants = ref 0 in
-  let ast_valid = ref 0 in
+  let mutants = ref 0 in
+  let valid = ref 0 in
   let unattributed = ref (if track_cves then VC.all else []) in
   let cve_execs = ref [] in
   let within_budget () =
@@ -148,7 +142,6 @@ let guided_campaign ?(config = Oracle.default_config) ?corpus ?coverage ?(rng_se
     | Some s -> Unix.gettimeofday () -. t0 < s
   in
   while within_budget () do
-    let ast_mutant e = (Mutator.mutate rng e.Corpus.source, None, `Ast_mut) in
     let source, il_payload, family =
       match !replay with
       | (s, payload) :: rest ->
@@ -160,41 +153,26 @@ let guided_campaign ?(config = Oracle.default_config) ?corpus ?coverage ?(rng_se
           seeds := rest;
           (s, payload, `Seed)
         | [] ->
-          if mutation then (
-            match Corpus.pick rng corpus with
-            | Some e -> (
-              match (if il then e.Corpus.il else None) with
-              | None -> ast_mutant e
-              | Some text -> (
-                match Il.parse text with
-                | Error _ -> ast_mutant e
-                | Ok parent -> (
-                  match Il_mutate.mutate rng ~donor:(pick_donor ()) parent with
-                  | Some m -> (Il.to_source m, Some (Il.serialize m), `Il_mut)
-                  | None -> ast_mutant e)))
-            | None -> (Generator.aggressive ~seed:!execs, None, `Seed))
+          if mutation then begin
+            let parent = pick_prog () in
+            match Il_mutate.mutate rng ~donor:(pick_prog ()) parent with
+            | Some m -> (Il.to_source m, Some (Il.serialize m), `Mutant)
+            | None -> (Il.to_source parent, Some (Il.serialize parent), `Seed)
+          end
           else (Generator.aggressive ~seed:!execs, None, `Seed))
     in
     incr execs;
     let inst = Oracle.run_instrumented ~config source in
-    (* mutation yield: a mutant is "valid" when it executes cleanly on the
-       reference tier — the property the typed IL guarantees by
-       construction modulo OOB-driven [undefined] propagation *)
-    let clean =
-      match inst.Oracle.i_verdict with Oracle.Runtime_error _ -> false | _ -> true
-    in
-    (match family with
-    | `Il_mut ->
-      incr il_mutants;
-      if clean then incr il_valid;
+    if family = `Mutant then begin
+      (* mutation yield: a mutant is "valid" when it executes cleanly on
+         the reference tier — the property the typed IL guarantees by
+         construction modulo OOB-driven [undefined] propagation *)
+      incr mutants;
+      (match inst.Oracle.i_verdict with Oracle.Runtime_error _ -> () | _ -> incr valid);
       Jitbull_obs.Obs.incr obs "fuzz.il_mutants";
       Jitbull_obs.Obs.set_gauge obs "fuzz.valid_ratio"
-        (yield_ratio { y_mutants = !il_mutants; y_valid = !il_valid })
-    | `Ast_mut ->
-      incr ast_mutants;
-      if clean then incr ast_valid;
-      Jitbull_obs.Obs.incr obs "fuzz.ast_mutants"
-    | `Seed | `Replay -> ());
+        (yield_ratio { y_mutants = !mutants; y_valid = !valid })
+    end;
     let gained = Coverage.add_features cov (Coverage.features_of_run inst) in
     if gained > 0 then begin
       curve := { cp_execs = !execs; cp_coverage = Coverage.count cov } :: !curve;
@@ -218,8 +196,7 @@ let guided_campaign ?(config = Oracle.default_config) ?corpus ?coverage ?(rng_se
     g_corpus_size = Corpus.length corpus;
     g_seconds = Unix.gettimeofday () -. t0;
     g_cve_execs = List.rev !cve_execs;
-    g_il_yield = { y_mutants = !il_mutants; y_valid = !il_valid };
-    g_ast_yield = { y_mutants = !ast_mutants; y_valid = !ast_valid };
+    g_yield = { y_mutants = !mutants; y_valid = !valid };
   }
 
 let blind_sweep ?(config = Oracle.default_config) ?(track_cves = false) ~max_execs () =

@@ -41,9 +41,9 @@ type curve_point = {
   cp_coverage : int;
 }
 
-(** Mutation yield of one mutant family: how many mutants were executed
-    and how many ran cleanly on the reference tier (no
-    {!Oracle.Runtime_error}) — the metric the typed IL exists to move. *)
+(** Mutation yield: how many typed-IL mutants were executed and how many
+    ran cleanly on the reference tier (no {!Oracle.Runtime_error}) — the
+    validity-by-construction promise of {!Il_mutate}, measured. *)
 type yield = {
   y_mutants : int;
   y_valid : int;
@@ -63,8 +63,7 @@ type guided = {
   g_cve_execs : (Jitbull_passes.Vuln_config.cve * int) list;
       (** with [track_cves]: execution index at which each CVE was first
           attributed to a signal (single-CVE engine probes) *)
-  g_il_yield : yield;  (** typed-IL mutants ({!Il_mutate}) *)
-  g_ast_yield : yield;  (** AST-level mutants ({!Mutator}) *)
+  g_yield : yield;  (** typed-IL mutants ({!Il_mutate}) *)
 }
 
 (** The VDC catalog's demonstrator sources, in catalog order. *)
@@ -75,31 +74,29 @@ val vdc_seed_sources : unit -> string list
 val default_seed_sources :
   ?benign:int -> ?aggressive:int -> ?vdc:bool -> unit -> string list
 
-(** The {!Il.seeds} programs as [(lowered source, serialized IL)] pairs —
-    appended to the seed schedule when the campaign runs with [il:true]. *)
-val il_seed_sources : unit -> (string * string option) list
-
 (** [guided_campaign ?config ... ~max_execs ()] — the coverage-guided
-    loop: replay any inputs already in [corpus], run the seed schedule,
-    then mutate gain-weighted corpus picks ({!Mutator}); every execution
-    is instrumented ({!Oracle.run_instrumented}) and admitted to [corpus]
-    iff it contributed new {!Coverage} features. [time_budget] (seconds)
-    bounds wall-clock in addition to [max_execs]. With [track_cves],
-    every signal is attributed against single-CVE engines until all
-    modeled CVEs are accounted for. [mutation:false] degrades to the
-    blind generator sweep (still instrumented — used as the baseline the
-    guided mode must dominate). Deterministic for fixed inputs and
-    [rng_seed] apart from [time_budget] and [g_seconds].
+    loop: replay any inputs already in [corpus], run the seed schedule
+    ([seed_sources], default {!default_seed_sources}, followed by the
+    {!Il.seeds}), then mutate. Every execution is instrumented
+    ({!Oracle.run_instrumented}) and admitted to [corpus] iff it
+    contributed new {!Coverage} features. [time_budget] (seconds) bounds
+    wall-clock in addition to [max_execs]. With [track_cves], every
+    signal is attributed against single-CVE engines until all modeled
+    CVEs are accounted for. Deterministic for fixed inputs and [rng_seed]
+    apart from [time_budget] and [g_seconds].
 
-    With [il:true] the campaign fuzzes at the typed-IL level: the
-    {!Il.seeds} join the seed schedule, corpus entries carrying an IL
-    payload are mutated with {!Il_mutate.mutate} (donor drawn from the
-    IL-carrying corpus, falling back to the seeds) and their mutants are
-    admitted with their serialized IL so the lineage stays mutable at the
-    IL level; entries without IL still go through {!Mutator}. Per-family
-    yields land in [g_il_yield]/[g_ast_yield], and when [config] carries
-    an [obs] handle the campaign maintains the [fuzz.il_mutants] /
-    [fuzz.ast_mutants] counters and the [fuzz.valid_ratio] gauge. *)
+    The typed IL is the only mutation substrate: each mutation step draws
+    a parent and a donor gain-weighted among the IL-carrying corpus
+    entries (falling back to the {!Il.seeds} while there are none),
+    applies {!Il_mutate.mutate}, and admits the mutant with its
+    serialized IL so its lineage stays mutable. Source-only inputs
+    (generator programs, VDC demonstrators, [.js]-only corpus entries)
+    run and are admitted for their coverage but are never mutated. The
+    yield lands in [g_yield], and when [config] carries an [obs] handle
+    the campaign maintains the [fuzz.il_mutants] counter and the
+    [fuzz.valid_ratio] gauge. [mutation:false] degrades to the blind
+    generator sweep (no IL seeds, no mutants; still instrumented — the
+    baseline the guided mode must dominate). *)
 val guided_campaign :
   ?config:Jitbull_jit.Engine.config ->
   ?corpus:Corpus.t ->
@@ -108,7 +105,6 @@ val guided_campaign :
   ?time_budget:float ->
   ?seed_sources:string list ->
   ?mutation:bool ->
-  ?il:bool ->
   ?track_cves:bool ->
   max_execs:int ->
   unit ->

@@ -1,6 +1,6 @@
 (** Typed mutation IL over the bytecode layer (FuzzIL-style).
 
-    PR 5's AST mutators edit source trees, so most mutants are
+    The guided fuzzer's only mutation substrate. Source-level mutants are
     semantically fragile: an inserted statement references names that do
     not exist, a perturbed literal turns a loop bound infinite, a spliced
     chunk reads a variable of the wrong shape. This IL makes the mutation
@@ -129,7 +129,7 @@ val max_work : int
     and locals, so a replay stores the same values and the observable
     output is bailout-stable. Without this, a mutant placing a print
     before a bounds-check bailout would "mismatch" on a patched engine —
-    a false positive. Mutators must only emit programs for which
+    a false positive. The {!Il_mutate} mutators only emit programs for which
     [typecheck] holds; the property tests assert it. *)
 val typecheck : prog -> (unit, string) result
 

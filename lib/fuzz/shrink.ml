@@ -95,6 +95,61 @@ let number_variants (p : Ast.program) =
              if !changed then Some p' else None))
   |> List.concat
 
+(* Literal propagation: a variable declared once from a literal and never
+   reassigned (no parameter, loop counter or assignment of that name
+   anywhere) is replaced by the literal, and its declaration dropped.
+   Lowered IL programs bind every constant to its own [var], so this is
+   where most of their bulk goes. *)
+let propagate_variants (p : Ast.program) =
+  let defs = ref [] and blocked = Hashtbl.create 16 in
+  let block x = Hashtbl.replace blocked x () in
+  let rec scan = function
+    | Ast.Var (x, Some ((Ast.Number _ | Ast.String _ | Ast.Bool _) as lit)) ->
+      if List.mem_assoc x !defs then block x else defs := (x, lit) :: !defs
+    | Ast.Var (x, _) -> block x
+    | Ast.If (_, t, e) ->
+      List.iter scan t;
+      List.iter scan e
+    | Ast.For (init, _, _, b) ->
+      Option.iter (function Ast.Var (x, _) -> block x | _ -> ()) init;
+      List.iter scan b
+    | Ast.While (_, b) | Ast.Block b -> List.iter scan b
+    | Ast.Expr_stmt _ | Ast.Return _ | Ast.Break | Ast.Continue -> ()
+  in
+  List.iter
+    (fun (fn : Ast.func) ->
+      List.iter block fn.Ast.params;
+      List.iter scan fn.Ast.body)
+    p.Ast.functions;
+  List.iter scan p.Ast.main;
+  fold_program_exprs
+    (fun () e -> match e with Ast.Assign (Ast.Lvar x, _) -> block x | _ -> ())
+    () p;
+  let rec drop_decl x body =
+    List.filter_map
+      (function
+        | Ast.Var (y, _) when y = x -> None
+        | Ast.If (c, t, e) -> Some (Ast.If (c, drop_decl x t, drop_decl x e))
+        | Ast.While (c, b) -> Some (Ast.While (c, drop_decl x b))
+        | Ast.For (i, c, u, b) -> Some (Ast.For (i, c, u, drop_decl x b))
+        | Ast.Block b -> Some (Ast.Block (drop_decl x b))
+        | s -> Some s)
+      body
+  in
+  List.rev !defs
+  |> List.filter (fun (x, _) -> not (Hashtbl.mem blocked x))
+  |> List.map (fun (x, lit) ->
+         let p =
+           {
+             Ast.functions =
+               List.map
+                 (fun (fn : Ast.func) -> { fn with Ast.body = drop_decl x fn.Ast.body })
+                 p.Ast.functions;
+             main = drop_decl x p.Ast.main;
+           }
+         in
+         map_program_exprs (function Ast.Ident y when y = x -> lit | e -> e) p)
+
 let program_variants (p : Ast.program) =
   let drop_funcs =
     List.mapi (fun i _ -> { p with Ast.functions = remove_at p.Ast.functions i }) p.Ast.functions
@@ -112,7 +167,7 @@ let program_variants (p : Ast.program) =
              (stmt_list_variants ~depth:3 fn.Ast.body))
          p.Ast.functions)
   in
-  drop_funcs @ main_vars @ func_vars @ number_variants p
+  propagate_variants p @ drop_funcs @ main_vars @ func_vars @ number_variants p
 
 let shrink ?(max_checks = 400) ?seed ?errors ~keep source =
   match Parser.parse source with

@@ -1,11 +1,13 @@
 (** Delta-debugging shrinker: minimize a program while a predicate holds.
 
-    Works on the AST (candidates always re-parse): drops whole functions,
-    removes statement chunks ddmin-style (halves, quarters, then
-    singles — recursing into [if]/[for]/block bodies), simplifies
-    compound statements ([if] → one branch, loop → its body once), and
-    shrinks numeric literals. Greedy with restart: whenever a smaller
-    candidate keeps the predicate it becomes the new best and the
+    Works on the AST (candidates always re-parse): propagates literals
+    (a variable bound once to a literal and never reassigned is replaced
+    by it — lowered {!Il} programs bind every constant to its own [var]),
+    drops whole functions, removes statement chunks ddmin-style (halves,
+    quarters, then singles — recursing into [if]/[for]/block bodies),
+    simplifies compound statements ([if] → one branch, loop → its body
+    once), and shrinks numeric literals. Greedy with restart: whenever a
+    smaller candidate keeps the predicate it becomes the new best and the
     candidate generation starts over from it.
 
     The predicate evaluation budget ([max_checks]) bounds total work;

@@ -146,7 +146,16 @@ module Master = struct
     | j -> (
       match Jsonx.member "source" j with
       | Jsonx.String source when source <> "" ->
-        let il = match Jsonx.member "il" j with Jsonx.String s -> Some s | _ -> None in
+        (* the sidecar becomes every worker's mutation input: keep it only
+           when it is a well-typed program that lowers to exactly [source] *)
+        let il =
+          match Jsonx.member "il" j with
+          | Jsonx.String text -> (
+            match Il.parse text with
+            | Ok p when Il.to_source p = source -> Some text
+            | _ -> None)
+          | _ -> None
+        in
         let gain =
           match Jsonx.member "gain" j with Jsonx.Int g -> max 1 g | _ -> 1
         in
@@ -305,8 +314,7 @@ module Worker = struct
     w_corpus_size : int;
     w_uploaded : int;
     w_imported : int;
-    w_il_yield : Harness.yield;
-    w_ast_yield : Harness.yield;
+    w_yield : Harness.yield;
     w_cve_execs : (VC.cve * int) list;
   }
 
@@ -325,16 +333,16 @@ module Worker = struct
   let empty_totals =
     { Audit.tt_records = 0; tt_allow = 0; tt_disable = 0; tt_forbid = 0; tt_cache_hits = 0 }
 
-  let run ?(config = Oracle.default_config) ?(il = false) ?(rounds = 2)
+  let run ?(config = Oracle.default_config) ?(rounds = 2)
       ?(execs_per_round = 200) ?chunk ?rng_seed ?(track_cves = false) ~id ~port () =
     let conn = Http.Conn.connect ~port () in
     Fun.protect
       ~finally:(fun () -> Http.Conn.close conn)
       (fun () ->
         let obs = Obs.create ~capacity:64 ~audit_capacity:8 () in
-        (* the campaign maintains fuzz.il_mutants / fuzz.ast_mutants /
-           fuzz.valid_ratio on the config's obs handle; pointing it at
-           the worker's own registry puts them in every fleet push *)
+        (* the campaign maintains fuzz.il_mutants / fuzz.valid_ratio on
+           the config's obs handle; pointing it at the worker's own
+           registry puts them in every fleet push *)
         let config = { config with Engine.obs = Some obs } in
         (* local campaign state persists across rounds *)
         let coverage = Coverage.create () in
@@ -347,8 +355,7 @@ module Worker = struct
         let signals = ref [] in
         let uploaded = ref 0 in
         let imported = ref 0 in
-        let il_yield = ref { Harness.y_mutants = 0; y_valid = 0 } in
-        let ast_yield = ref { Harness.y_mutants = 0; y_valid = 0 } in
+        let yield = ref { Harness.y_mutants = 0; y_valid = 0 } in
         let cve_execs = ref [] in
         let since = ref 0 in
         for round = 0 to rounds - 1 do
@@ -366,7 +373,7 @@ module Worker = struct
           in
           let before = Corpus.length corpus in
           let g =
-            Harness.guided_campaign ~config ~corpus ~coverage ~il ~track_cves
+            Harness.guided_campaign ~config ~corpus ~coverage ~track_cves
               ~rng_seed:(rng_seed + round) ~seed_sources ~max_execs:execs_per_round ()
           in
           let execs_before = !execs in
@@ -379,15 +386,10 @@ module Worker = struct
               if not (List.mem_assoc cve !cve_execs) then
                 cve_execs := !cve_execs @ [ (cve, execs_before + e) ])
             g.Harness.g_cve_execs;
-          il_yield :=
+          yield :=
             {
-              Harness.y_mutants = !il_yield.Harness.y_mutants + g.Harness.g_il_yield.Harness.y_mutants;
-              y_valid = !il_yield.Harness.y_valid + g.Harness.g_il_yield.Harness.y_valid;
-            };
-          ast_yield :=
-            {
-              Harness.y_mutants = !ast_yield.Harness.y_mutants + g.Harness.g_ast_yield.Harness.y_mutants;
-              y_valid = !ast_yield.Harness.y_valid + g.Harness.g_ast_yield.Harness.y_valid;
+              Harness.y_mutants = !yield.Harness.y_mutants + g.Harness.g_yield.Harness.y_mutants;
+              y_valid = !yield.Harness.y_valid + g.Harness.g_yield.Harness.y_valid;
             };
           Obs.add (Some obs) "fuzz.execs" g.Harness.g_execs;
           Obs.set_gauge (Some obs) "fuzz.coverage" (float_of_int (Coverage.count coverage));
@@ -482,8 +484,7 @@ module Worker = struct
           w_corpus_size = Corpus.length corpus;
           w_uploaded = !uploaded;
           w_imported = !imported;
-          w_il_yield = !il_yield;
-          w_ast_yield = !ast_yield;
+          w_yield = !yield;
           w_cve_execs = !cve_execs;
         })
 end

@@ -3,14 +3,18 @@
 
     Modeled on Fuzzilli's master/worker topology: one {!Master} owns the
     authoritative coverage map and corpus; {!Worker}s run local
-    coverage-guided campaigns ({!Harness.guided_campaign}) and
-    periodically
+    coverage-guided campaigns ({!Harness.guided_campaign}, which mutates
+    only the IL-carrying entries) and periodically
 
     - lease a generator-seed range from [GET /fuzz/work] (work stealing:
       a range whose lease expires before [POST /fuzz/done] is re-issued
       to the next worker that asks),
     - upload locally-interesting inputs to [POST /fuzz/interesting]
-      (deduplicated by source digest, so re-uploads are idempotent),
+      (deduplicated by source digest, so re-uploads are idempotent; an
+      uploaded IL sidecar is kept only when it {!Il.parse}s and lowers
+      ({!Il.to_source}) to exactly the uploaded source — otherwise the
+      input is admitted source-only, so a forged or stale sidecar never
+      becomes another worker's mutation parent),
     - sync coverage through [POST /fuzz/coverage] — the master unions
       the worker's feature hashes into its map and answers with the
       features the worker was missing, so both sides converge on the
@@ -72,8 +76,7 @@ module Worker : sig
     w_corpus_size : int;
     w_uploaded : int;  (** locally-found entries sent to the master *)
     w_imported : int;  (** master entries admitted into the local corpus *)
-    w_il_yield : Harness.yield;
-    w_ast_yield : Harness.yield;
+    w_yield : Harness.yield;  (** typed-IL mutation yield, summed over rounds *)
     w_cve_execs : (Jitbull_passes.Vuln_config.cve * int) list;
         (** first attribution of each CVE ([track_cves]); exec counts
             are cumulative across rounds *)
@@ -82,14 +85,12 @@ module Worker : sig
   (** [run ~id ~port ()] — the worker loop: [rounds] iterations of
       lease range → local campaign of [execs_per_round] instrumented
       executions → upload interesting → coverage sync → corpus download
-      → fleet push → release lease. [il] selects the typed-IL mutation
-      mode of {!Harness.guided_campaign}. [rng_seed] defaults to a hash
+      → fleet push → release lease. [rng_seed] defaults to a hash
       of [id] so concurrent workers explore different mutation streams.
       Blocking; run each worker in its own thread for a multi-worker
       topology. *)
   val run :
     ?config:Jitbull_jit.Engine.config ->
-    ?il:bool ->
     ?rounds:int ->
     ?execs_per_round:int ->
     ?chunk:int ->

@@ -124,20 +124,51 @@ let test_upload_dedup_and_broadcast () =
           check_int "cursor past the end returns nothing" 0
             (List.length (Jsonx.to_list_exn (Jsonx.member "entries" b)))))
 
+let test_upload_il_sidecar_validated () =
+  (* an uploaded IL sidecar becomes every worker's mutation parent: the
+     master keeps it only when it parses and lowers to exactly the
+     uploaded source, and admits anything else source-only *)
+  let p = List.hd (F.Il.seeds ()) in
+  let real_source = F.Il.to_source p and real_il = F.Il.serialize p in
+  with_master (fun m ->
+      with_conn m (fun conn ->
+          let upload source il =
+            post conn "/fuzz/interesting"
+              (Jsonx.Assoc
+                 [
+                   ("worker", Jsonx.String "a");
+                   ("source", Jsonx.String source);
+                   ("il", Jsonx.String il);
+                 ])
+          in
+          ignore (upload real_source real_il);
+          ignore (upload "print(1);" real_il);
+          ignore (upload "print(2);" "il v1\nnot a program");
+          let il_of source =
+            (List.find
+               (fun (e : F.Corpus.entry) -> e.F.Corpus.source = source)
+               (F.Sync.Master.corpus_entries m))
+              .F.Corpus.il
+          in
+          check_int "every upload admitted" 3 (F.Sync.Master.corpus_size m);
+          check_bool "matching sidecar kept" true (il_of real_source = Some real_il);
+          check_bool "sidecar of another program dropped" true (il_of "print(1);" = None);
+          check_bool "unparsable sidecar dropped" true (il_of "print(2);" = None)))
+
 (* ---- two-worker end-to-end ---- *)
 
 let test_two_worker_union () =
   with_master (fun m ->
       let port = F.Sync.Master.port m in
       let w1 =
-        F.Sync.Worker.run ~il:true ~rounds:1 ~execs_per_round:25 ~rng_seed:11 ~id:"w1"
+        F.Sync.Worker.run ~rounds:1 ~execs_per_round:25 ~rng_seed:11 ~id:"w1"
           ~port ()
       in
       (* w2 runs after w1, so its closing sync merges the master's map
          (which already holds w1's) back into its own: when it finishes,
          both sides hold exactly the union of the per-worker maps *)
       let w2 =
-        F.Sync.Worker.run ~il:true ~rounds:1 ~execs_per_round:25 ~rng_seed:22 ~id:"w2"
+        F.Sync.Worker.run ~rounds:1 ~execs_per_round:25 ~rng_seed:22 ~id:"w2"
           ~port ()
       in
       check_bool "workers executed" true
@@ -289,6 +320,8 @@ let suite =
         test_work_leases_and_stealing;
       Alcotest.test_case "uploads dedup; broadcast pages by cursor" `Quick
         test_upload_dedup_and_broadcast;
+      Alcotest.test_case "uploaded IL sidecars are validated" `Quick
+        test_upload_il_sidecar_validated;
       Alcotest.test_case "two workers converge on the coverage union" `Slow
         test_two_worker_union;
       Alcotest.test_case "master restart keeps the persisted corpus" `Quick
