@@ -178,6 +178,13 @@ let exploited = function
   | V.Exploited _ -> true
   | V.Neutralized -> false
 
+(* A decision's flagged passes: the union of its matches' passes. *)
+let flagged_passes (r : Audit.record) =
+  List.concat_map
+    (fun cm -> List.map (fun pm -> pm.Audit.pm_pass) cm.Audit.cm_passes)
+    r.Audit.matches
+  |> List.sort_uniq String.compare
+
 let security () =
   section "Security evaluation (paper §VI-B): detection of exploit variants";
   Printf.printf
@@ -194,8 +201,8 @@ let security () =
         let vulnerable = { Engine.default_config with Engine.vulns } in
         let db = Db.create () in
         ignore (Db.harvest db ~cve:d.V.name ~vulns d.V.source);
-        let monitor = Jitbull.new_monitor () in
-        let protected_cfg = Jitbull.config ~monitor ~vulns db in
+        let obs = Obs.create () in
+        let protected_cfg = Jitbull.config ~obs ~vulns db in
         let orig_patched = exploited (V.run_exploit patched d.V.source d.V.expected) in
         let orig_vuln = exploited (V.run_exploit vulnerable d.V.source d.V.expected) in
         let variant_cells =
@@ -218,8 +225,7 @@ let security () =
         incr attempts;
         if orig_vuln && orig_blocked then incr detections;
         let flagged =
-          List.concat_map (fun (r : Jitbull.record) -> r.Jitbull.dangerous_passes)
-            monitor.Jitbull.records
+          List.concat_map flagged_passes (Audit.records (Obs.audit obs))
           |> List.sort_uniq String.compare
         in
         [ d.V.name;
@@ -245,15 +251,15 @@ let security () =
   let vulns = VC.make [ d.V.cve ] in
   let db = Db.create () in
   ignore (Db.harvest db ~cve:d.V.name ~vulns d.V.source);
-  let monitor = Jitbull.new_monitor () in
-  let cfg = Jitbull.config ~monitor ~vulns db in
+  let obs = Obs.create () in
+  let cfg = Jitbull.config ~obs ~vulns db in
   let blocked =
     not (exploited (V.run_exploit cfg V.second_implementation_17026 V.Shellcode))
   in
   let gvn_flagged =
     List.exists
-      (fun (r : Jitbull.record) -> List.mem "gvn" r.Jitbull.dangerous_passes)
-      monitor.Jitbull.records
+      (fun r -> List.mem "gvn" (flagged_passes r))
+      (Audit.records (Obs.audit obs))
   in
   Printf.printf
     "\nCVE-2019-17026 independent implementation: %s, GVN flagged: %b (paper: detected, GVN disabled)\n"
@@ -1129,26 +1135,26 @@ let concurrency () =
       Fun.protect ~finally:(fun () -> Compile_queue.shutdown pool) (fun () -> f (Some pool))
     end
   in
-  let run_one pool (w : W.t) =
-    let monitor = Jitbull.new_monitor () in
-    let vulns = VC.make (first_n 4 cve_order) in
-    let cfg = Jitbull.config ~monitor ?compile_pool:pool ~vulns (cached_db 4) in
+  let vulns = VC.make (first_n 4 cve_order) in
+  let run_one ?obs pool (w : W.t) =
+    let cfg = Jitbull.config ?obs ?compile_pool:pool ~vulns (cached_db 4) in
     let out, e = Engine.run_source cfg w.W.source in
-    (out, Engine.stats e, monitor.Jitbull.records)
+    (out, Engine.stats e)
   in
-  (* func → verdict pairs, deduplicated *)
-  let verdict_set records =
-    List.map
-      (fun (r : Jitbull.record) ->
-        let v =
-          match r.Jitbull.verdict with
-          | `Allow -> "allow"
-          | `Disable ps -> "disable:" ^ String.concat "," ps
-          | `Forbid -> "forbid"
-        in
-        (r.Jitbull.func_name, v))
-      records
-    |> List.sort_uniq compare
+  (* an audited run: its output and the analyzer's func → verdict pairs,
+     deduplicated *)
+  let audited pool w =
+    let obs = Obs.create () in
+    let out, _ = run_one ~obs pool w in
+    let verdicts =
+      Audit.records (Obs.audit obs)
+      |> List.filter_map (fun (r : Audit.record) ->
+             if r.Audit.source = Audit.Fresh then
+               Some (r.Audit.func_name, Audit.verdict_to_string r.Audit.verdict)
+             else None)
+      |> List.sort_uniq compare
+    in
+    (out, verdicts)
   in
   (* every function analyzed in both runs got the identical verdict(s) *)
   let verdicts_agree a b =
@@ -1164,19 +1170,21 @@ let concurrency () =
   let rows =
     List.map
       (fun (w : W.t) ->
-        let out0, _, records0 = with_pool 0 (fun pool -> run_one pool w) in
-        let v0 = verdict_set records0 in
+        let out0, v0 = with_pool 0 (fun pool -> audited pool w) in
         let cells =
           List.map
             (fun jobs ->
               with_pool jobs (fun pool ->
-                  let out, s, records = run_one pool w in
+                  let out, v = audited pool w in
                   (* identity vs the synchronous reference *)
                   assert (String.equal out out0);
-                  assert (verdicts_agree v0 (verdict_set records));
+                  assert (verdicts_agree v0 v);
+                  (* timed runs install no Obs; stall is the last one's *)
+                  let last = ref None in
                   let wall =
-                    time_best (fun () -> ignore (run_one pool w))
+                    time_best (fun () -> last := Some (snd (run_one pool w)))
                   in
+                  let s = Option.get !last in
                   json_rows :=
                     Jsonx.Assoc
                       [

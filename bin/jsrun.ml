@@ -11,10 +11,7 @@
      jsrun --stats ...                  print engine statistics afterwards
      jsrun --metrics[=FILE] ...         telemetry snapshot at exit
      jsrun --trace-file out.jsonl ...   structured event trace (JSON lines)
-     jsrun --naive-comparator ...       fold over every DB entry (A/B reference)
-     jsrun --no-policy-cache ...        re-analyze DNA on every Ion compile
      jsrun --jobs N ...                 N helper domains for background Ion compiles
-     jsrun --sync-compile ...           force on-main-thread compilation (= --jobs 0)
      jsrun --native / --no-native       x86-64 machine code for the Ion tier
                                         (default on; falls back to the LIR
                                         executor off x86-64 or under
@@ -155,7 +152,7 @@ let run file no_jit use_interp vuln_names db_path verdict_server push_interval
     client_id stats ion_threshold seed trace metrics
     trace_file audit_file audit_rotate_bytes explain explain_capacity
     serve_metrics serve_hold profile
-    naive_comparator no_policy_cache jobs sync_compile native quiet verbose =
+    jobs native quiet verbose =
   setup_logging ~quiet ~verbose:(List.length verbose) trace;
   let source = read_file file in
   let vulns =
@@ -215,8 +212,7 @@ let run file no_jit use_interp vuln_names db_path verdict_server push_interval
       | _ -> None
     in
     let jobs =
-      if sync_compile then 0
-      else match jobs with Some n -> max 0 n | None -> Compile_queue.default_jobs ()
+      match jobs with Some n -> max 0 n | None -> Compile_queue.default_jobs ()
     in
     let pool = if jobs > 0 then Some (Compile_queue.create ~jobs ()) else None in
     let remote = ref None in
@@ -279,15 +275,10 @@ let run file no_jit use_interp vuln_names db_path verdict_server push_interval
                 ion_threshold;
                 native;
                 compile_pool = pool;
-                policy_cache = (if no_policy_cache then None else c.Engine.policy_cache);
               }
             | None, Some path ->
               let db = Db.load path in
-              let comparator = if naive_comparator then `Naive else `Indexed in
-              let c =
-                Jitbull.config ?obs ?compile_pool:pool ~comparator
-                  ~policy_cache:(not no_policy_cache) ~vulns db
-              in
+              let c = Jitbull.config ?obs ?compile_pool:pool ~vulns db in
               { c with Engine.jit_enabled = not no_jit; ion_threshold; native }
             | None, None ->
               { Engine.default_config with Engine.vulns; jit_enabled = not no_jit;
@@ -461,31 +452,12 @@ let profile =
                  $(docv), prints to stderr. With --serve-metrics, the live \
                  profile is also served at /profile.")
 
-let naive_comparator =
-  Arg.(value & flag
-       & info [ "naive-comparator" ]
-           ~doc:"Answer go/no-go queries by folding the comparator over every DB entry \
-                 instead of through the inverted sub-chain index. Verdicts are identical; \
-                 useful for A/B measurement and as the executable specification.")
-
-let no_policy_cache =
-  Arg.(value & flag
-       & info [ "no-policy-cache" ]
-           ~doc:"Disable the policy-decision cache: re-analyze the function DNA on every \
-                 Ion compilation instead of reusing the cached verdict.")
-
 let jobs =
   Arg.(value & opt (some int) None
        & info [ "jobs" ] ~docv:"N"
            ~doc:"Helper domains for background Ion compilation. 0 compiles \
                  synchronously on the main thread. Defaults to the machine's \
                  recommended domain count minus one, capped at 4.")
-
-let sync_compile =
-  Arg.(value & flag
-       & info [ "sync-compile" ]
-           ~doc:"Force on-main-thread Ion compilation (equivalent to --jobs 0); \
-                 overrides --jobs.")
 
 let native =
   Arg.(value
@@ -522,7 +494,7 @@ let cmd =
                $ ion_threshold $ seed $ trace $ metrics $ trace_file $ audit_file
                $ audit_rotate_bytes $ explain $ explain_capacity
                $ serve_metrics $ serve_hold $ profile
-               $ naive_comparator $ no_policy_cache $ jobs $ sync_compile $ native
+               $ jobs $ native
                $ quiet $ verbose))
 
 let () = exit (Cmd.eval cmd)

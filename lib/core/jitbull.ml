@@ -6,20 +6,6 @@ module Jsonx = Jitbull_obs.Jsonx
 (* Sampling-profiler frame for the DB comparison (the go/no-go cost). *)
 let prof_comparator = Jitbull_obs.Profile.tag "comparator"
 
-type record = {
-  func_name : string;
-  matched : (string * string list) list;
-  dangerous_passes : string list;
-  verdict : [ `Allow | `Disable of string list | `Forbid ];
-}
-
-type monitor = {
-  mu : Mutex.t;
-  mutable records : record list;
-}
-
-let new_monitor () = { mu = Mutex.create (); records = [] }
-
 let verdict_name = function
   | `Allow -> "allow"
   | `Disable _ -> "disable"
@@ -156,7 +142,7 @@ let verdict_of_matches matched =
   in
   (dangerous, verdict)
 
-let analyzer ?params ?monitor ?obs ?(comparator = `Indexed) (db : Db.t) : Engine.analyzer =
+let analyzer ?params ?obs (db : Db.t) : Engine.analyzer =
  fun ~ctx ~func_index ~name ~trace ->
   (* the whole go/no-go decision is one [policy_decide] span whose fields
      carry the verdict and the matched CVE → pass evidence *)
@@ -198,30 +184,7 @@ let analyzer ?params ?monitor ?obs ?(comparator = `Indexed) (db : Db.t) : Engine
             "db_compare"
             (fun () ->
               Jitbull_obs.Profile.with_tag prof_comparator @@ fun () ->
-              match comparator with
-              | `Indexed -> Db.matching_detailed ?params ?obs db dna
-              | `Naive ->
-                (* fold the executable specification over every entry;
-                   evidence fields mirror the indexed path's semantics *)
-                let detailed =
-                  List.filter_map
-                    (fun (e : Db.entry) ->
-                      match
-                        Comparator.matching_passes_detailed ?params ?obs dna
-                          e.Db.dna
-                      with
-                      | [] -> None
-                      | mds -> Some (e.Db.cve, mds))
-                    (Db.entries db)
-                in
-                let n = Db.size db in
-                {
-                  Db.q_matches = detailed;
-                  q_prefilter_candidates = n;
-                  q_prefilter_hits = n;
-                  q_generation = Db.generation db;
-                  q_size = n;
-                })
+              Db.matching_detailed ?params ?obs db dna)
         in
         query_ref := query;
         let matched = Db.drop_details query.Db.q_matches in
@@ -286,29 +249,16 @@ let analyzer ?params ?monitor ?obs ?(comparator = `Indexed) (db : Db.t) : Engine
         q.Db.q_matches
     | _ -> ())
   | None -> ());
-  (match monitor with
-  | Some m ->
-    (* analyses run on helper compile domains in background mode *)
-    Mutex.lock m.mu;
-    m.records <-
-      { func_name = name; matched = !matched_ref; dangerous_passes = !dangerous_ref; verdict }
-      :: m.records;
-    Mutex.unlock m.mu
-  | None -> ());
   match verdict with
   | `Allow -> Engine.Allow
   | `Disable passes -> Engine.Disable_passes passes
   | `Forbid -> Engine.Forbid_jit
 
-let config ?params ?monitor ?obs ?comparator ?(policy_cache = true) ?compile_pool
-    ~vulns (db : Db.t) : Engine.config =
-  let analyzer =
-    if Db.is_empty db then None
-    else Some (analyzer ?params ?monitor ?obs ?comparator db)
-  in
-  let policy_cache =
-    if policy_cache && analyzer <> None then
-      Some (Engine.Policy_cache.create ~generation:(fun () -> Db.generation db) ())
-    else None
+let config ?params ?obs ?compile_pool ~vulns (db : Db.t) : Engine.config =
+  let analyzer, policy_cache =
+    if Db.is_empty db then (None, None)
+    else
+      ( Some (analyzer ?params ?obs db),
+        Some (Engine.Policy_cache.create ~generation:(fun () -> Db.generation db) ()) )
   in
   { Engine.default_config with Engine.vulns; analyzer; obs; policy_cache; compile_pool }

@@ -8,24 +8,15 @@
     recompiles with those passes disabled, or refuses JIT for the function
     when a mandatory pass matched.
 
-    A {!record} is appended to the monitor for every analyzed function so
-    the evaluation harness can compute the paper's
-    %Safe / %PassDis / %NoJIT metrics and inspect {e which} passes were
-    flagged (e.g. GVN for CVE-2019-17026 variants). *)
-
-type record = {
-  func_name : string;
-  matched : (string * string list) list;  (** CVE → matching passes *)
-  dangerous_passes : string list;  (** union, pipeline order *)
-  verdict : [ `Allow | `Disable of string list | `Forbid ];
-}
-
-type monitor = {
-  mu : Mutex.t;  (** guards [records]: analyses may run on helper domains *)
-  mutable records : record list;  (** newest first *)
-}
-
-val new_monitor : unit -> monitor
+    The per-decision record is the audit trail of an installed
+    {!Jitbull_obs.Obs.t}: every analysis appends one
+    {!Jitbull_obs.Audit.record} with [source = Fresh] (policy-cache hits
+    append [Cache_hit] records from the engine). Its verdict and the
+    [pm_pass] sets of its [matches] are what the evaluation harness reads
+    for the paper's %Safe / %PassDis / %NoJIT metrics and to see
+    {e which} passes were flagged (e.g. GVN for CVE-2019-17026
+    variants); the Nr_JIT / Nr_DisJIT / Nr_NoJIT counts come from
+    {!Jitbull_jit.Engine.stats}. *)
 
 (** [verdict_of_matches matched] — the go/no-go rule on a query's
     CVE → matching-passes list: the dangerous-pass union (pipeline
@@ -46,52 +37,40 @@ val audit_matches :
   (string * Comparator.match_detail list) list ->
   Jitbull_obs.Audit.cve_match list
 
-(** [analyzer ?params ?monitor ?obs ?comparator db] builds the engine
-    hook. The database is consulted live: entries added or removed later
-    affect subsequent compilations (the patch-applied lifecycle).
+(** [analyzer ?params ?obs db] builds the engine hook. The database is
+    consulted live: entries added or removed later affect subsequent
+    compilations (the patch-applied lifecycle). Queries go through
+    {!Db.matching_detailed}'s inverted sub-chain index.
 
-    [comparator] selects how the DB comparison runs: [`Indexed] (default)
-    answers through {!Db.matching}'s inverted sub-chain index, [`Naive]
-    folds {!Comparator.matching_passes} over every entry. Both produce
-    identical verdicts (a property test asserts it); the naive path is
-    kept as the executable specification and for A/B measurement
-    ([bench overhead], [jsrun --naive-comparator]).
-
-    With [obs] installed, every analysis is traced: a [policy_decide]
-    span (fields [func], [verdict], [passes], [matched]) wrapping
-    [dna_extract] and [db_compare] child spans, plus
-    [policy.allow]/[policy.disable]/[policy.forbid] counters. *)
+    With [obs] installed, every analysis is traced and audited: a
+    [policy_decide] span (fields [func], [verdict], [passes], [matched])
+    wrapping [dna_extract] and [db_compare] child spans,
+    [policy.allow]/[policy.disable]/[policy.forbid] counters, and one
+    audit record carrying the full match evidence. *)
 val analyzer :
   ?params:Comparator.params ->
-  ?monitor:monitor ->
   ?obs:Jitbull_obs.Obs.t ->
-  ?comparator:[ `Indexed | `Naive ] ->
   Db.t ->
   Jitbull_jit.Engine.analyzer
 
-(** [config ?params ?monitor ?obs ?comparator ?policy_cache ~vulns db] —
-    an engine configuration with JITBULL installed, the vulnerability
-    window's unpatched engine. When [db] is empty the analyzer is omitted
-    entirely (zero overhead, paper §V). [obs] is installed both into the
-    analyzer and the engine configuration.
+(** [config ?params ?obs ?compile_pool ~vulns db] — an engine
+    configuration with JITBULL installed, the vulnerability window's
+    unpatched engine. When [db] is empty the analyzer and the policy
+    cache are omitted entirely (zero overhead, paper §V). [obs] is
+    installed both into the analyzer and the engine configuration.
 
-    [policy_cache] (default [true]) installs an
-    {!Jitbull_jit.Engine.Policy_cache} wired to [db]'s generation counter,
-    so re-JITs of an already-decided function — across engines sharing
-    this configuration — skip DNA extraction and comparison; any
-    [Db.add]/[Db.remove_cve] invalidates it. Pass [false] to analyze
-    every Ion compile afresh (every compile then produces a monitor
-    record, which some tests rely on).
+    A non-empty [db] gets an {!Jitbull_jit.Engine.Policy_cache} wired to
+    its generation counter, so re-JITs of an already-decided function —
+    across engines sharing this configuration — skip DNA extraction and
+    comparison; any [Db.add]/[Db.remove_cve] invalidates it. With [obs],
+    each hit still leaves a [Cache_hit] audit record.
 
     [compile_pool] hands the engine a helper-domain pool for
     off-main-thread Ion compilation (see
     {!Jitbull_jit.Compile_queue}); the caller owns and shuts it down. *)
 val config :
   ?params:Comparator.params ->
-  ?monitor:monitor ->
   ?obs:Jitbull_obs.Obs.t ->
-  ?comparator:[ `Indexed | `Naive ] ->
-  ?policy_cache:bool ->
   ?compile_pool:Jitbull_jit.Compile_queue.t ->
   vulns:Jitbull_passes.Vuln_config.t ->
   Db.t ->

@@ -84,8 +84,8 @@ type violation = {
       a singleton), an engine forced to disable that subset agrees;
     - sync == async: a compile pool with [jobs] helpers (default 2;
       [0] skips) agrees;
-    - each named engine in [alt_configs] agrees — callers pass
-      indexed-vs-naive comparator configs and a DB-growth chain here.
+    - each named engine in [alt_configs] agrees — callers pass a
+      DB-growth chain here.
 
     Returns the violated invariants (empty = all hold). A source whose
     reference tier raises a JS-level error is vacuous (returns []). The

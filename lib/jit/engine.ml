@@ -618,8 +618,8 @@ let prepare t idx : (unit -> compile_result) option =
       None
     | Some d ->
       (* a cache hit skips the snapshot trace, the Δ extraction and the
-         DB comparison (and so the monitor record: the audit trail got a
-         [Cache_hit] record instead) *)
+         DB comparison; the audit trail got a [Cache_hit] record instead
+         of the analyzer's [Fresh] one *)
       let passes = match d with Disable_passes ps -> ps | _ -> [] in
       let fields =
         ("cached_verdict", Jsonx.Bool true)

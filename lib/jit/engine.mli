@@ -66,7 +66,8 @@ type analyzer =
     On a hit the engine skips the snapshot-traced compile, the Δ
     extraction and the DB comparison (a [Forbid_jit] hit skips compilation
     entirely) and applies the cached verdict directly; the analyzer is not
-    called, so no monitor record is produced for that compile.
+    called, so with an {!Jitbull_obs.Obs.t} installed the audit trail
+    gets a [Cache_hit] record for that compile instead of a [Fresh] one.
     [policy.cache_hits] / [policy.cache_misses] count effectiveness.
 
     All operations are domain-safe (internal mutex): helper compile

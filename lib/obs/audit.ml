@@ -1,13 +1,15 @@
 (* The go/no-go audit trail. One structured record per policy decision,
-   kept in a bounded ring (like the tracer: a mutex serializes helper
-   compile domains and the main thread) with cumulative aggregates that
-   survive ring eviction, an optional JSON-lines file sink, and query /
-   rendering helpers.
+   kept in a bounded ring with cumulative aggregates that survive ring
+   eviction, an optional JSON-lines file sink, and query / rendering
+   helpers. Like the tracer, one mutex covers ring, sink and aggregates,
+   serializing helper compile domains and the main thread.
 
    This module deliberately speaks its own vocabulary ([verdict],
    [pass_match]) rather than the engine's: [lib/obs] sits below
    [lib/core] and [lib/jit] in the dependency order, so the analyzer
    converts its types on the way in. *)
+
+module Ring = Jitbull_util.Ring
 
 type verdict =
   | Allow
@@ -57,17 +59,8 @@ type record = {
 }
 
 type t = {
-  capacity : int;
-  ring : record option array;
-  mutable head : int;
-  mutable total : int;
-  mutable chan : out_channel option;
-  (* file-sink rotation: bytes written to the current file, the sink
-     path (for the rename), and the size cap (None = never rotate) *)
-  mutable sink_path : string option;
-  mutable sink_bytes : int;
-  mutable sink_max_bytes : int option;
-  mutable sink_rotations : int;
+  ring : record Ring.t;  (* its total doubles as next seq *)
+  mutable sink : Sink.t option;
   mu : Mutex.t;
   clock : unit -> float;
   start : float;
@@ -83,17 +76,9 @@ type t = {
 
 let create ?(capacity = 1024) ?(clock : (unit -> float) option) () =
   let clock = match clock with Some c -> c | None -> Clock.now in
-  let capacity = max 1 capacity in
   {
-    capacity;
-    ring = Array.make capacity None;
-    head = 0;
-    total = 0;
-    chan = None;
-    sink_path = None;
-    sink_bytes = 0;
-    sink_max_bytes = None;
-    sink_rotations = 0;
+    ring = Ring.create ~capacity;
+    sink = None;
     mu = Mutex.create ();
     clock;
     start = clock ();
@@ -247,30 +232,14 @@ let record_of_json j =
 (* ---- recording ---- *)
 
 let set_file_sink t ?max_bytes path =
-  Mutex.lock t.mu;
-  (match t.chan with Some oc -> close_out oc | None -> ());
-  t.chan <- Some (open_out path);
-  t.sink_path <- Some path;
-  t.sink_bytes <- 0;
-  t.sink_max_bytes <- max_bytes;
-  Mutex.unlock t.mu
+  let sink = Sink.create ?max_bytes ~what:"audit" path in
+  Mutex.protect t.mu (fun () ->
+      Option.iter Sink.close t.sink;
+      t.sink <- Some sink)
 
-let sink_rotations t = t.sink_rotations
-
-(* Size-based rotation, checked after each sink write (so one oversized
-   record still lands whole): the current file moves to [path ^ ".1"]
-   (clobbering the previous generation — one level of history bounds a
-   long-lived daemon's evidence log at ~2×max_bytes) and the sink
-   reopens fresh. Called with [t.mu] held. *)
-let maybe_rotate t =
-  match (t.sink_max_bytes, t.sink_path) with
-  | Some cap, Some path when t.sink_bytes >= cap ->
-    (match t.chan with Some oc -> close_out oc | None -> ());
-    (try Sys.rename path (path ^ ".1") with Sys_error _ -> ());
-    t.chan <- Some (open_out path);
-    t.sink_bytes <- 0;
-    t.sink_rotations <- t.sink_rotations + 1
-  | _ -> ()
+let sink_rotations t =
+  Mutex.protect t.mu (fun () ->
+      match t.sink with Some s -> Sink.rotations s | None -> 0)
 
 let append t ?ts ?client_id ?remote_parent ~func_name ~func_index
     ~bytecode_hash ~feedback_hash ~verdict ~matches ~thr ~ratio
@@ -278,10 +247,10 @@ let append t ?ts ?client_id ?remote_parent ~func_name ~func_index
     ~duration () =
   let ts = match ts with Some x -> x | None -> now t in
   let domain = (Domain.self () :> int) in
-  Mutex.lock t.mu;
+  Mutex.protect t.mu @@ fun () ->
   let r =
     {
-      seq = t.total;
+      seq = Ring.total t.ring;
       ts;
       func_name;
       func_index;
@@ -302,9 +271,7 @@ let append t ?ts ?client_id ?remote_parent ~func_name ~func_index
       remote_parent;
     }
   in
-  t.ring.(t.head) <- Some r;
-  t.head <- (t.head + 1) mod t.capacity;
-  t.total <- t.total + 1;
+  Ring.push t.ring r;
   (match verdict with
   | Allow -> t.n_allow <- t.n_allow + 1
   | Disable _ -> t.n_disable <- t.n_disable + 1
@@ -318,32 +285,13 @@ let append t ?ts ?client_id ?remote_parent ~func_name ~func_index
   let fv = (func_name, verdict_label verdict) in
   Hashtbl.replace t.func_verdicts fv
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.func_verdicts fv));
-  (match t.chan with
-  | Some oc ->
-    let line = Jsonx.to_string (record_to_json r) in
-    output_string oc line;
-    output_char oc '\n';
-    flush oc;
-    t.sink_bytes <- t.sink_bytes + String.length line + 1;
-    maybe_rotate t
-  | None -> ());
-  Mutex.unlock t.mu;
+  Option.iter (fun s -> Sink.write s (Jsonx.to_string (record_to_json r))) t.sink;
   r
 
 (* ---- queries ---- *)
 
-let records t =
-  Mutex.lock t.mu;
-  let n = min t.total t.capacity in
-  let rs =
-    List.init n (fun i ->
-        let idx = (t.head - n + i + t.capacity) mod t.capacity in
-        match t.ring.(idx) with Some r -> r | None -> assert false)
-  in
-  Mutex.unlock t.mu;
-  rs
-
-let total t = t.total
+let records t = Mutex.protect t.mu (fun () -> Ring.to_list t.ring)
+let total t = Ring.total t.ring
 
 let last t n = List.rev (records t) |> List.filteri (fun i _ -> i < max 0 n)
 
@@ -358,18 +306,14 @@ type totals = {
 }
 
 let totals t =
-  Mutex.lock t.mu;
-  let v =
-    {
-      tt_records = t.total;
-      tt_allow = t.n_allow;
-      tt_disable = t.n_disable;
-      tt_forbid = t.n_forbid;
-      tt_cache_hits = t.n_cache_hits;
-    }
-  in
-  Mutex.unlock t.mu;
-  v
+  Mutex.protect t.mu (fun () ->
+      {
+        tt_records = Ring.total t.ring;
+        tt_allow = t.n_allow;
+        tt_disable = t.n_disable;
+        tt_forbid = t.n_forbid;
+        tt_cache_hits = t.n_cache_hits;
+      })
 
 (* Records with [seq >= from], oldest first — the audit-delta a pusher
    sends between snapshots (bounded by ring capacity: older deltas are
@@ -384,14 +328,7 @@ let by_cve t cve =
     (fun r -> List.exists (fun cm -> String.equal cm.cm_cve cve) r.matches)
     (records t)
 
-let close t =
-  Mutex.lock t.mu;
-  (match t.chan with
-  | Some oc ->
-    close_out oc;
-    t.chan <- None
-  | None -> ());
-  Mutex.unlock t.mu
+let close t = Mutex.protect t.mu (fun () -> Option.iter Sink.close t.sink)
 
 (* ---- rendering ---- *)
 
@@ -426,21 +363,19 @@ let table ?(limit = 20) t =
   (headers, rows)
 
 let render_prometheus t =
-  Mutex.lock t.mu;
-  let total = t.total
-  and allow = t.n_allow
-  and disable = t.n_disable
-  and forbid = t.n_forbid
-  and cache_hits = t.n_cache_hits in
-  let cves =
-    Hashtbl.fold (fun cve n acc -> (cve, n) :: acc) t.cve_counts []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  let total, allow, disable, forbid, cache_hits, rotations, cves, funcs =
+    Mutex.protect t.mu (fun () ->
+        ( Ring.total t.ring,
+          t.n_allow,
+          t.n_disable,
+          t.n_forbid,
+          t.n_cache_hits,
+          (match t.sink with Some s -> Sink.rotations s | None -> 0),
+          Hashtbl.fold (fun cve n acc -> (cve, n) :: acc) t.cve_counts []
+          |> List.sort (fun (a, _) (b, _) -> String.compare a b),
+          Hashtbl.fold (fun fv n acc -> (fv, n) :: acc) t.func_verdicts []
+          |> List.sort compare ))
   in
-  let funcs =
-    Hashtbl.fold (fun fv n acc -> (fv, n) :: acc) t.func_verdicts []
-    |> List.sort compare
-  in
-  Mutex.unlock t.mu;
   let buf = Buffer.create 512 in
   let line fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   line "# TYPE jitbull_audit_records_total counter\n";
@@ -452,7 +387,7 @@ let render_prometheus t =
   line "# TYPE jitbull_audit_cache_hits_total counter\n";
   line "jitbull_audit_cache_hits_total %d\n" cache_hits;
   line "# TYPE jitbull_audit_sink_rotations_total counter\n";
-  line "jitbull_audit_sink_rotations_total %d\n" t.sink_rotations;
+  line "jitbull_audit_sink_rotations_total %d\n" rotations;
   if cves <> [] then begin
     line "# TYPE jitbull_audit_cve_matches_total counter\n";
     List.iter

@@ -3,11 +3,15 @@
     {e which CVE entry matched, on which passes, with what EqChains
     scores against which Thr/Ratio, what the verdict was, whether it came
     from the policy cache, against which DB generation, and on which
-    domain}.
+    domain}. It is the engine's only per-decision log: the go/no-go
+    analyzer appends a [Fresh] record per analysis, the engine a
+    [Cache_hit] record per policy-cache hit.
 
-    Records live in a bounded ring (oldest evicted) guarded by a mutex —
-    helper compile domains append concurrently with the main thread — and
-    can additionally be streamed to a JSON-lines file. Cumulative
+    Records live in a bounded {!Jitbull_util.Ring} (oldest evicted)
+    guarded by a mutex — helper compile domains append concurrently with
+    the main thread — and can additionally be streamed to a JSON-lines
+    {!Sink}; a sink that fails to write detaches without disturbing the
+    ring. Cumulative
     aggregates (verdict totals, per-CVE match counts, per-function
     verdict counts) are maintained at append time so the Prometheus
     series in {!render_prometheus} keep counting after eviction.
@@ -83,7 +87,9 @@ val now : t -> float
     line (truncates). When [max_bytes] is given, the sink rotates once
     it exceeds that size: the file moves to [path ^ ".1"] (one level of
     history, clobbered on the next rotation) and reopens fresh — a
-    long-lived daemon's evidence log stays bounded at ~2×[max_bytes]. *)
+    long-lived daemon's evidence log stays bounded at ~2×[max_bytes].
+    Raises [Sys_error] if [path] cannot be opened; a later write or
+    reopen error detaches the sink (see {!Sink}). *)
 val set_file_sink : t -> ?max_bytes:int -> string -> unit
 
 (** Rotations performed so far (also the

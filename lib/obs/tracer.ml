@@ -1,3 +1,5 @@
+module Ring = Jitbull_util.Ring
+
 type kind =
   | Span
   | Point
@@ -14,8 +16,8 @@ type event = {
   fields : (string * Jsonx.t) list;
 }
 
-(* One mutex per tracer serializes ring writes and file-sink output;
-   helper compile domains record spans concurrently with the main thread.
+(* One mutex per tracer serializes the ring and the file sink; helper
+   compile domains record spans concurrently with the main thread.
 
    Correlation state is split in two:
    - ids come from a process-wide atomic, so an id handed out by one
@@ -27,11 +29,8 @@ type event = {
      Cross-domain edges are explicit: the enqueuing side allocates an
      anchor id and the helper passes it as [?parent]. *)
 type t = {
-  capacity : int;
-  ring : event option array;
-  mutable head : int;  (* next write slot *)
-  mutable total : int;  (* events ever recorded; doubles as next seq *)
-  mutable chan : out_channel option;
+  ring : event Ring.t;  (* its total doubles as next seq *)
+  mutable sink : Sink.t option;
   mu : Mutex.t;
   clock : unit -> float;
   start : float;
@@ -58,13 +57,9 @@ let current_span (_ : t) =
 
 let create ?(capacity = 4096) ?(clock : (unit -> float) option) () =
   let clock = match clock with Some c -> c | None -> Clock.now in
-  let capacity = max 1 capacity in
   {
-    capacity;
-    ring = Array.make capacity None;
-    head = 0;
-    total = 0;
-    chan = None;
+    ring = Ring.create ~capacity;
+    sink = None;
     mu = Mutex.create ();
     clock;
     start = clock ();
@@ -74,10 +69,10 @@ let now t = t.clock () -. t.start
 let depth (_ : t) = List.length !(stack ())
 
 let set_file_sink t path =
-  Mutex.lock t.mu;
-  (match t.chan with Some oc -> close_out oc | None -> ());
-  t.chan <- Some (open_out path);
-  Mutex.unlock t.mu
+  let sink = Sink.create ~what:"trace" path in
+  Mutex.protect t.mu (fun () ->
+      Option.iter Sink.close t.sink;
+      t.sink <- Some sink)
 
 let kind_to_string = function Span -> "span" | Point -> "event"
 
@@ -128,19 +123,10 @@ let record t ?ts ?id ?parent ?depth:d ?(kind = Point) ?(dur = 0.0) ?(fields = []
   let id = match id with Some i -> i | None -> alloc_id t in
   let parent = match parent with Some _ -> parent | None -> current_span t in
   let depth = match d with Some d -> d | None -> depth t in
-  Mutex.lock t.mu;
-  let e = { seq = t.total; ts; id; parent; kind; name; dur; depth; fields } in
-  t.ring.(t.head) <- Some e;
-  t.head <- (t.head + 1) mod t.capacity;
-  t.total <- t.total + 1;
-  let sink = t.chan in
-  (match sink with
-  | Some oc ->
-    output_string oc (Jsonx.to_string (event_to_json e));
-    output_char oc '\n';
-    flush oc
-  | None -> ());
-  Mutex.unlock t.mu;
+  Mutex.protect t.mu (fun () ->
+      let e = { seq = Ring.total t.ring; ts; id; parent; kind; name; dur; depth; fields } in
+      Ring.push t.ring e;
+      Option.iter (fun s -> Sink.write s (Jsonx.to_string (event_to_json e))) t.sink);
   id
 
 let event t ?fields ?id ?parent name = ignore (record t ?fields ?id ?parent name)
@@ -176,26 +162,7 @@ let with_span t ?(fields = []) ?fields_of ?parent ?on_close name f =
     finish [ ("error", Jsonx.String (Printexc.to_string e)) ];
     raise e
 
-let events t =
-  Mutex.lock t.mu;
-  let n = min t.total t.capacity in
-  let evs =
-    List.init n (fun i ->
-        let idx = (t.head - n + i + t.capacity) mod t.capacity in
-        match t.ring.(idx) with
-        | Some e -> e
-        | None -> assert false)
-  in
-  Mutex.unlock t.mu;
-  evs
+let events t = Mutex.protect t.mu (fun () -> Ring.to_list t.ring)
+let total_recorded t = Ring.total t.ring
 
-let total_recorded t = t.total
-
-let close t =
-  Mutex.lock t.mu;
-  (match t.chan with
-  | Some oc ->
-    close_out oc;
-    t.chan <- None
-  | None -> ());
-  Mutex.unlock t.mu
+let close t = Mutex.protect t.mu (fun () -> Option.iter Sink.close t.sink)

@@ -17,8 +17,8 @@
     pass it as [?parent] from the helper — this is how a helper-domain
     compile span links back to the main-thread tier-up event.
 
-    Recording is domain-safe: ring writes and the file sink are
-    serialized by an internal mutex. *)
+    Recording is domain-safe: the {!Jitbull_util.Ring} and the file
+    {!Sink} are serialized by an internal mutex. *)
 
 type kind =
   | Span  (** a closed timed region; [dur] is its length in seconds *)
@@ -60,7 +60,9 @@ val alloc_id : t -> int
 val current_span : t -> int option
 
 (** [set_file_sink t path] opens (truncates) [path] and mirrors every
-    subsequent event to it as one JSON object per line. *)
+    subsequent event to it as one JSON object per line. Raises
+    [Sys_error] if [path] cannot be opened; a later write error detaches
+    the sink (see {!Sink}) while the ring keeps recording. *)
 val set_file_sink : t -> string -> unit
 
 (** [event t name] records a point event at the calling domain's current

@@ -6,6 +6,7 @@ module Parser = Jitbull_frontend.Parser
 module Compiler = Jitbull_bytecode.Compiler
 module Vm = Jitbull_bytecode.Vm
 module VC = Jitbull_passes.Vuln_config
+module Audit = Jitbull_obs.Audit
 
 let check_string = Alcotest.(check string)
 let check_int = Alcotest.(check int)
@@ -23,6 +24,20 @@ let jit_config =
   { Engine.default_config with Engine.baseline_threshold = 2; ion_threshold = 4 }
 
 let jit_output ?(config = jit_config) src = fst (Engine.run_source config src)
+
+(* The analyzer's own decisions in an [Obs.t]'s audit trail, oldest
+   first: one [Fresh] record per analysis (policy-cache hits excluded). *)
+let fresh_decisions obs =
+  List.filter
+    (fun (r : Audit.record) -> r.Audit.source = Audit.Fresh)
+    (Audit.records (Jitbull_obs.Obs.audit obs))
+
+(* A decision's flagged passes: the union of its matches' passes. *)
+let flagged_passes (r : Audit.record) =
+  List.concat_map
+    (fun cm -> List.map (fun pm -> pm.Audit.pm_pass) cm.Audit.cm_passes)
+    r.Audit.matches
+  |> List.sort_uniq String.compare
 
 (* Assert that all three execution tiers print the same thing. *)
 let assert_tiers_agree ?(name = "tiers agree") src =

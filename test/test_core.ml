@@ -14,6 +14,7 @@ module Jitbull = Jitbull_core.Jitbull
 module Engine = Jitbull_jit.Engine
 module VC = Jitbull_passes.Vuln_config
 module Sexpr = Jitbull_util.Sexpr
+module Obs = Jitbull_obs.Obs
 
 (* Hand-build a snapshot: (num, opcode, operands). *)
 let snap entries =
@@ -266,20 +267,19 @@ let test_empty_db_no_analyzer () =
   let config = Jitbull.config ~vulns:VC.none db in
   check_bool "no analyzer when DB empty" true (config.Engine.analyzer = None)
 
-let test_monitor_records () =
+let test_decision_records () =
   let db = Db.create () in
   let d = Jitbull_vdc.Demonstrators.find VC.CVE_2019_17026 in
   let vulns = VC.make [ VC.CVE_2019_17026 ] in
   ignore (Db.harvest db ~cve:"CVE-2019-17026" ~vulns d.Jitbull_vdc.Demonstrators.source);
-  let monitor = Jitbull.new_monitor () in
-  let config = Jitbull.config ~monitor ~vulns db in
+  let obs = Obs.create () in
+  let config = Jitbull.config ~obs ~vulns db in
   (* run an innocent workload: records accumulate, most verdicts Allow *)
   ignore (Engine.run_source config "function h(x) { return x + 1; } var s = 0; for (var i = 0; i < 80; i++) { s = h(i); } print(s);");
-  check_bool "records present" true (monitor.Jitbull.records <> []);
+  let records = fresh_decisions obs in
+  check_bool "records present" true (records <> []);
   check_bool "innocent function allowed" true
-    (List.exists
-       (fun (r : Jitbull.record) -> r.Jitbull.verdict = `Allow)
-       monitor.Jitbull.records)
+    (List.exists (fun (r : Audit.record) -> r.Audit.verdict = Audit.Allow) records)
 
 let test_forbid_on_mandatory_pass () =
   (* a synthetic analyzer decision path: if the dangerous list contains a
@@ -291,8 +291,7 @@ let test_forbid_on_mandatory_pass () =
   let delta = { Delta.removed = side; added = Delta.side_of_list [] } in
   let dna = { Dna.func_name = "evil"; deltas = [ ("renumber", delta) ] } in
   Db.add db { Db.cve = "SYNTH"; dna };
-  let monitor = Jitbull.new_monitor () in
-  let analyze = Jitbull.analyzer ~monitor db in
+  let analyze = Jitbull.analyzer db in
   (* craft a trace whose renumber delta matches *)
   let snap1 =
     snap [ (1, "constant", []); (2, "parameter", [ 1 ]) ]
@@ -321,16 +320,14 @@ let test_detection_flags_dangerous_pass () =
   let vulns = VC.make [ VC.CVE_2019_17026 ] in
   let db = Db.create () in
   ignore (Db.harvest db ~cve:"CVE-2019-17026" ~vulns d.Jitbull_vdc.Demonstrators.source);
-  let monitor = Jitbull.new_monitor () in
-  let config = Jitbull.config ~monitor ~vulns db in
+  let obs = Obs.create () in
+  let config = Jitbull.config ~obs ~vulns db in
   (* run the second, independent implementation of the same exploit *)
   ignore
     (Jitbull_vdc.Demonstrators.run_exploit config
        Jitbull_vdc.Demonstrators.second_implementation_17026 Jitbull_vdc.Demonstrators.Shellcode);
   let gvn_flagged =
-    List.exists
-      (fun (r : Jitbull.record) -> List.mem "gvn" r.Jitbull.dangerous_passes)
-      monitor.Jitbull.records
+    List.exists (fun r -> List.mem "gvn" (flagged_passes r)) (fresh_decisions obs)
   in
   check_bool "GVN flagged on independent implementation" true gvn_flagged
 
@@ -354,10 +351,8 @@ let test_engine_forbid_end_to_end () =
   in
   let delta = { Delta.removed = side; added = Delta.side_of_list [] } in
   Db.add db { Db.cve = "SYNTH-MANDATORY"; dna = { Dna.func_name = "evil"; deltas = [ ("renumber", delta) ] } };
-  let monitor = Jitbull.new_monitor () in
   let analyzer ~ctx:_ ~func_index:_ ~name:_ ~trace:_ =
     (* bypass comparison: always claim the mandatory pass matched *)
-    ignore monitor;
     Engine.Disable_passes [ "renumber" ]
   in
   let config =
@@ -390,17 +385,17 @@ let test_custom_params_flow_through () =
   | Jitbull_vdc.Demonstrators.Neutralized ->
     Alcotest.fail "impossible threshold should disable matching"
 
-let test_monitor_newest_first () =
+let test_decision_records_per_function () =
   let db = Db.create () in
   let d = Jitbull_vdc.Demonstrators.find VC.CVE_2019_9795 in
   let vulns = VC.make [ VC.CVE_2019_9795 ] in
   ignore (Db.harvest db ~cve:d.Jitbull_vdc.Demonstrators.name ~vulns d.Jitbull_vdc.Demonstrators.source);
-  let monitor = Jitbull.new_monitor () in
-  let config = Jitbull.config ~monitor ~vulns db in
+  let obs = Obs.create () in
+  let config = Jitbull.config ~obs ~vulns db in
   ignore
     (Engine.run_source config
        "function a1(x) { return x + 1; } function b2(x) { return x + 2; } var s = 0; for (var i = 0; i < 80; i++) { s = a1(i) + b2(i); } print(s);");
-  check_int "two analyzed functions" 2 (List.length monitor.Jitbull.records)
+  check_int "two analyzed functions" 2 (List.length (fresh_decisions obs))
 
 (* ---- the Δ extractor against a brute-force reference ---- *)
 
@@ -818,11 +813,12 @@ let suite =
       Alcotest.test_case "db lifecycle" `Quick test_db_lifecycle;
       Alcotest.test_case "db save/load" `Quick test_db_save_load;
       Alcotest.test_case "empty db: no analyzer" `Quick test_empty_db_no_analyzer;
-      Alcotest.test_case "monitor records" `Quick test_monitor_records;
+      Alcotest.test_case "decision records" `Quick test_decision_records;
       Alcotest.test_case "forbid on mandatory pass" `Quick test_forbid_on_mandatory_pass;
       Alcotest.test_case "detects independent implementation" `Quick test_detection_flags_dangerous_pass;
       Alcotest.test_case "cold script harvests nothing" `Quick test_harvest_cold_script_empty;
       Alcotest.test_case "engine forbid end-to-end" `Quick test_engine_forbid_end_to_end;
       Alcotest.test_case "custom params plumbing" `Quick test_custom_params_flow_through;
-      Alcotest.test_case "monitor records per function" `Quick test_monitor_newest_first;
+      Alcotest.test_case "decision records per function" `Quick
+        test_decision_records_per_function;
     ] )

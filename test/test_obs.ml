@@ -1,7 +1,7 @@
 (* The observability layer: metrics semantics, span nesting, ring-buffer
    eviction, JSON-lines round-trip, and the engine integration — a VDC
-   variant must produce a structured [policy_decide] event whose pass
-   list matches the monitor's record. *)
+   variant must produce a structured [policy_decide] event whose verdict
+   and pass list match its audit record. *)
 
 open Helpers
 module Obs = Jitbull_obs.Obs
@@ -275,6 +275,48 @@ let test_queue_latency_bounds () =
        (Metrics.render_prometheus (Metrics.snapshot m))
        "compile_queued_seconds_bucket{le=\"+Inf\"} 1")
 
+(* ---- sink failures ---- *)
+
+let append_allow au i =
+  ignore
+    (Audit.append au ~func_name:(Printf.sprintf "f%d" i) ~func_index:i ~bytecode_hash:0
+       ~feedback_hash:0 ~verdict:Audit.Allow ~matches:[] ~thr:2 ~ratio:0.5
+       ~prefilter_candidates:0 ~prefilter_hits:0 ~db_generation:0 ~db_size:0
+       ~source:Audit.Fresh ~duration:0.0 ())
+
+(* A sink that cannot be written detaches without taking its owner down:
+   later appends and reads neither raise nor block, and the ring keeps
+   every record. *)
+let test_sink_failure_keeps_recording () =
+  (* a full device: the first write fails (skipped where absent) *)
+  if Sys.file_exists "/dev/full" then begin
+    let tr = Tracer.create () in
+    Tracer.set_file_sink tr "/dev/full";
+    Tracer.event tr "a";
+    Tracer.with_span tr "b" ignore;
+    check_int "trace ring keeps both events" 2 (List.length (Tracer.events tr));
+    Tracer.close tr;
+    let au = Audit.create () in
+    Audit.set_file_sink au "/dev/full";
+    append_allow au 0;
+    append_allow au 1;
+    check_int "audit ring keeps both records" 2 (List.length (Audit.records au));
+    Audit.close au
+  end;
+  (* rotation into a removed directory: the reopen fails *)
+  let dir = Filename.temp_dir "jitbull_sink" "" in
+  let path = Filename.concat dir "audit.jsonl" in
+  let au = Audit.create () in
+  Audit.set_file_sink au ~max_bytes:1 path;
+  Sys.remove path;
+  Sys.rmdir dir;
+  append_allow au 0;
+  append_allow au 1;
+  check_int "audit ring keeps both records after the failed rotation" 2
+    (List.length (Audit.records au));
+  check_int "the failed rotation is not counted" 0 (Audit.sink_rotations au);
+  Audit.close au
+
 let test_jsonl_round_trip () =
   let path = Filename.temp_file "jitbull_trace" ".jsonl" in
   let obs = Some (Obs.create ~clock:(fake_clock ()) ()) in
@@ -340,25 +382,22 @@ let test_policy_decide_event_on_variant () =
   let db = Db.create () in
   check_bool "harvest found DNA" true (Db.harvest db ~cve:d.V.name ~vulns d.V.source > 0);
   let obs = Obs.create () in
-  let monitor = Jitbull.new_monitor () in
-  let config = Jitbull.config ~monitor ~obs ~vulns db in
+  let config = Jitbull.config ~obs ~vulns db in
   let variant = Variants.apply Variants.Rename d.V.source in
   (match V.run_exploit config variant d.V.expected with
   | V.Neutralized -> ()
   | V.Exploited _ -> Alcotest.fail "variant should have been neutralized");
-  (* the flagged record in the monitor … *)
-  let flagged =
-    List.find
-      (fun (r : Jitbull.record) -> r.Jitbull.dangerous_passes <> [])
-      monitor.Jitbull.records
-  in
+  (* the flagged record in the audit trail … *)
+  let fresh = fresh_decisions obs in
+  let flagged = List.find (fun r -> flagged_passes r <> []) fresh in
   (* … must appear as a structured policy_decide trace event with the
-     same function name and the same dangerous-pass list *)
+     same function name, verdict and dangerous-pass list *)
   let events = Tracer.events (Obs.tracer obs) in
   let decides =
     List.filter (fun (e : Tracer.event) -> String.equal e.Tracer.name "policy_decide") events
   in
-  check_bool "policy_decide events exist" true (decides <> []);
+  check_int "one policy_decide event per fresh audit record" (List.length fresh)
+    (List.length decides);
   let event_passes (e : Tracer.event) =
     match List.assoc_opt "passes" e.Tracer.fields with
     | Some (Jsonx.List ps) -> List.map Jsonx.to_str ps
@@ -367,8 +406,10 @@ let test_policy_decide_event_on_variant () =
   let matching =
     List.find_opt
       (fun (e : Tracer.event) ->
-        List.assoc_opt "func" e.Tracer.fields = Some (Jsonx.String flagged.Jitbull.func_name)
-        && event_passes e = flagged.Jitbull.dangerous_passes)
+        List.assoc_opt "func" e.Tracer.fields = Some (Jsonx.String flagged.Audit.func_name)
+        && List.assoc_opt "verdict" e.Tracer.fields
+           = Some (Jsonx.String (Audit.verdict_label flagged.Audit.verdict))
+        && List.sort_uniq String.compare (event_passes e) = flagged_passes flagged)
       decides
   in
   check_bool "event carries the matching pass list" true (Option.is_some matching);
@@ -408,6 +449,8 @@ let suite =
       Alcotest.test_case "prometheus label-value escaping" `Quick test_label_escaping;
       Alcotest.test_case "queue latency bounds" `Quick test_queue_latency_bounds;
       Alcotest.test_case "JSON-lines round trip" `Quick test_jsonl_round_trip;
+      Alcotest.test_case "sink failure keeps recording" `Quick
+        test_sink_failure_keeps_recording;
       Alcotest.test_case "json parser" `Quick test_json_parser;
       Alcotest.test_case "disabled obs is transparent" `Quick test_disabled_obs_is_transparent;
       Alcotest.test_case "policy_decide event on VDC variant" `Quick

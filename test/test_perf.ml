@@ -14,6 +14,8 @@ module Dna = Jitbull_core.Dna
 module Delta = Jitbull_core.Delta
 module Comparator = Jitbull_core.Comparator
 module Jitbull = Jitbull_core.Jitbull
+module V = Jitbull_vdc.Demonstrators
+module Generator = Jitbull_fuzz.Generator
 
 (* ---- interner ---- *)
 
@@ -77,11 +79,12 @@ let db_gen =
 
 (* thr = 0 exercises the naive-fallback path: a non-positive threshold
    matches key-disjoint sides, which no overlap index can see *)
-let params_gen =
-  QCheck.Gen.oneofl
-    (List.concat_map
-       (fun thr -> List.map (fun ratio -> { Comparator.thr; ratio }) [ 0.25; 0.5; 0.75 ])
-       [ 0; 1; 2; 3 ])
+let params_grid =
+  List.concat_map
+    (fun thr -> List.map (fun ratio -> { Comparator.thr; ratio }) [ 0.25; 0.5; 0.75 ])
+    [ 0; 1; 2; 3 ]
+
+let params_gen = QCheck.Gen.oneofl params_grid
 
 let naive_matching ~params db dna =
   List.filter_map
@@ -110,6 +113,40 @@ let qcheck_indexed_equals_naive_after_removal =
       let db = build_db entries in
       Db.remove_cve db "CVE-1";
       Db.matching ~params db dna = naive_matching ~params db dna)
+
+(* Real DNAs as one more input: the 8-VDC DB queried with its own
+   entries and with the DNAs of the benign programs of seeds 0-4 (their
+   12 rounds raised to 40, past the Ion threshold, so they compile)
+   harvested on a patched engine, over the same parameter grid plus the
+   default. *)
+let test_indexed_equals_naive_real_dnas () =
+  let db = Db.create () in
+  List.iter
+    (fun (d : V.t) -> ignore (Db.harvest db ~cve:d.V.name ~vulns:(VC.make [ d.V.cve ]) d.V.source))
+    V.all;
+  check_int "eight CVEs installed" 8 (List.length (Db.cves db));
+  let benign = Db.create () in
+  List.iter
+    (fun seed ->
+      ignore
+        (Db.harvest benign ~cve:(Printf.sprintf "benign-%d" seed) ~vulns:VC.none
+           (Generator.benign_params
+              { (Generator.default_params ~seed) with Generator.p_rounds = 40 })))
+    [ 0; 1; 2; 3; 4 ];
+  check_bool "benign DNAs harvested" true (Db.size benign > 0);
+  let queries = List.map (fun (e : Db.entry) -> e.Db.dna) (Db.entries db @ Db.entries benign) in
+  let matched = ref 0 in
+  List.iter
+    (fun params ->
+      List.iter
+        (fun dna ->
+          let indexed = Db.matching ~params db dna in
+          if indexed <> [] then incr matched;
+          check_bool "indexed == naive on a real DNA" true
+            (indexed = naive_matching ~params db dna))
+        queries)
+    (Comparator.default_params :: params_grid);
+  check_bool "some real queries match" true (!matched > 0)
 
 (* ---- Db bookkeeping ---- *)
 
@@ -634,13 +671,9 @@ let test_clock_manual_determinism () =
       check_bool "frozen clock, zero stall" true
         ((Engine.stats eng).Engine.main_stall_seconds = 0.0))
 
-let test_no_policy_cache_config () =
-  let db = Db.create () in
-  Db.add db (synthetic_entry "CVE-SYN-3");
-  let cfg = Jitbull.config ~policy_cache:false ~vulns:VC.none db in
-  check_bool "policy_cache:false installs no cache" true (cfg.Engine.policy_cache = None);
+let test_empty_db_no_policy_cache () =
   let empty = Jitbull.config ~vulns:VC.none (Db.create ()) in
-  check_bool "empty DB installs no cache either" true (empty.Engine.policy_cache = None)
+  check_bool "empty DB installs no cache" true (empty.Engine.policy_cache = None)
 
 let suite =
   ( "perf",
@@ -649,10 +682,12 @@ let suite =
       Alcotest.test_case "interner composite ids" `Quick test_intern_composites;
       qtest qcheck_indexed_equals_naive;
       qtest qcheck_indexed_equals_naive_after_removal;
+      Alcotest.test_case "indexed == naive on real DNAs" `Quick
+        test_indexed_equals_naive_real_dnas;
       Alcotest.test_case "db generation and entry order" `Quick test_db_generation_and_order;
       Alcotest.test_case "policy cache lookup/store/invalidate" `Quick test_policy_cache_unit;
       Alcotest.test_case "policy cache across engine runs" `Quick test_engine_cache_integration;
-      Alcotest.test_case "policy cache opt-out" `Quick test_no_policy_cache_config;
+      Alcotest.test_case "no policy cache on empty DB" `Quick test_empty_db_no_policy_cache;
       Alcotest.test_case "compile queue basics" `Quick test_queue_basic;
       Alcotest.test_case "compile queue backpressure + cancel" `Quick
         test_queue_backpressure_and_cancel;
