@@ -295,6 +295,7 @@ let run file no_jit use_interp vuln_names db_path verdict_server push_interval
               s.Engine.baseline_compiles s.Engine.ion_compiles s.Engine.nr_jit
               s.Engine.nr_disjit s.Engine.nr_nojit s.Engine.bailouts s.Engine.deopts;
             Printf.eprintf "native installs:   %d\n" s.Engine.native_installs;
+            Printf.eprintf "peephole removed:  %d\n" s.Engine.peephole_removed;
             if jobs > 0 then
               Printf.eprintf
                 "compile jobs: %d\nasync installs: %d  stale results: %d\n\

@@ -2,6 +2,7 @@ module Sexpr = Jitbull_util.Sexpr
 module Intern = Jitbull_util.Intern
 module Rwlock = Jitbull_util.Rwlock
 module Engine = Jitbull_jit.Engine
+module Sset = Set.Make (String)
 
 type entry = {
   cve : string;
@@ -34,6 +35,10 @@ type t = {
   totals : (int * Intern.id * bool, int) Hashtbl.t;
       (** (entry index, pass, side) → total multiplicity (the |δ'| of the
           comparator's MaxEqChains) *)
+  mutable posted : Sset.t;
+      (** passes with ≥1 posting, i.e. a non-empty Δ side in some entry;
+          replaced (never mutated in place) under the write lock, so a
+          reader can keep the set it saw *)
 }
 
 let create () =
@@ -46,6 +51,7 @@ let create () =
     lock = Rwlock.create ();
     postings = Hashtbl.create 256;
     totals = Hashtbl.create 64;
+    posted = Sset.empty;
   }
 
 let is_empty t = Rwlock.with_read t.lock (fun () -> t.count = 0)
@@ -53,6 +59,11 @@ let is_empty t = Rwlock.with_read t.lock (fun () -> t.count = 0)
 let size t = Rwlock.with_read t.lock (fun () -> t.count)
 
 let generation t = Rwlock.with_read t.lock (fun () -> t.generation)
+
+let posted t =
+  Rwlock.with_read t.lock (fun () ->
+      let set = t.posted in
+      (t.generation, fun pass -> Sset.mem pass set))
 
 (* Memoizing under the read lock is a benign race: concurrent readers may
    both build the list, but both values are equal and the single-word
@@ -81,7 +92,10 @@ let index_entry t idx (e : entry) =
             | Some lst -> lst := (idx, c) :: !lst
             | None -> Hashtbl.add t.postings key (ref [ (idx, c) ]))
           side;
-        if !total > 0 then Hashtbl.replace t.totals (idx, pid, flag) !total
+        if !total > 0 then begin
+          Hashtbl.replace t.totals (idx, pid, flag) !total;
+          t.posted <- Sset.add pass t.posted
+        end
       in
       index_side false d.Delta.removed;
       index_side true d.Delta.added)
@@ -107,6 +121,7 @@ let remove_cve t cve =
       in
       Hashtbl.reset t.postings;
       Hashtbl.reset t.totals;
+      t.posted <- Sset.empty;
       t.count <- 0;
       t.fwd_cache <- None;
       List.iter

@@ -15,7 +15,12 @@
     {!remove_cve} take the writer side, so helper compile domains can run
     the go/no-go comparison concurrently with a DB update arriving on the
     main thread. The engine treats a compile whose enqueue-time
-    {!generation} no longer matches as stale and re-analyzes. *)
+    {!generation} no longer matches as stale and re-analyzes.
+
+    Next to the index the database keeps the set of {!posted} passes —
+    those with a non-empty Δ side in some entry — under the same lock
+    and generation, so the analyzer can skip extracting every other
+    pass's Δ. *)
 
 type entry = {
   cve : string;  (** e.g. "CVE-2019-17026" *)
@@ -34,6 +39,14 @@ val size : t -> int  (** number of entries, O(1) *)
     engine's policy-decision cache keys on it so any DB mutation
     invalidates previously cached verdicts. *)
 val generation : t -> int
+
+(** [posted t] — [(g, p)]: the passes [p] accepts are those with a
+    non-empty Δ side in some entry, as of generation [g] (captured
+    atomically under the read lock). Under [Thr ≥ 1] a function's Δᵢ can
+    only match a pass in [p], so the analyzer extracts just those
+    ({!Dna.extract}'s [only]). Maintained by {!add} (which can only grow
+    the set) and {!remove_cve} (which rebuilds it with the index). *)
+val posted : t -> int * (string -> bool)
 
 val entries : t -> entry list  (** insertion order; memoized *)
 

@@ -10,20 +10,25 @@ let same (a : Snapshot.entry) (b : Snapshot.entry) =
   a.Snapshot.num = b.Snapshot.num && String.equal a.Snapshot.opcode b.Snapshot.opcode
   && List.equal Int.equal a.Snapshot.operands b.Snapshot.operands
 
-let extract ?(n = 3) (trace : (string * Snapshot.t) list) : t =
+let extract ?(n = 3) ?(only = fun _ -> true) (trace : (string * Snapshot.t) list) : t =
   match trace with
   | [] -> { func_name = "?"; deltas = [] }
   | (_, first) :: rest ->
-    let multiset snap = Delta.multiset ~n (Depgraph.build snap) in
+    let multiset snap = lazy (Delta.multiset ~n (Depgraph.build snap)) in
     (* a pass that left the entries unchanged has an empty Δ, and the
-       previous multiset carries forward *)
+       previous multiset carries forward; a snapshot's multiset is only
+       built when a pass in [only] diffs against it *)
     let _, deltas =
       List.fold_left_map
         (fun ((entries, m) as prev) (pass, (snap : Snapshot.t)) ->
           if List.equal same snap.Snapshot.entries entries then (prev, (pass, Delta.empty ()))
           else
             let m' = multiset snap in
-            ((snap.Snapshot.entries, m'), (pass, Delta.of_multisets ~before:m ~after:m')))
+            let d =
+              if only pass then Delta.of_multisets ~before:(Lazy.force m) ~after:(Lazy.force m')
+              else Delta.empty ()
+            in
+            ((snap.Snapshot.entries, m'), (pass, d)))
         (first.Snapshot.entries, multiset first)
         rest
     in

@@ -1,17 +1,30 @@
 (** The JIT DNA of a function: the vector (Δ₁ … Δₙ) of per-pass IR
-    modifications — the Δ extractor's output (paper §IV-D). *)
+    modifications — the Δ extractor's output (paper §IV-D).
+
+    The go/no-go analyzer extracts only the passes the DNA database has
+    postings for ([?only] on {!extract}); harvesting, the fuzz oracle and
+    the verdict-service client extract every pass. *)
 
 type t = {
   func_name : string;
   deltas : (string * Delta.t) list;  (** pass name → Δᵢ, in pipeline order *)
 }
 
-(** [extract ?n trace] consumes the pipeline's snapshot trace
+(** [extract ?n ?only trace] consumes the pipeline's snapshot trace
     (IR₀ … IRₙ with pass names) and computes Δᵢ between consecutive
     snapshots through the dependency graphs. A snapshot with the same
     entries as the one before it gets an empty Δ without building a
-    graph. [n] is the sub-chain n-gram size (default 3, see {!Delta}). *)
-val extract : ?n:int -> (string * Jitbull_mir.Snapshot.t) list -> t
+    graph. [n] is the sub-chain n-gram size (default 3, see {!Delta}).
+
+    [only] (default: every pass) restricts extraction to the passes it
+    accepts: any other pass gets an empty Δ, and a snapshot's dependency
+    graph and sub-chain multiset are built only when a pass in [only]
+    needs it as its "before" or "after" side. The Δ of every accepted pass
+    equals the one full extraction computes. The analyzer passes the set
+    of passes the DNA database has postings for ({!Db.posted}), since
+    Algorithm 2 compares Δᵢ only with the same pass of a DB entry. *)
+val extract :
+  ?n:int -> ?only:(string -> bool) -> (string * Jitbull_mir.Snapshot.t) list -> t
 
 (** [nonempty_passes t] — passes that modified the IR. *)
 val nonempty_passes : t -> string list

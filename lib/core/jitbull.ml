@@ -142,6 +142,44 @@ let verdict_of_matches matched =
   in
   (dangerous, verdict)
 
+(* ---- the analyzer's two steps: extract, then query ---- *)
+
+type extraction = {
+  x_dna : Dna.t;
+  x_posted_generation : int option;
+}
+
+(* Posting-aware unless the comparison could match a pass the DB has no
+   postings for (Thr < 1 matches key-disjoint sides) or an IR-diff ring
+   wants every pass's chains for /explain. *)
+let extract ?params ?obs (db : Db.t) trace =
+  let p = Option.value ~default:Comparator.default_params params in
+  let full = p.Comparator.thr < 1 || Option.bind obs Obs.irdiff <> None in
+  Obs.span obs "dna_extract" (fun () ->
+      if full then { x_dna = Dna.extract trace; x_posted_generation = None }
+      else
+        let g, only = Db.posted db in
+        { x_dna = Dna.extract ~only trace; x_posted_generation = Some g })
+
+let query ?params ?obs (db : Db.t) ~trace x =
+  let compare dna =
+    Obs.span obs
+      ~fields:[ ("entries", Jsonx.Int (Db.size db)) ]
+      "db_compare"
+      (fun () ->
+        Jitbull_obs.Profile.with_tag prof_comparator @@ fun () ->
+        Db.matching_detailed ?params ?obs db dna)
+  in
+  let q = compare x.x_dna in
+  match x.x_posted_generation with
+  | Some g when g <> q.Db.q_generation ->
+    (* a DB write landed between the posted-set read and the query and may
+       have posted a pass this DNA left empty; writes only add postings,
+       so one full re-extraction against the newer DB closes the race *)
+    let dna = Obs.span obs "dna_extract" (fun () -> Dna.extract trace) in
+    (dna, compare dna)
+  | _ -> (x.x_dna, q)
+
 let analyzer ?params ?obs (db : Db.t) : Engine.analyzer =
  fun ~ctx ~func_index ~name ~trace ->
   (* the whole go/no-go decision is one [policy_decide] span whose fields
@@ -176,16 +214,8 @@ let analyzer ?params ?obs (db : Db.t) : Engine.analyzer =
       ~fields:[ ("func", Jsonx.String name) ]
       ~fields_of:verdict_fields "policy_decide"
       (fun () ->
-        let dna = Obs.span obs "dna_extract" (fun () -> Dna.extract trace) in
+        let dna, query = query ?params ?obs db ~trace (extract ?params ?obs db trace) in
         dna_ref := dna;
-        let query =
-          Obs.span obs
-            ~fields:[ ("entries", Jsonx.Int (Db.size db)) ]
-            "db_compare"
-            (fun () ->
-              Jitbull_obs.Profile.with_tag prof_comparator @@ fun () ->
-              Db.matching_detailed ?params ?obs db dna)
-        in
         query_ref := query;
         let matched = Db.drop_details query.Db.q_matches in
         matched_ref := matched;

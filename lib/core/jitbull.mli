@@ -8,6 +8,12 @@
     recompiles with those passes disabled, or refuses JIT for the function
     when a mandatory pass matched.
 
+    Algorithm 2 compares Δᵢ only with the same pass of a DB entry, so the
+    analyzer extracts Δs only for the passes the DB has postings for
+    ({!Db.posted}, {!extract}); a DB write racing the query triggers one
+    full re-extraction ({!query}). It extracts in full when
+    [params.thr < 1] or an IR-diff ring is installed.
+
     The per-decision record is the audit trail of an installed
     {!Jitbull_obs.Obs.t}: every analysis appends one
     {!Jitbull_obs.Audit.record} with [source = Fresh] (policy-cache hits
@@ -36,6 +42,46 @@ val audit_verdict :
 val audit_matches :
   (string * Comparator.match_detail list) list ->
   Jitbull_obs.Audit.cve_match list
+
+(** {2 The analyzer's two steps}
+
+    {!analyzer} is [query … (extract …)]; the steps are exposed so a
+    test can interleave a DB write between them. *)
+
+(** A function's DNA as the analyzer extracted it. *)
+type extraction = {
+  x_dna : Dna.t;
+  x_posted_generation : int option;
+      (** [Some g]: only the passes {!Db.posted} listed at generation [g]
+          were extracted, every other Δ is empty; [None]: full DNA *)
+}
+
+(** [extract ?params ?obs db trace] — the DNA of [trace], posting-aware
+    ([Dna.extract ~only] over {!Db.posted}) unless [params.thr < 1] (the
+    exhaustive scan then matches key-disjoint sides, so any pass can
+    match) or [obs] carries an IR-diff ring (whose [/explain] chains need
+    every pass). A [dna_extract] span with [obs]. *)
+val extract :
+  ?params:Comparator.params ->
+  ?obs:Jitbull_obs.Obs.t ->
+  Db.t ->
+  (string * Jitbull_mir.Snapshot.t) list ->
+  extraction
+
+(** [query ?params ?obs db ~trace x] — {!Db.matching_detailed} on [x]'s
+    DNA (a [db_compare] span), returning the DNA the answer was computed
+    on. When the query's generation is not the one [x]'s posted set was
+    read at, a write landed in between and may have posted a pass [x]
+    left empty: the DNA is re-extracted in full from [trace] and queried
+    once more. Writes only grow the posted set, so the answer equals the
+    full-DNA answer at the generation it reports. *)
+val query :
+  ?params:Comparator.params ->
+  ?obs:Jitbull_obs.Obs.t ->
+  Db.t ->
+  trace:(string * Jitbull_mir.Snapshot.t) list ->
+  extraction ->
+  Dna.t * Db.query
 
 (** [analyzer ?params ?obs db] builds the engine hook. The database is
     consulted live: entries added or removed later affect subsequent

@@ -169,7 +169,7 @@ type stats = {
   mutable ion_compiles : int;
   mutable bailouts : int;
   mutable deopts : int;
-  mutable peephole_removed : int;  (* LIR instructions deleted post-regalloc *)
+  mutable peephole_removed : int;  (* LIR instructions deleted from installed code *)
   mutable async_installs : int;
   mutable stale_results : int;
   mutable main_stall_seconds : float;
@@ -188,9 +188,10 @@ type tier =
 type compile_result =
   | A_install of {
       decision : decision option;  (* [None] = no analyzer configured *)
-      lir : Lir.func option;  (* [None] when the verdict forbids JIT *)
+      lir : (Lir.func * int) option;
+          (* the code to install and its peephole removals; [None] when
+             the verdict forbids JIT *)
       traced : bool;  (* a snapshot-traced compile ran (cache miss) *)
-      peephole : int;
     }
   | A_error of exn * Printexc.raw_backtrace
 
@@ -285,12 +286,14 @@ let executor_callbacks t : Executor.callbacks =
   }
 
 (* The optimizing compile, over inputs frozen by [prepare] so it can run
-   on a helper domain as well as inline. [traced] collects the per-pass
-   snapshot trace the analyzer consumes ([[]] otherwise: the paper's
-   zero-overhead empty-DB path). It mutates no engine state: the peephole
-   count is returned for the main thread to account. *)
-let compile_ion_with config (func : Op.func) ~feedback_row ~resolver ~traced
-    ~disabled =
+   on a helper domain as well as inline, in two steps: [optimize_ion]
+   builds the MIR and runs the pipeline, collecting the per-pass snapshot
+   trace the analyzer consumes when [traced] ([[]] otherwise: the paper's
+   zero-overhead empty-DB path); [lower_mir], shared with the baseline
+   tier, lowers, register-allocates and peepholes the MIR the verdict
+   admitted. Neither mutates engine state: the peephole count is returned
+   for the main thread to account. *)
+let optimize_ion config (func : Op.func) ~feedback_row ~resolver ~traced ~disabled =
   let g = Builder.build func ~feedback_row in
   let obs = config.obs and verify = config.verify_passes in
   let trace =
@@ -302,10 +305,13 @@ let compile_ion_with config (func : Op.func) ~feedback_row ~resolver ~traced
       []
     end
   in
+  (g, trace)
+
+let lower_mir g =
   let lir = Lower.lower g in
   Regalloc.allocate lir;
   let removed = Jitbull_lir.Peephole.run lir in
-  (lir, trace, removed)
+  (lir, removed)
 
 (* Drop a queued-but-unclaimed compile job for [idx], if any. A job that
    already started runs to completion; its result is discarded as stale
@@ -519,9 +525,11 @@ let compilable = function
 (* Main thread: account for one finished compile and act on its verdict. *)
 let apply t idx = function
   | A_error (e, bt) -> Printexc.raise_with_backtrace e bt
-  | A_install { decision; lir; traced; peephole } -> (
+  | A_install { decision; lir; traced } -> (
     let obs = t.config.obs in
-    t.stats.peephole_removed <- t.stats.peephole_removed + peephole;
+    Option.iter
+      (fun (_, removed) -> t.stats.peephole_removed <- t.stats.peephole_removed + removed)
+      lir;
     t.stats.nr_jit <- t.stats.nr_jit + 1;
     t.stats.ion_compiles <- t.stats.ion_compiles + 1;
     let name = t.vm.Vm.program.Op.funcs.(idx).Op.name in
@@ -531,8 +539,8 @@ let apply t idx = function
       tier_up t idx "ion"
     in
     match (decision, lir) with
-    | (None | Some Allow), Some lir -> install_ion lir
-    | Some (Disable_passes passes), Some lir ->
+    | (None | Some Allow), Some (lir, _) -> install_ion lir
+    | Some (Disable_passes passes), Some (lir, _) ->
       Log.info (fun m ->
           m "JITBULL: recompiling %s without dangerous passes [%s]" name
             (String.concat ", " passes));
@@ -575,10 +583,10 @@ let prepare t idx : (unit -> compile_result) option =
         else None)
       callees
   in
-  let compile ?(fields = []) ~traced disabled =
+  let optimize ?(fields = []) ~traced disabled =
     Obs.span obs ~fields:(("func", Jsonx.String name) :: fields) "compile_ion"
       (fun () ->
-        compile_ion_with config func ~feedback_row ~resolver ~traced ~disabled)
+        optimize_ion config func ~feedback_row ~resolver ~traced ~disabled)
   in
   let disabled_field passes =
     ("disabled", Jsonx.List (List.map (fun p -> Jsonx.String p) passes))
@@ -586,11 +594,17 @@ let prepare t idx : (unit -> compile_result) option =
   let job body () =
     try body () with e -> A_error (e, Printexc.get_raw_backtrace ())
   in
-  let compiled ?decision ~traced (lir, _, peephole) =
-    A_install { decision; lir = Some lir; traced; peephole }
+  (* the one lowering of the MIR this tier-up installs *)
+  let installed ?decision ~traced g =
+    let lir =
+      Obs.span obs ~fields:[ ("func", Jsonx.String name) ] "lower_ion" (fun () ->
+          lower_mir g)
+    in
+    A_install { decision; lir = Some lir; traced }
   in
   match config.analyzer with
-  | None -> Some (job (fun () -> compiled ~traced:false (compile ~traced:false [])))
+  | None ->
+    Some (job (fun () -> installed ~traced:false (fst (optimize ~traced:false []))))
   | Some analyze -> (
     let ctx =
       {
@@ -614,7 +628,7 @@ let prepare t idx : (unit -> compile_result) option =
     match cached with
     | Some d when not (compilable d) ->
       apply t idx
-        (A_install { decision = Some d; lir = None; traced = false; peephole = 0 });
+        (A_install { decision = Some d; lir = None; traced = false });
       None
     | Some d ->
       (* a cache hit skips the snapshot trace, the Δ extraction and the
@@ -627,13 +641,16 @@ let prepare t idx : (unit -> compile_result) option =
       in
       Some
         (job (fun () ->
-             compiled ~decision:d ~traced:false (compile ~fields ~traced:false passes)))
+             installed ~decision:d ~traced:false
+               (fst (optimize ~fields ~traced:false passes))))
     | None ->
       let g0 = current_gen t in
       Some
         (job (fun () ->
-             let ((_, trace, removed) as first) =
-               compile ~fields:[ ("traced", Jsonx.Bool true) ] ~traced:true []
+             (* optimize → analyse → lower once: the verdict is reached on
+                the traced MIR, before anything is lowered *)
+             let g, trace =
+               optimize ~fields:[ ("traced", Jsonx.Bool true) ] ~traced:true []
              in
              let d = analyze ~ctx ~func_index:idx ~name ~trace in
              (match cache with
@@ -641,17 +658,12 @@ let prepare t idx : (unit -> compile_result) option =
              | None -> ());
              record_verdict obs d;
              match d with
-             | Allow -> compiled ~decision:d ~traced:true first
+             | Allow -> installed ~decision:d ~traced:true g
              | Disable_passes passes when compilable d ->
-               let lir, _, removed2 =
-                 compile ~fields:[ disabled_field passes ] ~traced:false passes
-               in
-               A_install
-                 { decision = Some d; lir = Some lir; traced = true;
-                   peephole = removed + removed2 }
+               installed ~decision:d ~traced:true
+                 (fst (optimize ~fields:[ disabled_field passes ] ~traced:false passes))
              | Disable_passes _ | Forbid_jit ->
-               A_install
-                 { decision = Some d; lir = None; traced = true; peephole = removed })))
+               A_install { decision = Some d; lir = None; traced = true })))
 
 let baseline_compile t idx =
   ensure_sentinel t;
@@ -674,10 +686,8 @@ let baseline_compile t idx =
         let split = Jitbull_passes.Split_critical_edges.pass in
         split.Jitbull_passes.Pass.run ctx g;
         Jitbull_mir.Mir.renumber g;
-        let lir = Lower.lower g in
-        Regalloc.allocate lir;
-        t.stats.peephole_removed <-
-          t.stats.peephole_removed + Jitbull_lir.Peephole.run lir;
+        let lir, removed = lower_mir g in
+        t.stats.peephole_removed <- t.stats.peephole_removed + removed;
         lir)
   in
   install t idx lir;

@@ -11,7 +11,11 @@
       triggers one recompilation with those passes off (the paper's
       [Recompile] flag) when all are disableable, else the function is
       blacklisted; [Forbid_jit] blacklists directly (no-JIT for that
-      function only).
+      function only). As in [OptimizeMIR], the verdict is reached on MIR:
+      a compile job optimizes, analyses, then lowers (LIR lowering,
+      register allocation, peephole) only the MIR the verdict admits, so
+      each installed function is lowered exactly once and a refused
+      compile is never lowered.
     - A failed guard raises a bailout; the engine re-executes the call in
       the interpreter tier and blacklists the function after
       [max_bailouts] (replay-from-entry deoptimization; see DESIGN.md for
@@ -125,10 +129,12 @@ type config = {
           code, byte-for-byte equivalently. The baseline tier always
           uses the executor. Evaluated once at {!create}. *)
   obs : Jitbull_obs.Obs.t option;
-      (** telemetry: compile spans ([compile_baseline]/[compile_ion] plus
-          per-pass spans in the pipeline), [tier_up]/[bailout]/[deopt]/
-          [blacklist] events, and VM dispatch counters. [None] (default)
-          records nothing and adds no measurable cost. *)
+      (** telemetry: compile spans ([compile_baseline], one [compile_ion]
+          per pipeline run with per-pass spans inside, and [lower_ion]
+          around the one lowering of an installed Ion function),
+          [tier_up]/[bailout]/[deopt]/[blacklist] events, and VM dispatch
+          counters. [None] (default) records nothing and adds no
+          measurable cost. *)
   policy_cache : Policy_cache.t option;
       (** memoized go/no-go verdicts; [None] (default) analyzes every Ion
           compile afresh. Only consulted when [analyzer] is present. *)
@@ -154,7 +160,10 @@ type stats = {
   mutable bailouts : int;
   mutable deopts : int;  (** functions blacklisted after repeated bailouts *)
   mutable peephole_removed : int;
-      (** LIR instructions deleted by the post-allocation peephole *)
+      (** LIR instructions the post-allocation peephole deleted from
+          installed code: every baseline compile, plus the one lowering
+          of each installed Ion function (a forbidden or mandatory-pass
+          compile is never lowered, a recompiled one is lowered once) *)
   mutable async_installs : int;
       (** background compiles installed at a safepoint *)
   mutable stale_results : int;

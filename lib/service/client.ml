@@ -507,6 +507,8 @@ let close t =
 let analyzer ?params t : Engine.analyzer =
   let fallback = Jitbull.analyzer ?params ?obs:t.obs t.replica in
  fun ~ctx ~func_index ~name ~trace ->
+  (* every pass, not the replica's posted ones: the server's DB may post
+     passes this replica has not synced yet *)
   let dna = Dna.extract trace in
   let req =
     {

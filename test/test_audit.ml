@@ -22,11 +22,6 @@ module Variants = Jitbull_vdc.Variants
 module Db = Jitbull_core.Db
 module Jitbull = Jitbull_core.Jitbull
 
-let test_jobs =
-  match Sys.getenv_opt "JITBULL_TEST_JOBS" with
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 2)
-  | None -> 2
-
 let fake_clock ?(step = 0.001) () =
   let t = ref 0.0 in
   fun () ->

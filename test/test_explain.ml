@@ -23,11 +23,6 @@ module Jitbull = Jitbull_core.Jitbull
 module Pipeline = Jitbull_passes.Pipeline
 module Intern = Jitbull_util.Intern
 
-let test_jobs =
-  match Sys.getenv_opt "JITBULL_TEST_JOBS" with
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 2)
-  | None -> 2
-
 let has hay needle =
   let nl = String.length needle and l = String.length hay in
   let rec go i = i + nl <= l && (String.equal (String.sub hay i nl) needle || go (i + 1)) in

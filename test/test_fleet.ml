@@ -24,11 +24,6 @@ module CQ = Jitbull_jit.Compile_queue
 module Op = Jitbull_bytecode.Op
 module Value = Jitbull_runtime.Value
 
-let test_jobs =
-  match Sys.getenv_opt "JITBULL_TEST_JOBS" with
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 2)
-  | None -> 2
-
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.equal (String.sub hay i nn) needle || go (i + 1)) in

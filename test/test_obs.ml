@@ -143,13 +143,6 @@ let test_ring_eviction () =
 
 (* ---- correlation: ids, parents, cross-domain anchors ---- *)
 
-(* Concurrency width for the multi-domain tracer tests; CI re-runs the
-   suite with JITBULL_TEST_JOBS=1 and 2 (same variable as test_perf). *)
-let test_jobs =
-  match Sys.getenv_opt "JITBULL_TEST_JOBS" with
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 2)
-  | None -> 2
-
 let contains_sub hay needle =
   let nl = String.length needle and l = String.length hay in
   let rec go i =

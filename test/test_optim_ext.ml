@@ -190,6 +190,50 @@ let test_engine_reports_peephole () =
   in
   check_bool "peephole counted" true ((Engine.stats t).Engine.peephole_removed >= 0)
 
+(* A Forbid verdict installs no Ion code, so its compile must add no
+   peephole removals: the count is that of the same program with Ion out
+   of reach, i.e. the baseline tier's alone. The program's own DNA under
+   Thr = 0 (the exhaustive scan, where key-disjoint sides match) flags
+   the mandatory renumber pass, which forbids JIT for its one Ion
+   tier-up. Run with Ion compiles inline and on helper domains. *)
+let forbid_src =
+  "function f(n) { var s = 0; for (var i = 0; i < n; i++) { if (i % 3) { s = s + i; } } return s; } \
+   var t = 0; for (var k = 0; k < 40; k++) { t = t + f(k); } print(t);"
+
+let test_forbid_counts_no_ion_peephole () =
+  let module Db = Jitbull_core.Db in
+  let module Jitbull = Jitbull_core.Jitbull in
+  let module Comparator = Jitbull_core.Comparator in
+  let db = Db.create () in
+  check_bool "self-harvest" true (Db.harvest db ~cve:"CVE-SELF" ~vulns:VC.none forbid_src > 0);
+  let no_ion, _ =
+    in_both_compile_modes (fun compile_pool ->
+        let config =
+          { Engine.default_config with Engine.ion_threshold = 1000; compile_pool }
+        in
+        let out, t = Engine.run_source config forbid_src in
+        check_int "Ion out of reach" 0 (Engine.stats t).Engine.ion_compiles;
+        (out, (Engine.stats t).Engine.peephole_removed))
+  in
+  check_bool "the baseline tier's peephole removes something" true (snd no_ion > 0);
+  let sync, async =
+    in_both_compile_modes (fun compile_pool ->
+        let config =
+          Jitbull.config ~params:{ Comparator.thr = 0; ratio = 0.5 } ?compile_pool
+            ~vulns:VC.none db
+        in
+        let out, t = Engine.run_source config forbid_src in
+        let s = Engine.stats t in
+        check_int "one Ion tier-up" 1 s.Engine.ion_compiles;
+        check_int "forbidden" 1 s.Engine.nr_nojit;
+        (out, s.Engine.peephole_removed))
+  in
+  List.iter
+    (fun (mode, (out, removed)) ->
+      check_string (mode ^ ": output") (fst no_ion) out;
+      check_int (mode ^ ": baseline removals only") (snd no_ion) removed)
+    [ ("inline", sync); ("helper domains", async) ]
+
 let suite =
   ( "optim-ext",
     [
@@ -205,4 +249,6 @@ let suite =
       Alcotest.test_case "peephole goto-next" `Quick test_peephole_removes_goto_next;
       Alcotest.test_case "peephole semantics" `Quick test_peephole_preserves_semantics;
       Alcotest.test_case "engine peephole stats" `Quick test_engine_reports_peephole;
+      Alcotest.test_case "forbid counts no Ion peephole" `Quick
+        test_forbid_counts_no_ion_peephole;
     ] )

@@ -16,6 +16,7 @@ module Comparator = Jitbull_core.Comparator
 module Jitbull = Jitbull_core.Jitbull
 module V = Jitbull_vdc.Demonstrators
 module Generator = Jitbull_fuzz.Generator
+module Sexpr = Jitbull_util.Sexpr
 
 (* ---- interner ---- *)
 
@@ -114,16 +115,21 @@ let qcheck_indexed_equals_naive_after_removal =
       Db.remove_cve db "CVE-1";
       Db.matching ~params db dna = naive_matching ~params db dna)
 
+(* The DNA DB of the 8 VDCs, each harvested on its own vulnerable engine. *)
+let vdc_db () =
+  let db = Db.create () in
+  List.iter
+    (fun (d : V.t) -> ignore (Db.harvest db ~cve:d.V.name ~vulns:(VC.make [ d.V.cve ]) d.V.source))
+    V.all;
+  db
+
 (* Real DNAs as one more input: the 8-VDC DB queried with its own
    entries and with the DNAs of the benign programs of seeds 0-4 (their
    12 rounds raised to 40, past the Ion threshold, so they compile)
    harvested on a patched engine, over the same parameter grid plus the
    default. *)
 let test_indexed_equals_naive_real_dnas () =
-  let db = Db.create () in
-  List.iter
-    (fun (d : V.t) -> ignore (Db.harvest db ~cve:d.V.name ~vulns:(VC.make [ d.V.cve ]) d.V.source))
-    V.all;
+  let db = vdc_db () in
   check_int "eight CVEs installed" 8 (List.length (Db.cves db));
   let benign = Db.create () in
   List.iter
@@ -240,25 +246,123 @@ let test_engine_cache_integration () =
     (Engine.Policy_cache.invalidations pc > 0);
   check_bool "third run re-analyzes" true (Engine.Policy_cache.misses pc > misses1)
 
+(* ---- posting-aware extraction == full extraction ---- *)
+
+module Variants = Jitbull_vdc.Variants
+module Workloads = Jitbull_workloads.Workloads
+module Errors = Jitbull_runtime.Errors
+
+(* Every snapshot trace the local analyzer sees over the 8-VDC DB: the
+   demonstrators and their four variants on the vulnerable engine, the
+   Octane analogues and benign generated programs (seeds 900-903,
+   disjoint from perfbench's) on the patched one — with Ion compiles
+   inline or on helper domains. No policy cache, so every tier-up is
+   analyzed. *)
+let analyzed_traces ?compile_pool db =
+  let mu = Mutex.create () and traces = ref [] in
+  let local = Jitbull.analyzer db in
+  let recording ~ctx ~func_index ~name ~trace =
+    Mutex.protect mu (fun () -> traces := trace :: !traces);
+    local ~ctx ~func_index ~name ~trace
+  in
+  let runs =
+    List.concat_map
+      (fun (d : V.t) ->
+        let vulns = VC.make [ d.V.cve ] in
+        (vulns, d.V.source)
+        :: List.map (fun k -> (vulns, Variants.apply k d.V.source)) Variants.all_kinds)
+      V.all
+    @ List.map (fun (w : Workloads.t) -> (VC.none, w.Workloads.source)) Workloads.everything
+    @ List.map
+        (fun seed ->
+          ( VC.none,
+            Generator.benign_params
+              { Generator.p_seed = seed; p_funcs = 8; p_rounds = 40; p_depth = 2 } ))
+        [ 900; 901; 902; 903 ]
+  in
+  List.iter
+    (fun (vulns, source) ->
+      let config =
+        { Engine.default_config with Engine.vulns; analyzer = Some recording; compile_pool }
+      in
+      try ignore (Engine.run_source config source)
+      with Errors.Crash _ | Errors.Shellcode_executed _ | Errors.Type_error _ -> ())
+    runs;
+  List.rev !traces
+
+let test_posting_aware_equals_full () =
+  let db = vdc_db () in
+  let ctx = { Engine.cc_bytecode_hash = 0; cc_feedback_hash = 0 } in
+  let thr0 = { Comparator.thr = 0; ratio = 0.5 } in
+  let decide ?params trace = Jitbull.analyzer ?params db ~ctx ~func_index:0 ~name:"f" ~trace in
+  let full_verdict ?params trace =
+    match snd (Jitbull.verdict_of_matches (Db.matching ?params db (Dna.extract trace))) with
+    | `Allow -> Engine.Allow
+    | `Disable ps -> Engine.Disable_passes ps
+    | `Forbid -> Engine.Forbid_jit
+  in
+  let sync, async = in_both_compile_modes (fun compile_pool -> analyzed_traces ?compile_pool db) in
+  List.iter
+    (fun (mode, traces) ->
+      check_bool (mode ^ ": traces recorded") true (List.length traces > 100);
+      let matched = ref 0 and skipped = ref 0 in
+      List.iter
+        (fun trace ->
+          let full = Dna.extract trace in
+          let x = Jitbull.extract db trace in
+          check_bool "extracted against the current posted set" true
+            (x.Jitbull.x_posted_generation = Some (Db.generation db));
+          if Dna.nonempty_passes x.Jitbull.x_dna <> Dna.nonempty_passes full then incr skipped;
+          (* same CVEs, passes, sides, scores, common chains and
+             prefilter counts *)
+          let q = Db.matching_detailed db x.Jitbull.x_dna in
+          check_bool (mode ^ ": posting-aware query == full query") true
+            (q = Db.matching_detailed db full);
+          if q.Db.q_matches <> [] then incr matched;
+          check_bool (mode ^ ": analyzer verdict == full-DNA verdict") true
+            (decide trace = full_verdict trace);
+          check_bool (mode ^ ": thr = 0 analyzer verdict == full-DNA verdict") true
+            (decide ~params:thr0 trace = full_verdict ~params:thr0 trace))
+        traces;
+      check_bool (mode ^ ": some traces match") true (!matched > 0);
+      check_bool (mode ^ ": some passes were skipped") true (!skipped > 0))
+    [ ("inline", sync); ("helper domains", async) ]
+
+(* A DB write between the analyzer's posted-set read and its query: the
+   DNA was extracted while only gvn had postings, then an entry posting
+   the function's own dce Δ lands. The query's generation no longer
+   matches the posted set's, so the analyzer re-extracts in full and the
+   verdict disables dce. *)
+let test_posted_generation_race () =
+  let _, trace =
+    optimized_mir ~func:0
+      "function f(n) { var s = 0; for (var i = 0; i < n; i++) { if (i % 3) { s = s + i; } } return s; } \
+       var t = 0; for (var k = 0; k < 40; k++) { t = t + f(k); } print(t);"
+  in
+  let full = Dna.extract trace in
+  let dce = List.assoc "dce" full.Dna.deltas in
+  check_bool "the function's dce pass changed the IR" false (Delta.is_empty dce);
+  let db = Db.create () in
+  Db.add db (synthetic_entry "CVE-RACE-GVN");
+  let _, posted = Db.posted db in
+  check_bool "gvn posted" true (posted "gvn");
+  check_bool "dce not posted" false (posted "dce");
+  let x = Jitbull.extract db trace in
+  check_bool "dce left empty" true (Delta.is_empty (List.assoc "dce" x.Jitbull.x_dna.Dna.deltas));
+  Db.add db { Db.cve = "CVE-RACE-DCE"; dna = { Dna.func_name = "vdc"; deltas = [ ("dce", dce) ] } };
+  let dna, q = Jitbull.query db ~trace x in
+  check_int "answered at the new generation" (Db.generation db) q.Db.q_generation;
+  check_bool "the verdict disables dce" true
+    (Jitbull.verdict_of_matches (Db.drop_details q.Db.q_matches) = ([ "dce" ], `Disable [ "dce" ]));
+  check_bool "re-extracted in full" true
+    (Sexpr.to_string (Dna.to_sexpr dna) = Sexpr.to_string (Dna.to_sexpr full))
+
 (* ---- off-main-thread compilation ---- *)
 
 module CQ = Jitbull_jit.Compile_queue
 module Op = Jitbull_bytecode.Op
 module Value = Jitbull_runtime.Value
 module Clock = Jitbull_obs.Clock
-
-(* Helper-domain count for the async tests; CI runs the suite at 2 and
-   again at a second value via this variable. 0 is clamped to 1: these
-   tests exist to exercise the pool, and jobs=0 semantics (no pool at
-   all) are what every other test in the suite runs under. *)
-let test_jobs =
-  match Sys.getenv_opt "JITBULL_TEST_JOBS" with
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 2)
-  | None -> 2
-
-let with_pool ?capacity f =
-  let pool = CQ.create ?capacity ~jobs:test_jobs () in
-  Fun.protect ~finally:(fun () -> CQ.shutdown pool) (fun () -> f pool)
 
 let test_queue_basic () =
   with_pool (fun pool ->
@@ -684,6 +788,9 @@ let suite =
       qtest qcheck_indexed_equals_naive_after_removal;
       Alcotest.test_case "indexed == naive on real DNAs" `Quick
         test_indexed_equals_naive_real_dnas;
+      Alcotest.test_case "posting-aware extraction == full" `Quick
+        test_posting_aware_equals_full;
+      Alcotest.test_case "posted-set generation race" `Quick test_posted_generation_race;
       Alcotest.test_case "db generation and entry order" `Quick test_db_generation_and_order;
       Alcotest.test_case "policy cache lookup/store/invalidate" `Quick test_policy_cache_unit;
       Alcotest.test_case "policy cache across engine runs" `Quick test_engine_cache_integration;

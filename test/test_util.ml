@@ -132,12 +132,6 @@ let test_bar () =
 
 (* ---- Rwlock writer progress under reader pressure ---- *)
 
-(* Concurrency width, same variable the rest of the suite keys on. *)
-let test_jobs =
-  match Sys.getenv_opt "JITBULL_TEST_JOBS" with
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 2)
-  | None -> 2
-
 (* The DNA database's Rwlock sees a stream of short read sections
    (verdict queries from compile and server domains) with occasional
    writers (install/remove). The property: a writer always makes
