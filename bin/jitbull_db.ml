@@ -87,11 +87,9 @@ let builtin db_path cves =
   let db = load_or_create db_path in
   let targets = if cves = [] then VC.all else parse_cves cves in
   List.iter
-    (fun cve ->
-      let d = V.find cve in
-      let n = Db.harvest db ~cve:d.V.name ~vulns:(VC.make [ cve ]) d.V.source in
+    (fun ((d : V.t), n) ->
       Printf.printf "harvested %d DNA vector(s) for %s (bundled demonstrator)\n" n d.V.name)
-    targets;
+    (V.harvest db targets);
   Db.save db db_path;
   `Ok ()
 

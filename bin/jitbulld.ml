@@ -40,14 +40,12 @@ let setup_logging ~quiet ~verbose =
 let harvested_db () =
   let db = Db.create () in
   List.iter
-    (fun cve ->
-      let d = V.find cve in
-      let n = Db.harvest db ~cve:d.V.name ~vulns:(VC.make [ cve ]) d.V.source in
+    (fun ((d : V.t), n) ->
       Logs.info (fun m -> m "harvested %d DNA vector(s) for %s" n d.V.name))
-    VC.all;
+    (V.harvest db VC.all);
   db
 
-let run port workers db_path builtin hold thr ratio no_cache audit_file
+let run port workers db_path builtin hold thr ratio audit_file
     audit_rotate_bytes quiet verbose =
   setup_logging ~quiet ~verbose:(List.length verbose);
   (* Long-lived server: a larger minor heap keeps per-request body
@@ -66,10 +64,7 @@ let run port workers db_path builtin hold thr ratio no_cache audit_file
   (match audit_file with
   | Some path -> Obs.set_audit_file obs ?max_bytes:audit_rotate_bytes path
   | None -> ());
-  let t =
-    Service.create ~params ~workers ~obs ~server_cache:(not no_cache) ~db
-      ~port ()
-  in
+  let t = Service.create ~params ~workers ~obs ~db ~port () in
   (* CI smoke parses this line to find the port; keep the format stable *)
   Printf.printf "jitbulld listening on 127.0.0.1:%d (%d entries, %d workers)\n%!"
     (Service.port t) (Db.size db) workers;
@@ -123,12 +118,6 @@ let ratio =
   Arg.(value & opt float Comparator.default_params.Comparator.ratio
        & info [ "ratio" ] ~docv:"R" ~doc:"MaxEqChains ratio threshold.")
 
-let no_cache =
-  Arg.(value & flag
-       & info [ "no-server-cache" ]
-           ~doc:"Disable the server-side verdict line cache; every request \
-                 pays the full parse + indexed query (A/B baseline).")
-
 let audit_file =
   Arg.(value & opt (some string) None
        & info [ "audit-file" ] ~docv:"FILE"
@@ -156,7 +145,7 @@ let cmd =
   Cmd.v
     (Cmd.info "jitbulld" ~doc)
     Term.(ret (const run $ port $ workers $ db_path $ builtin $ hold
-               $ thr $ ratio $ no_cache $ audit_file $ audit_rotate_bytes
+               $ thr $ ratio $ audit_file $ audit_rotate_bytes
                $ quiet $ verbose))
 
 let () = exit (Cmd.eval cmd)

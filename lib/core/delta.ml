@@ -10,74 +10,60 @@ type t = {
 
 module Ints = Depgraph.Ints
 
-type multiset = { n : int; counts : int ref Ints.t }
+type multiset = int ref Ints.t
 
-(* n = 2 and n = 3 sub-chains are counted under packed integer keys: three
-   21-bit slots of dense opcode index + 1, where 0 marks an absent slot —
-   a→b is (0, a, b), the root-boundary ^a→b is (a, 0, b) and a→b→c is
-   (a, b, c). Only the keys that survive a diff become {!Intern} ids. *)
+(* Sub-chains are counted under packed integer keys: three 21-bit slots
+   of dense opcode index + 1, where 0 marks an absent slot — a→b is
+   (0, a, b), the root-boundary ^a→b is (a, 0, b) and a→b→c is (a, b, c).
+   Only the keys that survive a diff become {!Intern} ids. *)
 let pack a b c = (a lsl 42) lor (b lsl 21) lor c
 let slot k s = (k lsr (21 * s)) land 0x1FFFFF
 
-let key_id n k =
-  if n <> 2 && n <> 3 then k
-  else
-    let id s = Depgraph.opcode_id (slot k s - 1) in
-    if slot k 2 = 0 then Intern.pair (id 1) (id 0)
-    else if slot k 1 = 0 then Intern.pair (Intern.rooted (id 2)) (id 0)
-    else Intern.triple (id 2) (id 1) (id 0)
+let key_id k =
+  let id s = Depgraph.opcode_id (slot k s - 1) in
+  if slot k 2 = 0 then Intern.pair (id 1) (id 0)
+  else if slot k 1 = 0 then Intern.pair (Intern.rooted (id 2)) (id 0)
+  else Intern.triple (id 2) (id 1) (id 0)
 
 (* Multiset of sub-chains of a dependency graph:
-   - n = 2: the edge multiset (identical to enumerating chains and taking
-     2-grams, without the path explosion);
+   - n = 2: the edge multiset (the 2-grams of every root→leaf chain);
    - n = 3 (the default): every length-2 walk u→m→d, plus each edge out
      of a root as a root-boundary pair so removals at chain ends (an
-     unused guard is a root!) stay visible. Same keys as path-enumerated
-     3-grams, computed in O(Σ degᵢₙ·degₒᵤₜ);
-   - otherwise: full chain enumeration under the standard caps, keyed by
-     the interned n-gram string. *)
+     unused guard is a root!) stay visible. Same keys as the 3-grams of
+     every root→leaf chain, computed in O(Σ degᵢₙ·degₒᵤₜ). *)
 let multiset ~n (g : Depgraph.t) =
+  if n <> 2 && n <> 3 then invalid_arg "Delta.multiset: n must be 2 or 3";
   let counts = Ints.create 64 in
   let bump k =
     match Ints.find counts k with c -> incr c | exception Not_found -> Ints.add counts k (ref 1)
   in
   let op v = g.Depgraph.ops.(v) + 1 and first v = g.Depgraph.dep_start.(v) in
   let last v = g.Depgraph.dep_start.(v + 1) - 1 and deps = g.Depgraph.deps in
-  if n = 2 || n = 3 then
-    for u = 0 to Depgraph.size g - 1 do
-      for i = first u to last u do
-        let m = deps.(i) in
-        if n = 2 then bump (pack 0 (op u) (op m))
-        else begin
-          if Depgraph.is_root g u then bump (pack (op u) 0 (op m));
-          for j = first m to last m do
-            bump (pack (op u) (op m) (op deps.(j)))
-          done
-        end
-      done
+  for u = 0 to Depgraph.size g - 1 do
+    for i = first u to last u do
+      let m = deps.(i) in
+      if n = 2 then bump (pack 0 (op u) (op m))
+      else begin
+        if Depgraph.is_root g u then bump (pack (op u) 0 (op m));
+        for j = first m to last m do
+          bump (pack (op u) (op m) (op deps.(j)))
+        done
+      end
     done
-  else
-    List.iter
-      (fun chain ->
-        List.iter (fun ng -> bump (Intern.intern (String.concat "->" ng))) (Chains.ngrams n chain))
-      (Chains.extract g);
-  { n; counts }
+  done;
+  counts
 
 (* multiset difference a − b, keyed by interned sub-chain ids *)
-let diff n a b : side =
+let diff a b : side =
   let out = Hashtbl.create 16 in
   Ints.iter
     (fun k ca ->
       let cb = match Ints.find b k with c -> !c | exception Not_found -> 0 in
-      if !ca > cb then Hashtbl.replace out (key_id n k) (!ca - cb))
+      if !ca > cb then Hashtbl.replace out (key_id k) (!ca - cb))
     a;
   out
 
-let of_multisets ~before ~after =
-  {
-    removed = diff before.n before.counts after.counts;
-    added = diff before.n after.counts before.counts;
-  }
+let of_multisets ~before ~after = { removed = diff before after; added = diff after before }
 
 let empty () = { removed = Hashtbl.create 1; added = Hashtbl.create 1 }
 

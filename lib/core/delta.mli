@@ -2,10 +2,10 @@
     represented as the multiset of {e removed} and {e added} dependency
     sub-chains (the paper's δ⁻/δ⁺).
 
-    Sub-chains are opcode n-grams drawn from the enumerated root→leaf
-    chains; with [n = 2] they coincide with dependency {e edges}, which is
-    exactly what the paper's worked example computes ([A→B→C→D] vs
-    [B→C→E] ⇒ δ⁻ = \{A→B, C→D\}, δ⁺ = \{C→E\}). We count multiplicity so
+    Sub-chains are opcode n-grams of the root→leaf dependency chains
+    ([n] is 2 or 3); with [n = 2] they coincide with dependency
+    {e edges}, which is exactly what the paper's worked example
+    computes ([A→B→C→D] vs [B→C→E] ⇒ δ⁻ = \{A→B, C→D\}, δ⁺ = \{C→E\}). We count multiplicity so
     the comparator's [Thr] threshold counts sub-chain instances as the
     pairwise chain loop of Algorithm 1 does. The default is [n = 3]:
     measured against the corpus it keeps variant detection at 100%% while
@@ -29,7 +29,10 @@ type t = {
     with ["^"] (no MIR opcode does), which could alias two key shapes. *)
 type multiset
 
+(** [multiset ~n g] — [n] is 2 (dependency edges) or 3 (length-2 walks
+    plus root-boundary pairs); any other [n] raises [Invalid_argument]. *)
 val multiset : n:int -> Depgraph.t -> multiset
+
 val of_multisets : before:multiset -> after:multiset -> t
 
 (** [empty ()] — a fresh Δ of a pass that changed nothing. *)

@@ -11,6 +11,7 @@ let same (a : Snapshot.entry) (b : Snapshot.entry) =
   && List.equal Int.equal a.Snapshot.operands b.Snapshot.operands
 
 let extract ?(n = 3) ?(only = fun _ -> true) (trace : (string * Snapshot.t) list) : t =
+  if n <> 2 && n <> 3 then invalid_arg "Dna.extract: n must be 2 or 3";
   match trace with
   | [] -> { func_name = "?"; deltas = [] }
   | (_, first) :: rest ->

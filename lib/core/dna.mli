@@ -14,7 +14,8 @@ type t = {
     (IR₀ … IRₙ with pass names) and computes Δᵢ between consecutive
     snapshots through the dependency graphs. A snapshot with the same
     entries as the one before it gets an empty Δ without building a
-    graph. [n] is the sub-chain n-gram size (default 3, see {!Delta}).
+    graph. [n] is the sub-chain n-gram size: 3 (the default) or 2, see
+    {!Delta}; any other [n] raises [Invalid_argument].
 
     [only] (default: every pass) restricts extraction to the passes it
     accepts: any other pass gets an empty Δ, and a snapshot's dependency

@@ -14,11 +14,11 @@ module Jitbull = Jitbull_core.Jitbull
 
 (* ---- stateless round-trip on a raw connection (bench clients) ---- *)
 
-(* [body] is a pre-encoded JSONL batch of [count] requests — bench
-   clients replaying a recorded stream encode each window once and
-   resend it, keeping request serialization out of the measured path. *)
-let verdict_roundtrip_raw conn ?headers ~count body =
-  match Http.Conn.request conn ~meth:"POST" ?headers ~body "/verdict" with
+let verdict_roundtrip conn ?headers reqs =
+  let count = List.length reqs in
+  match
+    Http.Conn.request conn ~meth:"POST" ?headers ~body:(Proto.encode_reqs reqs) "/verdict"
+  with
   | 200, _, body -> (
     match Proto.decode_resps body with
     | resps when List.length resps = count -> Ok resps
@@ -30,10 +30,6 @@ let verdict_roundtrip_raw conn ?headers ~count body =
   | status, _, body -> Error (Printf.sprintf "HTTP %d: %s" status body)
   | exception Http.Closed -> Error "connection closed"
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-
-let verdict_roundtrip conn ?headers reqs =
-  verdict_roundtrip_raw conn ?headers ~count:(List.length reqs)
-    (Proto.encode_reqs reqs)
 
 (* ---- the coalescer: many engine threads, one wire batch ---- *)
 

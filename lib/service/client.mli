@@ -85,16 +85,6 @@ val verdict_roundtrip :
   Proto.verdict_req list ->
   (Proto.verdict_resp list, string) result
 
-(** Like {!verdict_roundtrip} with a pre-encoded JSONL body of [count]
-    requests — stream-replay clients encode each batch once and resend
-    it, keeping serialization off the measured path. *)
-val verdict_roundtrip_raw :
-  Jitbull_obs.Http_export.Conn.t ->
-  ?headers:(string * string) list ->
-  count:int ->
-  string ->
-  (Proto.verdict_resp list, string) result
-
 (** Pull [/delta] now and apply it to the replica. Returns the server
     generation synced to. *)
 val sync : t -> (int, string) result
@@ -108,10 +98,6 @@ val push : t -> (int, string) result
 (** Run [f gen] after each observed generation push (after caches are
     flushed and before the replica resync completes). *)
 val on_push : t -> (int -> unit) -> unit
-
-(** Register an additional policy cache to flush eagerly on pushes
-    ({!engine_config} registers its own automatically). *)
-val register_cache : t -> Jitbull_jit.Engine.Policy_cache.t -> unit
 
 (** The remote analyzer: DNA extraction + coalesced wire query, else ([Error]/timeout) local fallback against the
     replica with {!Jitbull_core.Jitbull.analyzer}. [params] must match

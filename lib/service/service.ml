@@ -31,14 +31,10 @@ type t = {
   db : Db.t;
   params : Comparator.params;
   obs : Obs.t option;
-  use_cache : bool;
-      (** [false] disables the line cache — the A/B baseline where every
-          request pays parse + query *)
   line_mu : Mutex.t;
   lines : (int, line_cell) Hashtbl.t;  (** keyed by {!Proto.line_key} *)
   max_lines : int;
   fleet : Fleet.t;  (** per-client telemetry pushed via [POST /push] *)
-  subscribe_poll_s : float;
   mutable server : Http.Server.t option;
 }
 
@@ -96,17 +92,14 @@ let decide t ?client_id ?remote_parent (req : Proto.verdict_req) :
    read on arrival, so a DB mutation implicitly drops every stored
    line *)
 let line_find t ~gen key line =
-  if not t.use_cache then None
-  else begin
-    Mutex.lock t.line_mu;
-    let r =
-      match Hashtbl.find_opt t.lines key with
-      | Some c when c.l_gen = gen && String.equal c.l_req line -> Some c
-      | _ -> None
-    in
-    Mutex.unlock t.line_mu;
-    r
-  end
+  Mutex.lock t.line_mu;
+  let r =
+    match Hashtbl.find_opt t.lines key with
+    | Some c when c.l_gen = gen && String.equal c.l_req line -> Some c
+    | _ -> None
+  in
+  Mutex.unlock t.line_mu;
+  r
 
 let line_store t key cell =
   Mutex.lock t.line_mu;
@@ -138,7 +131,7 @@ let verdict_body t ?client_id ?remote_parent body =
         let resp = decide t ?client_id ?remote_parent req in
         (* store only a verdict decided at (and still valid at) one
            generation; the stored line answers repeats as cached *)
-        if t.use_cache && resp.Proto.vs_generation = Db.generation t.db then
+        if resp.Proto.vs_generation = Db.generation t.db then
           line_store t key
             {
               l_gen = resp.Proto.vs_generation;
@@ -185,6 +178,9 @@ let verdict_response t ?ctx ?client body =
 
 (* ---- subscribe / delta / gen ---- *)
 
+(* long-poll tick of [GET /subscribe] *)
+let subscribe_poll_s = 0.005
+
 let gen_json g = Jsonx.to_string (Jsonx.Assoc [ ("generation", Jsonx.Int g) ])
 
 (* Long poll: hold the request until the DB generation exceeds [g] or
@@ -209,7 +205,7 @@ let subscribe_response t query =
       end
       else if Unix.gettimeofday () >= deadline then cur
       else begin
-        Unix.sleepf t.subscribe_poll_s;
+        Unix.sleepf subscribe_poll_s;
         wait ()
       end
     in
@@ -345,19 +341,16 @@ let handle t (req : Http.request) =
         | None -> Http.not_found ())
       | None -> Http.not_found ()))
 
-let create ?(params = Comparator.default_params) ?(workers = 4)
-    ?obs ?(subscribe_poll_s = 0.005) ?(server_cache = true) ~db ~port () =
+let create ?(params = Comparator.default_params) ?(workers = 4) ?obs ~db ~port () =
   let t =
     {
       db;
       params;
       obs;
-      use_cache = server_cache;
       line_mu = Mutex.create ();
       lines = Hashtbl.create 1024;
       max_lines = 65536;
       fleet = Fleet.create ();
-      subscribe_poll_s;
       server = None;
     }
   in

@@ -59,15 +59,11 @@ type t
     [params] are the comparator thresholds verdicts are decided with.
     Each accepted connection is served on its own thread, so [workers]
     sizes CPU parallelism, not the connection limit — long-poll
-    subscribers park a thread each without starving verdict traffic.
-    [server_cache:false] disables the line cache: the A/B baseline
-    where every request pays full parse + query. *)
+    subscribers park a thread each without starving verdict traffic. *)
 val create :
   ?params:Jitbull_core.Comparator.params ->
   ?workers:int ->
   ?obs:Jitbull_obs.Obs.t ->
-  ?subscribe_poll_s:float ->
-  ?server_cache:bool ->
   db:Jitbull_core.Db.t ->
   port:int ->
   unit ->

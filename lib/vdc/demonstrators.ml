@@ -321,3 +321,10 @@ let run_exploit (config : Engine.config) source expected : exploit_result =
       if pwned then Exploited "sentinel overwritten (no control transfer)" else Neutralized)
   | exception Errors.Shellcode_executed msg -> Exploited ("shellcode: " ^ msg)
   | exception Errors.Crash msg -> Exploited ("crash: " ^ msg)
+
+let harvest db cves =
+  List.map
+    (fun cve ->
+      let d = find cve in
+      (d, Jitbull_core.Db.harvest db ~cve:d.name ~vulns:(Vuln_config.make [ cve ]) d.source))
+    cves

@@ -28,6 +28,15 @@ val all : t list
 
 val find : Jitbull_passes.Vuln_config.cve -> t
 
+(** [harvest db cves] harvests each listed CVE's demonstrator into
+    [db] ({!Jitbull_core.Db.harvest}) on an engine carrying only that
+    CVE's bug, as its reporter would, in list order. Returns each
+    demonstrator with the number of entries it added. *)
+val harvest :
+  Jitbull_core.Db.t ->
+  Jitbull_passes.Vuln_config.cve list ->
+  (t * int) list
+
 (** [second_implementation_17026] — an independent re-implementation of
     the CVE-2019-17026 exploit (the paper's "implementation 2" by a
     different developer): same flaw, different code. *)

@@ -1,11 +1,10 @@
-(* Tests for the JITBULL core: dependency graphs (Algorithm 1), chains,
+(* Tests for the JITBULL core: dependency graphs (Algorithm 1), sub-chain
    deltas (including the paper's worked example), the comparator
    (Algorithm 2), the database, and the go/no-go policy. *)
 
 open Helpers
 module Snapshot = Jitbull_mir.Snapshot
 module Depgraph = Jitbull_core.Depgraph
-module Chains = Jitbull_core.Chains
 module Delta = Jitbull_core.Delta
 module Dna = Jitbull_core.Dna
 module Comparator = Jitbull_core.Comparator
@@ -53,37 +52,6 @@ let test_buildgraph_operandless_excluded () =
   let g = Depgraph.build (snap [ (1, "constant", []); (2, "parameter", []) ]) in
   check_int "empty graph" 0 (Depgraph.node_count g)
 
-let test_chains_paper_shapes () =
-  let g =
-    Depgraph.build
-      (snap [ (1, "d", []); (2, "c", [ 1 ]); (3, "b", [ 2 ]); (4, "a", [ 3 ]) ])
-  in
-  let chains = Chains.extract g in
-  check_int "one chain" 1 (List.length chains);
-  check_string "a->b->c->d" "a->b->c->d" (Chains.chain_to_string (List.hd chains))
-
-let test_chains_diamond () =
-  (* a uses b and c; both use d: two root-to-leaf paths *)
-  let g =
-    Depgraph.build
-      (snap [ (1, "d", []); (2, "b", [ 1 ]); (3, "c", [ 1 ]); (4, "a", [ 2; 3 ]) ])
-  in
-  let chains = Chains.extract g in
-  check_int "two paths" 2 (List.length chains)
-
-let test_chains_cap () =
-  let g =
-    Depgraph.build
-      (snap [ (1, "d", []); (2, "b", [ 1 ]); (3, "c", [ 1 ]); (4, "a", [ 2; 3 ]) ])
-  in
-  let chains = Chains.extract ~max_chains:1 g in
-  check_int "capped" 1 (List.length chains)
-
-let test_ngrams () =
-  check_bool "2-grams" true
-    (Chains.ngrams 2 [ "a"; "b"; "c" ] = [ [ "a"; "b" ]; [ "b"; "c" ] ]);
-  check_bool "short chain" true (Chains.ngrams 3 [ "a"; "b" ] = [ [ "a"; "b" ] ])
-
 (* The paper's worked example: C_{i-1} = A→B→C→D, C_i = B→C→E gives
    δ⁻ = {A→B, C→D} and δ⁺ = {C→E}. *)
 let test_delta_paper_example () =
@@ -117,6 +85,19 @@ let test_delta_multiplicity () =
   let d = compute ~n:2 before after in
   check_int "multiplicity 2" 2 (Delta.total d.Delta.removed);
   check_int "single key" 1 (Hashtbl.length d.Delta.removed)
+
+(* Sub-chains are 2- or 3-grams; any other size is refused up front, even
+   on a trace whose snapshots would never build a multiset. *)
+let test_delta_rejects_other_n () =
+  let g = Depgraph.build (snap [ (1, "x", []); (2, "y", [ 1 ]) ]) in
+  let trace = [ ("start", snap [ (1, "x", []) ]) ] in
+  List.iter
+    (fun n ->
+      check_bool (Printf.sprintf "multiset n=%d" n) true
+        (match Delta.multiset ~n g with _ -> false | exception Invalid_argument _ -> true);
+      check_bool (Printf.sprintf "extract n=%d" n) true
+        (match Dna.extract ~n trace with _ -> false | exception Invalid_argument _ -> true))
+    [ 0; 1; 4 ]
 
 let test_delta_sexpr_roundtrip () =
   let before =
@@ -789,13 +770,10 @@ let suite =
     [
       Alcotest.test_case "buildgraph roots" `Quick test_buildgraph_roots;
       Alcotest.test_case "buildgraph excludes orphans" `Quick test_buildgraph_operandless_excluded;
-      Alcotest.test_case "chains linear" `Quick test_chains_paper_shapes;
-      Alcotest.test_case "chains diamond" `Quick test_chains_diamond;
-      Alcotest.test_case "chains cap" `Quick test_chains_cap;
-      Alcotest.test_case "ngrams" `Quick test_ngrams;
       Alcotest.test_case "delta: paper worked example" `Quick test_delta_paper_example;
       Alcotest.test_case "delta empty on identical" `Quick test_delta_empty_on_identical;
       Alcotest.test_case "delta multiplicity" `Quick test_delta_multiplicity;
+      Alcotest.test_case "delta rejects n outside 2..3" `Quick test_delta_rejects_other_n;
       Alcotest.test_case "delta sexpr roundtrip" `Quick test_delta_sexpr_roundtrip;
       Alcotest.test_case "comparator threshold" `Quick test_comparator_threshold;
       Alcotest.test_case "comparator ratio" `Quick test_comparator_ratio;

@@ -12,8 +12,6 @@ module Compiler = Jitbull_bytecode.Compiler
 module Parser = Jitbull_frontend.Parser
 module Mir = Jitbull_mir.Mir
 module Domtree = Jitbull_mir.Domtree
-module Depgraph = Jitbull_core.Depgraph
-module Chains = Jitbull_core.Chains
 module Catalog = Jitbull_vdc.Catalog
 module Variants = Jitbull_vdc.Variants
 module Lir = Jitbull_lir.Lir
@@ -103,25 +101,6 @@ let test_domtree_loop_body () =
   check_bool "header in body" true (Hashtbl.mem body header.Mir.bid);
   check_bool "body smaller than graph" true (Hashtbl.length body < List.length g.Mir.blocks)
 
-let snap_of entries =
-  {
-    Jitbull_mir.Snapshot.func_name = "t";
-    n_blocks = 1;
-    entries =
-      List.map
-        (fun (num, opcode, operands) -> { Jitbull_mir.Snapshot.num; opcode; operands })
-        entries;
-  }
-
-let test_chains_max_length () =
-  (* a deep linear chain is truncated at max_length *)
-  let entries = List.init 20 (fun i -> (i, Printf.sprintf "op%d" i, if i = 0 then [] else [ i - 1 ])) in
-  let g = Depgraph.build (snap_of entries) in
-  let chains = Chains.extract ~max_length:5 g in
-  List.iter
-    (fun c -> check_bool "truncated" true (List.length c <= 7))
-    chains
-
 let test_catalog_lookup () =
   check_bool "find known" true (Catalog.find "CVE-2019-17026" <> None);
   check_bool "find unknown" true (Catalog.find "CVE-0000-0000" = None);
@@ -204,7 +183,6 @@ let suite =
       Alcotest.test_case "heap freelist reuse" `Quick test_heap_freelist_reuse;
       Alcotest.test_case "op to_string total" `Quick test_op_to_string_total;
       Alcotest.test_case "domtree loop body" `Quick test_domtree_loop_body;
-      Alcotest.test_case "chains max length" `Quick test_chains_max_length;
       Alcotest.test_case "catalog lookup" `Quick test_catalog_lookup;
       Alcotest.test_case "variants mix seeds" `Quick test_variants_mix_seed_varies;
       Alcotest.test_case "peephole branch remap" `Quick test_peephole_branch_remap;

@@ -118,9 +118,7 @@ let qcheck_indexed_equals_naive_after_removal =
 (* The DNA DB of the 8 VDCs, each harvested on its own vulnerable engine. *)
 let vdc_db () =
   let db = Db.create () in
-  List.iter
-    (fun (d : V.t) -> ignore (Db.harvest db ~cve:d.V.name ~vulns:(VC.make [ d.V.cve ]) d.V.source))
-    V.all;
+  ignore (V.harvest db VC.all);
   db
 
 (* Real DNAs as one more input: the 8-VDC DB queried with its own

@@ -26,11 +26,7 @@ let harvest_cves = [ List.nth VC.all 0; List.nth VC.all 1 ]
 
 let build_db () =
   let db = Db.create () in
-  List.iter
-    (fun cve ->
-      let d = V.find cve in
-      ignore (Db.harvest db ~cve:d.V.name ~vulns:(VC.make [ cve ]) d.V.source))
-    harvest_cves;
+  ignore (V.harvest db harvest_cves);
   db
 
 let shared_db = lazy (build_db ())
@@ -142,8 +138,8 @@ let test_keep_alive_reuses_socket () =
 
 (* ---- service end-to-end ---- *)
 
-let with_service ?server_cache db f =
-  let svc = Service.create ~workers:1 ?server_cache ~db ~port:0 () in
+let with_service db f =
+  let svc = Service.create ~workers:1 ~db ~port:0 () in
   Fun.protect ~finally:(fun () -> Service.stop svc) (fun () -> f svc)
 
 let test_verdict_endpoint_and_cache () =
@@ -259,24 +255,6 @@ let test_verdict_endpoint_and_cache () =
           let status, _, _ = Http.Conn.request conn "/first" in
           check_int "connection survives the 400" 404 status))
 
-let test_uncached_baseline_still_correct () =
-  let db = Lazy.force shared_db in
-  with_service ~server_cache:false db (fun svc ->
-      let e = List.hd (Db.entries db) in
-      let req = req_of_entry ~id:3 e in
-      let conn = Http.Conn.connect ~port:(Service.port svc) () in
-      Fun.protect
-        ~finally:(fun () -> Http.Conn.close conn)
-        (fun () ->
-          match (Client.verdict_roundtrip conn [ req ], Client.verdict_roundtrip conn [ req ]) with
-          | Ok [ a ], Ok [ b ] ->
-            check_bool "uncached server never reports cached" false
-              (a.Proto.vs_cached || b.Proto.vs_cached);
-            check_bool "uncached remote == local" true
-              (a.Proto.vs_verdict = local_verdict db e.Db.dna
-              && b.Proto.vs_verdict = a.Proto.vs_verdict)
-          | _ -> Alcotest.fail "round-trips failed"))
-
 (* ---- the line cache answers only the bytes it stored ---- *)
 
 let gvn_dna = "(dna (func f) (deltas (gvn (delta (removed (x->y 3)) (added)))))"
@@ -347,11 +325,7 @@ let test_forged_identity_decided_apart () =
 let all_entries =
   lazy
     (let db = Db.create () in
-     List.iter
-       (fun cve ->
-         let d = V.find cve in
-         ignore (Db.harvest db ~cve:d.V.name ~vulns:(VC.make [ cve ]) d.V.source))
-       VC.all;
+     ignore (V.harvest db VC.all);
      Array.of_list (Db.entries db))
 
 (* One domain loops [Service.decide] over harvested entries while the
@@ -517,8 +491,6 @@ let suite =
         test_keep_alive_reuses_socket;
       Alcotest.test_case "verdict endpoint, cache, invalidation" `Quick
         test_verdict_endpoint_and_cache;
-      Alcotest.test_case "uncached baseline stays correct" `Quick
-        test_uncached_baseline_still_correct;
       Alcotest.test_case "line cache checks the request bytes" `Quick
         test_line_cache_checks_bytes;
       Alcotest.test_case "forged request identities decided apart" `Quick

@@ -30,13 +30,7 @@ let armed_config =
     (let module V = Jitbull_vdc.Demonstrators in
     let module Db = Jitbull_core.Db in
     let db = Db.create () in
-    List.iter
-      (fun (d : V.t) ->
-        ignore
-          (Db.harvest db ~cve:d.V.name
-             ~vulns:(Jitbull_passes.Vuln_config.make [ d.V.cve ])
-             d.V.source))
-      V.all;
+    ignore (V.harvest db Jitbull_passes.Vuln_config.all);
     { (Jitbull_core.Jitbull.config ~vulns:all_vulns db) with Engine.policy_cache = None })
 
 let test_workload_armed_vulnerable_engine (w : W.t) () =
