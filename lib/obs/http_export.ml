@@ -227,6 +227,9 @@ module Server = struct
     doms : unit Domain.t list;
     conns : int Atomic.t;
     reqs : int Atomic.t;
+    live_mu : Mutex.t;
+    live : (Unix.file_descr, unit) Hashtbl.t;
+        (** connections still being served; [stop] shuts them down *)
   }
 
   let render_response ~keep_alive (rs : response) =
@@ -290,9 +293,12 @@ module Server = struct
      holds one persistent connection each, and a long-poll subscriber
      parks its thread without starving anyone. Threads within a domain
      interleave on blocking I/O; CPU-bound handler work spreads across
-     domains by whichever wins the next accept. Connection threads are
-     not joined by [stop]: they exit when their client hangs up (or with
-     the process), while [stop] only tears down the accept loops. *)
+     domains by whichever wins the next accept. A domain cannot be
+     joined while one of its threads runs, so [stop] shuts down the read
+     side of every live connection: a thread waiting for the next
+     request reads EOF and exits. A connection is registered and
+     unregistered under [live_mu], and closed only after unregistering,
+     so [stop] never shuts down a descriptor number that was reused. *)
   let worker_loop t ~max_requests ~handler =
     while not (Atomic.get t.stop_flag) do
       match Unix.accept t.listen_fd with
@@ -301,10 +307,18 @@ module Server = struct
            latency (delayed-ACK stalls on small keep-alive round-trips). *)
         (try Unix.setsockopt client Unix.TCP_NODELAY true with _ -> ());
         Atomic.incr t.conns;
+        Mutex.lock t.live_mu;
+        Hashtbl.replace t.live client ();
+        Mutex.unlock t.live_mu;
         ignore
           (Thread.create
              (fun () ->
+               (* a connection accepted after [stop]'s sweep sees the flag
+                  before its first read *)
                (try serve_conn t ~max_requests ~handler client with _ -> ());
+               Mutex.lock t.live_mu;
+               Hashtbl.remove t.live client;
+               Mutex.unlock t.live_mu;
                try Unix.close client with _ -> ())
              ())
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -337,6 +351,8 @@ module Server = struct
         doms = [];
         conns = Atomic.make 0;
         reqs = Atomic.make 0;
+        live_mu = Mutex.create ();
+        live = Hashtbl.create 16;
       }
     in
     let doms =
@@ -356,6 +372,14 @@ module Server = struct
       (* closing the listening socket unblocks every accept *)
       (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with _ -> ());
       (try Unix.close t.listen_fd with _ -> ());
+      (* end every connection's wait for its next request; the write
+         side stays open, so a handler still running (a long poll that
+         saw the stop) can answer before its thread exits *)
+      Mutex.lock t.live_mu;
+      Hashtbl.iter
+        (fun fd () -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with _ -> ())
+        t.live;
+      Mutex.unlock t.live_mu;
       List.iter Domain.join t.doms
     end
 end

@@ -120,8 +120,11 @@ module Server : sig
 
   val requests : t -> int
 
-  (** Close the listening socket and join the worker domains.
-      Idempotent. *)
+  (** Close the listening socket, shut down the read side of every
+      live connection (a connection waiting for its next request ends
+      at once; a handler still running can write its response), and
+      join the worker domains. A handler that waits on its own, such as
+      a long poll, must end its wait for [stop] to return. Idempotent. *)
   val stop : t -> unit
 end
 
@@ -201,7 +204,8 @@ val connections : t -> int
 
 val requests : t -> int
 
-(** Close the listening socket and join the serving domain. Idempotent. *)
+(** {!Server.stop} on the exporter: returns with clients still
+    connected. Idempotent. *)
 val stop : t -> unit
 
 (** [fetch ~port path] — one-shot loopback HTTP GET for tests, bench

@@ -9,20 +9,25 @@ type t =
 
 (* ---- encoding ---- *)
 
+(* Copies the runs between escaped characters whole. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  let run = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = s.[i] in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !run (i - !run);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\t' -> Buffer.add_string buf "\\t"
       | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      run := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !run (String.length s - !run);
   Buffer.add_char buf '"'
 
 let float_repr f =
@@ -103,17 +108,29 @@ let parse (s : string) : t =
       Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
     end
   in
+  (* the runs between escapes are copied whole; a literal without
+     escapes is one [String.sub] *)
   let string_lit () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let finished = ref false in
-    while not !finished do
-      if !pos >= n then fail "unterminated string";
-      (match s.[!pos] with
-      | '"' ->
-        incr pos;
-        finished := true
-      | '\\' ->
+    let scan () =
+      let i = ref !pos in
+      while !i < n && (match s.[!i] with '"' | '\\' -> false | _ -> true) do
+        incr i
+      done;
+      pos := !i;
+      if !i >= n then fail "unterminated string"
+    in
+    let start = !pos in
+    scan ();
+    if s.[!pos] = '"' then begin
+      incr pos;
+      String.sub s start (!pos - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create (!pos - start + 16) in
+      Buffer.add_substring buf s start (!pos - start);
+      (* [!pos] is at a backslash *)
+      let rec escaped () =
         incr pos;
         if !pos >= n then fail "truncated escape";
         (match s.[!pos] with
@@ -134,12 +151,18 @@ let parse (s : string) : t =
           add_utf8 buf code;
           pos := !pos + 4
         | _ -> fail "unknown escape");
-        incr pos
-      | c ->
-        Buffer.add_char buf c;
-        incr pos)
-    done;
-    Buffer.contents buf
+        incr pos;
+        let run = !pos in
+        scan ();
+        Buffer.add_substring buf s run (!pos - run);
+        if s.[!pos] = '"' then begin
+          incr pos;
+          Buffer.contents buf
+        end
+        else escaped ()
+      in
+      escaped ()
+    end
   in
   let number () =
     let start = !pos in

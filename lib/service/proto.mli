@@ -6,7 +6,9 @@
     {!verdict_resp} per request, matched by [id]. DNA travels as the
     text of {!Jitbull_core.Dna.to_sexpr} — the client extracted it from
     the compile trace anyway, and the sexpr form is the DB's canonical
-    serialization. *)
+    serialization. The text is the compact one-line form
+    ({!Jitbull_util.Sexpr.to_string}), not the DB file's multi-line
+    layout; the server's parser accepts either. *)
 
 type verdict = [ `Allow | `Disable of string list | `Forbid ]
 
@@ -15,7 +17,7 @@ type verdict_req = {
   vr_func : string;
   vr_bytecode_hash : int;
   vr_feedback_hash : int;
-  vr_dna : string;  (** [Dna.to_sexpr] text *)
+  vr_dna : string;  (** [Dna.to_sexpr] text, compact *)
 }
 
 type verdict_resp = {

@@ -35,6 +35,7 @@ type t = {
   lines : (int, line_cell) Hashtbl.t;  (** keyed by {!Proto.line_key} *)
   max_lines : int;
   fleet : Fleet.t;  (** per-client telemetry pushed via [POST /push] *)
+  stopping : bool Atomic.t;  (** set by {!stop}; ends every long poll *)
   mutable server : Http.Server.t option;
 }
 
@@ -188,7 +189,9 @@ let gen_json g = Jsonx.to_string (Jsonx.Assoc [ ("generation", Jsonx.Int g) ])
    way. OCaml's [Condition] has no timed wait, so this sleep-polls at
    [subscribe_poll_s] — pushes arrive within one poll tick, which is
    well under any HTTP round-trip. Each waiting subscriber parks its
-   connection thread; clients run one subscription per process. *)
+   connection thread; clients run one subscription per process. [stop]
+   ends the wait at the next tick, so the server's domains can be
+   joined. *)
 let subscribe_response t query =
   match
     ( Http.parse_count ~max_value:max_int "gen" query ~default:0,
@@ -203,7 +206,7 @@ let subscribe_response t query =
         Obs.incr t.obs "service.gen_pushes_total";
         cur
       end
-      else if Unix.gettimeofday () >= deadline then cur
+      else if Unix.gettimeofday () >= deadline || Atomic.get t.stopping then cur
       else begin
         Unix.sleepf subscribe_poll_s;
         wait ()
@@ -351,6 +354,7 @@ let create ?(params = Comparator.default_params) ?(workers = 4) ?obs ~db ~port (
       lines = Hashtbl.create 1024;
       max_lines = 65536;
       fleet = Fleet.create ();
+      stopping = Atomic.make false;
       server = None;
     }
   in
@@ -360,4 +364,6 @@ let create ?(params = Comparator.default_params) ?(workers = 4) ?obs ~db ~port (
   t.server <- Some server;
   t
 
-let stop t = match t.server with Some s -> Http.Server.stop s | None -> ()
+let stop t =
+  Atomic.set t.stopping true;
+  match t.server with Some s -> Http.Server.stop s | None -> ()

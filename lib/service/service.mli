@@ -25,7 +25,7 @@
       for remote policy caches.
     - [GET /delta?gen=G] — catch-up payload for a replica at [G]:
       [mode] "append" with the missing entries (as
-      {!Jitbull_core.Db.entry_to_sexpr} text), or "resync" with the
+      {!Jitbull_core.Db.entry_to_sexpr} text, compact), or "resync" with the
       full list after a removal.
     - [GET /gen] — current generation. [POST /install] (entry sexpr
       body) / [POST /remove?cve=C] — DB mutation over the wire.
@@ -91,4 +91,8 @@ val decide :
   t -> ?client_id:string -> ?remote_parent:int -> Proto.verdict_req ->
   Proto.verdict_resp
 
+(** Stop serving: in-flight long polls answer with the current
+    generation, idle keep-alive connections are shut down, and the call
+    returns once the server domains are joined. A connected {!Client}
+    then decides against its replica. *)
 val stop : t -> unit

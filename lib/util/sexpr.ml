@@ -62,20 +62,26 @@ let needs_quotes s =
          | _ -> false)
        s
 
+(* Appends [s] quoted, copying the runs between escaped characters
+   whole. *)
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  let run = ref 0 in
+  for i = 0 to String.length s - 1 do
+    match s.[i] with
+    | ('"' | '\\' | '\n' | '\t' | '\r') as c ->
+      Buffer.add_substring buf s !run (i - !run);
+      Buffer.add_char buf '\\';
+      Buffer.add_char buf (match c with '\n' -> 'n' | '\t' -> 't' | '\r' -> 'r' | c -> c);
+      run := i + 1
+    | _ -> ()
+  done;
+  Buffer.add_substring buf s !run (String.length s - !run);
+  Buffer.add_char buf '"'
+
 let escape s =
   let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
+  add_quoted buf s;
   Buffer.contents buf
 
 let rec pp ppf = function
@@ -85,99 +91,125 @@ let rec pp ppf = function
       (Format.pp_print_list ~pp_sep:Format.pp_print_space pp)
       l
 
-let to_string s = Format.asprintf "%a" pp s
+(* The wire form: [pp]'s layout with every break a single space, written
+   straight into one buffer. *)
+let rec write buf = function
+  | Atom s -> if needs_quotes s then add_quoted buf s else Buffer.add_string buf s
+  | List l ->
+    Buffer.add_char buf '(';
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char buf ' ';
+        write buf x)
+      l;
+    Buffer.add_char buf ')'
 
-(* Parser: a hand-rolled scanner over the input string. *)
+let to_string s =
+  let buf = Buffer.create 256 in
+  write buf s;
+  Buffer.contents buf
 
-type cursor = { input : string; mutable pos : int }
+(* Parser: an index scanner over the input string. An atom without
+   escapes is cut out with [String.sub]; only an atom holding an escape
+   is built in a buffer. *)
 
-let peek cur = if cur.pos < String.length cur.input then Some cur.input.[cur.pos] else None
-
-let advance cur = cur.pos <- cur.pos + 1
+type cursor = { input : string; len : int; mutable pos : int }
 
 let rec skip_blanks cur =
-  match peek cur with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance cur;
-    skip_blanks cur
-  | Some ';' ->
-    (* comment until end of line *)
-    let rec to_eol () =
-      match peek cur with
-      | Some '\n' | None -> ()
-      | Some _ ->
-        advance cur;
-        to_eol ()
-    in
-    to_eol ();
-    skip_blanks cur
-  | Some _ | None -> ()
+  if cur.pos < cur.len then
+    match cur.input.[cur.pos] with
+    | ' ' | '\t' | '\n' | '\r' ->
+      cur.pos <- cur.pos + 1;
+      skip_blanks cur
+    | ';' ->
+      (* comment until end of line *)
+      cur.pos <-
+        Option.value ~default:cur.len (String.index_from_opt cur.input cur.pos '\n');
+      skip_blanks cur
+    | _ -> ()
+
+(* advance to the next '"' or '\\' of a quoted atom; unterminated at the
+   end of input *)
+let scan_quoted cur =
+  let s = cur.input and i = ref cur.pos in
+  while !i < cur.len && match s.[!i] with '"' | '\\' -> false | _ -> true do
+    incr i
+  done;
+  cur.pos <- !i;
+  if !i >= cur.len then decode_error "unterminated string at %d" !i
+
+(* the rest of a quoted atom from the backslash at [cur.pos]; [buf]
+   holds what came before it *)
+let rec parse_escaped cur buf =
+  cur.pos <- cur.pos + 1;
+  if cur.pos >= cur.len then decode_error "dangling escape at %d" cur.pos;
+  Buffer.add_char buf
+    (match cur.input.[cur.pos] with 'n' -> '\n' | 't' -> '\t' | 'r' -> '\r' | c -> c);
+  cur.pos <- cur.pos + 1;
+  let run = cur.pos in
+  scan_quoted cur;
+  Buffer.add_substring buf cur.input run (cur.pos - run);
+  if cur.input.[cur.pos] = '"' then begin
+    cur.pos <- cur.pos + 1;
+    Buffer.contents buf
+  end
+  else parse_escaped cur buf
 
 let parse_quoted cur =
-  advance cur;
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek cur with
-    | None -> decode_error "unterminated string at %d" cur.pos
-    | Some '"' ->
-      advance cur;
-      Buffer.contents buf
-    | Some '\\' ->
-      advance cur;
-      (match peek cur with
-      | Some 'n' -> Buffer.add_char buf '\n'
-      | Some 't' -> Buffer.add_char buf '\t'
-      | Some 'r' -> Buffer.add_char buf '\r'
-      | Some c -> Buffer.add_char buf c
-      | None -> decode_error "dangling escape at %d" cur.pos);
-      advance cur;
-      loop ()
-    | Some c ->
-      Buffer.add_char buf c;
-      advance cur;
-      loop ()
-  in
-  loop ()
+  let start = cur.pos + 1 in
+  cur.pos <- start;
+  scan_quoted cur;
+  if cur.input.[cur.pos] = '"' then begin
+    cur.pos <- cur.pos + 1;
+    String.sub cur.input start (cur.pos - 1 - start)
+  end
+  else begin
+    let buf = Buffer.create (cur.pos - start + 16) in
+    Buffer.add_substring buf cur.input start (cur.pos - start);
+    parse_escaped cur buf
+  end
 
 let parse_bare cur =
-  let start = cur.pos in
-  let rec loop () =
-    match peek cur with
-    | Some (' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';') | None -> ()
-    | Some _ ->
-      advance cur;
-      loop ()
-  in
-  loop ();
-  String.sub cur.input start (cur.pos - start)
+  let s = cur.input and start = cur.pos in
+  let i = ref start in
+  while
+    !i < cur.len
+    &&
+    match s.[!i] with
+    | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' -> false
+    | _ -> true
+  do
+    incr i
+  done;
+  cur.pos <- !i;
+  String.sub s start (!i - start)
 
 let rec parse_one cur =
   skip_blanks cur;
-  match peek cur with
-  | None -> decode_error "unexpected end of input"
-  | Some '(' ->
-    advance cur;
+  if cur.pos >= cur.len then decode_error "unexpected end of input";
+  match cur.input.[cur.pos] with
+  | '(' ->
+    cur.pos <- cur.pos + 1;
     let rec items acc =
       skip_blanks cur;
-      match peek cur with
-      | Some ')' ->
-        advance cur;
+      if cur.pos >= cur.len then decode_error "unterminated list"
+      else if cur.input.[cur.pos] = ')' then begin
+        cur.pos <- cur.pos + 1;
         List (List.rev acc)
-      | None -> decode_error "unterminated list"
-      | Some _ -> items (parse_one cur :: acc)
+      end
+      else items (parse_one cur :: acc)
     in
     items []
-  | Some ')' -> decode_error "unexpected ')' at %d" cur.pos
-  | Some '"' -> Atom (parse_quoted cur)
-  | Some _ -> Atom (parse_bare cur)
+  | ')' -> decode_error "unexpected ')' at %d" cur.pos
+  | '"' -> Atom (parse_quoted cur)
+  | _ -> Atom (parse_bare cur)
 
 let of_string input =
-  let cur = { input; pos = 0 } in
+  let cur = { input; len = String.length input; pos = 0 } in
   let sexp = parse_one cur in
   skip_blanks cur;
-  (match peek cur with
-  | None -> ()
-  | Some c -> decode_error "trailing garbage %C at %d" c cur.pos);
+  if cur.pos < cur.len then
+    decode_error "trailing garbage %C at %d" input.[cur.pos] cur.pos;
   sexp
 
 let load path =
@@ -190,4 +222,6 @@ let load path =
 let save path sexp =
   let oc = open_out_bin path in
   let finally () = close_out_noerr oc in
-  Fun.protect ~finally (fun () -> output_string oc (to_string sexp ^ "\n"))
+  Fun.protect ~finally (fun () ->
+      output_string oc (Format.asprintf "%a" pp sexp);
+      output_char oc '\n')

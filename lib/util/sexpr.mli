@@ -1,8 +1,9 @@
 (** Minimal s-expression reader/writer.
 
     Used as the on-disk format for the JITBULL DNA-vector database and for
-    golden-file dumps. Atoms are quoted only when they contain whitespace,
-    parentheses, quotes, or are empty, so files stay human-readable. *)
+    golden-file dumps, and as the DNA text on the verdict wire. Atoms are
+    quoted only when they contain whitespace, parentheses, quotes,
+    backslashes or [;], or are empty, so files stay human-readable. *)
 
 type t =
   | Atom of string
@@ -34,14 +35,24 @@ val field : string -> t -> t list
 (** [field_opt name sexp] is like {!field} but returns [None] if absent. *)
 val field_opt : string -> t -> t list option
 
+(** [to_string s] is the compact wire form: one line, elements
+    separated by single spaces, written in one pass into a buffer. Atoms
+    are quoted and escaped as {!pp} does them, so the text holds no raw
+    newline. *)
 val to_string : t -> string
+
+(** [pp] is the human-readable file layout ([Format] boxes that break
+    across lines); {!save} writes it. The DB file format is this
+    layout. *)
 val pp : Format.formatter -> t -> unit
 
-(** [of_string s] parses one s-expression; raises [Decode_error] on syntax
-    errors or trailing garbage. *)
+(** [of_string s] parses one s-expression in either layout; raises
+    [Decode_error] on syntax errors or trailing garbage. Atoms without
+    escapes are cut out of [s] directly. *)
 val of_string : string -> t
 
-(** [load path] and [save path sexp] read/write a file holding one sexp. *)
+(** [load path] and [save path sexp] read/write a file holding one sexp
+    ([save] in the {!pp} layout, with a final newline). *)
 
 val load : string -> t
 val save : string -> t -> unit

@@ -67,6 +67,24 @@ let count_opcode g name =
          String.equal (Jitbull_mir.Mir.opcode_name i.Jitbull_mir.Mir.opcode) name)
        (Jitbull_mir.Mir.all_instructions g))
 
+(* the analyzer's arguments at every Ion compile of one run of [source] *)
+let compiles ~vulns source =
+  let out = ref [] in
+  let analyzer ~ctx ~func_index ~name ~trace =
+    out := (ctx, func_index, name, trace) :: !out;
+    Engine.Allow
+  in
+  (try
+     ignore
+       (Engine.run_source
+          { Engine.default_config with Engine.vulns; analyzer = Some analyzer }
+          source)
+   with
+  | Jitbull_runtime.Errors.Crash _ | Jitbull_runtime.Errors.Shellcode_executed _
+  | Jitbull_runtime.Errors.Type_error _ ->
+    ());
+  List.rev !out
+
 let qtest = QCheck_alcotest.to_alcotest
 
 (* Helper-domain count for the tests that run the background compile pool
@@ -97,3 +115,21 @@ let qcheck_count default =
     match int_of_string_opt (String.trim s) with
     | Some pct when pct > 0 -> max 1 (default * pct / 100)
     | _ -> default)
+
+(* Strings built from the bytes the text codecs (Sexpr, Jsonx) treat
+   specially: blanks, delimiters, quote, backslash, comment, control
+   bytes, multi-byte UTF-8, and the empty string. *)
+let awkward_string_gen =
+  let open QCheck.Gen in
+  let piece =
+    frequency
+      [
+        (3, map (String.make 1) printable);
+        ( 3,
+          oneofl
+            [ " "; "\t"; "\n"; "\r"; "("; ")"; "\""; "\\"; ";"; "\\n"; "\"\"" ] );
+        (2, map (fun c -> String.make 1 (Char.chr c)) (int_range 0 31));
+        (2, oneofl [ "\xc3\xa9"; "\xe2\x86\x92"; "\xf0\x9d\x84\x9e"; "\x7f" ]);
+      ]
+  in
+  map (String.concat "") (list_size (int_range 0 6) piece)

@@ -550,21 +550,7 @@ module Generator = Jitbull_fuzz.Generator
 
 (* every (trace, DNA) the engine extracts while running [source] *)
 let analysed ~vulns source =
-  let out = ref [] in
-  let analyzer ~ctx:_ ~func_index:_ ~name:_ ~trace =
-    out := (trace, Dna.extract trace) :: !out;
-    Engine.Allow
-  in
-  (try
-     ignore
-       (Engine.run_source
-          { Engine.default_config with Engine.vulns; analyzer = Some analyzer }
-          source)
-   with
-  | Jitbull_runtime.Errors.Crash _ | Jitbull_runtime.Errors.Shellcode_executed _
-  | Jitbull_runtime.Errors.Type_error _ ->
-    ());
-  List.rev !out
+  List.map (fun (_, _, _, trace) -> (trace, Dna.extract trace)) (compiles ~vulns source)
 
 (* Per program: name, MD5 of its DNAs' [Dna.to_sexpr] strings joined by
    newlines, and each DNA's verdict against the 8-VDC DB, in compile
@@ -756,7 +742,8 @@ let test_corpus_dna_unchanged () =
       check_string (name ^ " DNA digest") digest
         (Digest.to_hex
            (Digest.string
-              (String.concat "\n" (List.map (fun d -> Sexpr.to_string (Dna.to_sexpr d)) dnas))));
+              (String.concat "\n"
+                 (List.map (fun d -> Format.asprintf "%a" Sexpr.pp (Dna.to_sexpr d)) dnas))));
       check_bool (name ^ " verdicts") true (verdicts = List.map (verdict_string db) dnas);
       List.iter
         (fun (trace, _) ->

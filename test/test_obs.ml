@@ -354,7 +354,45 @@ let test_json_parser () =
   (* encoder round-trips through the parser *)
   check_bool "round trip" true (Jsonx.parse (Jsonx.to_string v) = v);
   check_bool "reject garbage" true
-    (match Jsonx.parse "{broken" with exception Jsonx.Parse_error _ -> true | _ -> false)
+    (match Jsonx.parse "{broken" with exception Jsonx.Parse_error _ -> true | _ -> false);
+  check_string "runs around every escape" "a\"b\\c/d\be\012f\xc3\xa9g\x01"
+    (Jsonx.to_str (Jsonx.parse {|"a\"b\\c\/d\be\ff\u00e9g\u0001"|}));
+  let fails msg text =
+    match Jsonx.parse text with
+    | exception Jsonx.Parse_error m -> check_string ("message for " ^ text) msg m
+    | _ -> Alcotest.fail ("should not parse: " ^ text)
+  in
+  fails "unterminated string at offset 4" {|"abc|};
+  fails "unterminated string at offset 6" {|"a\nbc|};
+  fails "truncated escape at offset 4" {|"ab\|};
+  fails "unknown escape at offset 3" {|"a\q"|}
+
+(* the encoder's string escaping, one byte at a time *)
+let reference_json_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let qcheck_json_strings =
+  QCheck.Test.make ~count:(qcheck_count 500)
+    ~name:"json strings: encoder equals the per-byte escaper and parses back"
+    (QCheck.make ~print:String.escaped awkward_string_gen)
+    (fun s ->
+      let text = Jsonx.to_string (Jsonx.String s) in
+      String.equal text (reference_json_string s) && Jsonx.parse text = Jsonx.String s)
 
 (* ---- zero-cost-when-disabled ---- *)
 
@@ -445,6 +483,7 @@ let suite =
       Alcotest.test_case "sink failure keeps recording" `Quick
         test_sink_failure_keeps_recording;
       Alcotest.test_case "json parser" `Quick test_json_parser;
+      qtest qcheck_json_strings;
       Alcotest.test_case "disabled obs is transparent" `Quick test_disabled_obs_is_transparent;
       Alcotest.test_case "policy_decide event on VDC variant" `Quick
         test_policy_decide_event_on_variant;

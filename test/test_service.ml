@@ -1,7 +1,8 @@
 (* Tests for the jitbulld verdict service: wire protocol, keep-alive
    HTTP layer, the content-checked line cache with generation
    invalidation, verdicts decided while installs land, push-driven cache
-   flushes on the client, and the remote==local analyzer oracle. *)
+   flushes on the client, the remote==local analyzer oracle, the DNA text
+   on the wire, and stopping the server with clients still connected. *)
 
 open Helpers
 module Http = Jitbull_obs.Http_export
@@ -17,6 +18,10 @@ module Proto = Jitbull_service.Proto
 module Service = Jitbull_service.Service
 module Client = Jitbull_service.Client
 module Oracle = Jitbull_fuzz.Oracle
+module Generator = Jitbull_fuzz.Generator
+module Obs = Jitbull_obs.Obs
+module Metrics = Jitbull_obs.Metrics
+module Intern = Jitbull_util.Intern
 
 let params = Comparator.default_params
 
@@ -400,6 +405,161 @@ let test_decide_during_installs () =
               e.Db.dna.Dna.func_name g (show r.Proto.vs_verdict) (show expected))
         responses)
 
+(* ---- the DNA text on the wire ---- *)
+
+(* a DNA as plain data: per pass, each side's (sub-chain, count) pairs
+   in key order *)
+let dna_data (d : Dna.t) =
+  let side tbl =
+    List.sort compare (Hashtbl.fold (fun k c acc -> (Intern.to_string k, c) :: acc) tbl [])
+  in
+  ( d.Dna.func_name,
+    List.map
+      (fun (pass, (x : Delta.t)) -> (pass, side x.Delta.removed, side x.Delta.added))
+      d.Dna.deltas )
+
+(* The client's one-line DNA text decodes on the server to the DNA the
+   client extracted, and jitbulld's verdict on it is the one the client's
+   replica (synced over /delta) gives: the 8 VDC harvests and the Ion
+   compiles of four benign generated programs. *)
+let test_wire_dna_identity () =
+  let db = Db.create () in
+  ignore (V.harvest db VC.all);
+  let benign =
+    List.concat_map
+      (fun seed ->
+        List.map
+          (fun (_, _, _, trace) -> Dna.extract trace)
+          (compiles ~vulns:VC.none
+             (Generator.benign_params
+                { Generator.p_seed = seed; p_funcs = 8; p_rounds = 40; p_depth = 2 })))
+      [ 900; 901; 902; 903 ]
+  in
+  check_bool "benign programs reached Ion" true (benign <> []);
+  let dnas = List.map (fun (e : Db.entry) -> e.Db.dna) (Db.entries db) @ benign in
+  with_service db (fun svc ->
+      let client = Client.connect ~subscribe:false ~port:(Service.port svc) () in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          let replica = Client.replica client in
+          check_int "replica synced every entry" (Db.size db) (Db.size replica);
+          List.iteri
+            (fun i dna ->
+              let name = Printf.sprintf "%s #%d" dna.Dna.func_name i in
+              let text = dna_text dna in
+              check_bool (name ^ ": one line") false (String.contains text '\n');
+              check_bool (name ^ ": decodes to the same DNA") true
+                (dna_data (Dna.of_sexpr (Sexpr.of_string text)) = dna_data dna);
+              let resp =
+                Service.decide svc
+                  { Proto.vr_id = i; vr_func = dna.Dna.func_name; vr_bytecode_hash = i;
+                    vr_feedback_hash = 0; vr_dna = text }
+              in
+              let matched = Db.matching ~params replica dna in
+              let passes, verdict = Jitbull.verdict_of_matches matched in
+              check_bool (name ^ ": remote verdict == replica verdict") true
+                (resp.Proto.vs_verdict = verdict);
+              check_bool (name ^ ": same passes") true (resp.Proto.vs_passes = passes);
+              check_bool (name ^ ": same matches") true (resp.Proto.vs_matched = matched))
+            dnas))
+
+(* ---- stop with clients still connected ---- *)
+
+(* [f ()] on a thread, failing unless it returns within [limit] seconds
+   (a hung stop fails the test instead of hanging the suite) *)
+let returns_within limit what f =
+  let finished = Atomic.make false in
+  let t0 = Unix.gettimeofday () in
+  let th = Thread.create (fun () -> f (); Atomic.set finished true) () in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () -. t0 < 5.0 do
+    Unix.sleepf 0.005
+  done;
+  let took = Unix.gettimeofday () -. t0 in
+  if not (Atomic.get finished) then Alcotest.failf "%s still blocked after %.1fs" what took;
+  Thread.join th;
+  if took > limit then Alcotest.failf "%s took %.2fs (limit %.1fs)" what took limit
+
+let test_stop_with_clients_connected () =
+  let db = build_db () in
+  let svc = Service.create ~workers:1 ~db ~port:0 () in
+  let port = Service.port svc in
+  let idle = Http.Conn.connect ~port () in
+  let poll = Http.Conn.connect ~port () in
+  Fun.protect
+    ~finally:(fun () ->
+      Http.Conn.close idle;
+      Http.Conn.close poll)
+    (fun () ->
+      let status, _, _ = Http.Conn.request idle "/gen" in
+      check_int "/gen on the keep-alive connection" 200 status;
+      let polled = ref None in
+      let poller =
+        Thread.create
+          (fun () ->
+            polled :=
+              Some
+                (match
+                   Http.Conn.request poll ~timeout_s:30.0
+                     (Printf.sprintf "/subscribe?gen=%d&timeout_ms=60000" (Db.generation db))
+                 with
+                | status, _, _ -> Some status
+                | exception _ -> None))
+          ()
+      in
+      (* the long poll is parked in its handler once the server counted it *)
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while
+        Http.Server.requests (Service.server svc) < 2 && Unix.gettimeofday () < deadline
+      do
+        Unix.sleepf 0.005
+      done;
+      check_int "the long poll reached the server" 2
+        (Http.Server.requests (Service.server svc));
+      returns_within 1.0 "Service.stop" (fun () -> Service.stop svc);
+      Thread.join poller;
+      match !polled with
+      | Some (Some 200) | Some None -> ()
+      | Some (Some st) -> Alcotest.failf "the long poll ended with HTTP %d" st
+      | None -> Alcotest.fail "the long poll never ended")
+
+(* A client whose server stops under it decides against its replica:
+   every verdict equals the local analyzer's on the same DB, and each
+   one counts as a fallback. *)
+let test_client_falls_back_after_stop () =
+  let db = build_db () in
+  let cve = List.hd harvest_cves in
+  let source = (V.find cve).V.source in
+  let calls = compiles ~vulns:(VC.make [ cve ]) source in
+  let local = Jitbull.analyzer ~params db in
+  let decide analyzer =
+    List.map
+      (fun (ctx, func_index, name, trace) -> analyzer ~ctx ~func_index ~name ~trace)
+      calls
+  in
+  let expected = decide local in
+  check_bool "the demonstrator is flagged" true
+    (List.exists (fun d -> d <> Engine.Allow) expected);
+  let svc = Service.create ~workers:1 ~db ~port:0 () in
+  let obs = Obs.create () in
+  let client = Client.connect ~obs ~port:(Service.port svc) () in
+  let counter name =
+    Option.value ~default:0
+      (List.assoc_opt name (Obs.view (Some obs)).Metrics.v_counters)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close client;
+      Service.stop svc)
+    (fun () ->
+      let remote = Client.analyzer ~params client in
+      check_bool "remote verdicts before the stop" true (decide remote = expected);
+      check_int "answered by the server" (List.length calls) (counter "engine.remote_verdicts");
+      returns_within 1.0 "Service.stop" (fun () -> Service.stop svc);
+      check_bool "replica verdicts after the stop" true (decide remote = expected);
+      check_int "every verdict after the stop fell back" (List.length calls)
+        (counter "engine.remote_fallbacks"))
+
 (* ---- client: replica sync and push invalidation ---- *)
 
 let test_client_sync_replica () =
@@ -502,4 +662,10 @@ let suite =
         test_push_invalidates_policy_cache;
       Alcotest.test_case "remote == local analyzer (oracle)" `Quick
         test_remote_local_analyzer_equiv;
+      Alcotest.test_case "wire DNA decodes identically, remote == replica" `Quick
+        test_wire_dna_identity;
+      Alcotest.test_case "stop returns with clients connected" `Quick
+        test_stop_with_clients_connected;
+      Alcotest.test_case "client falls back to its replica after stop" `Quick
+        test_client_falls_back_after_stop;
     ] )

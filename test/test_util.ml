@@ -35,15 +35,22 @@ let test_parse_comments () =
     (sexpr_equal s (Sexpr.list [ Sexpr.atom "x"; Sexpr.atom "y" ]))
 
 let test_parse_errors () =
-  let fails str =
+  let fails ?msg str =
     match Sexpr.of_string str with
-    | exception Sexpr.Decode_error _ -> ()
+    | exception Sexpr.Decode_error m ->
+      Option.iter (fun msg -> check_string ("message for " ^ str) msg m) msg
     | _ -> Alcotest.fail ("should not parse: " ^ str)
   in
   fails "(unclosed";
   fails ")";
   fails "\"unterminated";
-  fails "a b"  (* trailing garbage *)
+  fails "a b" (* trailing garbage *);
+  fails ~msg:"unterminated list" "(a (b \"c\"";
+  fails ~msg:"unexpected ')' at 2" "  )";
+  fails ~msg:"unterminated string at 8" "(\"ab\\\"cd";
+  fails ~msg:"dangling escape at 4" "\"ab\\";
+  fails ~msg:"trailing garbage 'b' at 5" "a ; \nb";
+  fails ~msg:"unexpected end of input" " ; only a comment"
 
 let test_field () =
   let s = Sexpr.of_string "(rec (name foo) (size 3))" in
@@ -51,15 +58,13 @@ let test_field () =
   check_int "field size" 3 (Sexpr.to_int (List.hd (Sexpr.field "size" s)));
   check_bool "field_opt absent" true (Sexpr.field_opt "missing" s = None)
 
+(* atoms cover the bytes the codec treats specially (see
+   [awkward_string_gen]); the compact wire form and the file layout both
+   parse back to the same tree, and the wire form is one line *)
 let sexpr_gen =
   let open QCheck.Gen in
   let atom_gen =
-    oneof
-      [
-        map Sexpr.atom (string_size ~gen:printable (int_range 0 8));
-        map Sexpr.int int;
-        map Sexpr.bool bool;
-      ]
+    oneof [ map Sexpr.atom awkward_string_gen; map Sexpr.int int; map Sexpr.bool bool ]
   in
   sized (fun n ->
       fix
@@ -67,13 +72,17 @@ let sexpr_gen =
           if n <= 0 then atom_gen
           else
             frequency
-              [ (2, atom_gen); (1, map Sexpr.list (list_size (int_range 0 4) (self (n / 2)))) ])
-        (min n 6))
+              [ (2, atom_gen); (1, map Sexpr.list (list_size (int_range 0 5) (self (n / 2)))) ])
+        (min n 8))
 
 let qcheck_roundtrip =
-  QCheck.Test.make ~count:(qcheck_count 300) ~name:"sexpr print/parse roundtrip"
-    (QCheck.make sexpr_gen)
-    (fun s -> sexpr_equal s (roundtrip s))
+  QCheck.Test.make ~count:(qcheck_count 500) ~name:"sexpr print/parse roundtrip"
+    (QCheck.make ~print:(Format.asprintf "%a" Sexpr.pp) sexpr_gen)
+    (fun s ->
+      let wire = Sexpr.to_string s in
+      sexpr_equal s (roundtrip s)
+      && sexpr_equal s (Sexpr.of_string (Format.asprintf "%a" Sexpr.pp s))
+      && not (String.contains wire '\n'))
 
 let test_prng_determinism () =
   let a = Prng.create 123 and b = Prng.create 123 in
