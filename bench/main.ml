@@ -20,9 +20,6 @@
      bench/main.exe ablation     Thr/Ratio/n-gram parameter sweep (beyond the paper)
      bench/main.exe overhead     decision cost vs DB size: indexed vs naive
      bench/main.exe concurrency  off-main-thread Ion compilation (jobs=0/1/2/4)
-     bench/main.exe service      jitbulld verdict-service throughput: client
-                                 concurrency x batch size
-                                 (JITBULL_BENCH_SERVICE_BUDGET_S / _MAXC trim it)
      bench/main.exe native       native x86-64 Ion tier vs the LIR executor
                                  (numeric-loop corpus, byte-equal outputs)
      bench/main.exe profile      sampling profiler overhead A/B and attribution *)
@@ -41,7 +38,6 @@ let sections_in_order =
     ("ablation", Ablation.run);
     ("overhead", Overhead.run);
     ("concurrency", Concurrency.run);
-    ("service", Service.run);
     ("native", Native.run);
     ("profile", Native.profile);
   ]

@@ -1,24 +1,24 @@
-(* jitbulld — the fleet-scale go/no-go verdict daemon.
+(* jitbulld — the fleet's DNA-database distributor.
 
      jitbulld --db jitbull.db                serve an existing database
      jitbulld --builtin                      self-harvest the bundled VDCs' DNA
      jitbulld --port 7433 ...                fixed port (default 0: pick + print)
      jitbulld --workers 8 ...                server domains
      jitbulld --hold 30 ...                  exit after SECONDS (CI smoke)
-     jitbulld --thr 4 --ratio 0.5 ...        comparator thresholds
 
-     jitbulld --audit-file out.jsonl ...     server-side decision trail
+     jitbulld --audit-file out.jsonl ...     the fleet's decision trail
      jitbulld --audit-rotate-bytes N ...     rotate it after N bytes
 
-   Serves POST /verdict (JSONL batches), GET /subscribe (generation long
-   poll), GET /delta (replica catch-up), POST /install, POST /remove,
-   POST /push + GET /fleet (fleet telemetry) — plus the observability
-   routes (/metrics, /healthz, /audit, /explain, /profile) from the same
-   listener. *)
+   Every engine client keeps a /delta-synced replica of the DB and
+   decides go/no-go on it; the daemon distributes the DB and collects
+   the fleet's telemetry. Serves GET /subscribe (generation long poll),
+   GET /delta (replica catch-up), GET /gen, POST /install, POST /remove,
+   POST /push + GET /fleet (fleet telemetry, whose audit deltas feed the
+   daemon's own trail) — plus the observability routes (/metrics,
+   /healthz, /audit, /explain, /profile) from the same listener. *)
 
 open Cmdliner
 module Db = Jitbull_core.Db
-module Comparator = Jitbull_core.Comparator
 module VC = Jitbull_passes.Vuln_config
 module V = Jitbull_vdc.Demonstrators
 module Obs = Jitbull_obs.Obs
@@ -45,7 +45,7 @@ let harvested_db () =
     (V.harvest db VC.all);
   db
 
-let run port workers db_path builtin hold thr ratio audit_file
+let run port workers db_path builtin hold audit_file
     audit_rotate_bytes quiet verbose =
   setup_logging ~quiet ~verbose:(List.length verbose);
   (* Long-lived server: a larger minor heap keeps per-request body
@@ -59,12 +59,11 @@ let run port workers db_path builtin hold thr ratio audit_file
     | None, false ->
       failwith "no database: pass --db FILE or --builtin to self-harvest"
   in
-  let params = { Comparator.thr; ratio } in
   let obs = Obs.create () in
   (match audit_file with
   | Some path -> Obs.set_audit_file obs ?max_bytes:audit_rotate_bytes path
   | None -> ());
-  let t = Service.create ~params ~workers ~obs ~db ~port () in
+  let t = Service.create ~workers ~obs ~db ~port () in
   (* CI smoke parses this line to find the port; keep the format stable *)
   Printf.printf "jitbulld listening on 127.0.0.1:%d (%d entries, %d workers)\n%!"
     (Service.port t) (Db.size db) workers;
@@ -110,21 +109,12 @@ let hold =
            ~doc:"Exit cleanly after $(docv) seconds (CI smoke jobs). \
                  Default 0: serve until killed.")
 
-let thr =
-  Arg.(value & opt int Comparator.default_params.Comparator.thr
-       & info [ "thr" ] ~docv:"N" ~doc:"EqChains match threshold.")
-
-let ratio =
-  Arg.(value & opt float Comparator.default_params.Comparator.ratio
-       & info [ "ratio" ] ~docv:"R" ~doc:"MaxEqChains ratio threshold.")
-
 let audit_file =
   Arg.(value & opt (some string) None
        & info [ "audit-file" ] ~docv:"FILE"
-           ~doc:"Stream the server-side go/no-go audit trail (one JSON \
-                 record per decision, stamped with the requesting client's \
-                 id and remote span when the request carried them) to \
-                 $(docv) as JSON lines.")
+           ~doc:"Stream the fleet's go/no-go audit trail (one JSON record \
+                 per decision an engine client pushed to /push, stamped with \
+                 that client's id) to $(docv) as JSON lines.")
 
 let audit_rotate_bytes =
   Arg.(value & opt (some int) None
@@ -141,11 +131,11 @@ let verbose =
        & info [ "v"; "verbose" ] ~doc:"Increase log verbosity. Repeatable.")
 
 let cmd =
-  let doc = "serve go/no-go verdicts and DNA-DB deltas to a fleet of engines" in
+  let doc = "distribute a DNA database to a fleet of engines and collect their telemetry" in
   Cmd.v
     (Cmd.info "jitbulld" ~doc)
     Term.(ret (const run $ port $ workers $ db_path $ builtin $ hold
-               $ thr $ ratio $ audit_file $ audit_rotate_bytes
+               $ audit_file $ audit_rotate_bytes
                $ quiet $ verbose))
 
 let () = exit (Cmd.eval cmd)

@@ -5,9 +5,9 @@
      jsrun --interp script.js           reference tree-walking interpreter
      jsrun --vuln CVE-2019-17026 ...    activate an injected pass bug
      jsrun --db jitbull.db ...          enable JITBULL with this database
-     jsrun --verdict-server ADDR ...    ask a jitbulld daemon instead of a
-                                        local DB (ADDR = PORT or HOST:PORT,
-                                        loopback only)
+     jsrun --verdict-server ADDR ...    sync the DB from a jitbulld daemon
+                                        and decide on that replica (ADDR =
+                                        PORT or HOST:PORT, loopback only)
      jsrun --stats ...                  print engine statistics afterwards
      jsrun --metrics[=FILE] ...         telemetry snapshot at exit
      jsrun --trace-file out.jsonl ...   structured event trace (JSON lines)
@@ -21,7 +21,7 @@
      jsrun --push SECONDS ...           with --verdict-server: push telemetry
                                         snapshots + audit deltas to the daemon
                                         every SECONDS (and once at exit)
-     jsrun --client-id NAME ...         fleet label on pushes and verdict requests
+     jsrun --client-id NAME ...         fleet label on pushes and DB syncs
      jsrun --profile[=FILE] ...         CPU sampling profile (SIGPROF, Linux/x86-64);
                                         collapsed stacks to FILE or stderr at exit
      jsrun --explain[=FUNC] ...         capture per-pass IR diffs; print causal
@@ -260,8 +260,8 @@ let run file no_jit use_interp vuln_names db_path verdict_server push_interval
             | Some addr, _ ->
               if db_path <> None then
                 Logs.warn (fun m ->
-                    m "--verdict-server overrides --db: verdicts come from \
-                       the daemon (its DB syncs into the fallback replica)");
+                    m "--verdict-server overrides --db: the daemon syncs \
+                       the DB, and the engine decides on that replica");
               let port = parse_verdict_server addr in
               let client =
                 Client.connect ?obs ?client_id
@@ -340,12 +340,13 @@ let db_path =
 let verdict_server =
   Arg.(value & opt (some string) None
        & info [ "verdict-server" ] ~docv:"ADDR"
-           ~doc:"Ask a running jitbulld daemon for go/no-go verdicts instead \
-                 of analyzing against a local DB. $(docv) is a port or \
-                 HOST:PORT (loopback only). Compile-time queries are \
-                 coalesced into JSONL batches; generation pushes from the \
-                 daemon invalidate the local policy cache; if the daemon is \
-                 unreachable, verdicts fall back to a synced local replica. \
+           ~doc:"Take the DNA database from a running jitbulld daemon instead \
+                 of a local file. $(docv) is a port or HOST:PORT (loopback \
+                 only). The daemon syncs the DB into a local replica over \
+                 /delta and pushes generation bumps, which trigger a resync; \
+                 the engine decides go/no-go on that replica, so no \
+                 verdict crosses the wire, and it keeps deciding at the \
+                 last synced generation if the daemon goes away. \
                  Overrides --db.")
 
 let push_interval =
@@ -362,8 +363,8 @@ let client_id =
   Arg.(value & opt (some string) None
        & info [ "client-id" ] ~docv:"NAME"
            ~doc:"Fleet label this engine reports as: the x-jitbull-client \
-                 header on verdict requests and the series label on \
-                 telemetry pushes. Defaults to pid-<pid>.")
+                 header on DB syncs and the series label on telemetry \
+                 pushes. Defaults to pid-<pid>.")
 
 let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print engine statistics to stderr.")
 

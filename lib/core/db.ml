@@ -101,38 +101,44 @@ let index_entry t idx (e : entry) =
       index_side true d.Delta.added)
     e.dna.Dna.deltas
 
-let add t entry =
-  Rwlock.with_write t.lock (fun () ->
-      if t.count = Array.length t.arr then begin
-        let bigger = Array.make (2 * t.count) entry in
-        Array.blit t.arr 0 bigger 0 t.count;
-        t.arr <- bigger
-      end;
-      t.arr.(t.count) <- entry;
-      index_entry t t.count entry;
-      t.count <- t.count + 1;
-      t.fwd_cache <- None;
-      t.generation <- t.generation + 1)
+let append_unlocked t entry =
+  if t.count = Array.length t.arr then begin
+    let bigger = Array.make (2 * t.count) entry in
+    Array.blit t.arr 0 bigger 0 t.count;
+    t.arr <- bigger
+  end;
+  t.arr.(t.count) <- entry;
+  index_entry t t.count entry;
+  t.count <- t.count + 1;
+  t.fwd_cache <- None;
+  t.generation <- t.generation + 1
+
+let add t entry = Rwlock.with_write t.lock (fun () -> append_unlocked t entry)
+
+(* replace the contents with [kept] and rebuild the index once; one
+   generation bump, which fences off the history before it *)
+let reset_unlocked t kept =
+  Hashtbl.reset t.postings;
+  Hashtbl.reset t.totals;
+  t.posted <- Sset.empty;
+  let n = List.length kept in
+  (match kept with
+  | e :: _ when n > Array.length t.arr -> t.arr <- Array.make (2 * n) e
+  | _ -> ());
+  List.iteri
+    (fun i e ->
+      t.arr.(i) <- e;
+      index_entry t i e)
+    kept;
+  t.count <- n;
+  t.fwd_cache <- Some kept;
+  t.generation <- t.generation + 1;
+  t.base_gen <- t.generation
 
 let remove_cve t cve =
   Rwlock.with_write t.lock (fun () ->
-      let kept =
-        List.filter (fun e -> not (String.equal e.cve cve)) (entries_unlocked t)
-      in
-      Hashtbl.reset t.postings;
-      Hashtbl.reset t.totals;
-      t.posted <- Sset.empty;
-      t.count <- 0;
-      t.fwd_cache <- None;
-      List.iter
-        (fun e ->
-          t.arr.(t.count) <- e;
-          index_entry t t.count e;
-          t.count <- t.count + 1)
-        kept;
-      t.fwd_cache <- Some kept;
-      t.generation <- t.generation + 1;
-      t.base_gen <- t.generation)
+      reset_unlocked t
+        (List.filter (fun e -> not (String.equal e.cve cve)) (entries_unlocked t)))
 
 let cves t =
   let seen = Hashtbl.create 16 in
@@ -359,6 +365,13 @@ type sync = Append of entry list | Resync of entry list
 
 let rec list_drop n l =
   if n <= 0 then l else match l with [] -> [] | _ :: tl -> list_drop (n - 1) tl
+
+(* A replica applies a payload in one write section: a query sees the
+   replica before or after it, never a resync's empty or partial
+   middle. *)
+let apply t = function
+  | Append es -> Rwlock.with_write t.lock (fun () -> List.iter (append_unlocked t) es)
+  | Resync es -> Rwlock.with_write t.lock (fun () -> reset_unlocked t es)
 
 (* [add] bumps the generation exactly once per appended entry, and
    [remove_cve] raises [base_gen] to fence off the non-append-only past —

@@ -12,9 +12,9 @@
 
     The database is domain-safe: queries ({!matching}, {!entries},
     {!generation}, …) take an internal reader lock while {!add} /
-    {!remove_cve} take the writer side, so helper compile domains can run
-    the go/no-go comparison concurrently with a DB update arriving on the
-    main thread. The engine treats a compile whose enqueue-time
+    {!remove_cve} / {!apply} take the writer side, so helper compile
+    domains can run the go/no-go comparison concurrently with a DB
+    update arriving on the main thread. The engine treats a compile whose enqueue-time
     {!generation} no longer matches as stale and re-analyzes.
 
     Next to the index the database keeps the set of {!posted} passes —
@@ -35,9 +35,10 @@ val is_empty : t -> bool
 
 val size : t -> int  (** number of entries, O(1) *)
 
-(** [generation t] increments on every {!add} / {!remove_cve} — the
-    engine's policy-decision cache keys on it so any DB mutation
-    invalidates previously cached verdicts. *)
+(** [generation t] increments on every {!add} / {!remove_cve}, and on
+    each entry or resync {!apply} installs — the engine's
+    policy-decision cache keys on it so any DB mutation invalidates
+    previously cached verdicts. *)
 val generation : t -> int
 
 (** [posted t] — [(g, p)]: the passes [p] accepts are those with a
@@ -127,7 +128,7 @@ val to_sexpr : t -> Jitbull_util.Sexpr.t
 val of_sexpr : Jitbull_util.Sexpr.t -> t
 
 (** One entry in the on-disk / on-wire format ([(entry CVE (dna …))]) —
-    the unit of {!delta_since} payloads shipped to verdict-service
+    the unit of {!delta_since} payloads shipped to jitbulld clients'
     replicas. [entry_of_sexpr] raises [Sexpr.Decode_error] on anything
     else. *)
 val entry_to_sexpr : entry -> Jitbull_util.Sexpr.t
@@ -145,6 +146,12 @@ type sync = Append of entry list | Resync of entry list
     and now is answered with the missing suffix ([Append]); a [g] from
     before a removal (or from another DB's history) gets [Resync]. *)
 val delta_since : t -> int -> int * sync
+
+(** [apply t payload] — a replica catches up: [Append] adds the entries
+    in order, [Resync] replaces the contents and rebuilds the index
+    once. Either way under one write lock, so a concurrent query sees
+    the replica before or after the payload, never part of it. *)
+val apply : t -> sync -> unit
 
 val save : t -> string -> unit
 val load : string -> t

@@ -127,7 +127,7 @@ let capture_diff ~(trace : (string * Snapshot.t) list) ~(dna : Dna.t) =
     }
 
 (* The go/no-go rule on a query's matches, shared by the in-process
-   analyzer and the verdict service: the dangerous-pass union in pipeline
+   analyzer and [Service.decide]: the dangerous-pass union in pipeline
    order, and the verdict it implies. *)
 let verdict_of_matches matched =
   let dangerous =
@@ -180,8 +180,9 @@ let query ?params ?obs (db : Db.t) ~trace x =
     (dna, compare dna)
   | _ -> (x.x_dna, q)
 
-let analyzer ?params ?obs (db : Db.t) : Engine.analyzer =
+let analyzer ?params (db : Db.t) : Engine.analyzer =
  fun ~ctx ~func_index ~name ~trace ->
+  let obs = ctx.Engine.cc_obs in
   (* the whole go/no-go decision is one [policy_decide] span whose fields
      carry the verdict and the matched CVE → pass evidence *)
   let matched_ref = ref [] in
@@ -288,7 +289,7 @@ let config ?params ?obs ?compile_pool ~vulns (db : Db.t) : Engine.config =
   let analyzer, policy_cache =
     if Db.is_empty db then (None, None)
     else
-      ( Some (analyzer ?params ?obs db),
+      ( Some (analyzer ?params db),
         Some (Engine.Policy_cache.create ~generation:(fun () -> Db.generation db) ()) )
   in
   { Engine.default_config with Engine.vulns; analyzer; obs; policy_cache; compile_pool }

@@ -26,16 +26,17 @@
 
 (** [verdict_of_matches matched] — the go/no-go rule on a query's
     CVE → matching-passes list: the dangerous-pass union (pipeline
-    order) and the verdict it implies. Shared by {!analyzer} and the
-    verdict service, so a remote verdict is by construction the same
-    function of the same DB query as a local one. *)
+    order) and the verdict it implies. Shared by {!analyzer} and
+    jitbulld's in-process [Service.decide], so the server's verdict is
+    by construction the same function of the same DB query as a
+    replica's. *)
 val verdict_of_matches :
   (string * string list) list ->
   string list * [ `Allow | `Disable of string list | `Forbid ]
 
-(** Converters into [lib/obs]'s audit vocabulary, shared with the
-    verdict service so server-side audit records carry the same
-    evidence shape as local ones. *)
+(** Converters into [lib/obs]'s audit vocabulary, shared with
+    [Service.decide] so its audit records carry the same evidence shape
+    as an engine's. *)
 val audit_verdict :
   [ `Allow | `Disable of string list | `Forbid ] -> Jitbull_obs.Audit.verdict
 
@@ -83,27 +84,25 @@ val query :
   extraction ->
   Dna.t * Db.query
 
-(** [analyzer ?params ?obs db] builds the engine hook. The database is
+(** [analyzer ?params db] builds the engine hook. The database is
     consulted live: entries added or removed later affect subsequent
     compilations (the patch-applied lifecycle). Queries go through
     {!Db.matching_detailed}'s inverted sub-chain index.
 
-    With [obs] installed, every analysis is traced and audited: a
-    [policy_decide] span (fields [func], [verdict], [passes], [matched])
-    wrapping [dna_extract] and [db_compare] child spans,
-    [policy.allow]/[policy.disable]/[policy.forbid] counters, and one
-    audit record carrying the full match evidence. *)
+    The analyzer records into the telemetry of the engine it runs in
+    ([ctx.cc_obs]): with one installed, every analysis is traced and
+    audited — a [policy_decide] span (fields [func], [verdict],
+    [passes], [matched]) wrapping [dna_extract] and [db_compare] child
+    spans, [policy.allow]/[policy.disable]/[policy.forbid] counters, and
+    one audit record carrying the full match evidence. *)
 val analyzer :
-  ?params:Comparator.params ->
-  ?obs:Jitbull_obs.Obs.t ->
-  Db.t ->
-  Jitbull_jit.Engine.analyzer
+  ?params:Comparator.params -> Db.t -> Jitbull_jit.Engine.analyzer
 
 (** [config ?params ?obs ?compile_pool ~vulns db] — an engine
     configuration with JITBULL installed, the vulnerability window's
     unpatched engine. When [db] is empty the analyzer and the policy
-    cache are omitted entirely (zero overhead, paper §V). [obs] is
-    installed both into the analyzer and the engine configuration.
+    cache are omitted entirely (zero overhead, paper §V). [obs] is the
+    engine's telemetry, which the analyzer records into.
 
     A non-empty [db] gets an {!Jitbull_jit.Engine.Policy_cache} wired to
     its generation counter, so re-JITs of an already-decided function —

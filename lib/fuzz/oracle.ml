@@ -251,65 +251,3 @@ let check_metamorphic ?(config = default_config) ?subsets ?(jobs = 2) ?(alt_conf
     end;
     List.iter (fun (name, c) -> expect name (jit_result c source)) alt_configs;
     List.rev !violations
-
-(* ---- analyzer equivalence (remote==local) ---- *)
-
-let decision_repr = function
-  | Engine.Allow -> "allow"
-  | Engine.Disable_passes ps -> "disable[" ^ String.concat "," ps ^ "]"
-  | Engine.Forbid_jit -> "forbid"
-
-let check_analyzer_equiv ?(config = default_config) ~name_a ~analyzer_a ~name_b
-    ~analyzer_b source =
-  match Interp.run_source source with
-  | exception Errors.Type_error _ -> []
-  | { Interp.output = reference; _ } ->
-    let violations = ref [] in
-    let add inv detail =
-      violations := { mv_invariant = inv; mv_detail = trunc detail } :: !violations
-    in
-    let inv = Printf.sprintf "analyzer[%s==%s]" name_a name_b in
-    (* record every (function, decision) the engine asks for, in compile
-       order, so the check is decision-level — two analyzers that happen
-       to produce the same output through different verdicts still fail *)
-    let record analyzer log ~ctx ~func_index ~name ~trace =
-      let d = analyzer ~ctx ~func_index ~name ~trace in
-      log := (name, d) :: !log;
-      d
-    in
-    let run_with analyzer log =
-      let c =
-        {
-          config with
-          Engine.analyzer = Some (record analyzer log);
-          policy_cache = None;
-        }
-      in
-      jit_result c source
-    in
-    let la = ref [] and lb = ref [] in
-    let ra = run_with analyzer_a la and rb = run_with analyzer_b lb in
-    (match ra with
-    | Error m -> add inv (name_a ^ ": " ^ m)
-    | Ok out when not (String.equal out reference) ->
-      add inv (Printf.sprintf "%s output %S, want %S" name_a (trunc out) (trunc reference))
-    | Ok _ -> ());
-    (match rb with
-    | Error m -> add inv (name_b ^ ": " ^ m)
-    | Ok out when not (String.equal out reference) ->
-      add inv (Printf.sprintf "%s output %S, want %S" name_b (trunc out) (trunc reference))
-    | Ok _ -> ());
-    let da = List.rev !la and db = List.rev !lb in
-    if List.length da <> List.length db then
-      add inv
-        (Printf.sprintf "%s made %d decisions, %s made %d" name_a
-           (List.length da) name_b (List.length db))
-    else
-      List.iter2
-        (fun (fa, a) (fb, b) ->
-          if not (String.equal fa fb) || a <> b then
-            add inv
-              (Printf.sprintf "%s: %s=%s but %s=%s" fa name_a (decision_repr a)
-                 name_b (decision_repr b)))
-        da db;
-    List.rev !violations

@@ -97,21 +97,3 @@ val check_metamorphic :
   ?alt_configs:(string * Jitbull_jit.Engine.config) list ->
   string ->
   violation list
-
-(** [check_analyzer_equiv ~name_a ~analyzer_a ~name_b ~analyzer_b source]
-    — decision-level equivalence of two go/no-go analyzers: runs [source]
-    under each (policy cache bypassed), requires both outputs to match
-    the reference interpreter AND the full (function, decision) sequences
-    to be identical, so two analyzers that reach the same output through
-    different verdicts still violate. This is the remote==local oracle:
-    pass the in-process {!Jitbull_core.Jitbull.analyzer} and a verdict-
-    service client's analyzer. Vacuous (returns []) when the reference
-    tier raises a JS-level error. *)
-val check_analyzer_equiv :
-  ?config:Jitbull_jit.Engine.config ->
-  name_a:string ->
-  analyzer_a:Jitbull_jit.Engine.analyzer ->
-  name_b:string ->
-  analyzer_b:Jitbull_jit.Engine.analyzer ->
-  string ->
-  violation list

@@ -30,10 +30,12 @@ type decision =
 
 (* What the engine knows about the compile it is asking a verdict for —
    handed to the analyzer so the audit trail can tie the decision to the
-   exact bytecode + type-feedback state it was made against. *)
+   exact bytecode + type-feedback state it was made against, and so the
+   analyzer records into this engine's telemetry. *)
 type compile_ctx = {
   cc_bytecode_hash : int;
   cc_feedback_hash : int;
+  cc_obs : Obs.t option;
 }
 
 type analyzer =
@@ -113,17 +115,6 @@ module Policy_cache = struct
         | _ ->
           if Hashtbl.length t.table >= t.max_entries then Hashtbl.reset t.table;
           Hashtbl.replace t.table key decision)
-
-  (* Eager drop, for push-driven invalidation: a remote verdict client
-     that just observed a generation bump flushes immediately instead of
-     waiting for the next lookup's [revalidate] to notice. *)
-  let flush t =
-    locked t (fun () ->
-        t.gen_seen <- t.generation ();
-        if Hashtbl.length t.table > 0 then begin
-          Hashtbl.reset t.table;
-          t.invalidations <- t.invalidations + 1
-        end)
 
   let hits t = locked t (fun () -> t.hits)
   let misses t = locked t (fun () -> t.misses)
@@ -610,6 +601,7 @@ let prepare t idx : (unit -> compile_result) option =
       {
         cc_bytecode_hash = func_code_hash func;
         cc_feedback_hash = feedback_hash feedback_row;
+        cc_obs = obs;
       }
     in
     let cache = config.policy_cache in

@@ -43,12 +43,16 @@ type decision =
 
 (** What the engine knows about the compile a verdict is being asked
     for: hashes of the function's bytecode and of the type-feedback row
-    the compile consumed (the copy frozen at tier-up).
-    The analyzer records them in the audit trail so a decision can be
-    tied to the exact program state it was made against. *)
+    the compile consumed (the copy frozen at tier-up), and the engine's
+    own telemetry ([config.obs]).
+    The analyzer records the hashes in the audit trail so a decision can
+    be tied to the exact program state it was made against, and writes
+    its spans and audit record to [cc_obs], so one engine's [Fresh]
+    records land in the trail that holds its [Cache_hit] ones. *)
 type compile_ctx = {
   cc_bytecode_hash : int;
   cc_feedback_hash : int;
+  cc_obs : Jitbull_obs.Obs.t option;
 }
 
 type analyzer =
@@ -91,14 +95,6 @@ module Policy_cache : sig
   val lookup : t -> int -> decision option
 
   val store : ?if_generation:int -> t -> int -> decision -> unit
-
-  (** [flush t] drops every cached verdict now and resyncs to the
-      current generation — push-driven invalidation for remote clients
-      that just observed a DB-generation bump (counted in
-      {!invalidations} when anything was dropped). Lookups would notice
-      the moved generation on their own; flushing closes the window in
-      which a pre-bump verdict could still be served. *)
-  val flush : t -> unit
 
   val hits : t -> int
   val misses : t -> int

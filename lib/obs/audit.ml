@@ -52,10 +52,9 @@ type record = {
   source : source;
   domain : int;
   duration : float;
-  (* fleet provenance: set by jitbulld from the request's
-     x-jitbull-client and traceparent headers; None for local decisions *)
+  (* fleet provenance: set by jitbulld from the pushing client's id;
+     None for local decisions *)
   client_id : string option;
-  remote_parent : int option;
 }
 
 type t = {
@@ -189,12 +188,10 @@ let record_fields r =
       ("domain", Jsonx.Int r.domain);
       ("duration", Jsonx.Float r.duration);
     ]
-    @ (match r.client_id with
-      | Some c -> [ ("client", Jsonx.String c) ]
-      | None -> [])
-    @ (match r.remote_parent with
-      | Some p -> [ ("remote_parent", Jsonx.Int p) ]
-      | None -> []))
+    @
+    match r.client_id with
+    | Some c -> [ ("client", Jsonx.String c) ]
+    | None -> [])
 
 let record_to_json r = Jsonx.Assoc (record_fields r)
 
@@ -223,10 +220,6 @@ let record_of_json j =
       (match Jsonx.member "client" j with
       | Jsonx.Null -> None
       | v -> Some (Jsonx.to_str v));
-    remote_parent =
-      (match Jsonx.member "remote_parent" j with
-      | Jsonx.Null -> None
-      | v -> Some (Jsonx.to_int v));
   }
 
 (* ---- recording ---- *)
@@ -241,16 +234,35 @@ let sink_rotations t =
   Mutex.protect t.mu (fun () ->
       match t.sink with Some s -> Sink.rotations s | None -> 0)
 
-let append t ?ts ?client_id ?remote_parent ~func_name ~func_index
-    ~bytecode_hash ~feedback_hash ~verdict ~matches ~thr ~ratio
-    ~prefilter_candidates ~prefilter_hits ~db_generation ~db_size ~source
-    ~duration () =
-  let ts = match ts with Some x -> x | None -> now t in
-  let domain = (Domain.self () :> int) in
+(* the one write path: number the record, keep the aggregates, mirror
+   it to the sink *)
+let store t r =
   Mutex.protect t.mu @@ fun () ->
-  let r =
+  let r = { r with seq = Ring.total t.ring } in
+  Ring.push t.ring r;
+  (match r.verdict with
+  | Allow -> t.n_allow <- t.n_allow + 1
+  | Disable _ -> t.n_disable <- t.n_disable + 1
+  | Forbid -> t.n_forbid <- t.n_forbid + 1);
+  (match r.source with Cache_hit -> t.n_cache_hits <- t.n_cache_hits + 1 | Fresh -> ());
+  List.iter
+    (fun cm ->
+      Hashtbl.replace t.cve_counts cm.cm_cve
+        (1 + Option.value ~default:0 (Hashtbl.find_opt t.cve_counts cm.cm_cve)))
+    r.matches;
+  let fv = (r.func_name, verdict_label r.verdict) in
+  Hashtbl.replace t.func_verdicts fv
+    (1 + Option.value ~default:0 (Hashtbl.find_opt t.func_verdicts fv));
+  Option.iter (fun s -> Sink.write s (Jsonx.to_string (record_to_json r))) t.sink;
+  r
+
+let append t ?ts ~func_name ~func_index ~bytecode_hash
+    ~feedback_hash ~verdict ~matches ~thr ~ratio ~prefilter_candidates
+    ~prefilter_hits ~db_generation ~db_size ~source ~duration () =
+  let ts = match ts with Some x -> x | None -> now t in
+  store t
     {
-      seq = Ring.total t.ring;
+      seq = 0;
       ts;
       func_name;
       func_index;
@@ -265,28 +277,12 @@ let append t ?ts ?client_id ?remote_parent ~func_name ~func_index
       db_generation;
       db_size;
       source;
-      domain;
+      domain = (Domain.self () :> int);
       duration;
-      client_id;
-      remote_parent;
+      client_id = None;
     }
-  in
-  Ring.push t.ring r;
-  (match verdict with
-  | Allow -> t.n_allow <- t.n_allow + 1
-  | Disable _ -> t.n_disable <- t.n_disable + 1
-  | Forbid -> t.n_forbid <- t.n_forbid + 1);
-  (match source with Cache_hit -> t.n_cache_hits <- t.n_cache_hits + 1 | Fresh -> ());
-  List.iter
-    (fun cm ->
-      Hashtbl.replace t.cve_counts cm.cm_cve
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.cve_counts cm.cm_cve)))
-    matches;
-  let fv = (func_name, verdict_label verdict) in
-  Hashtbl.replace t.func_verdicts fv
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.func_verdicts fv));
-  Option.iter (fun s -> Sink.write s (Jsonx.to_string (record_to_json r))) t.sink;
-  r
+
+let relay t ~client_id r = store t { r with ts = now t; client_id = Some client_id }
 
 (* ---- queries ---- *)
 

@@ -69,9 +69,8 @@ type record = {
   domain : int;  (** [Domain.self] of the deciding domain *)
   duration : float;  (** seconds spent deciding (0 on cache hits) *)
   client_id : string option;
-      (** requesting fleet client ([x-jitbull-client]); [None] locally *)
-  remote_parent : int option;
-      (** the client-side span that asked (traceparent); [None] locally *)
+      (** the fleet client whose [/push] carried the record (in
+          jitbulld's trail); [None] locally *)
 }
 
 type t
@@ -97,14 +96,11 @@ val set_file_sink : t -> ?max_bytes:int -> string -> unit
 val sink_rotations : t -> int
 
 (** Append one decision record; [ts] defaults to [now t], the domain id
-    is captured from the calling domain. [client_id]/[remote_parent]
-    carry fleet provenance when the decision was made on behalf of a
-    remote engine. Returns the record as stored. *)
+    is captured from the calling domain. Returns the record as
+    stored. *)
 val append :
   t ->
   ?ts:float ->
-  ?client_id:string ->
-  ?remote_parent:int ->
   func_name:string ->
   func_index:int ->
   bytecode_hash:int ->
@@ -121,6 +117,12 @@ val append :
   duration:float ->
   unit ->
   record
+
+(** [relay t ~client_id r] — append a record another trail produced
+    (a fleet client's [/push] delta), renumbered and restamped in this
+    trail's sequence and clock and labeled with [client_id]; the
+    evidence is kept as decided. *)
+val relay : t -> client_id:string -> record -> record
 
 (** {2 Queries} *)
 

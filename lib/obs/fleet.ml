@@ -2,8 +2,7 @@
 
    Engine clients push *cumulative* snapshots (audit verdict totals, a
    locally-computed install-latency p99, their full metrics view) plus a
-   bounded audit-record delta, framed as JSONL like /verdict batches:
-   the first line is the snapshot object, each further line one audit
+   bounded audit-record delta, framed as JSONL: the first line is the snapshot object, each further line one audit
    record. The aggregator stores the latest snapshot per client, so
    fleet rollups are exactly the sum of the clients' local counters —
    re-pushing is idempotent, and a client restart (totals reset to zero)

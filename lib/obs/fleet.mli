@@ -3,8 +3,8 @@
 
     Engine clients push {e cumulative} snapshots (audit verdict totals,
     a locally-computed install-latency p99, their metrics view) plus a
-    bounded audit-record delta, framed as JSONL like [/verdict] batches:
-    snapshot object first, one audit record per further line. The
+    bounded audit-record delta, framed as JSONL: snapshot object first,
+    one audit record per further line. The
     aggregator keeps the latest snapshot per client, so fleet rollups
     are exactly the sum of the clients' local counters, re-pushing is
     idempotent, and a client restart self-corrects on its next push. *)

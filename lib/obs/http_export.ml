@@ -4,9 +4,8 @@
      ({!Conn}) speaking enough HTTP/1.1 for our own endpoints:
      Content-Length framing, keep-alive connection reuse, a bounded
      header block, N accept/serve worker domains sharing one listening
-     socket. Batch clients (the verdict service's engine fleet) issue
-     many requests per connection without paying connect cost per
-     round-trip.
+     socket. Clients (jitbulld's engine fleet) issue many requests per
+     connection without paying connect cost per round-trip.
 
    - the live observability exporter built on it: one worker domain on
      127.0.0.1 serving /metrics, /healthz, /audit and /explain from
@@ -552,7 +551,7 @@ let bad_request msg =
     (Jsonx.to_string (Jsonx.Assoc [ ("error", Jsonx.String msg) ]))
 
 (* The uniform 404: JSON body + application/json, shared by the
-   exporter fallback and the verdict service's own fallback so every
+   exporter fallback and jitbulld's own fallback so every
    miss looks the same to fleet tooling. *)
 let not_found () =
   respond ~status:404 ~content_type:"application/json"
@@ -621,7 +620,7 @@ let explain_response ~can_disable obs query =
             (Explain.to_html ?can_disable e))))
 
 (* The observability routes, shared between the standalone exporter and
-   the verdict service (which mounts them behind its own). [None] =
+   jitbulld's service (which mounts them behind its own). [None] =
    not an obs route. *)
 let obs_routes ?(thresholds = default_thresholds) ?can_disable ~obs req =
   match req.rq_path with

@@ -10,7 +10,7 @@
     header block, and N accept worker domains sharing one listening
     socket, each serving every accepted connection on its own thread
     (concurrent keep-alive connections are not bounded by the worker
-    count). The verdict service ([Jitbull_service]) mounts
+    count). The jitbulld service ([Jitbull_service]) mounts
     its routes on the same core.
 
     The exporter serves, from one worker on 127.0.0.1:

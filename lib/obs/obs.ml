@@ -33,10 +33,6 @@ let now = function None -> 0.0 | Some t -> Tracer.now t.tr
 
 let alloc_id = function None -> None | Some t -> Some (Tracer.alloc_id t.tr)
 
-let current_span = function
-  | None -> None
-  | Some t -> Tracer.current_span t.tr
-
 let span obs ?fields ?fields_of ?parent name f =
   match obs with
   | None -> f ()

@@ -50,11 +50,6 @@ val now : t option -> float
     under it from another with [span ?parent]). *)
 val alloc_id : t option -> int option
 
-(** Innermost open span id on the calling domain ([None] when disabled or
-    no span is open) — captured at request-submit time so the service
-    client can propagate it as the remote parent. *)
-val current_span : t option -> int option
-
 (** [span obs name f] — timed span around [f]: records a trace event and
     observes the duration in histogram ["<name>.seconds"]. The span
     parents to the calling domain's innermost open span unless [parent]

@@ -1,28 +1,17 @@
-(** The jitbulld server core: one DNA database served to a fleet of
+(** The jitbulld server core: one DNA database distributed to a fleet of
     engine clients over the keep-alive HTTP layer
-    ({!Jitbull_obs.Http_export.Server}).
+    ({!Jitbull_obs.Http_export.Server}). The paper's maintainer ships a
+    vulnerability's DNA to users as an update (§IV-C); here every
+    {!Client} keeps that update as a [/delta]-synced replica and decides
+    go/no-go in its own engine, so the daemon distributes the DB and
+    collects the fleet's telemetry but answers no verdicts on the wire.
 
     Endpoints:
 
-    - [POST /verdict] — JSONL batch of {!Proto.verdict_req}, answered
-      with one {!Proto.verdict_resp} per line. Repeat requests hit one
-      server-side memo, the line cache: it maps each unparsed request
-      line ({!Proto.line_key}) to a pre-rendered response line — a hit
-      skips JSON parse, DNA parse, query and response rendering. A hit
-      must also equal the stored request bytes, so a hash collision is
-      a miss. DB-generation moves invalidate it exactly like the
-      engine's policy cache. There is no memo per request identity:
-      a hash over (dna, hashes) can be forged by a client, and traffic
-      never repeated a compile under a new request line.
-      Fresh requests run the DB's indexed query
-      ({!Jitbull_core.Db.matching_detailed}) and the shared go/no-go rule
-      ({!Jitbull_core.Jitbull.verdict_of_matches}), so a remote verdict
-      structurally equals the in-process analyzer's at the same
-      generation.
     - [GET /subscribe?gen=G&timeout_ms=T] — long poll: answers
       [{"generation": N}] as soon as the DB generation exceeds [G] (or
-      at the timeout, with the unchanged generation). Push invalidation
-      for remote policy caches.
+      at the timeout, with the unchanged generation). A client's cue to
+      resync its replica.
     - [GET /delta?gen=G] — catch-up payload for a replica at [G]:
       [mode] "append" with the missing entries (as
       {!Jitbull_core.Db.entry_to_sexpr} text, compact), or "resync" with the
@@ -30,38 +19,31 @@
     - [GET /gen] — current generation. [POST /install] (entry sexpr
       body) / [POST /remove?cve=C] — DB mutation over the wire.
     - [POST /push] — fleet telemetry: a cumulative snapshot + audit
-      delta from one engine client ({!Jitbull_obs.Fleet} framing).
+      delta from one engine client ({!Jitbull_obs.Fleet} framing). With
+      [obs], each delta record is also relayed into the daemon's own
+      audit trail, labeled with the pushing client's id.
       [GET /fleet] — the per-client-labeled aggregates as Prometheus
       text (default), an HTML dashboard ([?format=html]), or JSON
       ([?format=json]).
     - With [obs]: the observability routes ([/metrics], [/healthz], …)
       mounted behind the service's own.
 
-    {b Trace propagation.} Requests may carry a W3C-traceparent-style
-    context header plus an [x-jitbull-client] label
-    ({!Jitbull_obs.Propagate}); [/verdict] then records its
-    "service.verdict" span parented on the remote client span, and
-    server-side audit records carry the client id and remote parent —
-    merging the two processes' trace files reconstructs a tier-up
-    end-to-end. A present-but-malformed header is a 400 on any route.
+    A request carrying a malformed W3C-traceparent-style header
+    ({!Jitbull_obs.Propagate}) is a 400 on any route.
 
     Metrics (via [obs]): [service.requests_total] and per-endpoint
-    [service.requests.<endpoint>] counters,
-    [service.batch_size] histogram, [service.cache_hits] /
-    [service.cache_misses] (per request line),
-    [service.gen_pushes_total]. *)
+    [service.requests.<endpoint>] counters, [service.gen_pushes_total],
+    [service.pushes_total], [service.push_delta_records]. *)
 
 type t
 
 (** [create ~db ~port ()] starts [workers] (default 4) server domains
     on 127.0.0.1:[port] ([0] picks a free one) and serves [db] until
     {!stop}.
-    [params] are the comparator thresholds verdicts are decided with.
     Each accepted connection is served on its own thread, so [workers]
     sizes CPU parallelism, not the connection limit — long-poll
-    subscribers park a thread each without starving verdict traffic. *)
+    subscribers park a thread each. *)
 val create :
-  ?params:Jitbull_core.Comparator.params ->
   ?workers:int ->
   ?obs:Jitbull_obs.Obs.t ->
   db:Jitbull_core.Db.t ->
@@ -82,17 +64,14 @@ val install : t -> Jitbull_core.Db.entry -> unit
 
 val remove_cve : t -> string -> unit
 
-(** One verdict, computed exactly as [POST /verdict] would on a
-    line-cache miss (the indexed query) — exposed
-    for tests and the remote==local oracle. [client_id]/[remote_parent]
-    stamp fleet provenance into the audit record, as the wire path
-    does. *)
-val decide :
-  t -> ?client_id:string -> ?remote_parent:int -> Proto.verdict_req ->
-  Proto.verdict_resp
+(** One verdict on the server's DB, in process: the indexed query at the
+    default comparator thresholds and the shared go/no-go rule, exactly
+    as a client's analyzer decides on a replica at the same generation. Audited with [obs]. For tests and
+    the replica == server spot checks. *)
+val decide : t -> Proto.verdict_req -> Proto.verdict_resp
 
 (** Stop serving: in-flight long polls answer with the current
     generation, idle keep-alive connections are shut down, and the call
     returns once the server domains are joined. A connected {!Client}
-    then decides against its replica. *)
+    keeps deciding on its replica at its last synced generation. *)
 val stop : t -> unit

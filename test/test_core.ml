@@ -289,7 +289,7 @@ let test_forbid_on_mandatory_pass () =
   in
   match
     analyze
-      ~ctx:{ Engine.cc_bytecode_hash = 0; cc_feedback_hash = 0 }
+      ~ctx:{ Engine.cc_bytecode_hash = 0; cc_feedback_hash = 0; cc_obs = None }
       ~func_index:0 ~name:"f" ~trace
   with
   | Engine.Forbid_jit -> ()

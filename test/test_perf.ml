@@ -290,7 +290,7 @@ let analyzed_traces ?compile_pool db =
 
 let test_posting_aware_equals_full () =
   let db = vdc_db () in
-  let ctx = { Engine.cc_bytecode_hash = 0; cc_feedback_hash = 0 } in
+  let ctx = { Engine.cc_bytecode_hash = 0; cc_feedback_hash = 0; cc_obs = None } in
   let thr0 = { Comparator.thr = 0; ratio = 0.5 } in
   let decide ?params trace = Jitbull.analyzer ?params db ~ctx ~func_index:0 ~name:"f" ~trace in
   let full_verdict ?params trace =

@@ -1,8 +1,9 @@
-(* Tests for the jitbulld verdict service: wire protocol, keep-alive
-   HTTP layer, the content-checked line cache with generation
-   invalidation, verdicts decided while installs land, push-driven cache
-   flushes on the client, the remote==local analyzer oracle, the DNA text
-   on the wire, and stopping the server with clients still connected. *)
+(* Tests for jitbulld as a DB distributor and the client that decides on
+   its replica: the /delta catch-up payloads, the keep-alive HTTP layer,
+   the distribution endpoints, in-process decisions while installs land,
+   atomic replica resyncs, replica == server under racing installs,
+   push-driven re-decisions, one engine's audit trail, the DNA text, and
+   stopping the server with clients still connected. *)
 
 open Helpers
 module Http = Jitbull_obs.Http_export
@@ -17,24 +18,22 @@ module V = Jitbull_vdc.Demonstrators
 module Proto = Jitbull_service.Proto
 module Service = Jitbull_service.Service
 module Client = Jitbull_service.Client
-module Oracle = Jitbull_fuzz.Oracle
 module Generator = Jitbull_fuzz.Generator
 module Obs = Jitbull_obs.Obs
 module Metrics = Jitbull_obs.Metrics
 module Intern = Jitbull_util.Intern
+module Audit = Jitbull_obs.Audit
+module Tracer = Jitbull_obs.Tracer
 
 let params = Comparator.default_params
 
-(* One harvested DB shared by the suite (harvesting runs demonstrators,
-   so do it once). Tests that mutate build their own copy. *)
+(* A harvested DB of two CVEs; each test builds its own. *)
 let harvest_cves = [ List.nth VC.all 0; List.nth VC.all 1 ]
 
 let build_db () =
   let db = Db.create () in
   ignore (V.harvest db harvest_cves);
   db
-
-let shared_db = lazy (build_db ())
 
 let dna_text dna = Sexpr.to_string (Dna.to_sexpr dna)
 
@@ -51,40 +50,6 @@ let req_of_entry ?(id = 0) (e : Db.entry) =
 let local_verdict db dna =
   let _, verdict = Jitbull.verdict_of_matches (Db.matching ~params db dna) in
   verdict
-
-(* ---- wire protocol ---- *)
-
-let test_proto_roundtrip () =
-  let reqs =
-    [
-      { Proto.vr_id = 0; vr_func = "f"; vr_bytecode_hash = 1;
-        vr_feedback_hash = 2; vr_dna = "(dna (func f) (deltas))" };
-      { Proto.vr_id = max_int; vr_func = "weird \"name\"\n";
-        vr_bytecode_hash = -5; vr_feedback_hash = 0;
-        vr_dna = "line1\nline2\ttab" };
-    ]
-  in
-  let round = Proto.decode_reqs (Proto.encode_reqs reqs) in
-  check_bool "req batch round-trips" true (round = reqs);
-  let resps =
-    [
-      { Proto.vs_id = 1; vs_verdict = `Allow; vs_passes = [];
-        vs_matched = []; vs_generation = 3; vs_cached = false };
-      { Proto.vs_id = 2; vs_verdict = `Disable [ "gvn"; "licm" ];
-        vs_passes = [ "gvn"; "licm" ];
-        vs_matched = [ ("CVE-1", [ "gvn" ]) ]; vs_generation = 3;
-        vs_cached = true };
-      { Proto.vs_id = 3; vs_verdict = `Forbid; vs_passes = [];
-        vs_matched = []; vs_generation = 0; vs_cached = false };
-    ]
-  in
-  let round = Proto.decode_resps (Proto.encode_resps resps) in
-  check_bool "resp batch round-trips" true (round = resps)
-
-let test_proto_keys () =
-  check_bool "line_key distinguishes lines" true
-    (Proto.line_key "{\"id\":1}" <> Proto.line_key "{\"id\":2}");
-  check_bool "line_key is non-negative" true (Proto.line_key "x" >= 0)
 
 (* ---- delta_since ---- *)
 
@@ -147,86 +112,58 @@ let with_service db f =
   let svc = Service.create ~workers:1 ~db ~port:0 () in
   Fun.protect ~finally:(fun () -> Service.stop svc) (fun () -> f svc)
 
-let test_verdict_endpoint_and_cache () =
+let post conn ?(body = "") path = Http.Conn.request conn ~meth:"POST" ~body path
+
+let get_json conn path =
+  match Http.Conn.request conn path with
+  | 200, _, body -> Jsonx.parse body
+  | status, _, body -> Alcotest.failf "GET %s: HTTP %d: %s" path status body
+
+let delta_entries j =
+  List.map
+    (fun s -> Db.entry_of_sexpr (Sexpr.of_string (Jsonx.to_str s)))
+    (Jsonx.to_list_exn (Jsonx.member "entries" j))
+
+let test_distribution_endpoints () =
   let db = build_db () in
   with_service db (fun svc ->
-      let entries = Db.entries db in
-      let e = List.hd entries in
-      let req = req_of_entry ~id:1 e in
+      let e = List.hd (Db.entries db) in
       let conn = Http.Conn.connect ~port:(Service.port svc) () in
       Fun.protect
         ~finally:(fun () -> Http.Conn.close conn)
         (fun () ->
-          (* fresh: decided by the indexed query, not cached *)
-          let resp =
-            match Client.verdict_roundtrip conn [ req ] with
-            | Ok [ r ] -> r
-            | Ok l -> Alcotest.failf "expected 1 response, got %d" (List.length l)
-            | Error m -> Alcotest.fail m
+          (* /install moves the generation, and /delta ships the entry *)
+          let gen = Db.generation db in
+          let installed = { Db.cve = "CVE-TEST-INSTALL"; dna = e.Db.dna } in
+          let status, _, body =
+            post conn ~body:(Sexpr.to_string (Db.entry_to_sexpr installed)) "/install"
           in
-          check_bool "first answer is uncached" false resp.Proto.vs_cached;
-          check_bool "remote == local" true
-            (resp.Proto.vs_verdict = local_verdict db e.Db.dna);
-          check_int "verdict generation" (Db.generation db) resp.Proto.vs_generation;
-          check_bool "an exploit DNA replayed verbatim is not Allow" true
-            (resp.Proto.vs_verdict <> `Allow);
-          (* repeat: served from the server cache, same verdict *)
-          let again =
-            match Client.verdict_roundtrip conn [ req ] with
-            | Ok [ r ] -> r
-            | _ -> Alcotest.fail "second round-trip failed"
-          in
-          check_bool "repeat is served cached" true again.Proto.vs_cached;
-          check_bool "cached verdict identical" true
-            (again.Proto.vs_verdict = resp.Proto.vs_verdict);
-          (* a batch mixes cached and fresh lines; ids are echoed in order *)
-          let e2 = List.nth entries (List.length entries - 1) in
-          let batch = [ req; req_of_entry ~id:2 e2 ] in
-          (match Client.verdict_roundtrip conn batch with
-          | Ok [ r1; r2 ] ->
-            check_int "batch echoes id 1" 1 r1.Proto.vs_id;
-            check_int "batch echoes id 2" 2 r2.Proto.vs_id;
-            check_bool "batch remote == local (2)" true
-              (r2.Proto.vs_verdict = local_verdict db e2.Db.dna)
-          | Ok l -> Alcotest.failf "expected 2 responses, got %d" (List.length l)
-          | Error m -> Alcotest.fail m);
-          (* the same batch again: the line cache answers every line,
-             each still echoing its own id *)
-          (match Client.verdict_roundtrip conn batch with
-          | Ok [ r1; r2 ] ->
-            check_bool "repeated batch line 1 cached" true r1.Proto.vs_cached;
-            check_bool "repeated batch line 2 cached" true r2.Proto.vs_cached;
-            check_int "repeated batch echoes id 1" 1 r1.Proto.vs_id;
-            check_int "repeated batch echoes id 2" 2 r2.Proto.vs_id
-          | Ok l -> Alcotest.failf "expected 2 responses, got %d" (List.length l)
-          | Error m -> Alcotest.fail m);
-          (* DB mutation invalidates the line cache *)
-          let gen_before = Db.generation db in
-          Service.install svc { Db.cve = "CVE-TEST-INSTALL"; dna = e.Db.dna };
-          check_bool "install bumped the generation" true
-            (Db.generation db > gen_before);
-          let after =
-            match Client.verdict_roundtrip conn [ req ] with
-            | Ok [ r ] -> r
-            | _ -> Alcotest.fail "post-install round-trip failed"
-          in
-          check_bool "post-install answer is re-decided, not cached" false
-            after.Proto.vs_cached;
-          check_int "post-install generation" (Db.generation db)
-            after.Proto.vs_generation;
-          (* subscribe long-poll answers immediately for a stale gen *)
-          let status, _, body = Http.Conn.request conn "/subscribe?gen=0&timeout_ms=200" in
-          check_int "subscribe status" 200 status;
-          check_int "subscribe reports the current generation"
-            (Db.generation db)
+          check_int "install status" 200 status;
+          check_int "install answers the new generation" (gen + 1)
             (Jsonx.to_int (Jsonx.member "generation" (Jsonx.parse body)));
-          (* malformed input is a 400, not a closed connection *)
-          let status, _, _ =
-            Http.Conn.request conn ~meth:"POST" ~body:"not json" "/verdict"
-          in
-          check_int "malformed batch is a 400" 400 status;
-          (* a delta multiplicity below 1 is malformed DNA on both the
-             verdict and the install path *)
+          let j = get_json conn (Printf.sprintf "/delta?gen=%d" gen) in
+          check_string "a suffix is an append" "append" (Jsonx.to_str (Jsonx.member "mode" j));
+          check_bool "the delta carries the installed entry" true
+            (List.map (fun x -> Sexpr.to_string (Db.entry_to_sexpr x)) (delta_entries j)
+            = [ Sexpr.to_string (Db.entry_to_sexpr installed) ]);
+          check_int "a replica at 0 gets every entry" (Db.size db)
+            (List.length (delta_entries (get_json conn "/delta?gen=0")));
+          (* a removal fences the history: older replicas resync *)
+          let status, _, _ = post conn "/remove?cve=CVE-TEST-INSTALL" in
+          check_int "remove status" 200 status;
+          let j = get_json conn (Printf.sprintf "/delta?gen=%d" gen) in
+          check_string "pre-removal replica resyncs" "resync"
+            (Jsonx.to_str (Jsonx.member "mode" j));
+          check_int "resync ships the post-removal list" (Db.size db)
+            (List.length (delta_entries j));
+          (* subscribe long-poll answers immediately for a stale gen *)
+          check_int "subscribe reports the current generation" (Db.generation db)
+            (Jsonx.to_int
+               (Jsonx.member "generation" (get_json conn "/subscribe?gen=0&timeout_ms=200")));
+          (* no verdicts on the wire *)
+          let status, _, _ = post conn ~body:"{}" "/verdict" in
+          check_int "/verdict is not served" 404 status;
+          (* a delta multiplicity below 1 is malformed DNA *)
           let bad =
             {
               e.Db.dna with
@@ -240,27 +177,18 @@ let test_verdict_endpoint_and_cache () =
                 ];
             }
           in
-          let status, _, _ =
-            Http.Conn.request conn ~meth:"POST"
-              ~body:(Proto.encode_reqs [ { req with Proto.vr_dna = dna_text bad } ])
-              "/verdict"
-          in
-          check_int "negative multiplicity in a verdict is a 400" 400 status;
           let gen_before = Db.generation db in
           let status, _, _ =
-            Http.Conn.request conn ~meth:"POST"
-              ~body:
-                (Sexpr.to_string
-                   (Db.entry_to_sexpr { Db.cve = "CVE-TEST-BAD"; dna = bad }))
+            post conn
+              ~body:(Sexpr.to_string (Db.entry_to_sexpr { Db.cve = "CVE-TEST-BAD"; dna = bad }))
               "/install"
           in
           check_int "negative multiplicity in an install is a 400" 400 status;
-          check_int "rejected install leaves the DB alone" gen_before
-            (Db.generation db);
+          check_int "rejected install leaves the DB alone" gen_before (Db.generation db);
           let status, _, _ = Http.Conn.request conn "/first" in
           check_int "connection survives the 400" 404 status))
 
-(* ---- the line cache answers only the bytes it stored ---- *)
+(* ---- one decision per DNA ---- *)
 
 let gvn_dna = "(dna (func f) (deltas (gvn (delta (removed (x->y 3)) (added)))))"
 
@@ -269,44 +197,11 @@ let gvn_db () =
   Db.add db { Db.cve = "CVE-COLLIDE"; dna = Dna.of_sexpr (Sexpr.of_string gvn_dna) };
   db
 
-let roundtrip conn req =
-  match Client.verdict_roundtrip conn [ req ] with
-  | Ok [ r ] -> r
-  | Ok l -> Alcotest.failf "expected 1 response, got %d" (List.length l)
-  | Error m -> Alcotest.fail m
-
-(* Two request lines with one 62-bit line key (a claw search over the
-   [pad] field found them): the second must be decided on its own
-   bytes, not served the first's cached verdict. *)
-let test_line_cache_checks_bytes () =
-  let line_a =
-    {|{"id":1,"func":"f","bytecode_hash":0,"feedback_hash":0,"dna":"(dna (func f) (deltas))","pad":"2ee4e51d68b56f56"}|}
-  and line_b =
-    {|{"id":1,"func":"f","bytecode_hash":0,"feedback_hash":0,"dna":"(dna (func f) (deltas (gvn (delta (removed (x->y 3)) (added)))))","pad":"07380af8f9a37ea9"}|}
-  in
-  check_bool "the two lines share a line key" true
-    (Proto.line_key line_a = Proto.line_key line_b);
-  with_service (gvn_db ()) (fun svc ->
-      let conn = Http.Conn.connect ~port:(Service.port svc) () in
-      Fun.protect
-        ~finally:(fun () -> Http.Conn.close conn)
-        (fun () ->
-          let post line =
-            match Http.Conn.request conn ~meth:"POST" ~body:line "/verdict" with
-            | 200, _, body -> (
-              match Proto.decode_resps body with
-              | [ r ] -> r.Proto.vs_verdict
-              | l -> Alcotest.failf "expected 1 response, got %d" (List.length l))
-            | status, _, body -> Alcotest.failf "status %d: %s" status body
-          in
-          check_bool "A is allowed" true (post line_a = `Allow);
-          check_bool "B is decided on its own bytes" true
-            (post line_b = `Disable [ "gvn" ])))
-
 (* Two requests whose identities an xor-folded hash of (dna, bytecode
    hash, feedback hash) would confuse: A's bytecode hash is
-   fnv(dna A) xor fnv(dna B) xor B's. The server must decide B on its
-   own DNA after answering A. *)
+   fnv(dna A) xor fnv(dna B) xor B's. [Service.decide] keeps no memo per
+   request identity, so after answering A it decides B on its own
+   DNA. *)
 let test_forged_identity_decided_apart () =
   let b =
     { Proto.vr_id = 1; vr_func = "f"; vr_bytecode_hash = 0x1234;
@@ -317,13 +212,10 @@ let test_forged_identity_decided_apart () =
              vr_dna = "(dna (func f) (deltas))" }
   in
   with_service (gvn_db ()) (fun svc ->
-      let conn = Http.Conn.connect ~port:(Service.port svc) () in
-      Fun.protect
-        ~finally:(fun () -> Http.Conn.close conn)
-        (fun () ->
-          check_bool "A is allowed" true ((roundtrip conn a).Proto.vs_verdict = `Allow);
-          check_bool "B is decided on its own DNA" true
-            ((roundtrip conn b).Proto.vs_verdict = `Disable [ "gvn" ])))
+      check_bool "A is allowed" true ((Service.decide svc a).Proto.vs_verdict = `Allow);
+      check_bool "B is decided on its own DNA" true
+        ((Service.decide svc b).Proto.vs_verdict = `Disable [ "gvn" ]))
+
 (* ---- verdicts decided while installs land ---- *)
 
 (* Every bundled demonstrator's entries, for the install race below. *)
@@ -397,15 +289,16 @@ let test_decide_during_installs () =
                  (Db.matching ~params (Lazy.force prefix.(g)) e.Db.dna))
           in
           let show = function
+            | `Allow -> "allow"
             | `Disable ps -> "disable " ^ String.concat "," ps
-            | v -> Proto.verdict_name v
+            | `Forbid -> "forbid"
           in
           if r.Proto.vs_verdict <> expected then
             Alcotest.failf "%s at generation %d: %s, the prefix DB says %s"
               e.Db.dna.Dna.func_name g (show r.Proto.vs_verdict) (show expected))
         responses)
 
-(* ---- the DNA text on the wire ---- *)
+(* ---- the DNA text ---- *)
 
 (* a DNA as plain data: per pass, each side's (sub-chain, count) pairs
    in key order *)
@@ -418,10 +311,10 @@ let dna_data (d : Dna.t) =
       (fun (pass, (x : Delta.t)) -> (pass, side x.Delta.removed, side x.Delta.added))
       d.Dna.deltas )
 
-(* The client's one-line DNA text decodes on the server to the DNA the
-   client extracted, and jitbulld's verdict on it is the one the client's
-   replica (synced over /delta) gives: the 8 VDC harvests and the Ion
-   compiles of four benign generated programs. *)
+(* The one-line DNA text (the form /delta ships entries in) decodes to
+   the DNA it was printed from, and jitbulld's decision on it is the one
+   the client's replica (synced over /delta) gives: the 8 VDC harvests
+   and the Ion compiles of four benign generated programs. *)
 let test_wire_dna_identity () =
   let db = Db.create () in
   ignore (V.harvest db VC.all);
@@ -523,42 +416,41 @@ let test_stop_with_clients_connected () =
       | Some (Some st) -> Alcotest.failf "the long poll ended with HTTP %d" st
       | None -> Alcotest.fail "the long poll never ended")
 
-(* A client whose server stops under it decides against its replica:
-   every verdict equals the local analyzer's on the same DB, and each
-   one counts as a fallback. *)
+(* A client whose server stops under it keeps deciding on its replica at
+   its last synced generation: every verdict still equals the analyzer's
+   on the server's DB, and the replica neither moves nor empties. *)
 let test_client_falls_back_after_stop () =
   let db = build_db () in
   let cve = List.hd harvest_cves in
-  let source = (V.find cve).V.source in
-  let calls = compiles ~vulns:(VC.make [ cve ]) source in
-  let local = Jitbull.analyzer ~params db in
+  let calls = compiles ~vulns:(VC.make [ cve ]) (V.find cve).V.source in
   let decide analyzer =
     List.map
       (fun (ctx, func_index, name, trace) -> analyzer ~ctx ~func_index ~name ~trace)
       calls
   in
-  let expected = decide local in
+  let expected = decide (Jitbull.analyzer ~params db) in
   check_bool "the demonstrator is flagged" true
     (List.exists (fun d -> d <> Engine.Allow) expected);
   let svc = Service.create ~workers:1 ~db ~port:0 () in
-  let obs = Obs.create () in
-  let client = Client.connect ~obs ~port:(Service.port svc) () in
-  let counter name =
-    Option.value ~default:0
-      (List.assoc_opt name (Obs.view (Some obs)).Metrics.v_counters)
-  in
+  let client = Client.connect ~port:(Service.port svc) () in
   Fun.protect
     ~finally:(fun () ->
       Client.close client;
       Service.stop svc)
     (fun () ->
-      let remote = Client.analyzer ~params client in
-      check_bool "remote verdicts before the stop" true (decide remote = expected);
-      check_int "answered by the server" (List.length calls) (counter "engine.remote_verdicts");
+      let analyzer =
+        match (Client.engine_config ~params client ~vulns:VC.none ()).Engine.analyzer with
+        | Some a -> a
+        | None -> Alcotest.fail "engine_config carries an analyzer"
+      in
+      check_bool "replica verdicts before the stop" true (decide analyzer = expected);
+      let synced = Client.generation client in
+      let replica_gen = Db.generation (Client.replica client) in
       returns_within 1.0 "Service.stop" (fun () -> Service.stop svc);
-      check_bool "replica verdicts after the stop" true (decide remote = expected);
-      check_int "every verdict after the stop fell back" (List.length calls)
-        (counter "engine.remote_fallbacks"))
+      check_bool "replica verdicts after the stop" true (decide analyzer = expected);
+      check_bool "a sync fails without a server" true (Result.is_error (Client.sync client));
+      check_int "still at the last synced generation" synced (Client.generation client);
+      check_int "the replica did not move" replica_gen (Db.generation (Client.replica client)))
 
 (* ---- client: replica sync and push invalidation ---- *)
 
@@ -576,83 +468,219 @@ let test_client_sync_replica () =
             (List.length (Db.entries db))
             (List.length (Db.entries (Client.replica client)))))
 
-(* The push-invalidation acceptance property: once the client has
-   observed a generation push, a verdict cached before the bump is never
-   served again — the engine-facing policy cache misses. *)
+let equiv_source =
+  "function hot(a, b) { var t = 0; for (var i = 0; i < 12; i++) { t = t + \
+   a * i - b; } return t; } var s = 0; for (var k = 0; k < 80; k++) s = s + \
+   hot(k, 2); print(s);"
+
+let counter obs name =
+  Option.value ~default:0 (List.assoc_opt name (Obs.view (Some obs)).Metrics.v_counters)
+
+let records_of obs source =
+  List.filter (fun (r : Audit.record) -> r.Audit.source = source) (Audit.records (Obs.audit obs))
+
+(* Once the subscriber has seen a generation push and resynced, a verdict
+   the policy cache held from before is decided again: the first run
+   decides, the second replays from the cache, and the run after the
+   push decides afresh. *)
 let test_push_invalidates_policy_cache () =
   let db = build_db () in
   with_service db (fun svc ->
-      let client = Client.connect ~port:(Service.port svc) () in
+      let obs = Obs.create () in
+      let client = Client.connect ~obs ~port:(Service.port svc) () in
       Fun.protect
         ~finally:(fun () -> Client.close client)
         (fun () ->
           let cfg = Client.engine_config client ~vulns:VC.none () in
-          let cache =
-            match cfg.Engine.policy_cache with
-            | Some c -> c
-            | None -> Alcotest.fail "engine_config carries a policy cache"
-          in
-          let key = 424242 in
-          Engine.Policy_cache.store cache key (Engine.Disable_passes [ "gvn" ]);
-          check_bool "pre-push verdict is cached" true
-            (Engine.Policy_cache.lookup cache key <> None);
-          let pushed = ref 0 in
-          Client.on_push client (fun g -> pushed := g);
+          let run () = ignore (Engine.run_source cfg equiv_source) in
+          let fresh () = List.length (records_of obs Audit.Fresh) in
+          run ();
+          let decided = fresh () in
+          check_bool "the first run decides" true (decided > 0);
+          run ();
+          check_int "the second run replays every verdict" decided (fresh ());
+          check_bool "from the policy cache" true (records_of obs Audit.Cache_hit <> []);
           let e = List.hd (Db.entries db) in
           Service.install svc { Db.cve = "CVE-TEST-PUSH"; dna = e.Db.dna };
           let new_gen = Db.generation db in
           let deadline = Unix.gettimeofday () +. 10.0 in
           while Client.generation client < new_gen && Unix.gettimeofday () < deadline do
-            Thread.yield ();
             Unix.sleepf 0.01
           done;
-          check_bool "client observed the push" true
-            (Client.generation client >= new_gen);
-          check_bool "push handler saw the new generation" true (!pushed >= new_gen);
-          check_bool "pre-bump cached verdict is gone" true
-            (Engine.Policy_cache.lookup cache key = None)))
+          check_bool "the subscriber resynced" true (Client.generation client >= new_gen);
+          check_bool "the push was counted" true (counter obs "engine.remote_pushes" >= 1);
+          run ();
+          check_int "the post-push run decides again" (2 * decided) (fresh ())))
 
-(* ---- remote == local, end to end through an engine ---- *)
+(* One engine's decisions land in one trail: with the client's obs
+   overridden by the engine's own (as a benchmark round does), the
+   analyzer's Fresh records, its spans and the engine's Cache_hit
+   records all go to the engine's obs, inline and on helper domains. *)
+let test_engine_obs_owns_its_records () =
+  let db = build_db () in
+  with_service db (fun svc ->
+      let client_obs = Obs.create () in
+      let client =
+        Client.connect ~subscribe:false ~obs:client_obs ~port:(Service.port svc) ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          let check_mode compile_pool =
+            let base = Client.engine_config client ~vulns:VC.none () in
+            check_bool "the client's obs is the default" true
+              (match base.Engine.obs with Some o -> o == client_obs | None -> false);
+            let obs = Obs.create () in
+            let cfg = { base with Engine.obs = Some obs; compile_pool } in
+            ignore (Engine.run_source cfg equiv_source);
+            ignore (Engine.run_source cfg equiv_source);
+            check_bool "Fresh records in the engine's trail" true
+              (records_of obs Audit.Fresh <> []);
+            check_bool "Cache_hit records in the same trail" true
+              (records_of obs Audit.Cache_hit <> []);
+            check_bool "policy_decide spans in the engine's tracer" true
+              (List.exists
+                 (fun (e : Tracer.event) -> String.equal e.Tracer.name "policy_decide")
+                 (Tracer.events (Obs.tracer obs)))
+          in
+          ignore (in_both_compile_modes check_mode);
+          check_int "nothing in the client's trail" 0 (Audit.total (Obs.audit client_obs))))
 
-let equiv_source =
-  "function hot(a, b) { var t = 0; for (var i = 0; i < 12; i++) { t = t + \
-   a * i - b; } return t; } var s = 0; for (var k = 0; k < 30; k++) s = s + \
-   hot(k, 2); print(s);"
+(* ---- the replica applies a payload atomically ---- *)
 
-let test_remote_local_analyzer_equiv () =
-  let db = Lazy.force shared_db in
+(* Domains decide on a DNA the replica matches, in a loop, while the
+   replica resyncs over and over (each removal on the server fences the
+   history, so every sync is a Resync of the full list). A decision sees
+   the replica before or after a resync, never an empty or partial one,
+   so it is never Allow. *)
+let test_resync_is_atomic () =
+  let db = Db.create () in
+  Array.iter (Db.add db) (Lazy.force all_entries);
+  (* the last entry: a remove-then-add resync would leave it out longest *)
+  let dna = (List.hd (List.rev (Db.entries db))).Db.dna in
   with_service db (fun svc ->
       let client = Client.connect ~subscribe:false ~port:(Service.port svc) () in
       Fun.protect
         ~finally:(fun () -> Client.close client)
         (fun () ->
-          let local = Jitbull.analyzer ~params db in
-          let remote = Client.analyzer ~params client in
-          match
-            Oracle.check_analyzer_equiv ~name_a:"local" ~analyzer_a:local
-              ~name_b:"remote" ~analyzer_b:remote equiv_source
-          with
-          | [] -> ()
-          | vs ->
-            Alcotest.failf "remote==local violated: %s"
-              (String.concat "; "
-                 (List.map
-                    (fun (v : Oracle.violation) ->
-                      v.Oracle.mv_invariant ^ ": " ^ v.Oracle.mv_detail)
-                    vs))))
+          let replica = Client.replica client in
+          check_bool "the synced replica flags the DNA" true (local_verdict replica dna <> `Allow);
+          let stop = Atomic.make false in
+          (* three deciders, so one is likely queued for the read side
+             whenever the sync's writer lets go of the lock *)
+          let deciders =
+            List.init 3 (fun _ ->
+                Domain.spawn (fun () ->
+                    let decided = ref 0 and allowed = ref 0 in
+                    while not (Atomic.get stop) do
+                      if local_verdict replica dna = `Allow then incr allowed;
+                      incr decided
+                    done;
+                    (!decided, !allowed)))
+          in
+          let resyncs = 200 in
+          for _ = 1 to resyncs do
+            Service.remove_cve svc "CVE-NOT-INSTALLED";
+            match Client.sync client with
+            | Ok g -> check_int "synced the removal" (Db.generation db) g
+            | Error m -> Alcotest.fail m
+          done;
+          Atomic.set stop true;
+          let decided, allowed =
+            List.fold_left
+              (fun (d, a) dom ->
+                let d', a' = Domain.join dom in
+                (d + d', a + a'))
+              (0, 0) deciders
+          in
+          check_bool "the deciders ran across the resyncs" true (decided > resyncs);
+          check_int "no decision saw a partial replica" 0 allowed;
+          check_int "the replica still holds every entry" (Db.size db) (Db.size replica)))
+
+(* ---- replica == server ---- *)
+
+let digest db = Sexpr.to_string (Db.to_sexpr db)
+
+(* Installs and removals race the client's own syncs with the subscriber
+   on. Every replica state a sync leaves is the server DB's at some
+   generation at or past the one the sync reports, never a mix; once the
+   writes stop, one more sync makes the replica's digest equal the
+   server's at the synced generation, and jitbulld's decision equals the
+   replica's on every entry. *)
+let test_replica_equals_server () =
+  let all = Lazy.force all_entries in
+  let db = Db.create () in
+  with_service db (fun svc ->
+      let history = Hashtbl.create 64 and history_mu = Mutex.create () in
+      let record () =
+        Mutex.protect history_mu (fun () ->
+            Hashtbl.replace history (Db.generation db) (digest db))
+      in
+      record ();
+      let client = Client.connect ~port:(Service.port svc) () in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          let writing = Atomic.make true in
+          let writer =
+            Thread.create
+              (fun () ->
+                Array.iteri
+                  (fun i (e : Db.entry) ->
+                    Service.install svc e;
+                    record ();
+                    if i mod 4 = 3 then begin
+                      Service.remove_cve svc e.Db.cve;
+                      record ()
+                    end;
+                    Unix.sleepf 0.002)
+                  all;
+                Atomic.set writing false)
+              ()
+          in
+          let samples = ref [] in
+          while Atomic.get writing do
+            match Client.sync client with
+            | Ok g -> samples := (g, digest (Client.replica client)) :: !samples
+            | Error m -> Alcotest.fail m
+          done;
+          Thread.join writer;
+          check_bool "syncs raced the writes" true (List.length !samples > 1);
+          List.iter
+            (fun (g, d) ->
+              let seen =
+                Hashtbl.fold (fun g' d' acc -> acc || (g' >= g && String.equal d d')) history false
+              in
+              if not seen then
+                Alcotest.failf "replica after a sync to %d is no server state at or past it" g)
+            !samples;
+          let g =
+            match Client.sync client with Ok g -> g | Error m -> Alcotest.fail m
+          in
+          check_int "synced to the last write" (Db.generation db) g;
+          check_string "replica digest == server digest" (Hashtbl.find history g)
+            (digest (Client.replica client));
+          Array.iteri
+            (fun i (e : Db.entry) ->
+              let resp =
+                Service.decide svc
+                  { Proto.vr_id = i; vr_func = e.Db.dna.Dna.func_name; vr_bytecode_hash = i;
+                    vr_feedback_hash = 0; vr_dna = dna_text e.Db.dna }
+              in
+              let matched = Db.matching ~params (Client.replica client) e.Db.dna in
+              check_bool "server decision == replica decision" true
+                (resp.Proto.vs_matched = matched
+                && resp.Proto.vs_verdict = snd (Jitbull.verdict_of_matches matched)))
+            all))
 
 let suite =
   ( "service",
     [
-      Alcotest.test_case "proto round-trip" `Quick test_proto_roundtrip;
-      Alcotest.test_case "proto cache keys" `Quick test_proto_keys;
       Alcotest.test_case "delta_since append/resync" `Quick test_delta_since;
       Alcotest.test_case "keep-alive reuses one socket" `Quick
         test_keep_alive_reuses_socket;
-      Alcotest.test_case "verdict endpoint, cache, invalidation" `Quick
-        test_verdict_endpoint_and_cache;
-      Alcotest.test_case "line cache checks the request bytes" `Quick
-        test_line_cache_checks_bytes;
+      Alcotest.test_case "distribution endpoints and malformed input" `Quick
+        test_distribution_endpoints;
       Alcotest.test_case "forged request identities decided apart" `Quick
         test_forged_identity_decided_apart;
       Alcotest.test_case "decide while installs land" `Quick
@@ -660,8 +688,12 @@ let suite =
       Alcotest.test_case "client replica sync" `Quick test_client_sync_replica;
       Alcotest.test_case "push invalidates pre-bump verdicts" `Quick
         test_push_invalidates_policy_cache;
-      Alcotest.test_case "remote == local analyzer (oracle)" `Quick
-        test_remote_local_analyzer_equiv;
+      Alcotest.test_case "replica == server under racing installs" `Quick
+        test_replica_equals_server;
+      Alcotest.test_case "replica resync is atomic under decisions" `Quick
+        test_resync_is_atomic;
+      Alcotest.test_case "engine obs owns its Fresh and Cache_hit records" `Quick
+        test_engine_obs_owns_its_records;
       Alcotest.test_case "wire DNA decodes identically, remote == replica" `Quick
         test_wire_dna_identity;
       Alcotest.test_case "stop returns with clients connected" `Quick
