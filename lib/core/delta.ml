@@ -1,5 +1,6 @@
 module Sexpr = Jitbull_util.Sexpr
 module Intern = Jitbull_util.Intern
+module Snapshot = Jitbull_mir.Snapshot
 
 type side = (Intern.id, int) Hashtbl.t
 
@@ -8,22 +9,64 @@ type t = {
   added : side;
 }
 
-module Ints = Depgraph.Ints
-
-type multiset = int ref Ints.t
-
 (* Sub-chains are counted under packed integer keys: three 21-bit slots
-   of dense opcode index + 1, where 0 marks an absent slot — a→b is
+   of dense opcode id + 1, where 0 marks an absent slot — a→b is
    (0, a, b), the root-boundary ^a→b is (a, 0, b) and a→b→c is (a, b, c).
    Only the keys that survive a diff become {!Intern} ids. *)
 let pack a b c = (a lsl 42) lor (b lsl 21) lor c
 let slot k s = (k lsr (21 * s)) land 0x1FFFFF
 
 let key_id k =
-  let id s = Depgraph.opcode_id (slot k s - 1) in
+  let id s = Snapshot.opcode_id (slot k s - 1) in
   if slot k 2 = 0 then Intern.pair (id 1) (id 0)
   else if slot k 1 = 0 then Intern.pair (Intern.rooted (id 2)) (id 0)
   else Intern.triple (id 2) (id 1) (id 0)
+
+(* A multiset of packed keys: one open-addressing table, linear probing,
+   at most half full. A key's low slot is never 0, so 0 marks a free
+   slot. *)
+type multiset = {
+  mutable keys : int array;
+  mutable counts : int array;
+  mutable size : int;
+}
+
+(* inline multiplicative hash: mixes the high slots of a packed key into
+   the low bits the table indexes by *)
+let find_slot keys k =
+  let mask = Array.length keys - 1 in
+  let rec probe i =
+    let k' = keys.(i) in
+    if k' = k || k' = 0 then i else probe ((i + 1) land mask)
+  in
+  probe (((k * 0x1E3779B97F4A7C15) lsr 17) land mask)
+
+let count m k =
+  let i = find_slot m.keys k in
+  if m.keys.(i) = k then m.counts.(i) else 0
+
+let rec bump m k =
+  let i = find_slot m.keys k in
+  if m.keys.(i) = k then m.counts.(i) <- m.counts.(i) + 1
+  else if 2 * (m.size + 1) > Array.length m.keys then begin
+    let keys = m.keys and counts = m.counts in
+    m.keys <- Array.make (2 * Array.length keys) 0;
+    m.counts <- Array.make (2 * Array.length keys) 0;
+    Array.iteri
+      (fun j k' ->
+        if k' <> 0 then begin
+          let i = find_slot m.keys k' in
+          m.keys.(i) <- k';
+          m.counts.(i) <- counts.(j)
+        end)
+      keys;
+    bump m k
+  end
+  else begin
+    m.keys.(i) <- k;
+    m.counts.(i) <- 1;
+    m.size <- m.size + 1
+  end
 
 (* Multiset of sub-chains of a dependency graph:
    - n = 2: the edge multiset (the 2-grams of every root→leaf chain);
@@ -33,34 +76,37 @@ let key_id k =
      every root→leaf chain, computed in O(Σ degᵢₙ·degₒᵤₜ). *)
 let multiset ~n (g : Depgraph.t) =
   if n <> 2 && n <> 3 then invalid_arg "Delta.multiset: n must be 2 or 3";
-  let counts = Ints.create 64 in
-  let bump k =
-    match Ints.find counts k with c -> incr c | exception Not_found -> Ints.add counts k (ref 1)
-  in
+  let capacity = ref 16 in
+  while !capacity < 2 * Depgraph.edge_count g do
+    capacity := 2 * !capacity
+  done;
+  let m = { keys = Array.make !capacity 0; counts = Array.make !capacity 0; size = 0 } in
   let op v = g.Depgraph.ops.(v) + 1 and first v = g.Depgraph.dep_start.(v) in
   let last v = g.Depgraph.dep_start.(v + 1) - 1 and deps = g.Depgraph.deps in
   for u = 0 to Depgraph.size g - 1 do
     for i = first u to last u do
-      let m = deps.(i) in
-      if n = 2 then bump (pack 0 (op u) (op m))
+      let d = deps.(i) in
+      if n = 2 then bump m (pack 0 (op u) (op d))
       else begin
-        if Depgraph.is_root g u then bump (pack (op u) 0 (op m));
-        for j = first m to last m do
-          bump (pack (op u) (op m) (op deps.(j)))
+        if Depgraph.is_root g u then bump m (pack (op u) 0 (op d));
+        for j = first d to last d do
+          bump m (pack (op u) (op d) (op deps.(j)))
         done
       end
     done
   done;
-  counts
+  m
 
 (* multiset difference a − b, keyed by interned sub-chain ids *)
 let diff a b : side =
   let out = Hashtbl.create 16 in
-  Ints.iter
-    (fun k ca ->
-      let cb = match Ints.find b k with c -> !c | exception Not_found -> 0 in
-      if !ca > cb then Hashtbl.replace out (key_id k) (!ca - cb))
-    a;
+  Array.iteri
+    (fun i k ->
+      if k <> 0 then begin
+        let c = a.counts.(i) - count b k in
+        if c > 0 then Hashtbl.replace out (key_id k) c
+      end)
+    a.keys;
   out
 
 let of_multisets ~before ~after = { removed = diff before after; added = diff after before }

@@ -23,7 +23,8 @@ type t = {
   added : side;
 }
 
-(** A graph's sub-chain n-gram multiset under packed integer keys;
+(** A graph's sub-chain n-gram multiset under packed integer keys, in one
+    flat open-addressing table of int keys and int counts;
     [of_multisets] diffs two built with the same [n] and interns only the
     keys that differ. Exact while no opcode name contains ["->"] or starts
     with ["^"] (no MIR opcode does), which could alias two key shapes. *)

@@ -6,10 +6,6 @@ type t = {
   deltas : (string * Delta.t) list;
 }
 
-let same (a : Snapshot.entry) (b : Snapshot.entry) =
-  a.Snapshot.num = b.Snapshot.num && String.equal a.Snapshot.opcode b.Snapshot.opcode
-  && List.equal Int.equal a.Snapshot.operands b.Snapshot.operands
-
 let extract ?(n = 3) ?(only = fun _ -> true) (trace : (string * Snapshot.t) list) : t =
   if n <> 2 && n <> 3 then invalid_arg "Dna.extract: n must be 2 or 3";
   match trace with
@@ -21,16 +17,16 @@ let extract ?(n = 3) ?(only = fun _ -> true) (trace : (string * Snapshot.t) list
        built when a pass in [only] diffs against it *)
     let _, deltas =
       List.fold_left_map
-        (fun ((entries, m) as prev) (pass, (snap : Snapshot.t)) ->
-          if List.equal same snap.Snapshot.entries entries then (prev, (pass, Delta.empty ()))
+        (fun ((last, m) as prev) (pass, snap) ->
+          if Snapshot.same_entries snap last then (prev, (pass, Delta.empty ()))
           else
             let m' = multiset snap in
             let d =
               if only pass then Delta.of_multisets ~before:(Lazy.force m) ~after:(Lazy.force m')
               else Delta.empty ()
             in
-            ((snap.Snapshot.entries, m'), (pass, d)))
-        (first.Snapshot.entries, multiset first)
+            ((snap, m'), (pass, d)))
+        (first, multiset first)
         rest
     in
     { func_name = first.Snapshot.func_name; deltas }

@@ -47,18 +47,16 @@ let audit_matches detailed =
 
 let opcode_multiset (s : Snapshot.t) =
   let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Snapshot.entry) ->
-      Hashtbl.replace tbl e.Snapshot.opcode
-        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl e.Snapshot.opcode)))
-    s.Snapshot.entries;
+  Array.iter
+    (fun op -> Hashtbl.replace tbl op (1 + Option.value ~default:0 (Hashtbl.find_opt tbl op)))
+    s.Snapshot.ops;
   tbl
 
 let opcode_multiset_diff a b =
   Hashtbl.fold
     (fun k ca acc ->
       let cb = Option.value ~default:0 (Hashtbl.find_opt b k) in
-      if ca > cb then (k, ca - cb) :: acc else acc)
+      if ca > cb then (Snapshot.opcode_name k, ca - cb) :: acc else acc)
     a []
   |> List.sort (fun (x, _) (y, _) -> String.compare x y)
 

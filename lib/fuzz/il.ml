@@ -339,6 +339,12 @@ let num_lit x =
   if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
   else Printf.sprintf "%.17g" x
 
+(* True exactly when [Value_ops.to_index] accepts [i]: [i | 0] is
+   ToInt32, equal to [i] only for an integer in [-2^31, 2^31). Every tier
+   raises on a store at any other index, so a lowered store runs only
+   behind this test, and a write at an invalid index is absorbed. *)
+let valid_index i = Printf.sprintf "(%s | 0) === %s && %s >= 0" i i i
+
 let to_source p =
   let buf = Buffer.create 1024 in
   let line indent fmt =
@@ -371,13 +377,15 @@ let to_source p =
       | Get_len (d, a) -> line indent "var %s = %s.length;" (v d) (v a)
       | Set_len (a, k) -> line indent "%s.length = %d;" (v a) k
       | Get_elem (d, a, i) -> line indent "var %s = %s[%s];" (v d) (v a) (v i)
-      | Set_elem (a, i, x) -> line indent "%s[%s] = %s;" (v a) (v i) (v x)
+      | Set_elem (a, i, x) ->
+        line indent "if (%s) %s[%s] = %s;" (valid_index (v i)) (v a) (v i) (v x)
       | Gnew (k, elems) ->
         line indent "g%d = [%s];" k (String.concat ", " (List.map v elems))
       | Gget_len (d, k) -> line indent "var %s = g%d.length;" (v d) k
       | Gset_len (k, n) -> line indent "g%d.length = %d;" k n
       | Gget_elem (d, k, i) -> line indent "var %s = g%d[%s];" (v d) k (v i)
-      | Gset_elem (k, i, x) -> line indent "g%d[%s] = %s;" k (v i) (v x)
+      | Gset_elem (k, i, x) ->
+        line indent "if (%s) g%d[%s] = %s;" (valid_index (v i)) k (v i) (v x)
       | Call (d, k, args) ->
         line indent "var %s = f%d(%s);" (v d) k (String.concat ", " (List.map v args))
       | Print x -> line indent "print(%s);" (v x)

@@ -136,7 +136,10 @@ val typecheck : prog -> (unit, string) result
 (** {2 Lowering and wire format} *)
 
 (** Lower to mini-JS source. For a typechecked program the result
-    parses, compiles, passes the bytecode verifier, and terminates. *)
+    parses, compiles, passes the bytecode verifier, and terminates. Each
+    array store runs behind a test that its index is an array index
+    (an integer in [0, 2{^31})), so a store at any other index — negative,
+    fractional, [NaN], [undefined] — is absorbed instead of raising. *)
 val to_source : prog -> string
 
 (** Line-oriented textual encoding (the distilled-corpus and sync wire

@@ -160,6 +160,10 @@ let instructions (b : block) = b.phis @ b.body
 
 let all_instructions (g : t) = List.concat_map instructions g.blocks
 
+(* [List.length (all_instructions g)] without building the list *)
+let instruction_count (g : t) =
+  List.fold_left (fun n b -> n + List.length b.phis + List.length b.body) 0 g.blocks
+
 (* ---- reverse postorder & bookkeeping ---- *)
 
 let compute_rpo (g : t) : block list =
@@ -218,61 +222,79 @@ let renumber (g : t) =
 
 (* ---- opcode metadata ---- *)
 
-let opcode_name : opcode -> string = function
-  | Parameter _ -> "parameter"
-  | Constant _ -> "constant"
-  | Phi -> "phi"
-  | Unbox_number -> "unboxnumber"
-  | Unbox_int32 -> "unboxint32"
-  | Guard_array -> "guardarray"
-  | Bounds_check -> "boundscheck"
-  | Add -> "add"
-  | Bin_num NSub -> "sub"
-  | Bin_num NMul -> "mul"
-  | Bin_num NDiv -> "div"
-  | Bin_num NMod -> "mod"
-  | Bin_num NBit_and -> "bitand"
-  | Bin_num NBit_or -> "bitor"
-  | Bin_num NBit_xor -> "bitxor"
-  | Bin_num NShl -> "lsh"
-  | Bin_num NShr -> "rsh"
-  | Bin_num NUshr -> "ursh"
-  | Compare CLt -> "compare_lt"
-  | Compare CLe -> "compare_le"
-  | Compare CGt -> "compare_gt"
-  | Compare CGe -> "compare_ge"
-  | Compare CEq -> "compare_eq"
-  | Compare CNeq -> "compare_ne"
-  | Compare CStrict_eq -> "compare_stricteq"
-  | Compare CStrict_neq -> "compare_strictne"
-  | Negate -> "negate"
-  | Bit_not -> "bitnot"
-  | Not -> "not"
-  | Typeof -> "typeof"
-  | To_number -> "tonumber"
-  | New_array _ -> "newarray"
-  | Elements -> "elements"
-  | Initialized_length -> "initializedlength"
-  | Load_element -> "loadelement"
-  | Store_element -> "storeelement"
-  | Array_length -> "arraylength"
-  | Set_array_length -> "setarraylength"
-  | Array_push -> "arraypush"
-  | Array_pop -> "arraypop"
-  | New_object _ -> "newobject"
-  | Get_prop _ -> "getprop"
-  | Set_prop _ -> "setprop"
-  | Get_index_generic -> "getelemgeneric"
-  | Set_index_generic -> "setelemgeneric"
-  | Load_global _ -> "loadglobal"
-  | Store_global _ -> "storeglobal"
-  | Declare_global _ -> "declareglobal"
-  | Call _ -> "call"
-  | Call_method _ -> "callmethod"
-  | Goto _ -> "goto"
-  | Test _ -> "test"
-  | Return -> "return"
-  | Unreachable -> "unreachable"
+(* Opcode names in tag order: [opcode_tag] is the index of an opcode's
+   name here, a small static integer that snapshots store instead of the
+   string (JITBULL compares chains by opcode name, so two opcodes share a
+   tag exactly when they share a name). *)
+let opcode_names =
+  [|
+    "parameter"; "constant"; "phi"; "unboxnumber"; "unboxint32"; "guardarray";
+    "boundscheck"; "add"; "sub"; "mul"; "div"; "mod"; "bitand"; "bitor"; "bitxor"; "lsh";
+    "rsh"; "ursh"; "compare_lt"; "compare_le"; "compare_gt"; "compare_ge"; "compare_eq";
+    "compare_ne"; "compare_stricteq"; "compare_strictne"; "negate"; "bitnot"; "not";
+    "typeof"; "tonumber"; "newarray"; "elements"; "initializedlength"; "loadelement";
+    "storeelement"; "arraylength"; "setarraylength"; "arraypush"; "arraypop"; "newobject";
+    "getprop"; "setprop"; "getelemgeneric"; "setelemgeneric"; "loadglobal"; "storeglobal";
+    "declareglobal"; "call"; "callmethod"; "goto"; "test"; "return"; "unreachable";
+  |]
+
+let opcode_tag : opcode -> int = function
+  | Parameter _ -> 0
+  | Constant _ -> 1
+  | Phi -> 2
+  | Unbox_number -> 3
+  | Unbox_int32 -> 4
+  | Guard_array -> 5
+  | Bounds_check -> 6
+  | Add -> 7
+  | Bin_num NSub -> 8
+  | Bin_num NMul -> 9
+  | Bin_num NDiv -> 10
+  | Bin_num NMod -> 11
+  | Bin_num NBit_and -> 12
+  | Bin_num NBit_or -> 13
+  | Bin_num NBit_xor -> 14
+  | Bin_num NShl -> 15
+  | Bin_num NShr -> 16
+  | Bin_num NUshr -> 17
+  | Compare CLt -> 18
+  | Compare CLe -> 19
+  | Compare CGt -> 20
+  | Compare CGe -> 21
+  | Compare CEq -> 22
+  | Compare CNeq -> 23
+  | Compare CStrict_eq -> 24
+  | Compare CStrict_neq -> 25
+  | Negate -> 26
+  | Bit_not -> 27
+  | Not -> 28
+  | Typeof -> 29
+  | To_number -> 30
+  | New_array _ -> 31
+  | Elements -> 32
+  | Initialized_length -> 33
+  | Load_element -> 34
+  | Store_element -> 35
+  | Array_length -> 36
+  | Set_array_length -> 37
+  | Array_push -> 38
+  | Array_pop -> 39
+  | New_object _ -> 40
+  | Get_prop _ -> 41
+  | Set_prop _ -> 42
+  | Get_index_generic -> 43
+  | Set_index_generic -> 44
+  | Load_global _ -> 45
+  | Store_global _ -> 46
+  | Declare_global _ -> 47
+  | Call _ -> 48
+  | Call_method _ -> 49
+  | Goto _ -> 50
+  | Test _ -> 51
+  | Return -> 52
+  | Unreachable -> 53
+
+let opcode_name op = opcode_names.(opcode_tag op)
 
 (* Alias classes for the (correct) effect model. The vulnerable pass
    variants deliberately ignore parts of this table — that IS the bug

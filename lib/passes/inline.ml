@@ -24,8 +24,6 @@ let max_callee_size = 40
 let max_caller_size = 400
 let max_inlines_per_run = 4
 
-let graph_size (g : Mir.t) = List.length (Mir.all_instructions g)
-
 (* Clone [callee] into [g]. Returns (entry block clone, list of
    (return_block_clone, return_value_clone)). [arg_for i] supplies the
    caller-side value for parameter [i]. *)
@@ -176,8 +174,8 @@ let run (ctx : Pass.ctx) (g : Mir.t) =
     | Some (b, call, fname) -> (
       match ctx.Pass.inline_resolver fname with
       | Some callee
-        when graph_size callee <= max_callee_size
-             && graph_size g + graph_size callee <= max_caller_size
+        when Mir.instruction_count callee <= max_callee_size
+             && Mir.instruction_count g + Mir.instruction_count callee <= max_caller_size
              && not (String.equal callee.Mir.name g.Mir.name) ->
         inline_call g b call callee;
         decr budget

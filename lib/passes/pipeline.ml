@@ -34,8 +34,6 @@ let can_disable name =
   | Some p -> p.Pass.can_disable
   | None -> false
 
-let graph_size (g : Mir.t) = List.length (Mir.all_instructions g)
-
 (* Per-pass sampling-profiler tags, interned once here (the pass list is
    static); the table is read-only afterwards, so lock-free to consult. *)
 let prof_tags : (string, int) Hashtbl.t =
@@ -68,13 +66,13 @@ let exec_pass ctx ~obs ~verify g (p : Pass.t) =
     run ();
     if verify then Verifier.check g
   | Some _ ->
-    let before = graph_size g in
+    let before = Mir.instruction_count g in
     Obs.span obs
       ("pass." ^ p.Pass.name)
       (fun () ->
         run ();
         if verify then Verifier.check g);
-    let after = graph_size g in
+    let after = Mir.instruction_count g in
     Obs.add obs ("pass." ^ p.Pass.name ^ ".delta_size") (after - before);
     Obs.observe obs ~bounds:Jitbull_obs.Metrics.size_bounds
       ("pass." ^ p.Pass.name ^ ".ir_delta_size")

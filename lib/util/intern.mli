@@ -6,7 +6,7 @@
     exactly once, so Δ sides become [(int, int) Hashtbl.t] and every
     lookup hashes a machine word instead of the string. The Δ extractor
     itself counts sub-chains under its own packed keys over a lock-free
-    dense opcode index ([Jitbull_core.Depgraph]) and calls in here only
+    dense opcode index ([Jitbull_mir.Snapshot]) and calls in here only
     for the keys of a non-empty δ⁻/δ⁺.
 
     Composite entry points ([pair]/[triple]/[rooted]) intern a sub-chain

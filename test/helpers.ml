@@ -59,6 +59,24 @@ let optimized_mir ?(vulns = VC.none) ?(disabled = []) ~func:idx src =
   let trace = Jitbull_passes.Pipeline.run vulns ~disabled ~verify:true g in
   (g, trace)
 
+(* [Snapshot.take g] read straight off the MIR: function name, block
+   count, and per instruction in block order its number, opcode name and
+   operand numbers (dangling ones included). *)
+let mir_entries (g : Jitbull_mir.Mir.t) =
+  let module Mir = Jitbull_mir.Mir in
+  ( g.Mir.name,
+    List.length g.Mir.blocks,
+    List.map
+      (fun (i : Mir.instr) ->
+        ( i.Mir.num,
+          Mir.opcode_name i.Mir.opcode,
+          List.map (fun (o : Mir.instr) -> o.Mir.num) i.Mir.operands ))
+      (Mir.all_instructions g) )
+
+let snapshot_matches_mir g (s : Jitbull_mir.Snapshot.t) =
+  let module Snapshot = Jitbull_mir.Snapshot in
+  mir_entries g = (s.Snapshot.func_name, s.Snapshot.n_blocks, Snapshot.entries s)
+
 (* Count instructions with a given opcode name in a MIR graph. *)
 let count_opcode g name =
   List.length

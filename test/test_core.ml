@@ -16,15 +16,7 @@ module Sexpr = Jitbull_util.Sexpr
 module Obs = Jitbull_obs.Obs
 
 (* Hand-build a snapshot: (num, opcode, operands). *)
-let snap entries =
-  {
-    Snapshot.func_name = "test";
-    n_blocks = 1;
-    entries =
-      List.map
-        (fun (num, opcode, operands) -> { Snapshot.num; opcode; operands })
-        entries;
-  }
+let snap entries = Snapshot.make ~func_name:"test" ~n_blocks:1 entries
 
 (* Δ between two dependency graphs *)
 let compute ?(n = 3) before after =
@@ -384,36 +376,32 @@ let test_decision_records_per_function () =
    list: the edge list, then (n = 3) every length-2 walk plus the edges
    out of roots as root-boundary pairs. Sorted (key, count) list. *)
 let reference_multiset n (s : Snapshot.t) =
+  let entries = Snapshot.entries s in
   let by_num = Hashtbl.create 16 in
-  List.iter
-    (fun (e : Snapshot.entry) -> Hashtbl.replace by_num e.Snapshot.num e)
-    s.Snapshot.entries;
+  List.iter (fun ((num, _, _) as e) -> Hashtbl.replace by_num num e) entries;
   let edges =
     List.concat_map
-      (fun (u : Snapshot.entry) ->
+      (fun ((_, _, operands) as u) ->
         List.filter_map (fun o -> Option.map (fun d -> (u, d)) (Hashtbl.find_opt by_num o))
-          u.Snapshot.operands)
-      s.Snapshot.entries
+          operands)
+      entries
   in
-  let op (e : Snapshot.entry) = e.Snapshot.opcode in
+  let op (_, opcode, _) = opcode and num (n, _, _) = n in
   let keys =
     if n = 2 then List.map (fun (u, d) -> op u ^ "->" ^ op d) edges
     else begin
       let deps_of = Hashtbl.create 16 and used = Hashtbl.create 16 in
       List.iter
-        (fun ((u : Snapshot.entry), (d : Snapshot.entry)) ->
-          Hashtbl.add deps_of u.Snapshot.num d;
-          Hashtbl.replace used d.Snapshot.num ())
+        (fun (u, d) ->
+          Hashtbl.add deps_of (num u) d;
+          Hashtbl.replace used (num d) ())
         edges;
       List.concat_map
-        (fun (u, (m : Snapshot.entry)) ->
-          List.map
-            (fun d -> op u ^ "->" ^ op m ^ "->" ^ op d)
-            (Hashtbl.find_all deps_of m.Snapshot.num))
+        (fun (u, m) ->
+          List.map (fun d -> op u ^ "->" ^ op m ^ "->" ^ op d) (Hashtbl.find_all deps_of (num m)))
         edges
       @ List.filter_map
-          (fun ((r : Snapshot.entry), d) ->
-            if Hashtbl.mem used r.Snapshot.num then None else Some ("^" ^ op r ^ "->" ^ op d))
+          (fun (r, d) -> if Hashtbl.mem used (num r) then None else Some ("^" ^ op r ^ "->" ^ op d))
           edges
     end
   in
@@ -477,23 +465,16 @@ let snapshot_gen =
 
 let renumber shift (s : Snapshot.t) =
   let re n = if n mod 2 = 0 then n + (2 * shift) else n in
-  {
-    s with
-    Snapshot.entries =
-      List.map
-        (fun (e : Snapshot.entry) ->
-          { e with Snapshot.num = re e.Snapshot.num; operands = List.map re e.Snapshot.operands })
-        s.Snapshot.entries;
-  }
+  snap
+    (List.map
+       (fun (num, opcode, operands) -> (re num, opcode, List.map re operands))
+       (Snapshot.entries s))
 
 let edit_one i opcode (s : Snapshot.t) =
-  {
-    s with
-    Snapshot.entries =
-      List.mapi
-        (fun j (e : Snapshot.entry) -> if j = i then { e with Snapshot.opcode } else e)
-        s.Snapshot.entries;
-  }
+  snap
+    (List.mapi
+       (fun j ((num, _, operands) as e) -> if j = i then (num, opcode, operands) else e)
+       (Snapshot.entries s))
 
 let trace_gen =
   let open QCheck.Gen in
@@ -714,6 +695,18 @@ let verdict_string db dna =
   | `Disable ps -> "disable:" ^ String.concat "," ps
   | `Forbid -> "forbid"
 
+(* the programs [corpus_golden] describes: (name, engine bugs, source) *)
+let corpus () =
+  List.map
+    (fun (d : Demonstrators.t) ->
+      (d.Demonstrators.name, VC.make [ d.Demonstrators.cve ], d.Demonstrators.source))
+    Demonstrators.all
+  @ List.init 16 (fun i ->
+        ( Printf.sprintf "benign%02d" i,
+          VC.none,
+          Generator.benign_params
+            { Generator.p_seed = i; p_funcs = 8; p_rounds = 40; p_depth = 2 } ))
+
 let test_corpus_dna_unchanged () =
   let db = Db.create () in
   List.iter
@@ -722,17 +715,7 @@ let test_corpus_dna_unchanged () =
         (Db.harvest db ~cve:d.Demonstrators.name ~vulns:(VC.make [ d.Demonstrators.cve ])
            d.Demonstrators.source))
     Demonstrators.all;
-  let corpus =
-    List.map
-      (fun (d : Demonstrators.t) ->
-        (d.Demonstrators.name, VC.make [ d.Demonstrators.cve ], d.Demonstrators.source))
-      Demonstrators.all
-    @ List.init 16 (fun i ->
-          ( Printf.sprintf "benign%02d" i,
-            VC.none,
-            Generator.benign_params
-              { Generator.p_seed = i; p_funcs = 8; p_rounds = 40; p_depth = 2 } ))
-  in
+  let corpus = corpus () in
   check_int "corpus size" (List.length corpus_golden) (List.length corpus);
   List.iter2
     (fun (name, vulns, source) (name', digest, verdicts) ->
@@ -751,6 +734,49 @@ let test_corpus_dna_unchanged () =
             (extracted_dna 3 trace = reference_dna 3 trace))
         runs)
     corpus corpus_golden
+
+(* The snapshot the extractor reads is the MIR itself: for every
+   function of every corpus program, built on its VM feedback with the
+   program's engine bugs, [Snapshot.take] before the first pass and
+   after each pass equals the graph's instruction list. *)
+let test_corpus_snapshots_match_mir () =
+  let module Builder = Jitbull_mir.Builder in
+  let module Pass = Jitbull_passes.Pass in
+  let module Pipeline = Jitbull_passes.Pipeline in
+  let module Value = Jitbull_runtime.Value in
+  let states = ref 0 in
+  List.iter
+    (fun (name, vulns, source) ->
+      let bc = Compiler.compile (Parser.parse source) in
+      let vm = Vm.create bc in
+      (try ignore (Vm.run vm) with _ -> ());
+      let funcs = bc.Jitbull_bytecode.Op.funcs in
+      let build idx = Builder.build funcs.(idx) ~feedback_row:vm.Vm.feedback.(idx) in
+      Array.iteri
+        (fun idx _ ->
+          let inline_resolver callee =
+            match Hashtbl.find_opt vm.Vm.globals callee with
+            | Some (Value.Function c) when c <> idx -> Some (build c)
+            | _ -> None
+          in
+          let g = build idx in
+          let ctx = Pass.make_ctx ~inline_resolver vulns in
+          let check after =
+            incr states;
+            check_bool
+              (Printf.sprintf "%s f%d after %s" name idx after)
+              true
+              (snapshot_matches_mir g (Snapshot.take g))
+          in
+          check "initial";
+          List.iter
+            (fun (p : Pass.t) ->
+              p.Pass.run ctx g;
+              check p.Pass.name)
+            Pipeline.passes)
+        funcs)
+    (corpus ());
+  check_bool "every program checked" true (!states >= 19 * List.length (corpus ()))
 
 let suite =
   ( "jitbull-core",
@@ -775,6 +801,7 @@ let suite =
         test_extract_carries_forward;
       Alcotest.test_case "dna and verdicts unchanged on the corpus" `Quick
         test_corpus_dna_unchanged;
+      Alcotest.test_case "corpus snapshots match the MIR" `Quick test_corpus_snapshots_match_mir;
       Alcotest.test_case "db lifecycle" `Quick test_db_lifecycle;
       Alcotest.test_case "db save/load" `Quick test_db_save_load;
       Alcotest.test_case "empty db: no analyzer" `Quick test_empty_db_no_analyzer;

@@ -199,47 +199,92 @@ let test_mutate_deterministic () =
   in
   check_string "same seed, same mutants" (run ()) (run ())
 
+(* The tentpole invariant: any mutant chain from the seeds typechecks,
+   compiles, passes the bytecode verifier and agrees across all tiers on
+   the patched engine. *)
+let mutant_valid (seed, steps) =
+  let rng = Prng.create seed in
+  let seeds = Il.seeds () in
+  let rec go n p =
+    if n = 0 then p
+    else
+      let donor = List.nth seeds (Prng.int rng (List.length seeds)) in
+      match Il_mutate.mutate rng ~donor p with
+      | Some p' -> go (n - 1) p'
+      | None -> go (n - 1) p
+  in
+  let p = go steps (List.nth seeds (Prng.int rng (List.length seeds))) in
+  (match Il.typecheck p with
+  | Ok () -> ()
+  | Error msg -> QCheck.Test.fail_reportf "mutant does not typecheck: %s" msg);
+  let src = Il.to_source p in
+  let bc =
+    try compile_src src
+    with exn ->
+      QCheck.Test.fail_reportf "mutant does not compile: %s\n%s"
+        (Printexc.to_string exn) src
+  in
+  (match Verify.check_program bc with
+  | () -> ()
+  | exception Verify.Invalid msg ->
+    QCheck.Test.fail_reportf "mutant fails bytecode verification: %s\n%s" msg src);
+  match Oracle.run src with
+  | Oracle.Agree _ -> true
+  | v ->
+    QCheck.Test.fail_reportf "mutant diverges on patched engine: %s\n%s"
+      (Oracle.verdict_kind v) src
+
 let qcheck_mutants_valid =
-  (* The tentpole invariant: any mutant chain from the seeds typechecks,
-     compiles, passes the bytecode verifier and agrees across all tiers
-     on the patched engine. *)
   let gen =
     QCheck.Gen.(
       map2 (fun seed steps -> (seed, steps)) (int_bound 1_000_000) (int_range 1 8))
   in
   let arb = QCheck.make ~print:(fun (s, n) -> Printf.sprintf "seed=%d steps=%d" s n) gen in
   QCheck.Test.make ~count:(qcheck_count 20) ~name:"il mutants valid and tier-agreeing" arb
-    (fun (seed, steps) ->
-      let rng = Prng.create seed in
-      let seeds = Il.seeds () in
-      let rec go n p =
-        if n = 0 then p
-        else
-          let donor = List.nth seeds (Prng.int rng (List.length seeds)) in
-          match Il_mutate.mutate rng ~donor p with
-          | Some p' -> go (n - 1) p'
-          | None -> go (n - 1) p
-      in
-      let p = go steps (List.nth seeds (Prng.int rng (List.length seeds))) in
-      (match Il.typecheck p with
-      | Ok () -> ()
-      | Error msg -> QCheck.Test.fail_reportf "mutant does not typecheck: %s" msg);
-      let src = Il.to_source p in
-      let bc =
-        try compile_src src
-        with exn ->
-          QCheck.Test.fail_reportf "mutant does not compile: %s\n%s"
-            (Printexc.to_string exn) src
-      in
-      (match Verify.check_program bc with
-      | () -> ()
-      | exception Verify.Invalid msg ->
-        QCheck.Test.fail_reportf "mutant fails bytecode verification: %s\n%s" msg src);
-      match Oracle.run src with
-      | Oracle.Agree _ -> true
-      | v ->
-        QCheck.Test.fail_reportf "mutant diverges on patched engine: %s\n%s"
-          (Oracle.verdict_kind v) src)
+    mutant_valid
+
+(* A mutant whose [Update] loop drives a store index to -48: every tier
+   used to raise "invalid array index" on [f0v3[f0v4] = f0v0]. *)
+let test_mutant_negative_store_index () =
+  check_bool "seed=30053 steps=8 agrees" true (mutant_valid (30053, 8))
+
+(* Stores at every index [Value_ops.to_index] rejects — negative,
+   fractional, NaN, undefined (an OOB read), 2^31 — are absorbed, in
+   local and global arrays alike; the in-bounds and append stores beside
+   them still land. *)
+let test_store_invalid_index_absorbed () =
+  let p =
+    {
+      Il.globals = 1;
+      funcs = [];
+      main =
+        [
+          Il.Const (0, 7.);
+          Il.Const (1, 1.);
+          Il.Const (2, 3.);
+          Il.Array_of (3, [ 0; 0; 0 ]);
+          Il.Get_elem (4, 3, 2);
+          Il.Binop (5, Il.Mul, 4, 0);
+          Il.Const (6, -48.);
+          Il.Const (7, 1.5);
+          Il.Const (8, 2147483648.);
+        ]
+        @ List.concat_map (fun i -> [ Il.Set_elem (3, i, 0); Il.Gset_elem (0, i, 0) ]) [ 4; 5; 6; 7; 8 ]
+        @ [
+            Il.Set_elem (3, 1, 1);
+            Il.Set_elem (3, 2, 1);
+            Il.Gset_elem (0, 1, 1);
+            Il.Get_len (9, 3);
+            Il.Gget_len (10, 0);
+            Il.Print 9;
+            Il.Print 10;
+          ];
+    }
+  in
+  let src = assert_valid ~name:"invalid-index stores" p in
+  match Oracle.run src with
+  | Oracle.Agree _ -> check_string "lengths" "4\n2\n" (interp_output src)
+  | v -> Alcotest.failf "diverges: %s\n%s" (Oracle.verdict_kind v) src
 
 let suite =
   ( "il",
@@ -253,5 +298,7 @@ let suite =
       Alcotest.test_case "lowering runs" `Quick test_lowering_runs;
       Alcotest.test_case "mutants typecheck" `Quick test_mutants_typecheck;
       Alcotest.test_case "mutate deterministic" `Quick test_mutate_deterministic;
+      Alcotest.test_case "mutant negative store index" `Quick test_mutant_negative_store_index;
+      Alcotest.test_case "store invalid index absorbed" `Quick test_store_invalid_index_absorbed;
       qtest qcheck_mutants_valid;
     ] )

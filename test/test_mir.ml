@@ -130,10 +130,74 @@ let test_renumber_stability () =
 let test_snapshot_contents () =
   let g = generic_mir "function f(a) { return a * 2; } f(1);" in
   let snap = Snapshot.take g in
-  check_int "snapshot covers all instructions" (List.length (Mir.all_instructions g))
-    (Snapshot.entry_count snap);
+  check_bool "snapshot is the MIR's instruction list" true (snapshot_matches_mir g snap);
   check_bool "operands referenced by number" true
-    (List.exists (fun (e : Snapshot.entry) -> e.Snapshot.operands <> []) snap.Snapshot.entries)
+    (List.exists (fun (_, _, operands) -> operands <> []) (Snapshot.entries snap))
+
+(* An operand outside the graph keeps its number in the snapshot. *)
+let test_snapshot_dangling_operand () =
+  let g = generic_mir "function f(a) { return a * 2; } f(1);" in
+  let ghost = Mir.make_instr g (Mir.Constant (Jitbull_runtime.Value.Number 1.0)) [] in
+  let b = List.hd g.Mir.blocks in
+  b.Mir.phis <- b.Mir.phis @ [ Mir.make_instr g Mir.Phi [ ghost; ghost ] ];
+  let snap = Snapshot.take g in
+  check_bool "snapshot is the MIR's instruction list" true (snapshot_matches_mir g snap);
+  check_bool "dangling number kept" true
+    (List.exists (fun (_, _, operands) -> operands = [ ghost.Mir.num; ghost.Mir.num ])
+       (Snapshot.entries snap));
+  check_bool "no entry for it" false
+    (List.exists (fun (num, _, _) -> num = ghost.Mir.num) (Snapshot.entries snap))
+
+(* Every opcode's name, as DNA databases and chain keys spell it; two
+   opcodes share a tag exactly when they share a name. *)
+let test_opcode_names () =
+  let g = Mir.create ~name:"t" ~arity:0 in
+  let b = g.Mir.entry in
+  let v = Jitbull_runtime.Value.Number 0.0 in
+  let table =
+    [
+      (Mir.Parameter 0, "parameter"); (Mir.Parameter 3, "parameter"); (Mir.Constant v, "constant");
+      (Mir.Constant (Jitbull_runtime.Value.String "s"), "constant"); (Mir.Phi, "phi");
+      (Mir.Unbox_number, "unboxnumber"); (Mir.Unbox_int32, "unboxint32");
+      (Mir.Guard_array, "guardarray"); (Mir.Bounds_check, "boundscheck"); (Mir.Add, "add");
+      (Mir.Bin_num Mir.NSub, "sub"); (Mir.Bin_num Mir.NMul, "mul"); (Mir.Bin_num Mir.NDiv, "div");
+      (Mir.Bin_num Mir.NMod, "mod"); (Mir.Bin_num Mir.NBit_and, "bitand");
+      (Mir.Bin_num Mir.NBit_or, "bitor"); (Mir.Bin_num Mir.NBit_xor, "bitxor");
+      (Mir.Bin_num Mir.NShl, "lsh"); (Mir.Bin_num Mir.NShr, "rsh"); (Mir.Bin_num Mir.NUshr, "ursh");
+      (Mir.Compare Mir.CLt, "compare_lt"); (Mir.Compare Mir.CLe, "compare_le");
+      (Mir.Compare Mir.CGt, "compare_gt"); (Mir.Compare Mir.CGe, "compare_ge");
+      (Mir.Compare Mir.CEq, "compare_eq"); (Mir.Compare Mir.CNeq, "compare_ne");
+      (Mir.Compare Mir.CStrict_eq, "compare_stricteq");
+      (Mir.Compare Mir.CStrict_neq, "compare_strictne"); (Mir.Negate, "negate");
+      (Mir.Bit_not, "bitnot"); (Mir.Not, "not"); (Mir.Typeof, "typeof");
+      (Mir.To_number, "tonumber"); (Mir.New_array 2, "newarray"); (Mir.Elements, "elements");
+      (Mir.Initialized_length, "initializedlength"); (Mir.Load_element, "loadelement");
+      (Mir.Store_element, "storeelement"); (Mir.Array_length, "arraylength");
+      (Mir.Set_array_length, "setarraylength"); (Mir.Array_push, "arraypush");
+      (Mir.Array_pop, "arraypop"); (Mir.New_object [ "x" ], "newobject");
+      (Mir.Get_prop "x", "getprop"); (Mir.Set_prop "x", "setprop");
+      (Mir.Get_index_generic, "getelemgeneric"); (Mir.Set_index_generic, "setelemgeneric");
+      (Mir.Load_global "x", "loadglobal"); (Mir.Store_global "x", "storeglobal");
+      (Mir.Declare_global "x", "declareglobal"); (Mir.Call 1, "call");
+      (Mir.Call_method ("m", 1), "callmethod"); (Mir.Goto b, "goto"); (Mir.Test (b, b), "test");
+      (Mir.Return, "return"); (Mir.Unreachable, "unreachable");
+    ]
+  in
+  List.iter
+    (fun (op, name) ->
+      check_string name name (Mir.opcode_name op);
+      check_string (name ^ " in the table") name Mir.opcode_names.(Mir.opcode_tag op))
+    table;
+  check_int "one tag per name"
+    (List.length (List.sort_uniq compare (List.map snd table)))
+    (Array.length Mir.opcode_names);
+  List.iter
+    (fun (a, na) ->
+      List.iter
+        (fun (b, nb) ->
+          check_bool (na ^ " vs " ^ nb) (na = nb) (Mir.opcode_tag a = Mir.opcode_tag b))
+        table)
+    table
 
 let test_replace_all_uses () =
   let g = generic_mir "function f(a) { return a + a; } f(1);" in
@@ -161,5 +225,7 @@ let suite =
       Alcotest.test_case "dominators" `Quick test_dominators;
       Alcotest.test_case "renumber stability" `Quick test_renumber_stability;
       Alcotest.test_case "snapshot contents" `Quick test_snapshot_contents;
+      Alcotest.test_case "snapshot dangling operand" `Quick test_snapshot_dangling_operand;
+      Alcotest.test_case "opcode names" `Quick test_opcode_names;
       Alcotest.test_case "replace_all_uses" `Quick test_replace_all_uses;
     ] )
