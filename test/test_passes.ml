@@ -296,6 +296,96 @@ let preservation_programs =
 let test_semantic_preservation () =
   List.iter (fun src -> assert_tiers_agree ~name:"preservation" src) preservation_programs
 
+(* ---- golden per-pass output ----
+
+   Every pass's output, pinned: for each function of each corpus program
+   (the eight demonstrators and sixteen generated programs), built on its
+   VM feedback, the MD5 over [Snapshot.to_string] of every [Pipeline.run]
+   trace entry, followed by the final snapshot of a
+   [run_quiet ~disabled:recompile_disabled] run on a fresh build of the
+   same function (the go/no-go recompile path). One digest per program
+   with no bugs active and one with all eight. A change that alters what
+   a pass produces on purpose updates these constants and says why. *)
+
+module Snapshot = Jitbull_mir.Snapshot
+module Demonstrators = Jitbull_vdc.Demonstrators
+module Generator = Jitbull_fuzz.Generator
+
+let recompile_disabled = [ "applytypes"; "gvn"; "dce" ]
+
+let golden_programs () =
+  List.map
+    (fun (d : Demonstrators.t) -> (d.Demonstrators.name, d.Demonstrators.source))
+    Demonstrators.all
+  @ List.init 16 (fun i ->
+        ( Printf.sprintf "benign%02d" i,
+          Generator.benign_params
+            { Generator.p_seed = i; p_funcs = 8; p_rounds = 40; p_depth = 2 } ))
+
+let pipeline_digest vulns source =
+  let module Value = Jitbull_runtime.Value in
+  let bc = Jitbull_bytecode.Compiler.compile (Jitbull_frontend.Parser.parse source) in
+  let vm = Vm.create bc in
+  (try ignore (Vm.run vm) with _ -> ());
+  let funcs = bc.Jitbull_bytecode.Op.funcs in
+  let build idx = Jitbull_mir.Builder.build funcs.(idx) ~feedback_row:vm.Vm.feedback.(idx) in
+  let buf = Buffer.create 4096 in
+  Array.iteri
+    (fun idx _ ->
+      let inline_resolver callee =
+        match Hashtbl.find_opt vm.Vm.globals callee with
+        | Some (Value.Function c) when c <> idx -> Some (build c)
+        | _ -> None
+      in
+      List.iter
+        (fun (_, s) -> Buffer.add_string buf (Snapshot.to_string s))
+        (Pipeline.run vulns ~inline_resolver (build idx));
+      let g = build idx in
+      Pipeline.run_quiet vulns ~inline_resolver ~disabled:recompile_disabled g;
+      Buffer.add_string buf (Snapshot.to_string (Snapshot.take g)))
+    funcs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* (program, digest with no bugs, digest with all eight bugs) *)
+let pass_golden =
+  [
+    ("CVE-2019-17026", "5a6a79f2cfaf326546a0b038fcbae9ae", "0b5e5cde964099bc9ea339cec3e65f24");
+    ("CVE-2019-9810", "ef42672d3896cfd4500157cb783f3be0", "eca9c21ad6d90692b95d8a998e30efde");
+    ("CVE-2019-9791", "8ac035ffb4961a67a6befbf623976e8e", "54adff85ff2e74770588d86fb791f7de");
+    ("CVE-2019-11707", "1aab4e715064d3a952859552a1c5aa71", "989408e9204da99de871f38e32021902");
+    ("CVE-2019-9792", "472d6664bb9b0446979ca864627a8f55", "e499695c6bfeaefd06ddc59000d1f58e");
+    ("CVE-2019-9795", "9a0470679e5cb0146e717feb7752ccf6", "7f0278b534683e7da8ef172725e487c7");
+    ("CVE-2019-9813", "a704fb01b67bd8330b36ca9d509ec695", "74dec42f6f3b2abde83c286a5f8f3823");
+    ("CVE-2020-26952", "603d3987bc41ded02228fe4a7601e727", "dc8b33e576b63c1c55850294f5af9705");
+    ("benign00", "d26e9d16bbd44015e22bf4b642750ec5", "ccb07f5cc6eb39300447e33b90a42b05");
+    ("benign01", "21f232e69148a45630043f6273929801", "b1425f3916ab3dee62cac58f0b23daa9");
+    ("benign02", "ce7c8063bc4f79f3f33492a0aebcb341", "6b60d144282b18a3d80730fb49c82f23");
+    ("benign03", "b171b9b1845125a08c91b657bf87429d", "8e33b08aaab920c18f8478176197b71b");
+    ("benign04", "fd674f9b972be2d7fbf8fc3f15092437", "53498e2c0c719f36aa80f776424b0a15");
+    ("benign05", "c9e58ce701390698a18854e5ead8944e", "ba4c1794b6d596cca227169130ac933b");
+    ("benign06", "5a8dc315d57ed80441785cf2497c9110", "2b5808ade5626cd0bcb4edceb649de83");
+    ("benign07", "78972686d67c1a45e36ac43285412ce9", "e1ab3716f086f1a073a1a5dd194a14e5");
+    ("benign08", "e57c7eda85127403c93409e6042f679a", "690f8fd88af24e48e35d085f8c3b0673");
+    ("benign09", "87af22fa839fad08173c8d72e84e6b48", "b093a4b21bc9250f573f66e06f598ff2");
+    ("benign10", "2294bf65478ade53035289085547236c", "f6a53f27303e89313a0dece71a86e880");
+    ("benign11", "72aa2f02007ccb689c759a9bedddc787", "548cd43363d96c96d6c35c8992a1f303");
+    ("benign12", "a72a8cc672870f10faaa5e1320bdfb80", "f46563796765b0c04f3e49097ebe2534");
+    ("benign13", "b920c4b50fbcef0997caecda5faa8f49", "4b0fa8a4aeb83d6288744f463cf52ab4");
+    ("benign14", "ce3757dc9aeb20b5b50e0fb392dfad7d", "e69bba26c47244f8b31918a372c06753");
+    ("benign15", "e64ccb2b19229234e543a9031b685be9", "f8883c5f34bffd80793707acd5ad9dc8");
+  ]
+
+let test_pass_output_golden () =
+  let all = VC.make VC.all in
+  let programs = golden_programs () in
+  check_int "program count" (List.length pass_golden) (List.length programs);
+  List.iter2
+    (fun (name, source) (name', none, buggy) ->
+      check_string "program order" name' name;
+      check_string (name ^ " patched passes") none (pipeline_digest VC.none source);
+      check_string (name ^ " buggy passes") buggy (pipeline_digest all source))
+    programs pass_golden
+
 let suite =
   ( "passes",
     [
@@ -323,4 +413,5 @@ let suite =
       Alcotest.test_case "snapshot per pass" `Quick test_every_pass_produces_snapshot;
       Alcotest.test_case "mandatory passes" `Quick test_mandatory_passes;
       Alcotest.test_case "semantic preservation" `Quick test_semantic_preservation;
+      Alcotest.test_case "pass output golden" `Quick test_pass_output_golden;
     ] )
