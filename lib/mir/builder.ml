@@ -108,11 +108,13 @@ let build (f : Op.func) ~feedback_row : Mir.t =
   let entry = g.Mir.entry in
   let mir_block = Array.make nb entry in
   Array.iter (fun i -> mir_block.(i) <- Mir.new_block g) rpo;
-  (* states and pending loop phis, keyed by MIR block id *)
-  let exit_states : (int, state) Hashtbl.t = Hashtbl.create 16 in
-  let pending_phis : (int, Mir.instr array) Hashtbl.t = Hashtbl.create 4 in
+  (* Exit states and pending loop phis, by MIR block id. Instruction lists,
+     [preds] and pending phi operands are consed up in reverse, then turned
+     round once. *)
+  let exit_states : state option array = Array.make g.Mir.next_bid None in
+  let pending_phis : Mir.instr array option array = Array.make g.Mir.next_bid None in
   let exit_state_of (b : Mir.block) =
-    match Hashtbl.find_opt exit_states b.Mir.bid with
+    match exit_states.(b.Mir.bid) with
     | Some st -> st
     | None -> build_error "predecessor block%d has no recorded state" b.Mir.bid
   in
@@ -120,58 +122,65 @@ let build (f : Op.func) ~feedback_row : Mir.t =
      by link time so phi operands align *)
   let link (src : Mir.block) dst_idx =
     let dst = mir_block.(dst_idx) in
-    dst.Mir.preds <- dst.Mir.preds @ [ src ];
-    match Hashtbl.find_opt pending_phis dst.Mir.bid with
+    dst.Mir.preds <- src :: dst.Mir.preds;
+    match pending_phis.(dst.Mir.bid) with
     | Some phis ->
       let st = exit_state_of src in
-      Array.iteri
-        (fun slot phi -> phi.Mir.operands <- phi.Mir.operands @ [ st.locals.(slot) ])
-        phis
+      Array.iteri (fun slot phi -> phi.Mir.operands <- st.locals.(slot) :: phi.Mir.operands) phis
     | None -> ()
+  in
+  let add (acc : Mir.instr list ref) (b : Mir.block) opc operands =
+    let i = Mir.make_instr ~in_block:b.Mir.bid g opc operands in
+    acc := i :: !acc;
+    i
   in
   (* synthetic entry: parameters, undefined locals, then goto bc block 0 *)
   let () =
+    let body = ref [] in
+    let emit opc = add body entry opc [] in
     let undef = ref None in
     let locals =
       Array.init f.Op.n_locals (fun i ->
-          if i < f.Op.arity then Mir.append g entry (Mir.Parameter i) []
+          if i < f.Op.arity then emit (Mir.Parameter i)
           else
             match !undef with
             | Some u -> u
             | None ->
-              let u = Mir.append g entry (Mir.Constant Value.Undefined) [] in
+              let u = emit (Mir.Constant Value.Undefined) in
               undef := Some u;
               u)
     in
-    Hashtbl.replace exit_states entry.Mir.bid { locals; stack = [] };
-    ignore (Mir.append g entry (Mir.Goto mir_block.(0)) []);
+    exit_states.(entry.Mir.bid) <- Some { locals; stack = [] };
+    ignore (emit (Mir.Goto mir_block.(0)));
+    entry.Mir.body <- List.rev !body;
     link entry 0
   in
-  let entry_state idx : state =
+  let entry_state idx ~new_phi : state =
     let b = mir_block.(idx) in
+    let preds = List.rev b.Mir.preds in
     if is_header.(idx) then begin
-      let fwd_states = List.map exit_state_of b.Mir.preds in
+      let fwd_states = List.map exit_state_of preds in
       (match fwd_states with
       | { stack = []; _ } :: _ -> ()
       | { stack = _ :: _; _ } :: _ -> build_error "non-empty stack at loop header"
       | [] -> build_error "loop header with no processed predecessor");
       let phis =
         Array.init f.Op.n_locals (fun slot ->
-            Mir.add_phi g b (List.map (fun st -> st.locals.(slot)) fwd_states))
+            new_phi (List.rev_map (fun st -> st.locals.(slot)) fwd_states))
       in
-      Hashtbl.replace pending_phis b.Mir.bid phis;
+      pending_phis.(b.Mir.bid) <- Some phis;
       { locals = Array.copy phis; stack = [] }
     end
     else begin
       (* all preds processed already (reducible CFG, RPO order) *)
-      match List.map exit_state_of b.Mir.preds with
+      match List.map exit_state_of preds with
       | [] -> build_error "block %d has no predecessors" idx
       | [ st ] -> { locals = Array.copy st.locals; stack = st.stack }
       | first :: _ as pred_states ->
         let merge_values values =
           match values with
           | v :: rest when List.for_all (fun o -> o == v) rest -> v
-          | vs -> Mir.add_phi g b vs
+          | vs -> new_phi vs
         in
         let locals =
           Array.init f.Op.n_locals (fun slot ->
@@ -189,19 +198,19 @@ let build (f : Op.func) ~feedback_row : Mir.t =
         { locals; stack }
     end
   in
+  let block_at_pc = Array.make (Array.length code + 1) (-1) in
+  Array.iteri (fun k bc -> block_at_pc.(bc.start) <- k) bc_blocks;
   let bc_index_of_pc target_pc =
-    let rec find k =
-      if k >= nb then build_error "no block starts at %d" target_pc
-      else if bc_blocks.(k).start = target_pc then k
-      else find (k + 1)
-    in
-    find 0
+    match block_at_pc.(target_pc) with
+    | -1 -> build_error "no block starts at %d" target_pc
+    | k -> k
   in
   (* translate one bytecode block *)
   let translate idx =
     let b = mir_block.(idx) in
     let bc = bc_blocks.(idx) in
-    let st = entry_state idx in
+    let phis = ref [] and body = ref [] in
+    let st = entry_state idx ~new_phi:(add phis b Mir.Phi) in
     let locals = st.locals in
     let stack = ref st.stack in
     let push v = stack := v :: !stack in
@@ -216,9 +225,9 @@ let build (f : Op.func) ~feedback_row : Mir.t =
       let rec loop n acc = if n = 0 then acc else loop (n - 1) (pop () :: acc) in
       loop n []
     in
-    let emit opc operands = Mir.append g b opc operands in
+    let emit = add body b in
     let constant v = emit (Mir.Constant v) [] in
-    let save_state () = Hashtbl.replace exit_states b.Mir.bid { locals; stack = !stack } in
+    let save_state () = exit_states.(b.Mir.bid) <- Some { locals; stack = !stack } in
     let site pc = feedback_row.(pc) in
     let finished = ref false in
     for pc = bc.start to bc.stop - 1 do
@@ -404,20 +413,22 @@ let build (f : Op.func) ~feedback_row : Mir.t =
       ignore (emit (Mir.Goto mir_block.(fall_target)) []);
       save_state ();
       link b fall_target
-    end
+    end;
+    b.Mir.phis <- List.rev !phis;
+    b.Mir.body <- List.rev !body
   in
   Array.iter translate rpo;
+  let turn_round (phi : Mir.instr) = phi.Mir.operands <- List.rev phi.Mir.operands in
+  Array.iter (Option.iter (Array.iter turn_round)) pending_phis;
   (* normalize block order; preserve the link-time pred order (phi operand
      alignment) against [refresh]'s own ordering *)
-  let saved_preds =
-    List.map (fun (b : Mir.block) -> (b.Mir.bid, b.Mir.preds)) g.Mir.blocks
-  in
+  let saved_preds = Array.make g.Mir.next_bid [] in
+  List.iter (fun (b : Mir.block) -> saved_preds.(b.Mir.bid) <- List.rev b.Mir.preds) g.Mir.blocks;
   Mir.refresh g;
   List.iter
     (fun (b : Mir.block) ->
-      match List.assoc_opt b.Mir.bid saved_preds with
-      | Some preds when List.length preds = List.length b.Mir.preds -> b.Mir.preds <- preds
-      | Some _ | None -> ())
+      let preds = saved_preds.(b.Mir.bid) in
+      if List.compare_lengths preds b.Mir.preds = 0 then b.Mir.preds <- preds)
     g.Mir.blocks;
   Mir.renumber g;
   g

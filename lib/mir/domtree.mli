@@ -2,14 +2,12 @@
 
     Used by GVN (dominance-based value numbering), LICM (hoist targets),
     the bounds-check eliminator and the verifier. Compute once per pass
-    that needs it; the tree is invalidated by any CFG edit. *)
+    that needs it; the tree is invalidated by any CFG edit. Its tables
+    are arrays indexed by block id, so queries allocate nothing. *)
 
 type t
 
 val compute : Mir.t -> t
-
-(** [idom t b] is [b]'s immediate dominator; [None] for the entry block. *)
-val idom : t -> Mir.block -> Mir.block option
 
 (** [dominates t a b] — does [a] dominate [b]? (Reflexive: a block
     dominates itself.) *)
@@ -21,6 +19,7 @@ val dominates : t -> Mir.block -> Mir.block -> bool
     across blocks it is block dominance. *)
 val instr_dominates : t -> Mir.instr -> Mir.block -> use_instr:Mir.instr -> bool
 
-(** [loop_body t header] — the set of block ids in the natural loop of
-    every back edge into [header] (header included). *)
-val loop_body : t -> Mir.t -> Mir.block -> (int, unit) Hashtbl.t
+(** [loop_body t header] — membership of the natural loop of every back
+    edge into [header] (header included), indexed by block id: [true] at
+    [b.bid] iff [b] is in the loop. *)
+val loop_body : t -> Mir.block -> bool array

@@ -13,7 +13,6 @@
    a guard does not change the behaviour of well-typed in-bounds programs,
    which is why buggy eliminations survive testing and become CVEs. *)
 
-module Ast = Jitbull_frontend.Ast
 module Value = Jitbull_runtime.Value
 
 type num_binop =
@@ -116,49 +115,52 @@ let create ~name ~arity =
   let entry = { bid = 0; phis = []; body = []; preds = [] } in
   { name; arity; entry; blocks = [ entry ]; next_iid = 0; next_bid = 1 }
 
+(* Blocks are consed onto [g.blocks]: every constructor (builder, inliner,
+   critical-edge splitter) restores the order with [refresh] or
+   [compute_rpo] once it is done. *)
 let new_block g =
   let b = { bid = g.next_bid; phis = []; body = []; preds = [] } in
   g.next_bid <- g.next_bid + 1;
-  g.blocks <- g.blocks @ [ b ];
+  g.blocks <- b :: g.blocks;
   b
 
-let make_instr g opcode operands =
-  let i =
-    { iid = g.next_iid; num = g.next_iid; opcode; operands; in_block = -1 }
-  in
+(* A fresh instruction owned by block [in_block]. It is not placed in the
+   block: constructors build each phi or body list whole, so a block of n
+   instructions costs n conses rather than n appends. *)
+let make_instr ?(in_block = -1) g opcode operands =
+  let i = { iid = g.next_iid; num = g.next_iid; opcode; operands; in_block } in
   g.next_iid <- g.next_iid + 1;
-  i
-
-(* Append to block body (before any control instruction already present —
-   callers normally add the control instruction last). *)
-let append g block opcode operands =
-  let i = make_instr g opcode operands in
-  i.in_block <- block.bid;
-  block.body <- block.body @ [ i ];
-  i
-
-let add_phi g block operands =
-  let i = make_instr g Phi operands in
-  i.in_block <- block.bid;
-  block.phis <- block.phis @ [ i ];
   i
 
 (* ---- shape helpers ---- *)
 
+let rec last = function
+  | [ x ] -> Some x
+  | _ :: rest -> last rest
+  | [] -> None
+
 let successors (b : block) : block list =
-  match List.rev b.body with
-  | { opcode = Goto target; _ } :: _ -> [ target ]
-  | { opcode = Test (t, f); _ } :: _ -> [ t; f ]
+  match last b.body with
+  | Some { opcode = Goto target; _ } -> [ target ]
+  | Some { opcode = Test (t, f); _ } -> [ t; f ]
   | _ -> []
 
 let control_instr (b : block) : instr option =
-  match List.rev b.body with
-  | ({ opcode = Goto _ | Test _ | Return | Unreachable; _ } as i) :: _ -> Some i
+  match last b.body with
+  | Some { opcode = Goto _ | Test _ | Return | Unreachable; _ } as i -> i
   | _ -> None
 
 let instructions (b : block) = b.phis @ b.body
 
-let all_instructions (g : t) = List.concat_map instructions g.blocks
+let all_instructions (g : t) = List.fold_right (fun b acc -> b.phis @ (b.body @ acc)) g.blocks []
+
+(* [List.iter f (all_instructions g)] without building the list *)
+let iter_instructions f (g : t) =
+  List.iter
+    (fun b ->
+      List.iter f b.phis;
+      List.iter f b.body)
+    g.blocks
 
 (* [List.length (all_instructions g)] without building the list *)
 let instruction_count (g : t) =
@@ -167,11 +169,11 @@ let instruction_count (g : t) =
 (* ---- reverse postorder & bookkeeping ---- *)
 
 let compute_rpo (g : t) : block list =
-  let visited = Hashtbl.create 16 in
+  let visited = Array.make g.next_bid false in
   let order = ref [] in
   let rec dfs b =
-    if not (Hashtbl.mem visited b.bid) then begin
-      Hashtbl.add visited b.bid ();
+    if not visited.(b.bid) then begin
+      visited.(b.bid) <- true;
       List.iter dfs (successors b);
       order := b :: !order
     end
@@ -180,32 +182,64 @@ let compute_rpo (g : t) : block list =
   !order
 
 (* Recompute predecessor lists and block order from the control
-   instructions; unreachable blocks are dropped. Phi operands of blocks
-   whose predecessor list changed are NOT adjusted here — passes that
-   remove edges must fix phis themselves. *)
+   instructions; unreachable blocks are dropped. Preds come out in RPO
+   order of the predecessor (walking the order backwards and consing).
+   Phi operands of blocks whose predecessor list changed are NOT adjusted
+   here — passes that remove edges must fix phis themselves. *)
 let refresh (g : t) =
   let rpo = compute_rpo g in
   List.iter (fun b -> b.preds <- []) rpo;
   List.iter
-    (fun b -> List.iter (fun s -> s.preds <- s.preds @ [ b ]) (successors b))
-    rpo;
+    (fun b -> List.iter (fun s -> s.preds <- b :: s.preds) (successors b))
+    (List.rev rpo);
   g.blocks <- rpo;
   List.iter
-    (fun b -> List.iter (fun i -> i.in_block <- b.bid) (instructions b))
+    (fun b ->
+      List.iter (fun i -> i.in_block <- b.bid) b.phis;
+      List.iter (fun i -> i.in_block <- b.bid) b.body)
     rpo
 
-(* ---- use replacement ---- *)
+(* ---- use forwarding ----
 
-(* Replace every use of [old_i] as an operand with [new_i]. O(instrs). *)
-let replace_all_uses (g : t) (old_i : instr) (new_i : instr) =
-  List.iter
-    (fun i ->
-      if List.memq old_i i.operands then
-        i.operands <- List.map (fun o -> if o == old_i then new_i else o) i.operands)
-    (all_instructions g)
+   A pass that replaces instructions records each replacement in a
+   forwarding table instead of rewriting every use on the spot, reads
+   operands through [resolve] while it runs, and applies the table with
+   [forward_uses] in one sweep when it is done: operands are rewritten to
+   their final replacement and replaced instructions leave their blocks.
+   The table (iid → replacement) is allocated at the first [forward] and
+   grows for ids created during the pass. *)
 
-let has_uses (g : t) (target : instr) =
-  List.exists (fun i -> List.memq target i.operands) (all_instructions g)
+type forwarding = { mutable target : instr array; size_hint : int (* next_iid at start *) }
+
+let unforwarded = { iid = -1; num = -1; opcode = Unreachable; operands = []; in_block = -1 }
+let forwarding (g : t) = { target = [||]; size_hint = g.next_iid }
+let forwarded fw i = i.iid < Array.length fw.target && fw.target.(i.iid) != unforwarded
+let rec resolve fw i = if forwarded fw i then resolve fw fw.target.(i.iid) else i
+
+let resolved_operands fw i =
+  if List.exists (forwarded fw) i.operands then List.map (resolve fw) i.operands
+  else i.operands
+
+let forward fw old_i new_i =
+  let n = Array.length fw.target in
+  if old_i.iid >= n then begin
+    let t = Array.make (max (old_i.iid + 1) (max fw.size_hint (2 * n))) unforwarded in
+    Array.blit fw.target 0 t 0 n;
+    fw.target <- t
+  end;
+  fw.target.(old_i.iid) <- new_i
+
+let forward_uses (g : t) fw =
+  if Array.length fw.target > 0 then begin
+    let live i = not (forwarded fw i) in
+    List.iter
+      (fun b ->
+        if not (List.for_all live b.phis) then b.phis <- List.filter live b.phis;
+        if not (List.for_all live b.body) then b.body <- List.filter live b.body;
+        List.iter (fun i -> i.operands <- resolved_operands fw i) b.phis;
+        List.iter (fun i -> i.operands <- resolved_operands fw i) b.body)
+      g.blocks
+  end
 
 (* ---- renumbering ---- *)
 
@@ -317,97 +351,49 @@ type effect_info = {
   is_control : bool;
 }
 
-let effects : opcode -> effect_info = function
-  | Parameter _ | Constant _ | Phi ->
-    { reads = []; writes = []; is_guard = false; is_movable = false; is_control = false }
-  | Unbox_number | Unbox_int32 | Guard_array ->
-    { reads = []; writes = []; is_guard = true; is_movable = true; is_control = false }
-  | Bounds_check ->
-    { reads = []; writes = []; is_guard = true; is_movable = true; is_control = false }
-  | Add | Bin_num _ | Compare _ | Negate | Bit_not | Not | Typeof | To_number ->
-    { reads = []; writes = []; is_guard = false; is_movable = true; is_control = false }
-  | New_array _ | New_object _ ->
-    (* allocation: not movable/dedupable, but reads nothing *)
-    { reads = []; writes = []; is_guard = false; is_movable = false; is_control = false }
-  | Elements ->
-    (* the elements pointer changes when storage is reallocated (push /
-       length growth), which writes Alias_lengths *)
-    { reads = [ Alias_lengths ]; writes = []; is_guard = false; is_movable = true; is_control = false }
-  | Initialized_length | Array_length ->
-    { reads = [ Alias_lengths ]; writes = []; is_guard = false; is_movable = true; is_control = false }
-  | Load_element ->
-    { reads = [ Alias_elements ]; writes = []; is_guard = false; is_movable = true; is_control = false }
-  | Store_element ->
-    { reads = []; writes = [ Alias_elements ]; is_guard = false; is_movable = false; is_control = false }
-  | Set_array_length ->
-    { reads = []; writes = [ Alias_lengths; Alias_elements ]; is_guard = false; is_movable = false; is_control = false }
-  | Array_push | Array_pop ->
-    { reads = [ Alias_lengths; Alias_elements ];
-      writes = [ Alias_lengths; Alias_elements ];
-      is_guard = false;
-      is_movable = false;
-      is_control = false }
-  | Get_prop _ ->
-    { reads = [ Alias_objects; Alias_lengths ]; writes = []; is_guard = false; is_movable = true; is_control = false }
-  | Set_prop _ ->
-    (* a generic property write may hit an array's [length] and resize it,
-       so it clobbers array state too *)
-    { reads = [];
-      writes = [ Alias_objects; Alias_lengths; Alias_elements ];
-      is_guard = false;
-      is_movable = false;
-      is_control = false }
-  | Get_index_generic ->
-    { reads = all_alias_classes; writes = []; is_guard = false; is_movable = false; is_control = false }
-  | Set_index_generic ->
-    { reads = all_alias_classes; writes = all_alias_classes; is_guard = false; is_movable = false; is_control = false }
-  | Load_global _ ->
-    { reads = [ Alias_globals ]; writes = []; is_guard = false; is_movable = true; is_control = false }
-  | Store_global _ ->
-    { reads = []; writes = [ Alias_globals ]; is_guard = false; is_movable = false; is_control = false }
-  | Declare_global _ ->
-    { reads = [ Alias_globals ]; writes = [ Alias_globals ]; is_guard = false; is_movable = false; is_control = false }
-  | Call _ | Call_method _ ->
-    { reads = all_alias_classes; writes = all_alias_classes; is_guard = false; is_movable = false; is_control = false }
-  | Goto _ | Test _ | Return | Unreachable ->
-    { reads = []; writes = []; is_guard = false; is_movable = false; is_control = true }
+let no_effect = { reads = []; writes = []; is_guard = false; is_movable = false; is_control = false }
+let pure = { no_effect with is_movable = true }
+let guard = { pure with is_guard = true }
+let load reads = { pure with reads }
+let store writes = { no_effect with writes }
+let read_write classes = { no_effect with reads = classes; writes = classes }
 
-let has_side_effects op = (effects op).writes <> []
+(* Built once: [effects] returns these shared records. *)
+let load_lengths = load [ Alias_lengths ]
+let load_elements = load [ Alias_elements ]
+let load_props = load [ Alias_objects; Alias_lengths ]
+let load_globals = load [ Alias_globals ]
+let store_elements = store [ Alias_elements ]
+let store_lengths = store [ Alias_lengths; Alias_elements ]
+(* a generic property write may hit an array's [length] and resize it,
+   so it clobbers array state too *)
+let store_props = store [ Alias_objects; Alias_lengths; Alias_elements ]
+let store_globals = store [ Alias_globals ]
+let push_pop = read_write [ Alias_lengths; Alias_elements ]
+let read_all = { no_effect with reads = all_alias_classes }
+let read_write_all = read_write all_alias_classes
+let declare_global = read_write [ Alias_globals ]
+let control = { no_effect with is_control = true }
+
+let effects : opcode -> effect_info = function
+  (* allocations are neither movable nor dedupable, but read nothing *)
+  | Parameter _ | Constant _ | Phi | New_array _ | New_object _ -> no_effect
+  | Unbox_number | Unbox_int32 | Guard_array | Bounds_check -> guard
+  | Add | Bin_num _ | Compare _ | Negate | Bit_not | Not | Typeof | To_number -> pure
+  (* the elements pointer changes when storage is reallocated (push /
+     length growth), which writes Alias_lengths *)
+  | Elements | Initialized_length | Array_length -> load_lengths
+  | Load_element -> load_elements
+  | Store_element -> store_elements
+  | Set_array_length -> store_lengths
+  | Array_push | Array_pop -> push_pop
+  | Get_prop _ -> load_props
+  | Set_prop _ -> store_props
+  | Get_index_generic -> read_all
+  | Set_index_generic | Call _ | Call_method _ -> read_write_all
+  | Load_global _ -> load_globals
+  | Store_global _ -> store_globals
+  | Declare_global _ -> declare_global
+  | Goto _ | Test _ | Return | Unreachable -> control
 
 let is_control op = (effects op).is_control
-
-(* ---- printing ---- *)
-
-let constant_label (v : Value.t) =
-  match v with
-  | Value.Number f -> Value.to_display (Value.Number f)
-  | Value.String s -> Printf.sprintf "%S" s
-  | v -> Value.to_display v
-
-let instr_label (i : instr) =
-  let extra =
-    match i.opcode with
-    | Constant v -> " " ^ constant_label v
-    | Parameter n -> Printf.sprintf " %d" n
-    | Load_global s | Store_global s | Declare_global s | Get_prop s | Set_prop s -> " " ^ s
-    | Call_method (m, _) -> " " ^ m
-    | Goto b -> Printf.sprintf " block%d" b.bid
-    | Test (t, f) -> Printf.sprintf " block%d block%d" t.bid f.bid
-    | _ -> ""
-  in
-  let operands = List.map (fun o -> string_of_int o.num) i.operands in
-  Printf.sprintf "%d %s%s %s" i.num (opcode_name i.opcode) extra (String.concat " " operands)
-
-let to_string (g : t) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (Printf.sprintf "function %s/%d\n" g.name g.arity);
-  List.iter
-    (fun b ->
-      let preds = List.map (fun p -> string_of_int p.bid) b.preds in
-      Buffer.add_string buf
-        (Printf.sprintf "block%d: (preds: %s)\n" b.bid (String.concat "," preds));
-      List.iter
-        (fun i -> Buffer.add_string buf ("  " ^ instr_label i ^ "\n"))
-        (instructions b))
-    g.blocks;
-  Buffer.contents buf

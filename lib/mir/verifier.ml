@@ -4,10 +4,11 @@ let fail fmt = Format.kasprintf (fun s -> raise (Invalid s)) fmt
 
 let check (g : Mir.t) =
   let dom = Domtree.compute g in
-  let in_graph = Hashtbl.create 64 in
+  (* by iid: the block holding the instruction, if it is in the graph *)
+  let in_graph = Array.make g.Mir.next_iid None in
   List.iter
     (fun (b : Mir.block) ->
-      List.iter (fun (i : Mir.instr) -> Hashtbl.replace in_graph i.Mir.iid b) (Mir.instructions b))
+      List.iter (fun (i : Mir.instr) -> in_graph.(i.Mir.iid) <- Some b) (Mir.instructions b))
     g.Mir.blocks;
   List.iter
     (fun (b : Mir.block) ->
@@ -60,10 +61,14 @@ let check (g : Mir.t) =
         (fun (i : Mir.instr) ->
           List.iter
             (fun (op : Mir.instr) ->
-              if not (Hashtbl.mem in_graph op.Mir.iid) then
+              let def_block =
+                if op.Mir.iid < Array.length in_graph then in_graph.(op.Mir.iid) else None
+              in
+              match (def_block, i.Mir.opcode) with
+              | None, _ ->
                 fail "instruction %d of block%d uses dead operand %d" i.Mir.num b.Mir.bid
                   op.Mir.num
-              else if i.Mir.opcode = Mir.Phi then begin
+              | Some def_block, Mir.Phi -> (
                 (* the k-th operand must be available at the exit of the
                    k-th predecessor *)
                 let rec nth_pred ops preds =
@@ -76,15 +81,14 @@ let check (g : Mir.t) =
                    fine because we only need existence of a valid slot *)
                 match nth_pred i.Mir.operands b.Mir.preds with
                 | Some p ->
-                  let def_block = Hashtbl.find in_graph op.Mir.iid in
                   if not (Domtree.dominates dom def_block p) then
                     fail "phi %d operand %d does not dominate pred block%d" i.Mir.num
                       op.Mir.num p.Mir.bid
-                | None -> ()
-              end
-              else if not (Domtree.instr_dominates dom op b ~use_instr:i) then
-                fail "operand %d does not dominate its use %d in block%d" op.Mir.num i.Mir.num
-                  b.Mir.bid)
+                | None -> ())
+              | Some _, _ ->
+                if not (Domtree.instr_dominates dom op b ~use_instr:i) then
+                  fail "operand %d does not dominate its use %d in block%d" op.Mir.num i.Mir.num
+                    b.Mir.bid)
             i.Mir.operands)
         (Mir.instructions b))
     g.Mir.blocks

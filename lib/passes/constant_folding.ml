@@ -44,75 +44,73 @@ let const_of (i : Mir.instr) =
   | _ -> None
 
 (* Walk to the array definition behind guard/unbox wrappers. *)
-let rec strip (i : Mir.instr) =
+let rec strip fw (i : Mir.instr) =
   match (i.Mir.opcode, i.Mir.operands) with
-  | (Mir.Guard_array | Mir.Unbox_int32 | Mir.Unbox_number | Mir.To_number), [ x ] -> strip x
+  | (Mir.Guard_array | Mir.Unbox_int32 | Mir.Unbox_number | Mir.To_number), [ x ] ->
+    strip fw (Mir.resolve fw x)
   | _ -> i
 
 let run (ctx : Pass.ctx) (g : Mir.t) =
   let vulnerable = Vuln_config.is_active ctx.Pass.vulns Vuln_config.CVE_2019_9795 in
-  let blocks = Mir_util.block_map g in
   let fold_to (i : Mir.instr) (v : Value.t) =
     (* rewrite in place into a constant: keeps the definition point, so
        dominance is untouched *)
     i.Mir.opcode <- Mir.Constant v;
     i.Mir.operands <- []
   in
+  let folded (i : Mir.instr) =
+    match (i.Mir.opcode, i.Mir.operands) with
+    | Mir.Bin_num op, [ { Mir.opcode = Mir.Constant a; _ }; { Mir.opcode = Mir.Constant b; _ } ]
+      ->
+      Some (Value_ops.binary (ast_of_num_binop op) a b)
+    | Mir.Add, [ { Mir.opcode = Mir.Constant a; _ }; { Mir.opcode = Mir.Constant b; _ } ] ->
+      Some (Value_ops.binary Ast.Add a b)
+    | Mir.Compare op, [ { Mir.opcode = Mir.Constant a; _ }; { Mir.opcode = Mir.Constant b; _ } ]
+      ->
+      Some (Value_ops.binary (ast_of_compare op) a b)
+    | Mir.Not, [ { Mir.opcode = Mir.Constant a; _ } ] -> Some (Value_ops.unary Ast.Not a)
+    | Mir.Negate, [ { Mir.opcode = Mir.Constant a; _ } ] -> Some (Value_ops.unary Ast.Neg a)
+    | Mir.Bit_not, [ { Mir.opcode = Mir.Constant a; _ } ] -> Some (Value_ops.unary Ast.Bit_not a)
+    | Mir.Typeof, [ { Mir.opcode = Mir.Constant a; _ } ] ->
+      Some (Value.String (Value.type_name a))
+    | Mir.To_number, [ { Mir.opcode = Mir.Constant a; _ } ] ->
+      Some (Value.Number (Value_ops.to_number a))
+    | Mir.Unbox_number, [ { Mir.opcode = Mir.Constant (Value.Number f); _ } ] ->
+      Some (Value.Number f)
+    | Mir.Unbox_int32, [ { Mir.opcode = Mir.Constant (Value.Number f); _ } ]
+      when Float.is_integer f && Float.abs f < 2147483648.0 ->
+      Some (Value.Number f)
+    | _ -> None
+  in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
+    Mir.iter_instructions
       (fun (i : Mir.instr) ->
-        match (i.Mir.opcode, List.map const_of i.Mir.operands) with
-        | Mir.Bin_num op, [ Some a; Some b ] ->
-          fold_to i (Value_ops.binary (ast_of_num_binop op) a b);
+        match folded i with
+        | Some v ->
+          fold_to i v;
           changed := true
-        | Mir.Add, [ Some a; Some b ] ->
-          fold_to i (Value_ops.binary Ast.Add a b);
-          changed := true
-        | Mir.Compare op, [ Some a; Some b ] ->
-          fold_to i (Value_ops.binary (ast_of_compare op) a b);
-          changed := true
-        | Mir.Not, [ Some a ] ->
-          fold_to i (Value_ops.unary Ast.Not a);
-          changed := true
-        | Mir.Negate, [ Some a ] ->
-          fold_to i (Value_ops.unary Ast.Neg a);
-          changed := true
-        | Mir.Bit_not, [ Some a ] ->
-          fold_to i (Value_ops.unary Ast.Bit_not a);
-          changed := true
-        | Mir.Typeof, [ Some a ] ->
-          fold_to i (Value.String (Value.type_name a));
-          changed := true
-        | Mir.To_number, [ Some a ] ->
-          fold_to i (Value.Number (Value_ops.to_number a));
-          changed := true
-        | Mir.Unbox_number, [ Some (Value.Number f) ] ->
-          fold_to i (Value.Number f);
-          changed := true
-        | Mir.Unbox_int32, [ Some (Value.Number f) ]
-          when Float.is_integer f && Float.abs f < 2147483648.0 ->
-          fold_to i (Value.Number f);
-          changed := true
-        | _ -> ())
-      (Mir.all_instructions g)
+        | None -> ())
+      g
   done;
-  if vulnerable then
-    List.iter
+  if vulnerable then begin
+    let fw = Mir.forwarding g in
+    Mir.iter_instructions
       (fun (i : Mir.instr) ->
-        match (i.Mir.opcode, i.Mir.operands) with
+        match (i.Mir.opcode, Mir.resolved_operands fw i) with
         | Mir.Bounds_check, [ idx; len ] -> (
-          match (const_of (strip idx), Bounds_check_elim.array_of_length_load len) with
+          match (const_of (strip fw idx), Bounds_check_elim.array_of_length_load fw len) with
           | Some (Value.Number k), Some arr -> (
-            match (strip arr).Mir.opcode with
+            match (strip fw arr).Mir.opcode with
             | Mir.New_array n when k >= 0.0 && int_of_float k < n ->
               (* BUG: trusts the allocation-site length *)
-              Mir.replace_all_uses g i idx;
-              Mir_util.remove_instr blocks i
+              Mir.forward fw i idx
             | _ -> ())
           | _ -> ())
         | _ -> ())
-      (Mir.all_instructions g)
+      g;
+    Mir.forward_uses g fw
+  end
 
 let pass : Pass.t = { Pass.name = "foldconstants"; can_disable = true; run }

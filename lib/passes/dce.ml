@@ -15,10 +15,10 @@ module Mir = Jitbull_mir.Mir
 
 let run (ctx : Pass.ctx) (g : Mir.t) =
   let vulnerable = Vuln_config.is_active ctx.Pass.vulns Vuln_config.CVE_2019_9813 in
-  let live : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let live = Array.make g.Mir.next_iid false in
   let rec mark (i : Mir.instr) =
-    if not (Hashtbl.mem live i.Mir.iid) then begin
-      Hashtbl.replace live i.Mir.iid ();
+    if not live.(i.Mir.iid) then begin
+      live.(i.Mir.iid) <- true;
       List.iter mark i.Mir.operands
     end
   in
@@ -32,10 +32,10 @@ let run (ctx : Pass.ctx) (g : Mir.t) =
        | Mir.Unbox_number | Mir.Unbox_int32 | Mir.Guard_array -> true
        | _ -> false)
   in
-  List.iter (fun i -> if is_root i then mark i) (Mir.all_instructions g);
+  Mir.iter_instructions (fun i -> if is_root i then mark i) g;
   List.iter
     (fun (b : Mir.block) ->
-      let keep (i : Mir.instr) = Hashtbl.mem live i.Mir.iid in
+      let keep (i : Mir.instr) = live.(i.Mir.iid) in
       b.Mir.phis <- List.filter keep b.Mir.phis;
       b.Mir.body <- List.filter keep b.Mir.body)
     g.Mir.blocks

@@ -39,33 +39,34 @@ let run (_ctx : Pass.ctx) (g : Mir.t) =
       | Some _ | None -> ())
     g.Mir.blocks;
   (* cascade unreachable-block removal *)
-  let reachable = Hashtbl.create 16 in
+  let reachable = Array.make g.Mir.next_bid false in
   let rec mark (b : Mir.block) =
-    if not (Hashtbl.mem reachable b.Mir.bid) then begin
-      Hashtbl.replace reachable b.Mir.bid ();
+    if not reachable.(b.Mir.bid) then begin
+      reachable.(b.Mir.bid) <- true;
       List.iter mark (Mir.successors b)
     end
   in
   mark g.Mir.entry;
-  let dead = List.filter (fun (b : Mir.block) -> not (Hashtbl.mem reachable b.Mir.bid)) g.Mir.blocks in
+  let dead = List.filter (fun (b : Mir.block) -> not reachable.(b.Mir.bid)) g.Mir.blocks in
   List.iter
     (fun (d : Mir.block) -> List.iter (fun s -> remove_edge d s) (Mir.successors d))
     dead;
-  g.Mir.blocks <- List.filter (fun (b : Mir.block) -> Hashtbl.mem reachable b.Mir.bid) g.Mir.blocks;
+  g.Mir.blocks <- List.filter (fun (b : Mir.block) -> reachable.(b.Mir.bid)) g.Mir.blocks;
   (* edge removal can leave single-operand (trivial) phis behind; fold them
      here so later CFG passes and lowering see a clean graph even when the
      phi-elimination pass has already run (or is disabled) *)
-  let blocks = Mir_util.block_map g in
+  let fw = Mir.forwarding g in
   List.iter
     (fun (b : Mir.block) ->
       List.iter
         (fun (phi : Mir.instr) ->
           match phi.Mir.operands with
-          | [ v ] when v != phi ->
-            Mir.replace_all_uses g phi v;
-            Mir_util.remove_instr blocks phi
+          | [ v ] ->
+            let v = Mir.resolve fw v in
+            if v != phi then Mir.forward fw phi v
           | _ -> ())
         b.Mir.phis)
-    g.Mir.blocks
+    g.Mir.blocks;
+  Mir.forward_uses g fw
 
 let pass : Pass.t = { Pass.name = "foldtests"; can_disable = true; run }

@@ -27,29 +27,34 @@ let run (ctx : Pass.ctx) (g : Mir.t) =
     Vuln_config.is_active vulns Vuln_config.CVE_2019_17026
     || Vuln_config.is_active vulns Vuln_config.CVE_2019_9810
   in
-  let clobbers op cls =
+  let clobbers op =
     match op with
-    | Mir.Set_array_length when ignore_setlength -> false  (* BUG *)
-    | _ -> Mir_util.default_clobbers op cls
+    | Mir.Set_array_length when ignore_setlength -> 0  (* BUG *)
+    | _ -> Mir_util.default_clobbers op
   in
   let deps = Mir_util.compute_load_deps ~clobbers g in
   let dom = Domtree.compute g in
-  let blocks = Mir_util.block_map g in
-  let table : (string, Mir.instr list) Hashtbl.t = Hashtbl.create 64 in
+  let fw = Mir.forwarding g in
+  (* congruence key: opcode tag, payload key (see {!Mir_util.payload_key}),
+     resolved operand iids and the load dependency token (-1, -1 when the
+     instruction is not a load) *)
+  let table : (int * string * int list * int * int, Mir.instr list) Hashtbl.t =
+    Hashtbl.create 64
+  in
   let key (i : Mir.instr) =
-    let ops = List.map (fun (o : Mir.instr) -> string_of_int o.Mir.iid) i.Mir.operands in
-    let dep =
-      match Hashtbl.find_opt deps i.Mir.iid with
-      | Some (s, l) -> Printf.sprintf "@%d/%d" s l
-      | None -> ""
-    in
-    Mir_util.opcode_key i.Mir.opcode ^ "(" ^ String.concat "," ops ^ ")" ^ dep
+    ( Mir.opcode_tag i.Mir.opcode,
+      Mir_util.payload_key i.Mir.opcode,
+      List.map (fun o -> (Mir.resolve fw o).Mir.iid) i.Mir.operands,
+      deps.Mir_util.combo.(i.Mir.iid),
+      deps.Mir_util.loop.(i.Mir.iid) )
   in
   let eligible (i : Mir.instr) =
-    let eff = Mir.effects i.Mir.opcode in
-    (eff.Mir.is_movable || (match i.Mir.opcode with Mir.Constant _ -> true | _ -> false))
-    && not eff.Mir.is_control
-    && i.Mir.opcode <> Mir.Phi
+    match i.Mir.opcode with
+    | Mir.Phi -> false
+    | Mir.Constant _ -> true
+    | op ->
+      let eff = Mir.effects op in
+      eff.Mir.is_movable && not eff.Mir.is_control
   in
   List.iter
     (fun (b : Mir.block) ->
@@ -57,20 +62,17 @@ let run (ctx : Pass.ctx) (g : Mir.t) =
         (fun (i : Mir.instr) ->
           if eligible i then begin
             let k = key i in
-            let candidates =
-              match Hashtbl.find_opt table k with Some l -> l | None -> []
-            in
+            let candidates = Option.value ~default:[] (Hashtbl.find_opt table k) in
             match
               List.find_opt
                 (fun (r : Mir.instr) -> Domtree.instr_dominates dom r b ~use_instr:i)
                 candidates
             with
-            | Some rep ->
-              Mir.replace_all_uses g i rep;
-              Mir_util.remove_instr blocks i
+            | Some rep -> Mir.forward fw i rep
             | None -> Hashtbl.replace table k (i :: candidates)
           end)
         b.Mir.body)
-    g.Mir.blocks
+    g.Mir.blocks;
+  Mir.forward_uses g fw
 
 let pass : Pass.t = { Pass.name = "gvn"; can_disable = true; run }

@@ -28,36 +28,45 @@ let max_inlines_per_run = 4
    (return_block_clone, return_value_clone)). [arg_for i] supplies the
    caller-side value for parameter [i]. *)
 let splice_clone (g : Mir.t) (callee : Mir.t) ~arg_for =
-  let block_map : (int, Mir.block) Hashtbl.t = Hashtbl.create 16 in
-  let instr_map : (int, Mir.instr) Hashtbl.t = Hashtbl.create 64 in
+  (* callee ids → their clones *)
+  let block_map = Array.make callee.Mir.next_bid g.Mir.entry in
+  let instr_map = Array.make callee.Mir.next_iid Mir.unforwarded in
   (* first create empty target blocks *)
-  List.iter
-    (fun (b : Mir.block) -> Hashtbl.replace block_map b.Mir.bid (Mir.new_block g))
-    callee.Mir.blocks;
-  let clone_block (b : Mir.block) = Hashtbl.find block_map b.Mir.bid in
+  List.iter (fun (b : Mir.block) -> block_map.(b.Mir.bid) <- Mir.new_block g) callee.Mir.blocks;
+  let clone_block (b : Mir.block) = block_map.(b.Mir.bid) in
   let returns = ref [] in
-  (* clone instructions (two phases: create, then wire operands) *)
+  (* clone instructions (two phases: create, then wire operands); each
+     block's lists are consed up in reverse and turned round once *)
   List.iter
     (fun (b : Mir.block) ->
       let nb = clone_block b in
+      nb.Mir.preds <- List.map clone_block b.Mir.preds;
+      let phis = ref [] and body = ref [] in
+      let add acc op =
+        let i = Mir.make_instr ~in_block:nb.Mir.bid g op [] in
+        acc := i :: !acc;
+        i
+      in
       List.iter
         (fun (i : Mir.instr) ->
           let cloned =
             match i.Mir.opcode with
             | Mir.Parameter n -> arg_for n  (* no new instruction *)
-            | Mir.Phi -> Mir.add_phi g nb []
-            | Mir.Goto t -> Mir.append g nb (Mir.Goto (clone_block t)) []
-            | Mir.Test (t, f) -> Mir.append g nb (Mir.Test (clone_block t, clone_block f)) []
+            | Mir.Phi -> add phis Mir.Phi
+            | Mir.Goto t -> add body (Mir.Goto (clone_block t))
+            | Mir.Test (t, f) -> add body (Mir.Test (clone_block t, clone_block f))
             | Mir.Return ->
               (* becomes a goto to the continuation; target patched by the
                  caller of [splice_clone] *)
-              let goto = Mir.append g nb (Mir.Goto nb) [] in
+              let goto = add body (Mir.Goto nb) in
               returns := (nb, i, goto) :: !returns;
               goto
-            | op -> Mir.append g nb op []
+            | op -> add body op
           in
-          Hashtbl.replace instr_map i.Mir.iid cloned)
-        (Mir.instructions b))
+          instr_map.(i.Mir.iid) <- cloned)
+        (Mir.instructions b);
+      nb.Mir.phis <- List.rev !phis;
+      nb.Mir.body <- List.rev !body)
     callee.Mir.blocks;
   (* wire operands *)
   List.iter
@@ -67,35 +76,31 @@ let splice_clone (g : Mir.t) (callee : Mir.t) ~arg_for =
           match i.Mir.opcode with
           | Mir.Parameter _ | Mir.Return -> ()
           | _ ->
-            let cloned = Hashtbl.find instr_map i.Mir.iid in
+            let cloned = instr_map.(i.Mir.iid) in
             cloned.Mir.operands <-
-              List.map (fun (o : Mir.instr) -> Hashtbl.find instr_map o.Mir.iid) i.Mir.operands)
+              List.map (fun (o : Mir.instr) -> instr_map.(o.Mir.iid)) i.Mir.operands)
         (Mir.instructions b))
-    callee.Mir.blocks;
-  (* preds *)
-  List.iter
-    (fun (b : Mir.block) ->
-      (clone_block b).Mir.preds <- List.map clone_block b.Mir.preds)
     callee.Mir.blocks;
   let return_sites =
     List.rev_map
       (fun ((nb : Mir.block), (ret : Mir.instr), (goto : Mir.instr)) ->
         let v =
           match ret.Mir.operands with
-          | [ v ] -> Hashtbl.find instr_map v.Mir.iid
-          | _ -> Mir.append g nb (Mir.Constant Value.Undefined) []
+          | [ v ] -> instr_map.(v.Mir.iid)
+          | _ ->
+            let u = Mir.make_instr ~in_block:nb.Mir.bid g (Mir.Constant Value.Undefined) [] in
+            nb.Mir.body <- nb.Mir.body @ [ u ];
+            u
         in
         (nb, v, goto))
       !returns
   in
   (clone_block callee.Mir.entry, return_sites)
 
-let inline_call (g : Mir.t) (b : Mir.block) (call : Mir.instr) (callee : Mir.t) =
-  let args =
-    match call.Mir.operands with
-    | _ :: args -> Array.of_list args
-    | [] -> [||]
-  in
+(* Inline [call] (in [b]) with [callee]; the call's uses are forwarded to
+   the result through [fw]. [args] are the call's arguments, resolved. *)
+let inline_call (g : Mir.t) fw (b : Mir.block) (call : Mir.instr) (callee : Mir.t) ~args =
+  let args = Array.of_list args in
   (* undefined filler for missing arguments, defined before the call *)
   let undef = lazy (Mir.make_instr g (Mir.Constant Value.Undefined) []) in
   let arg_for n = if n < Array.length args then args.(n) else Lazy.force undef in
@@ -124,8 +129,7 @@ let inline_call (g : Mir.t) (b : Mir.block) (call : Mir.instr) (callee : Mir.t) 
     end
     else before
   in
-  let goto_entry = Mir.make_instr g (Mir.Goto entry_clone) [] in
-  goto_entry.Mir.in_block <- b.Mir.bid;
+  let goto_entry = Mir.make_instr ~in_block:b.Mir.bid g (Mir.Goto entry_clone) [] in
   b.Mir.body <- before @ [ goto_entry ];
   entry_clone.Mir.preds <- [ b ];
   (* retarget cloned returns to cont and build the result phi *)
@@ -137,21 +141,26 @@ let inline_call (g : Mir.t) (b : Mir.block) (call : Mir.instr) (callee : Mir.t) 
   let result =
     match return_sites with
     | [ (_, v, _) ] -> v
-    | _ :: _ -> Mir.add_phi g cont (List.map (fun (_, v, _) -> v) return_sites)
+    | _ :: _ ->
+      let phi =
+        Mir.make_instr ~in_block:cont.Mir.bid g Mir.Phi (List.map (fun (_, v, _) -> v) return_sites)
+      in
+      cont.Mir.phis <- [ phi ];
+      phi
     | [] ->
       (* callee never returns (infinite loop): cont is unreachable; keep a
          dummy undefined value for uses *)
-      let u = Mir.make_instr g (Mir.Constant Value.Undefined) [] in
-      u.Mir.in_block <- cont.Mir.bid;
+      let u = Mir.make_instr ~in_block:cont.Mir.bid g (Mir.Constant Value.Undefined) [] in
       cont.Mir.body <- u :: cont.Mir.body;
       u
   in
-  Mir.replace_all_uses g call result;
+  Mir.forward fw call result;
   g.Mir.blocks <- Mir.compute_rpo g;
   Mir.renumber g
 
 let run (ctx : Pass.ctx) (g : Mir.t) =
   let budget = ref max_inlines_per_run in
+  let fw = Mir.forwarding g in
   (* names already judged non-inlinable: don't re-resolve them each scan *)
   let rejected : (string, unit) Hashtbl.t = Hashtbl.create 4 in
   let find_site () =
@@ -159,10 +168,12 @@ let run (ctx : Pass.ctx) (g : Mir.t) =
       (fun (b : Mir.block) ->
         List.find_map
           (fun (i : Mir.instr) ->
-            match (i.Mir.opcode, i.Mir.operands) with
-            | Mir.Call _, { Mir.opcode = Mir.Load_global f; _ } :: _
-              when not (Hashtbl.mem rejected f) ->
-              Some (b, i, f)
+            match i.Mir.opcode with
+            | Mir.Call _ -> (
+              match Mir.resolved_operands fw i with
+              | { Mir.opcode = Mir.Load_global f; _ } :: args when not (Hashtbl.mem rejected f) ->
+                Some (b, i, f, args)
+              | _ -> None)
             | _ -> None)
           b.Mir.body)
       g.Mir.blocks
@@ -171,15 +182,16 @@ let run (ctx : Pass.ctx) (g : Mir.t) =
   while !continue_ && !budget > 0 do
     match find_site () with
     | None -> continue_ := false
-    | Some (b, call, fname) -> (
+    | Some (b, call, fname, args) -> (
       match ctx.Pass.inline_resolver fname with
       | Some callee
         when Mir.instruction_count callee <= max_callee_size
              && Mir.instruction_count g + Mir.instruction_count callee <= max_caller_size
              && not (String.equal callee.Mir.name g.Mir.name) ->
-        inline_call g b call callee;
+        inline_call g fw b call callee ~args;
         decr budget
       | Some _ | None -> Hashtbl.replace rejected fname ())
-  done
+  done;
+  Mir.forward_uses g fw
 
 let pass : Pass.t = { Pass.name = "inlining"; can_disable = true; run }

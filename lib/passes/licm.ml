@@ -23,55 +23,57 @@ let run (ctx : Pass.ctx) (g : Mir.t) =
       (fun (h : Mir.block) -> List.exists (fun p -> Domtree.dominates dom h p) h.Mir.preds)
       g.Mir.blocks
   in
+  (* alias classes each block writes, once (phis write nothing) *)
+  let writes = Array.make g.Mir.next_bid 0 in
+  List.iter
+    (fun (b : Mir.block) ->
+      let add m (i : Mir.instr) = m lor Mir_util.default_clobbers i.Mir.opcode in
+      writes.(b.Mir.bid) <- List.fold_left add 0 b.Mir.body)
+    g.Mir.blocks;
+  (* by iid: the header bid of the loop that hoisted it, -1 = none *)
+  let hoisted = Array.make g.Mir.next_iid (-1) in
   List.iter
     (fun (header : Mir.block) ->
-      let body = Domtree.loop_body dom g header in
+      let hoisted_here (i : Mir.instr) = hoisted.(i.Mir.iid) = header.Mir.bid in
+      let body = Domtree.loop_body dom header in
       let preheaders =
-        List.filter (fun (p : Mir.block) -> not (Hashtbl.mem body p.Mir.bid)) header.Mir.preds
+        List.filter (fun (p : Mir.block) -> not body.(p.Mir.bid)) header.Mir.preds
       in
       match preheaders with
       | [ pre ] ->
         (* alias classes written anywhere in the loop *)
-        let stored = Hashtbl.create 4 in
-        List.iter
-          (fun (b : Mir.block) ->
-            if Hashtbl.mem body b.Mir.bid then
-              List.iter
-                (fun (i : Mir.instr) ->
-                  List.iter
-                    (fun cls -> Hashtbl.replace stored cls ())
-                    (Mir.effects i.Mir.opcode).Mir.writes)
-                (Mir.instructions b))
-          g.Mir.blocks;
-        let hoisted : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+        let stored =
+          List.fold_left
+            (fun m (b : Mir.block) -> if body.(b.Mir.bid) then m lor writes.(b.Mir.bid) else m)
+            0 g.Mir.blocks
+        in
         let defined_outside (o : Mir.instr) =
-          (not (Hashtbl.mem body o.Mir.in_block)) || Hashtbl.mem hoisted o.Mir.iid
+          o.Mir.in_block < 0 || (not body.(o.Mir.in_block)) || hoisted_here o
         in
         let loads_safe (i : Mir.instr) =
-          let reads = (Mir.effects i.Mir.opcode).Mir.reads in
           if vulnerable then true  (* BUG: in-loop stores ignored *)
-          else not (List.exists (Hashtbl.mem stored) reads)
+          else Mir_util.class_mask (Mir.effects i.Mir.opcode).Mir.reads land stored = 0
         in
         let changed = ref true in
         while !changed do
           changed := false;
           List.iter
             (fun (b : Mir.block) ->
-              if Hashtbl.mem body b.Mir.bid then
+              if body.(b.Mir.bid) then
                 List.iter
                   (fun (i : Mir.instr) ->
-                    let eff = Mir.effects i.Mir.opcode in
                     if
-                      (not (Hashtbl.mem hoisted i.Mir.iid))
-                      && eff.Mir.is_movable
-                      && i.Mir.opcode <> Mir.Phi
+                      (not (hoisted_here i))
+                      && (match i.Mir.opcode with
+                         | Mir.Phi -> false
+                         | op -> (Mir.effects op).Mir.is_movable)
                       && List.for_all defined_outside i.Mir.operands
                       && loads_safe i
                     then begin
                       (* move to the preheader, before its control instr *)
                       b.Mir.body <- List.filter (fun x -> x != i) b.Mir.body;
                       Mir_util.insert_before_control pre i;
-                      Hashtbl.replace hoisted i.Mir.iid ();
+                      hoisted.(i.Mir.iid) <- header.Mir.bid;
                       changed := true
                     end)
                   b.Mir.body)

@@ -1,46 +1,40 @@
-(* Shared helpers for passes: block maps, instruction removal, GVN keys,
-   alias dependency computation. *)
+(* Shared helpers for passes: instruction removal and insertion, GVN
+   payload keys, alias dependency computation. *)
 
 module Mir = Jitbull_mir.Mir
 module Domtree = Jitbull_mir.Domtree
 module Value = Jitbull_runtime.Value
 
-let block_map (g : Mir.t) : (int, Mir.block) Hashtbl.t =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (b : Mir.block) -> Hashtbl.replace tbl b.Mir.bid b) g.Mir.blocks;
-  tbl
-
-let block_of (blocks : (int, Mir.block) Hashtbl.t) (i : Mir.instr) =
-  Hashtbl.find blocks i.Mir.in_block
-
-(* Remove [i] from its block (body or phi section). The caller must have
-   replaced or cleared all uses beforehand. *)
-let remove_instr (blocks : (int, Mir.block) Hashtbl.t) (i : Mir.instr) =
-  let b = block_of blocks i in
-  if i.Mir.opcode = Mir.Phi then b.Mir.phis <- List.filter (fun x -> x != i) b.Mir.phis
-  else b.Mir.body <- List.filter (fun x -> x != i) b.Mir.body
+(* Remove [i] from its block (body or phi section) at once. The caller
+   must have cleared all uses beforehand. *)
+let remove_instr (g : Mir.t) (i : Mir.instr) =
+  let b = List.find (fun (b : Mir.block) -> b.Mir.bid = i.Mir.in_block) g.Mir.blocks in
+  match i.Mir.opcode with
+  | Mir.Phi -> b.Mir.phis <- List.filter (fun x -> x != i) b.Mir.phis
+  | _ -> b.Mir.body <- List.filter (fun x -> x != i) b.Mir.body
 
 (* Insert [i] immediately before the control instruction of [b]. *)
 let insert_before_control (b : Mir.block) (i : Mir.instr) =
-  match List.rev b.Mir.body with
-  | ctrl :: rest when Mir.is_control ctrl.Mir.opcode ->
-    b.Mir.body <- List.rev (ctrl :: i :: rest);
-    i.Mir.in_block <- b.Mir.bid
-  | _ ->
-    b.Mir.body <- b.Mir.body @ [ i ];
-    i.Mir.in_block <- b.Mir.bid
+  let rec insert = function
+    | [ ctrl ] when Mir.is_control ctrl.Mir.opcode -> [ i; ctrl ]
+    | [] -> [ i ]
+    | x :: rest -> x :: insert rest
+  in
+  b.Mir.body <- insert b.Mir.body;
+  i.Mir.in_block <- b.Mir.bid
 
-(* Stable textual key of an opcode including its static payload, used for
-   GVN congruence. *)
-let opcode_key (op : Mir.opcode) =
+(* The static payload of an opcode as GVN keys it, "" for an opcode its
+   tag alone identifies: the opcode name and the payload, a constant
+   keyed on its type name and display. *)
+let payload_key (op : Mir.opcode) =
   let base = Mir.opcode_name op in
   match op with
-  | Mir.Constant v -> base ^ ":" ^ Value.type_name v ^ ":" ^ Value.to_display v
+  | Mir.Constant v -> String.concat ":" [ base; Value.type_name v; Value.to_display v ]
   | Mir.Parameter n -> base ^ ":" ^ string_of_int n
   | Mir.Load_global s | Mir.Store_global s | Mir.Get_prop s | Mir.Set_prop s ->
     base ^ ":" ^ s
   | Mir.Call_method (m, _) -> base ^ ":" ^ m
-  | _ -> base
+  | _ -> ""
 
 (* ---- alias dependency tokens ----
 
@@ -58,141 +52,121 @@ let opcode_key (op : Mir.opcode) =
    - the innermost enclosing loop that contains such a store (loads inside
      a clobbering loop must not merge with loads outside it).
 
-   [clobbers op cls] decides whether [op] writes class [cls]; the correct
-   predicate follows {!Mir.effects}. Vulnerable pass variants pass a
-   predicate with deliberate omissions — that is the modeled bug. *)
+   [clobbers op] is the mask ([class_mask]) of the alias classes [op]
+   writes; the correct one follows {!Mir.effects}. Vulnerable pass
+   variants pass a mask with deliberate omissions — that is the modeled
+   bug. *)
 
-let default_clobbers (op : Mir.opcode) (cls : Mir.alias_class) =
-  List.mem cls (Mir.effects op).Mir.writes
+let n_classes = 4
 
-let compute_load_deps ?(clobbers = default_clobbers) (g : Mir.t) :
-    (int, int * int) Hashtbl.t =
+let class_index : Mir.alias_class -> int = function
+  | Mir.Alias_elements -> 0
+  | Mir.Alias_lengths -> 1
+  | Mir.Alias_objects -> 2
+  | Mir.Alias_globals -> 3
+
+let class_mask classes = List.fold_left (fun m c -> m lor (1 lsl class_index c)) 0 classes
+
+let default_clobbers (op : Mir.opcode) = class_mask (Mir.effects op).Mir.writes
+
+(* Per iid: [combo] interns the load's read-class versions (-1 = not a
+   load), [loop] is the header bid of its innermost clobbering loop (-1 =
+   none). Loads with equal (combo, loop) see the same memory state. *)
+type load_deps = { combo : int array; loop : int array }
+
+let compute_load_deps ?(clobbers = default_clobbers) (g : Mir.t) : load_deps =
   let dom = Domtree.compute g in
   let rpo = Mir.compute_rpo g in
-  (* loop membership: for every loop header, the set of blocks in its body
-     and the alias classes stored inside *)
+  let nb = g.Mir.next_bid in
+  (* the clobber mask of every instruction, once, and per block their
+     union (phis write nothing) *)
+  let clobber = Array.make g.Mir.next_iid 0 and block_clobber = Array.make nb 0 in
+  let mark (b : Mir.block) (i : Mir.instr) =
+    clobber.(i.Mir.iid) <- clobbers i.Mir.opcode;
+    block_clobber.(b.Mir.bid) <- block_clobber.(b.Mir.bid) lor clobber.(i.Mir.iid)
+  in
+  List.iter (fun (b : Mir.block) -> List.iter (mark b) b.Mir.body) rpo;
+  (* loops in RPO order of their header: (header bid, body membership,
+     classes stored in the body, body size) *)
   let loops =
     List.filter_map
       (fun (h : Mir.block) ->
-        let is_header = List.exists (fun p -> Domtree.dominates dom h p) h.Mir.preds in
-        if not is_header then None
+        if not (List.exists (fun p -> Domtree.dominates dom h p) h.Mir.preds) then None
         else begin
-          let body = Domtree.loop_body dom g h in
-          let stored = Hashtbl.create 4 in
-          List.iter
-            (fun (b : Mir.block) ->
-              if Hashtbl.mem body b.Mir.bid then
-                List.iter
-                  (fun (i : Mir.instr) ->
-                    List.iter
-                      (fun cls -> if clobbers i.Mir.opcode cls then Hashtbl.replace stored cls ())
-                      Mir.all_alias_classes)
-                  (Mir.instructions b))
-            rpo;
-          Some (h, body, stored)
+          let body = Domtree.loop_body dom h in
+          let add m (b : Mir.block) =
+            if body.(b.Mir.bid) then m lor block_clobber.(b.Mir.bid) else m
+          in
+          let stored = List.fold_left add 0 rpo in
+          let size = Array.fold_left (fun n member -> if member then n + 1 else n) 0 body in
+          Some (h.Mir.bid, body, stored, size)
         end)
       rpo
   in
-  let innermost_clobbering_loop (b : Mir.block) (reads : Mir.alias_class list) =
-    let candidates =
-      List.filter
-        (fun (_, body, stored) ->
-          Hashtbl.mem body b.Mir.bid && List.exists (Hashtbl.mem stored) reads)
-        loops
-    in
-    (* innermost = smallest body *)
-    match
-      List.sort
-        (fun (_, b1, _) (_, b2, _) -> compare (Hashtbl.length b1) (Hashtbl.length b2))
-        candidates
-    with
-    | (h, _, _) :: _ -> h.Mir.bid
-    | [] -> -1
+  let header_stored = Array.make nb 0 in
+  List.iter (fun (h, _, stored, _) -> header_stored.(h) <- stored) loops;
+  (* innermost = smallest body; the first in RPO on a tie *)
+  let innermost_clobbering_loop bid reads =
+    fst
+      (List.fold_left
+         (fun ((_, best_size) as best) (h, body, stored, size) ->
+           if body.(bid) && stored land reads <> 0 && size < best_size then (h, size) else best)
+         (-1, max_int) loops)
   in
-  let deps = Hashtbl.create 64 in
-  (* Memory versions per (block, alias class). Initial memory is version
-     -1, a clobbering store's version is its iid (>= 0), and phi versions
-     are fresh negatives below -1. RPO visits a reducible loop's header
-     before any backedge source, so a pred with no recorded out-version is
-     a backedge — handled by the clobbering-header rule rather than the
-     join rule. A plain linearized walk is not enough here: RPO may place
-     a loop's exit block before its body, hiding in-loop stores from
-     post-loop loads and letting GVN merge loads separated by the loop. *)
-  let in_version : (int * Mir.alias_class, int) Hashtbl.t = Hashtbl.create 64 in
-  let out_version : (int * Mir.alias_class, int) Hashtbl.t = Hashtbl.create 64 in
+  (* Memory versions per alias class: [local] while a block is walked, its
+     exit versions at [bid * n_classes + class] of [out_version]. Initial
+     memory is version -1, a clobbering store's version is its iid (>= 0),
+     and phi versions are fresh negatives below -1. RPO visits a reducible
+     loop's header before any backedge source, so a pred with no recorded
+     out-version is a backedge — handled by the clobbering-header rule
+     rather than the join rule. A plain linearized walk is not enough
+     here: RPO may place a loop's exit block before its body, hiding
+     in-loop stores from post-loop loads and letting GVN merge loads
+     separated by the loop. *)
+  let unrecorded = min_int in
+  let out_version = Array.make (nb * n_classes) unrecorded in
   let phi_counter = ref (-2) in
   let fresh_phi () =
     let v = !phi_counter in
     decr phi_counter;
     v
   in
-  let clobbering_header (b : Mir.block) cls =
-    List.exists (fun ((h : Mir.block), _, stored) -> h.Mir.bid = b.Mir.bid && Hashtbl.mem stored cls) loops
-  in
-  List.iter
-    (fun (b : Mir.block) ->
-      List.iter
-        (fun cls ->
-          let inv =
-            if clobbering_header b cls then fresh_phi ()
-            else
-              match
-                List.filter_map
-                  (fun (p : Mir.block) -> Hashtbl.find_opt out_version (p.Mir.bid, cls))
-                  b.Mir.preds
-              with
-              | [] -> -1
-              | v :: rest -> if List.for_all (Int.equal v) rest then v else fresh_phi ()
-          in
-          Hashtbl.replace in_version (b.Mir.bid, cls) inv;
-          let cur = ref inv in
-          List.iter
-            (fun (i : Mir.instr) -> if clobbers i.Mir.opcode cls then cur := i.Mir.iid)
-            (Mir.instructions b);
-          Hashtbl.replace out_version (b.Mir.bid, cls) !cur)
-        Mir.all_alias_classes)
-    rpo;
-  (* Intern the version vector of each load's read classes: equal vectors
-     (same opcode, hence same read set) get equal ids. *)
+  (* the version vector of a load's read classes, interned: equal vectors
+     (same opcode, hence same read set) get equal ids *)
   let combo_ids : (int list, int) Hashtbl.t = Hashtbl.create 16 in
-  let combo_id versions =
-    match Hashtbl.find_opt combo_ids versions with
-    | Some id -> id
-    | None ->
-      let id = Hashtbl.length combo_ids in
-      Hashtbl.add combo_ids versions id;
-      id
+  let deps = { combo = Array.make g.Mir.next_iid (-1); loop = Array.make g.Mir.next_iid (-1) } in
+  let local = Array.make n_classes 0 in
+  let step (b : Mir.block) (i : Mir.instr) =
+    (match (Mir.effects i.Mir.opcode).Mir.reads with
+    | [] -> ()
+    | reads ->
+      let versions = List.map (fun cls -> local.(class_index cls)) reads in
+      let fresh = Hashtbl.length combo_ids in
+      let id = Option.value ~default:fresh (Hashtbl.find_opt combo_ids versions) in
+      if id = fresh then Hashtbl.add combo_ids versions id;
+      deps.combo.(i.Mir.iid) <- id;
+      deps.loop.(i.Mir.iid) <- innermost_clobbering_loop b.Mir.bid (class_mask reads));
+    for k = 0 to n_classes - 1 do
+      if clobber.(i.Mir.iid) land (1 lsl k) <> 0 then local.(k) <- i.Mir.iid
+    done
   in
   List.iter
     (fun (b : Mir.block) ->
-      let local = Hashtbl.create 4 in
-      List.iter
-        (fun cls -> Hashtbl.replace local cls (Hashtbl.find in_version (b.Mir.bid, cls)))
-        Mir.all_alias_classes;
-      List.iter
-        (fun (i : Mir.instr) ->
-          let eff = Mir.effects i.Mir.opcode in
-          if eff.Mir.reads <> [] then begin
-            let versions = List.map (fun cls -> Hashtbl.find local cls) eff.Mir.reads in
-            let loop_marker = innermost_clobbering_loop b eff.Mir.reads in
-            Hashtbl.replace deps i.Mir.iid (combo_id versions, loop_marker)
-          end;
-          List.iter
-            (fun cls -> if clobbers i.Mir.opcode cls then Hashtbl.replace local cls i.Mir.iid)
-            Mir.all_alias_classes)
-        (Mir.instructions b))
+      for k = 0 to n_classes - 1 do
+        let rec join v = function
+          | [] -> if v = unrecorded then -1 else v
+          | (p : Mir.block) :: rest ->
+            let o = out_version.((p.Mir.bid * n_classes) + k) in
+            if o = unrecorded || o = v then join v rest
+            else if v = unrecorded then join o rest
+            else fresh_phi ()
+        in
+        local.(k) <-
+          (if header_stored.(b.Mir.bid) land (1 lsl k) <> 0 then fresh_phi ()
+           else join unrecorded b.Mir.preds)
+      done;
+      List.iter (step b) b.Mir.phis;
+      List.iter (step b) b.Mir.body;
+      Array.blit local 0 out_version (b.Mir.bid * n_classes) n_classes)
     rpo;
   deps
-
-(* Map from instruction to its users (computed fresh; O(instrs)). *)
-let users_of (g : Mir.t) : (int, Mir.instr list) Hashtbl.t =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (i : Mir.instr) ->
-      List.iter
-        (fun (op : Mir.instr) ->
-          let cur = match Hashtbl.find_opt tbl op.Mir.iid with Some l -> l | None -> [] in
-          Hashtbl.replace tbl op.Mir.iid (i :: cur))
-        i.Mir.operands)
-    (Mir.all_instructions g);
-  tbl

@@ -2,27 +2,18 @@
 
    A pass transforms the MIR graph in place. The shared [ctx] carries the
    vulnerability configuration (which passes run their buggy variant) and
-   analysis results handed from annotation passes to their consumers
-   (alias → LICM, range → BCE), mirroring IonMonkey where OptimizeMIR's
-   passes communicate through graph annotations. *)
+   analysis results handed from annotation passes to later passes (range
+   → BCE), mirroring IonMonkey where OptimizeMIR's passes communicate
+   through graph annotations. *)
 
 module Mir = Jitbull_mir.Mir
 
-type range_info = {
-  nonneg : (int, unit) Hashtbl.t;  (* iids proven >= 0 *)
-}
-
-type alias_info = {
-  (* iid of load → dependency token: (last clobbering store iid, innermost
-     clobbered-loop header bid). Loads with equal tokens see the same
-     memory state. *)
-  load_deps : (int, int * int) Hashtbl.t;
-}
-
 type ctx = {
   vulns : Vuln_config.t;
-  mutable ranges : range_info option;
-  mutable aliases : alias_info option;
+  (* by iid: proven >= 0 (range analysis); ids past the end are not *)
+  mutable nonneg : bool array option;
+  (* alias analysis's dependency tokens (see {!Mir_util.load_deps}) *)
+  mutable load_deps : Mir_util.load_deps option;
   (* The inlining pass asks the engine for a callee's freshly built MIR by
      global name. The engine only resolves names that are (a) bound to a
      function at compile time and (b) never reassigned anywhere in the
@@ -32,7 +23,7 @@ type ctx = {
 }
 
 let make_ctx ?(inline_resolver = fun _ -> None) vulns =
-  { vulns; ranges = None; aliases = None; inline_resolver }
+  { vulns; nonneg = None; load_deps = None; inline_resolver }
 
 type t = {
   name : string;

@@ -4,8 +4,18 @@
 
 module Mir = Jitbull_mir.Mir
 
+(* The one definition [phi]'s operands name besides [phi] itself, if
+   there is exactly one. *)
+let rec single_operand fw phi v = function
+  | [] -> v
+  | o :: rest -> (
+    match (Mir.resolve fw o, v) with
+    | o, _ when o == phi -> single_operand fw phi v rest
+    | o, None -> single_operand fw phi (Some o) rest
+    | o, Some x -> if x == o then single_operand fw phi v rest else None)
+
 let run (_ctx : Pass.ctx) (g : Mir.t) =
-  let blocks = Mir_util.block_map g in
+  let fw = Mir.forwarding g in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -13,18 +23,15 @@ let run (_ctx : Pass.ctx) (g : Mir.t) =
       (fun (b : Mir.block) ->
         List.iter
           (fun (phi : Mir.instr) ->
-            let distinct =
-              List.filter (fun (o : Mir.instr) -> o != phi) phi.Mir.operands
-              |> List.sort_uniq (fun (a : Mir.instr) b -> compare a.Mir.iid b.Mir.iid)
-            in
-            match distinct with
-            | [ v ] ->
-              Mir.replace_all_uses g phi v;
-              Mir_util.remove_instr blocks phi;
-              changed := true
-            | _ -> ())
+            if not (Mir.forwarded fw phi) then
+              match single_operand fw phi None phi.Mir.operands with
+              | Some v ->
+                Mir.forward fw phi v;
+                changed := true
+              | None -> ())
           b.Mir.phis)
       g.Mir.blocks
-  done
+  done;
+  Mir.forward_uses g fw
 
 let pass : Pass.t = { Pass.name = "eliminatephis"; can_disable = true; run }

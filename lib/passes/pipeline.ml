@@ -27,26 +27,34 @@ let passes : Pass.t list =
 
 let pass_names = List.map (fun (p : Pass.t) -> p.Pass.name) passes
 
-let find name = List.find_opt (fun (p : Pass.t) -> String.equal p.Pass.name name) passes
-
 let can_disable name =
-  match find name with
-  | Some p -> p.Pass.can_disable
-  | None -> false
+  List.exists (fun (p : Pass.t) -> String.equal p.Pass.name name && p.Pass.can_disable) passes
 
-(* Per-pass sampling-profiler tags, interned once here (the pass list is
-   static); the table is read-only afterwards, so lock-free to consult. *)
-let prof_tags : (string, int) Hashtbl.t =
-  let h = Hashtbl.create 32 in
-  List.iter
+(* Per pass, built once here (the pass list is static) and read-only
+   afterwards, so lock-free to consult: its sampling-profiler tag and the
+   names of its trace span and metrics. *)
+type stage = {
+  pass : Pass.t;
+  prof_tag : int;
+  span : string;  (* "pass.<name>" *)
+  delta_size : string;
+  ir_delta_size : string;
+  changed : string;
+}
+
+let stages =
+  List.map
     (fun (p : Pass.t) ->
-      Hashtbl.replace h p.Pass.name
-        (Jitbull_obs.Profile.tag ("pass;" ^ p.Pass.name)))
-    passes;
-  h
-
-let prof_tag (p : Pass.t) =
-  match Hashtbl.find_opt prof_tags p.Pass.name with Some t -> t | None -> 0
+      let span = "pass." ^ p.Pass.name in
+      {
+        pass = p;
+        prof_tag = Jitbull_obs.Profile.tag ("pass;" ^ p.Pass.name);
+        span;
+        delta_size = span ^ ".delta_size";
+        ir_delta_size = span ^ ".ir_delta_size";
+        changed = span ^ ".changed";
+      })
+    passes
 
 (* Run one pass (and the verifier, if requested). With an [Obs.t]
    installed, each pass gets its own span, a ["pass.<name>.seconds"]
@@ -57,27 +65,22 @@ let prof_tag (p : Pass.t) =
    counter of runs whose instruction count moved at all — the raw
    material of the per-pass profile, the telemetry bench, and the
    fuzzer's coverage map. *)
-let exec_pass ctx ~obs ~verify g (p : Pass.t) =
-  let run () =
-    Jitbull_obs.Profile.with_tag (prof_tag p) (fun () -> p.Pass.run ctx g)
-  in
+let exec_pass ctx ~obs ~verify g st =
+  let run () = Jitbull_obs.Profile.with_tag st.prof_tag (fun () -> st.pass.Pass.run ctx g) in
   match obs with
   | None ->
     run ();
     if verify then Verifier.check g
   | Some _ ->
     let before = Mir.instruction_count g in
-    Obs.span obs
-      ("pass." ^ p.Pass.name)
-      (fun () ->
+    Obs.span obs st.span (fun () ->
         run ();
         if verify then Verifier.check g);
     let after = Mir.instruction_count g in
-    Obs.add obs ("pass." ^ p.Pass.name ^ ".delta_size") (after - before);
-    Obs.observe obs ~bounds:Jitbull_obs.Metrics.size_bounds
-      ("pass." ^ p.Pass.name ^ ".ir_delta_size")
+    Obs.add obs st.delta_size (after - before);
+    Obs.observe obs ~bounds:Jitbull_obs.Metrics.size_bounds st.ir_delta_size
       (float_of_int (abs (after - before)));
-    if after <> before then Obs.incr obs ("pass." ^ p.Pass.name ^ ".changed")
+    if after <> before then Obs.incr obs st.changed
 
 (* Run without snapshotting: the engine uses this when JITBULL's database
    is empty, which is how the paper gets zero overhead in that case. *)
@@ -85,17 +88,17 @@ let run_quiet vulns ?obs ?inline_resolver ?(disabled = []) ?(verify = false) (g 
   Obs.incr obs "pipeline.runs";
   let ctx = Pass.make_ctx ?inline_resolver vulns in
   List.iter
-    (fun (p : Pass.t) ->
-      if not (List.mem p.Pass.name disabled) then exec_pass ctx ~obs ~verify g p)
-    passes
+    (fun st ->
+      if not (List.mem st.pass.Pass.name disabled) then exec_pass ctx ~obs ~verify g st)
+    stages
 
 let run vulns ?obs ?inline_resolver ?(disabled = []) ?(verify = false) (g : Mir.t) =
   Obs.incr obs "pipeline.runs";
   let ctx = Pass.make_ctx ?inline_resolver vulns in
   let trace = ref [ ("initial", Snapshot.take g) ] in
   List.iter
-    (fun (p : Pass.t) ->
-      if not (List.mem p.Pass.name disabled) then exec_pass ctx ~obs ~verify g p;
-      trace := (p.Pass.name, Snapshot.take g) :: !trace)
-    passes;
+    (fun st ->
+      if not (List.mem st.pass.Pass.name disabled) then exec_pass ctx ~obs ~verify g st;
+      trace := (st.pass.Pass.name, Snapshot.take g) :: !trace)
+    stages;
   List.rev !trace

@@ -15,9 +15,6 @@ val passes : Pass.t list
 (** [pass_names] in pipeline order. *)
 val pass_names : string list
 
-(** [find name] — the pass with that name, if any. *)
-val find : string -> Pass.t option
-
 (** [can_disable name] is false for unknown passes too. *)
 val can_disable : string -> bool
 

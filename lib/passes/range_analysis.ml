@@ -7,10 +7,11 @@ module Mir = Jitbull_mir.Mir
 module Value = Jitbull_runtime.Value
 
 let run (ctx : Pass.ctx) (g : Mir.t) =
-  let nonneg : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  (* by iid; an instruction outside the graph is not proven *)
+  let nonneg = Array.make g.Mir.next_iid false in
   let instrs = Mir.all_instructions g in
-  List.iter (fun (i : Mir.instr) -> Hashtbl.replace nonneg i.Mir.iid ()) instrs;
-  let is_nonneg (i : Mir.instr) = Hashtbl.mem nonneg i.Mir.iid in
+  List.iter (fun (i : Mir.instr) -> nonneg.(i.Mir.iid) <- true) instrs;
+  let is_nonneg (i : Mir.instr) = nonneg.(i.Mir.iid) in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -32,12 +33,12 @@ let run (ctx : Pass.ctx) (g : Mir.t) =
             | _ -> false
           in
           if not still then begin
-            Hashtbl.remove nonneg i.Mir.iid;
+            nonneg.(i.Mir.iid) <- false;
             changed := true
           end
         end)
       instrs
   done;
-  ctx.Pass.ranges <- Some { Pass.nonneg }
+  ctx.Pass.nonneg <- Some nonneg
 
 let pass : Pass.t = { Pass.name = "rangeanalysis"; can_disable = true; run }

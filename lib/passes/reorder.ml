@@ -7,7 +7,10 @@
 module Mir = Jitbull_mir.Mir
 
 let run (_ctx : Pass.ctx) (g : Mir.t) =
-  let users = Mir_util.users_of g in
+  (* users of every instruction, by iid *)
+  let users = Array.make g.Mir.next_iid [] in
+  let add_use (i : Mir.instr) (o : Mir.instr) = users.(o.Mir.iid) <- i :: users.(o.Mir.iid) in
+  Mir.iter_instructions (fun i -> List.iter (add_use i) i.Mir.operands) g;
   List.iter
     (fun (b : Mir.block) ->
       let moved = ref [] in
@@ -17,9 +20,9 @@ let run (_ctx : Pass.ctx) (g : Mir.t) =
         (fun (i : Mir.instr) ->
           let eff = Mir.effects i.Mir.opcode in
           if eff.Mir.is_movable && (not eff.Mir.is_guard) && eff.Mir.reads = [] then
-            match Hashtbl.find_opt users i.Mir.iid with
-            | Some [ user ] when user.Mir.in_block = b.Mir.bid && user.Mir.opcode <> Mir.Phi ->
-              moved := (i, user) :: !moved
+            match users.(i.Mir.iid) with
+            | [ ({ Mir.opcode = Mir.Phi; _ } : Mir.instr) ] -> ()
+            | [ user ] when user.Mir.in_block = b.Mir.bid -> moved := (i, user) :: !moved
             | _ -> ())
         b.Mir.body;
       List.iter

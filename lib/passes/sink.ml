@@ -15,39 +15,59 @@
 
 module Mir = Jitbull_mir.Mir
 
-let rec origin (i : Mir.instr) =
+let rec origin fw (i : Mir.instr) =
   match (i.Mir.opcode, i.Mir.operands) with
   | (Mir.Elements | Mir.Guard_array | Mir.Unbox_int32 | Mir.Unbox_number | Mir.Bounds_check), x :: _
     ->
-    origin x
+    origin fw (Mir.resolve fw x)
   | _ -> i
+
+(* Take [n] from the use count of each (resolved) operand. *)
+let drop_uses fw uses n =
+  List.iter (fun o ->
+      let k = (Mir.resolve fw o).Mir.iid in
+      uses.(k) <- uses.(k) - n)
 
 let run (ctx : Pass.ctx) (g : Mir.t) =
   let vulnerable = Vuln_config.is_active ctx.Pass.vulns Vuln_config.CVE_2020_26952 in
-  let blocks = Mir_util.block_map g in
+  let fw = Mir.forwarding g in
+  (* The buggy variant also deletes the check that guarded a forwarded
+     load when nothing else uses it. Uses are counted at its first
+     forwarded load and kept as loads and checks leave. *)
+  let uses =
+    lazy
+      (let uses = Array.make g.Mir.next_iid 0 in
+       Mir.iter_instructions
+         (fun i -> if not (Mir.forwarded fw i) then drop_uses fw uses (-1) i.Mir.operands)
+         g;
+       uses)
+  in
+  let forward_dropping_check (load : Mir.instr) (v : Mir.instr) =
+    let uses = Lazy.force uses in
+    Mir.forward fw load v;
+    uses.(v.Mir.iid) <- uses.(v.Mir.iid) + uses.(load.Mir.iid);
+    drop_uses fw uses 1 load.Mir.operands;
+    match Mir.resolved_operands fw load with
+    | [ _; ({ Mir.opcode = Mir.Bounds_check; _ } as idx) ] when uses.(idx.Mir.iid) = 0 ->
+      (* BUG: the check leaves with the load it guarded *)
+      drop_uses fw uses 1 idx.Mir.operands;
+      Mir_util.remove_instr g idx
+    | _ -> ()
+  in
+  let available : (int * int, Mir.instr) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (b : Mir.block) ->
-      let available : (int * int, Mir.instr) Hashtbl.t = Hashtbl.create 8 in
-      let key el idx = ((origin el).Mir.iid, (origin idx).Mir.iid) in
+      Hashtbl.clear available;
+      let key el idx = ((origin fw el).Mir.iid, (origin fw idx).Mir.iid) in
       List.iter
         (fun (i : Mir.instr) ->
-          match (i.Mir.opcode, i.Mir.operands) with
+          match (i.Mir.opcode, Mir.resolved_operands fw i) with
           | Mir.Store_element, [ el; idx; v ] ->
             Hashtbl.reset available;
             Hashtbl.replace available (key el idx) v
           | Mir.Load_element, [ el; idx ] -> (
             match Hashtbl.find_opt available (key el idx) with
-            | Some v ->
-              Mir.replace_all_uses g i v;
-              Mir_util.remove_instr blocks i;
-              if vulnerable then begin
-                (* BUG: also delete the check that guarded the replaced
-                   load when nothing else uses it *)
-                match idx.Mir.opcode with
-                | Mir.Bounds_check when not (Mir.has_uses g idx) ->
-                  Mir_util.remove_instr blocks idx
-                | _ -> ()
-              end
+            | Some v -> if vulnerable then forward_dropping_check i v else Mir.forward fw i v
             | None -> ())
           | (Mir.Call _ | Mir.Call_method _), _ ->
             if not vulnerable then Hashtbl.reset available
@@ -55,6 +75,7 @@ let run (ctx : Pass.ctx) (g : Mir.t) =
           | op, _ ->
             if (Mir.effects op).Mir.writes <> [] then Hashtbl.reset available)
         b.Mir.body)
-    g.Mir.blocks
+    g.Mir.blocks;
+  Mir.forward_uses g fw
 
 let pass : Pass.t = { Pass.name = "sink"; can_disable = true; run }

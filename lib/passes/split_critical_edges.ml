@@ -14,7 +14,7 @@ let run (_ctx : Pass.ctx) (g : Mir.t) =
         let split (target : Mir.block) =
           if List.length target.Mir.preds > 1 then begin
             let c = Mir.new_block g in
-            ignore (Mir.append g c (Mir.Goto target) []);
+            c.Mir.body <- [ Mir.make_instr ~in_block:c.Mir.bid g (Mir.Goto target) [] ];
             (* replace [b] by [c] in the same predecessor slot so phi
                operands stay aligned *)
             target.Mir.preds <-

@@ -26,12 +26,11 @@ let produces_number (op : Mir.opcode) =
 
 let run (ctx : Pass.ctx) (g : Mir.t) =
   let vulnerable = Vuln_config.is_active ctx.Pass.vulns Vuln_config.CVE_2019_9791 in
-  let numeric : (int, bool) Hashtbl.t = Hashtbl.create 64 in
+  (* by iid; an instruction outside the graph is not numeric *)
+  let numeric = Array.make g.Mir.next_iid false in
   let instrs = Mir.all_instructions g in
-  List.iter (fun (i : Mir.instr) -> Hashtbl.replace numeric i.Mir.iid true) instrs;
-  let is_numeric (i : Mir.instr) =
-    match Hashtbl.find_opt numeric i.Mir.iid with Some b -> b | None -> false
-  in
+  List.iter (fun (i : Mir.instr) -> numeric.(i.Mir.iid) <- true) instrs;
+  let is_numeric (i : Mir.instr) = numeric.(i.Mir.iid) in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -50,21 +49,22 @@ let run (ctx : Pass.ctx) (g : Mir.t) =
             | op -> produces_number op
           in
           if not still then begin
-            Hashtbl.replace numeric i.Mir.iid false;
+            numeric.(i.Mir.iid) <- false;
             changed := true
           end
         end)
       instrs
   done;
   (* To_number/Unbox_number over proven numbers are identities *)
-  let blocks = Mir_util.block_map g in
+  let fw = Mir.forwarding g in
   List.iter
     (fun (i : Mir.instr) ->
       match (i.Mir.opcode, i.Mir.operands) with
-      | (Mir.To_number | Mir.Unbox_number), [ x ] when is_numeric x ->
-        Mir.replace_all_uses g i x;
-        Mir_util.remove_instr blocks i
+      | (Mir.To_number | Mir.Unbox_number), [ x ] ->
+        let x = Mir.resolve fw x in
+        if is_numeric x then Mir.forward fw i x
       | _ -> ())
-    instrs
+    instrs;
+  Mir.forward_uses g fw
 
 let pass : Pass.t = { Pass.name = "applytypes"; can_disable = true; run }

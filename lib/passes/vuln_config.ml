@@ -40,4 +40,3 @@ let make active = { active }
 
 let is_active t cve = List.mem cve t.active
 
-let active_list t = t.active

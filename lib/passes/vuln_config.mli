@@ -50,5 +50,3 @@ val none : t
 val make : cve list -> t
 
 val is_active : t -> cve -> bool
-
-val active_list : t -> cve list

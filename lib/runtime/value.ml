@@ -35,7 +35,7 @@ let rec to_display = function
     else if f = Float.infinity then "Infinity"
     else if f = Float.neg_infinity then "-Infinity"
     else if f = 0.0 then "0" (* JS renders -0 as "0" *)
-    else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+    else if Float.is_integer f && Float.abs f < 1e15 then string_of_int (int_of_float f)
     else Printf.sprintf "%.12g" f
   | String s -> s
   | Bool b -> if b then "true" else "false"

@@ -74,7 +74,8 @@ let test_store_check_value_unused () =
       (fun (i : Mir.instr) -> i.Mir.opcode = Mir.Bounds_check)
       (Mir.all_instructions g)
   in
-  check_bool "check result unused" false (Mir.has_uses g chk)
+  check_bool "check result unused" false
+    (List.exists (fun (i : Mir.instr) -> List.memq chk i.Mir.operands) (Mir.all_instructions g))
 
 let test_logical_and_stack_merge () =
   let g = generic_mir "function f(a, b) { return a && b; } f(1, 2);" in
@@ -199,17 +200,37 @@ let test_opcode_names () =
         table)
     table
 
-let test_replace_all_uses () =
+let test_forward_uses () =
   let g = generic_mir "function f(a) { return a + a; } f(1);" in
   let param =
     List.find (fun (i : Mir.instr) -> i.Mir.opcode = Mir.Parameter 0) (Mir.all_instructions g)
   in
-  let b = List.hd g.Mir.blocks in
-  let c = Mir.append g b (Mir.Constant (Jitbull_runtime.Value.Number 5.0)) [] in
-  (* move the constant before uses to keep dominance: prepend *)
-  b.Mir.body <- c :: List.filter (fun x -> x != c) b.Mir.body;
-  Mir.replace_all_uses g param c;
-  check_bool "no more uses of param" false (Mir.has_uses g param)
+  let add = List.find (fun (i : Mir.instr) -> i.Mir.opcode = Mir.Add) (Mir.all_instructions g) in
+  let b = g.Mir.entry in
+  (* a constant at the head of the entry block dominates every use *)
+  let constant x =
+    let c = Mir.make_instr ~in_block:b.Mir.bid g (Mir.Constant (Jitbull_runtime.Value.Number x)) [] in
+    b.Mir.body <- c :: b.Mir.body;
+    c
+  in
+  let c = constant 5.0 in
+  let fw = Mir.forwarding g in
+  Mir.forward fw param c;
+  (* a replacement made during the pass chains: c forwarded on to d *)
+  let d = constant 6.0 in
+  Mir.forward fw c d;
+  check_bool "resolves through the chain" true (Mir.resolve fw param == d);
+  check_bool "operands unchanged before the sweep" true (List.memq param add.Mir.operands);
+  Mir.forward_uses g fw;
+  check_bool "no more uses of param" false
+    (List.exists
+       (fun (i : Mir.instr) -> List.memq param i.Mir.operands || List.memq c i.Mir.operands)
+       (Mir.all_instructions g));
+  check_bool "uses moved to the final replacement" true
+    (List.length add.Mir.operands = 2 && List.for_all (fun o -> o == d) add.Mir.operands);
+  check_bool "replaced instructions left the graph" false
+    (List.exists (fun i -> i == param || i == c) (Mir.all_instructions g));
+  Verifier.check g
 
 let suite =
   ( "mir",
@@ -227,5 +248,5 @@ let suite =
       Alcotest.test_case "snapshot contents" `Quick test_snapshot_contents;
       Alcotest.test_case "snapshot dangling operand" `Quick test_snapshot_dangling_operand;
       Alcotest.test_case "opcode names" `Quick test_opcode_names;
-      Alcotest.test_case "replace_all_uses" `Quick test_replace_all_uses;
+      Alcotest.test_case "forward_uses" `Quick test_forward_uses;
     ] )

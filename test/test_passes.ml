@@ -75,11 +75,11 @@ let test_licm_hoists () =
   in
   match headers with
   | [ header ] ->
-    let body = Jitbull_mir.Domtree.loop_body dom g header in
+    let body = Jitbull_mir.Domtree.loop_body dom header in
     let load_in_loop =
       List.exists
         (fun (i : Mir.instr) ->
-          i.Mir.opcode = Mir.Load_element && Hashtbl.mem body i.Mir.in_block)
+          i.Mir.opcode = Mir.Load_element && body.(i.Mir.in_block))
         (Mir.all_instructions g)
     in
     check_bool "load hoisted out of loop" false load_in_loop
@@ -104,11 +104,11 @@ let test_licm_blocked_by_store () =
         List.exists (fun p -> Jitbull_mir.Domtree.dominates dom b p) b.Mir.preds)
       g.Mir.blocks
   in
-  let body = Jitbull_mir.Domtree.loop_body dom g header in
+  let body = Jitbull_mir.Domtree.loop_body dom header in
   let length_load_in_loop =
     List.exists
       (fun (i : Mir.instr) ->
-        i.Mir.opcode = Mir.Initialized_length && Hashtbl.mem body i.Mir.in_block)
+        i.Mir.opcode = Mir.Initialized_length && body.(i.Mir.in_block))
       (Mir.all_instructions g)
   in
   check_bool "length load stays in loop" true length_load_in_loop
@@ -124,11 +124,11 @@ let test_licm_vulnerable_hoists_anyway () =
         List.exists (fun p -> Jitbull_mir.Domtree.dominates dom b p) b.Mir.preds)
       g.Mir.blocks
   in
-  let body = Jitbull_mir.Domtree.loop_body dom g header in
+  let body = Jitbull_mir.Domtree.loop_body dom header in
   let length_load_in_loop =
     List.exists
       (fun (i : Mir.instr) ->
-        i.Mir.opcode = Mir.Initialized_length && Hashtbl.mem body i.Mir.in_block)
+        i.Mir.opcode = Mir.Initialized_length && body.(i.Mir.in_block))
       (Mir.all_instructions g)
   in
   check_bool "stale length hoisted (bug)" false length_load_in_loop

@@ -47,6 +47,43 @@ let test_jitbull_recompile_path_verified () =
   | V.Neutralized -> ()
   | V.Exploited m -> Alcotest.fail ("exploited under verifier: " ^ m)
 
+(* Generated programs, with the verifier after every pass, on the patched
+   engine and on JITBULL #8 (all eight bugs) over the 8-VDC DB, whose
+   near-total false-positive rate on these programs sends almost every Ion
+   compile down the recompile-with-passes-disabled path. Output must equal
+   the interpreter's, and no intermediate graph may fail the verifier. *)
+let eight_vdc_db =
+  lazy
+    (let db = Db.create () in
+     List.iter
+       (fun (d : V.t) -> ignore (Db.harvest db ~cve:d.V.name ~vulns:(VC.make [ d.V.cve ]) d.V.source))
+       V.all;
+     db)
+
+let qcheck_generated_verified =
+  let module G = Jitbull_fuzz.Generator in
+  let params seed = { G.p_seed = seed; p_funcs = 4; p_rounds = 12; p_depth = 2 } in
+  QCheck.Test.make ~count:(qcheck_count 20)
+    ~name:"generated programs verified (patched and JITBULL #8)"
+    (QCheck.make ~print:(fun seed -> G.benign_params (params seed)) QCheck.Gen.(int_bound 100_000))
+    (fun seed ->
+      let src = G.benign_params (params seed) in
+      let run (config : Engine.config) =
+        let config =
+          { config with Engine.baseline_threshold = 2; ion_threshold = 4; verify_passes = true }
+        in
+        match Engine.run_source config src with
+        | out, t -> (out, (Engine.stats t).Engine.nr_disjit)
+        | exception Jitbull_mir.Verifier.Invalid m -> QCheck.Test.fail_reportf "verifier: %s" m
+      in
+      let reference = interp_output src in
+      let patched, _ = run Engine.default_config in
+      let protected, recompiled =
+        run (Jitbull.config ~vulns:(VC.make VC.all) (Lazy.force eight_vdc_db))
+      in
+      if recompiled = 0 then QCheck.Test.fail_reportf "no function was recompiled";
+      String.equal reference patched && String.equal reference protected)
+
 let suite =
   ( "verify-mode",
     [
@@ -57,4 +94,5 @@ let suite =
       Alcotest.test_case "vulnerable passes valid IR" `Slow
         test_vulnerable_passes_still_produce_valid_ir;
       Alcotest.test_case "recompile path verified" `Slow test_jitbull_recompile_path_verified;
+      qtest qcheck_generated_verified;
     ] )
