@@ -211,9 +211,10 @@ let refresh (g : t) =
 
 type forwarding = { mutable target : instr array; size_hint : int (* next_iid at start *) }
 
-let unforwarded = { iid = -1; num = -1; opcode = Unreachable; operands = []; in_block = -1 }
+(* A placeholder for array slots that hold no instruction; in no graph. *)
+let no_instr = { iid = -1; num = -1; opcode = Unreachable; operands = []; in_block = -1 }
 let forwarding (g : t) = { target = [||]; size_hint = g.next_iid }
-let forwarded fw i = i.iid < Array.length fw.target && fw.target.(i.iid) != unforwarded
+let forwarded fw i = i.iid < Array.length fw.target && fw.target.(i.iid) != no_instr
 let rec resolve fw i = if forwarded fw i then resolve fw fw.target.(i.iid) else i
 
 let resolved_operands fw i =
@@ -223,7 +224,7 @@ let resolved_operands fw i =
 let forward fw old_i new_i =
   let n = Array.length fw.target in
   if old_i.iid >= n then begin
-    let t = Array.make (max (old_i.iid + 1) (max fw.size_hint (2 * n))) unforwarded in
+    let t = Array.make (max (old_i.iid + 1) (max fw.size_hint (2 * n))) no_instr in
     Array.blit fw.target 0 t 0 n;
     fw.target <- t
   end;

@@ -30,7 +30,7 @@ let max_inlines_per_run = 4
 let splice_clone (g : Mir.t) (callee : Mir.t) ~arg_for =
   (* callee ids → their clones *)
   let block_map = Array.make callee.Mir.next_bid g.Mir.entry in
-  let instr_map = Array.make callee.Mir.next_iid Mir.unforwarded in
+  let instr_map = Array.make callee.Mir.next_iid Mir.no_instr in
   (* first create empty target blocks *)
   List.iter (fun (b : Mir.block) -> block_map.(b.Mir.bid) <- Mir.new_block g) callee.Mir.blocks;
   let clone_block (b : Mir.block) = block_map.(b.Mir.bid) in

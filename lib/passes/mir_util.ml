@@ -79,7 +79,7 @@ let compute_load_deps ?(clobbers = default_clobbers) (g : Mir.t) : load_deps =
   let rpo = Mir.compute_rpo g in
   let nb = g.Mir.next_bid in
   (* the clobber mask of every instruction, once, and per block their
-     union (phis write nothing) *)
+     union (phis neither read nor write memory, here and below) *)
   let clobber = Array.make g.Mir.next_iid 0 and block_clobber = Array.make nb 0 in
   let mark (b : Mir.block) (i : Mir.instr) =
     clobber.(i.Mir.iid) <- clobbers i.Mir.opcode;
@@ -165,7 +165,6 @@ let compute_load_deps ?(clobbers = default_clobbers) (g : Mir.t) : load_deps =
           (if header_stored.(b.Mir.bid) land (1 lsl k) <> 0 then fresh_phi ()
            else join unrecorded b.Mir.preds)
       done;
-      List.iter (step b) b.Mir.phis;
       List.iter (step b) b.Mir.body;
       Array.blit local 0 out_version (b.Mir.bid * n_classes) n_classes)
     rpo;
