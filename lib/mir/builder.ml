@@ -129,15 +129,10 @@ let build (f : Op.func) ~feedback_row : Mir.t =
       Array.iteri (fun slot phi -> phi.Mir.operands <- st.locals.(slot) :: phi.Mir.operands) phis
     | None -> ()
   in
-  let add (acc : Mir.instr list ref) (b : Mir.block) opc operands =
-    let i = Mir.make_instr ~in_block:b.Mir.bid g opc operands in
-    acc := i :: !acc;
-    i
-  in
   (* synthetic entry: parameters, undefined locals, then goto bc block 0 *)
   let () =
     let body = ref [] in
-    let emit opc = add body entry opc [] in
+    let emit opc = Mir.push_instr body g entry opc [] in
     let undef = ref None in
     let locals =
       Array.init f.Op.n_locals (fun i ->
@@ -210,7 +205,7 @@ let build (f : Op.func) ~feedback_row : Mir.t =
     let b = mir_block.(idx) in
     let bc = bc_blocks.(idx) in
     let phis = ref [] and body = ref [] in
-    let st = entry_state idx ~new_phi:(add phis b Mir.Phi) in
+    let st = entry_state idx ~new_phi:(Mir.push_instr phis g b Mir.Phi) in
     let locals = st.locals in
     let stack = ref st.stack in
     let push v = stack := v :: !stack in
@@ -225,7 +220,7 @@ let build (f : Op.func) ~feedback_row : Mir.t =
       let rec loop n acc = if n = 0 then acc else loop (n - 1) (pop () :: acc) in
       loop n []
     in
-    let emit = add body b in
+    let emit = Mir.push_instr body g b in
     let constant v = emit (Mir.Constant v) [] in
     let save_state () = exit_states.(b.Mir.bid) <- Some { locals; stack = !stack } in
     let site pc = feedback_row.(pc) in

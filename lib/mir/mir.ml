@@ -124,12 +124,18 @@ let new_block g =
   g.blocks <- b :: g.blocks;
   b
 
-(* A fresh instruction owned by block [in_block]. It is not placed in the
-   block: constructors build each phi or body list whole, so a block of n
-   instructions costs n conses rather than n appends. *)
+(* A fresh instruction owned by block [in_block], not placed in it. *)
 let make_instr ?(in_block = -1) g opcode operands =
   let i = { iid = g.next_iid; num = g.next_iid; opcode; operands; in_block } in
   g.next_iid <- g.next_iid + 1;
+  i
+
+(* A fresh instruction of block [b] consed onto [acc]: constructors build
+   each phi or body list in reverse and turn it round once, so a block of
+   n instructions costs n conses rather than n appends. *)
+let push_instr acc g b opcode operands =
+  let i = make_instr ~in_block:b.bid g opcode operands in
+  acc := i :: !acc;
   i
 
 (* ---- shape helpers ---- *)

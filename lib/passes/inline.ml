@@ -42,11 +42,7 @@ let splice_clone (g : Mir.t) (callee : Mir.t) ~arg_for =
       let nb = clone_block b in
       nb.Mir.preds <- List.map clone_block b.Mir.preds;
       let phis = ref [] and body = ref [] in
-      let add acc op =
-        let i = Mir.make_instr ~in_block:nb.Mir.bid g op [] in
-        acc := i :: !acc;
-        i
-      in
+      let add acc op = Mir.push_instr acc g nb op [] in
       List.iter
         (fun (i : Mir.instr) ->
           let cloned =
