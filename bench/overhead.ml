@@ -11,7 +11,6 @@
 
 open Harness
 module Table = Jitbull_util.Text_table
-module Intern = Jitbull_util.Intern
 module Dna = Jitbull_core.Dna
 module Delta = Jitbull_core.Delta
 module Comparator = Jitbull_core.Comparator
@@ -31,7 +30,7 @@ let run () =
   let perturb_side k side =
     Delta.side_of_list
       (Hashtbl.fold
-         (fun id c acc -> (Printf.sprintf "v%d:%s" k (Intern.to_string id), c) :: acc)
+         (fun key c acc -> (Printf.sprintf "v%d:%s" k (Delta.key_to_string key), c) :: acc)
          side [])
   in
   let synth_entry k (e : Db.entry) =

@@ -37,20 +37,19 @@ type match_detail = {
   md_side : [ `Removed | `Added ];
   md_eq_chains : int;
   md_max_eq_chains : int;
-  md_common : (string * int) list;
+  md_common : (Delta.key * int) list;
 }
 
-(* The common sub-chains behind an EqChains score, materialized to
-   strings and sorted by key. Only computed on the cold path (a pass
-   actually matched), never during scoring. *)
+(* The common sub-chains behind an EqChains score, sorted by key. Only
+   computed for a pass that matched, never during scoring. *)
 let side_common (d : Delta.side) (d' : Delta.side) =
   Hashtbl.fold
     (fun k c acc ->
       match Hashtbl.find_opt d' k with
-      | Some c' -> (Jitbull_util.Intern.to_string k, min c c') :: acc
+      | Some c' -> (k, Int.min c c') :: acc
       | None -> acc)
     d []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let matching_passes_detailed ?(params = default_params) ?obs (dna : Dna.t)
     (dna' : Dna.t) =

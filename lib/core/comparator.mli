@@ -5,7 +5,8 @@
     ([EqChains], counting multiplicity) reaches both the absolute
     threshold [Thr] and the fraction [Ratio] of the maximum possible
     ([MaxEqChains = min(|δ|, |δ'|)]). The paper sets [Thr = 3] and
-    [Ratio = 0.5], tuned for detection rate over false positives. *)
+    [Ratio = 0.5], tuned for detection rate over false positives. Sides
+    and a match's evidence hold packed sub-chain keys ({!Delta.key}). *)
 
 type params = {
   thr : int;
@@ -18,13 +19,8 @@ type params = {
     (DESIGN.md §2). *)
 val default_params : params
 
-(** [side_score d d'] = ([EqChains], [MaxEqChains]) for one side — the
-    raw inputs to the Thr/Ratio test, exposed so the audit trail can
-    record {e why} a pass matched, not just that it did. *)
-val side_score : Delta.side -> Delta.side -> int * int
-
 (** [compare_sides ?params d d'] — the COMPARECHAINS function on one side
-    (removed or added). Sides are interned-key multisets ({!Delta.side});
+    (removed or added). Sides are packed-key multisets ({!Delta.side});
     the fold hashes ints only. *)
 val compare_sides : ?params:params -> Delta.side -> Delta.side -> bool
 
@@ -34,20 +30,21 @@ val similar : ?params:params -> Delta.t -> Delta.t -> bool
 (** Evidence for one matching pass: which side satisfied the Thr/Ratio
     test ([`Removed] is tried first, as in {!similar}), its scores, and
     the common sub-chains themselves ([md_common], key → min
-    multiplicity, sorted; multiplicities sum to [md_eq_chains]) — the
-    explanation layer's "matching sub-chains". *)
+    multiplicity, sorted by key; multiplicities sum to [md_eq_chains]) —
+    the explanation layer's "matching sub-chains", which
+    [Jitbull.audit_matches] renders to strings. *)
 type match_detail = {
   md_pass : string;
   md_side : [ `Removed | `Added ];
   md_eq_chains : int;
   md_max_eq_chains : int;
-  md_common : (string * int) list;
+  md_common : (Delta.key * int) list;
 }
 
 (** [side_common d d'] — the multiset intersection behind
-    {!side_score}'s EqChains, materialized and sorted by key. Cold-path
-    only: called once per {e matching} pass, not during scoring. *)
-val side_common : Delta.side -> Delta.side -> (string * int) list
+    {!side_score}'s EqChains, sorted by key. Called once per {e matching}
+    pass, not during scoring. *)
+val side_common : Delta.side -> Delta.side -> (Delta.key * int) list
 
 (** [matching_passes_detailed ?params ?obs dna dna'] — one
     {!match_detail} per pass [i] with Δᵢ ≈ Δ'ᵢ, in [dna]'s pass order.

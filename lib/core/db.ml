@@ -1,5 +1,5 @@
 module Sexpr = Jitbull_util.Sexpr
-module Intern = Jitbull_util.Intern
+module Inttbl = Jitbull_util.Inttbl
 module Rwlock = Jitbull_util.Rwlock
 module Engine = Jitbull_jit.Engine
 module Sset = Set.Make (String)
@@ -11,9 +11,10 @@ type entry = {
 
 (* Entries live in a growable array (insertion order), with the naive
    [entries] list memoized. Alongside it sits the inverted index used by
-   {!matching}: for every DB entry, pass and delta side, one posting per
-   sub-chain key. Keys are (pass id, added?, sub-chain id) triples of
-   {!Intern} ids, so a lookup hashes three machine words. *)
+   {!matching}: each pass name gets a slot, column [2 * slot + side]
+   (removed 0, added 1) maps a packed sub-chain key to 1 + its newest
+   posting [i] in [nodes], and [nodes.(3i .. 3i+2)] is (entry index,
+   multiplicity, the key's next older posting or -1). *)
 type t = {
   mutable arr : entry array;
   mutable count : int;
@@ -30,11 +31,13 @@ type t = {
           it exclusively. [generation] is read under the same lock, so a
           policy-cache revalidation never observes a half-applied
           mutation. *)
-  postings : (Intern.id * bool * Intern.id, (int * int) list ref) Hashtbl.t;
-      (** (pass, side, sub-chain) → (entry index, multiplicity) postings *)
-  totals : (int * Intern.id * bool, int) Hashtbl.t;
-      (** (entry index, pass, side) → total multiplicity (the |δ'| of the
-          comparator's MaxEqChains) *)
+  slots : (string, int) Hashtbl.t;  (** pass name → slot *)
+  mutable postings : Inttbl.t array;  (** column → postings table *)
+  mutable nodes : int array;
+  mutable n_nodes : int;
+  mutable totals : int array array;
+      (** entry index → column → total multiplicity (the |δ'| of the
+          comparator's MaxEqChains); 0 past the end *)
   mutable posted : Sset.t;
       (** passes with ≥1 posting, i.e. a non-empty Δ side in some entry;
           replaced (never mutated in place) under the write lock, so a
@@ -49,8 +52,11 @@ let create () =
     generation = 0;
     base_gen = 0;
     lock = Rwlock.create ();
-    postings = Hashtbl.create 256;
-    totals = Hashtbl.create 64;
+    slots = Hashtbl.create 32;
+    postings = [||];
+    nodes = [||];
+    n_nodes = 0;
+    totals = [||];
     posted = Sset.empty;
   }
 
@@ -78,28 +84,37 @@ let entries_unlocked t =
 
 let entries t = Rwlock.with_read t.lock (fun () -> entries_unlocked t)
 
+let grow a n fill =
+  if n <= Array.length a then a else Array.append a (Array.make (max n (Array.length a)) fill)
+
 let index_entry t idx (e : entry) =
+  let sides =
+    List.concat_map
+      (fun (pass, (d : Delta.t)) ->
+        if not (Hashtbl.mem t.slots pass) then begin
+          Hashtbl.add t.slots pass (Hashtbl.length t.slots);
+          t.postings <- Array.append t.postings [| Inttbl.create 64; Inttbl.create 64 |]
+        end;
+        let slot = Hashtbl.find t.slots pass in
+        [ (pass, 2 * slot, d.Delta.removed); (pass, (2 * slot) + 1, d.Delta.added) ])
+      e.dna.Dna.deltas
+  in
+  let totals = Array.make (2 * Hashtbl.length t.slots) 0 in
   List.iter
-    (fun (pass, (d : Delta.t)) ->
-      let pid = Intern.intern pass in
-      let index_side flag (side : Delta.side) =
-        let total = ref 0 in
-        Hashtbl.iter
-          (fun k c ->
-            total := !total + c;
-            let key = (pid, flag, k) in
-            match Hashtbl.find_opt t.postings key with
-            | Some lst -> lst := (idx, c) :: !lst
-            | None -> Hashtbl.add t.postings key (ref [ (idx, c) ]))
-          side;
-        if !total > 0 then begin
-          Hashtbl.replace t.totals (idx, pid, flag) !total;
-          t.posted <- Sset.add pass t.posted
-        end
-      in
-      index_side false d.Delta.removed;
-      index_side true d.Delta.added)
-    e.dna.Dna.deltas
+    (fun (pass, column, side) ->
+      Hashtbl.iter
+        (fun k c ->
+          let i = t.n_nodes in
+          t.nodes <- grow t.nodes (3 * (i + 1)) 0;
+          Array.blit [| idx; c; Inttbl.find t.postings.(column) k - 1 |] 0 t.nodes (3 * i) 3;
+          Inttbl.replace t.postings.(column) k (i + 1);
+          t.n_nodes <- i + 1;
+          totals.(column) <- totals.(column) + c)
+        side;
+      if totals.(column) > 0 then t.posted <- Sset.add pass t.posted)
+    sides;
+  t.totals <- grow t.totals (idx + 1) [||];
+  t.totals.(idx) <- totals
 
 let append_unlocked t entry =
   if t.count = Array.length t.arr then begin
@@ -118,8 +133,9 @@ let add t entry = Rwlock.with_write t.lock (fun () -> append_unlocked t entry)
 (* replace the contents with [kept] and rebuild the index once; one
    generation bump, which fences off the history before it *)
 let reset_unlocked t kept =
-  Hashtbl.reset t.postings;
-  Hashtbl.reset t.totals;
+  Hashtbl.reset t.slots;
+  t.postings <- [||];
+  t.n_nodes <- 0;
   t.posted <- Sset.empty;
   let n = List.length kept in
   (match kept with
@@ -172,111 +188,119 @@ let naive_matching_detailed ?params ?obs t (dna : Dna.t) =
       | mds -> Some (e.cve, mds))
     (entries_unlocked t)
 
-(* The Thr/Ratio phase of the indexed scan: given the accumulated
-   EqChains cells [acc] and the function's per-(pass, side) totals,
-   apply the prefilter and the Ratio bound and materialize the matches
-   in entry order. Must run under the DB read
-   lock — it reads [t.totals], [t.arr] and [t.count]. *)
-let finalize_matching ~params ?obs t ~acc ~func_totals (dna : Dna.t) =
-  let module Obs = Jitbull_obs.Obs in
-  (* (entry, pass) → (added?, EqChains, MaxEqChains) of the side that
-     matched; when both sides match, the removed side wins, mirroring the
-     or-ordering in [Comparator.similar] *)
-  let matched : (int * Intern.id, bool * int * int) Hashtbl.t = Hashtbl.create 16 in
-  let hits = ref 0 in
-  Hashtbl.iter
-    (fun (eidx, pid, flag) eq ->
-      if eq >= params.Comparator.thr then begin
-        incr hits;
-        let ft = Option.value ~default:0 (Hashtbl.find_opt func_totals (pid, flag)) in
-        let et = Option.value ~default:0 (Hashtbl.find_opt t.totals (eidx, pid, flag)) in
-        let max_eq = min ft et in
-        if float_of_int eq >= params.Comparator.ratio *. float_of_int max_eq then
-          let keep =
-            match Hashtbl.find_opt matched (eidx, pid) with
-            | None -> true
-            | Some (prev_added, _, _) -> prev_added && not flag
-          in
-          if keep then Hashtbl.replace matched (eidx, pid) (flag, eq, max_eq)
-      end)
-    acc;
-  Obs.add obs "comparator.prefilter_candidates" (Hashtbl.length acc);
-  Obs.add obs "comparator.prefilter_hits" !hits;
-  Obs.add obs "comparator.matches" (Hashtbl.length matched);
-  let out =
-    if Hashtbl.length matched = 0 then []
-    else begin
-      let out = ref [] in
-      for i = t.count - 1 downto 0 do
-        let passes =
-          List.filter_map
-            (fun (pass, (d : Delta.t)) ->
-              match Hashtbl.find_opt matched (i, Intern.intern pass) with
-              | Some (added, eq, max_eq) ->
-                (* materializing the common sub-chains re-reads both deltas
-                   but only for matched (entry, pass) cells — the cold
-                   path, exactly like the naive comparator *)
-                let common =
-                  match List.assoc_opt pass t.arr.(i).dna.Dna.deltas with
-                  | None -> []
-                  | Some (d' : Delta.t) ->
-                    if added then Comparator.side_common d.Delta.added d'.Delta.added
-                    else Comparator.side_common d.Delta.removed d'.Delta.removed
-                in
-                Some
-                  {
-                    Comparator.md_pass = pass;
-                    md_side = (if added then `Added else `Removed);
-                    md_eq_chains = eq;
-                    md_max_eq_chains = max_eq;
-                    md_common = common;
-                  }
-              | None -> None)
-            dna.Dna.deltas
-        in
-        if passes <> [] then out := (t.arr.(i).cve, passes) :: !out
-      done;
-      !out
-    end
-  in
-  (out, Hashtbl.length acc, !hits)
+(* A query's EqChains accumulator, per domain: [cells] by
+   [entry * width + column] ([width] = 2 × pass slots), all zero between
+   queries, and [touched], the cells the running query made nonzero
+   (multiplicities are ≥ 1), which it zeroes when done. Borrowed out of
+   the domain's cell as [Depgraph.build] borrows its array. *)
+let scratch = Domain.DLS.new_key (fun () -> Atomic.make ([||], [||]))
 
-(* Indexed query: walk the function's sub-chain keys through the postings
-   and accumulate EqChains = Σ min(c, c') per (entry, pass, side) cell —
-   only cells with at least one overlapping key ever materialize, which is
-   the sub-linear early-out for benign functions. Cells reaching Thr
-   ("prefilter hits") are then checked against the Ratio bound using the
-   precomputed totals. Produces bit-for-bit the same result, in the same
-   order (including each match's side and scores), as folding
-   {!Comparator.matching_passes_detailed} over [entries]. Returns the
-   matches plus the prefilter (candidate, hit) counts. *)
+(* Indexed query, under the read lock: walk the function's keys through
+   the postings of the same (pass, side) column, accumulating EqChains =
+   Σ min(c, c') per (entry, column) cell, so only cells sharing a key are
+   touched (the sub-linear early-out for benign functions). Touched cells
+   reaching Thr ("prefilter hits") take the Ratio test against the
+   totals; survivors are materialized by entry, then by the function's
+   pass order, the removed side winning as in [Comparator.similar]. Equal
+   (evidence included) to folding {!Comparator.matching_passes_detailed}
+   over [entries]; also returns the (candidate, hit) counts. *)
 let indexed_matching ~params ?obs t (dna : Dna.t) =
-  let acc : (int * Intern.id * bool, int) Hashtbl.t = Hashtbl.create 64 in
-  let func_totals : (Intern.id * bool, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (pass, (d : Delta.t)) ->
-      let pid = Intern.intern pass in
-      let scan flag (side : Delta.side) =
-        let total = ref 0 in
-        Hashtbl.iter
-          (fun k c ->
-            total := !total + c;
-            match Hashtbl.find_opt t.postings (pid, flag, k) with
-            | None -> ()
-            | Some lst ->
-              List.iter
-                (fun (eidx, c') ->
-                  let key = (eidx, pid, flag) in
-                  let cur = Option.value ~default:0 (Hashtbl.find_opt acc key) in
-                  Hashtbl.replace acc key (cur + min c c'))
-                !lst)
-          side;
-        if !total > 0 then Hashtbl.replace func_totals (pid, flag) !total
-      in
-      scan false d.Delta.removed;
-      scan true d.Delta.added)
-    dna.Dna.deltas;
-  finalize_matching ~params ?obs t ~acc ~func_totals dna
+  let module Obs = Jitbull_obs.Obs in
+  let width = 2 * Hashtbl.length t.slots and nodes = t.nodes in
+  let cell = Domain.DLS.get scratch in
+  let cells, touched =
+    match Atomic.exchange cell ([||], [||]) with
+    | cells, _ when Array.length cells < t.count * width ->
+      let n = max (t.count * width) (2 * Array.length cells) in
+      (Array.make n 0, Array.make n 0)
+    | scratch -> scratch
+  in
+  let n_touched = ref 0 and func_totals = Array.make width 0 in
+  let scan column (side : Delta.side) =
+    let postings = t.postings.(column) in
+    Hashtbl.iter
+      (fun k c ->
+        func_totals.(column) <- func_totals.(column) + c;
+        let i = ref (Inttbl.find postings k - 1) in
+        while !i >= 0 do
+          let x = (nodes.(3 * !i) * width) + column in
+          if cells.(x) = 0 then begin
+            touched.(!n_touched) <- x;
+            incr n_touched
+          end;
+          cells.(x) <- cells.(x) + Int.min c nodes.((3 * !i) + 1);
+          i := nodes.((3 * !i) + 2)
+        done)
+      side
+  in
+  let passes =
+    List.map
+      (fun (pass, (d : Delta.t)) ->
+        let slot = match Hashtbl.find t.slots pass with v -> v | exception Not_found -> -1 in
+        if slot >= 0 then begin
+          scan (2 * slot) d.Delta.removed;
+          scan ((2 * slot) + 1) d.Delta.added
+        end;
+        (pass, d, slot))
+      dna.Dna.deltas
+  in
+  let max_eq x =
+    let et = t.totals.(x / width) and column = x mod width in
+    Int.min func_totals.(column) (if column < Array.length et then et.(column) else 0)
+  in
+  (* survivors move to the front of [touched]; other cells are zeroed *)
+  let thr = params.Comparator.thr and ratio = params.Comparator.ratio in
+  let hits = ref 0 and survivors = ref 0 and first = ref max_int and last = ref (-1) in
+  for j = 0 to !n_touched - 1 do
+    let x = touched.(j) in
+    if cells.(x) >= thr then incr hits;
+    if cells.(x) >= thr && float_of_int cells.(x) >= ratio *. float_of_int (max_eq x) then begin
+      touched.(!survivors) <- x;
+      incr survivors;
+      first := Int.min !first (x / width);
+      last := Int.max !last (x / width)
+    end
+    else cells.(x) <- 0
+  done;
+  let detail e pass d x =
+    let added = x mod 2 = 1 in
+    let side (d : Delta.t) = if added then d.Delta.added else d.Delta.removed in
+    let common =
+      match List.assoc_opt pass t.arr.(e).dna.Dna.deltas with
+      | None -> []
+      | Some d' -> Comparator.side_common (side d) (side d')
+    in
+    {
+      Comparator.md_pass = pass;
+      md_side = (if added then `Added else `Removed);
+      md_eq_chains = cells.(x);
+      md_max_eq_chains = max_eq x;
+      md_common = common;
+    }
+  in
+  let matches = ref [] and pairs = ref 0 in
+  for e = !last downto !first do
+    let mds =
+      List.filter_map
+        (fun (pass, d, slot) ->
+          let x = (e * width) + (2 * slot) in
+          if slot < 0 then None
+          else if cells.(x) > 0 then Some (detail e pass d x)
+          else if cells.(x + 1) > 0 then Some (detail e pass d (x + 1))
+          else None)
+        passes
+    in
+    pairs := !pairs + List.length mds;
+    if mds <> [] then matches := (t.arr.(e).cve, mds) :: !matches
+  done;
+  for j = 0 to !survivors - 1 do
+    cells.(touched.(j)) <- 0
+  done;
+  Atomic.set cell (cells, touched);
+  Obs.add obs "comparator.prefilter_candidates" !n_touched;
+  Obs.add obs "comparator.prefilter_hits" !hits;
+  Obs.add obs "comparator.matches" !pairs;
+  (!matches, !n_touched, !hits)
 
 let matching_detailed ?(params = Comparator.default_params) ?obs t (dna : Dna.t) =
   let module Obs = Jitbull_obs.Obs in

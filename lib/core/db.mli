@@ -17,6 +17,11 @@
     update arriving on the main thread. The engine treats a compile whose enqueue-time
     {!generation} no longer matches as stale and re-analyzes.
 
+    The index is one postings table per (pass, side) keyed by the packed
+    sub-chain ints ({!Delta.key}); a query accumulates EqChains in a
+    reused per-domain array, so a posting costs one int hash and no
+    allocation.
+
     Next to the index the database keeps the set of {!posted} passes —
     those with a non-empty Δ side in some entry — under the same lock
     and generation, so the analyzer can skip extracting every other
@@ -52,7 +57,9 @@ val posted : t -> int * (string -> bool)
 val entries : t -> entry list  (** insertion order; memoized *)
 
 (** [add t entry] appends in O(index size of the entry) — amortized O(1)
-    array growth plus one posting per (pass, side, sub-chain) of its DNA. *)
+    array growth plus one posting per (pass, side, sub-chain) of its DNA.
+    Multiplicities must be ≥ 1, as extraction and {!Delta.of_sexpr}
+    guarantee. *)
 val add : t -> entry -> unit
 
 (** [remove_cve t cve] drops every entry of a vulnerability (= the patch

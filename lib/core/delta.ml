@@ -1,72 +1,54 @@
 module Sexpr = Jitbull_util.Sexpr
 module Intern = Jitbull_util.Intern
+module Inttbl = Jitbull_util.Inttbl
 module Snapshot = Jitbull_mir.Snapshot
 
-type side = (Intern.id, int) Hashtbl.t
+type key = int
+type side = (key, int) Hashtbl.t
 
 type t = {
   removed : side;
   added : side;
 }
 
-(* Sub-chains are counted under packed integer keys: three 21-bit slots
-   of dense opcode id + 1, where 0 marks an absent slot — a→b is
-   (0, a, b), the root-boundary ^a→b is (a, 0, b) and a→b→c is (a, b, c).
-   Only the keys that survive a diff become {!Intern} ids. *)
+(* A sub-chain key packs three 21-bit slots of dense opcode id + 1, where
+   0 marks an absent slot — a→b is (0, a, b), the root-boundary ^a→b is
+   (a, 0, b) and a→b→c is (a, b, c). Dense ids stay below 2^20 - 1
+   ({!Snapshot.opcode_index}), so a packed key is positive; a string of
+   any other shape takes the negative key [-(Intern id) - 1]. *)
 let pack a b c = (a lsl 42) lor (b lsl 21) lor c
 let slot k s = (k lsr (21 * s)) land 0x1FFFFF
 
-let key_id k =
-  let id s = Snapshot.opcode_id (slot k s - 1) in
-  if slot k 2 = 0 then Intern.pair (id 1) (id 0)
-  else if slot k 1 = 0 then Intern.pair (Intern.rooted (id 2)) (id 0)
-  else Intern.triple (id 2) (id 1) (id 0)
-
-(* A multiset of packed keys: one open-addressing table, linear probing,
-   at most half full. A key's low slot is never 0, so 0 marks a free
-   slot. *)
-type multiset = {
-  mutable keys : int array;
-  mutable counts : int array;
-  mutable size : int;
-}
-
-(* inline multiplicative hash: mixes the high slots of a packed key into
-   the low bits the table indexes by *)
-let find_slot keys k =
-  let mask = Array.length keys - 1 in
-  let rec probe i =
-    let k' = keys.(i) in
-    if k' = k || k' = 0 then i else probe ((i + 1) land mask)
+(* the pieces of [s] between its "->"s, left to right *)
+let split_arrows s =
+  let n = String.length s in
+  let rec go start i acc =
+    if i + 1 >= n then List.rev (String.sub s start (n - start) :: acc)
+    else if s.[i] = '-' && s.[i + 1] = '>' then
+      go (i + 2) (i + 2) (String.sub s start (i - start) :: acc)
+    else go start (i + 1) acc
   in
-  probe (((k * 0x1E3779B97F4A7C15) lsr 17) land mask)
+  go 0 0 []
 
-let count m k =
-  let i = find_slot m.keys k in
-  if m.keys.(i) = k then m.counts.(i) else 0
+let key_of_string s =
+  let rooted = s <> "" && s.[0] = '^' in
+  let names = split_arrows (if rooted then String.sub s 1 (String.length s - 1) else s) in
+  let op name = Snapshot.opcode_index name + 1 in
+  match names with
+  | _ when List.exists (fun name -> name = "" || name.[0] = '^') names -> -Intern.intern s - 1
+  | [ a; b ] -> if rooted then pack (op a) 0 (op b) else pack 0 (op a) (op b)
+  | [ a; b; c ] when not rooted -> pack (op a) (op b) (op c)
+  | _ -> -Intern.intern s - 1
 
-let rec bump m k =
-  let i = find_slot m.keys k in
-  if m.keys.(i) = k then m.counts.(i) <- m.counts.(i) + 1
-  else if 2 * (m.size + 1) > Array.length m.keys then begin
-    let keys = m.keys and counts = m.counts in
-    m.keys <- Array.make (2 * Array.length keys) 0;
-    m.counts <- Array.make (2 * Array.length keys) 0;
-    Array.iteri
-      (fun j k' ->
-        if k' <> 0 then begin
-          let i = find_slot m.keys k' in
-          m.keys.(i) <- k';
-          m.counts.(i) <- counts.(j)
-        end)
-      keys;
-    bump m k
-  end
-  else begin
-    m.keys.(i) <- k;
-    m.counts.(i) <- 1;
-    m.size <- m.size + 1
-  end
+let key_to_string k =
+  if k < 0 then Intern.to_string (-k - 1)
+  else
+    let name s = Snapshot.opcode_name (slot k s - 1) in
+    if slot k 2 = 0 then name 1 ^ "->" ^ name 0
+    else if slot k 1 = 0 then "^" ^ name 2 ^ "->" ^ name 0
+    else String.concat "->" [ name 2; name 1; name 0 ]
+
+type multiset = Inttbl.t
 
 (* Multiset of sub-chains of a dependency graph:
    - n = 2: the edge multiset (the 2-grams of every root→leaf chain);
@@ -76,37 +58,31 @@ let rec bump m k =
      every root→leaf chain, computed in O(Σ degᵢₙ·degₒᵤₜ). *)
 let multiset ~n (g : Depgraph.t) =
   if n <> 2 && n <> 3 then invalid_arg "Delta.multiset: n must be 2 or 3";
-  let capacity = ref 16 in
-  while !capacity < 2 * Depgraph.edge_count g do
-    capacity := 2 * !capacity
-  done;
-  let m = { keys = Array.make !capacity 0; counts = Array.make !capacity 0; size = 0 } in
+  let m = Inttbl.create (Depgraph.edge_count g) in
   let op v = g.Depgraph.ops.(v) + 1 and first v = g.Depgraph.dep_start.(v) in
   let last v = g.Depgraph.dep_start.(v + 1) - 1 and deps = g.Depgraph.deps in
   for u = 0 to Depgraph.size g - 1 do
     for i = first u to last u do
       let d = deps.(i) in
-      if n = 2 then bump m (pack 0 (op u) (op d))
+      if n = 2 then Inttbl.add m (pack 0 (op u) (op d)) 1
       else begin
-        if Depgraph.is_root g u then bump m (pack (op u) 0 (op d));
+        if Depgraph.is_root g u then Inttbl.add m (pack (op u) 0 (op d)) 1;
         for j = first d to last d do
-          bump m (pack (op u) (op d) (op deps.(j)))
+          Inttbl.add m (pack (op u) (op d) (op deps.(j))) 1
         done
       end
     done
   done;
   m
 
-(* multiset difference a − b, keyed by interned sub-chain ids *)
+(* multiset difference a − b, under the packed keys themselves *)
 let diff a b : side =
   let out = Hashtbl.create 16 in
-  Array.iteri
-    (fun i k ->
-      if k <> 0 then begin
-        let c = a.counts.(i) - count b k in
-        if c > 0 then Hashtbl.replace out (key_id k) c
-      end)
-    a.keys;
+  Inttbl.iter
+    (fun k c ->
+      let c = c - Inttbl.find b k in
+      if c > 0 then Hashtbl.add out k c)
+    a;
   out
 
 let of_multisets ~before ~after = { removed = diff before after; added = diff after before }
@@ -119,18 +95,16 @@ let total side = Hashtbl.fold (fun _ c acc -> acc + c) side 0
 
 let side_of_list entries : side =
   let tbl = Hashtbl.create (max 8 (List.length entries)) in
-  List.iter (fun (k, c) -> Hashtbl.replace tbl (Intern.intern k) c) entries;
+  List.iter (fun (k, c) -> Hashtbl.replace tbl (key_of_string k) c) entries;
   tbl
 
-let mem_key (side : side) key = Hashtbl.mem side (Intern.intern key)
-
 (* serialization: (delta (removed (<key> <count>) ...) (added ...)) —
-   keys are written back as strings, so the on-disk format is unchanged
-   by the in-memory interning *)
+   keys are written as strings, sorted, so the on-disk format does not
+   depend on the in-memory keys *)
 
 let side_to_sexpr name side =
   let entries =
-    Hashtbl.fold (fun k c acc -> (Intern.to_string k, c) :: acc) side []
+    Hashtbl.fold (fun k c acc -> (key_to_string k, c) :: acc) side []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
     |> List.map (fun (k, c) -> Sexpr.list [ Sexpr.atom k; Sexpr.int c ])
   in
@@ -146,7 +120,7 @@ let side_of_sexprs payload : side =
            a DB file would subtract from EqChains = Σ min(c, c') *)
         let c = Sexpr.to_int c in
         if c < 1 then raise (Sexpr.Decode_error "delta multiplicity below 1");
-        Hashtbl.replace tbl (Intern.intern (Sexpr.to_atom k)) c
+        Hashtbl.replace tbl (key_of_string (Sexpr.to_atom k)) c
       | _ -> raise (Sexpr.Decode_error "bad delta entry"))
     payload;
   tbl
@@ -162,7 +136,7 @@ let of_sexpr s =
 
 let to_string t =
   let fmt side =
-    Hashtbl.fold (fun k c acc -> Printf.sprintf "%s x%d" (Intern.to_string k) c :: acc) side []
+    Hashtbl.fold (fun k c acc -> Printf.sprintf "%s x%d" (key_to_string k) c :: acc) side []
     |> List.sort String.compare |> String.concat ", "
   in
   Printf.sprintf "removed={%s} added={%s}" (fmt t.removed) (fmt t.added)

@@ -12,22 +12,38 @@
     dropping the single-VDC false-positive rate to the paper's 0-5%% band
     (see DESIGN.md §4 and EXPERIMENTS.md). *)
 
-type side = (Jitbull_util.Intern.id, int) Hashtbl.t
-(** interned sub-chain key → multiplicity. Keys are {!Jitbull_util.Intern}
-    ids of ["a->b"] / ["a->b->c"] strings: the comparator's inner loop
-    hashes machine words, never strings (the on-disk format is still
-    string-keyed; see {!to_sexpr}). *)
+(** A sub-chain key: the extractor's own packed int, three 21-bit slots
+    of dense opcode ids ({!Jitbull_mir.Snapshot.opcode_index}). It stays
+    an int from the snapshot to the verdict — sides, the DB index and the
+    comparator's evidence hold keys — and becomes a string only at the
+    file, wire and audit edge ({!key_of_string}, {!key_to_string}). *)
+type key = int
+
+(** [key_of_string s] — the key of [s]. The rule is canonical: a
+    chain-shaped [s] (["a->b"], ["^a->b"] or ["a->b->c"], each name
+    non-empty and not starting with ["^"]) packs through the snapshot
+    opcode index, registering names it has not seen; any other string
+    takes a negative key from {!Jitbull_util.Intern}. So a string has one
+    key whichever of a DB file or a snapshot saw its names first. *)
+val key_of_string : string -> key
+
+(** [key_to_string k] — the string [k] was made from;
+    [key_to_string (key_of_string s) = s] for every [s]. *)
+val key_to_string : key -> string
+
+type side = (key, int) Hashtbl.t
+(** sub-chain key → multiplicity (≥ 1). *)
 
 type t = {
   removed : side;
   added : side;
 }
 
-(** A graph's sub-chain n-gram multiset under packed integer keys, in one
-    flat open-addressing table of int keys and int counts;
-    [of_multisets] diffs two built with the same [n] and interns only the
-    keys that differ. Exact while no opcode name contains ["->"] or starts
-    with ["^"] (no MIR opcode does), which could alias two key shapes. *)
+(** A graph's sub-chain n-gram multiset under packed keys, in one
+    {!Jitbull_util.Inttbl} of keys and counts; [of_multisets] diffs two
+    built with the same [n] and keeps the packed keys that differ. Exact
+    while no opcode name contains ["->"] or starts with ["^"] (no MIR
+    opcode does), which could alias two key shapes. *)
 type multiset
 
 (** [multiset ~n g] — [n] is 2 (dependency edges) or 3 (length-2 walks
@@ -46,10 +62,8 @@ val is_empty : t -> bool
 val total : side -> int
 
 (** [side_of_list entries] — build a side from string keys (tests, bench
-    synthesis); [mem_key] looks a string key up in a side. *)
+    synthesis). *)
 val side_of_list : (string * int) list -> side
-
-val mem_key : side -> string -> bool
 
 (** Serialization for the on-disk DNA database. [of_sexpr] raises
     [Sexpr.Decode_error] on a malformed entry or a multiplicity below 1

@@ -14,12 +14,16 @@ let verdict_name = function
 module Audit = Jitbull_obs.Audit
 module Irdiff = Jitbull_obs.Irdiff
 module Snapshot = Jitbull_mir.Snapshot
-module Intern = Jitbull_util.Intern
 
 let audit_verdict = function
   | `Allow -> Audit.Allow
   | `Disable ps -> Audit.Disable ps
   | `Forbid -> Audit.Forbid
+
+(* sub-chain key → count, rendered to strings and sorted by them *)
+let chain_strings chains =
+  List.map (fun (k, c) -> (Delta.key_to_string k, c)) chains
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let audit_matches detailed =
   List.map
@@ -37,7 +41,7 @@ let audit_matches detailed =
                   | `Added -> "added");
                 pm_eq_chains = md.Comparator.md_eq_chains;
                 pm_max_eq_chains = md.Comparator.md_max_eq_chains;
-                pm_chains = md.Comparator.md_common;
+                pm_chains = chain_strings md.Comparator.md_common;
               })
             mds;
       })
@@ -59,12 +63,6 @@ let opcode_multiset_diff a b =
       if ca > cb then (Snapshot.opcode_name k, ca - cb) :: acc else acc)
     a []
   |> List.sort (fun (x, _) (y, _) -> String.compare x y)
-
-(* each key is materialized once, not once per comparison *)
-let chain_side_to_list (side : Delta.side) =
-  Hashtbl.fold (fun k c acc -> (Intern.to_string k, (k, c)) :: acc) side []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.map snd
 
 (* One [Irdiff.pass_diff] per pass that changed the IR: instruction and
    block counts from adjacent snapshots, the opcode multiset diff, and
@@ -89,7 +87,8 @@ let capture_diff ~(trace : (string * Snapshot.t) list) ~(dna : Dna.t) =
           let chains_added, chains_removed =
             match List.assoc_opt pass dna.Dna.deltas with
             | Some (d : Delta.t) ->
-              (chain_side_to_list d.Delta.added, chain_side_to_list d.Delta.removed)
+              ( chain_strings (List.of_seq (Hashtbl.to_seq d.Delta.added)),
+                chain_strings (List.of_seq (Hashtbl.to_seq d.Delta.removed)) )
             | None -> ([], [])
           in
           let pd =

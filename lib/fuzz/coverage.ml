@@ -1,7 +1,6 @@
 module Op = Jitbull_bytecode.Op
 module Dna = Jitbull_core.Dna
 module Delta = Jitbull_core.Delta
-module Intern = Jitbull_util.Intern
 
 type t = (int, unit) Hashtbl.t
 
@@ -69,7 +68,9 @@ let features_of_bytecode (p : Op.program) =
 
 let side_features acc ~pass ~tag (side : Delta.side) =
   let base = mix (mix 0x444e41 (Hashtbl.hash pass)) tag in
-  Hashtbl.fold (fun key _count acc -> mix base (Hashtbl.hash (Intern.to_string key)) :: acc) side acc
+  Hashtbl.fold
+    (fun key _count acc -> mix base (Hashtbl.hash (Delta.key_to_string key)) :: acc)
+    side acc
 
 let features_of_dna (dna : Dna.t) =
   List.fold_left

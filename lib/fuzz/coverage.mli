@@ -7,8 +7,8 @@
     - bytecode opcode {e bigrams} (adjacent opcode-kind pairs per
       function), a proxy for which VM/compiler shapes an input reaches;
     - per-pass Δ sub-chain keys from the DNA the go/no-go machinery
-      extracts anyway (pass name × removed/added side × interned
-      sub-chain), a proxy for which optimizer rewrites fired;
+      extracts anyway (pass name × removed/added side × sub-chain
+      string), a proxy for which optimizer rewrites fired;
     - engine events (bailout/deopt/blacklist observed, go/no-go verdict
       kinds, per-pass "changed the graph" bits), read from the
       [Obs]-pattern counters the engine and pipeline publish.

@@ -1,4 +1,3 @@
-module Intern = Jitbull_util.Intern
 module Strings = Hashtbl.Make (String)
 
 type t = {
@@ -13,12 +12,11 @@ type t = {
 (* The process-wide dense opcode index, seeded with [Mir.opcode_names] so
    that a MIR opcode's dense id is its [Mir.opcode_tag]. Lookups read a
    frozen table without a lock; a name outside MIR (hand-built snapshots)
-   publishes an extended copy. Each name is interned once, when it is
-   indexed. *)
+   publishes an extended copy. *)
 let opcodes =
   let index = Strings.create 64 in
   Array.iteri (fun i s -> Strings.add index s i) Mir.opcode_names;
-  Atomic.make (index, Array.map (fun s -> (s, Intern.intern s)) Mir.opcode_names)
+  Atomic.make (index, Mir.opcode_names)
 
 let grow = Mutex.create ()
 
@@ -32,13 +30,12 @@ let opcode_index s =
         | Some i -> i
         | None ->
           let index = Strings.copy index and i = Array.length names in
-          if i >= (1 lsl 21) - 1 then failwith "Snapshot: too many distinct opcodes";
+          if i >= (1 lsl 20) - 1 then failwith "Snapshot: too many distinct opcodes";
           Strings.add index s i;
-          Atomic.set opcodes (index, Array.append names [| (s, Intern.intern s) |]);
+          Atomic.set opcodes (index, Array.append names [| s |]);
           i)
 
-let opcode_name i = fst (snd (Atomic.get opcodes)).(i)
-let opcode_id i = snd (snd (Atomic.get opcodes)).(i)
+let opcode_name i = (snd (Atomic.get opcodes)).(i)
 
 let take (g : Mir.t) : t =
   (* one walk to size the arrays, one to fill them *)

@@ -31,15 +31,15 @@ val take : Mir.t -> t
 (** [make ~func_name ~n_blocks entries] builds a snapshot from
     [(num, opcode name, operand numbers)] triples, in order (tests and
     tools). A name outside MIR extends the dense opcode index (below
-    [2{^21} - 1] distinct names). *)
+    [2{^20} - 1] distinct names). *)
 val make : func_name:string -> n_blocks:int -> (int * string * int list) list -> t
 
 (** [opcode_name i] — the name of dense opcode id [i]. *)
 val opcode_name : int -> string
 
-(** [opcode_id i] — the {!Jitbull_util.Intern} id of dense opcode id [i]'s
-    name. *)
-val opcode_id : int -> Jitbull_util.Intern.id
+(** [opcode_index name] — the dense opcode id of [name], extending the
+    index with a name outside MIR as {!make} does. *)
+val opcode_index : string -> int
 
 val entry_count : t -> int
 

@@ -87,9 +87,6 @@ let verdict_rationale ?can_disable t =
         (if List.length ms = 1 then "pass" else "passes")
         (String.concat ", " ms))
 
-let chains_materialized (ids : (Jitbull_util.Intern.id * int) list) =
-  List.map (fun (id, c) -> (Irdiff.chain_key id, c)) ids
-
 let fmt_multiset kvs =
   String.concat ", " (List.map (fun (k, c) -> Printf.sprintf "%s x%d" k c) kvs)
 
@@ -119,11 +116,9 @@ let text_of_diff buf (d : Irdiff.compile_diff) =
       if p.Irdiff.pd_opcodes_removed <> [] then
         line "    opcodes removed: %s\n" (fmt_multiset p.Irdiff.pd_opcodes_removed);
       if p.Irdiff.pd_chains_added <> [] then
-        line "    sub-chains introduced: %s\n"
-          (fmt_multiset (chains_materialized p.Irdiff.pd_chains_added));
+        line "    sub-chains introduced: %s\n" (fmt_multiset p.Irdiff.pd_chains_added);
       if p.Irdiff.pd_chains_removed <> [] then
-        line "    sub-chains destroyed: %s\n"
-          (fmt_multiset (chains_materialized p.Irdiff.pd_chains_removed)))
+        line "    sub-chains destroyed: %s\n" (fmt_multiset p.Irdiff.pd_chains_removed))
     d.Irdiff.cd_passes
 
 let to_text ?can_disable t =
@@ -285,8 +280,8 @@ let to_html ?can_disable t =
                   p.Irdiff.pd_blocks_after;
                 fmt_multiset p.Irdiff.pd_opcodes_added;
                 fmt_multiset p.Irdiff.pd_opcodes_removed;
-                fmt_multiset (chains_materialized p.Irdiff.pd_chains_added);
-                fmt_multiset (chains_materialized p.Irdiff.pd_chains_removed);
+                fmt_multiset p.Irdiff.pd_chains_added;
+                fmt_multiset p.Irdiff.pd_chains_removed;
               ])
             d.Irdiff.cd_passes))
   | None ->

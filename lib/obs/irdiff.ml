@@ -3,7 +3,6 @@
    aggregates, serializing helper compile domains and the main thread;
    cumulative aggregates survive eviction. *)
 
-module Intern = Jitbull_util.Intern
 module Ring = Jitbull_util.Ring
 
 type pass_diff = {
@@ -14,8 +13,8 @@ type pass_diff = {
   pd_blocks_after : int;
   pd_opcodes_added : (string * int) list;
   pd_opcodes_removed : (string * int) list;
-  pd_chains_added : (Intern.id * int) list;
-  pd_chains_removed : (Intern.id * int) list;
+  pd_chains_added : (string * int) list;
+  pd_chains_removed : (string * int) list;
 }
 
 type compile_diff = {
@@ -71,5 +70,3 @@ let render_prometheus t =
       contribs
   end;
   Buffer.contents buf
-
-let chain_key = Intern.to_string

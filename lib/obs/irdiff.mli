@@ -6,8 +6,7 @@
     trace into one {!compile_diff} — per pass, the instruction/block
     deltas, the opcode multiset diff, and the DNA sub-chains the pass
     introduced or destroyed (the δ⁺/δ⁻ sides the comparator scored,
-    keyed by {!Jitbull_util.Intern} ids exactly like [Db]'s postings) —
-    and attaches it under the audit record's [seq]. Diffs live in a
+    rendered to sub-chain strings once, at capture) — and attaches it under the audit record's [seq]. Diffs live in a
     mutex-guarded {!Jitbull_util.Ring} of the last K compiles (oldest
     evicted), so helper
     compile domains attach concurrently with the main thread and memory
@@ -20,8 +19,8 @@
 
 (** IR change one pass made during one compile, as seen between its
     surrounding snapshots. Chains are the Δ sides of the paper's DNA
-    vector: [pd_chains_added] is δ⁺ (sub-chain id → multiplicity),
-    [pd_chains_removed] is δ⁻, both sorted by materialized key. *)
+    vector: [pd_chains_added] is δ⁺ (sub-chain → multiplicity),
+    [pd_chains_removed] is δ⁻, both sorted by sub-chain string. *)
 type pass_diff = {
   pd_pass : string;
   pd_instrs_before : int;
@@ -30,8 +29,8 @@ type pass_diff = {
   pd_blocks_after : int;
   pd_opcodes_added : (string * int) list;  (** opcode → count, sorted *)
   pd_opcodes_removed : (string * int) list;
-  pd_chains_added : (Jitbull_util.Intern.id * int) list;
-  pd_chains_removed : (Jitbull_util.Intern.id * int) list;
+  pd_chains_added : (string * int) list;
+  pd_chains_removed : (string * int) list;
 }
 
 type compile_diff = {
@@ -69,6 +68,3 @@ val record_contribution : t -> pass:string -> cve:string -> int -> unit
 (** [jitbull_explain_diffs_total] and
     [jitbull_explain_chains_introduced_total{pass,cve}]. *)
 val render_prometheus : t -> string
-
-(** Materialize a sub-chain id ({!Intern.to_string}). *)
-val chain_key : Jitbull_util.Intern.id -> string

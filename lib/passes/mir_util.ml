@@ -24,11 +24,15 @@ let insert_before_control (b : Mir.block) (i : Mir.instr) =
   i.Mir.in_block <- b.Mir.bid
 
 (* The static payload of an opcode as GVN keys it, "" for an opcode its
-   tag alone identifies: the opcode name and the payload, a constant
-   keyed on its type name and display. *)
+   tag alone identifies: the opcode name and the payload, a number
+   constant keyed on its exact bits (so -0 stays apart from 0, and two
+   numbers with one display stay apart; every NaN is one key), any other
+   constant on its type name and display. *)
 let payload_key (op : Mir.opcode) =
   let base = Mir.opcode_name op in
   match op with
+  | Mir.Constant (Value.Number f) ->
+    base ^ ":number:" ^ Int64.to_string (Int64.bits_of_float (if Float.is_nan f then nan else f))
   | Mir.Constant v -> String.concat ":" [ base; Value.type_name v; Value.to_display v ]
   | Mir.Parameter n -> base ^ ":" ^ string_of_int n
   | Mir.Load_global s | Mir.Store_global s | Mir.Get_prop s | Mir.Set_prop s ->

@@ -58,9 +58,10 @@ let test_delta_paper_example () =
   let d = compute ~n:2 before after in
   check_int "two removed subchains" 2 (Delta.total d.Delta.removed);
   check_int "one added subchain" 1 (Delta.total d.Delta.added);
-  check_bool "A->B removed" true (Delta.mem_key d.Delta.removed "a->b");
-  check_bool "C->D removed" true (Delta.mem_key d.Delta.removed "c->d");
-  check_bool "C->E added" true (Delta.mem_key d.Delta.added "c->e")
+  let mem side key = Hashtbl.mem side (Delta.key_of_string key) in
+  check_bool "A->B removed" true (mem d.Delta.removed "a->b");
+  check_bool "C->D removed" true (mem d.Delta.removed "c->d");
+  check_bool "C->E added" true (mem d.Delta.added "c->e")
 
 let test_delta_empty_on_identical () =
   let g = Depgraph.build (snap [ (1, "x", []); (2, "y", [ 1 ]) ]) in
@@ -105,6 +106,66 @@ let test_delta_sexpr_roundtrip () =
 (* ---- comparator (Algorithm 2) ---- *)
 
 let side_of_list = Delta.side_of_list
+
+(* ---- the sub-chain key codec ---- *)
+
+(* any string, and chains of awkward names with or without the root
+   marker; [Some] marks a chain of well-formed names, which packs *)
+let key_string_gen =
+  let open QCheck.Gen in
+  let chain rooted names = (if rooted then "^" else "") ^ String.concat "->" names in
+  let name = string_size ~gen:(char_range 'a' 'e') (int_range 1 3) in
+  frequency
+    [
+      (1, map (fun s -> (s, None)) awkward_string_gen);
+      ( 1,
+        map2
+          (fun rooted names -> (chain rooted names, None))
+          bool
+          (list_size (int_range 1 4) awkward_string_gen) );
+      (1, map (fun names -> (chain false names, Some ())) (list_size (int_range 2 3) name));
+      (1, map2 (fun a b -> (chain true [ "k" ^ a; b ], Some ())) name name);
+    ]
+
+let qcheck_key_codec_round_trip =
+  QCheck.Test.make ~count:(qcheck_count 200) ~name:"delta key codec round trip"
+    (QCheck.make ~print:(fun (s, _) -> String.escaped s) key_string_gen)
+    (fun (s, well_formed) ->
+      let k = Delta.key_of_string s in
+      Delta.key_to_string k = s
+      && Delta.key_of_string s = k
+      && (well_formed = None || k > 0))
+
+let test_key_codec_db_and_canonical () =
+  (* every key of the 8-VDC DB is packed and survives its string *)
+  let db = Db.create () in
+  ignore (Jitbull_vdc.Demonstrators.harvest db VC.all);
+  let keys = ref 0 in
+  List.iter
+    (fun (e : Db.entry) ->
+      List.iter
+        (fun (_, (d : Delta.t)) ->
+          List.iter
+            (Hashtbl.iter (fun k _ ->
+                 incr keys;
+                 if k <= 0 || Delta.key_of_string (Delta.key_to_string k) <> k then
+                   Alcotest.failf "key %d (%s) does not round-trip" k (Delta.key_to_string k)))
+            [ d.Delta.removed; d.Delta.added ])
+        e.Db.dna.Dna.deltas)
+    (Db.entries db);
+  check_bool "the DB has keys" true (!keys > 100);
+  (* chain strings parsed before any snapshot names their opcodes get the
+     keys extraction gives the chains later *)
+  let chain = "codec_c->codec_b->codec_a" and rooted = "^codec_c->codec_b" in
+  let k = Delta.key_of_string chain and kr = Delta.key_of_string rooted in
+  let d =
+    compute
+      (Depgraph.build (snap []))
+      (Depgraph.build (snap [ (1, "codec_a", []); (2, "codec_b", [ 1 ]); (3, "codec_c", [ 2 ]) ]))
+  in
+  check_bool "the chain's key" true (Hashtbl.find_opt d.Delta.added k = Some 1);
+  check_bool "the root pair's key" true (Hashtbl.find_opt d.Delta.added kr = Some 1);
+  check_int "nothing else" 2 (Hashtbl.length d.Delta.added)
 
 let params = { Comparator.thr = 2; ratio = 0.5 }
 
@@ -430,7 +491,7 @@ let reference_dna n trace =
   go trace
 
 let side_strings (side : Delta.side) =
-  Hashtbl.fold (fun k c acc -> (Jitbull_util.Intern.to_string k, c) :: acc) side []
+  Hashtbl.fold (fun k c acc -> (Delta.key_to_string k, c) :: acc) side []
   |> List.sort compare
 
 let extracted_dna n trace =
@@ -788,6 +849,9 @@ let suite =
       Alcotest.test_case "delta multiplicity" `Quick test_delta_multiplicity;
       Alcotest.test_case "delta rejects n outside 2..3" `Quick test_delta_rejects_other_n;
       Alcotest.test_case "delta sexpr roundtrip" `Quick test_delta_sexpr_roundtrip;
+      qtest qcheck_key_codec_round_trip;
+      Alcotest.test_case "delta key codec: DB keys, canonical order" `Quick
+        test_key_codec_db_and_canonical;
       Alcotest.test_case "comparator threshold" `Quick test_comparator_threshold;
       Alcotest.test_case "comparator ratio" `Quick test_comparator_ratio;
       Alcotest.test_case "comparator min multiplicity" `Quick test_comparator_min_multiplicity;

@@ -21,7 +21,6 @@ module V = Jitbull_vdc.Demonstrators
 module Db = Jitbull_core.Db
 module Jitbull = Jitbull_core.Jitbull
 module Pipeline = Jitbull_passes.Pipeline
-module Intern = Jitbull_util.Intern
 
 let has hay needle =
   let nl = String.length needle and l = String.length hay in
@@ -141,9 +140,8 @@ let canonical_report obs func =
               (p.Irdiff.pd_instrs_before, p.Irdiff.pd_instrs_after),
               (p.Irdiff.pd_blocks_before, p.Irdiff.pd_blocks_after),
               (p.Irdiff.pd_opcodes_added, p.Irdiff.pd_opcodes_removed),
-              List.map (fun (k, c) -> (Irdiff.chain_key k, c)) p.Irdiff.pd_chains_added,
-              List.map (fun (k, c) -> (Irdiff.chain_key k, c)) p.Irdiff.pd_chains_removed
-            ))
+              p.Irdiff.pd_chains_added,
+              p.Irdiff.pd_chains_removed ))
           d.Irdiff.cd_passes
     in
     ( r.Audit.func_name,
@@ -287,8 +285,8 @@ let mk_diff func =
           pd_blocks_after = 3;
           pd_opcodes_added = [];
           pd_opcodes_removed = [ ("boundscheck", 2) ];
-          pd_chains_added = [ (Intern.intern "guard->loadelement", 1) ];
-          pd_chains_removed = [ (Intern.intern "boundscheck->loadelement", 2) ];
+          pd_chains_added = [ ("guard->loadelement", 1) ];
+          pd_chains_removed = [ ("boundscheck->loadelement", 2) ];
         };
       ];
     cd_capture_seconds = 1e-6;

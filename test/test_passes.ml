@@ -38,6 +38,23 @@ for (var k = 0; k < 5; k++) { f(k, 2); }
   in
   check_int "common subexpression merged" 1 (count_opcode g "add")
 
+(* GVN keys a number constant on its exact bits: two constants with one
+   12-digit display stay apart, so the JIT computes what the interpreter
+   does; 0 and -0 stay apart in the MIR too *)
+let test_gvn_keeps_close_constants_apart () =
+  let src =
+    "function f(x) { var a = x * 0.1; var b = x * 0.1000000000001; return b - a; } \
+     var r = 0; for (var i = 0; i < 3000; i++) { r = f(3); } print(r);"
+  in
+  check_string "jit == interp" (interp_output src) (jit_output src);
+  let muls src = count_opcode (fst (optimized_mir ~func:0 src)) "mul" in
+  check_int "both products survive" 2
+    (muls
+       "function f(x) { var a = x * 0.1; var b = x * 0.1000000000001; return b - a; } \
+        for (var k = 0; k < 5; k++) { f(k); }");
+  check_int "x * 0 and x * -0 both survive" 2
+    (muls "function g(x) { return 1 / (x * 0) + 1 / (x * -0); } for (var k = 0; k < 5; k++) { g(k); }")
+
 let test_gvn_no_dedup_across_store () =
   (* sink would legally forward the store here; disable it to observe GVN
      in isolation *)
@@ -393,6 +410,8 @@ let suite =
       Alcotest.test_case "gvn removes check (17026)" `Quick test_gvn_vulnerable_removes_check;
       Alcotest.test_case "gvn dedups pure" `Quick test_gvn_dedups_pure;
       Alcotest.test_case "gvn respects stores" `Quick test_gvn_no_dedup_across_store;
+      Alcotest.test_case "gvn keeps close constants apart" `Quick
+        test_gvn_keeps_close_constants_apart;
       Alcotest.test_case "licm hoists invariant load" `Quick test_licm_hoists;
       Alcotest.test_case "licm blocked by store" `Quick test_licm_blocked_by_store;
       Alcotest.test_case "licm hoists anyway (9792)" `Quick test_licm_vulnerable_hoists_anyway;

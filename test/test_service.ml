@@ -21,7 +21,6 @@ module Client = Jitbull_service.Client
 module Generator = Jitbull_fuzz.Generator
 module Obs = Jitbull_obs.Obs
 module Metrics = Jitbull_obs.Metrics
-module Intern = Jitbull_util.Intern
 module Audit = Jitbull_obs.Audit
 module Tracer = Jitbull_obs.Tracer
 
@@ -304,7 +303,7 @@ let test_decide_during_installs () =
    in key order *)
 let dna_data (d : Dna.t) =
   let side tbl =
-    List.sort compare (Hashtbl.fold (fun k c acc -> (Intern.to_string k, c) :: acc) tbl [])
+    List.sort compare (Hashtbl.fold (fun k c acc -> (Delta.key_to_string k, c) :: acc) tbl [])
   in
   ( d.Dna.func_name,
     List.map
