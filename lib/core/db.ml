@@ -93,7 +93,7 @@ let index_entry t idx (e : entry) =
       (fun (pass, (d : Delta.t)) ->
         if not (Hashtbl.mem t.slots pass) then begin
           Hashtbl.add t.slots pass (Hashtbl.length t.slots);
-          t.postings <- Array.append t.postings [| Inttbl.create 64; Inttbl.create 64 |]
+          t.postings <- Array.append t.postings [| Inttbl.create 0; Inttbl.create 0 |]
         end;
         let slot = Hashtbl.find t.slots pass in
         [ (pass, 2 * slot, d.Delta.removed); (pass, (2 * slot) + 1, d.Delta.added) ])
