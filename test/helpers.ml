@@ -105,6 +105,22 @@ let compiles ~vulns source =
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* The passes JITBULL's recompile disables in the golden and oracle
+   tests: the cleanup passes most DB entries flag. *)
+let recompile_disabled = [ "applytypes"; "gvn"; "dce" ]
+
+(* The golden corpus: the eight demonstrators and sixteen generated
+   programs, as (name, source). *)
+let golden_programs () =
+  List.map
+    (fun (d : Jitbull_vdc.Demonstrators.t) ->
+      (d.Jitbull_vdc.Demonstrators.name, d.Jitbull_vdc.Demonstrators.source))
+    Jitbull_vdc.Demonstrators.all
+  @ List.init 16 (fun i ->
+        ( Printf.sprintf "benign%02d" i,
+          Jitbull_fuzz.Generator.benign_params
+            { Jitbull_fuzz.Generator.p_seed = i; p_funcs = 8; p_rounds = 40; p_depth = 2 } ))
+
 (* Helper-domain count for the tests that run the background compile pool
    or otherwise go multi-domain; CI runs the suite at JITBULL_TEST_JOBS=1
    and 2. 0 is clamped to 1: these tests exist to exercise the pool, and

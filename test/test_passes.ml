@@ -325,19 +325,6 @@ let test_semantic_preservation () =
    a pass produces on purpose updates these constants and says why. *)
 
 module Snapshot = Jitbull_mir.Snapshot
-module Demonstrators = Jitbull_vdc.Demonstrators
-module Generator = Jitbull_fuzz.Generator
-
-let recompile_disabled = [ "applytypes"; "gvn"; "dce" ]
-
-let golden_programs () =
-  List.map
-    (fun (d : Demonstrators.t) -> (d.Demonstrators.name, d.Demonstrators.source))
-    Demonstrators.all
-  @ List.init 16 (fun i ->
-        ( Printf.sprintf "benign%02d" i,
-          Generator.benign_params
-            { Generator.p_seed = i; p_funcs = 8; p_rounds = 40; p_depth = 2 } ))
 
 let pipeline_digest vulns source =
   let module Value = Jitbull_runtime.Value in
