@@ -1,14 +1,13 @@
-(* Alias analysis: computes, for every memory load, a dependency token
-   identifying the memory state it observes (see
-   {!Mir_util.compute_load_deps}). The result is stored in the pass
-   context; GVN recomputes its own tokens because the modeled GVN CVEs
-   are precisely bugs in that computation. The IR itself is not modified,
-   so this pass's Δ is always empty — as in IonMonkey, where Alias
-   Analysis only annotates the graph. *)
+(* Alias analysis: in IonMonkey it annotates each load with the store it
+   depends on and changes no instruction. Here nothing reads such an
+   annotation — LICM computes its own stored-class masks and GVN its own
+   dependency tokens ({!Mir_util.compute_load_deps}), because the modeled
+   GVN CVEs are precisely bugs in that computation — so the pass does no
+   work. It stays in the pipeline because its name is a slot of every
+   DNA and DB entry; its Δ is always empty. *)
 
 module Mir = Jitbull_mir.Mir
 
-let run (ctx : Pass.ctx) (g : Mir.t) =
-  ctx.Pass.load_deps <- Some (Mir_util.compute_load_deps g)
+let run (_ : Pass.ctx) (_ : Mir.t) = ()
 
 let pass : Pass.t = { Pass.name = "aliasanalysis"; can_disable = true; run }

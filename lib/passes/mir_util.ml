@@ -78,7 +78,7 @@ let default_clobbers (op : Mir.opcode) = class_mask (Mir.effects op).Mir.writes
    none). Loads with equal (combo, loop) see the same memory state. *)
 type load_deps = { combo : int array; loop : int array }
 
-let compute_load_deps ?(clobbers = default_clobbers) (g : Mir.t) : load_deps =
+let compute_load_deps ~clobbers (g : Mir.t) : load_deps =
   let dom = Domtree.compute g in
   let rpo = Mir.compute_rpo g in
   let nb = g.Mir.next_bid in

@@ -12,8 +12,6 @@ type ctx = {
   vulns : Vuln_config.t;
   (* by iid: proven >= 0 (range analysis); ids past the end are not *)
   mutable nonneg : bool array option;
-  (* alias analysis's dependency tokens (see {!Mir_util.load_deps}) *)
-  mutable load_deps : Mir_util.load_deps option;
   (* The inlining pass asks the engine for a callee's freshly built MIR by
      global name. The engine only resolves names that are (a) bound to a
      function at compile time and (b) never reassigned anywhere in the
@@ -23,7 +21,7 @@ type ctx = {
 }
 
 let make_ctx ?(inline_resolver = fun _ -> None) vulns =
-  { vulns; nonneg = None; load_deps = None; inline_resolver }
+  { vulns; nonneg = None; inline_resolver }
 
 type t = {
   name : string;
