@@ -5,24 +5,34 @@ exception Lowering_error of string
 
 let lowering_error fmt = Format.kasprintf (fun s -> raise (Lowering_error s)) fmt
 
-(* Interning helpers over growable tables. *)
-type 'a interner = {
+(* Interning helpers over growable tables, keyed on [key x]. *)
+type ('k, 'a) interner = {
   mutable items : 'a list;  (* reversed *)
   mutable count : int;
-  index : ('a, int) Hashtbl.t;
+  index : ('k, int) Hashtbl.t;
+  key : 'a -> 'k;
 }
 
-let new_interner () = { items = []; count = 0; index = Hashtbl.create 16 }
+let new_interner key = { items = []; count = 0; index = Hashtbl.create 16; key }
 
 let intern t x =
-  match Hashtbl.find_opt t.index x with
+  let k = t.key x in
+  match Hashtbl.find_opt t.index k with
   | Some i -> i
   | None ->
     let i = t.count in
     t.items <- x :: t.items;
     t.count <- i + 1;
-    Hashtbl.add t.index x i;
+    Hashtbl.add t.index k i;
     i
+
+(* Constant-pool key: numbers on their bits, every NaN as one key.
+   Structural hashing and equality would merge [0.] and [-0.]. *)
+type const_key = Bits of int64 | Other of Value.t
+
+let const_key = function
+  | Value.Number f -> Bits (Int64.bits_of_float (if Float.is_nan f then nan else f))
+  | v -> Other v
 
 let to_array t = Array.of_list (List.rev t.items)
 
@@ -65,8 +75,8 @@ let lower (g : Mir.t) : Lir.func =
     (fun (i : Mir.instr) -> Hashtbl.replace vreg_of i.Mir.iid (fresh_vreg ()))
     (Mir.all_instructions g);
   let vr (i : Mir.instr) = Hashtbl.find vreg_of i.Mir.iid in
-  let consts = new_interner () in
-  let names = new_interner () in
+  let consts = new_interner const_key in
+  let names = new_interner Fun.id in
   let call_args = ref [] in
   let call_args_count = ref 0 in
   let add_call_args regs =

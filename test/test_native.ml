@@ -276,6 +276,9 @@ let edge_corpus =
        for (var i = 0; i < n; i = i + 1) { s = s + g(i) + a[i % 3]; }\n\
        return s + 'x'; }\n\
      for (var k = 0; k < 10; k = k + 1) { f(20); } print(f(20));";
+    (* 0 and -0 are two constants: infinities of opposite sign, sum NaN *)
+    "function g(x) { return 1/(x*0) + 1/(x*-0); }\n\
+     var r = 0; for (var k = 0; k < 20; k = k + 1) { r = g(1); } print(r);";
   ]
 
 let test_edge_corpus_equivalence () =
