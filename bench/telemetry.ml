@@ -137,16 +137,20 @@ let audit_cost obs =
 
 (* Explain capture A/B: the acceptance bar for the explainability layer
    is that overhead with capture *disabled* is unchanged — the capture
-   branch must stay behind the [Obs.irdiff] option. Same workload, one
-   configuration without a diff ring and one with; the capture side
+   branch must stay behind [Obs.explain]. Same workload, one
+   configuration with capture off and one with it on; the capture side
    also reports the time the diff summarisation billed to
-   [explain.capture_seconds]. Each run gets a fresh configuration (its
+   [explain.capture_seconds]. Capture on also forces full DNA
+   extraction (every pass's Δ, not only the DB's posted passes), which
+   lands in [policy_decide]. Each run gets a fresh configuration (its
    own policy cache), so every run analyses its Ion compiles instead of
-   answering runs 2-5 from the verdicts cached by run 1. *)
+   answering runs 2-5 from the verdicts cached by run 1. The diffs live
+   in the audit records, so the ring's capacity bounds their memory:
+   the section reports the retained words per record on each side. *)
 let explain_capture () =
   let w = Option.get (W.find "Microbench1") in
   let explain_ab explain =
-    let obs = if explain then Obs.create ~explain_capacity:64 () else Obs.create () in
+    let obs = Obs.create ~explain () in
     let cfgs = List.init 5 (fun _ -> protected_config ~obs 4) in
     let (), wall =
       time (fun () ->
@@ -158,24 +162,32 @@ let explain_capture () =
       | Some hv -> hv.Metrics.hv_sum
       | None -> 0.0
     in
-    (wall, hist_sum "policy_decide.seconds", hist_sum "explain.capture_seconds")
+    let records = Jitbull_obs.Audit.records (Obs.audit obs) in
+    let words =
+      float_of_int (Obj.reachable_words (Obj.repr records))
+      /. float_of_int (max 1 (List.length records))
+    in
+    (wall, hist_sum "policy_decide.seconds", hist_sum "explain.capture_seconds", words)
   in
-  let off_wall, off_decide, _ = explain_ab false in
-  let on_wall, on_decide, on_capture = explain_ab true in
+  let off_wall, off_decide, _, off_words = explain_ab false in
+  let on_wall, on_decide, on_capture, on_words = explain_ab true in
   Printf.printf
-    "\nExplain capture A/B over 5 runs of %s:\n\
-    \  capture off: %.1f ms wall, %.2f ms in policy_decide\n\
-    \  capture on:  %.1f ms wall, %.2f ms in policy_decide, %.2f ms in IR-diff capture\n"
-    w.W.name (off_wall *. 1000.0) (off_decide *. 1000.0) (on_wall *. 1000.0)
-    (on_decide *. 1000.0) (on_capture *. 1000.0);
+    "\nExplain capture A/B over 5 runs of %s (capture on forces full DNA extraction):\n\
+    \  capture off: %.1f ms wall, %.2f ms in policy_decide, %.0f words per audit record\n\
+    \  capture on:  %.1f ms wall, %.2f ms in policy_decide, %.2f ms in IR-diff capture, \
+     %.0f words per audit record\n"
+    w.W.name (off_wall *. 1000.0) (off_decide *. 1000.0) off_words
+    (on_wall *. 1000.0) (on_decide *. 1000.0) (on_capture *. 1000.0) on_words;
   emit "telemetry.explain_capture"
     (Jsonx.Assoc
        [
          ("off_wall_seconds", Jsonx.Float off_wall);
          ("off_policy_decide_seconds", Jsonx.Float off_decide);
+         ("off_words_per_record", Jsonx.Float off_words);
          ("on_wall_seconds", Jsonx.Float on_wall);
          ("on_policy_decide_seconds", Jsonx.Float on_decide);
          ("on_capture_seconds", Jsonx.Float on_capture);
+         ("on_words_per_record", Jsonx.Float on_words);
        ])
 
 let run () =

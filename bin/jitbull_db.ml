@@ -5,7 +5,7 @@
      jitbull-db list --db out.db
      jitbull-db show --db out.db --cve CVE-2019-17026
      jitbull-db remove --cve CVE-2019-17026 --db out.db     (patch applied)
-     jitbull-db builtin --db out.db CVE-2019-17026 ...      (bundled VDCs)
+     jitbull-db builtin --db out.db CVE-2019-17026 ...      (bundled VDCs, fresh DB)
      jitbull-db explain audit.jsonl                          (offline reports)
      jitbull-db explain --func tri --all audit.jsonl *)
 
@@ -83,8 +83,9 @@ let remove db_path cve =
     cve;
   `Ok ()
 
+(* writes a fresh DB: rerunning on the same file rewrites the same bytes *)
 let builtin db_path cves =
-  let db = load_or_create db_path in
+  let db = Db.create () in
   let targets = if cves = [] then VC.all else parse_cves cves in
   List.iter
     (fun ((d : V.t), n) ->
@@ -95,9 +96,10 @@ let builtin db_path cves =
 
 (* explain: offline causal reports from a --audit-file JSONL trail.
    Cache-hit decisions replay the stored evidence of the fresh record
-   they were copied from, exactly like the live /explain endpoint; the
-   per-pass IR diff sections are live-only (the diff ring is in-memory)
-   and render as "not captured" here. *)
+   they were copied from, exactly like the live /explain endpoint. A
+   trail written under [jsrun --explain] carries each fresh decision's
+   per-pass IR diff in its record, so the diff sections render here too;
+   without capture they render as "not captured". *)
 let explain_cmd audit_path func all =
   let records = ref [] in
   let ic = open_in audit_path in
@@ -156,7 +158,7 @@ let cmds =
       Term.(ret (const show $ db_arg $ cve_arg));
     Cmd.v (Cmd.info "remove" ~doc:"drop a CVE's entries (the patch was applied)")
       Term.(ret (const remove $ db_arg $ cve_arg));
-    Cmd.v (Cmd.info "builtin" ~doc:"install bundled demonstrators' DNA")
+    Cmd.v (Cmd.info "builtin" ~doc:"write a fresh database of bundled demonstrators' DNA")
       Term.(ret (const builtin $ db_arg $ cves_pos));
     (let audit_pos =
        Arg.(required & pos 0 (some non_dir_file) None

@@ -24,10 +24,10 @@
      jsrun --client-id NAME ...         fleet label on pushes and DB syncs
      jsrun --profile[=FILE] ...         CPU sampling profile (SIGPROF, Linux/x86-64);
                                         collapsed stacks to FILE or stderr at exit
-     jsrun --explain[=FUNC] ...         capture per-pass IR diffs; print causal
-                                        go/no-go reports at exit (all flagged
-                                        decisions, or just FUNC's)
-     jsrun --explain-capacity K ...     keep the last K compiles' IR diffs
+     jsrun --explain[=FUNC] ...         capture per-pass IR diffs into the audit
+                                        records; print causal go/no-go reports
+                                        at exit (all flagged decisions, or just
+                                        FUNC's)
      jsrun --serve-metrics PORT ...     live HTTP /metrics + /healthz + /audit + /explain
      jsrun --serve-hold SECONDS ...     keep serving after the script finishes
      jsrun --quiet / -v ...             verbosity control (errors only / info / -vv debug) *)
@@ -124,7 +124,7 @@ let report_explanations obs ~filter =
          else ": no decision for function " ^ filter);
     List.iter
       (fun r ->
-        let e = Explain.resolve ?irdiff:(Obs.irdiff o) ~history:records r in
+        let e = Explain.resolve ~history:records r in
         prerr_string (Explain.to_text ~can_disable:Pipeline.can_disable e);
         prerr_newline ())
       selected;
@@ -150,7 +150,7 @@ let parse_verdict_server addr =
 
 let run file no_jit use_interp vuln_names db_path verdict_server push_interval
     client_id stats ion_threshold seed trace metrics
-    trace_file audit_file audit_rotate_bytes explain explain_capacity
+    trace_file audit_file audit_rotate_bytes explain
     serve_metrics serve_hold profile
     jobs native quiet verbose =
   setup_logging ~quiet ~verbose:(List.length verbose) trace;
@@ -176,10 +176,7 @@ let run file no_jit use_interp vuln_names db_path verdict_server push_interval
       with
       | None, None, None, None, None, None -> None
       | _ ->
-        let explain_capacity =
-          match explain with Some _ -> Some explain_capacity | None -> None
-        in
-        let o = Obs.create ?explain_capacity () in
+        let o = Obs.create ~explain:(explain <> None) () in
         (match trace_file with
         | Some path -> Obs.set_trace_file o path
         | None -> ());
@@ -409,20 +406,14 @@ let audit_rotate_bytes =
 let explain =
   Arg.(value & opt ~vopt:(Some "") (some string) None
        & info [ "explain" ] ~docv:"FUNC"
-           ~doc:"Capture per-pass IR diffs during compilation and print a \
-                 causal go/no-go report per decision at exit: the matched \
-                 CVEs, the contributing passes with their EqChains evidence \
+           ~doc:"Capture per-pass IR diffs during compilation (each kept in \
+                 its decision's audit record, and so in --audit-file lines) \
+                 and print a causal go/no-go report per decision at exit: \
+                 the matched CVEs, the contributing passes with their EqChains evidence \
                  and matching sub-chains, and the IR transformations that \
                  introduced them. Without $(docv), reports every decision \
                  that matched or restricted JIT; with $(docv), every \
                  decision for that function.")
-
-let explain_capacity =
-  Arg.(value & opt int 64
-       & info [ "explain-capacity" ] ~docv:"K"
-           ~doc:"With --explain: keep the IR diffs of the last $(docv) \
-                 compiles (older ones are evicted; their audit records \
-                 remain).")
 
 let serve_metrics =
   Arg.(value & opt (some int) None
@@ -494,7 +485,7 @@ let cmd =
     Term.(ret (const run $ file $ no_jit $ use_interp $ vuln_names $ db_path
                $ verdict_server $ push_interval $ client_id $ stats
                $ ion_threshold $ seed $ trace $ metrics $ trace_file $ audit_file
-               $ audit_rotate_bytes $ explain $ explain_capacity
+               $ audit_rotate_bytes $ explain
                $ serve_metrics $ serve_hold $ profile
                $ jobs $ native
                $ quiet $ verbose))

@@ -42,6 +42,10 @@ type t = {
       (** passes with ≥1 posting, i.e. a non-empty Δ side in some entry;
           replaced (never mutated in place) under the write lock, so a
           reader can keep the set it saw *)
+  mutable held : (string * string, unit) Hashtbl.t option;
+      (** {!entry_key} of every entry, for {!add}'s duplicate check:
+          built by the first [add], kept by [add], dropped by every other
+          write, so a replica that only [apply]s never computes it *)
 }
 
 let create () =
@@ -58,6 +62,7 @@ let create () =
     n_nodes = 0;
     totals = [||];
     posted = Sset.empty;
+    held = None;
   }
 
 let is_empty t = Rwlock.with_read t.lock (fun () -> t.count = 0)
@@ -128,12 +133,38 @@ let append_unlocked t entry =
   t.fwd_cache <- None;
   t.generation <- t.generation + 1
 
-let add t entry = Rwlock.with_write t.lock (fun () -> append_unlocked t entry)
+(* CVE and canonical DNA (its s-expression sorts each Δ side), so two
+   extractions of one function compare equal whatever their hash-table
+   order *)
+let entry_key e = (e.cve, Sexpr.to_string (Dna.to_sexpr e.dna))
+
+(* true when [entry] was new and appended *)
+let add_new t entry =
+  Rwlock.with_write t.lock (fun () ->
+      let held =
+        match t.held with
+        | Some h -> h
+        | None ->
+          let h = Hashtbl.create 16 in
+          List.iter (fun e -> Hashtbl.replace h (entry_key e) ()) (entries_unlocked t);
+          t.held <- Some h;
+          h
+      in
+      let key = entry_key entry in
+      let fresh = not (Hashtbl.mem held key) in
+      if fresh then begin
+        append_unlocked t entry;
+        Hashtbl.add held key ()
+      end;
+      fresh)
+
+let add t entry = ignore (add_new t entry)
 
 (* replace the contents with [kept] and rebuild the index once; one
    generation bump, which fences off the history before it *)
 let reset_unlocked t kept =
   Hashtbl.reset t.slots;
+  t.held <- None;
   t.postings <- [||];
   t.n_nodes <- 0;
   t.posted <- Sset.empty;
@@ -354,10 +385,11 @@ let harvest ?obs t ~cve ~vulns source =
       | Jitbull_runtime.Errors.Shellcode_executed _
       | Jitbull_runtime.Errors.Type_error _ ->
         ());
-      let added = List.rev !harvested in
-      List.iter (fun dna -> add t { cve; dna }) added;
-      Obs.add obs "db.harvested_entries" (List.length added);
-      List.length added)
+      let added =
+        List.length (List.filter (fun dna -> add_new t { cve; dna }) (List.rev !harvested))
+      in
+      Obs.add obs "db.harvested_entries" added;
+      added)
 
 let entry_to_sexpr e =
   Sexpr.list [ Sexpr.atom "entry"; Sexpr.atom e.cve; Dna.to_sexpr e.dna ]
@@ -394,7 +426,10 @@ let rec list_drop n l =
    replica before or after it, never a resync's empty or partial
    middle. *)
 let apply t = function
-  | Append es -> Rwlock.with_write t.lock (fun () -> List.iter (append_unlocked t) es)
+  | Append es ->
+    Rwlock.with_write t.lock (fun () ->
+        t.held <- None;
+        List.iter (append_unlocked t) es)
   | Resync es -> Rwlock.with_write t.lock (fun () -> reset_unlocked t es)
 
 (* [add] bumps the generation exactly once per appended entry, and

@@ -40,10 +40,10 @@ val is_empty : t -> bool
 
 val size : t -> int  (** number of entries, O(1) *)
 
-(** [generation t] increments on every {!add} / {!remove_cve}, and on
-    each entry or resync {!apply} installs — the engine's
-    policy-decision cache keys on it so any DB mutation invalidates
-    previously cached verdicts. *)
+(** [generation t] increments on every {!add} that appends, every
+    {!remove_cve}, and each entry or resync {!apply} installs — the
+    engine's policy-decision cache keys on it so any DB mutation
+    invalidates previously cached verdicts. *)
 val generation : t -> int
 
 (** [posted t] — [(g, p)]: the passes [p] accepts are those with a
@@ -59,7 +59,8 @@ val entries : t -> entry list  (** insertion order; memoized *)
 (** [add t entry] appends in O(index size of the entry) — amortized O(1)
     array growth plus one posting per (pass, side, sub-chain) of its DNA.
     Multiplicities must be ≥ 1, as extraction and {!Delta.of_sexpr}
-    guarantee. *)
+    guarantee. An entry whose CVE and canonical DNA ({!Dna.to_sexpr})
+    equal one [t] holds is ignored: no append, no generation bump. *)
 val add : t -> entry -> unit
 
 (** [remove_cve t cve] drops every entry of a vulnerability (= the patch
@@ -118,8 +119,9 @@ val drop_details :
     engine with the given vulnerability configuration active (the engine
     is unpatched during the vulnerability window), extracting the DNA of
     every Ion-compiled function and installing the entries. Returns the
-    number of entries added. Functions whose DNA has no non-empty delta
-    are skipped (they carry no signal).
+    number of entries added ({!add} ignores ones [t] already holds).
+    Functions whose DNA has no non-empty delta are skipped (they carry
+    no signal).
 
     With [obs], harvesting is traced as a [db_harvest] span (fields
     [cve], [entries]) and counted in [db.harvested_entries]. *)

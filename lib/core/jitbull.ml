@@ -12,7 +12,6 @@ let verdict_name = function
   | `Forbid -> "forbid"
 
 module Audit = Jitbull_obs.Audit
-module Irdiff = Jitbull_obs.Irdiff
 module Snapshot = Jitbull_mir.Snapshot
 
 let audit_verdict = function
@@ -64,7 +63,7 @@ let opcode_multiset_diff a b =
     a []
   |> List.sort (fun (x, _) (y, _) -> String.compare x y)
 
-(* One [Irdiff.pass_diff] per pass that changed the IR: instruction and
+(* One [Audit.pass_diff] per pass that changed the IR: instruction and
    block counts from adjacent snapshots, the opcode multiset diff, and
    the Δ sides the comparator scored (shared with [dna], so capture never
    re-extracts sub-chains). *)
@@ -72,7 +71,7 @@ let capture_diff ~(trace : (string * Snapshot.t) list) ~(dna : Dna.t) =
   match trace with
   | [] ->
     {
-      Irdiff.cd_func = dna.Dna.func_name;
+      Audit.cd_func = dna.Dna.func_name;
       cd_total_passes = 0;
       cd_passes = [];
       cd_capture_seconds = 0.0;
@@ -93,7 +92,7 @@ let capture_diff ~(trace : (string * Snapshot.t) list) ~(dna : Dna.t) =
           in
           let pd =
             {
-              Irdiff.pd_pass = pass;
+              Audit.pd_pass = pass;
               pd_instrs_before = Snapshot.entry_count !prev;
               pd_instrs_after = Snapshot.entry_count snap;
               pd_blocks_before = !prev.Snapshot.n_blocks;
@@ -107,17 +106,17 @@ let capture_diff ~(trace : (string * Snapshot.t) list) ~(dna : Dna.t) =
           prev := snap;
           prev_ops := ops;
           if
-            pd.Irdiff.pd_instrs_before = pd.Irdiff.pd_instrs_after
-            && pd.Irdiff.pd_blocks_before = pd.Irdiff.pd_blocks_after
-            && pd.Irdiff.pd_opcodes_added = []
-            && pd.Irdiff.pd_opcodes_removed = []
+            pd.Audit.pd_instrs_before = pd.Audit.pd_instrs_after
+            && pd.Audit.pd_blocks_before = pd.Audit.pd_blocks_after
+            && pd.Audit.pd_opcodes_added = []
+            && pd.Audit.pd_opcodes_removed = []
             && chains_added = [] && chains_removed = []
           then None
           else Some pd)
         rest
     in
     {
-      Irdiff.cd_func = dna.Dna.func_name;
+      Audit.cd_func = dna.Dna.func_name;
       cd_total_passes = List.length rest;
       cd_passes = passes;
       cd_capture_seconds = 0.0;
@@ -147,11 +146,11 @@ type extraction = {
 }
 
 (* Posting-aware unless the comparison could match a pass the DB has no
-   postings for (Thr < 1 matches key-disjoint sides) or an IR-diff ring
+   postings for (Thr < 1 matches key-disjoint sides) or explain capture
    wants every pass's chains for /explain. *)
 let extract ?params ?obs (db : Db.t) trace =
   let p = Option.value ~default:Comparator.default_params params in
-  let full = p.Comparator.thr < 1 || Option.bind obs Obs.irdiff <> None in
+  let full = p.Comparator.thr < 1 || Option.fold ~none:false ~some:Obs.explain obs in
   Obs.span obs "dna_extract" (fun () ->
       if full then { x_dna = Dna.extract trace; x_posted_generation = None }
       else
@@ -226,56 +225,31 @@ let analyzer ?params (db : Db.t) : Engine.analyzer =
   | Some o ->
     let q = !query_ref in
     let p = Option.value ~default:Comparator.default_params params in
-    (* capture the IR diff before appending, so the diff is in the ring by
-       the time the record's seq is observable; helper compile domains run
-       this whole block, which attaches the diff to the same record the
-       safepoint install will expose *)
-    let diff =
-      match Obs.irdiff o with
-      | None -> None
-      | Some _ ->
+    (* the diff rides in the record, so it is appended, streamed and
+       evicted with it *)
+    let ir_diff =
+      if not (Obs.explain o) then None
+      else begin
         let t0c = Obs.now obs in
         let d = capture_diff ~trace ~dna:!dna_ref in
         let dt = Float.max 0.0 (Obs.now obs -. t0c) in
         Obs.observe obs "explain.capture_seconds" dt;
-        Some { d with Irdiff.cd_capture_seconds = dt }
+        Some { d with Audit.cd_capture_seconds = dt }
+      end
     in
-    let r =
-      Audit.append (Obs.audit o) ~func_name:name ~func_index
-        ~bytecode_hash:ctx.Engine.cc_bytecode_hash
-        ~feedback_hash:ctx.Engine.cc_feedback_hash
-        ~verdict:(audit_verdict verdict)
-        ~matches:(audit_matches q.Db.q_matches)
-        ~thr:p.Comparator.thr ~ratio:p.Comparator.ratio
-        ~prefilter_candidates:q.Db.q_prefilter_candidates
-        ~prefilter_hits:q.Db.q_prefilter_hits
-        ~db_generation:q.Db.q_generation ~db_size:q.Db.q_size
-        ~source:Audit.Fresh
-        ~duration:(Float.max 0.0 (Obs.now obs -. t0))
-        ()
-    in
-    (match Obs.irdiff o, diff with
-    | Some ring, Some d ->
-      Irdiff.attach ring ~seq:r.Audit.seq d;
-      List.iter
-        (fun (cve, mds) ->
-          List.iter
-            (fun (md : Comparator.match_detail) ->
-              let introduced =
-                List.fold_left
-                  (fun acc (pd : Irdiff.pass_diff) ->
-                    if String.equal pd.Irdiff.pd_pass md.Comparator.md_pass then
-                      acc
-                      + List.fold_left (fun a (_, c) -> a + c) 0
-                          pd.Irdiff.pd_chains_added
-                    else acc)
-                  0 d.Irdiff.cd_passes
-              in
-              Irdiff.record_contribution ring ~pass:md.Comparator.md_pass ~cve
-                introduced)
-            mds)
-        q.Db.q_matches
-    | _ -> ())
+    ignore
+      (Audit.append (Obs.audit o) ?ir_diff ~func_name:name ~func_index
+         ~bytecode_hash:ctx.Engine.cc_bytecode_hash
+         ~feedback_hash:ctx.Engine.cc_feedback_hash
+         ~verdict:(audit_verdict verdict)
+         ~matches:(audit_matches q.Db.q_matches)
+         ~thr:p.Comparator.thr ~ratio:p.Comparator.ratio
+         ~prefilter_candidates:q.Db.q_prefilter_candidates
+         ~prefilter_hits:q.Db.q_prefilter_hits
+         ~db_generation:q.Db.q_generation ~db_size:q.Db.q_size
+         ~source:Audit.Fresh
+         ~duration:(Float.max 0.0 (Obs.now obs -. t0))
+         ())
   | None -> ());
   match verdict with
   | `Allow -> Engine.Allow

@@ -12,12 +12,13 @@
     analyzer extracts Δs only for the passes the DB has postings for
     ({!Db.posted}, {!extract}); a DB write racing the query triggers one
     full re-extraction ({!query}). It extracts in full when
-    [params.thr < 1] or an IR-diff ring is installed.
+    [params.thr < 1] or explain capture is on.
 
     The per-decision record is the audit trail of an installed
     {!Jitbull_obs.Obs.t}: every analysis appends one
-    {!Jitbull_obs.Audit.record} with [source = Fresh] (policy-cache hits
-    append [Cache_hit] records from the engine). Its verdict and the
+    {!Jitbull_obs.Audit.record} with [source = Fresh], carrying the
+    compile's per-pass IR diff when explain capture is on (policy-cache
+    hits append [Cache_hit] records from the engine). Its verdict and the
     [pm_pass] sets of its [matches] are what the evaluation harness reads
     for the paper's %Safe / %PassDis / %NoJIT metrics and to see
     {e which} passes were flagged (e.g. GVN for CVE-2019-17026
@@ -60,7 +61,7 @@ type extraction = {
 (** [extract ?params ?obs db trace] — the DNA of [trace], posting-aware
     ([Dna.extract ~only] over {!Db.posted}) unless [params.thr < 1] (the
     exhaustive scan then matches key-disjoint sides, so any pass can
-    match) or [obs] carries an IR-diff ring (whose [/explain] chains need
+    match) or [obs] has explain capture on (whose [/explain] chains need
     every pass). A [dna_extract] span with [obs]. *)
 val extract :
   ?params:Comparator.params ->

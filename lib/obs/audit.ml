@@ -34,6 +34,27 @@ type source =
   | Fresh
   | Cache_hit
 
+(* IR change one pass made during one compile (explain capture): the
+   chains are the Δ sides the comparator scored, δ⁺ and δ⁻ *)
+type pass_diff = {
+  pd_pass : string;
+  pd_instrs_before : int;
+  pd_instrs_after : int;
+  pd_blocks_before : int;
+  pd_blocks_after : int;
+  pd_opcodes_added : (string * int) list;
+  pd_opcodes_removed : (string * int) list;
+  pd_chains_added : (string * int) list;
+  pd_chains_removed : (string * int) list;
+}
+
+type compile_diff = {
+  cd_func : string;
+  cd_total_passes : int;
+  cd_passes : pass_diff list;
+  cd_capture_seconds : float;
+}
+
 type record = {
   seq : int;
   ts : float;
@@ -55,6 +76,7 @@ type record = {
   (* fleet provenance: set by jitbulld from the pushing client's id;
      None for local decisions *)
   client_id : string option;
+  ir_diff : compile_diff option;
 }
 
 type t = {
@@ -71,6 +93,10 @@ type t = {
   mutable n_cache_hits : int;
   cve_counts : (string, int) Hashtbl.t;
   func_verdicts : (string * string, int) Hashtbl.t;
+  mutable n_diffs : int;
+  contributions : (string * string, int) Hashtbl.t;
+      (* (pass, cve) → sub-chain instances the pass introduced on
+         compiles where that CVE matched *)
 }
 
 let create ?(capacity = 1024) ?(clock : (unit -> float) option) () =
@@ -87,6 +113,8 @@ let create ?(capacity = 1024) ?(clock : (unit -> float) option) () =
     n_cache_hits = 0;
     cve_counts = Hashtbl.create 16;
     func_verdicts = Hashtbl.create 64;
+    n_diffs = 0;
+    contributions = Hashtbl.create 16;
   }
 
 let now t = t.clock () -. t.start
@@ -129,6 +157,13 @@ let verdict_of_json j =
   | "forbid" -> Forbid
   | s -> raise (Jsonx.Parse_error ("unknown audit verdict " ^ s))
 
+(* key → count, as one JSON object in list order *)
+let multiset_to_json kvs = Jsonx.Assoc (List.map (fun (k, c) -> (k, Jsonx.Int c)) kvs)
+
+let multiset_of_json what = function
+  | Jsonx.Assoc kvs -> List.map (fun (k, v) -> (k, Jsonx.to_int v)) kvs
+  | _ -> raise (Jsonx.Parse_error (what ^ " must be an object"))
+
 let pass_match_to_json pm =
   Jsonx.Assoc
     [
@@ -136,8 +171,7 @@ let pass_match_to_json pm =
       ("side", Jsonx.String pm.pm_side);
       ("eq_chains", Jsonx.Int pm.pm_eq_chains);
       ("max_eq_chains", Jsonx.Int pm.pm_max_eq_chains);
-      ( "chains",
-        Jsonx.Assoc (List.map (fun (k, c) -> (k, Jsonx.Int c)) pm.pm_chains) );
+      ("chains", multiset_to_json pm.pm_chains);
     ]
 
 let pass_match_of_json j =
@@ -150,8 +184,7 @@ let pass_match_of_json j =
       (* absent in records written before the explain layer existed *)
       (match Jsonx.member "chains" j with
       | Jsonx.Null -> []
-      | Jsonx.Assoc kvs -> List.map (fun (k, v) -> (k, Jsonx.to_int v)) kvs
-      | _ -> raise (Jsonx.Parse_error "pass_match chains must be an object"));
+      | v -> multiset_of_json "pass_match chains" v);
   }
 
 let cve_match_to_json cm =
@@ -166,6 +199,52 @@ let cve_match_of_json j =
     cm_cve = Jsonx.to_str (Jsonx.member "cve" j);
     cm_passes =
       List.map pass_match_of_json (Jsonx.to_list_exn (Jsonx.member "passes" j));
+  }
+
+let pass_diff_to_json pd =
+  Jsonx.Assoc
+    [
+      ("pass", Jsonx.String pd.pd_pass);
+      ("instrs_before", Jsonx.Int pd.pd_instrs_before);
+      ("instrs_after", Jsonx.Int pd.pd_instrs_after);
+      ("blocks_before", Jsonx.Int pd.pd_blocks_before);
+      ("blocks_after", Jsonx.Int pd.pd_blocks_after);
+      ("opcodes_added", multiset_to_json pd.pd_opcodes_added);
+      ("opcodes_removed", multiset_to_json pd.pd_opcodes_removed);
+      ("chains_added", multiset_to_json pd.pd_chains_added);
+      ("chains_removed", multiset_to_json pd.pd_chains_removed);
+    ]
+
+let pass_diff_of_json j =
+  let int k = Jsonx.to_int (Jsonx.member k j) in
+  let ms k = multiset_of_json ("ir_diff " ^ k) (Jsonx.member k j) in
+  {
+    pd_pass = Jsonx.to_str (Jsonx.member "pass" j);
+    pd_instrs_before = int "instrs_before";
+    pd_instrs_after = int "instrs_after";
+    pd_blocks_before = int "blocks_before";
+    pd_blocks_after = int "blocks_after";
+    pd_opcodes_added = ms "opcodes_added";
+    pd_opcodes_removed = ms "opcodes_removed";
+    pd_chains_added = ms "chains_added";
+    pd_chains_removed = ms "chains_removed";
+  }
+
+let compile_diff_to_json d =
+  Jsonx.Assoc
+    [
+      ("func", Jsonx.String d.cd_func);
+      ("total_passes", Jsonx.Int d.cd_total_passes);
+      ("passes", Jsonx.List (List.map pass_diff_to_json d.cd_passes));
+      ("capture_seconds", Jsonx.Float d.cd_capture_seconds);
+    ]
+
+let compile_diff_of_json j =
+  {
+    cd_func = Jsonx.to_str (Jsonx.member "func" j);
+    cd_total_passes = Jsonx.to_int (Jsonx.member "total_passes" j);
+    cd_passes = List.map pass_diff_of_json (Jsonx.to_list_exn (Jsonx.member "passes" j));
+    cd_capture_seconds = Jsonx.to_float (Jsonx.member "capture_seconds" j);
   }
 
 let record_fields r =
@@ -188,9 +267,12 @@ let record_fields r =
       ("domain", Jsonx.Int r.domain);
       ("duration", Jsonx.Float r.duration);
     ]
+    @ (match r.client_id with
+      | Some c -> [ ("client", Jsonx.String c) ]
+      | None -> [])
     @
-    match r.client_id with
-    | Some c -> [ ("client", Jsonx.String c) ]
+    match r.ir_diff with
+    | Some d -> [ ("ir_diff", compile_diff_to_json d) ]
     | None -> [])
 
 let record_to_json r = Jsonx.Assoc (record_fields r)
@@ -220,6 +302,10 @@ let record_of_json j =
       (match Jsonx.member "client" j with
       | Jsonx.Null -> None
       | v -> Some (Jsonx.to_str v));
+    ir_diff =
+      (match Jsonx.member "ir_diff" j with
+      | Jsonx.Null -> None
+      | v -> Some (compile_diff_of_json v));
   }
 
 (* ---- recording ---- *)
@@ -234,6 +320,9 @@ let sink_rotations t =
   Mutex.protect t.mu (fun () ->
       match t.sink with Some s -> Sink.rotations s | None -> 0)
 
+let bump tbl key n =
+  Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+
 (* the one write path: number the record, keep the aggregates, mirror
    it to the sink *)
 let store t r =
@@ -245,18 +334,33 @@ let store t r =
   | Disable _ -> t.n_disable <- t.n_disable + 1
   | Forbid -> t.n_forbid <- t.n_forbid + 1);
   (match r.source with Cache_hit -> t.n_cache_hits <- t.n_cache_hits + 1 | Fresh -> ());
-  List.iter
-    (fun cm ->
-      Hashtbl.replace t.cve_counts cm.cm_cve
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.cve_counts cm.cm_cve)))
-    r.matches;
-  let fv = (r.func_name, verdict_label r.verdict) in
-  Hashtbl.replace t.func_verdicts fv
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.func_verdicts fv));
+  List.iter (fun cm -> bump t.cve_counts cm.cm_cve 1) r.matches;
+  bump t.func_verdicts (r.func_name, verdict_label r.verdict) 1;
+  Option.iter
+    (fun d ->
+      t.n_diffs <- t.n_diffs + 1;
+      (* per matched (cve, pass): the sub-chain instances that pass
+         introduced in this compile *)
+      List.iter
+        (fun cm ->
+          List.iter
+            (fun pm ->
+              let introduced =
+                List.fold_left
+                  (fun acc pd ->
+                    if String.equal pd.pd_pass pm.pm_pass then
+                      List.fold_left (fun a (_, c) -> a + c) acc pd.pd_chains_added
+                    else acc)
+                  0 d.cd_passes
+              in
+              if introduced > 0 then bump t.contributions (pm.pm_pass, cm.cm_cve) introduced)
+            cm.cm_passes)
+        r.matches)
+    r.ir_diff;
   Option.iter (fun s -> Sink.write s (Jsonx.to_string (record_to_json r))) t.sink;
   r
 
-let append t ?ts ~func_name ~func_index ~bytecode_hash
+let append t ?ts ?ir_diff ~func_name ~func_index ~bytecode_hash
     ~feedback_hash ~verdict ~matches ~thr ~ratio ~prefilter_candidates
     ~prefilter_hits ~db_generation ~db_size ~source ~duration () =
   let ts = match ts with Some x -> x | None -> now t in
@@ -280,6 +384,7 @@ let append t ?ts ~func_name ~func_index ~bytecode_hash
       domain = (Domain.self () :> int);
       duration;
       client_id = None;
+      ir_diff;
     }
 
 let relay t ~client_id r = store t { r with ts = now t; client_id = Some client_id }
@@ -328,38 +433,8 @@ let close t = Mutex.protect t.mu (fun () -> Option.iter Sink.close t.sink)
 
 (* ---- rendering ---- *)
 
-let table ?(limit = 20) t =
-  let headers =
-    [ "seq"; "ts"; "function"; "verdict"; "cves"; "eq"; "src"; "gen"; "dom" ]
-  in
-  let rows =
-    last t limit |> List.rev
-    |> List.map (fun r ->
-           let cves = String.concat " " (List.map (fun cm -> cm.cm_cve) r.matches) in
-           let eq =
-             r.matches
-             |> List.concat_map (fun cm -> cm.cm_passes)
-             |> List.map (fun pm ->
-                    Printf.sprintf "%s:%d/%d" pm.pm_pass pm.pm_eq_chains
-                      pm.pm_max_eq_chains)
-             |> String.concat " "
-           in
-           [
-             string_of_int r.seq;
-             Printf.sprintf "%.6f" r.ts;
-             r.func_name;
-             verdict_to_string r.verdict;
-             (if cves = "" then "-" else cves);
-             (if eq = "" then "-" else eq);
-             source_to_string r.source;
-             string_of_int r.db_generation;
-             string_of_int r.domain;
-           ])
-  in
-  (headers, rows)
-
 let render_prometheus t =
-  let total, allow, disable, forbid, cache_hits, rotations, cves, funcs =
+  let total, allow, disable, forbid, cache_hits, rotations, cves, funcs, diffs, contribs =
     Mutex.protect t.mu (fun () ->
         ( Ring.total t.ring,
           t.n_allow,
@@ -370,6 +445,9 @@ let render_prometheus t =
           Hashtbl.fold (fun cve n acc -> (cve, n) :: acc) t.cve_counts []
           |> List.sort (fun (a, _) (b, _) -> String.compare a b),
           Hashtbl.fold (fun fv n acc -> (fv, n) :: acc) t.func_verdicts []
+          |> List.sort compare,
+          t.n_diffs,
+          Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.contributions []
           |> List.sort compare ))
   in
   let buf = Buffer.create 512 in
@@ -399,5 +477,17 @@ let render_prometheus t =
         line "jitbull_audit_function_verdicts_total{func=\"%s\",verdict=\"%s\"} %d\n"
           (Metrics.escape_label_value func) verdict n)
       funcs
+  end;
+  line "# TYPE jitbull_explain_diffs_total counter\n";
+  line "jitbull_explain_diffs_total %d\n" diffs;
+  if contribs <> [] then begin
+    line "# TYPE jitbull_explain_chains_introduced_total counter\n";
+    List.iter
+      (fun ((pass, cve), n) ->
+        line "jitbull_explain_chains_introduced_total{pass=\"%s\",cve=\"%s\"} %d\n"
+          (Metrics.escape_label_value pass)
+          (Metrics.escape_label_value cve)
+          n)
+      contribs
   end;
   Buffer.contents buf

@@ -13,8 +13,13 @@
     {!Sink}; a sink that fails to write detaches without disturbing the
     ring. Cumulative
     aggregates (verdict totals, per-CVE match counts, per-function
-    verdict counts) are maintained at append time so the Prometheus
-    series in {!render_prometheus} keep counting after eviction.
+    verdict counts, IR diffs and the sub-chains each pass introduced)
+    are maintained at append time so the Prometheus series in
+    {!render_prometheus} keep counting after eviction.
+
+    With explain capture on, a [Fresh] record also carries the compile's
+    per-pass IR diff ([ir_diff]), so a decision and the IR change behind
+    it are one record: appended, streamed, relayed and evicted together.
 
     Types here mirror, but do not reference, the engine's: [lib/obs]
     sits below [lib/core]/[lib/jit], so the analyzer converts its
@@ -50,6 +55,31 @@ type source =
   | Fresh  (** the comparator ran against the DB *)
   | Cache_hit  (** verdict replayed from the policy cache; [matches] is empty *)
 
+(** IR change one pass made during one compile, as seen between its
+    surrounding snapshots. Chains are the Δ sides of the paper's DNA
+    vector: [pd_chains_added] is δ⁺ (sub-chain → multiplicity),
+    [pd_chains_removed] is δ⁻, both sorted by sub-chain string. *)
+type pass_diff = {
+  pd_pass : string;
+  pd_instrs_before : int;
+  pd_instrs_after : int;
+  pd_blocks_before : int;
+  pd_blocks_after : int;
+  pd_opcodes_added : (string * int) list;  (** opcode → count, sorted *)
+  pd_opcodes_removed : (string * int) list;
+  pd_chains_added : (string * int) list;
+  pd_chains_removed : (string * int) list;
+}
+
+(** One compile's per-pass IR diff, summarized from its snapshot trace
+    by the analyzer when explain capture is on. *)
+type compile_diff = {
+  cd_func : string;
+  cd_total_passes : int;  (** pipeline passes the compile ran *)
+  cd_passes : pass_diff list;  (** only passes that changed the IR *)
+  cd_capture_seconds : float;
+}
+
 type record = {
   seq : int;  (** 0-based append order, never reused *)
   ts : float;  (** seconds since trail creation *)
@@ -71,6 +101,9 @@ type record = {
   client_id : string option;
       (** the fleet client whose [/push] carried the record (in
           jitbulld's trail); [None] locally *)
+  ir_diff : compile_diff option;
+      (** the compile's IR diff: [Fresh] records under explain capture;
+          [None] otherwise *)
 }
 
 type t
@@ -96,11 +129,12 @@ val set_file_sink : t -> ?max_bytes:int -> string -> unit
 val sink_rotations : t -> int
 
 (** Append one decision record; [ts] defaults to [now t], the domain id
-    is captured from the calling domain. Returns the record as
-    stored. *)
+    is captured from the calling domain, [ir_diff] to [None]. Returns
+    the record as stored. *)
 val append :
   t ->
   ?ts:float ->
+  ?ir_diff:compile_diff ->
   func_name:string ->
   func_index:int ->
   bytecode_hash:int ->
@@ -121,7 +155,7 @@ val append :
 (** [relay t ~client_id r] — append a record another trail produced
     (a fleet client's [/push] delta), renumbered and restamped in this
     trail's sequence and clock and labeled with [client_id]; the
-    evidence is kept as decided. *)
+    evidence and IR diff are kept as decided. *)
 val relay : t -> client_id:string -> record -> record
 
 (** {2 Queries} *)
@@ -168,19 +202,20 @@ val verdict_label : verdict -> string
 val verdict_to_string : verdict -> string
 val source_to_string : source -> string
 
+(** [ir_diff] becomes an optional ["ir_diff"] member, so a diff-less
+    record encodes as before the field existed. *)
 val record_to_json : record -> Jsonx.t
 
 (** Inverse of {!record_to_json}; raises [Jsonx.Parse_error] on
     malformed input. *)
 val record_of_json : Jsonx.t -> record
 
-(** [(headers, rows)] for the newest [limit] (default 20) records,
-    oldest first — feed to {!Report.render_table}. *)
-val table : ?limit:int -> t -> string list * string list list
-
 (** Prometheus text for the cumulative aggregates:
     [jitbull_audit_records_total], [jitbull_audit_verdicts_total{verdict}],
-    [jitbull_audit_cache_hits_total], [jitbull_audit_cve_matches_total{cve}]
-    and [jitbull_audit_function_verdicts_total{func,verdict}], with label
-    values escaped per {!Metrics.escape_label_value}. *)
+    [jitbull_audit_cache_hits_total], [jitbull_audit_cve_matches_total{cve}],
+    [jitbull_audit_function_verdicts_total{func,verdict}],
+    [jitbull_explain_diffs_total] (records appended with an IR diff) and
+    [jitbull_explain_chains_introduced_total{pass,cve}] (sub-chain
+    instances [pass]'s diff introduced on records where [cve] matched on
+    [pass]), with label values escaped per {!Metrics.escape_label_value}. *)
 val render_prometheus : t -> string

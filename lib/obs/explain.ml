@@ -1,14 +1,14 @@
-(* Joins audit records with the IR-diff ring into causal go/no-go
-   reports. Pure rendering over immutable inputs — every surface (CLI,
-   offline tool, HTTP text and HTML) goes through here. *)
+(* Turns audit records, with the IR diffs they carry, into causal
+   go/no-go reports. Pure rendering over immutable inputs — every
+   surface (CLI, offline tool, HTTP text and HTML) goes through here. *)
 
 type t = {
   ex_record : Audit.record;
   ex_evidence : Audit.record option;
-  ex_diff : Irdiff.compile_diff option;
+  ex_diff : Audit.compile_diff option;
 }
 
-let resolve ?irdiff ~history (r : Audit.record) =
+let resolve ~history (r : Audit.record) =
   let evidence =
     match r.Audit.source with
     | Audit.Fresh -> None
@@ -31,14 +31,10 @@ let resolve ?irdiff ~history (r : Audit.record) =
           else acc)
         None history
   in
-  let find_diff seq = Option.bind irdiff (fun ring -> Irdiff.find ring seq) in
   let diff =
-    match find_diff r.Audit.seq with
+    match r.Audit.ir_diff with
     | Some d -> Some d
-    | None ->
-      (match evidence with
-      | Some e -> find_diff e.Audit.seq
-      | None -> None)
+    | None -> Option.bind evidence (fun (e : Audit.record) -> e.Audit.ir_diff)
   in
   { ex_record = r; ex_evidence = evidence; ex_diff = diff }
 
@@ -87,6 +83,13 @@ let verdict_rationale ?can_disable t =
         (if List.length ms = 1 then "pass" else "passes")
         (String.concat ", " ms))
 
+(* why a report has no diff: a cache hit's diff is its replayed
+   decision's, which may have been evicted *)
+let missing_diff t =
+  match t.ex_record.Audit.source, t.ex_evidence with
+  | Audit.Cache_hit, None -> "per-pass IR diff: evicted with the decision it replayed"
+  | _ -> "per-pass IR diff: not captured (explain capture off)"
+
 let fmt_multiset kvs =
   String.concat ", " (List.map (fun (k, c) -> Printf.sprintf "%s x%d" k c) kvs)
 
@@ -100,26 +103,26 @@ let text_of_pass_match buf (pm : Audit.pass_match) ~thr ~ratio =
   if pm.Audit.pm_chains <> [] then
     line "    matching sub-chains: %s\n" (fmt_multiset pm.Audit.pm_chains)
 
-let text_of_diff buf (d : Irdiff.compile_diff) =
+let text_of_diff buf (d : Audit.compile_diff) =
   let line fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   line "per-pass IR diff (%d of %d passes changed the IR; captured in %.1f us):\n"
-    (List.length d.Irdiff.cd_passes)
-    d.Irdiff.cd_total_passes
-    (d.Irdiff.cd_capture_seconds *. 1e6);
+    (List.length d.Audit.cd_passes)
+    d.Audit.cd_total_passes
+    (d.Audit.cd_capture_seconds *. 1e6);
   List.iter
-    (fun (p : Irdiff.pass_diff) ->
-      line "  %s: instrs %d -> %d, blocks %d -> %d\n" p.Irdiff.pd_pass
-        p.Irdiff.pd_instrs_before p.Irdiff.pd_instrs_after
-        p.Irdiff.pd_blocks_before p.Irdiff.pd_blocks_after;
-      if p.Irdiff.pd_opcodes_added <> [] then
-        line "    opcodes added: %s\n" (fmt_multiset p.Irdiff.pd_opcodes_added);
-      if p.Irdiff.pd_opcodes_removed <> [] then
-        line "    opcodes removed: %s\n" (fmt_multiset p.Irdiff.pd_opcodes_removed);
-      if p.Irdiff.pd_chains_added <> [] then
-        line "    sub-chains introduced: %s\n" (fmt_multiset p.Irdiff.pd_chains_added);
-      if p.Irdiff.pd_chains_removed <> [] then
-        line "    sub-chains destroyed: %s\n" (fmt_multiset p.Irdiff.pd_chains_removed))
-    d.Irdiff.cd_passes
+    (fun (p : Audit.pass_diff) ->
+      line "  %s: instrs %d -> %d, blocks %d -> %d\n" p.Audit.pd_pass
+        p.Audit.pd_instrs_before p.Audit.pd_instrs_after
+        p.Audit.pd_blocks_before p.Audit.pd_blocks_after;
+      if p.Audit.pd_opcodes_added <> [] then
+        line "    opcodes added: %s\n" (fmt_multiset p.Audit.pd_opcodes_added);
+      if p.Audit.pd_opcodes_removed <> [] then
+        line "    opcodes removed: %s\n" (fmt_multiset p.Audit.pd_opcodes_removed);
+      if p.Audit.pd_chains_added <> [] then
+        line "    sub-chains introduced: %s\n" (fmt_multiset p.Audit.pd_chains_added);
+      if p.Audit.pd_chains_removed <> [] then
+        line "    sub-chains destroyed: %s\n" (fmt_multiset p.Audit.pd_chains_removed))
+    d.Audit.cd_passes
 
 let to_text ?can_disable t =
   let r = t.ex_record in
@@ -165,7 +168,7 @@ let to_text ?can_disable t =
     (verdict_rationale ?can_disable t);
   (match t.ex_diff with
   | Some d -> text_of_diff buf d
-  | None -> line "per-pass IR diff: not captured (explain capture off or evicted)\n");
+  | None -> line "%s\n" (missing_diff t));
   Buffer.contents buf
 
 (* ---- HTML ---- *)
@@ -263,34 +266,33 @@ let to_html ?can_disable t =
   | Some d ->
     line "<h2>per-pass IR diff</h2><p class=\"muted\">%d of %d passes changed \
           the IR; captured in %.1f &micro;s</p>"
-      (List.length d.Irdiff.cd_passes)
-      d.Irdiff.cd_total_passes
-      (d.Irdiff.cd_capture_seconds *. 1e6);
+      (List.length d.Audit.cd_passes)
+      d.Audit.cd_total_passes
+      (d.Audit.cd_capture_seconds *. 1e6);
     Buffer.add_string buf
       (table
          [ "pass"; "instrs"; "blocks"; "opcodes +"; "opcodes -";
            "sub-chains introduced"; "sub-chains destroyed" ]
          (List.map
-            (fun (p : Irdiff.pass_diff) ->
+            (fun (p : Audit.pass_diff) ->
               [
-                p.Irdiff.pd_pass;
-                Printf.sprintf "%d → %d" p.Irdiff.pd_instrs_before
-                  p.Irdiff.pd_instrs_after;
-                Printf.sprintf "%d → %d" p.Irdiff.pd_blocks_before
-                  p.Irdiff.pd_blocks_after;
-                fmt_multiset p.Irdiff.pd_opcodes_added;
-                fmt_multiset p.Irdiff.pd_opcodes_removed;
-                fmt_multiset p.Irdiff.pd_chains_added;
-                fmt_multiset p.Irdiff.pd_chains_removed;
+                p.Audit.pd_pass;
+                Printf.sprintf "%d → %d" p.Audit.pd_instrs_before
+                  p.Audit.pd_instrs_after;
+                Printf.sprintf "%d → %d" p.Audit.pd_blocks_before
+                  p.Audit.pd_blocks_after;
+                fmt_multiset p.Audit.pd_opcodes_added;
+                fmt_multiset p.Audit.pd_opcodes_removed;
+                fmt_multiset p.Audit.pd_chains_added;
+                fmt_multiset p.Audit.pd_chains_removed;
               ])
-            d.Irdiff.cd_passes))
+            d.Audit.cd_passes))
   | None ->
-    line "<p class=\"muted\">per-pass IR diff: not captured (explain capture \
-          off or evicted)</p>");
+    line "<p class=\"muted\">%s</p>" (html_escape (missing_diff t)));
   page (Printf.sprintf "decision #%d: %s" r.Audit.seq r.Audit.func_name)
     (Buffer.contents buf)
 
-let index_html ?(limit = 32) ~have_diff records =
+let index_html ?(limit = 32) records =
   let recent =
     List.rev records |> List.filteri (fun i _ -> i < max 0 limit)
   in
@@ -308,11 +310,11 @@ let index_html ?(limit = 32) ~have_diff records =
              (String.concat " "
                 (List.map (fun cm -> cm.Audit.cm_cve) r.Audit.matches)))
           (Audit.source_to_string r.Audit.source)
-          (if have_diff r.Audit.seq then "yes" else "no"))
+          (if r.Audit.ir_diff <> None then "yes" else "no"))
       recent
   in
   page "go/no-go decisions"
-    ("<p>newest first; <code>diff</code> says whether the IR-diff ring still \
-      holds the compile</p><table><tr><th>id</th><th>function</th>\
+    ("<p>newest first; <code>diff</code> says whether the record carries \
+      the compile's IR diff</p><table><tr><th>id</th><th>function</th>\
       <th>verdict</th><th>cves</th><th>source</th><th>diff</th></tr>"
     ^ String.concat "" rows ^ "</table>")

@@ -1,5 +1,5 @@
-(** The decision-explanation engine: joins one audit record with the
-    IR-diff ring into a causal report an operator can read — which CVE
+(** The decision-explanation engine: turns one audit record, with the
+    IR diff it carries, into a causal report an operator can read — which CVE
     matched, on which passes, on the strength of which sub-chains, why
     the verdict followed, and which per-pass IR transformations
     introduced the evidence.
@@ -20,15 +20,16 @@ type t = {
   ex_evidence : Audit.record option;
       (** for cache hits: the fresh record whose evidence is replayed
           ([None] when it was evicted — or for fresh records) *)
-  ex_diff : Irdiff.compile_diff option;
-      (** per-pass IR diff of the decision (or of the replayed fresh
-          decision), if still in the ring *)
+  ex_diff : Audit.compile_diff option;
+      (** per-pass IR diff of the decision (or, for a cache hit, of the
+          replayed fresh decision), if captured *)
 }
 
-(** [resolve ?irdiff ~history r] — look up [r]'s diff and, for cache
-    hits, the fresh record it replays. [history] is typically
-    [Audit.records au] (oldest first; order does not matter). *)
-val resolve : ?irdiff:Irdiff.t -> history:Audit.record list -> Audit.record -> t
+(** [resolve ~history r] — for cache hits, find the fresh record [r]
+    replays; take the diff from [r] or that record. [history] is
+    typically [Audit.records au] (oldest first; order does not
+    matter). *)
+val resolve : history:Audit.record list -> Audit.record -> t
 
 (** Plain-text report (multi-line, trailing newline). *)
 val to_text : ?can_disable:(string -> bool) -> t -> string
@@ -38,6 +39,6 @@ val to_text : ?can_disable:(string -> bool) -> t -> string
 val to_html : ?can_disable:(string -> bool) -> t -> string
 
 (** HTML index of recent decisions, newest first, capped at [limit]
-    (default 32), each linking to [/explain?id=<seq>]. [have_diff seq]
-    says whether the diff ring still holds that decision. *)
-val index_html : ?limit:int -> have_diff:(int -> bool) -> Audit.record list -> string
+    (default 32), each linking to [/explain?id=<seq>], with a column
+    saying whether the record carries an IR diff. *)
+val index_html : ?limit:int -> Audit.record list -> string

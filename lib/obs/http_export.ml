@@ -477,9 +477,6 @@ let metrics_body obs =
   build_info_body ()
   ^ Metrics.render_prometheus (Obs.view (Some obs))
   ^ Audit.render_prometheus (Obs.audit obs)
-  ^ (match Obs.irdiff obs with
-    | Some ring -> Irdiff.render_prometheus ring
-    | None -> "")
 
 type check = {
   ck_name : string;
@@ -586,13 +583,8 @@ let explain_response ~can_disable obs query =
     (match parse_count "n" query ~default:32 with
     | Error msg -> bad_request msg
     | Ok n ->
-      let have_diff seq =
-        match Obs.irdiff obs with
-        | Some ring -> Irdiff.find ring seq <> None
-        | None -> false
-      in
       respond ~content_type:"text/html; charset=utf-8"
-        (Explain.index_html ~limit:n ~have_diff (Audit.records au)))
+        (Explain.index_html ~limit:n (Audit.records au)))
   | Some s ->
     (match int_of_string_opt (String.trim s) with
     | None -> bad_request "id: not an integer"
@@ -610,7 +602,7 @@ let explain_response ~can_disable obs query =
                        ring" );
                 ]))
       | Some r ->
-        let e = Explain.resolve ?irdiff:(Obs.irdiff obs) ~history:records r in
+        let e = Explain.resolve ~history:records r in
         (match List.assoc_opt "format" query with
         | Some "text" ->
           respond ~content_type:"text/plain; charset=utf-8"

@@ -16,9 +16,8 @@
     The exporter serves, from one worker on 127.0.0.1:
 
     - [/metrics] — Prometheus text: the full metrics registry
-      ({!Metrics.render_prometheus}) followed by the audit aggregates
-      ({!Audit.render_prometheus}) and, when explain capture is on, the
-      IR-diff aggregates ({!Irdiff.render_prometheus}).
+      ({!Metrics.render_prometheus}) followed by the audit aggregates,
+      IR-diff counts included ({!Audit.render_prometheus}).
     - [/healthz] — JSON health report; 200 when every check passes,
       503 otherwise. Checks (against {!health_thresholds}):
       [compile.queue_depth] gauge, [engine.main_stall_seconds] gauge,

@@ -2,24 +2,21 @@ type t = {
   m : Metrics.t;
   tr : Tracer.t;
   au : Audit.t;
-  ir : Irdiff.t option;
+  explain : bool;
 }
 
-let create ?capacity ?audit_capacity ?explain_capacity ?clock () =
+let create ?capacity ?audit_capacity ?(explain = false) ?clock () =
   {
     m = Metrics.create ();
     tr = Tracer.create ?capacity ?clock ();
     au = Audit.create ?capacity:audit_capacity ?clock ();
-    ir =
-      (match explain_capacity with
-      | Some k -> Some (Irdiff.create ~capacity:k ())
-      | None -> None);
+    explain;
   }
 
 let metrics t = t.m
 let tracer t = t.tr
 let audit t = t.au
-let irdiff t = t.ir
+let explain t = t.explain
 let set_trace_file t path = Tracer.set_file_sink t.tr path
 let set_audit_file t ?max_bytes path = Audit.set_file_sink t.au ?max_bytes path
 

@@ -8,16 +8,15 @@
 type t
 
 (** [capacity] bounds the trace ring, [audit_capacity] the audit ring
-    (defaults 4096 / 1024). [explain_capacity] — when given — enables
-    explain capture: the analyzer summarizes each compile's per-pass IR
-    changes into an {!Irdiff.t} ring of that many compile diffs (omit it
-    and capture costs nothing, like every other disabled instrument).
-    The components share [clock], so trace and audit timestamps are
-    directly comparable. *)
+    (defaults 4096 / 1024). [explain] (default [false]) turns on explain
+    capture: the analyzer summarizes each compile's per-pass IR changes
+    into the [ir_diff] of its audit record (off, capture costs nothing,
+    like every other disabled instrument). The components share
+    [clock], so trace and audit timestamps are directly comparable. *)
 val create :
   ?capacity:int ->
   ?audit_capacity:int ->
-  ?explain_capacity:int ->
+  ?explain:bool ->
   ?clock:(unit -> float) ->
   unit ->
   t
@@ -26,8 +25,8 @@ val metrics : t -> Metrics.t
 val tracer : t -> Tracer.t
 val audit : t -> Audit.t
 
-(** The IR-diff ring, present iff [explain_capacity] was given. *)
-val irdiff : t -> Irdiff.t option
+(** Whether explain capture is on. *)
+val explain : t -> bool
 
 (** Mirror all subsequent trace events to [path] as JSON lines. *)
 val set_trace_file : t -> string -> unit

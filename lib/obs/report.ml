@@ -45,28 +45,3 @@ let pass_profile (view : Metrics.view) =
       entries
   in
   (headers, rows)
-
-let histogram_table ?(unit_scale = 1e-6) (view : Metrics.view) =
-  let unit_name = if unit_scale = 1e-6 then "us" else if unit_scale = 1e-3 then "ms" else "" in
-  let fmt v = Printf.sprintf "%.1f" (v /. unit_scale) in
-  let headers =
-    [ "histogram"; "count"; "total " ^ unit_name; "mean " ^ unit_name; "p50"; "p90"; "p99";
-      "max" ]
-  in
-  let rows =
-    List.map
-      (fun (hv : Metrics.histogram_view) ->
-        let mean = if hv.Metrics.hv_count = 0 then 0.0 else hv.hv_sum /. float_of_int hv.hv_count in
-        [
-          hv.hv_name;
-          string_of_int hv.hv_count;
-          fmt hv.hv_sum;
-          fmt mean;
-          fmt hv.hv_p50;
-          fmt hv.hv_p90;
-          fmt hv.hv_p99;
-          fmt hv.hv_max;
-        ])
-      view.Metrics.v_histograms
-  in
-  (headers, rows)

@@ -7,8 +7,3 @@
     counters, sorted by total time, descending. Returns
     [(headers, rows)]; empty rows when nothing was instrumented. *)
 val pass_profile : Metrics.view -> string list * string list list
-
-(** One row per histogram: count, total, mean, p50/p90/p99, max.
-    [unit_scale] divides the raw (seconds) values for display — e.g.
-    [1e-6] renders microseconds (the default). *)
-val histogram_table : ?unit_scale:float -> Metrics.view -> string list * string list list

@@ -28,6 +28,11 @@ let fake_clock ?(step = 0.001) () =
     t := !t +. step;
     !t
 
+let contains hay needle =
+  let nl = String.length needle and l = String.length hay in
+  let rec go i = i + nl <= l && (String.equal (String.sub hay i nl) needle || go (i + 1)) in
+  go 0
+
 let append_n au n =
   for i = 0 to n - 1 do
     let verdict =
@@ -104,16 +109,109 @@ let test_ring_and_queries () =
   Sys.remove path;
   (* cumulative aggregates survive ring eviction *)
   let text = Audit.render_prometheus au in
-  let has needle =
-    let nl = String.length needle and l = String.length text in
-    let rec go i = i + nl <= l && (String.equal (String.sub text i nl) needle || go (i + 1)) in
-    go 0
-  in
+  let has = contains text in
   check_bool "records_total counts all appends" true (has "jitbull_audit_records_total 10");
   check_bool "allow verdicts survive eviction" true
     (has "jitbull_audit_verdicts_total{verdict=\"allow\"} 4");
   check_bool "disable verdicts survive eviction" true
     (has "jitbull_audit_verdicts_total{verdict=\"disable\"} 6")
+
+(* ---- the IR diff rides in the record ---- *)
+
+let gvn_match cve =
+  {
+    Audit.cm_cve = cve;
+    cm_passes =
+      [
+        {
+          Audit.pm_pass = "gvn";
+          pm_side = "removed";
+          pm_eq_chains = 4;
+          pm_max_eq_chains = 6;
+          pm_chains = [ ("boundscheck->loadelement", 3); ("^guard->loadelement", 1) ];
+        };
+      ];
+  }
+
+let mk_diff func =
+  {
+    Audit.cd_func = func;
+    cd_total_passes = 3;
+    cd_passes =
+      [
+        {
+          Audit.pd_pass = "gvn";
+          pd_instrs_before = 10;
+          pd_instrs_after = 8;
+          pd_blocks_before = 3;
+          pd_blocks_after = 3;
+          pd_opcodes_added = [];
+          pd_opcodes_removed = [ ("boundscheck", 2) ];
+          pd_chains_added = [ ("guard->loadelement", 1) ];
+          pd_chains_removed = [ ("boundscheck->loadelement", 2) ];
+        };
+      ];
+    cd_capture_seconds = 1.25e-6;
+  }
+
+let append_tri ?ir_diff au =
+  Audit.append au ~ts:0.125 ?ir_diff ~func_name:"tri" ~func_index:3
+    ~bytecode_hash:42 ~feedback_hash:7
+    ~verdict:(Audit.Disable [ "gvn"; "licm" ])
+    ~matches:[ gvn_match "CVE-2019-9810" ]
+    ~thr:2 ~ratio:0.5 ~prefilter_candidates:9 ~prefilter_hits:1 ~db_generation:3
+    ~db_size:9 ~source:Audit.Fresh ~duration:2.5e-05 ()
+
+let test_record_codec () =
+  let au = Audit.create () in
+  let r = { (append_tri ~ir_diff:(mk_diff "tri") au) with Audit.domain = 0 } in
+  check_bool "a record with a diff round-trips" true
+    (Audit.record_of_json (Audit.record_to_json r) = r);
+  check_bool "and through its encoded line" true
+    (Audit.record_of_json (Jsonx.parse (Jsonx.to_string (Audit.record_to_json r))) = r);
+  (* a diff-less record encodes byte for byte as before the field existed *)
+  let r = { (append_tri au) with Audit.domain = 0 } in
+  check_string "diff-less line unchanged"
+    "{\"seq\":1,\"ts\":0.125,\"func\":\"tri\",\"func_index\":3,\"bytecode_hash\":42,\
+     \"feedback_hash\":7,\"verdict\":{\"kind\":\"disable\",\"passes\":[\"gvn\",\"licm\"]},\
+     \"matches\":[{\"cve\":\"CVE-2019-9810\",\"passes\":[{\"pass\":\"gvn\",\"side\":\"removed\",\
+     \"eq_chains\":4,\"max_eq_chains\":6,\"chains\":{\"boundscheck->loadelement\":3,\
+     \"^guard->loadelement\":1}}]}],\"thr\":2,\"ratio\":0.5,\"prefilter_candidates\":9,\
+     \"prefilter_hits\":1,\"db_generation\":3,\"db_size\":9,\"source\":\"fresh\",\"domain\":0,\
+     \"duration\":2.5e-05}"
+    (Jsonx.to_string (Audit.record_to_json r));
+  check_bool "and decodes without a diff" true
+    (Audit.record_of_json (Audit.record_to_json r) = r)
+
+let test_diff_eviction () =
+  let au = Audit.create ~capacity:2 () in
+  for i = 1 to 5 do
+    ignore
+      (Audit.append au ~ir_diff:(mk_diff (Printf.sprintf "f%d" i))
+         ~func_name:(Printf.sprintf "f%d" i) ~func_index:i ~bytecode_hash:i
+         ~feedback_hash:i ~verdict:(Audit.Disable [ "gvn" ])
+         ~matches:[ gvn_match "CVE-X" ] ~thr:2 ~ratio:0.5 ~prefilter_candidates:1
+         ~prefilter_hits:1 ~db_generation:1 ~db_size:1 ~source:Audit.Fresh
+         ~duration:0.0 ())
+  done;
+  (* a diff leaves with its record: the newest two remain, each with its own *)
+  Alcotest.(check (list (pair int string)))
+    "newest two records keep their diffs"
+    [ (3, "f4"); (4, "f5") ]
+    (List.map
+       (fun (r : Audit.record) ->
+         match r.Audit.ir_diff with
+         | Some d -> (r.Audit.seq, d.Audit.cd_func)
+         | None -> Alcotest.failf "record #%d lost its diff" r.Audit.seq)
+       (Audit.records au));
+  (* the aggregates count every diff, evicted ones included *)
+  let prom = Audit.render_prometheus au in
+  List.iter
+    (fun line -> check_bool line true (contains prom line))
+    [
+      "jitbull_explain_diffs_total 5";
+      "jitbull_explain_chains_introduced_total{pass=\"gvn\",cve=\"CVE-X\"} 5";
+    ]
 
 (* ---- acceptance: the full evidence for a VDC-matching function ---- *)
 
@@ -410,6 +508,9 @@ let suite =
   ( "audit",
     [
       Alcotest.test_case "ring, queries, JSONL, aggregates" `Quick test_ring_and_queries;
+      Alcotest.test_case "record codec: IR diff and pinned line" `Quick test_record_codec;
+      Alcotest.test_case "IR diffs: evicted with their record, aggregates" `Quick
+        test_diff_eviction;
       Alcotest.test_case "VDC match: full evidence via query API and /audit" `Quick
         test_vdc_match_full_evidence;
       Alcotest.test_case "sync and async audit verdicts agree" `Quick

@@ -294,6 +294,28 @@ let test_db_save_load () =
   check_int "entries preserved" (List.length (Db.entries db)) (List.length (Db.entries db'));
   check_bool "cves preserved" true (Db.cves db = Db.cves db')
 
+(* A second harvest of every VDC into the same DB adds nothing: each
+   re-extracted entry equals one held (CVE and canonical DNA). *)
+let test_db_reharvest_idempotent () =
+  let module V = Jitbull_vdc.Demonstrators in
+  let db = Db.create () in
+  ignore (V.harvest db VC.all);
+  let bytes db =
+    let path = Filename.temp_file "jitbull_db" ".sexp" in
+    Db.save db path;
+    let s = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    s
+  in
+  let size = Db.size db and gen = Db.generation db and saved = bytes db in
+  check_bool "first harvest added entries" true (size > 0);
+  List.iter
+    (fun ((d : V.t), n) -> check_int (d.V.name ^ ": nothing re-added") 0 n)
+    (V.harvest db VC.all);
+  check_int "size unchanged" size (Db.size db);
+  check_int "generation unchanged" gen (Db.generation db);
+  check_string "saved bytes unchanged" saved (bytes db)
+
 (* ---- policy / engine integration ---- *)
 
 let test_empty_db_no_analyzer () =
@@ -868,6 +890,7 @@ let suite =
       Alcotest.test_case "corpus snapshots match the MIR" `Quick test_corpus_snapshots_match_mir;
       Alcotest.test_case "db lifecycle" `Quick test_db_lifecycle;
       Alcotest.test_case "db save/load" `Quick test_db_save_load;
+      Alcotest.test_case "db re-harvest adds nothing" `Quick test_db_reharvest_idempotent;
       Alcotest.test_case "empty db: no analyzer" `Quick test_empty_db_no_analyzer;
       Alcotest.test_case "decision records" `Quick test_decision_records;
       Alcotest.test_case "forbid on mandatory pass" `Quick test_forbid_on_mandatory_pass;

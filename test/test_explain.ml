@@ -1,7 +1,7 @@
-(* Explainability: the per-compile IR-diff ring, the decision-explanation
-   engine (fresh, cache-hit and evicted-evidence paths), the /explain
-   HTTP surface with its query-parameter hardening, and exporter
-   robustness against abusive clients. The acceptance bar: every modeled
+(* Explainability: the per-compile IR diffs audit records carry, the
+   decision-explanation engine (fresh, cache-hit and evicted-evidence
+   paths), the /explain HTTP surface with its query-parameter hardening,
+   and exporter robustness against abusive clients. The acceptance bar: every modeled
    CVE's forbidden/disabled compile must yield a report naming the CVE,
    the contributing passes and the introduced sub-chains — identically
    under sync and async compilation. *)
@@ -9,7 +9,6 @@
 open Helpers
 module Obs = Jitbull_obs.Obs
 module Audit = Jitbull_obs.Audit
-module Irdiff = Jitbull_obs.Irdiff
 module Explain = Jitbull_obs.Explain
 module Jsonx = Jitbull_obs.Jsonx
 module Http = Jitbull_obs.Http_export
@@ -40,7 +39,7 @@ let test_every_cve_explained () =
       let db = Db.create () in
       check_bool (d.V.name ^ ": harvest found DNA") true
         (Db.harvest db ~cve:d.V.name ~vulns:(VC.make [ cve ]) d.V.source > 0);
-      let obs = Obs.create ~explain_capacity:64 () in
+      let obs = Obs.create ~explain:true () in
       let config = Jitbull.config ~obs ~vulns:(VC.make [ cve ]) db in
       (match V.run_exploit config d.V.source d.V.expected with
       | V.Neutralized -> ()
@@ -51,7 +50,7 @@ let test_every_cve_explained () =
         | r :: _ -> r
         | [] -> Alcotest.fail (d.V.name ^ ": no audit record names the CVE")
       in
-      let e = Explain.resolve ?irdiff:(Obs.irdiff obs) ~history:(Audit.records au) r in
+      let e = Explain.resolve ~history:(Audit.records au) r in
       let text = Explain.to_text ~can_disable:Pipeline.can_disable e in
       let where = d.V.name ^ " report" in
       check_has where text d.V.name;
@@ -75,7 +74,7 @@ let test_every_cve_explained () =
       (match e.Explain.ex_diff with
       | Some diff ->
         check_string (d.V.name ^ ": diff is for the flagged function")
-          r.Audit.func_name diff.Irdiff.cd_func;
+          r.Audit.func_name diff.Audit.cd_func;
         check_has where text "per-pass IR diff ("
       | None -> Alcotest.fail (d.V.name ^ ": IR diff not captured")))
     VC.all
@@ -129,20 +128,20 @@ let canonical_report obs func =
   match Audit.by_function au func with
   | [] -> Alcotest.fail ("no decisions for " ^ func)
   | r :: _ ->
-    let e = Explain.resolve ?irdiff:(Obs.irdiff obs) ~history:(Audit.records au) r in
+    let e = Explain.resolve ~history:(Audit.records au) r in
     let diff =
       match e.Explain.ex_diff with
       | None -> Alcotest.fail (func ^ ": IR diff not captured")
       | Some d ->
         List.map
-          (fun (p : Irdiff.pass_diff) ->
-            ( p.Irdiff.pd_pass,
-              (p.Irdiff.pd_instrs_before, p.Irdiff.pd_instrs_after),
-              (p.Irdiff.pd_blocks_before, p.Irdiff.pd_blocks_after),
-              (p.Irdiff.pd_opcodes_added, p.Irdiff.pd_opcodes_removed),
-              p.Irdiff.pd_chains_added,
-              p.Irdiff.pd_chains_removed ))
-          d.Irdiff.cd_passes
+          (fun (p : Audit.pass_diff) ->
+            ( p.Audit.pd_pass,
+              (p.Audit.pd_instrs_before, p.Audit.pd_instrs_after),
+              (p.Audit.pd_blocks_before, p.Audit.pd_blocks_after),
+              (p.Audit.pd_opcodes_added, p.Audit.pd_opcodes_removed),
+              p.Audit.pd_chains_added,
+              p.Audit.pd_chains_removed ))
+          d.Audit.cd_passes
     in
     ( r.Audit.func_name,
       Audit.verdict_label r.Audit.verdict,
@@ -152,8 +151,8 @@ let canonical_report obs func =
 
 let test_sync_async_reports_agree () =
   let db = self_matching_db () in
-  let obs_s = Obs.create ~explain_capacity:64 () in
-  let obs_a = Obs.create ~explain_capacity:64 () in
+  let obs_s = Obs.create ~explain:true () in
+  let obs_a = Obs.create ~explain:true () in
   let pool = CQ.create ~jobs:test_jobs () in
   Fun.protect
     ~finally:(fun () -> CQ.shutdown pool)
@@ -165,6 +164,40 @@ let test_sync_async_reports_agree () =
     (match s with _, v, _, _, _ -> v <> "allow");
   check_bool "sync and async explanations carry identical evidence" true (s = a)
 
+(* ---- one record per compile: the diff rides in its Fresh record ---- *)
+
+(* Two engines share one config (hence its policy cache) on a
+   [test_jobs]-wide pool, so the second run's decisions are cache hits:
+   every analysis's record carries its diff, no replay carries one. *)
+let test_pool_run_diffs () =
+  let db = self_matching_db () in
+  let obs = Obs.create ~explain:true () in
+  let pool = CQ.create ~jobs:test_jobs () in
+  let cfg = Jitbull.config ~compile_pool:pool ~obs ~vulns:VC.none db in
+  let cfg = { cfg with Engine.baseline_threshold = 2; ion_threshold = 4 } in
+  Fun.protect
+    ~finally:(fun () -> CQ.shutdown pool)
+    (fun () ->
+      for _ = 1 to 2 do
+        drive (Engine.create cfg (Compiler.compile (Parser.parse drive_src)))
+      done);
+  let records = Audit.records (Obs.audit obs) in
+  let fresh, hits =
+    List.partition (fun (r : Audit.record) -> r.Audit.source = Audit.Fresh) records
+  in
+  check_bool "fresh records" true (fresh <> []);
+  check_bool "cache-hit records" true (hits <> []);
+  List.iter
+    (fun (r : Audit.record) ->
+      match r.Audit.ir_diff with
+      | Some d -> check_string "diff names the record's function" r.Audit.func_name d.Audit.cd_func
+      | None -> Alcotest.failf "fresh record #%d has no IR diff" r.Audit.seq)
+    fresh;
+  List.iter
+    (fun (r : Audit.record) ->
+      check_bool "cache-hit record carries no diff" true (r.Audit.ir_diff = None))
+    hits
+
 (* ---- /explain over HTTP, and the hardened query parameters ---- *)
 
 let content_type headers =
@@ -172,7 +205,7 @@ let content_type headers =
 
 let test_http_explain () =
   let db = self_matching_db () in
-  let obs = Obs.create ~explain_capacity:64 () in
+  let obs = Obs.create ~explain:true () in
   drive (engine_of db obs);
   let au = Obs.audit obs in
   let flagged =
@@ -269,51 +302,8 @@ let test_http_robustness () =
       let code, _ = Http.fetch ~port "/healthz" in
       check_int "server alive after abuse" 200 code)
 
-(* ---- the diff ring: bounded, seq-keyed, cumulative aggregates ---- *)
-
-let mk_diff func =
-  {
-    Irdiff.cd_func = func;
-    cd_total_passes = 3;
-    cd_passes =
-      [
-        {
-          Irdiff.pd_pass = "gvn";
-          pd_instrs_before = 10;
-          pd_instrs_after = 8;
-          pd_blocks_before = 3;
-          pd_blocks_after = 3;
-          pd_opcodes_added = [];
-          pd_opcodes_removed = [ ("boundscheck", 2) ];
-          pd_chains_added = [ ("guard->loadelement", 1) ];
-          pd_chains_removed = [ ("boundscheck->loadelement", 2) ];
-        };
-      ];
-    cd_capture_seconds = 1e-6;
-  }
-
-let test_irdiff_ring () =
-  let t = Irdiff.create ~capacity:2 () in
-  check_int "capacity" 2 (Irdiff.capacity t);
-  for seq = 1 to 5 do
-    Irdiff.attach t ~seq (mk_diff (Printf.sprintf "f%d" seq))
-  done;
-  check_int "total counts evicted diffs" 5 (Irdiff.total t);
-  Alcotest.(check (list int)) "newest two retained" [ 4; 5 ] (Irdiff.seqs t);
-  check_bool "evicted seq finds nothing" true (Irdiff.find t 1 = None);
-  (match Irdiff.find t 5 with
-  | Some d -> check_string "find returns the right diff" "f5" d.Irdiff.cd_func
-  | None -> Alcotest.fail "newest diff missing");
-  Irdiff.record_contribution t ~pass:"gvn" ~cve:"CVE-X" 3;
-  Irdiff.record_contribution t ~pass:"gvn" ~cve:"CVE-X" 2;
-  Irdiff.record_contribution t ~pass:"gvn" ~cve:"CVE-X" 0;
-  let prom = Irdiff.render_prometheus t in
-  check_has "prometheus" prom "jitbull_explain_diffs_total 5";
-  check_has "prometheus" prom
-    "jitbull_explain_chains_introduced_total{pass=\"gvn\",cve=\"CVE-X\"} 5"
-
-(* ---- eviction over HTTP: audit-evicted id is 404, diff-evicted is a
-   200 with the capture marked unavailable ---- *)
+(* ---- eviction over HTTP: an evicted id is 404, a retained record
+   without a diff is a 200 with the capture marked unavailable ---- *)
 
 let append_simple au i ~source =
   Audit.append au
@@ -323,7 +313,7 @@ let append_simple au i ~source =
     ~db_generation:1 ~db_size:4 ~source ~duration:1e-6 ()
 
 let test_http_evicted_id () =
-  let obs = Obs.create ~audit_capacity:2 ~explain_capacity:2 () in
+  let obs = Obs.create ~audit_capacity:2 ~explain:true () in
   let au = Obs.audit obs in
   let first = append_simple au 0 ~source:Audit.Fresh in
   let rest = List.init 4 (fun i -> append_simple au (i + 1) ~source:Audit.Fresh) in
@@ -338,8 +328,8 @@ let test_http_evicted_id () =
       in
       check_int "audit-evicted id is 404" 404 code;
       check_has "404 body" body "evicted";
-      (* the newest decision is retained in the audit ring but never had a
-         diff attached (nothing compiled): 200 with the capture marked
+      (* the newest decision is retained in the audit ring but carries no
+         diff (nothing compiled): 200 with the capture marked
          unavailable, not a crash *)
       let code, _, body =
         Http.fetch_full ~port
@@ -415,8 +405,8 @@ let suite =
         test_http_explain;
       Alcotest.test_case "exporter robustness under abusive clients" `Quick
         test_http_robustness;
-      Alcotest.test_case "IR-diff ring: bounds, keys, aggregates" `Quick
-        test_irdiff_ring;
+      Alcotest.test_case "pool run: fresh records carry the diff" `Quick
+        test_pool_run_diffs;
       Alcotest.test_case "evicted ids over HTTP" `Quick test_http_evicted_id;
       Alcotest.test_case "offline cache-hit evidence replay" `Quick
         test_cache_hit_resolution;
