@@ -4,6 +4,7 @@ let lex_error pos fmt = Format.kasprintf (fun s -> raise (Lex_error (s, pos))) f
 
 type state = {
   source : string;
+  len : int;
   mutable pos : int;
   mutable line : int;
   mutable column : int;
@@ -11,18 +12,18 @@ type state = {
 
 let position st : Token.position = { line = st.line; column = st.column }
 
-let peek st = if st.pos < String.length st.source then Some st.source.[st.pos] else None
-
-let peek2 st =
-  if st.pos + 1 < String.length st.source then Some st.source.[st.pos + 1] else None
+(* [at st k] is the byte at [k], or NUL past the end: a test against any
+   other byte needs no bound check. Where a NUL in the source must be told
+   apart from the end of input, the caller asks [has st k]. *)
+let has st k = k < st.len
+let at st k = if k < st.len then String.unsafe_get st.source k else '\000'
 
 let advance st =
-  (match peek st with
-  | Some '\n' ->
+  if at st st.pos = '\n' then begin
     st.line <- st.line + 1;
     st.column <- 1
-  | Some _ -> st.column <- st.column + 1
-  | None -> ());
+  end
+  else st.column <- st.column + 1;
   st.pos <- st.pos + 1
 
 let is_digit c = c >= '0' && c <= '9'
@@ -30,225 +31,176 @@ let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = '$'
 let is_ident_char c = is_ident_start c || is_digit c
 
+(* Advances over the bytes satisfying [p] and returns how many there were. *)
+let skip_while st p =
+  let start = st.pos in
+  while p (at st st.pos) do
+    advance st
+  done;
+  st.pos - start
+
 let rec skip_trivia st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  match (at st st.pos, at st (st.pos + 1)) with
+  | (' ' | '\t' | '\r' | '\n'), _ ->
     advance st;
     skip_trivia st
-  | Some '/' when peek2 st = Some '/' ->
-    let rec to_eol () =
-      match peek st with
-      | Some '\n' | None -> ()
-      | Some _ ->
-        advance st;
-        to_eol ()
-    in
-    to_eol ();
+  | '/', '/' ->
+    while has st st.pos && at st st.pos <> '\n' do
+      advance st
+    done;
     skip_trivia st
-  | Some '/' when peek2 st = Some '*' ->
+  | '/', '*' ->
     let start = position st in
     advance st;
     advance st;
-    let rec to_close () =
-      match (peek st, peek2 st) with
-      | Some '*', Some '/' ->
-        advance st;
-        advance st
-      | None, _ -> lex_error start "unterminated block comment"
-      | Some _, _ ->
-        advance st;
-        to_close ()
-    in
-    to_close ();
+    while not (at st st.pos = '*' && at st (st.pos + 1) = '/') do
+      if not (has st st.pos) then lex_error start "unterminated block comment";
+      advance st
+    done;
+    advance st;
+    advance st;
     skip_trivia st
-  | Some _ | None -> ()
+  | _ -> ()
 
-let scan_number st =
+(* [pos] is the token's start, where every error of a token is reported. *)
+let scan_number st pos =
   let start = st.pos in
-  let pos = position st in
-  (if peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X') then begin
+  (if at st start = '0' && (at st (start + 1) = 'x' || at st (start + 1) = 'X') then begin
      advance st;
      advance st;
-     let digits = ref 0 in
-     while match peek st with Some c when is_hex c -> true | _ -> false do
-       incr digits;
-       advance st
-     done;
-     if !digits = 0 then lex_error pos "invalid hexadecimal literal"
+     if skip_while st is_hex = 0 then lex_error pos "invalid hexadecimal literal"
    end
    else begin
-     while match peek st with Some c when is_digit c -> true | _ -> false do
-       advance st
-     done;
-     (match (peek st, peek2 st) with
-     | Some '.', Some c when is_digit c ->
+     ignore (skip_while st is_digit);
+     if at st st.pos = '.' && is_digit (at st (st.pos + 1)) then begin
        advance st;
-       while match peek st with Some c when is_digit c -> true | _ -> false do
-         advance st
-       done
-     | _ -> ());
-     match peek st with
-     | Some ('e' | 'E') ->
+       ignore (skip_while st is_digit)
+     end;
+     match at st st.pos with
+     | 'e' | 'E' ->
        advance st;
-       (match peek st with
-       | Some ('+' | '-') -> advance st
+       (match at st st.pos with
+       | '+' | '-' -> advance st
        | _ -> ());
-       let digits = ref 0 in
-       while match peek st with Some c when is_digit c -> true | _ -> false do
-         incr digits;
-         advance st
-       done;
-       if !digits = 0 then lex_error pos "invalid exponent"
+       if skip_while st is_digit = 0 then lex_error pos "invalid exponent"
      | _ -> ()
    end);
   let text = String.sub st.source start (st.pos - start) in
-  match float_of_string_opt text with
-  | Some f -> Token.NUMBER f
-  | None -> lex_error pos "invalid number literal %S" text
+  match float_of_string text with
+  | f -> Token.NUMBER f
+  | exception Failure _ -> lex_error pos "invalid number literal %S" text
 
-let scan_string st quote =
-  let pos = position st in
+let rec string_body st pos quote buf =
+  if not (has st st.pos) then lex_error pos "unterminated string";
+  match at st st.pos with
+  | c when c = quote ->
+    advance st;
+    Token.STRING (Buffer.contents buf)
+  | '\\' ->
+    advance st;
+    if not (has st st.pos) then lex_error pos "dangling escape";
+    Buffer.add_char buf
+      (match at st st.pos with
+      | 'n' -> '\n'
+      | 't' -> '\t'
+      | 'r' -> '\r'
+      | '0' -> '\000'
+      | c -> c);
+    advance st;
+    string_body st pos quote buf
+  | '\n' -> lex_error pos "newline in string literal"
+  | c ->
+    Buffer.add_char buf c;
+    advance st;
+    string_body st pos quote buf
+
+let scan_string st pos quote =
   advance st;
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek st with
-    | None -> lex_error pos "unterminated string"
-    | Some c when c = quote ->
-      advance st;
-      Token.STRING (Buffer.contents buf)
-    | Some '\\' ->
-      advance st;
-      (match peek st with
-      | Some 'n' -> Buffer.add_char buf '\n'
-      | Some 't' -> Buffer.add_char buf '\t'
-      | Some 'r' -> Buffer.add_char buf '\r'
-      | Some '0' -> Buffer.add_char buf '\000'
-      | Some c -> Buffer.add_char buf c
-      | None -> lex_error pos "dangling escape");
-      advance st;
-      loop ()
-    | Some '\n' -> lex_error pos "newline in string literal"
-    | Some c ->
-      Buffer.add_char buf c;
-      advance st;
-      loop ()
-  in
-  loop ()
+  string_body st pos quote (Buffer.create 16)
 
 let scan_ident st =
   let start = st.pos in
-  while match peek st with Some c when is_ident_char c -> true | _ -> false do
-    advance st
-  done;
+  ignore (skip_while st is_ident_char);
   let text = String.sub st.source start (st.pos - start) in
   match Token.keyword_of_string text with
   | Some kw -> kw
   | None -> Token.IDENT text
 
+(* No operator spans a newline, so taking one moves the column only. *)
+let take st n tok =
+  st.pos <- st.pos + n;
+  st.column <- st.column + n;
+  tok
+
 (* Operators are matched longest-first. *)
-let scan_operator st =
-  let pos = position st in
-  let try3 a b c tok =
-    if peek st = Some a && peek2 st = Some b
-       && st.pos + 2 < String.length st.source
-       && st.source.[st.pos + 2] = c
-    then begin
-      advance st;
-      advance st;
-      advance st;
-      Some tok
-    end
-    else None
-  in
-  let try2 a b tok =
-    if peek st = Some a && peek2 st = Some b then begin
-      advance st;
-      advance st;
-      Some tok
-    end
-    else None
-  in
-  let try1 a tok =
-    if peek st = Some a then begin
-      advance st;
-      Some tok
-    end
-    else None
-  in
-  let candidates =
-    [
-      (fun () -> try3 '>' '>' '>' Token.USHR);
-      (fun () -> try3 '=' '=' '=' Token.EQEQEQ);
-      (fun () -> try3 '!' '=' '=' Token.BANGEQEQ);
-      (fun () -> try3 '<' '<' '=' Token.SHL_ASSIGN);
-      (fun () -> try3 '>' '>' '=' Token.SHR_ASSIGN);
-      (fun () -> try2 '=' '=' Token.EQEQ);
-      (fun () -> try2 '!' '=' Token.BANGEQ);
-      (fun () -> try2 '<' '=' Token.LE);
-      (fun () -> try2 '>' '=' Token.GE);
-      (fun () -> try2 '<' '<' Token.SHL);
-      (fun () -> try2 '>' '>' Token.SHR);
-      (fun () -> try2 '&' '&' Token.AMPAMP);
-      (fun () -> try2 '|' '|' Token.PIPEPIPE);
-      (fun () -> try2 '+' '+' Token.PLUSPLUS);
-      (fun () -> try2 '-' '-' Token.MINUSMINUS);
-      (fun () -> try2 '+' '=' Token.PLUS_ASSIGN);
-      (fun () -> try2 '-' '=' Token.MINUS_ASSIGN);
-      (fun () -> try2 '*' '=' Token.STAR_ASSIGN);
-      (fun () -> try2 '/' '=' Token.SLASH_ASSIGN);
-      (fun () -> try2 '%' '=' Token.PERCENT_ASSIGN);
-      (fun () -> try2 '&' '=' Token.AMP_ASSIGN);
-      (fun () -> try2 '|' '=' Token.PIPE_ASSIGN);
-      (fun () -> try2 '^' '=' Token.CARET_ASSIGN);
-      (fun () -> try1 '+' Token.PLUS);
-      (fun () -> try1 '-' Token.MINUS);
-      (fun () -> try1 '*' Token.STAR);
-      (fun () -> try1 '/' Token.SLASH);
-      (fun () -> try1 '%' Token.PERCENT);
-      (fun () -> try1 '<' Token.LT);
-      (fun () -> try1 '>' Token.GT);
-      (fun () -> try1 '=' Token.ASSIGN);
-      (fun () -> try1 '&' Token.AMP);
-      (fun () -> try1 '|' Token.PIPE);
-      (fun () -> try1 '^' Token.CARET);
-      (fun () -> try1 '~' Token.TILDE);
-      (fun () -> try1 '!' Token.BANG);
-      (fun () -> try1 '(' Token.LPAREN);
-      (fun () -> try1 ')' Token.RPAREN);
-      (fun () -> try1 '{' Token.LBRACE);
-      (fun () -> try1 '}' Token.RBRACE);
-      (fun () -> try1 '[' Token.LBRACKET);
-      (fun () -> try1 ']' Token.RBRACKET);
-      (fun () -> try1 ';' Token.SEMI);
-      (fun () -> try1 ',' Token.COMMA);
-      (fun () -> try1 ':' Token.COLON);
-      (fun () -> try1 '?' Token.QUESTION);
-      (fun () -> try1 '.' Token.DOT);
-    ]
-  in
-  match List.find_map (fun f -> f ()) candidates with
-  | Some tok -> tok
-  | None ->
-    (match peek st with
-    | Some c -> lex_error pos "unexpected character %C" c
-    | None -> lex_error pos "unexpected end of input")
+let scan_operator st pos =
+  let p = st.pos in
+  match (at st p, at st (p + 1), at st (p + 2)) with
+  | '>', '>', '>' -> take st 3 Token.USHR
+  | '=', '=', '=' -> take st 3 Token.EQEQEQ
+  | '!', '=', '=' -> take st 3 Token.BANGEQEQ
+  | '<', '<', '=' -> take st 3 Token.SHL_ASSIGN
+  | '>', '>', '=' -> take st 3 Token.SHR_ASSIGN
+  | '=', '=', _ -> take st 2 Token.EQEQ
+  | '!', '=', _ -> take st 2 Token.BANGEQ
+  | '<', '=', _ -> take st 2 Token.LE
+  | '>', '=', _ -> take st 2 Token.GE
+  | '<', '<', _ -> take st 2 Token.SHL
+  | '>', '>', _ -> take st 2 Token.SHR
+  | '&', '&', _ -> take st 2 Token.AMPAMP
+  | '|', '|', _ -> take st 2 Token.PIPEPIPE
+  | '+', '+', _ -> take st 2 Token.PLUSPLUS
+  | '-', '-', _ -> take st 2 Token.MINUSMINUS
+  | '+', '=', _ -> take st 2 Token.PLUS_ASSIGN
+  | '-', '=', _ -> take st 2 Token.MINUS_ASSIGN
+  | '*', '=', _ -> take st 2 Token.STAR_ASSIGN
+  | '/', '=', _ -> take st 2 Token.SLASH_ASSIGN
+  | '%', '=', _ -> take st 2 Token.PERCENT_ASSIGN
+  | '&', '=', _ -> take st 2 Token.AMP_ASSIGN
+  | '|', '=', _ -> take st 2 Token.PIPE_ASSIGN
+  | '^', '=', _ -> take st 2 Token.CARET_ASSIGN
+  | '+', _, _ -> take st 1 Token.PLUS
+  | '-', _, _ -> take st 1 Token.MINUS
+  | '*', _, _ -> take st 1 Token.STAR
+  | '/', _, _ -> take st 1 Token.SLASH
+  | '%', _, _ -> take st 1 Token.PERCENT
+  | '<', _, _ -> take st 1 Token.LT
+  | '>', _, _ -> take st 1 Token.GT
+  | '=', _, _ -> take st 1 Token.ASSIGN
+  | '&', _, _ -> take st 1 Token.AMP
+  | '|', _, _ -> take st 1 Token.PIPE
+  | '^', _, _ -> take st 1 Token.CARET
+  | '~', _, _ -> take st 1 Token.TILDE
+  | '!', _, _ -> take st 1 Token.BANG
+  | '(', _, _ -> take st 1 Token.LPAREN
+  | ')', _, _ -> take st 1 Token.RPAREN
+  | '{', _, _ -> take st 1 Token.LBRACE
+  | '}', _, _ -> take st 1 Token.RBRACE
+  | '[', _, _ -> take st 1 Token.LBRACKET
+  | ']', _, _ -> take st 1 Token.RBRACKET
+  | ';', _, _ -> take st 1 Token.SEMI
+  | ',', _, _ -> take st 1 Token.COMMA
+  | ':', _, _ -> take st 1 Token.COLON
+  | '?', _, _ -> take st 1 Token.QUESTION
+  | '.', _, _ -> take st 1 Token.DOT
+  | c, _, _ ->
+    if has st p then lex_error pos "unexpected character %C" c
+    else lex_error pos "unexpected end of input"
 
 let tokenize source =
-  let st = { source; pos = 0; line = 1; column = 1 } in
-  let rec loop acc =
+  let st = { source; len = String.length source; pos = 0; line = 1; column = 1 } in
+  let[@tail_mod_cons] rec loop () =
     skip_trivia st;
     let pos = position st in
-    match peek st with
-    | None -> List.rev ({ Token.token = Token.EOF; pos } :: acc)
-    | Some c ->
+    if not (has st st.pos) then [ { Token.token = Token.EOF; pos } ]
+    else
+      let c = at st st.pos in
       let token =
-        if is_digit c then scan_number st
-        else if c = '.' && (match peek2 st with Some d when is_digit d -> true | _ -> false)
-        then scan_number st
-        else if c = '"' || c = '\'' then scan_string st c
+        if is_digit c || (c = '.' && is_digit (at st (st.pos + 1))) then scan_number st pos
+        else if c = '"' || c = '\'' then scan_string st pos c
         else if is_ident_start c then scan_ident st
-        else scan_operator st
+        else scan_operator st pos
       in
-      loop ({ Token.token; pos } :: acc)
+      { Token.token; pos } :: loop ()
   in
-  loop []
+  loop ()

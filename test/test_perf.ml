@@ -17,6 +17,7 @@ module Jitbull = Jitbull_core.Jitbull
 module V = Jitbull_vdc.Demonstrators
 module Generator = Jitbull_fuzz.Generator
 module Sexpr = Jitbull_util.Sexpr
+module Parser = Jitbull_frontend.Parser
 
 (* ---- interner ---- *)
 
@@ -190,6 +191,32 @@ let test_query_allocation () =
   List.iter (fun dna -> ignore (Db.matching_detailed db dna)) queries;
   let per_query = (Gc.minor_words () -. before) /. float_of_int (List.length queries) in
   check_bool "minor words per query within the bound" true (per_query <= query_words_bound)
+
+(* [Parser.parse] of the benign programs of seeds 900-903 (8 functions, 40
+   rounds, depth 2): the lexer allocates nothing per byte read or per
+   operator. When it built a list of 47 closures per operator and boxed a
+   [char option] per byte read, parsing took 126 minor words per source
+   byte; the one-pass lexer takes 7.5. Minor words repeat exactly, so the
+   bound carries no timing noise. *)
+let parse_words_per_byte_bound = 20.
+
+let test_parse_allocation () =
+  let sources =
+    List.map
+      (fun seed ->
+        Generator.benign_params
+          { Generator.p_seed = seed; p_funcs = 8; p_rounds = 40; p_depth = 2 })
+      [ 900; 901; 902; 903 ]
+  in
+  List.iter (fun src -> ignore (Parser.parse src)) sources;
+  let bytes = List.fold_left (fun n src -> n + String.length src) 0 sources in
+  let before = Gc.minor_words () in
+  List.iter (fun src -> ignore (Parser.parse src)) sources;
+  let per_byte = (Gc.minor_words () -. before) /. float_of_int bytes in
+  check_bool
+    (Printf.sprintf "%.1f minor words per source byte within the bound" per_byte)
+    true
+    (per_byte <= parse_words_per_byte_bound)
 
 (* ---- Db bookkeeping ---- *)
 
@@ -825,6 +852,7 @@ let suite =
       Alcotest.test_case "indexed == naive on real DNAs" `Quick
         test_indexed_equals_naive_real_dnas;
       Alcotest.test_case "query allocation" `Quick test_query_allocation;
+      Alcotest.test_case "parse allocation" `Quick test_parse_allocation;
       Alcotest.test_case "posting-aware extraction == full" `Quick
         test_posting_aware_equals_full;
       Alcotest.test_case "posted-set generation race" `Quick test_posted_generation_race;
