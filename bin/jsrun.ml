@@ -310,6 +310,7 @@ let run file no_jit use_interp vuln_names db_path verdict_server push_interval
     Printf.eprintf "CRASH: %s\n" msg;
     `Error (false, "script crashed the simulated runtime")
   | Errors.Type_error msg -> `Error (false, "type error: " ^ msg)
+  | Errors.Heap_exhausted -> `Error (false, "heap exhausted")
   | Sys_error msg | Fun.Finally_raised (Sys_error msg) -> `Error (false, msg)
   | Jitbull_frontend.Parser.Parse_error (msg, pos) ->
     `Error (false, Printf.sprintf "parse error at %d:%d: %s" pos.Jitbull_frontend.Token.line

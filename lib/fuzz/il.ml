@@ -176,12 +176,14 @@ let check_func_body ~where ~in_main ~globals ~callable ~funcs ~arity body ret =
       let e = lookup env d in
       if e.e_ty <> Num then err "%s: copy target v%d is not num" where d;
       if e.counter then err "%s: copy writes loop counter v%d" where d;
+      if e.tainted then err "%s: copy writes length-tainted v%d" where d;
       want env s Num;
       env
     | Update (d, _, s) ->
       let e = lookup env d in
       if e.e_ty <> Num then err "%s: update target v%d is not num" where d;
       if e.counter then err "%s: update writes loop counter v%d" where d;
+      if e.tainted then err "%s: update writes length-tainted v%d" where d;
       want env s Num;
       env
     | Array_of (d, elems) ->
@@ -289,6 +291,7 @@ let check_func_body ~where ~in_main ~globals ~callable ~funcs ~arity body ret =
     if e.e_ty <> Num then err "%s: return variable v%d is not num" where v
 
 let max_work = 500_000
+let max_cells = 1 lsl 17
 let loop_n_work_bound = 96
 
 (* Worst-case dynamic instruction count: structural loops multiply by
@@ -296,8 +299,8 @@ let loop_n_work_bound = 96
    [max_elems] and only grow one element per OOB append, so observed
    lengths stay far below it), calls by the callee's precomputed work.
    Keeping this under [max_work] both guarantees campaign throughput and
-   keeps typed mutants away from the model heap and oracle step limits,
-   so resource exhaustion cannot masquerade as low mutation yield. *)
+   keeps typed mutants under the oracle's step limit, so a slow mutant
+   cannot masquerade as low mutation yield. *)
 let prog_work p =
   let func_work = Array.make (List.length p.funcs) 0 in
   let rec body_work body = List.fold_left (fun acc i -> acc + instr_work i) 0 body
@@ -310,6 +313,110 @@ let prog_work p =
   in
   List.iteri (fun i (f : func) -> func_work.(i) <- body_work f.body) p.funcs;
   body_work p.main
+
+(* Heap cells allocated. The model heap has no collector, and a freed
+   region is reused only by an allocation that fits in it, so the sum of
+   all allocations bounds the bump pointer. An array literal takes two
+   header cells and its elements. A [Set_len] regrows to at most twice
+   [max_set_len]; no length bound starts below [max_set_len], so a
+   [Set_len] never raises one. A store one past the end appends, and an
+   append at length [n] can regrow the array to [2n]: the checked store
+   trims the capacity back to the length, so every other append regrows
+   and appending [n] elements costs about [n{^2}/2] cells.
+
+   A store's cost thus depends on how long its array can be, so the
+   estimate walks each body carrying an upper bound on every array's
+   length and on every length-tainted variable. No instruction rewrites
+   a tainted variable, so a [Loop_n] runs at most as often as the length
+   its bound was read from. A loop's bounds are the fixpoint of "entry
+   bounds plus the iteration count times one iteration's growth". Its
+   cells are the iteration count times the mean of one iteration's cells
+   at the entry bounds and at the fixpoint: an iteration's cells are a
+   convex function of how many iterations ran before it. A loop whose
+   growth feeds itself (a [.length] read bounding an inner loop that
+   appends to the same array) has no fixpoint and saturates.
+
+   Local arrays never leave their function, so each function is
+   summarized once: its cells and its appends to each global slot per
+   call. Global lengths are bounded program-wide by [max_elems] plus
+   every append to the slot, iterated to a fixpoint, since main's
+   [Loop_n] may be bounded by a global's length. Each slot's initial
+   [[0]] takes three cells. *)
+module Imap = Map.Make (Int)
+
+let saturated = 1 lsl 40
+let sat_add a b = min saturated (a + b)
+let sat_mul a b =
+  if a = 0 || b = 0 then 0 else if a > saturated / b then saturated else a * b
+
+let prog_cells p =
+  let slots = max 1 p.globals in
+  let cells_of glen =
+    let funcs = Array.make (List.length p.funcs) (0, Array.make slots 0) in
+    (* [walk b body] is the cells and global appends of one run of [body]
+       from the bounds [b], and the bounds after it *)
+    let rec walk b body =
+      List.fold_left
+        (fun (c, g, b) i ->
+          let c', g', b = instr b i in
+          (sat_add c c', Array.map2 sat_add g g', b))
+        (0, Array.make slots 0, b)
+        body
+    and instr b i =
+      let none = Array.make slots 0 in
+      let get v = Option.value ~default:0 (Imap.find_opt v b) in
+      let append k = Array.init slots (fun j -> if j = k then 1 else 0) in
+      match i with
+      | Array_of (d, elems) ->
+        let n = List.length elems in
+        (2 + max 1 n, none, Imap.add d (max max_set_len n) b)
+      | Gnew (_, elems) -> (2 + max 1 (List.length elems), none, b)
+      | Set_len _ | Gset_len _ -> (2 + (2 * max_set_len), none, b)
+      | Set_elem (a, _, _) -> (2 + (2 * get a), none, Imap.add a (sat_add (get a) 1) b)
+      | Gset_elem (k, _, _) -> (2 + (2 * glen.(k)), append k, b)
+      | Get_len (d, a) -> (0, none, Imap.add d (get a) b)
+      | Gget_len (d, k) -> (0, none, Imap.add d glen.(k) b)
+      | Call (_, k, _) ->
+        let c, g = funcs.(k) in
+        (c, g, b)
+      | If (_, t, e) ->
+        let ct, gt, bt = walk b t and ce, ge, be = walk b e in
+        (max ct ce, Array.map2 max gt ge, Imap.union (fun _ x y -> Some (max x y)) bt be)
+      | Loop (_, k, body) -> loop b k body
+      | Loop_n (_, n, body) -> loop b (get n) body
+      | Const _ | Str_const _ | Bool_const _ | Binop _ | Cmp _ | Not _ | Copy _ | Update _
+      | Get_elem _ | Gget_elem _ | Print _ | Print_tag _ ->
+        (0, none, b)
+    and loop b0 m body =
+      let rec fix tries c0 b =
+        let c, g, b1 = walk b body in
+        let c0 = Option.value c0 ~default:c in
+        (* a walk only adds bounds, so [b1] has every key of [b] *)
+        let grown v = Imap.find v b1 - Imap.find v b in
+        let next = Imap.mapi (fun v x -> sat_add x (sat_mul m (grown v))) b0 in
+        if Imap.equal ( = ) next b then
+          ((sat_mul m (sat_add c0 c) + 1) / 2, Array.map (sat_mul m) g, b)
+        else if tries = 0 then (saturated, Array.make slots saturated, next)
+        else fix (tries - 1) (Some c0) next
+      in
+      fix 8 None b0
+    in
+    List.iteri
+      (fun i (f : func) ->
+        let c, g, _ = walk Imap.empty f.body in
+        funcs.(i) <- (c, g))
+      p.funcs;
+    let c, g, _ = walk Imap.empty p.main in
+    (c, g)
+  in
+  let rec global_fix tries glen =
+    let c, g = cells_of glen in
+    let glen' = Array.map (fun a -> sat_add max_elems a) g in
+    if glen' = glen then sat_add (3 * p.globals) c
+    else if tries = 0 then saturated
+    else global_fix (tries - 1) glen'
+  in
+  global_fix 8 (Array.make slots max_elems)
 
 let typecheck p =
   try
@@ -328,6 +435,8 @@ let typecheck p =
       ~callable:(List.length p.funcs) ~funcs:p.funcs ~arity:0 p.main None;
     let work = prog_work p in
     if work > max_work then err "prog: work estimate %d exceeds budget" work;
+    let cells = prog_cells p in
+    if cells > max_cells then err "prog: heap estimate %d cells exceeds budget" cells;
     Ok ()
   with Type_error msg -> Error msg
 

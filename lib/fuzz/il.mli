@@ -13,9 +13,10 @@
     - lower to parseable mini-JS ({!to_source}),
     - compile to bytecode that passes the verifier
       ({!Jitbull_bytecode.Verify}), and
-    - terminate (loop bounds are structural constants or array lengths,
-      and calls can only reach strictly lower-indexed functions, so there
-      is no recursion).
+    - terminate (loop bounds are structural constants or array lengths
+      read into a variable nothing may rewrite, and calls can only reach
+      strictly lower-indexed functions, so there is no recursion) within
+      the model heap.
 
     The campaign measures that promise as the {e mutation yield}: the
     fraction of executed mutants that run to completion without a
@@ -110,16 +111,28 @@ val max_work : int
 (** 500_000 — budget for the worst-case dynamic instruction estimate
     (structural loops multiply by their bound, [Loop_n] by a fixed
     length bound, calls by the callee's estimate). {!typecheck} rejects
-    programs over budget so typed mutants can never exhaust the model
-    heap or the oracle's step limit. *)
+    programs over budget so typed mutants stay under the oracle's step
+    limit. *)
+
+val max_cells : int
+(** 131_072 ([2{^17}], half the 2{^18}-cell model heap) — budget for the
+    worst-case estimate of the heap cells a program allocates: every
+    array literal, every [Set_len] regrowth and every append (whose
+    regrowth grows with the length its array can reach), multiplied
+    through loops and calls, with [Loop_n] bounded by the length its
+    bound was read from. {!typecheck} rejects programs over budget so
+    typed mutants never exhaust the model heap. *)
 
 (** {2 Static semantics} *)
 
 (** [typecheck p] — [Ok ()] iff every variable use is in scope with the
     right type, defining ids are fresh, loop bounds/slots/calls are in
-    range, loop counters are never written, [Loop_n] bounds are
-    length-tainted, nesting and size stay under the caps, and [ret]
-    variables are in-scope [Num]s.
+    range, loop counters and length-tainted variables are never written
+    (so a [Loop_n] runs at most as often as the length its bound was
+    read from), [Loop_n] bounds are length-tainted, nesting and size
+    stay under the caps, the work and heap estimates stay under
+    {!max_work} and {!max_cells}, and [ret] variables are in-scope
+    [Num]s.
 
     Two rules exist because a JIT bailout replays the whole function
     from its entry in the VM tier ({!Jitbull_jit.Engine}): [Print]/

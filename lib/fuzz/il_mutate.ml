@@ -144,7 +144,7 @@ let merge_req a b =
 let satisfies (e : entry) req =
   (match req.r_ty with None -> true | Some t -> e.e_ty = t)
   && ((not req.r_tainted) || e.tainted)
-  && ((not req.r_writable) || ((not e.counter) && e.e_ty = Num))
+  && ((not req.r_writable) || ((not e.counter) && (not e.tainted) && e.e_ty = Num))
 
 (* All variable uses of an instruction with their requirements, nested
    bodies included. *)

@@ -5,8 +5,21 @@ type free_region = {
   size : int;
 }
 
+(* Cells live in pages of [page_size]; cell [a] is
+   [pages.(a lsr page_bits).(a land page_mask)]. Every page not yet written
+   is [empty], one shared page of [Undefined] that is never written, so a
+   realm pays only for the pages its arrays and forged writes touch. A
+   [size_limit] that is not a multiple of [page_size] ends in a shorter
+   page, allocated at creation, so any address at or past [size] fails
+   the same array bounds check the flat array did. *)
+let page_bits = 10
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+let empty : Value.t array = Array.make page_size Value.Undefined
+
 type t = {
-  cells : Value.t array;
+  pages : Value.t array array;
+  size_limit : int;                  (* logical cell count *)
   mutable brk : int;                 (* bump pointer *)
   mutable free : free_region list;   (* reclaimed regions, first-fit *)
   mutable table : int array;         (* handle -> base address *)
@@ -14,17 +27,47 @@ type t = {
   mutable sentinel_addr : int;       (* -1 when not allocated *)
 }
 
-let size t = Array.length t.cells
+let size t = t.size_limit
 
 let create ?(size_limit = 1 lsl 18) () =
+  let full = size_limit lsr page_bits and tail = size_limit land page_mask in
+  let pages = Array.make (full + if tail > 0 then 1 else 0) empty in
+  if tail > 0 then pages.(full) <- Array.make tail Value.Undefined;
   {
-    cells = Array.make size_limit Value.Undefined;
+    pages;
+    size_limit;
     brk = 0;
     free = [];
     table = Array.make 64 (-1);
     next_handle = 0;
     sentinel_addr = -1;
   }
+
+(* An address outside [0, size) fails an array bounds check here, as it
+   did on the flat array: a negative one indexes past the page table. *)
+let cell t a = t.pages.(a lsr page_bits).(a land page_mask)
+
+(* Writing [Undefined] over a never-written page changes nothing. *)
+let materialize t a v =
+  match v with
+  | Value.Undefined -> ()
+  | _ ->
+    let page = Array.make page_size Value.Undefined in
+    t.pages.(a lsr page_bits) <- page;
+    page.(a land page_mask) <- v
+
+let set_cell t a v =
+  let page = t.pages.(a lsr page_bits) in
+  if page != empty then page.(a land page_mask) <- v else materialize t a v
+
+(* The element accessors have already bounded [a] to [0, size), so they
+   index without the array bounds checks. *)
+let cell_in t a =
+  Array.unsafe_get (Array.unsafe_get t.pages (a lsr page_bits)) (a land page_mask)
+
+let set_cell_in t a v =
+  let page = Array.unsafe_get t.pages (a lsr page_bits) in
+  if page != empty then Array.unsafe_set page (a land page_mask) v else materialize t a v
 
 (* First-fit allocation from the free list, falling back to bumping. The
    sentinel occupies the top two cells, which the bump pointer may not
@@ -52,10 +95,25 @@ let alloc_cells t n =
 let free_cells t addr n =
   if n > 0 then begin
     for i = addr to addr + n - 1 do
-      t.cells.(i) <- Value.Undefined
+      set_cell t i Value.Undefined
     done;
     t.free <- { addr; size = n } :: t.free
   end
+
+(* [Array.blit] over the cells: the same bounds test and message, then a
+   copy in whichever direction survives an overlap (a corrupted length
+   header can make the source run into the destination). *)
+let blit t src dst n =
+  if n < 0 || src < 0 || src > size t - n || dst < 0 || dst > size t - n then
+    invalid_arg "Array.blit";
+  if src < dst then
+    for i = n - 1 downto 0 do
+      set_cell t (dst + i) (cell t (src + i))
+    done
+  else
+    for i = 0 to n - 1 do
+      set_cell t (dst + i) (cell t (src + i))
+    done
 
 let fresh_handle t =
   let h = t.next_handle in
@@ -68,14 +126,14 @@ let fresh_handle t =
   h
 
 let write_header t base ~length ~capacity =
-  t.cells.(base) <- Value.Number (float_of_int length);
-  t.cells.(base + 1) <- Value.Number (float_of_int capacity)
+  set_cell t base (Value.Number (float_of_int length));
+  set_cell t (base + 1) (Value.Number (float_of_int capacity))
 
 let alloc_region t ~length ~capacity =
   let base = alloc_cells t (2 + capacity) in
   write_header t base ~length ~capacity;
   for i = 0 to length - 1 do
-    t.cells.(base + 2 + i) <- Value.Undefined
+    set_cell t (base + 2 + i) Value.Undefined
   done;
   base
 
@@ -93,15 +151,15 @@ let base_addr t h = t.table.(h)
    is forward from the array's base) can always reach it. *)
 let alloc_sentinel t =
   let base = size t - 2 in
-  t.cells.(base) <- Value.Number sentinel_magic;
-  t.cells.(base + 1) <- Value.Number sentinel_magic;
+  set_cell t base (Value.Number sentinel_magic);
+  set_cell t (base + 1) (Value.Number sentinel_magic);
   t.sentinel_addr <- base;
   base
 
 let sentinel_intact t =
   t.sentinel_addr < 0
   ||
-  match t.cells.(t.sentinel_addr) with
+  match cell t t.sentinel_addr with
   | Value.Number f -> f = sentinel_magic
   | _ -> false
 
@@ -115,7 +173,7 @@ let check_sentinel t =
    length cell with an arbitrary value; a real engine reads whatever bytes
    are there. *)
 let header_int t addr =
-  match t.cells.(addr) with
+  match cell t addr with
   | Value.Number f when Float.is_nan f -> 0
   | Value.Number f -> int_of_float f
   | _ -> 0
@@ -136,21 +194,21 @@ let set_length t h n =
   let old_len = header_int t base in
   if n <= cap then begin
     for i = old_len to n - 1 do
-      t.cells.(base + 2 + i) <- Value.Undefined
+      set_cell t (base + 2 + i) Value.Undefined
     done;
     let new_cap = max n 1 in
     if new_cap < cap then begin
       write_header t base ~length:n ~capacity:new_cap;
       free_cells t (base + 2 + new_cap) (cap - new_cap)
     end
-    else t.cells.(base) <- Value.Number (float_of_int n)
+    else set_cell t base (Value.Number (float_of_int n))
   end
   else begin
     let new_cap = max n (2 * cap) in
     let new_base = alloc_region t ~length:n ~capacity:new_cap in
-    Array.blit t.cells (base + 2) t.cells (new_base + 2) (min old_len n);
+    blit t (base + 2) (new_base + 2) (min old_len n);
     for i = old_len to n - 1 do
-      t.cells.(new_base + 2 + i) <- Value.Undefined
+      set_cell t (new_base + 2 + i) Value.Undefined
     done;
     t.table.(h) <- new_base;
     free_cells t base (2 + cap)
@@ -163,19 +221,19 @@ let get t h i =
   let base = t.table.(h) in
   let len = header_int t base in
   let addr = base + 2 + i in
-  if i >= 0 && i < len && addr < size t then t.cells.(addr) else Value.Undefined
+  if i >= 0 && i < len && addr < size t then cell_in t addr else Value.Undefined
 
 let set t h i v =
   let base = t.table.(h) in
   let len = header_int t base in
   let addr = base + 2 + i in
   if i >= 0 && i < len then begin
-    if addr < size t then t.cells.(addr) <- v
+    if addr < size t then set_cell_in t addr v
   end
   else if i = len then begin
     set_length t h (len + 1);
     let base = t.table.(h) in
-    t.cells.(base + 2 + i) <- v
+    set_cell t (base + 2 + i) v
   end
   (* sparse writes further out are ignored: the subset only supports dense
      arrays *)
@@ -185,27 +243,27 @@ let get_unchecked t h i =
   let addr = base + 2 + i in
   if addr < 0 || addr >= size t then
     Errors.crash "OOB read at heap address %d (heap size %d)" addr (size t)
-  else t.cells.(addr)
+  else cell_in t addr
 
 let set_unchecked t h i v =
   let base = t.table.(h) in
   let addr = base + 2 + i in
   if addr < 0 || addr >= size t then
     Errors.crash "OOB write at heap address %d (heap size %d)" addr (size t)
-  else t.cells.(addr) <- v
+  else set_cell_in t addr v
 
 let push t h v =
   let base = t.table.(h) in
   let len = header_int t base in
   let cap = header_int t (base + 1) in
   if len < cap then begin
-    t.cells.(base + 2 + len) <- v;
-    t.cells.(base) <- Value.Number (float_of_int (len + 1))
+    set_cell t (base + 2 + len) v;
+    set_cell t base (Value.Number (float_of_int (len + 1)))
   end
   else begin
     set_length t h (len + 1);
     let base = t.table.(h) in
-    t.cells.(base + 2 + len) <- v
+    set_cell t (base + 2 + len) v
   end
 
 (* pop does not reclaim storage (JS engines shrink lazily if at all). *)
@@ -214,8 +272,8 @@ let pop t h =
   let len = header_int t base in
   if len <= 0 then Value.Undefined
   else begin
-    let v = t.cells.(base + 2 + (len - 1)) in
-    t.cells.(base) <- Value.Number (float_of_int (len - 1));
+    let v = cell t (base + 2 + (len - 1)) in
+    set_cell t base (Value.Number (float_of_int (len - 1)));
     v
   end
 

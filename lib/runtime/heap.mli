@@ -1,4 +1,4 @@
-(** Flat simulated heap for JS arrays.
+(** Simulated heap for JS arrays: one flat address space of cells.
 
     Array {e storage} is laid out contiguously, SpiderMonkey-style, as
     [| length; capacity; elem0; elem1; ... |] where the header cells hold
@@ -40,13 +40,21 @@ type t
     scanning memory with a forged read primitive). *)
 val sentinel_magic : float
 
-(** [create ?size_limit ()] builds a heap of exactly [size_limit] cells
-    (default [1 lsl 18]; the array is GC-scanned, so outsized heaps cost
-    real time per realm). Exhausting it raises
-    {!Errors.Heap_exhausted}. *)
+(** [create ?size_limit ()] builds a heap of [size_limit] cells (default
+    [1 lsl 18]), all reading [Undefined]. Exhausting it raises
+    {!Errors.Heap_exhausted}.
+
+    Storage is paged: cells live in fixed-size pages, and every page not
+    yet written is one shared page of [Undefined], so a realm allocates
+    only the pages its arrays and forged writes touch, plus a page table
+    of [size_limit / page size] slots. Everything observable stays
+    logical: [size], the bump limit, the sentinel address, the
+    {!Errors.Crash} bound of the unchecked accessors, and the
+    [Invalid_argument] an address outside [[0, size_limit)] raises
+    wherever a corrupted header leads an access there. *)
 val create : ?size_limit:int -> unit -> t
 
-(** [size t] is the physical cell count. *)
+(** [size t] is the logical cell count, [size_limit]. *)
 val size : t -> int
 
 (** [alloc_array t ~length] allocates an array of [length] cells

@@ -139,6 +139,14 @@ let test_typecheck_rejects () =
             [ { arity = 0; body = [ Loop (0, 2, [ Const (1, 1.) ]) ]; ret = Some 1 } ];
           main = [];
         } );
+      ( "loop_n bound rewritten",
+        main_prog
+          [
+            Array_of (0, []);
+            Get_len (1, 0);
+            Const (2, 0.);
+            Loop_n (3, 1, [ Update (1, Div, 2) ]);
+          ] );
       ( "nesting too deep",
         main_prog
           [
@@ -152,6 +160,49 @@ let test_typecheck_rejects () =
       | Ok () -> Alcotest.failf "%s: expected a type error" name
       | Error _ -> ())
     cases
+
+(* The heap estimate: array literals multiplied through nested loops,
+   and appends whose cost grows with the length they reach (every other
+   append regrows the array to twice its length), each rejected at a
+   size whose smaller sibling is accepted. Both are well inside the work
+   budget. *)
+let test_heap_estimate () =
+  let open Il in
+  let literals k =
+    {
+      globals = 0;
+      funcs = [];
+      main =
+        [ Const (0, 1.); Loop (1, 64, [ Loop (2, 64, [ Loop (3, k, [ Array_of (4, List.init 16 (fun _ -> 0)) ]) ]) ]) ];
+    }
+  in
+  let appends k =
+    {
+      globals = 0;
+      funcs = [];
+      main =
+        [
+          Const (0, 1.);
+          Array_of (1, [ 0 ]);
+          Loop (2, k, [ Loop (3, k, [ Get_len (4, 1); Set_elem (1, 4, 0) ]) ]);
+        ];
+    }
+  in
+  let heap_rejected name p =
+    match typecheck p with
+    | Error msg when String.starts_with ~prefix:"prog: heap estimate" msg -> ()
+    | Error msg -> Alcotest.failf "%s: rejected for another reason: %s" name msg
+    | Ok () -> Alcotest.failf "%s: expected the heap estimate to reject it" name
+  in
+  let accepted name p =
+    match typecheck p with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "%s: rejected: %s" name msg
+  in
+  accepted "64*64*1 literals" (literals 1);
+  heap_rejected "64*64*8 literals" (literals 8);
+  accepted "16*16 appends" (appends 16);
+  heap_rejected "64*64 appends" (appends 64)
 
 let test_lowering_runs () =
   (* Lowered seeds must run identically under interpreter and VM (the
@@ -248,6 +299,14 @@ let qcheck_mutants_valid =
 let test_mutant_negative_store_index () =
   check_bool "seed=30053 steps=8 agrees" true (mutant_valid (30053, 8))
 
+(* A mutant whose [Update] divided a [Loop_n] bound by a zero loop
+   counter inside the loop: the bound became Infinity, the loop appended
+   forever and every tier ended in [Heap_exhausted]. A length-tainted
+   variable is now never written, and the heap estimate bounds the
+   cells a mutant allocates. *)
+let test_mutant_unbounded_loop_n () =
+  check_bool "seed=83607 steps=7 agrees" true (mutant_valid (83607, 7))
+
 (* Stores at every index [Value_ops.to_index] rejects — negative,
    fractional, NaN, undefined (an OOB read), 2^31 — are absorbed, in
    local and global arrays alike; the in-bounds and append stores beside
@@ -295,10 +354,12 @@ let suite =
       Alcotest.test_case "serialize round trip" `Quick test_serialize_round_trip;
       Alcotest.test_case "parse rejects garbage" `Quick test_parse_rejects_garbage;
       Alcotest.test_case "typecheck rejects" `Quick test_typecheck_rejects;
+      Alcotest.test_case "heap estimate" `Quick test_heap_estimate;
       Alcotest.test_case "lowering runs" `Quick test_lowering_runs;
       Alcotest.test_case "mutants typecheck" `Quick test_mutants_typecheck;
       Alcotest.test_case "mutate deterministic" `Quick test_mutate_deterministic;
       Alcotest.test_case "mutant negative store index" `Quick test_mutant_negative_store_index;
+      Alcotest.test_case "mutant unbounded loop_n" `Quick test_mutant_unbounded_loop_n;
       Alcotest.test_case "store invalid index absorbed" `Quick test_store_invalid_index_absorbed;
       qtest qcheck_mutants_valid;
     ] )

@@ -218,6 +218,27 @@ let test_parse_allocation () =
     true
     (per_byte <= parse_words_per_byte_bound)
 
+(* [Realm.create ()] with the default 2^18-cell heap allocates what its
+   heap has written, not the heap's logical size: 407 words, among them
+   a page table of 256 slots and a 64-slot handle table. The flat heap
+   took 262,294, its [Array.make (1 lsl 18)] alone 262,145 major words.
+   [Gc.minor_words] counts the minor heap exactly, where [Gc.counters]
+   lags behind the allocations of the current minor cycle. *)
+let realm_words_bound = 4096.
+
+let test_realm_allocation () =
+  let words () =
+    let s = Gc.quick_stat () in
+    Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  ignore (Jitbull_runtime.Realm.create ());
+  let before = words () in
+  ignore (Sys.opaque_identity (Jitbull_runtime.Realm.create ()));
+  let used = words () -. before in
+  check_bool
+    (Printf.sprintf "%.0f words per realm within the bound" used)
+    true (used <= realm_words_bound)
+
 (* ---- Db bookkeeping ---- *)
 
 let test_db_generation_and_order () =
@@ -853,6 +874,7 @@ let suite =
         test_indexed_equals_naive_real_dnas;
       Alcotest.test_case "query allocation" `Quick test_query_allocation;
       Alcotest.test_case "parse allocation" `Quick test_parse_allocation;
+      Alcotest.test_case "realm allocation" `Quick test_realm_allocation;
       Alcotest.test_case "posting-aware extraction == full" `Quick
         test_posting_aware_equals_full;
       Alcotest.test_case "posted-set generation race" `Quick test_posted_generation_race;

@@ -191,6 +191,458 @@ let test_heap_corrupted_header_is_tolerated () =
   Heap.set_unchecked h a 2 (Value.String "junk");
   check_int "corrupted header reads as 0" 0 (Heap.length h b)
 
+(* ---- heap against the flat reference ---- *)
+
+(* The heap as one flat [Value.t array] of [size_limit] cells, allocated
+   whole at creation: the layout, reclaim and bounds behaviour every
+   exploit relies on, kept as the oracle for {!Heap}. *)
+module Reference = struct
+  type free_region = {
+    addr : int;
+    size : int;
+  }
+
+  type t = {
+    cells : Value.t array;
+    mutable brk : int;
+    mutable free : free_region list;
+    mutable table : int array;
+    mutable next_handle : int;
+    mutable sentinel_addr : int;
+  }
+
+  let size t = Array.length t.cells
+
+  let create ~size_limit =
+    {
+      cells = Array.make size_limit Value.Undefined;
+      brk = 0;
+      free = [];
+      table = Array.make 64 (-1);
+      next_handle = 0;
+      sentinel_addr = -1;
+    }
+
+  let alloc_cells t n =
+    let rec take acc = function
+      | [] -> None
+      | r :: rest when r.size >= n ->
+        let remainder =
+          if r.size > n then [ { addr = r.addr + n; size = r.size - n } ] else []
+        in
+        t.free <- List.rev_append acc (remainder @ rest);
+        Some r.addr
+      | r :: rest -> take (r :: acc) rest
+    in
+    match take [] t.free with
+    | Some addr -> addr
+    | None ->
+      let limit = if t.sentinel_addr >= 0 then t.sentinel_addr else size t in
+      if t.brk + n > limit then raise Errors.Heap_exhausted;
+      let base = t.brk in
+      t.brk <- t.brk + n;
+      base
+
+  let free_cells t addr n =
+    if n > 0 then begin
+      for i = addr to addr + n - 1 do
+        t.cells.(i) <- Value.Undefined
+      done;
+      t.free <- { addr; size = n } :: t.free
+    end
+
+  let fresh_handle t =
+    let h = t.next_handle in
+    t.next_handle <- h + 1;
+    if h >= Array.length t.table then begin
+      let table = Array.make (2 * Array.length t.table) (-1) in
+      Array.blit t.table 0 table 0 (Array.length t.table);
+      t.table <- table
+    end;
+    h
+
+  let write_header t base ~length ~capacity =
+    t.cells.(base) <- Value.Number (float_of_int length);
+    t.cells.(base + 1) <- Value.Number (float_of_int capacity)
+
+  let alloc_region t ~length ~capacity =
+    let base = alloc_cells t (2 + capacity) in
+    write_header t base ~length ~capacity;
+    for i = 0 to length - 1 do
+      t.cells.(base + 2 + i) <- Value.Undefined
+    done;
+    base
+
+  let alloc_array t ~length =
+    let capacity = max length 1 in
+    let base = alloc_region t ~length ~capacity in
+    let h = fresh_handle t in
+    t.table.(h) <- base;
+    h
+
+  let base_addr t h = t.table.(h)
+
+  let alloc_sentinel t =
+    let base = size t - 2 in
+    t.cells.(base) <- Value.Number Heap.sentinel_magic;
+    t.cells.(base + 1) <- Value.Number Heap.sentinel_magic;
+    t.sentinel_addr <- base;
+    base
+
+  let sentinel_intact t =
+    t.sentinel_addr < 0
+    ||
+    match t.cells.(t.sentinel_addr) with
+    | Value.Number f -> f = Heap.sentinel_magic
+    | _ -> false
+
+  let check_sentinel t =
+    if not (sentinel_intact t) then
+      raise
+        (Errors.Shellcode_executed
+           (Printf.sprintf "JIT code pointer at heap cell %d was overwritten" t.sentinel_addr))
+
+  let header_int t addr =
+    match t.cells.(addr) with
+    | Value.Number f when Float.is_nan f -> 0
+    | Value.Number f -> int_of_float f
+    | _ -> 0
+
+  let length t h = header_int t t.table.(h)
+
+  let capacity t h = header_int t (t.table.(h) + 1)
+
+  let set_length t h n =
+    let n = max n 0 in
+    let base = t.table.(h) in
+    let cap = header_int t (base + 1) in
+    let old_len = header_int t base in
+    if n <= cap then begin
+      for i = old_len to n - 1 do
+        t.cells.(base + 2 + i) <- Value.Undefined
+      done;
+      let new_cap = max n 1 in
+      if new_cap < cap then begin
+        write_header t base ~length:n ~capacity:new_cap;
+        free_cells t (base + 2 + new_cap) (cap - new_cap)
+      end
+      else t.cells.(base) <- Value.Number (float_of_int n)
+    end
+    else begin
+      let new_cap = max n (2 * cap) in
+      let new_base = alloc_region t ~length:n ~capacity:new_cap in
+      Array.blit t.cells (base + 2) t.cells (new_base + 2) (min old_len n);
+      for i = old_len to n - 1 do
+        t.cells.(new_base + 2 + i) <- Value.Undefined
+      done;
+      t.table.(h) <- new_base;
+      free_cells t base (2 + cap)
+    end
+
+  let get t h i =
+    let base = t.table.(h) in
+    let len = header_int t base in
+    let addr = base + 2 + i in
+    if i >= 0 && i < len && addr < size t then t.cells.(addr) else Value.Undefined
+
+  let set t h i v =
+    let base = t.table.(h) in
+    let len = header_int t base in
+    let addr = base + 2 + i in
+    if i >= 0 && i < len then begin
+      if addr < size t then t.cells.(addr) <- v
+    end
+    else if i = len then begin
+      set_length t h (len + 1);
+      let base = t.table.(h) in
+      t.cells.(base + 2 + i) <- v
+    end
+
+  let get_unchecked t h i =
+    let base = t.table.(h) in
+    let addr = base + 2 + i in
+    if addr < 0 || addr >= size t then
+      Errors.crash "OOB read at heap address %d (heap size %d)" addr (size t)
+    else t.cells.(addr)
+
+  let set_unchecked t h i v =
+    let base = t.table.(h) in
+    let addr = base + 2 + i in
+    if addr < 0 || addr >= size t then
+      Errors.crash "OOB write at heap address %d (heap size %d)" addr (size t)
+    else t.cells.(addr) <- v
+
+  let push t h v =
+    let base = t.table.(h) in
+    let len = header_int t base in
+    let cap = header_int t (base + 1) in
+    if len < cap then begin
+      t.cells.(base + 2 + len) <- v;
+      t.cells.(base) <- Value.Number (float_of_int (len + 1))
+    end
+    else begin
+      set_length t h (len + 1);
+      let base = t.table.(h) in
+      t.cells.(base + 2 + len) <- v
+    end
+
+  let pop t h =
+    let base = t.table.(h) in
+    let len = header_int t base in
+    if len <= 0 then Value.Undefined
+    else begin
+      let v = t.cells.(base + 2 + (len - 1)) in
+      t.cells.(base) <- Value.Number (float_of_int (len - 1));
+      v
+    end
+
+  let cells_used t = t.brk
+end
+
+(* One heap operation. Handle -1 is the newest array; any other is taken
+   modulo one more than the handles allocated so far, which may pick an
+   unallocated handle whose table slot reads -1. Index -2 and -1 are the
+   array's own length and capacity header cells. Element indices are relative to the array's base; [Forged]
+   indices are absolute heap addresses, resolved against the array's base
+   at run time, so forged primitives reach every page and both bounds. *)
+type index =
+  | Rel of int
+  | Forged of int
+
+type heap_op =
+  | Alloc of int
+  | Set_length of int * int
+  | Get of int * index
+  | Set of int * index * Value.t
+  | Get_unchecked of int * index
+  | Set_unchecked of int * index * Value.t
+  | Push of int * Value.t
+  | Pop of int
+  | Alloc_sentinel
+  | Check_sentinel
+  | Inspect of int
+
+let show_value = function
+  | Value.Number f -> Printf.sprintf "%h" f
+  | v -> Value.to_display v
+
+let show_index = function
+  | Rel i -> string_of_int i
+  | Forged a -> Printf.sprintf "@%d" a
+
+let show_op = function
+  | Alloc n -> Printf.sprintf "alloc %d" n
+  | Set_length (h, n) -> Printf.sprintf "set_length h%d %d" h n
+  | Get (h, i) -> Printf.sprintf "get h%d %s" h (show_index i)
+  | Set (h, i, v) -> Printf.sprintf "set h%d %s %s" h (show_index i) (show_value v)
+  | Get_unchecked (h, i) -> Printf.sprintf "get_unchecked h%d %s" h (show_index i)
+  | Set_unchecked (h, i, v) ->
+    Printf.sprintf "set_unchecked h%d %s %s" h (show_index i) (show_value v)
+  | Push (h, v) -> Printf.sprintf "push h%d %s" h (show_value v)
+  | Pop h -> Printf.sprintf "pop h%d" h
+  | Alloc_sentinel -> "alloc_sentinel"
+  | Check_sentinel -> "check_sentinel"
+  | Inspect h -> Printf.sprintf "inspect h%d" h
+
+let heap_op_gen ~size_limit =
+  let open QCheck.Gen in
+  let handle = frequency [ (1, return (-1)); (2, int_range 0 8) ] in
+  let value =
+    frequency
+      [
+        (4, map (fun i -> Value.Number (float_of_int i)) (int_range (-3) 40));
+        (1, map (fun k -> Value.Number (float_of_int (size_limit - k))) (int_range (-30) 30));
+        (1, return Value.Undefined);
+        (1, return (Value.String "junk"));
+        (1, return (Value.Number Float.nan));
+        (1, oneofl [ Value.Number 1e6; Value.Number (-1e6); Value.Number 4.5e15 ]);
+        (1, return (Value.Number Heap.sentinel_magic));
+      ]
+  in
+  let index =
+    frequency
+      [
+        (4, map (fun i -> Rel i) (int_range (-3) 40));
+        (2, oneofl [ Rel (-2); Rel (-1) ]);
+        (1, oneofl [ Rel (-1); Rel size_limit; Rel (size_limit + 7); Rel max_int; Rel min_int ]);
+        (3, map (fun a -> Forged a) (int_range (-3) (size_limit + 3)));
+        (1, map (fun k -> Forged (size_limit - k)) (int_range (-2) 4));
+      ]
+  in
+  let length =
+    frequency
+      [
+        (6, int_range 0 24);
+        (1, oneofl [ size_limit / 4; size_limit / 2; size_limit - 4; size_limit ]);
+        (1, int_range (-2) size_limit);
+      ]
+  in
+  frequency
+    [
+      (4, map (fun n -> Alloc n) length);
+      (3, map2 (fun h n -> Set_length (h, n)) handle (int_range (-3) 40));
+      (1, map2 (fun h n -> Set_length (h, n)) handle length);
+      (3, map2 (fun h i -> Get (h, i)) handle index);
+      (4, map3 (fun h i v -> Set (h, i, v)) handle index value);
+      (3, map2 (fun h i -> Get_unchecked (h, i)) handle index);
+      (4, map3 (fun h i v -> Set_unchecked (h, i, v)) handle index value);
+      (2, map2 (fun h v -> Push (h, v)) handle value);
+      (2, map (fun h -> Pop h) handle);
+      (1, return Alloc_sentinel);
+      (1, return Check_sentinel);
+      (2, map (fun h -> Inspect h) handle);
+    ]
+
+(* Run [ops] on a fresh heap of [size_limit] cells through [M] and
+   describe each outcome (value, or exception with its message) and the
+   heap's counters after it; after the last op, a sweep of every cell (a
+   strided sample past 4096 cells) read through a forged primitive. *)
+module Run (M : sig
+  type t
+
+  val create : size_limit:int -> t
+  val size : t -> int
+  val alloc_array : t -> length:int -> int
+  val base_addr : t -> int -> int
+  val alloc_sentinel : t -> int
+  val check_sentinel : t -> unit
+  val sentinel_intact : t -> bool
+  val length : t -> int -> int
+  val capacity : t -> int -> int
+  val set_length : t -> int -> int -> unit
+  val get : t -> int -> int -> Value.t
+  val set : t -> int -> int -> Value.t -> unit
+  val get_unchecked : t -> int -> int -> Value.t
+  val set_unchecked : t -> int -> int -> Value.t -> unit
+  val push : t -> int -> Value.t -> unit
+  val pop : t -> int -> Value.t
+  val cells_used : t -> int
+end) =
+struct
+  let run ~size_limit ops =
+    let t = M.create ~size_limit in
+    let handles = ref 0 in
+    let out = Buffer.create 1024 in
+    let handle k = if k < 0 then max 0 (!handles - 1) else k mod (!handles + 1) in
+    let index h = function
+      | Rel i -> i
+      | Forged a -> a - M.base_addr t h - 2
+    in
+    let outcome f =
+      match f () with
+      | s -> s
+      | exception e -> "raise " ^ Printexc.to_string e
+    in
+    let step op =
+      match op with
+      | Alloc n ->
+        let h = M.alloc_array t ~length:n in
+        incr handles;
+        Printf.sprintf "h%d" h
+      | Set_length (h, n) -> M.set_length t (handle h) n; "()"
+      | Get (h, i) ->
+        let h = handle h in
+        show_value (M.get t h (index h i))
+      | Set (h, i, v) ->
+        let h = handle h in
+        M.set t h (index h i) v; "()"
+      | Get_unchecked (h, i) ->
+        let h = handle h in
+        show_value (M.get_unchecked t h (index h i))
+      | Set_unchecked (h, i, v) ->
+        let h = handle h in
+        M.set_unchecked t h (index h i) v; "()"
+      | Push (h, v) -> M.push t (handle h) v; "()"
+      | Pop h -> show_value (M.pop t (handle h))
+      | Alloc_sentinel -> string_of_int (M.alloc_sentinel t)
+      | Check_sentinel -> M.check_sentinel t; "()"
+      | Inspect h ->
+        let h = handle h in
+        Printf.sprintf "base %d length %d capacity %d" (M.base_addr t h) (M.length t h)
+          (M.capacity t h)
+    in
+    List.iter
+      (fun op ->
+        let r = outcome (fun () -> step op) in
+        Printf.bprintf out "%s -> %s | used %d size %d intact %b\n" (show_op op) r
+          (M.cells_used t) (M.size t) (M.sentinel_intact t))
+      ops;
+    if !handles > 0 then begin
+      let stride = if size_limit <= 4096 then 1 else 1009 in
+      let sweep a =
+        Printf.bprintf out "@%d %s\n" a
+          (outcome (fun () -> show_value (M.get_unchecked t 0 (index 0 (Forged a)))))
+      in
+      let a = ref (-1) in
+      while !a <= size_limit do
+        sweep !a;
+        a := !a + stride
+      done;
+      for a = max 0 (size_limit - 2050) to size_limit do
+        sweep a
+      done
+    end;
+    Buffer.contents out
+end
+
+module Run_reference = Run (Reference)
+
+module Run_heap = Run (struct
+  include Heap
+
+  let create ~size_limit = Heap.create ~size_limit ()
+end)
+
+let check_same_as_reference ~size_limit ops =
+  check_string
+    (Printf.sprintf "size %d: %s" size_limit (String.concat "; " (List.map show_op ops)))
+    (Run_reference.run ~size_limit ops) (Run_heap.run ~size_limit ops)
+
+(* Corrupted headers drive the bulk moves out of bounds: the array
+   bounds check must fire at the first cell past a heap of 1000 cells,
+   not at the end of its last page, a corrupted length too large for its
+   region makes a grow copy overlap its destination, and an out-of-range
+   copy raises [Array.blit]'s own message. *)
+let test_heap_edges () =
+  let n k = Value.Number (float_of_int k) in
+  let corrupt ?(h = 0) ~length ~capacity () =
+    [ Set_unchecked (h, Rel (-2), n length); Set_unchecked (h, Rel (-1), n capacity) ]
+  in
+  check_same_as_reference ~size_limit:1000
+    ((Alloc 1 :: corrupt ~length:1 ~capacity:2000 ()) @ [ Set_length (0, 1010) ]);
+  check_same_as_reference ~size_limit:1000
+    ((Alloc 1 :: corrupt ~length:999 ~capacity:2000 ()) @ [ Push (0, n 7); Pop 0 ]);
+  check_same_as_reference ~size_limit:1000 [ Alloc 1; Get_unchecked (0, Forged 1001) ];
+  check_same_as_reference ~size_limit:4096
+    ((Alloc 4 :: List.init 16 (fun k -> Set_unchecked (0, Forged (6 + k), n (100 + k))))
+    @ [ Set_unchecked (0, Rel (-2), n 14); Set_length (0, 10) ]);
+  List.iter
+    (fun length ->
+      check_same_as_reference ~size_limit:64
+        ((Alloc 2 :: corrupt ~length ~capacity:2 ()) @ [ Set_length (0, 30) ]))
+    [ -5; 200 ];
+  (* the grow copy's source ends exactly at the top of the heap *)
+  check_same_as_reference ~size_limit:64
+    ([ Alloc 40; Alloc 1; Set_length (0, 0) ]
+    @ corrupt ~h:1 ~length:20 ~capacity:1 ()
+    @ [ Set_length (1, 20); Inspect 1 ]);
+  check_same_as_reference ~size_limit:2048
+    [ Set_unchecked (0, Forged 1500, n 1); Alloc 1; Set_unchecked (0, Forged 1500, n 1) ];
+  check_same_as_reference ~size_limit:1 [ Alloc_sentinel; Check_sentinel; Alloc 0 ]
+
+let qcheck_heap_equals_reference size_limit =
+  let gen = QCheck.Gen.list_size (QCheck.Gen.int_range 1 60) (heap_op_gen ~size_limit) in
+  let arb = QCheck.make ~print:(fun ops -> String.concat "\n" (List.map show_op ops)) gen in
+  QCheck.Test.make ~count:(qcheck_count 100)
+    ~name:(Printf.sprintf "heap equals flat reference (size %d)" size_limit)
+    arb
+    (fun ops ->
+      let expected = Run_reference.run ~size_limit ops in
+      let got = Run_heap.run ~size_limit ops in
+      expected = got
+      || QCheck.Test.fail_reportf "paged heap diverges from the flat reference:\n%s\nvs\n%s"
+           got expected)
+
 (* ---- builtins ---- *)
 
 let realm () = Realm.create ~size_limit:4096 ()
@@ -275,6 +727,12 @@ let suite =
       Alcotest.test_case "heap sentinel" `Quick test_heap_sentinel;
       Alcotest.test_case "heap exhaustion" `Quick test_heap_exhaustion;
       Alcotest.test_case "heap corrupted header" `Quick test_heap_corrupted_header_is_tolerated;
+    ]
+    @ Alcotest.test_case "heap edges equal flat reference" `Quick test_heap_edges
+      :: List.map
+        (fun size_limit -> qtest (qcheck_heap_equals_reference size_limit))
+        [ 64; 1000; 4096; 1 lsl 18 ]
+    @ [
       Alcotest.test_case "Math builtins" `Quick test_math_builtins;
       Alcotest.test_case "string methods" `Quick test_string_methods;
       Alcotest.test_case "array methods" `Quick test_array_methods;

@@ -125,6 +125,54 @@ let test_catalog_aggregates () =
   check_int "modeled CVEs" 8
     (List.length (List.filter (fun (e : C.entry) -> e.C.modeled <> None) C.all))
 
+(* The effect each exploit reports on the engine carrying only its CVE's
+   bug, original and four variants, as recorded on the flat heap. The
+   sentinel sits in the top two cells of the 2^18-cell heap, and a forged
+   write past the heap's logical size crashes: a heap that changes how it
+   stores its cells must leave every string alone. *)
+let pinned_effects =
+  let all5 effect =
+    List.map (fun k -> (k, effect)) [ "original"; "rename"; "minify"; "mix"; "split" ]
+  in
+  let shellcode = "shellcode: JIT code pointer at heap cell 262142 was overwritten" in
+  [
+    ("CVE-2019-17026", all5 shellcode);
+    ("CVE-2019-9810", all5 shellcode);
+    ("CVE-2019-9791", all5 "PWNED marker printed");
+    ("CVE-2019-11707", all5 shellcode);
+    ("CVE-2019-9792", all5 shellcode);
+    ("CVE-2019-9795", all5 shellcode);
+    ( "CVE-2019-9813",
+      [
+        ("original", "crash: OOB write at heap address 4000002 (heap size 262144)");
+        ("rename", "crash: OOB write at heap address 4000002 (heap size 262144)");
+        ("minify", "crash: OOB write at heap address 4000002 (heap size 262144)");
+        ("mix", "crash: OOB write at heap address 4000020 (heap size 262144)");
+        ("split", "crash: OOB write at heap address 4000002 (heap size 262144)");
+      ] );
+    ("CVE-2020-26952", all5 "PWNED marker printed");
+  ]
+
+let test_pinned_effects () =
+  List.iter
+    (fun (d : V.t) ->
+      let config = { Engine.default_config with Engine.vulns = VC.make [ d.V.cve ] } in
+      let sources =
+        ("original", d.V.source)
+        :: List.map (fun k -> (Variants.kind_name k, Variants.apply k d.V.source)) Variants.all_kinds
+      in
+      List.iter2
+        (fun (kind, src) (kind', expected) ->
+          check_string (d.V.name ^ " " ^ kind ^ " kind") kind' kind;
+          let effect =
+            match V.run_exploit config src d.V.expected with
+            | V.Exploited s -> s
+            | V.Neutralized -> "neutralized"
+          in
+          check_string (d.V.name ^ " " ^ kind ^ " effect") expected effect)
+        sources (List.assoc d.V.name pinned_effects))
+    V.all
+
 let per_cve_cases =
   List.concat_map
     (fun (d : V.t) ->
@@ -146,4 +194,5 @@ let suite =
         Alcotest.test_case "patch lifecycle" `Quick test_patch_lifecycle_restores_performance_path;
         Alcotest.test_case "multi-vuln DB (#8)" `Slow test_multi_vuln_db;
         Alcotest.test_case "catalog aggregates" `Quick test_catalog_aggregates;
+        Alcotest.test_case "exploit effects pinned" `Slow test_pinned_effects;
       ] )
