@@ -60,14 +60,21 @@ let set_cell t a v =
   let page = t.pages.(a lsr page_bits) in
   if page != empty then page.(a land page_mask) <- v else materialize t a v
 
-(* The element accessors have already bounded [a] to [0, size), so they
-   index without the array bounds checks. *)
+(* The element accessors have already bounded [a] above by [size], so a
+   non-negative [a] indexes without the array bounds checks. A negative
+   one (base + 2 + i wrapped past max_int under a forged length near
+   max_int) takes the checked path and fails there, as on the flat array. *)
 let cell_in t a =
-  Array.unsafe_get (Array.unsafe_get t.pages (a lsr page_bits)) (a land page_mask)
+  if a >= 0 then
+    Array.unsafe_get (Array.unsafe_get t.pages (a lsr page_bits)) (a land page_mask)
+  else cell t a
 
 let set_cell_in t a v =
-  let page = Array.unsafe_get t.pages (a lsr page_bits) in
-  if page != empty then Array.unsafe_set page (a land page_mask) v else materialize t a v
+  if a >= 0 then begin
+    let page = Array.unsafe_get t.pages (a lsr page_bits) in
+    if page != empty then Array.unsafe_set page (a land page_mask) v else materialize t a v
+  end
+  else set_cell t a v
 
 (* First-fit allocation from the free list, falling back to bumping. The
    sentinel occupies the top two cells, which the bump pointer may not

@@ -404,10 +404,14 @@ end
    unallocated handle whose table slot reads -1. Index -2 and -1 are the
    array's own length and capacity header cells. Element indices are relative to the array's base; [Forged]
    indices are absolute heap addresses, resolved against the array's base
-   at run time, so forged primitives reach every page and both bounds. *)
+   at run time, so forged primitives reach every page and both bounds.
+   [Len k] is the array's length, as its header reads at run time, plus
+   [k]: under a forged length near max_int its last element's address
+   wraps negative. *)
 type index =
   | Rel of int
   | Forged of int
+  | Len of int
 
 type heap_op =
   | Alloc of int
@@ -429,6 +433,7 @@ let show_value = function
 let show_index = function
   | Rel i -> string_of_int i
   | Forged a -> Printf.sprintf "@%d" a
+  | Len k -> Printf.sprintf "len%+d" k
 
 let show_op = function
   | Alloc n -> Printf.sprintf "alloc %d" n
@@ -465,6 +470,7 @@ let heap_op_gen ~size_limit =
         (4, map (fun i -> Rel i) (int_range (-3) 40));
         (2, oneofl [ Rel (-2); Rel (-1) ]);
         (1, oneofl [ Rel (-1); Rel size_limit; Rel (size_limit + 7); Rel max_int; Rel min_int ]);
+        (3, map (fun k -> Len k) (int_range (-2) 1));
         (3, map (fun a -> Forged a) (int_range (-3) (size_limit + 3)));
         (1, map (fun k -> Forged (size_limit - k)) (int_range (-2) 4));
       ]
@@ -486,6 +492,12 @@ let heap_op_gen ~size_limit =
       (4, map3 (fun h i v -> Set (h, i, v)) handle index value);
       (3, map2 (fun h i -> Get_unchecked (h, i)) handle index);
       (4, map3 (fun h i v -> Set_unchecked (h, i, v)) handle index value);
+      (* a forged length near max_int, under which [Len (-1)] wraps *)
+      ( 2,
+        map2
+          (fun h k ->
+            Set_unchecked (h, Rel (-2), Value.Number (float_of_int (max_int + 1 - (512 * k)))))
+          handle (int_range 1 3) );
       (2, map2 (fun h v -> Push (h, v)) handle value);
       (2, map (fun h -> Pop h) handle);
       (1, return Alloc_sentinel);
@@ -527,6 +539,7 @@ struct
     let index h = function
       | Rel i -> i
       | Forged a -> a - M.base_addr t h - 2
+      | Len k -> M.length t h + k
     in
     let outcome f =
       match f () with
@@ -628,7 +641,15 @@ let test_heap_edges () =
     @ [ Set_length (1, 20); Inspect 1 ]);
   check_same_as_reference ~size_limit:2048
     [ Set_unchecked (0, Forged 1500, n 1); Alloc 1; Set_unchecked (0, Forged 1500, n 1) ];
-  check_same_as_reference ~size_limit:1 [ Alloc_sentinel; Check_sentinel; Alloc 0 ]
+  check_same_as_reference ~size_limit:1 [ Alloc_sentinel; Check_sentinel; Alloc 0 ];
+  (* a length header of 2^62 - 512 on an array based past cell 511: the
+     address of its last element wraps negative, which must fail the bounds
+     check, not read or write outside the page table *)
+  let length = max_int - 511 in
+  check_same_as_reference ~size_limit:2048
+    ([ Alloc 600; Alloc 1 ]
+    @ corrupt ~h:1 ~length ~capacity:1 ()
+    @ [ Get (1, Len (-1)); Set (1, Len (-1), n 5); Inspect 1 ])
 
 let qcheck_heap_equals_reference size_limit =
   let gen = QCheck.Gen.list_size (QCheck.Gen.int_range 1 60) (heap_op_gen ~size_limit) in
