@@ -378,6 +378,7 @@ let gen_snippet rng p ctx env depth next =
   let wnums = List.filter (fun (_, e) -> satisfies e { num_req with r_writable = true }) env in
   let bools = List.filter (fun (_, e) -> e.e_ty = Bool) env in
   let arrs = List.filter (fun (_, e) -> e.e_ty = Arr) env in
+  let scalars = List.filter (fun (_, e) -> e.e_ty <> Arr) env in
   let pick l = fst (List.nth l (Prng.int rng (List.length l))) in
   (* Ensure a Num operand exists, synthesizing a constant if needed. *)
   let with_num k =
@@ -454,9 +455,9 @@ let gen_snippet rng p ctx env depth next =
       | _ -> [ Binop (next (), Mul, c, c) ]
     in
     [ Loop (c, 1 + Prng.int rng 16, body) ]
-  | _ when ctx.fn = None && env <> [] ->
-    let v = fst (List.nth env (Prng.int rng (List.length env))) in
-    [ Print_tag ("probe ", v) ]
+  | _ when ctx.fn = None && scalars <> [] ->
+    (* an array prints as its heap handle, which a bailout replay shifts *)
+    [ Print_tag ("probe ", pick scalars) ]
   | _ -> simple ()
 
 let codegen rng p =

@@ -253,8 +253,9 @@ let current_gen t =
   | Some c -> Policy_cache.current_generation c
   | None -> 0
 
-(* Main-thread time spent blocked on compilation: the whole compile in
-   synchronous mode, only the [drain] waits in background mode. *)
+(* Main-thread time spent blocked on compilation: every baseline compile,
+   plus the whole Ion compile in synchronous mode or only the [drain]
+   waits in background mode. *)
 let stalled t f =
   let t0 = Clock.now () in
   Fun.protect
@@ -658,6 +659,7 @@ let prepare t idx : (unit -> compile_result) option =
                A_install { decision = Some d; lir = None; traced = true })))
 
 let baseline_compile t idx =
+  stalled t @@ fun () ->
   ensure_sentinel t;
   let func = t.vm.Vm.program.Op.funcs.(idx) in
   Log.debug (fun m -> m "baseline-compiling %s" func.Op.name);

@@ -166,8 +166,9 @@ type stats = {
       (** background compiles discarded (function blacklisted or DB
           generation moved mid-compile) *)
   mutable main_stall_seconds : float;
-      (** main-thread time blocked on compilation: the whole Ion compile
-          in synchronous mode, only {!drain} waits in background mode *)
+      (** main-thread time blocked on compilation: every baseline
+          compile, plus the whole Ion compile in synchronous mode or only
+          the {!drain} waits in background mode *)
   mutable native_installs : int;
       (** Ion installs backed by native machine code (never counts a
           forbidden or blacklisted compile: emission is post-verdict) *)

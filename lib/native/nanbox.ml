@@ -33,13 +33,17 @@ let canonical_nan = 0x7FF8000000000000L
 let payload_mask = 0x0000FFFFFFFFFFFFL
 
 (* Per-activation side table; slots [0, preload) hold the function's
-   non-immediate constants and survive {!reset}. *)
+   non-immediate constants and survive {!reset}.  A compaction fills
+   [spare] and swaps it with [items], so it allocates nothing. *)
 type side = {
   mutable items : Value.t array;
   mutable n : int;
+  mutable preload : int;
+  mutable spare : Value.t array;
 }
 
-let side_create () = { items = Array.make 16 Value.Undefined; n = 0 }
+let side_create ?(size = 16) () =
+  { items = Array.make (max size 1) Value.Undefined; n = 0; preload = 0; spare = [||] }
 
 let side_push side v =
   if side.n = Array.length side.items then begin
@@ -51,16 +55,20 @@ let side_push side v =
   side.n <- side.n + 1;
   side.n - 1
 
-let side_reset side ~preload = side.n <- preload
+let side_reset side ~preload =
+  side.preload <- preload;
+  side.n <- preload
 
-let tagged tag payload =
+let[@inline] tagged tag payload =
   Int64.logor
     (Int64.shift_left (Int64.of_int tag) tag_shift)
     (Int64.logand (Int64.of_int payload) payload_mask)
 
-let is_number bits = Int64.unsigned_compare bits bits_min_tag < 0
+let[@inline] is_number bits = Int64.unsigned_compare bits bits_min_tag < 0
+let[@inline] is_side bits =
+  Int64.shift_right_logical bits tag_shift = Int64.of_int tag_side
 
-let encode side (v : Value.t) : int64 =
+let[@inline] encode side (v : Value.t) : int64 =
   match v with
   | Value.Number f ->
     if Float.is_nan f then canonical_nan else Int64.bits_of_float f
@@ -73,7 +81,7 @@ let encode side (v : Value.t) : int64 =
   | Value.String _ | Value.Object _ | Value.Builtin _ ->
     tagged tag_side (side_push side v)
 
-let decode side (bits : int64) : Value.t =
+let[@inline] decode side (bits : int64) : Value.t =
   if is_number bits then Value.Number (Int64.float_of_bits bits)
   else
     let tag = Int64.to_int (Int64.shift_right_logical bits tag_shift) in
@@ -87,3 +95,30 @@ let decode side (bits : int64) : Value.t =
     else if tag = tag_array then Value.Array payload
     else if tag = tag_function then Value.Function payload
     else side.items.(payload)
+
+(* Before a full table grows: copy the preload, and each value a register
+   other than [skip] (about to be overwritten) references, into the spare
+   table; renumber those registers and swap the tables. *)
+let compact side (regs : Exec_mem.regfile) ~skip =
+  let size = side.preload + Bigarray.Array1.dim regs in
+  if Array.length side.spare < size then side.spare <- Array.make size Value.Undefined;
+  let spare = side.spare and n = ref side.preload in
+  Array.blit side.items 0 spare 0 side.preload;
+  for r = 0 to Bigarray.Array1.dim regs - 1 do
+    let k = Int64.to_int (Int64.logand regs.{r} payload_mask) in
+    if r <> skip && is_side regs.{r} && k >= side.preload then begin
+      spare.(!n) <- side.items.(k);
+      regs.{r} <- tagged tag_side !n;
+      incr n
+    end
+  done;
+  Array.fill side.items 0 side.n Value.Undefined;
+  side.spare <- side.items;
+  side.items <- spare;
+  side.n <- !n
+
+let load side (regs : Exec_mem.regfile) r = decode side regs.{r}
+
+let store side (regs : Exec_mem.regfile) r v =
+  if side.n = Array.length side.items then compact side regs ~skip:r;
+  regs.{r} <- encode side v

@@ -23,7 +23,7 @@ val payload_mask : int64
 
 type side
 
-val side_create : unit -> side
+val side_create : ?size:int -> unit -> side
 
 (** Append a value, returning its slot. *)
 val side_push : side -> Value.t -> int
@@ -35,3 +35,11 @@ val tagged : int -> int -> int64
 val is_number : int64 -> bool
 val encode : side -> Value.t -> int64
 val decode : side -> int64 -> Value.t
+
+(** [load side regs r] decodes register [r]. *)
+val load : side -> Exec_mem.regfile -> int -> Value.t
+
+(** [store side regs r v] encodes [v] into register [r], boxing no bits.
+    A full table is first compacted to the preload and the slots the
+    other registers reference: one of [preload + dim regs] never grows. *)
+val store : side -> Exec_mem.regfile -> int -> Value.t -> unit

@@ -438,8 +438,10 @@ let acquire code =
     Nanbox.side_reset act.side ~preload:(Array.length code.const_preload);
     act
   | [] ->
-    let side = Nanbox.side_create () in
+    let preload = Array.length code.const_preload in
+    let side = Nanbox.side_create ~size:(preload + code.n_slots) () in
     Array.iter (fun v -> ignore (Nanbox.side_push side v)) code.const_preload;
+    Nanbox.side_reset side ~preload;
     { regs = Exec_mem.make_regfile code.n_slots; side }
 
 (* Unmap the page.  Drop the profiler slot FIRST so a tick can never
@@ -461,147 +463,142 @@ let release code =
 
 (* ---- exit-to-host operations ---- *)
 
+(* Register-file access for the exits.  No NaN-box bits are boxed: a
+   number or array register is read from its bits, and anything else (a
+   type-confused register behind a removed guard) is decoded and
+   reinterpreted as the executor does. *)
+let[@inline] get act r = Nanbox.load act.side act.regs r
+let[@inline] set act d v = if d >= 0 then Nanbox.store act.side act.regs d v
+let[@inline] tag act r =
+  Int64.to_int (Int64.shift_right_logical act.regs.{r} Nanbox.tag_shift)
+let[@inline] is_array act r = tag act r = Nanbox.tag_array
+let[@inline] handle act r = Int64.to_int (Int64.logand act.regs.{r} Nanbox.payload_mask)
+
+let[@inline] num realm act r =
+  if tag act r < Nanbox.tag_singleton then Int64.float_of_bits act.regs.{r}
+  else Executor.raw_number realm (get act r)
+
+let[@inline] set_number act d x =
+  let bits = if Float.is_nan x then Nanbox.canonical_nan else Int64.bits_of_float x in
+  if d >= 0 then act.regs.{d} <- bits
+
 let bailout fmt = Format.kasprintf (fun s -> raise (Lir.Bailout s)) fmt
 
 (* Guard-failure exits: decode the offending register and raise with the
    message the executor would have produced. *)
 let host_bailout (realm : Realm.t) act (i : Lir.inst) =
-  let get r = Nanbox.decode act.side (Bigarray.Array1.get act.regs r) in
   match i.Lir.kind with
-  | Lir.Kunbox_number -> bailout "unbox_number: %s" (Value.type_name (get i.Lir.a))
-  | Lir.Kunbox_int32 -> bailout "unbox_int32: %s" (Value.to_display (get i.Lir.a))
-  | Lir.Kguard_array -> bailout "guard_array: %s" (Value.type_name (get i.Lir.a))
+  | Lir.Kunbox_number -> bailout "unbox_number: %s" (Value.type_name (get act i.Lir.a))
+  | Lir.Kunbox_int32 -> bailout "unbox_int32: %s" (Value.to_display (get act i.Lir.a))
+  | Lir.Kguard_array -> bailout "guard_array: %s" (Value.type_name (get act i.Lir.a))
   | Lir.Kbounds_check ->
-    let idx = Executor.raw_number realm (get i.Lir.a) in
-    let len = Executor.raw_number realm (get i.Lir.b) in
-    bailout "bounds_check: %g >= %g" idx len
+    bailout "bounds_check: %g >= %g" (num realm act i.Lir.a) (num realm act i.Lir.b)
   | k -> bailout "native guard: %s" (Lir.kind_name k)
 
 (* One host-performed LIR instruction, mirroring the executor case for
    case — including the unchecked element accesses and raw_number
-   reinterpretation that model the vulnerable configurations. *)
+   reinterpretation that model the vulnerable configurations.  The array
+   operations read the receiver's handle from its bits. *)
 let host_op code act (realm : Realm.t) (cb : Executor.callbacks) pc =
   let f = code.func in
   let i = f.Lir.code.(pc) in
   let heap = realm.Realm.heap in
-  let get r = Nanbox.decode act.side (Bigarray.Array1.get act.regs r) in
-  let set d v =
-    if d >= 0 then Bigarray.Array1.set act.regs d (Nanbox.encode act.side v)
-  in
-  let raw v = Executor.raw_number realm v in
+  let a = i.Lir.a and b = i.Lir.b and d = i.Lir.dst in
   match i.Lir.kind with
   | Lir.Kbounds_check ->
-    let idx = raw (get i.Lir.a) in
-    let len = raw (get i.Lir.b) in
+    let idx = num realm act a in
+    let len = num realm act b in
     if idx < 0.0 || idx >= len then bailout "bounds_check: %g >= %g" idx len
-    else set i.Lir.dst (get i.Lir.a)
-  | Lir.Kadd -> set i.Lir.dst (Value_ops.binary Ast.Add (get i.Lir.a) (get i.Lir.b))
+    else set act d (get act a)
+  | Lir.Kadd -> set act d (Value_ops.binary Ast.Add (get act a) (get act b))
+  | Lir.Kbin Mir.NMod -> set_number act d (Float.rem (num realm act a) (num realm act b))
   | Lir.Kbin nop ->
-    let x = raw (get i.Lir.a) in
-    let y = raw (get i.Lir.b) in
-    set i.Lir.dst
-      (Value_ops.binary (Executor.ast_of_num_binop nop) (Value.Number x)
-         (Value.Number y))
+    let x = num realm act a in
+    let y = num realm act b in
+    set act d
+      (Value_ops.binary (Executor.ast_of_num_binop nop) (Value.Number x) (Value.Number y))
   | Lir.Kcompare cop ->
-    set i.Lir.dst
-      (Value_ops.binary (Executor.ast_of_compare cop) (get i.Lir.a) (get i.Lir.b))
-  | Lir.Knegate -> set i.Lir.dst (Value.Number (-.raw (get i.Lir.a)))
+    set act d (Value_ops.binary (Executor.ast_of_compare cop) (get act a) (get act b))
+  | Lir.Knegate -> set act d (Value.Number (-.num realm act a))
   | Lir.Kbitnot ->
-    set i.Lir.dst (Value_ops.unary Ast.Bit_not (Value.Number (raw (get i.Lir.a))))
-  | Lir.Knot -> set i.Lir.dst (Value.Bool (not (Value_ops.to_boolean (get i.Lir.a))))
-  | Lir.Ktypeof -> set i.Lir.dst (Value.String (Value.type_name (get i.Lir.a)))
-  | Lir.Ktonumber -> set i.Lir.dst (Value.Number (Value_ops.to_number (get i.Lir.a)))
-  | Lir.Knew_array -> set i.Lir.dst (Value.Array (Heap.alloc_array heap ~length:i.Lir.imm))
-  | Lir.Knew_object -> set i.Lir.dst (Value.Object (Hashtbl.create 8))
-  | Lir.Kelements -> (
-    match get i.Lir.a with
-    | Value.Array h -> set i.Lir.dst (Value.Array h)
-    | v -> set i.Lir.dst (Value.Array (int_of_float (raw v))))
-  | Lir.Kinit_length -> (
-    match get i.Lir.a with
-    | Value.Array h -> set i.Lir.dst (Value.Number (float_of_int (Heap.length heap h)))
-    | v -> bailout "init_length: %s" (Value.type_name v))
-  | Lir.Kload_element -> (
-    match get i.Lir.a with
-    | Value.Array h ->
-      let idx = int_of_float (raw (get i.Lir.b)) in
-      set i.Lir.dst (Heap.get_unchecked heap h idx)
-    | v -> bailout "load_element: %s" (Value.type_name v))
-  | Lir.Kstore_element -> (
-    match get i.Lir.a with
-    | Value.Array h ->
-      let idx = int_of_float (raw (get i.Lir.b)) in
-      Heap.set_unchecked heap h idx (get i.Lir.c)
-    | v -> bailout "store_element: %s" (Value.type_name v))
-  | Lir.Karray_length -> (
-    match get i.Lir.a with
-    | Value.Array h -> set i.Lir.dst (Value.Number (float_of_int (Heap.length heap h)))
-    | v -> bailout "array_length: %s" (Value.type_name v))
-  | Lir.Kset_array_length -> (
-    match get i.Lir.a with
-    | Value.Array h -> Heap.set_length heap h (int_of_float (raw (get i.Lir.b)))
-    | v -> bailout "set_array_length: %s" (Value.type_name v))
-  | Lir.Karray_push -> (
-    match get i.Lir.a with
-    | Value.Array h ->
-      Heap.push heap h (get i.Lir.b);
-      set i.Lir.dst (Value.Number (float_of_int (Heap.length heap h)))
-    | v -> bailout "array_push: %s" (Value.type_name v))
-  | Lir.Karray_pop -> (
-    match get i.Lir.a with
-    | Value.Array h -> set i.Lir.dst (Heap.pop heap h)
-    | v -> bailout "array_pop: %s" (Value.type_name v))
+    set act d (Value_ops.unary Ast.Bit_not (Value.Number (num realm act a)))
+  | Lir.Knot -> set act d (Value.Bool (not (Value_ops.to_boolean (get act a))))
+  | Lir.Ktypeof -> set act d (Value.String (Value.type_name (get act a)))
+  | Lir.Ktonumber -> set act d (Value.Number (Value_ops.to_number (get act a)))
+  | Lir.Knew_array -> set act d (Value.Array (Heap.alloc_array heap ~length:i.Lir.imm))
+  | Lir.Knew_object -> set act d (Value.Object (Hashtbl.create 8))
+  | Lir.Kelements when is_array act a -> if d >= 0 then act.regs.{d} <- act.regs.{a}
+  | Lir.Kelements -> set act d (Value.Array (int_of_float (num realm act a)))
+  | ( Lir.Kinit_length | Lir.Karray_length | Lir.Kload_element | Lir.Kstore_element
+    | Lir.Kset_array_length | Lir.Karray_push | Lir.Karray_pop ) as k
+    when not (is_array act a) ->
+    bailout "%s: %s" (Lir.kind_name k) (Value.type_name (get act a))
+  | Lir.Kinit_length | Lir.Karray_length ->
+    set_number act d (float_of_int (Heap.length heap (handle act a)))
+  | Lir.Kload_element ->
+    let idx = int_of_float (num realm act b) in
+    set act d (Heap.get_unchecked heap (handle act a) idx)
+  | Lir.Kstore_element ->
+    let idx = int_of_float (num realm act b) in
+    Heap.set_unchecked heap (handle act a) idx (get act i.Lir.c)
+  | Lir.Kset_array_length ->
+    Heap.set_length heap (handle act a) (int_of_float (num realm act b))
+  | Lir.Karray_push ->
+    let h = handle act a in
+    Heap.push heap h (get act b);
+    set_number act d (float_of_int (Heap.length heap h))
+  | Lir.Karray_pop -> set act d (Heap.pop heap (handle act a))
   | Lir.Kget_prop ->
-    set i.Lir.dst (Builtins.get_member realm (get i.Lir.a) f.Lir.names.(i.Lir.imm))
+    set act d (Builtins.get_member realm (get act a) f.Lir.names.(i.Lir.imm))
   | Lir.Kset_prop ->
-    Builtins.set_member realm (get i.Lir.a) f.Lir.names.(i.Lir.imm) (get i.Lir.b)
+    Builtins.set_member realm (get act a) f.Lir.names.(i.Lir.imm) (get act b)
   | Lir.Kget_index_gen -> (
-    let recv = get i.Lir.a in
-    let idx = get i.Lir.b in
+    let recv = get act a in
+    let idx = get act b in
     match (recv, Value_ops.to_index idx) with
-    | Value.Array h, Some k -> set i.Lir.dst (Heap.get heap h k)
+    | Value.Array h, Some k -> set act d (Heap.get heap h k)
     | Value.Object tbl, _ ->
-      set i.Lir.dst
+      set act d
         (match Hashtbl.find_opt tbl (Value_ops.to_string idx) with
         | Some v -> v
         | None -> Value.Undefined)
     | Value.String s, Some k ->
-      set i.Lir.dst
+      set act d
         (if k < String.length s then Value.String (String.make 1 s.[k])
          else Value.Undefined)
-    | Value.Array _, None -> set i.Lir.dst Value.Undefined
+    | Value.Array _, None -> set act d Value.Undefined
     | v, _ -> Errors.type_error "cannot index %s" (Value.type_name v))
   | Lir.Kset_index_gen -> (
-    let recv = get i.Lir.a in
-    let idx = get i.Lir.b in
-    let v = get i.Lir.c in
+    let recv = get act a in
+    let idx = get act b in
+    let v = get act i.Lir.c in
     match (recv, Value_ops.to_index idx) with
     | Value.Array h, Some k -> Heap.set heap h k v
     | Value.Object tbl, _ -> Hashtbl.replace tbl (Value_ops.to_string idx) v
     | Value.Array _, None ->
       Errors.type_error "invalid array index %s" (Value.to_display idx)
     | recv, _ -> Errors.type_error "cannot index %s" (Value.type_name recv))
-  | Lir.Kload_global -> set i.Lir.dst (cb.Executor.lookup_global f.Lir.names.(i.Lir.imm))
-  | Lir.Kstore_global -> cb.Executor.store_global f.Lir.names.(i.Lir.imm) (get i.Lir.a)
+  | Lir.Kload_global -> set act d (cb.Executor.lookup_global f.Lir.names.(i.Lir.imm))
+  | Lir.Kstore_global -> cb.Executor.store_global f.Lir.names.(i.Lir.imm) (get act a)
   | Lir.Kdeclare_global -> cb.Executor.declare_global f.Lir.names.(i.Lir.imm)
   | Lir.Kcall -> (
-    let callee = get i.Lir.a in
+    let callee = get act a in
     let vargs =
-      Array.fold_right (fun r acc -> get r :: acc) f.Lir.call_args.(i.Lir.imm) []
+      Array.fold_right (fun r acc -> get act r :: acc) f.Lir.call_args.(i.Lir.imm) []
     in
     match callee with
-    | Value.Function idx -> set i.Lir.dst (cb.Executor.call_function idx vargs)
-    | Value.Builtin name -> set i.Lir.dst (Builtins.call_builtin realm name vargs)
+    | Value.Function idx -> set act d (cb.Executor.call_function idx vargs)
+    | Value.Builtin name -> set act d (Builtins.call_builtin realm name vargs)
     | v -> Errors.type_error "%s is not a function" (Value.type_name v))
   | Lir.Kcall_method -> (
-    let recv = get i.Lir.a in
+    let recv = get act a in
     let name = f.Lir.names.(i.Lir.imm2) in
     let vargs =
-      Array.fold_right (fun r acc -> get r :: acc) f.Lir.call_args.(i.Lir.imm) []
+      Array.fold_right (fun r acc -> get act r :: acc) f.Lir.call_args.(i.Lir.imm) []
     in
     match Builtins.call_method realm recv name vargs with
-    | `Value v -> set i.Lir.dst v
-    | `User_function (idx, vargs) -> set i.Lir.dst (cb.Executor.call_function idx vargs))
+    | `Value v -> set act d v
+    | `User_function (idx, vargs) -> set act d (cb.Executor.call_function idx vargs))
   | Lir.Kconst | Lir.Kparam | Lir.Kmove | Lir.Kunbox_number | Lir.Kunbox_int32
   | Lir.Kguard_array | Lir.Kgoto | Lir.Ktest | Lir.Kreturn ->
     (* never exit with a hostop reason *)
@@ -609,50 +606,49 @@ let host_op code act (realm : Realm.t) (cb : Executor.callbacks) pc =
 
 (* ---- entry ---- *)
 
+(* The exit loop: run from byte offset [off] until the code returns or
+   bails out.  A host exit allocates no closure of its own — the
+   profiler tag is only set while profiling runs. *)
+let rec loop code act realm cb off =
+  let packed = Exec_mem.call code.region off act.regs in
+  let pc = packed lsr 4 in
+  let reason = packed land 0xF in
+  let c = code.counters in
+  let i = code.func.Lir.code.(pc) in
+  if reason = reason_return then begin
+    c.c_return <- c.c_return + 1;
+    if i.Lir.a >= 0 then get act i.Lir.a else Value.Undefined
+  end
+  else if reason = reason_hostop then begin
+    c.c_hostop <- c.c_hostop + 1;
+    if Profile.running () then
+      Profile.with_tag prof_host (fun () -> host_op code act realm cb pc)
+    else host_op code act realm cb pc;
+    loop code act realm cb code.offsets.(pc + 1)
+  end
+  else if reason = reason_test then begin
+    c.c_test <- c.c_test + 1;
+    let truthy = Value_ops.to_boolean (get act i.Lir.a) in
+    loop code act realm cb code.offsets.(if truthy then i.Lir.imm else i.Lir.b)
+  end
+  else begin
+    c.c_bailout <- c.c_bailout + 1;
+    host_bailout realm act i
+  end
+
+let rec stage act slot last = function
+  | v :: rest when slot < last ->
+    Nanbox.store act.side act.regs slot v;
+    stage act (slot + 1) last rest
+  | _ -> ()
+
 let run code (realm : Realm.t) (cb : Executor.callbacks) (args : Value.t list) :
     Value.t =
-  let f = code.func in
   let act = acquire code in
-  Fun.protect
-    ~finally:(fun () -> release_activation code act)
-    (fun () ->
-      let regs = act.regs in
-      Bigarray.Array1.fill regs Nanbox.bits_undefined;
-      let n_regs = max f.Lir.n_regs 1 in
-      List.iteri
-        (fun k v ->
-          if k < f.Lir.arity then
-            Bigarray.Array1.set regs (n_regs + k) (Nanbox.encode act.side v))
-        args;
-      let c = code.counters in
-      let rec loop off =
-        let packed = Exec_mem.call code.region off regs in
-        let pc = packed lsr 4 in
-        let reason = packed land 0xF in
-        if reason = reason_return then begin
-          c.c_return <- c.c_return + 1;
-          let i = f.Lir.code.(pc) in
-          if i.Lir.a >= 0 then
-            Nanbox.decode act.side (Bigarray.Array1.get regs i.Lir.a)
-          else Value.Undefined
-        end
-        else if reason = reason_hostop then begin
-          c.c_hostop <- c.c_hostop + 1;
-          Profile.with_tag prof_host (fun () -> host_op code act realm cb pc);
-          loop code.offsets.(pc + 1)
-        end
-        else if reason = reason_test then begin
-          c.c_test <- c.c_test + 1;
-          let i = f.Lir.code.(pc) in
-          let truthy =
-            Value_ops.to_boolean
-              (Nanbox.decode act.side (Bigarray.Array1.get regs i.Lir.a))
-          in
-          loop code.offsets.(if truthy then i.Lir.imm else i.Lir.b)
-        end
-        else begin
-          c.c_bailout <- c.c_bailout + 1;
-          host_bailout realm act f.Lir.code.(pc)
-        end
-      in
-      loop code.offsets.(0))
+  match
+    Bigarray.Array1.fill act.regs Nanbox.bits_undefined;
+    stage act (code.n_slots - code.func.Lir.arity) code.n_slots args;
+    loop code act realm cb code.offsets.(0)
+  with
+  | v -> release_activation code act; v
+  | exception e -> release_activation code act; raise e

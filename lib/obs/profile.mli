@@ -9,9 +9,10 @@
     pass execution, the comparator, and the native call gate. Ticks
     matching neither count as ["other"].
 
-    Disabled profiling costs zero: no signal handler is installed and
-    {!with_tag} is one atomic load. There is one timer per process, so
-    one process-global profiler. Sampling needs Linux/x86-64
+    Disabled profiling installs no signal handler, and {!with_tag} is one
+    atomic load — beside the closure its caller builds, which a hot call
+    site skips by testing {!running} first. There is one timer per
+    process, so one process-global profiler. Sampling needs Linux/x86-64
     ({!available}); elsewhere {!start} returns [false] and everything
     else degrades to no-ops. *)
 
@@ -38,7 +39,10 @@ val tag : string -> int
 
 (** [with_tag id f] runs [f] with the calling thread's profiler tag set
     to [id], restoring the previous tag after (tags nest; innermost
-    wins). Free when profiling is off. *)
+    wins). When profiling is off it only calls [f], but the caller has
+    already allocated [f] if it closes over anything: a call site on a
+    path that must not allocate (the native call gate's host exits)
+    calls its body directly unless {!running} is true. *)
 val with_tag : int -> (unit -> 'a) -> 'a
 
 (** [register_page ~addr ~size name] enters an installed native code

@@ -202,9 +202,10 @@ let get_member (realm : Realm.t) receiver name =
   | Value.String s ->
     if name = "length" then Value.Number (float_of_int (String.length s)) else Value.Undefined
   | Value.Object tbl -> (
-    match Hashtbl.find_opt tbl name with
-    | Some v -> v
-    | None -> Value.Undefined)
+    (* [find] rather than [find_opt]: a hit allocates no option *)
+    match Hashtbl.find tbl name with
+    | v -> v
+    | exception Not_found -> Value.Undefined)
   | v -> Errors.type_error "cannot read property %s of %s" name (Value.type_name v)
 
 let set_member (realm : Realm.t) receiver name v =

@@ -22,6 +22,7 @@ module Obs = Jitbull_obs.Obs
 module Metrics = Jitbull_obs.Metrics
 module F = Jitbull_fuzz
 module Op = Jitbull_bytecode.Op
+module Executor = Jitbull_lir.Executor
 
 let when_native f () = if Native.enabled () then f ()
 
@@ -154,6 +155,31 @@ let test_nanbox_heap_values () =
   check_bool "slots reused after reset" true
     (Nanbox.decode side2 again = Value.String "fresh")
 
+(* Storing into a full side table compacts it: the preload and what the
+   registers reference stay, renumbered, so a table sized to the preload
+   plus one slot per register never grows. *)
+let test_side_table_compaction () =
+  let n_slots = 4 in
+  let regs = Exec_mem.make_regfile n_slots in
+  Bigarray.Array1.fill regs Nanbox.bits_undefined;
+  let side = Nanbox.side_create ~size:(1 + n_slots) () in
+  ignore (Nanbox.side_push side (Value.String "const"));
+  Nanbox.side_reset side ~preload:1;
+  for k = 0 to 99 do
+    Nanbox.store side regs (k mod n_slots) (Value.String (string_of_int k));
+    (* a copied register shares its slot until the next compaction *)
+    if k mod 10 = 0 then Bigarray.Array1.set regs ((k + 1) mod n_slots) regs.{k mod n_slots}
+  done;
+  Nanbox.store side regs 2 (Value.Number 2.5);
+  List.iteri
+    (fun r v ->
+      check_string (Printf.sprintf "register %d" r) v (Value.to_display (Nanbox.load side regs r)))
+    [ "96"; "97"; "2.5"; "99" ];
+  check_bool "the preload survives" true
+    (Nanbox.decode side (Nanbox.tagged Nanbox.tag_side 0) = Value.String "const");
+  check_bool "the next free slot is within the table" true
+    (Nanbox.side_push side Value.Null <= n_slots)
+
 let qcheck_nanbox_roundtrip =
   QCheck.Test.make ~count:(qcheck_count 500) ~name:"nanbox float round-trip"
     QCheck.float (fun f ->
@@ -279,6 +305,22 @@ let edge_corpus =
     (* 0 and -0 are two constants: infinities of opposite sign, sum NaN *)
     "function g(x) { return 1/(x*0) + 1/(x*-0); }\n\
      var r = 0; for (var k = 0; k < 20; k = k + 1) { r = g(1); } print(r);";
+    (* element indices at the host exit: fractional, -0, past the end *)
+    "function f(a, i) { return a[i]; } var x = [1,2,3]; var s = '';\n\
+     for (var k = 0; k < 20; k = k + 1) { s = '' + f(x, 1) + f(x, -0) + f(x, 1.5); }\n\
+     print(s + f(x, 3) + f(x, -1));";
+    "function f(a, i, v) { a[i] = v; return a[0] + a[1]; } var x = [1,2]; var r = 0;\n\
+     for (var k = 0; k < 20; k = k + 1) { r = f(x, -0, k) + f(x, 1, 7); } print(r + ' ' + x[0]);";
+    (* % on NaN, -0 and the infinities (1/r shows the sign of a zero) *)
+    "function f(x, y) { return x % y; } var s = '';\n\
+     for (var k = 0; k < 20; k = k + 1) {\n\
+       s = '' + f(5, 0/0) + f(0/0, 2) + 1/f(-0, 3) + f(5, 1/0) + f(5, -1/0)\n\
+         + f(1/0, 5) + f(5, 0) + f(-5, 3) + 1/f(-6, 3) + f(5.5, 2);\n\
+     } print(s);";
+    (* a length read after the host grew the array *)
+    "function f(a, n) { for (var i = 0; i < n; i = i + 1) { a.push(i); }\n\
+     return a.length + a[n - 1]; }\n\
+     var r = 0; for (var k = 1; k < 20; k = k + 1) { r = f([], k * 3); } print(r);";
   ]
 
 let test_edge_corpus_equivalence () =
@@ -296,6 +338,79 @@ let test_edge_corpus_equivalence () =
       if Native.enabled () && sn.Engine.ion_compiles > 0 then
         check_bool "native leg ran machine code" true (sn.Engine.native_installs > 0))
     edge_corpus
+
+(* A native loop building a string per iteration keeps only the strings
+   its registers hold: it once kept every one until the next call. *)
+let test_string_loop_equivalence () =
+  let src =
+    "function f(n) { var s = ''; for (var i = 0; i < n; i = i + 1) { s = s + 'a'; }\n\
+     return s.length; }\n\
+     for (var k = 0; k < 10; k = k + 1) { print(f(2000 + k)); }"
+  in
+  check_string "native matches interpreter" (interp_output src)
+    (fst (Engine.run_source native_cfg src))
+
+(* The host exits' array and [%] operations over what only a removed
+   guard lets reach them: receivers that are not arrays, indices and
+   operands that are not numbers. A hand-built [x OP y] with no guard in
+   front must give the executor's value, heap and exception, each run on
+   a fresh realm whose array [1, 2, 3] has the same handle. *)
+let test_unguarded_exits =
+  when_native (fun () ->
+      let module Lir = Jitbull_lir.Lir in
+      let module Heap = Jitbull_runtime.Heap in
+      let module Realm = Jitbull_runtime.Realm in
+      let inst kind ~dst ~a ~b ~imm = { (Lir.make_inst kind) with Lir.dst; a; b; c = b; imm } in
+      let func kind =
+        let ret = if kind = Lir.Kstore_element then 0 else 2 in
+        {
+          Lir.name = "unguarded"; arity = 2; consts = [||]; names = [||];
+          call_args = [||]; fields = Array.make 4 []; n_regs = 3; spill_count = 0;
+          code =
+            [| inst Lir.Kparam ~dst:0 ~a:(-1) ~b:(-1) ~imm:0;
+               inst Lir.Kparam ~dst:1 ~a:(-1) ~b:(-1) ~imm:1;
+               inst kind ~dst:(if ret = 2 then 2 else -1) ~a:0 ~b:1 ~imm:0;
+               inst Lir.Kreturn ~dst:(-1) ~a:ret ~b:(-1) ~imm:0 |];
+        }
+      in
+      let cb =
+        { Executor.call_function = (fun _ _ -> Value.Undefined);
+          lookup_global = (fun _ -> Value.Undefined);
+          store_global = (fun _ _ -> ()); declare_global = (fun _ -> ()) }
+      in
+      let outcome run x y =
+        let realm = Realm.create () in
+        let h = Heap.alloc_array realm.Realm.heap ~length:3 in
+        List.iteri (fun k v -> Heap.set realm.Realm.heap h k (Value.Number v)) [ 1.; 2.; 3. ];
+        let arg = function `Arr -> Value.Array h | `V v -> v in
+        let res =
+          try Value.to_display (run realm [ arg x; arg y ]) with e -> Printexc.to_string e
+        in
+        res ^ " | " ^ String.concat "," (List.init 4 (fun k ->
+            Value.to_display (Heap.get_unchecked realm.Realm.heap h k)))
+      in
+      let values =
+        [ `Arr; `V (Value.Number 1.); `V (Value.Number 1.5); `V (Value.Number (-0.));
+          `V (Value.Number 7.); `V (Value.Number Float.nan); `V (Value.Number Float.infinity);
+          `V (Value.Bool true); `V (Value.String "ab"); `V Value.Undefined; `V Value.Null;
+          `V (Value.Function 0) ]
+      in
+      List.iter
+        (fun kind ->
+          let f = func kind in
+          let code = Native.compile f in
+          List.iter
+            (fun x ->
+              List.iter
+                (fun y ->
+                  check_string (Lir.kind_name kind)
+                    (outcome (fun realm args -> Executor.run f realm cb args) x y)
+                    (outcome (fun realm args -> Native.run code realm cb args) x y))
+                values)
+            values;
+          Native.release code)
+        [ Lir.Kelements; Lir.Kinit_length; Lir.Karray_length; Lir.Kload_element;
+          Lir.Kstore_element; Lir.Kbin Jitbull_mir.Mir.NMod ])
 
 let qcheck_native_vs_executor =
   QCheck.Test.make ~count:(qcheck_count 60) ~name:"native == executor on random programs"
@@ -474,9 +589,12 @@ let suite =
       Alcotest.test_case "encoder rel32 patching" `Quick test_encoder_rel32_patching;
       Alcotest.test_case "nanbox specials" `Quick test_nanbox_specials;
       Alcotest.test_case "nanbox heap values" `Quick test_nanbox_heap_values;
+      Alcotest.test_case "side table compaction" `Quick test_side_table_compaction;
       qtest qcheck_nanbox_roundtrip;
       Alcotest.test_case "exec_mem W^X lifecycle" `Quick test_exec_mem_wx_lifecycle;
       Alcotest.test_case "edge corpus equivalence" `Quick test_edge_corpus_equivalence;
+      Alcotest.test_case "unguarded exits == executor" `Quick test_unguarded_exits;
+      Alcotest.test_case "string loop equivalence" `Quick test_string_loop_equivalence;
       qtest qcheck_native_vs_executor;
       Alcotest.test_case "metamorphic tier agreement" `Quick
         test_metamorphic_tier_agreement;

@@ -448,6 +448,7 @@ module CQ = Jitbull_jit.Compile_queue
 module Op = Jitbull_bytecode.Op
 module Value = Jitbull_runtime.Value
 module Clock = Jitbull_obs.Clock
+module Native = Jitbull_native.Native
 
 let test_queue_basic () =
   with_pool (fun pool ->
@@ -529,6 +530,39 @@ let func_idx eng name =
 
 let num n = Value.Number (float_of_int n)
 let call eng idx args = Value.to_display (Vm.call_function (Engine.vm eng) idx args)
+
+(* -- host exit allocation -- *)
+
+(* A native loop that exits to the host for two element loads, a property
+   load and three [%]s per iteration: the call gate allocates nothing of
+   its own, so the words left are the call's own (its argument list and
+   result), spread over the loop's 30,004 exits; they come to 0.001 words
+   an exit. When every exit allocated a profiler closure, three accessor
+   closures and boxed NaN-box bits and every property hit an option, the
+   loop took 34.8 minor words per exit. *)
+let exit_words_bound = 1.
+
+let exit_src =
+  "function f(a, os, n) { var s = 0;\n\
+   for (var i = 0; i < n; i = i + 1) { s = (s + a[i % 8] + os[i % 2].k) % 1000; }\n\
+   return s; }\n\
+   var a = [1, 2, 3, 4, 5, 6, 7, 8]; var os = [{ k: 3 }, { k: 4 }]; var r = 0;\n\
+   for (var k = 0; k < 10; k = k + 1) { r = f(a, os, 50); } print(r);"
+
+let test_host_exit_allocation () =
+  let _, eng = Engine.run_source { jit_config with Engine.native = true } exit_src in
+  match Engine.native_code_of eng (func_idx eng "f") with
+  | None -> check_bool "f runs natively wherever the backend is on" false (Native.enabled ())
+  | Some code ->
+    let vm = Engine.vm eng in
+    let args = [ Vm.load_global vm "a"; Vm.load_global vm "os"; num 5000 ] in
+    let exits () = (Native.exits code).Native.t_hostop in
+    let e0 = exits () and w0 = Gc.minor_words () in
+    ignore (Vm.call_function vm (func_idx eng "f") args);
+    let per_exit = (Gc.minor_words () -. w0) /. float_of_int (exits () - e0) in
+    check_bool
+      (Printf.sprintf "%.2f minor words per host exit within the bound" per_exit)
+      true (per_exit <= exit_words_bound)
 
 let fresh_config ?compile_pool ~max_bailouts tag =
   let db = Db.create () in
@@ -875,6 +909,7 @@ let suite =
       Alcotest.test_case "query allocation" `Quick test_query_allocation;
       Alcotest.test_case "parse allocation" `Quick test_parse_allocation;
       Alcotest.test_case "realm allocation" `Quick test_realm_allocation;
+      Alcotest.test_case "host exit allocation" `Quick test_host_exit_allocation;
       Alcotest.test_case "posting-aware extraction == full" `Quick
         test_posting_aware_equals_full;
       Alcotest.test_case "posted-set generation race" `Quick test_posted_generation_race;
