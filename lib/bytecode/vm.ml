@@ -20,10 +20,28 @@ type vm_counters = {
   jit_dispatch : Metrics.counter;
 }
 
+(* Global bindings live in slots. [create] resolves every global name the
+   bytecode mentions, and every declared function, to a slot once, and
+   records per function a pc → slot map beside its code, so a global
+   access in the dispatch loop is two array reads and hashes no name.
+   [unbound] marks a slot no store or declaration has reached: a load
+   then takes the builtin fallback precomputed for the slot, or raises.
+   Names first seen by name (the JIT's callbacks) get a fresh slot. *)
+type slots = {
+  index : (string, int) Hashtbl.t;  (* name → slot *)
+  mutable values : Value.t array;  (* slot → binding, or [unbound] *)
+  mutable fallback : Value.t array;  (* slot → [Builtin name], or [unbound] *)
+  mutable maps : int array array;  (* function index → pc → slot; main last *)
+}
+
+(* Allocated here, so no script value is physically equal to it. *)
+let unbound = Value.Builtin (String.make 1 '?')
+
 type t = {
   realm : Realm.t;
   program : Op.program;
   globals : (string, Value.t) Hashtbl.t;
+  slots : slots;
   counters : int array;
   dispatch : (Value.t list -> Value.t) option array;
   feedback : Feedback.t;
@@ -31,18 +49,50 @@ type t = {
   mutable obs_counters : vm_counters option;
 }
 
+let slot_of s name =
+  match Hashtbl.find s.index name with
+  | k -> k
+  | exception Not_found ->
+    let k = Hashtbl.length s.index in
+    if k = Array.length s.values then begin
+      let grow a = Array.append a (Array.make (max 8 k) unbound) in
+      s.values <- grow s.values;
+      s.fallback <- grow s.fallback
+    end;
+    if Builtins.is_namespace name || Builtins.is_global_function name then
+      s.fallback.(k) <- Value.Builtin name;
+    Hashtbl.replace s.index name k;
+    k
+
+let slot_map s (f : Op.func) =
+  Array.map
+    (function
+      | Op.Load_global name | Op.Store_global name | Op.Declare_global name ->
+        slot_of s name
+      | _ -> -1)
+    f.Op.code
+
 let create ?realm (program : Op.program) =
   let realm = match realm with Some r -> r | None -> Realm.create () in
+  let funcs = program.Op.funcs in
   let globals = Hashtbl.create 64 in
+  let s =
+    { index = Hashtbl.create 64; values = [||]; fallback = [||]; maps = [||] }
+  in
   Array.iteri
-    (fun i (f : Op.func) -> Hashtbl.replace globals f.Op.name (Value.Function i))
-    program.Op.funcs;
+    (fun i (f : Op.func) ->
+      Hashtbl.replace globals f.Op.name (Value.Function i);
+      let k = slot_of s f.Op.name in
+      s.values.(k) <- Value.Function i)
+    funcs;
+  s.maps <- Array.map (slot_map s) (Array.append funcs [| program.Op.main |]);
   {
     realm;
     program;
     globals;
-    counters = Array.make (Array.length program.Op.funcs) 0;
-    dispatch = Array.make (Array.length program.Op.funcs) None;
+    slots = s;
+    counters = Array.make (Array.length funcs) 0;
+    dispatch = Array.make (Array.length funcs) None;
     feedback = Feedback.create program;
     on_invoke = None;
     obs_counters = None;
@@ -58,17 +108,22 @@ let install_obs vm obs =
         jit_dispatch = Metrics.counter m "vm.dispatch.jit";
       }
 
-let store_global vm name v = Hashtbl.replace vm.globals name v
+let load_slot s k name =
+  let v = s.values.(k) in
+  if v != unbound then v
+  else
+    let b = s.fallback.(k) in
+    if b != unbound then b else Errors.type_error "%s is not defined" name
 
-let declare_global vm name =
-  if not (Hashtbl.mem vm.globals name) then Hashtbl.replace vm.globals name Value.Undefined
+let declare_slot s k = if s.values.(k) == unbound then s.values.(k) <- Value.Undefined
 
-let load_global vm name =
-  match Hashtbl.find_opt vm.globals name with
-  | Some v -> v
-  | None ->
-    if Builtins.is_namespace name || Builtins.is_global_function name then Value.Builtin name
-    else Errors.type_error "%s is not defined" name
+let load_global vm name = load_slot vm.slots (slot_of vm.slots name) name
+
+let store_global vm name v =
+  let k = slot_of vm.slots name in
+  vm.slots.values.(k) <- v
+
+let declare_global vm name = declare_slot vm.slots (slot_of vm.slots name)
 
 (* Operand stack: growable value array. *)
 type stack = {
@@ -98,6 +153,30 @@ let pop_n st n =
   done;
   !vs
 
+let rec stage_args locals arity i = function
+  | v :: rest when i < arity ->
+    locals.(i) <- v;
+    stage_args locals arity (i + 1) rest
+  | _ -> ()
+
+(* The slot map of [f]: its function's, main's, or (for a function the
+   program does not hold) one resolved now. *)
+let slot_map_of vm ~func_index (f : Op.func) =
+  let maps = vm.slots.maps in
+  if func_index >= 0 then maps.(func_index)
+  else if f == vm.program.Op.main then maps.(Array.length maps - 1)
+  else slot_map vm.slots f
+
+let record_index (site : Feedback.site) recv idx =
+  match (recv, Value_ops.to_index idx) with
+  | Value.Array _, Some _ -> site.Feedback.saw_array_int <- true
+  | _ -> site.Feedback.saw_other_index <- true
+
+let record_receiver (site : Feedback.site) recv =
+  match recv with
+  | Value.Array _ -> site.Feedback.saw_array_recv <- true
+  | _ -> site.Feedback.saw_other_recv <- true
+
 let rec call_function vm idx args =
   vm.counters.(idx) <- vm.counters.(idx) + 1;
   (match vm.on_invoke with
@@ -122,31 +201,39 @@ let rec call_function vm idx args =
     interpret vm ~func_index:idx vm.program.Op.funcs.(idx) args
 
 (* [func_index] = -1 for the top level, which collects no feedback (it is
-   never JITed). *)
+   never JITed). The profiler tag is set only while profiling runs, so a
+   call builds no closure otherwise. *)
 and interpret vm ~func_index (f : Op.func) args =
-  Profile.with_tag prof_vm (fun () -> interpret_body vm ~func_index f args)
+  if Profile.running () then
+    Profile.with_tag prof_vm (fun () -> interpret_body vm ~func_index f args)
+  else interpret_body vm ~func_index f args
 
+(* The dispatch loop allocates nothing per op beyond the values it
+   makes: feedback is recorded only when [func_index >= 0], into the
+   site at the op's pc, and the loop ends by clearing [running]. *)
 and interpret_body vm ~func_index (f : Op.func) args =
   let locals = Array.make (max f.Op.n_locals 1) Value.Undefined in
-  List.iteri (fun i v -> if i < f.Op.arity then locals.(i) <- v) args;
+  stage_args locals f.Op.arity 0 args;
   let st = new_stack () in
   let code = f.Op.code in
+  let s = vm.slots in
+  let slot = slot_map_of vm ~func_index f in
+  let record = func_index >= 0 in
+  let sites = if record then vm.feedback.(func_index) else [||] in
   let pc = ref 0 in
-  let result = ref None in
-  let feedback_site () =
-    if func_index >= 0 then Some (Feedback.site vm.feedback ~func:func_index ~pc:(!pc - 1))
-    else None
-  in
-  while !result = None do
-    let op = code.(!pc) in
-    incr pc;
+  let running = ref true in
+  let result = ref Value.Undefined in
+  while !running do
+    let at = !pc in
+    let op = code.(at) in
+    pc := at + 1;
     match op with
     | Op.Push_const v -> push st v
     | Op.Load_local i -> push st locals.(i)
     | Op.Store_local i -> locals.(i) <- pop st
-    | Op.Load_global name -> push st (load_global vm name)
-    | Op.Store_global name -> Hashtbl.replace vm.globals name (pop st)
-    | Op.Declare_global name -> declare_global vm name
+    | Op.Load_global name -> push st (load_slot s slot.(at) name)
+    | Op.Store_global _ -> s.values.(slot.(at)) <- pop st
+    | Op.Declare_global _ -> declare_slot s slot.(at)
     | Op.Pop -> ignore (pop st)
     | Op.Dup ->
       let v = pop st in
@@ -155,12 +242,12 @@ and interpret_body vm ~func_index (f : Op.func) args =
     | Op.Binop op ->
       let b = pop st in
       let a = pop st in
-      (match feedback_site () with
-      | Some site -> (
+      if record then begin
+        let site = sites.(at) in
         match (a, b) with
         | Value.Number _, Value.Number _ -> site.Feedback.saw_number <- true
-        | _ -> site.Feedback.saw_non_number <- true)
-      | None -> ());
+        | _ -> site.Feedback.saw_non_number <- true
+      end;
       push st (Value_ops.binary op a b)
     | Op.Unop op -> push st (Value_ops.unary op (pop st))
     | Op.Jump target -> pc := target
@@ -179,12 +266,7 @@ and interpret_body vm ~func_index (f : Op.func) args =
     | Op.Get_index -> (
       let idx = pop st in
       let recv = pop st in
-      (match feedback_site () with
-      | Some site -> (
-        match (recv, Value_ops.to_index idx) with
-        | Value.Array _, Some _ -> site.Feedback.saw_array_int <- true
-        | _ -> site.Feedback.saw_other_index <- true)
-      | None -> ());
+      if record then record_index sites.(at) recv idx;
       match (recv, Value_ops.to_index idx) with
       | Value.Array h, Some i -> push st (Heap.get vm.realm.Realm.heap h i)
       | Value.Object tbl, _ ->
@@ -197,40 +279,25 @@ and interpret_body vm ~func_index (f : Op.func) args =
           (if i < String.length s then Value.String (String.make 1 s.[i]) else Value.Undefined)
       | Value.Array _, None -> push st Value.Undefined
       | recv, _ -> Errors.type_error "cannot index %s" (Value.type_name recv))
-    | Op.Set_index -> (
+    | Op.Set_index ->
       let v = pop st in
       let idx = pop st in
       let recv = pop st in
-      (match feedback_site () with
-      | Some site -> (
-        match (recv, Value_ops.to_index idx) with
-        | Value.Array _, Some _ -> site.Feedback.saw_array_int <- true
-        | _ -> site.Feedback.saw_other_index <- true)
-      | None -> ());
+      if record then record_index sites.(at) recv idx;
       (match (recv, Value_ops.to_index idx) with
       | Value.Array h, Some i -> Heap.set vm.realm.Realm.heap h i v
       | Value.Object tbl, _ -> Hashtbl.replace tbl (Value_ops.to_string idx) v
       | Value.Array _, None -> Errors.type_error "invalid array index %s" (Value.to_display idx)
       | recv, _ -> Errors.type_error "cannot index %s" (Value.type_name recv));
-      push st v)
+      push st v
     | Op.Get_member name ->
       let recv = pop st in
-      (match feedback_site () with
-      | Some site -> (
-        match recv with
-        | Value.Array _ -> site.Feedback.saw_array_recv <- true
-        | _ -> site.Feedback.saw_other_recv <- true)
-      | None -> ());
+      if record then record_receiver sites.(at) recv;
       push st (Builtins.get_member vm.realm recv name)
     | Op.Set_member name ->
       let v = pop st in
       let recv = pop st in
-      (match feedback_site () with
-      | Some site -> (
-        match recv with
-        | Value.Array _ -> site.Feedback.saw_array_recv <- true
-        | _ -> site.Feedback.saw_other_recv <- true)
-      | None -> ());
+      if record then record_receiver sites.(at) recv;
       Builtins.set_member vm.realm recv name v;
       push st v
     | Op.Call n -> (
@@ -243,21 +310,16 @@ and interpret_body vm ~func_index (f : Op.func) args =
     | Op.Call_method (name, n) -> (
       let args = pop_n st n in
       let recv = pop st in
-      (match feedback_site () with
-      | Some site -> (
-        match recv with
-        | Value.Array _ -> site.Feedback.saw_array_recv <- true
-        | _ -> site.Feedback.saw_other_recv <- true)
-      | None -> ());
+      if record then record_receiver sites.(at) recv;
       match Builtins.call_method vm.realm recv name args with
       | `Value v -> push st v
       | `User_function (idx, args) -> push st (call_function vm idx args))
-    | Op.Return -> result := Some (pop st)
-    | Op.Return_undefined -> result := Some Value.Undefined
+    | Op.Return ->
+      result := pop st;
+      running := false
+    | Op.Return_undefined -> running := false
   done;
-  match !result with
-  | Some v -> v
-  | None -> assert false
+  !result
 
 let run vm =
   ignore (interpret vm ~func_index:(-1) vm.program.Op.main []);

@@ -15,10 +15,17 @@ module Value = Jitbull_runtime.Value
     per-call cost is one option match and an integer increment. *)
 type vm_counters
 
+(** The global bindings: one slot per name, resolved by {!create}. *)
+type slots
+
 type t = {
   realm : Jitbull_runtime.Realm.t;
   program : Op.program;
   globals : (string, Value.t) Hashtbl.t;
+      (** the declaration index: each declared function's name bound to
+          its [Value.Function], as {!create} found them. Stores do not
+          reach it; the live bindings are in [slots]. *)
+  slots : slots;
   counters : int array;  (** invocation counts, indexed by function *)
   dispatch : (Value.t list -> Value.t) option array;
       (** compiled entry points; [call_function] prefers these *)
@@ -30,8 +37,11 @@ type t = {
       (** dispatch telemetry; [None] (the default) records nothing *)
 }
 
-(** [create ?realm program] sets up globals (each declared function is
-    pre-bound to its [Value.Function]) and zeroed counters. *)
+(** [create ?realm program] resolves every global name in the bytecode,
+    and every declared function, to a slot (each declared function is
+    pre-bound to its [Value.Function]) and zeroes the counters. A global
+    access in the interpreter then reads its slot by pc and hashes no
+    name. *)
 val create : ?realm:Jitbull_runtime.Realm.t -> Op.program -> t
 
 (** [install_obs vm obs] resolves the dispatch counters against [obs]'s
@@ -41,7 +51,8 @@ val install_obs : t -> Jitbull_obs.Obs.t -> unit
 (** [load_global vm name] reads a global binding, falling back to builtin
     namespaces/functions; raises for undefined names. [store_global]
     creates or updates a global. Used by JITed code through the executor
-    callbacks. *)
+    callbacks: these look the name's slot up by name, and give a name
+    the bytecode never mentions a fresh slot. *)
 
 val load_global : t -> string -> Value.t
 val store_global : t -> string -> Value.t -> unit

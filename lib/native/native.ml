@@ -2,13 +2,13 @@
    an unboxed NaN-boxed register file.
 
    Design: generated code covers the numeric core — const/move/guards/
-   bounds checks/float arithmetic/compares/branches — and *exits to the
-   host* for everything else.  Every exit returns a packed
-   [(lir_pc lsl 4) lor reason] in rax; the host performs the operation on
-   decoded values (sharing the executor's raw_number/Value_ops semantics
-   bit for bit, including the type-confusion behaviour a removed guard
-   exposes) and re-enters the code at the byte offset recorded for the
-   next LIR pc.  Guard failures exit with a bailout reason; the host
+   bounds checks/float arithmetic/compares/branches, and an array's
+   elements handle — and *exits to the host* for everything else.  Every
+   exit returns a packed [(lir_pc lsl 4) lor reason] in rax; the host
+   performs the operation on decoded values (sharing the executor's
+   raw_number/Value_ops semantics bit for bit, including the
+   type-confusion behaviour a removed guard exposes) and re-enters the
+   code at the byte offset recorded for the next LIR pc.  Guard failures exit with a bailout reason; the host
    formats the executor-identical message and raises {!Lir.Bailout}, so
    the engine's deopt path is tier-agnostic.
 
@@ -174,6 +174,14 @@ let compile (f : Lir.func) : code =
     Asm.cmp_rr asm Asm.r11 dst;
     Asm.jcc asm Asm.cc_ne fail
   in
+  (* rax <- slot; exit unless the bits are an array (clobbers rcx). *)
+  let load_array slot fail =
+    Asm.mov_r_slot asm Asm.rax slot;
+    Asm.mov_rr asm ~dst:Asm.rcx ~src:Asm.rax;
+    Asm.shr_r_imm asm Asm.rcx Nanbox.tag_shift;
+    Asm.cmp_r32_imm asm Asm.rcx Nanbox.tag_array;
+    Asm.jcc asm Asm.cc_ne fail
+  in
   (* Boxed boolean from the flag byte in al. *)
   let box_bool (i : Lir.inst) =
     Asm.movzx_eax_al asm;
@@ -257,12 +265,12 @@ let compile (f : Lir.func) : code =
         Asm.jcc asm Asm.cc_l bail;
         store_dst i Asm.rax
       | Lir.Kguard_array ->
-        let bail = exit_label pc reason_bailout in
-        Asm.mov_r_slot asm Asm.rax i.Lir.a;
-        Asm.mov_rr asm ~dst:Asm.rcx ~src:Asm.rax;
-        Asm.shr_r_imm asm Asm.rcx Nanbox.tag_shift;
-        Asm.cmp_r32_imm asm Asm.rcx Nanbox.tag_array;
-        Asm.jcc asm Asm.cc_ne bail;
+        load_array i.Lir.a (exit_label pc reason_bailout);
+        store_dst i Asm.rax
+      | Lir.Kelements ->
+        (* an array's elements handle is its own bits; the host only
+           reinterprets a receiver a removed guard let through *)
+        load_array i.Lir.a (exit_label pc reason_hostop);
         store_dst i Asm.rax
       | Lir.Kbounds_check ->
         (* numbers-only fast path; anything else needs raw_number, so the
@@ -398,7 +406,7 @@ let compile (f : Lir.func) : code =
       | Lir.Kgoto -> Asm.jmp asm pc_labels.(i.Lir.imm)
       | Lir.Kreturn -> exit_now pc reason_return
       | Lir.Kbitnot | Lir.Ktypeof | Lir.Ktonumber | Lir.Knew_array
-      | Lir.Knew_object | Lir.Kelements | Lir.Kinit_length
+      | Lir.Knew_object | Lir.Kinit_length
       | Lir.Kload_element | Lir.Kstore_element | Lir.Karray_length
       | Lir.Kset_array_length | Lir.Karray_push | Lir.Karray_pop
       | Lir.Kget_prop | Lir.Kset_prop | Lir.Kget_index_gen
@@ -527,7 +535,6 @@ let host_op code act (realm : Realm.t) (cb : Executor.callbacks) pc =
   | Lir.Ktonumber -> set act d (Value.Number (Value_ops.to_number (get act a)))
   | Lir.Knew_array -> set act d (Value.Array (Heap.alloc_array heap ~length:i.Lir.imm))
   | Lir.Knew_object -> set act d (Value.Object (Hashtbl.create 8))
-  | Lir.Kelements when is_array act a -> if d >= 0 then act.regs.{d} <- act.regs.{a}
   | Lir.Kelements -> set act d (Value.Array (int_of_float (num realm act a)))
   | ( Lir.Kinit_length | Lir.Karray_length | Lir.Kload_element | Lir.Kstore_element
     | Lir.Kset_array_length | Lir.Karray_push | Lir.Karray_pop ) as k

@@ -22,6 +22,7 @@ type t = {
   size_limit : int;                  (* logical cell count *)
   mutable brk : int;                 (* bump pointer *)
   mutable free : free_region list;   (* reclaimed regions, first-fit *)
+  mutable largest : int;             (* >= every free region's size *)
   mutable table : int array;         (* handle -> base address *)
   mutable next_handle : int;
   mutable sentinel_addr : int;       (* -1 when not allocated *)
@@ -38,6 +39,7 @@ let create ?(size_limit = 1 lsl 18) () =
     size_limit;
     brk = 0;
     free = [];
+    largest = 0;
     table = Array.make 64 (-1);
     next_handle = 0;
     sentinel_addr = -1;
@@ -76,35 +78,50 @@ let set_cell_in t a v =
   end
   else set_cell t a v
 
+(* -1 when some region in [l] holds [n] cells, else the largest size. *)
+let rec largest_below n best = function
+  | [] -> best
+  | r :: rest -> if r.size >= n then -1 else largest_below n (max best r.size) rest
+
 (* First-fit allocation from the free list, falling back to bumping. The
    sentinel occupies the top two cells, which the bump pointer may not
-   reach. *)
+   reach. [largest] bounds the free regions' sizes from above, so a
+   request larger than it bumps without walking the list; a walk that
+   finds no fit sets it exactly. *)
 let alloc_cells t n =
   let rec take acc = function
-    | [] -> None
+    | [] -> assert false
     | r :: rest when r.size >= n ->
       let remainder =
         if r.size > n then [ { addr = r.addr + n; size = r.size - n } ] else []
       in
       t.free <- List.rev_append acc (remainder @ rest);
-      Some r.addr
+      r.addr
     | r :: rest -> take (r :: acc) rest
   in
-  match take [] t.free with
-  | Some addr -> addr
-  | None ->
+  let fits =
+    n <= t.largest
+    &&
+    let best = largest_below n 0 t.free in
+    if best >= 0 then t.largest <- best;
+    best < 0
+  in
+  if fits then take [] t.free
+  else begin
     let limit = if t.sentinel_addr >= 0 then t.sentinel_addr else size t in
     if t.brk + n > limit then raise Errors.Heap_exhausted;
     let base = t.brk in
     t.brk <- t.brk + n;
     base
+  end
 
 let free_cells t addr n =
   if n > 0 then begin
     for i = addr to addr + n - 1 do
       set_cell t i Value.Undefined
     done;
-    t.free <- { addr; size = n } :: t.free
+    t.free <- { addr; size = n } :: t.free;
+    if n > t.largest then t.largest <- n
   end
 
 (* [Array.blit] over the cells: the same bounds test and message, then a

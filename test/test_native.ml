@@ -321,17 +321,45 @@ let edge_corpus =
     "function f(a, n) { for (var i = 0; i < n; i = i + 1) { a.push(i); }\n\
      return a.length + a[n - 1]; }\n\
      var r = 0; for (var k = 1; k < 20; k = k + 1) { r = f([], k * 3); } print(r);";
+    (* globals: an undefined one read from hot code raises the same error *)
+    "function f(k) { if (k > 15) { return missing + k; } return k; }\n\
+     var r = 0; for (var k = 0; k < 20; k = k + 1) { r = f(k); } print(r);";
+    (* [var x] after [x = 1] keeps 1 *)
+    "function f(k) { return x + k; } x = 1; var x; var r = 0;\n\
+     for (var k = 0; k < 20; k = k + 1) { r = f(k); } print(r + ' ' + x);";
+    (* a function name rebound at top level, before and inside the loop *)
+    "function g(x) { return x + 1; } function h(x) { return x * 10; } g = h;\n\
+     function f(k) { return g(k) + 1; } var r = 0;\n\
+     for (var k = 0; k < 20; k = k + 1) { r = r + f(k); } print(r);";
+    "function g(x) { return x + 1; } function h(x) { return x * 10; }\n\
+     function f(k) { return g(k); } var r = 0;\n\
+     for (var k = 0; k < 20; k = k + 1) { if (k == 10) { g = h; } r = r + f(k); } print(r);";
+    (* a global first created by a store inside a function, hot or not *)
+    "function init() { made = 7; } function f(k) { last = k; return made + k; }\n\
+     init(); var r = 0; for (var k = 0; k < 20; k = k + 1) { r = r + f(k); }\n\
+     print(r + ' ' + last + ' ' + made);";
+    (* builtins read as globals, called and stored *)
+    "var M = Math; var p = print;\n\
+     function f(k) { if (k % 7 == 0) { p(Math.floor(k / 2)); } return M.max(k, 3); }\n\
+     var r = 0; for (var k = 0; k < 20; k = k + 1) { r = r + f(k); } print(r);";
   ]
+
+(* A run's output, or the error it ended with. *)
+let outcome run = try run () with e -> "error: " ^ Printexc.to_string e
 
 let test_edge_corpus_equivalence () =
   List.iter
     (fun src ->
-      let reference = interp_output src in
-      let out_n, tn = Engine.run_source native_cfg src in
-      let out_e, te = Engine.run_source executor_cfg src in
+      let reference = outcome (fun () -> interp_output src) in
+      check_string "vm matches interpreter" reference (outcome (fun () -> vm_output src));
+      let engine cfg =
+        let eng = Engine.create cfg (Compiler.compile (Parser.parse src)) in
+        (outcome (fun () -> Engine.run eng), Engine.stats eng)
+      in
+      let out_n, sn = engine native_cfg in
+      let out_e, se = engine executor_cfg in
       check_string "native matches interpreter" reference out_n;
       check_string "executor matches interpreter" reference out_e;
-      let sn = Engine.stats tn and se = Engine.stats te in
       check_int "same ion compiles" se.Engine.ion_compiles sn.Engine.ion_compiles;
       check_int "same bailouts" se.Engine.bailouts sn.Engine.bailouts;
       check_int "executor leg installs no native code" 0 se.Engine.native_installs;
@@ -349,6 +377,12 @@ let test_string_loop_equivalence () =
   in
   check_string "native matches interpreter" (interp_output src)
     (fst (Engine.run_source native_cfg src))
+
+(* Callbacks for hand-built LIR that calls and touches no globals. *)
+let no_callbacks =
+  { Executor.call_function = (fun _ _ -> Value.Undefined);
+    lookup_global = (fun _ -> Value.Undefined);
+    store_global = (fun _ _ -> ()); declare_global = (fun _ -> ()) }
 
 (* The host exits' array and [%] operations over what only a removed
    guard lets reach them: receivers that are not arrays, indices and
@@ -372,11 +406,6 @@ let test_unguarded_exits =
                inst kind ~dst:(if ret = 2 then 2 else -1) ~a:0 ~b:1 ~imm:0;
                inst Lir.Kreturn ~dst:(-1) ~a:ret ~b:(-1) ~imm:0 |];
         }
-      in
-      let cb =
-        { Executor.call_function = (fun _ _ -> Value.Undefined);
-          lookup_global = (fun _ -> Value.Undefined);
-          store_global = (fun _ _ -> ()); declare_global = (fun _ -> ()) }
       in
       let outcome run x y =
         let realm = Realm.create () in
@@ -404,13 +433,53 @@ let test_unguarded_exits =
               List.iter
                 (fun y ->
                   check_string (Lir.kind_name kind)
-                    (outcome (fun realm args -> Executor.run f realm cb args) x y)
-                    (outcome (fun realm args -> Native.run code realm cb args) x y))
+                    (outcome (fun realm args -> Executor.run f realm no_callbacks args) x y)
+                    (outcome (fun realm args -> Native.run code realm no_callbacks args) x y))
                 values)
             values;
           Native.release code)
         [ Lir.Kelements; Lir.Kinit_length; Lir.Karray_length; Lir.Kload_element;
           Lir.Kstore_element; Lir.Kbin Jitbull_mir.Mir.NMod ])
+
+(* [elements] on an array is machine code: a hand-built loop taking an
+   array's elements 100 times, with no guard in front, returns natively
+   with no host exit and the executor's value. *)
+let test_elements_stay_native =
+  when_native (fun () ->
+      let module Lir = Jitbull_lir.Lir in
+      let module Heap = Jitbull_runtime.Heap in
+      let module Realm = Jitbull_runtime.Realm in
+      let inst ?(a = -1) ?(b = -1) ?(imm = -1) kind dst =
+        { (Lir.make_inst kind) with Lir.dst; a; b; imm }
+      in
+      let f =
+        {
+          Lir.name = "elements_loop"; arity = 2; consts = [| Value.Number 0.; Value.Number 1. |];
+          names = [||]; call_args = [||]; fields = Array.make 9 []; n_regs = 6; spill_count = 0;
+          code =
+            [| inst Lir.Kparam 0 ~imm:0;
+               inst Lir.Kparam 1 ~imm:1;
+               inst Lir.Kconst 2 ~imm:0;
+               inst Lir.Kconst 3 ~imm:1;
+               inst Lir.Kelements 4 ~a:0;
+               inst Lir.Kadd 2 ~a:2 ~b:3;
+               inst (Lir.Kcompare Jitbull_mir.Mir.CLt) 5 ~a:2 ~b:1;
+               inst Lir.Ktest (-1) ~a:5 ~imm:4 ~b:8;
+               inst Lir.Kreturn (-1) ~a:4 |];
+        }
+      in
+      let run exec =
+        let realm = Realm.create () in
+        let h = Heap.alloc_array realm.Realm.heap ~length:3 in
+        Value.to_display (exec realm [ Value.Array h; Value.Number 100. ])
+      in
+      let code = Native.compile f in
+      let native = run (fun realm args -> Native.run code realm no_callbacks args) in
+      check_string "value" (run (fun realm args -> Executor.run f realm no_callbacks args)) native;
+      let exits = Native.exits code in
+      check_int "host exits" 0 exits.Native.t_hostop;
+      check_int "returns" 1 exits.Native.t_return;
+      Native.release code)
 
 let qcheck_native_vs_executor =
   QCheck.Test.make ~count:(qcheck_count 60) ~name:"native == executor on random programs"
@@ -594,6 +663,7 @@ let suite =
       Alcotest.test_case "exec_mem W^X lifecycle" `Quick test_exec_mem_wx_lifecycle;
       Alcotest.test_case "edge corpus equivalence" `Quick test_edge_corpus_equivalence;
       Alcotest.test_case "unguarded exits == executor" `Quick test_unguarded_exits;
+      Alcotest.test_case "elements stay native" `Quick test_elements_stay_native;
       Alcotest.test_case "string loop equivalence" `Quick test_string_loop_equivalence;
       qtest qcheck_native_vs_executor;
       Alcotest.test_case "metamorphic tier agreement" `Quick

@@ -239,6 +239,29 @@ let test_realm_allocation () =
     (Printf.sprintf "%.0f words per realm within the bound" used)
     true (used <= realm_words_bound)
 
+(* An allocation larger than every free region bumps without walking
+   the free list: after 2,000 arrays each shrank and freed a 3-cell
+   tail, allocating an 8-element array takes 14 words, its header's two
+   numbers among them. When it walked the whole list and consed a copy
+   of it first, it took 6,014. *)
+let alloc_words_bound = 64.
+
+let test_heap_allocation_after_frees () =
+  let module Heap = Jitbull_runtime.Heap in
+  let heap = Heap.create () in
+  for _ = 1 to 2000 do
+    Heap.set_length heap (Heap.alloc_array heap ~length:4) 1
+  done;
+  let allocs = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to allocs do
+    ignore (Sys.opaque_identity (Heap.alloc_array heap ~length:8))
+  done;
+  let per_alloc = (Gc.minor_words () -. w0) /. float_of_int allocs in
+  check_bool
+    (Printf.sprintf "%.1f minor words per allocation within the bound" per_alloc)
+    true (per_alloc <= alloc_words_bound)
+
 (* ---- Db bookkeeping ---- *)
 
 let test_db_generation_and_order () =
@@ -536,7 +559,7 @@ let call eng idx args = Value.to_display (Vm.call_function (Engine.vm eng) idx a
 (* A native loop that exits to the host for two element loads, a property
    load and three [%]s per iteration: the call gate allocates nothing of
    its own, so the words left are the call's own (its argument list and
-   result), spread over the loop's 30,004 exits; they come to 0.001 words
+   result), spread over the loop's 30,002 exits; they come to 0.001 words
    an exit. When every exit allocated a profiler closure, three accessor
    closures and boxed NaN-box bits and every property hit an option, the
    loop took 34.8 minor words per exit. *)
@@ -563,6 +586,34 @@ let test_host_exit_allocation () =
     check_bool
       (Printf.sprintf "%.2f minor words per host exit within the bound" per_exit)
       true (per_exit <= exit_words_bound)
+
+(* -- vm global allocation -- *)
+
+(* A top-level loop of global loads and stores, run by the bytecode VM
+   alone: what is left per iteration is [i]'s own number, the compare's
+   result and the loop's stack traffic, 10 words. When each global access
+   hashed its name through a [Hashtbl] and each op allocated a feedback
+   closure's option and a result option, an iteration took 20. *)
+let global_words_bound = 15.
+
+let global_iterations = 200_000
+
+let global_src =
+  Printf.sprintf
+    "var x = 1; var y = 2; var z = 3;
+     for (var i = 0; i < %d; i++) { x = y; y = z; z = x; }
+     print(x + y + z);"
+    global_iterations
+
+let test_vm_global_allocation () =
+  let vm = Vm.create (Compiler.compile (Parser.parse global_src)) in
+  let w0 = Gc.minor_words () in
+  let out = Vm.run vm in
+  let per_iteration = (Gc.minor_words () -. w0) /. float_of_int global_iterations in
+  check_string "loop result" "8\n" out;
+  check_bool
+    (Printf.sprintf "%.2f minor words per iteration within the bound" per_iteration)
+    true (per_iteration <= global_words_bound)
 
 let fresh_config ?compile_pool ~max_bailouts tag =
   let db = Db.create () in
@@ -909,7 +960,9 @@ let suite =
       Alcotest.test_case "query allocation" `Quick test_query_allocation;
       Alcotest.test_case "parse allocation" `Quick test_parse_allocation;
       Alcotest.test_case "realm allocation" `Quick test_realm_allocation;
+      Alcotest.test_case "heap allocation after frees" `Quick test_heap_allocation_after_frees;
       Alcotest.test_case "host exit allocation" `Quick test_host_exit_allocation;
+      Alcotest.test_case "vm global allocation" `Quick test_vm_global_allocation;
       Alcotest.test_case "posting-aware extraction == full" `Quick
         test_posting_aware_equals_full;
       Alcotest.test_case "posted-set generation race" `Quick test_posted_generation_race;
