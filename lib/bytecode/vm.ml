@@ -159,14 +159,6 @@ let rec stage_args locals arity i = function
     stage_args locals arity (i + 1) rest
   | _ -> ()
 
-(* The slot map of [f]: its function's, main's, or (for a function the
-   program does not hold) one resolved now. *)
-let slot_map_of vm ~func_index (f : Op.func) =
-  let maps = vm.slots.maps in
-  if func_index >= 0 then maps.(func_index)
-  else if f == vm.program.Op.main then maps.(Array.length maps - 1)
-  else slot_map vm.slots f
-
 let record_index (site : Feedback.site) recv idx =
   match (recv, Value_ops.to_index idx) with
   | Value.Array _, Some _ -> site.Feedback.saw_array_int <- true
@@ -217,7 +209,7 @@ and interpret_body vm ~func_index (f : Op.func) args =
   let st = new_stack () in
   let code = f.Op.code in
   let s = vm.slots in
-  let slot = slot_map_of vm ~func_index f in
+  let slot = s.maps.(if func_index >= 0 then func_index else Array.length s.maps - 1) in
   let record = func_index >= 0 in
   let sites = if record then vm.feedback.(func_index) else [||] in
   let pc = ref 0 in

@@ -66,7 +66,9 @@ val call_function : t -> int -> Value.t list -> Value.t
 
 (** [interpret vm ~func_index f args] runs [f]'s bytecode directly in the
     interpreter, bypassing dispatch — the engine uses it to replay a call
-    after a JIT bailout. [func_index] = -1 disables feedback recording. *)
+    after a JIT bailout. [f] must be the program's own: [funcs.(func_index)],
+    or [main] with [func_index] = -1, which also disables feedback
+    recording; the global slots were resolved for exactly those. *)
 val interpret : t -> func_index:int -> Op.func -> Value.t list -> Value.t
 
 (** [run vm] executes the program's top level; returns the printed

@@ -78,42 +78,41 @@ let set_cell_in t a v =
   end
   else set_cell t a v
 
-(* -1 when some region in [l] holds [n] cells, else the largest size. *)
-let rec largest_below n best = function
-  | [] -> best
-  | r :: rest -> if r.size >= n then -1 else largest_below n (max best r.size) rest
+let bump t n =
+  let limit = if t.sentinel_addr >= 0 then t.sentinel_addr else size t in
+  if t.brk + n > limit then raise Errors.Heap_exhausted;
+  let base = t.brk in
+  t.brk <- t.brk + n;
+  base
+
+exception No_fit
 
 (* First-fit allocation from the free list, falling back to bumping. The
    sentinel occupies the top two cells, which the bump pointer may not
    reach. [largest] bounds the free regions' sizes from above, so a
-   request larger than it bumps without walking the list; a walk that
-   finds no fit sets it exactly. *)
+   request larger than it bumps without walking the list. [take] returns
+   [l] with [n] cells cut from the front of its first region that holds
+   them, whose address it puts in [at]; it copies the regions before that
+   one only on the way back from a fit, so a walk that finds none conses
+   nothing: it sets [largest] exactly and raises [No_fit]. *)
+let rec take t n at largest = function
+  | [] ->
+    t.largest <- largest;
+    raise_notrace No_fit
+  | r :: rest when r.size >= n ->
+    at := r.addr;
+    if r.size > n then { addr = r.addr + n; size = r.size - n } :: rest else rest
+  | r :: rest -> r :: take t n at (max largest r.size) rest
+
 let alloc_cells t n =
-  let rec take acc = function
-    | [] -> assert false
-    | r :: rest when r.size >= n ->
-      let remainder =
-        if r.size > n then [ { addr = r.addr + n; size = r.size - n } ] else []
-      in
-      t.free <- List.rev_append acc (remainder @ rest);
-      r.addr
-    | r :: rest -> take (r :: acc) rest
-  in
-  let fits =
-    n <= t.largest
-    &&
-    let best = largest_below n 0 t.free in
-    if best >= 0 then t.largest <- best;
-    best < 0
-  in
-  if fits then take [] t.free
-  else begin
-    let limit = if t.sentinel_addr >= 0 then t.sentinel_addr else size t in
-    if t.brk + n > limit then raise Errors.Heap_exhausted;
-    let base = t.brk in
-    t.brk <- t.brk + n;
-    base
-  end
+  if n > t.largest then bump t n
+  else
+    let at = ref 0 in
+    match take t n at 0 t.free with
+    | free ->
+      t.free <- free;
+      !at
+    | exception No_fit -> bump t n
 
 let free_cells t addr n =
   if n > 0 then begin

@@ -321,9 +321,6 @@ let edge_corpus =
     "function f(a, n) { for (var i = 0; i < n; i = i + 1) { a.push(i); }\n\
      return a.length + a[n - 1]; }\n\
      var r = 0; for (var k = 1; k < 20; k = k + 1) { r = f([], k * 3); } print(r);";
-    (* globals: an undefined one read from hot code raises the same error *)
-    "function f(k) { if (k > 15) { return missing + k; } return k; }\n\
-     var r = 0; for (var k = 0; k < 20; k = k + 1) { r = f(k); } print(r);";
     (* [var x] after [x = 1] keeps 1 *)
     "function f(k) { return x + k; } x = 1; var x; var r = 0;\n\
      for (var k = 0; k < 20; k = k + 1) { r = f(k); } print(r + ' ' + x);";
@@ -344,28 +341,40 @@ let edge_corpus =
      var r = 0; for (var k = 0; k < 20; k = k + 1) { r = r + f(k); } print(r);";
   ]
 
-(* A run's output, or the error it ended with. *)
-let outcome run = try run () with e -> "error: " ^ Printexc.to_string e
+(* Edge programs that end in an error, which every tier must raise alike:
+   an undefined global read from hot code. *)
+let edge_corpus_raising =
+  [
+    "function f(k) { if (k > 15) { return missing + k; } return k; }\n\
+     var r = 0; for (var k = 0; k < 20; k = k + 1) { r = f(k); } print(r);";
+  ]
 
 let test_edge_corpus_equivalence () =
-  List.iter
-    (fun src ->
-      let reference = outcome (fun () -> interp_output src) in
-      check_string "vm matches interpreter" reference (outcome (fun () -> vm_output src));
-      let engine cfg =
-        let eng = Engine.create cfg (Compiler.compile (Parser.parse src)) in
-        (outcome (fun () -> Engine.run eng), Engine.stats eng)
-      in
-      let out_n, sn = engine native_cfg in
-      let out_e, se = engine executor_cfg in
-      check_string "native matches interpreter" reference out_n;
-      check_string "executor matches interpreter" reference out_e;
-      check_int "same ion compiles" se.Engine.ion_compiles sn.Engine.ion_compiles;
-      check_int "same bailouts" se.Engine.bailouts sn.Engine.bailouts;
-      check_int "executor leg installs no native code" 0 se.Engine.native_installs;
-      if Native.enabled () && sn.Engine.ion_compiles > 0 then
-        check_bool "native leg ran machine code" true (sn.Engine.native_installs > 0))
-    edge_corpus
+  let check ~raises src =
+    (* Only a raising program's error is caught and compared; any other
+       program that raises fails the test. *)
+    let outcome run =
+      if raises then (try run () with e -> "error: " ^ Printexc.to_string e) else run ()
+    in
+    let reference = outcome (fun () -> interp_output src) in
+    check_bool "raises as expected" raises (String.starts_with ~prefix:"error:" reference);
+    check_string "vm matches interpreter" reference (outcome (fun () -> vm_output src));
+    let engine cfg =
+      let eng = Engine.create cfg (Compiler.compile (Parser.parse src)) in
+      (outcome (fun () -> Engine.run eng), Engine.stats eng)
+    in
+    let out_n, sn = engine native_cfg in
+    let out_e, se = engine executor_cfg in
+    check_string "native matches interpreter" reference out_n;
+    check_string "executor matches interpreter" reference out_e;
+    check_int "same ion compiles" se.Engine.ion_compiles sn.Engine.ion_compiles;
+    check_int "same bailouts" se.Engine.bailouts sn.Engine.bailouts;
+    check_int "executor leg installs no native code" 0 se.Engine.native_installs;
+    if Native.enabled () && sn.Engine.ion_compiles > 0 then
+      check_bool "native leg ran machine code" true (sn.Engine.native_installs > 0)
+  in
+  List.iter (check ~raises:false) edge_corpus;
+  List.iter (check ~raises:true) edge_corpus_raising
 
 (* A native loop building a string per iteration keeps only the strings
    its registers hold: it once kept every one until the next call. *)
