@@ -48,44 +48,45 @@ let key_to_string k =
     else if slot k 1 = 0 then "^" ^ name 2 ^ "->" ^ name 0
     else String.concat "->" [ name 2; name 1; name 0 ]
 
-type multiset = Inttbl.t
-
-(* Multiset of sub-chains of a dependency graph:
-   - n = 2: the edge multiset (the 2-grams of every root→leaf chain);
-   - n = 3 (the default): every length-2 walk u→m→d, plus each edge out
-     of a root as a root-boundary pair so removals at chain ends (an
-     unused guard is a root!) stay visible. Same keys as the 3-grams of
-     every root→leaf chain, computed in O(Σ degᵢₙ·degₒᵤₜ). *)
-let multiset ~n (g : Depgraph.t) =
-  if n <> 2 && n <> 3 then invalid_arg "Delta.multiset: n must be 2 or 3";
-  let m = Inttbl.create (Depgraph.edge_count g) in
-  let op v = g.Depgraph.ops.(v) + 1 and first v = g.Depgraph.dep_start.(v) in
-  let last v = g.Depgraph.dep_start.(v + 1) - 1 and deps = g.Depgraph.deps in
-  for u = 0 to Depgraph.size g - 1 do
-    for i = first u to last u do
+(* Sub-chains (a key per instance):
+   - n = 2: every dependency edge u→d (the 2-grams of every root→leaf
+     chain);
+   - n = 3: every length-2 walk u→m→d, plus each edge out of a root as a
+     root-boundary pair ^u→d so removals at chain ends (an unused guard
+     is a root!) stay visible. Same keys as the 3-grams of every
+     root→leaf chain.
+   Walking the instances hashes nothing; only an instance whose window
+   holds a dirty position is counted. *)
+let count_window ~n counts (g : Depgraph.t) dirty sign =
+  if n <> 2 && n <> 3 then invalid_arg "Delta.count_window: n must be 2 or 3";
+  let ops = g.Depgraph.ops and deps = g.Depgraph.deps and dep_start = g.Depgraph.dep_start in
+  for u = 0 to g.Depgraph.size - 1 do
+    let du = dirty.(u) in
+    for i = dep_start.(u) to dep_start.(u + 1) - 1 do
       let d = deps.(i) in
-      if n = 2 then Inttbl.add m (pack 0 (op u) (op d)) 1
+      let ud = du || dirty.(d) in
+      if n = 2 then begin
+        if ud then Inttbl.add counts (pack 0 (ops.(u) + 1) (ops.(d) + 1)) sign
+      end
       else begin
-        if Depgraph.is_root g u then Inttbl.add m (pack (op u) 0 (op d)) 1;
-        for j = first d to last d do
-          Inttbl.add m (pack (op u) (op d) (op deps.(j))) 1
+        if ud && Depgraph.is_root g u then
+          Inttbl.add counts (pack (ops.(u) + 1) 0 (ops.(d) + 1)) sign;
+        for j = dep_start.(d) to dep_start.(d + 1) - 1 do
+          let e = deps.(j) in
+          if ud || dirty.(e) then
+            Inttbl.add counts (pack (ops.(u) + 1) (ops.(d) + 1) (ops.(e) + 1)) sign
         done
       end
     done
-  done;
-  m
+  done
 
-(* multiset difference a − b, under the packed keys themselves *)
-let diff a b : side =
-  let out = Hashtbl.create 16 in
-  Inttbl.iter
+let of_counts counts =
+  let removed = Hashtbl.create 16 and added = Hashtbl.create 16 in
+  Inttbl.drain
     (fun k c ->
-      let c = c - Inttbl.find b k in
-      if c > 0 then Hashtbl.add out k c)
-    a;
-  out
-
-let of_multisets ~before ~after = { removed = diff before after; added = diff after before }
+      if c > 0 then Hashtbl.add removed k c else if c < 0 then Hashtbl.add added k (-c))
+    counts;
+  { removed; added }
 
 let empty () = { removed = Hashtbl.create 1; added = Hashtbl.create 1 }
 

@@ -39,18 +39,21 @@ type t = {
   added : side;
 }
 
-(** A graph's sub-chain n-gram multiset under packed keys, in one
-    {!Jitbull_util.Inttbl} of keys and counts; [of_multisets] diffs two
-    built with the same [n] and keeps the packed keys that differ. Exact
-    while no opcode name contains ["->"] or starts with ["^"] (no MIR
-    opcode does), which could alias two key shapes. *)
-type multiset
+(** The windowed recount. A sub-chain instance's window is the
+    positions it passes through: [u, d] for an edge u→d or a
+    root-boundary pair ^u→d, [u, m, d] for a walk u→m→d.
+    [count_window ~n counts g dirty sign] adds [sign] to [counts] under
+    the packed key of every instance of [g] whose window holds a
+    position with [dirty.(v)], once per instance, and hashes no other.
+    [n] is 2 (dependency edges) or 3 (length-2 walks plus root-boundary
+    pairs); any other [n] raises [Invalid_argument]. Exact while no
+    opcode name contains ["->"] or starts with ["^"] (no MIR opcode
+    does), which could alias two key shapes. *)
+val count_window : n:int -> Jitbull_util.Inttbl.t -> Depgraph.t -> bool array -> int -> unit
 
-(** [multiset ~n g] — [n] is 2 (dependency edges) or 3 (length-2 walks
-    plus root-boundary pairs); any other [n] raises [Invalid_argument]. *)
-val multiset : n:int -> Depgraph.t -> multiset
-
-val of_multisets : before:multiset -> after:multiset -> t
+(** [of_counts counts] — the Δ of signed counts: keys above 0 are
+    removed sub-chains, keys below 0 added ones. It empties [counts]. *)
+val of_counts : Jitbull_util.Inttbl.t -> t
 
 (** [empty ()] — a fresh Δ of a pass that changed nothing. *)
 val empty : unit -> t

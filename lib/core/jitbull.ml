@@ -66,7 +66,8 @@ let opcode_multiset_diff a b =
 (* One [Audit.pass_diff] per pass that changed the IR: instruction and
    block counts from adjacent snapshots, the opcode multiset diff, and
    the Δ sides the comparator scored (shared with [dna], so capture never
-   re-extracts sub-chains). *)
+   re-extracts sub-chains). A snapshot the pipeline shared with the pass
+   before changed nothing, and costs nothing here. *)
 let capture_diff ~(trace : (string * Snapshot.t) list) ~(dna : Dna.t) =
   match trace with
   | [] ->
@@ -82,37 +83,39 @@ let capture_diff ~(trace : (string * Snapshot.t) list) ~(dna : Dna.t) =
     let passes =
       List.filter_map
         (fun (pass, (snap : Snapshot.t)) ->
-          let ops = opcode_multiset snap in
-          let chains_added, chains_removed =
-            match List.assoc_opt pass dna.Dna.deltas with
-            | Some (d : Delta.t) ->
-              ( chain_strings (List.of_seq (Hashtbl.to_seq d.Delta.added)),
-                chain_strings (List.of_seq (Hashtbl.to_seq d.Delta.removed)) )
-            | None -> ([], [])
-          in
-          let pd =
-            {
-              Audit.pd_pass = pass;
-              pd_instrs_before = Snapshot.entry_count !prev;
-              pd_instrs_after = Snapshot.entry_count snap;
-              pd_blocks_before = !prev.Snapshot.n_blocks;
-              pd_blocks_after = snap.Snapshot.n_blocks;
-              pd_opcodes_added = opcode_multiset_diff ops !prev_ops;
-              pd_opcodes_removed = opcode_multiset_diff !prev_ops ops;
-              pd_chains_added = chains_added;
-              pd_chains_removed = chains_removed;
-            }
-          in
-          prev := snap;
-          prev_ops := ops;
-          if
-            pd.Audit.pd_instrs_before = pd.Audit.pd_instrs_after
-            && pd.Audit.pd_blocks_before = pd.Audit.pd_blocks_after
-            && pd.Audit.pd_opcodes_added = []
-            && pd.Audit.pd_opcodes_removed = []
-            && chains_added = [] && chains_removed = []
-          then None
-          else Some pd)
+          if snap == !prev then None
+          else
+            let ops = opcode_multiset snap in
+            let chains_added, chains_removed =
+              match List.assoc_opt pass dna.Dna.deltas with
+              | Some (d : Delta.t) ->
+                ( chain_strings (List.of_seq (Hashtbl.to_seq d.Delta.added)),
+                  chain_strings (List.of_seq (Hashtbl.to_seq d.Delta.removed)) )
+              | None -> ([], [])
+            in
+            let pd =
+              {
+                Audit.pd_pass = pass;
+                pd_instrs_before = Snapshot.entry_count !prev;
+                pd_instrs_after = Snapshot.entry_count snap;
+                pd_blocks_before = !prev.Snapshot.n_blocks;
+                pd_blocks_after = snap.Snapshot.n_blocks;
+                pd_opcodes_added = opcode_multiset_diff ops !prev_ops;
+                pd_opcodes_removed = opcode_multiset_diff !prev_ops ops;
+                pd_chains_added = chains_added;
+                pd_chains_removed = chains_removed;
+              }
+            in
+            prev := snap;
+            prev_ops := ops;
+            if
+              pd.Audit.pd_instrs_before = pd.Audit.pd_instrs_after
+              && pd.Audit.pd_blocks_before = pd.Audit.pd_blocks_after
+              && pd.Audit.pd_opcodes_added = []
+              && pd.Audit.pd_opcodes_removed = []
+              && chains_added = [] && chains_removed = []
+            then None
+            else Some pd)
         rest
     in
     {

@@ -71,6 +71,36 @@ let take (g : Mir.t) : t =
   |> ignore;
   { func_name = g.Mir.name; n_blocks; nums; ops; operand_start; operands }
 
+(* [matches t g] walks [g] as [take] would and compares as it goes,
+   allocating nothing: [match_instrs] returns the entry count reached, or
+   -1 at the first difference *)
+let rec match_operands t j stop = function
+  | [] -> j = stop
+  | (o : Mir.instr) :: rest ->
+    j < stop && t.operands.(j) = o.Mir.num && match_operands t (j + 1) stop rest
+
+let rec match_instrs t k = function
+  | [] -> k
+  | (i : Mir.instr) :: rest ->
+    if
+      k < Array.length t.nums
+      && t.nums.(k) = i.Mir.num
+      && t.ops.(k) = Mir.opcode_tag i.Mir.opcode
+      && match_operands t t.operand_start.(k) t.operand_start.(k + 1) i.Mir.operands
+    then match_instrs t (k + 1) rest
+    else -1
+
+let rec match_blocks t n_blocks k = function
+  | [] -> n_blocks = t.n_blocks && k = Array.length t.nums
+  | (b : Mir.block) :: rest ->
+    let k = match_instrs t k b.Mir.phis in
+    k >= 0
+    &&
+    let k = match_instrs t k b.Mir.body in
+    k >= 0 && match_blocks t (n_blocks + 1) k rest
+
+let matches t (g : Mir.t) = String.equal t.func_name g.Mir.name && match_blocks t 0 0 g.Mir.blocks
+
 let make ~func_name ~n_blocks entries =
   let nums = Array.of_list (List.map (fun (num, _, _) -> num) entries) in
   let ops = Array.of_list (List.map (fun (_, opcode, _) -> opcode_index opcode) entries) in

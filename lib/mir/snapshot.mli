@@ -25,8 +25,17 @@ type t = private {
           [operands.(operand_start.(k)) .. operands.(operand_start.(k + 1) - 1)] *)
 }
 
-(** [take g] snapshots [g] in block order, phis before body. *)
+(** [take g] snapshots [g] in block order, phis before body. A trace of
+    snapshots may hold one snapshot several times over: the pipeline
+    keeps the previous snapshot, physically, for a pass after which
+    {!matches} holds. *)
 val take : Mir.t -> t
+
+(** [matches t g] — [take g] would equal [t]: the same function name,
+    entries (numbers, opcodes and operand numbers, in block order) and
+    block count. It walks [g] once and allocates nothing, so a caller
+    can keep [t] in place of a snapshot it would take. *)
+val matches : t -> Mir.t -> bool
 
 (** [make ~func_name ~n_blocks entries] builds a snapshot from
     [(num, opcode name, operand numbers)] triples, in order (tests and

@@ -92,13 +92,19 @@ let run_quiet vulns ?obs ?inline_resolver ?(disabled = []) ?(verify = false) (g 
       if not (List.mem st.pass.Pass.name disabled) then exec_pass ctx ~obs ~verify g st)
     stages
 
+(* A pass that left the graph as the last snapshot has it (a skipped
+   pass always does) shares that snapshot rather than taking a copy. *)
 let run vulns ?obs ?inline_resolver ?(disabled = []) ?(verify = false) (g : Mir.t) =
   Obs.incr obs "pipeline.runs";
   let ctx = Pass.make_ctx ?inline_resolver vulns in
-  let trace = ref [ ("initial", Snapshot.take g) ] in
+  let last = ref (Snapshot.take g) in
+  let trace = ref [ ("initial", !last) ] in
   List.iter
     (fun st ->
-      if not (List.mem st.pass.Pass.name disabled) then exec_pass ctx ~obs ~verify g st;
-      trace := (st.pass.Pass.name, Snapshot.take g) :: !trace)
+      if not (List.mem st.pass.Pass.name disabled) then begin
+        exec_pass ctx ~obs ~verify g st;
+        if not (Snapshot.matches !last g) then last := Snapshot.take g
+      end;
+      trace := (st.pass.Pass.name, !last) :: !trace)
     stages;
   List.rev !trace

@@ -30,9 +30,11 @@ val can_disable : string -> bool
     exactly as before.
 
     Returns the snapshot trace: the initial IR (IR₀) followed by one
-    snapshot per pass (IRᵢ), skipped passes contributing an unchanged
-    snapshot — [n+1] snapshots for [n] passes, exactly the inputs of the
-    paper's Δ extractor. *)
+    snapshot per pass (IRᵢ) — [n+1] snapshots for [n] passes, exactly
+    the inputs of the paper's Δ extractor. A pass that was skipped or
+    left the IR as the previous snapshot has it
+    ({!Jitbull_mir.Snapshot.matches}) repeats that snapshot physically,
+    so one shared snapshot can stand for several consecutive passes. *)
 val run :
   Vuln_config.t ->
   ?obs:Jitbull_obs.Obs.t ->

@@ -51,3 +51,16 @@ let add t k d =
 let replace t k v = t.vals.(slot t k) <- v
 
 let iter f t = Array.iteri (fun i k -> if k <> 0 then f k t.vals.(i)) t.keys
+
+let drain f t =
+  let keys = t.keys and vals = t.vals in
+  for i = 0 to Array.length keys - 1 do
+    if keys.(i) <> 0 then begin
+      f keys.(i) vals.(i);
+      keys.(i) <- 0;
+      vals.(i) <- 0
+    end
+  done;
+  t.size <- 0
+
+let capacity t = Array.length t.keys

@@ -18,3 +18,11 @@ val replace : t -> int -> int -> unit
 
 (** [iter f t] — [f k v] on every key, in table order. *)
 val iter : (int -> int -> unit) -> t -> unit
+
+(** [drain f t] — [iter f t], removing each key after [f] has seen it;
+    [t] keeps its capacity. *)
+val drain : (int -> int -> unit) -> t -> unit
+
+(** [capacity t] — the slots [t] holds (twice the keys it takes before
+    growing); {!iter} and {!drain} visit every slot. *)
+val capacity : t -> int

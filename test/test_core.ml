@@ -18,9 +18,87 @@ module Obs = Jitbull_obs.Obs
 (* Hand-build a snapshot: (num, opcode, operands). *)
 let snap entries = Snapshot.make ~func_name:"test" ~n_blocks:1 entries
 
+(* ---- the whole-function extractor, kept as an oracle ----
+
+   The extractor the windowed recount replaced: every changed snapshot
+   gets a whole-function dependency graph and sub-chain multiset, and a
+   pass's Δ is the difference of two multisets. Keys are packed as
+   [Delta.key] documents: three 21-bit slots of dense opcode id + 1, a
+   zero slot marking a pair (0, a, b) or a root-boundary pair (a, 0, b). *)
+module Whole_function = struct
+  module Inttbl = Jitbull_util.Inttbl
+
+  let positions (g : Depgraph.t) = List.init g.Depgraph.size Fun.id
+  let opcode (g : Depgraph.t) v = Snapshot.opcode_name g.Depgraph.ops.(v)
+  let edge_count (g : Depgraph.t) = g.Depgraph.dep_start.(g.Depgraph.size)
+  let roots g = List.filter (Depgraph.is_root g) (positions g)
+
+  let node_count g =
+    List.length
+      (List.filter (fun v -> Depgraph.is_root g v || g.Depgraph.used.(v)) (positions g))
+
+  let pack a b c = (a lsl 42) lor (b lsl 21) lor c
+
+  (* n = 2: the edge multiset; n = 3: every length-2 walk u→m→d plus each
+     edge out of a root as a root-boundary pair *)
+  let multiset ~n (g : Depgraph.t) =
+    let m = Inttbl.create (edge_count g) in
+    let op v = g.Depgraph.ops.(v) + 1 and first v = g.Depgraph.dep_start.(v) in
+    let last v = g.Depgraph.dep_start.(v + 1) - 1 and deps = g.Depgraph.deps in
+    for u = 0 to g.Depgraph.size - 1 do
+      for i = first u to last u do
+        let d = deps.(i) in
+        if n = 2 then Inttbl.add m (pack 0 (op u) (op d)) 1
+        else begin
+          if Depgraph.is_root g u then Inttbl.add m (pack (op u) 0 (op d)) 1;
+          for j = first d to last d do
+            Inttbl.add m (pack (op u) (op d) (op deps.(j))) 1
+          done
+        end
+      done
+    done;
+    m
+
+  (* multiset difference a − b *)
+  let diff a b : Delta.side =
+    let out = Hashtbl.create 16 in
+    Inttbl.iter
+      (fun k c ->
+        let c = c - Inttbl.find b k in
+        if c > 0 then Hashtbl.add out k c)
+      a;
+    out
+
+  let of_multisets ~before ~after =
+    { Delta.removed = diff before after; added = diff after before }
+
+  (* a pass that left the entries unchanged has an empty Δ and the
+     previous multiset carries forward *)
+  let extract ?(n = 3) ?(only = fun _ -> true) trace =
+    match trace with
+    | [] -> { Dna.func_name = "?"; deltas = [] }
+    | (_, first) :: rest ->
+      let multiset snap = lazy (multiset ~n (Depgraph.build snap)) in
+      let _, deltas =
+        List.fold_left_map
+          (fun ((last, m) as prev) (pass, snap) ->
+            if Snapshot.same_entries snap last then (prev, (pass, Delta.empty ()))
+            else
+              let m' = multiset snap in
+              let d =
+                if only pass then of_multisets ~before:(Lazy.force m) ~after:(Lazy.force m')
+                else Delta.empty ()
+              in
+              ((snap, m'), (pass, d)))
+          (first, multiset first)
+          rest
+      in
+      { Dna.func_name = first.Snapshot.func_name; deltas }
+end
+
 (* Δ between two dependency graphs *)
 let compute ?(n = 3) before after =
-  Delta.of_multisets ~before:(Delta.multiset ~n before) ~after:(Delta.multiset ~n after)
+  Whole_function.(of_multisets ~before:(multiset ~n before) ~after:(multiset ~n after))
 
 let test_buildgraph_roots () =
   (* 8 boundscheck uses 2 (unbox) and 7 (initializedlength); 9 uses 8 —
@@ -35,14 +113,14 @@ let test_buildgraph_roots () =
            (9, "loadelement", [ 8 ]);
          ])
   in
-  check_int "roots" 1 (List.length (Depgraph.roots g));
-  check_string "root opcode" "loadelement" (Depgraph.opcode g (List.hd (Depgraph.roots g)));
-  check_int "edges" 3 (Depgraph.edge_count g)
+  check_int "roots" 1 (List.length (Whole_function.roots g));
+  check_string "root opcode" "loadelement" (Whole_function.opcode g (List.hd (Whole_function.roots g)));
+  check_int "edges" 3 (Whole_function.edge_count g)
 
 let test_buildgraph_operandless_excluded () =
   (* an instruction with no operands that nothing uses is not in G *)
   let g = Depgraph.build (snap [ (1, "constant", []); (2, "parameter", []) ]) in
-  check_int "empty graph" 0 (Depgraph.node_count g)
+  check_int "empty graph" 0 (Whole_function.node_count g)
 
 (* The paper's worked example: C_{i-1} = A→B→C→D, C_i = B→C→E gives
    δ⁻ = {A→B, C→D} and δ⁺ = {C→E}. *)
@@ -80,14 +158,16 @@ let test_delta_multiplicity () =
   check_int "single key" 1 (Hashtbl.length d.Delta.removed)
 
 (* Sub-chains are 2- or 3-grams; any other size is refused up front, even
-   on a trace whose snapshots would never build a multiset. *)
+   on a trace whose snapshots would never be recounted. *)
 let test_delta_rejects_other_n () =
   let g = Depgraph.build (snap [ (1, "x", []); (2, "y", [ 1 ]) ]) in
   let trace = [ ("start", snap [ (1, "x", []) ]) ] in
   List.iter
     (fun n ->
-      check_bool (Printf.sprintf "multiset n=%d" n) true
-        (match Delta.multiset ~n g with _ -> false | exception Invalid_argument _ -> true);
+      check_bool (Printf.sprintf "count_window n=%d" n) true
+        (match Delta.count_window ~n (Jitbull_util.Inttbl.create 1) g [| true; true |] 1 with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
       check_bool (Printf.sprintf "extract n=%d" n) true
         (match Dna.extract ~n trace with _ -> false | exception Invalid_argument _ -> true))
     [ 0; 1; 4 ]
@@ -525,7 +605,10 @@ let extracted_dna n trace =
    dangle; operands are drawn from every number in the snapshot, so they
    include forward references (as phis make), self-operands and repeats;
    an empty operand list is common. Each later snapshot repeats the last
-   one, renumbers it, edits one entry or is drawn afresh. *)
+   one (physically), renumbers it, edits one entry's opcode, inserts or
+   deletes an entry, moves an operand between a dangling and a resolving
+   number, flips an entry's root status without changing what it
+   depends on, gives two entries one number, or is drawn afresh. *)
 let snapshot_gen =
   let open QCheck.Gen in
   let* k = int_range 0 9 in
@@ -559,14 +642,72 @@ let edit_one i opcode (s : Snapshot.t) =
        (fun j ((num, _, operands) as e) -> if j = i then (num, opcode, operands) else e)
        (Snapshot.entries s))
 
-let trace_gen =
+let map_entries f (s : Snapshot.t) = snap (List.concat (List.mapi f (Snapshot.entries s)))
+
+(* a fresh number (even, above every one in [s]) at position [i] *)
+let insert_one i opcode operands (s : Snapshot.t) =
+  let fresh = 2 + Array.fold_left max 0 s.Snapshot.nums in
+  let e = (fresh, opcode, operands) in
+  if i >= Snapshot.entry_count s then snap (Snapshot.entries s @ [ e ])
+  else map_entries (fun j x -> if j = i then [ e; x ] else [ x ]) s
+
+let delete_one i = map_entries (fun j x -> if j = i then [] else [ x ])
+
+(* operand [k] of entry [i] becomes [num]: a dangling odd number or a
+   resolving one *)
+let set_operand i k num =
+  map_entries (fun j ((n, op, operands) as x) ->
+      if j <> i || operands = [] then [ x ]
+      else
+        let k = k mod List.length operands in
+        [ (n, op, List.mapi (fun m o -> if m = k then num else o) operands) ])
+
+(* an entry without operands gains a dangling one, and one whose operands
+   all dangle loses them: root status flips, the resolved list stays
+   empty *)
+let flip_root i (s : Snapshot.t) =
+  let nums = Array.to_list s.Snapshot.nums in
+  map_entries
+    (fun j ((n, op, operands) as x) ->
+      if j <> i then [ x ]
+      else if operands = [] then [ (n, op, [ (2 * n) + 1 ]) ]
+      else if List.for_all (fun o -> not (List.mem o nums)) operands then [ (n, op, []) ]
+      else [ x ])
+    s
+
+let repeat_number i k (s : Snapshot.t) =
+  let n = Snapshot.entry_count s in
+  if n < 2 then s
+  else
+    let num = s.Snapshot.nums.(k mod n) in
+    map_entries (fun j (m, op, operands) -> [ ((if j = i mod n then num else m), op, operands) ]) s
+
+let trace_gen_with ~repeats =
   let open QCheck.Gen in
+  let operand (prev : Snapshot.t) =
+    if Snapshot.entry_count prev = 0 then map (fun x -> (2 * x) + 1) (int_range 0 20)
+    else
+      frequency
+        [
+          (2, oneofa prev.Snapshot.nums);
+          (1, map (fun x -> (2 * x) + 1) (int_range 0 20));
+        ]
+  in
   let step prev =
     frequency
       [
         (2, return prev);
         (1, map (fun shift -> renumber shift prev) (int_range 1 7));
         (2, map2 (fun i op -> edit_one i op prev) (int_range 0 8) (oneofl [ "a"; "d" ]));
+        ( 2,
+          map3
+            (fun i op operands -> insert_one i op operands prev)
+            (int_range 0 9) (oneofl [ "a"; "e"; "phi" ])
+            (list_size (int_range 0 3) (operand prev)) );
+        (2, map (fun i -> delete_one i prev) (int_range 0 8));
+        (2, map3 (fun i k num -> set_operand i k num prev) (int_range 0 8) small_nat (operand prev));
+        (2, map (fun i -> flip_root i prev) (int_range 0 8));
+        ((if repeats then 1 else 0), map2 (fun i k -> repeat_number i k prev) small_nat small_nat);
         (2, snapshot_gen);
       ]
   in
@@ -580,6 +721,11 @@ let trace_gen =
   in
   grow 1 first [ ("initial", first) ]
 
+(* The brute-force reference looks entries up by number, so it describes
+   snapshots whose numbers are unique, as MIR's are; the whole-function
+   extractor also covers a repeated number. *)
+let trace_gen = trace_gen_with ~repeats:false
+
 let print_trace trace =
   String.concat "" (List.map (fun (p, s) -> p ^ ": " ^ Snapshot.to_string s) trace)
 
@@ -588,6 +734,71 @@ let qcheck_extract_equals_reference =
     (QCheck.make ~print:print_trace trace_gen)
     (fun trace ->
       List.for_all (fun n -> extracted_dna n trace = reference_dna n trace) [ 2; 3 ])
+
+(* The windowed extractor against both oracles, for n = 2 and 3 under a
+   random set of extracted passes: the whole-function extractor it
+   replaced, and the brute-force reference with every other pass
+   emptied. *)
+let whole_function_dna ?only n trace =
+  List.map
+    (fun (pass, (d : Delta.t)) -> (pass, side_strings d.Delta.removed, side_strings d.Delta.added))
+    (Whole_function.extract ~n ?only trace).Dna.deltas
+
+let unique_numbers (s : Snapshot.t) =
+  List.length (List.sort_uniq compare (Array.to_list s.Snapshot.nums)) = Snapshot.entry_count s
+
+let windowed_agrees ~only n trace =
+  let extracted =
+    List.map
+      (fun (pass, (d : Delta.t)) ->
+        (pass, side_strings d.Delta.removed, side_strings d.Delta.added))
+      (Dna.extract ~n ~only trace).Dna.deltas
+  in
+  extracted = whole_function_dna ~only n trace
+  && ((not (List.for_all (fun (_, s) -> unique_numbers s) trace))
+     || extracted
+        = List.map
+            (fun ((pass, _, _) as d) -> if only pass then d else (pass, [], []))
+            (reference_dna n trace))
+
+let only_gen =
+  QCheck.Gen.(
+    map
+      (fun keep pass -> pass = "initial" || List.mem pass keep)
+      (list_size (int_range 0 6) (map (Printf.sprintf "p%d") (int_range 1 6))))
+
+let qcheck_windowed_equals_oracles =
+  QCheck.Test.make ~count:(qcheck_count 300)
+    ~name:"windowed extract equals whole-function and reference oracles"
+    (QCheck.make
+       ~print:(fun (t, _) -> print_trace t)
+       QCheck.Gen.(pair (trace_gen_with ~repeats:true) only_gen))
+    (fun (trace, only) ->
+      List.for_all
+        (fun n -> windowed_agrees ~only n trace && windowed_agrees ~only:(fun _ -> true) n trace)
+        [ 2; 3 ])
+
+(* The same property with extractions running at once on helper domains:
+   each domain's graphs, marks and counts stay its own. *)
+let test_windowed_on_helper_domains () =
+  let module CQ = Jitbull_jit.Compile_queue in
+  with_pool (fun pool ->
+      QCheck.Test.check_exn
+        (QCheck.Test.make ~count:(qcheck_count 30) ~name:"windowed extract on helper domains"
+           (QCheck.make
+              ~print:(fun ts -> String.concat "--\n" (List.map (fun (t, _) -> print_trace t) ts))
+              QCheck.Gen.(list_size (int_range 4 12) (pair (trace_gen_with ~repeats:true) only_gen)))
+           (fun cases ->
+             let agreed = Atomic.make 0 in
+             List.iter
+               (fun (trace, only) ->
+                 ignore
+                   (CQ.submit pool (fun () ->
+                        if List.for_all (fun n -> windowed_agrees ~only n trace) [ 2; 3 ] then
+                          Atomic.incr agreed)))
+               cases;
+             CQ.wait_idle pool;
+             Atomic.get agreed = List.length cases)))
 
 let test_extract_carries_forward () =
   (* a pass that changes nothing leaves the multiset to the next pass:
@@ -818,6 +1029,66 @@ let test_corpus_dna_unchanged () =
         runs)
     corpus corpus_golden
 
+(* Every Ion compile of every VDC and its four variants (on the VDC's own
+   bug), the distilled corpus, the Octane analogues and compile_storm's
+   seed-1 programs (on all eight bugs): the windowed DNA prints as the
+   whole-function extractor's, in full and posting-aware over the 8-VDC
+   DB. *)
+let test_windowed_equals_whole_function_on_programs () =
+  let module Variants = Jitbull_vdc.Variants in
+  let module W = Jitbull_workloads.Workloads in
+  let db = Db.create () in
+  ignore (Demonstrators.harvest db VC.all);
+  let _, posted = Db.posted db in
+  let bugs = VC.make VC.all in
+  let dir =
+    match List.find_opt Sys.file_exists [ "../corpus/distilled"; "corpus/distilled" ] with
+    | Some dir -> dir
+    | None -> Alcotest.fail "corpus/distilled not found"
+  in
+  let programs =
+    List.concat_map
+      (fun (d : Demonstrators.t) ->
+        let vulns = VC.make [ d.Demonstrators.cve ] in
+        (d.Demonstrators.name, vulns, d.Demonstrators.source)
+        :: List.map
+             (fun k ->
+               ( d.Demonstrators.name ^ " " ^ Variants.kind_name k,
+                 vulns,
+                 Variants.apply k d.Demonstrators.source ))
+             Variants.all_kinds)
+      Demonstrators.all
+    @ List.filter_map
+        (fun f ->
+          if Filename.check_suffix f ".js" then
+            Some
+              (f, bugs, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
+          else None)
+        (List.sort compare (Array.to_list (Sys.readdir dir)))
+    @ List.map (fun (w : W.t) -> (w.W.name, bugs, w.W.source)) W.everything
+    @ List.init 64 (fun i ->
+          ( Printf.sprintf "storm%02d" i,
+            bugs,
+            Generator.benign_params
+              { Generator.p_seed = 1_000_003 + i; p_funcs = 8; p_rounds = 40; p_depth = 2 } ))
+  in
+  let printed d = Sexpr.to_string (Dna.to_sexpr d) in
+  let traced = ref 0 in
+  List.iter
+    (fun (name, vulns, source) ->
+      List.iter
+        (fun (_, _, _, trace) ->
+          incr traced;
+          List.iter
+            (fun only ->
+              check_string name
+                (printed (Whole_function.extract ?only trace))
+                (printed (Dna.extract ?only trace)))
+            [ None; Some posted ])
+        (compiles ~vulns source))
+    programs;
+  check_bool "programs traced" true (!traced > 600)
+
 (* The snapshot the extractor reads is the MIR itself: for every
    function of every corpus program, built on its VM feedback with the
    program's engine bugs, [Snapshot.take] before the first pass and
@@ -883,6 +1154,11 @@ let suite =
       Alcotest.test_case "dna rename-insensitive" `Quick test_dna_insensitive_to_renaming;
       Alcotest.test_case "dna sexpr roundtrip" `Quick test_dna_sexpr_roundtrip;
       qtest qcheck_extract_equals_reference;
+      qtest qcheck_windowed_equals_oracles;
+      Alcotest.test_case "windowed extract on helper domains" `Quick
+        test_windowed_on_helper_domains;
+      Alcotest.test_case "windowed == whole-function on the programs" `Quick
+        test_windowed_equals_whole_function_on_programs;
       Alcotest.test_case "dna extract carries an unchanged pass forward" `Quick
         test_extract_carries_forward;
       Alcotest.test_case "dna and verdicts unchanged on the corpus" `Quick

@@ -291,6 +291,33 @@ let test_every_pass_produces_snapshot () =
   let _, trace = optimized_mir ~func:0 "function f(a) { return a + 1; } f(1); f(2); f(3);" in
   check_int "initial + one per pass" (1 + List.length Pipeline.passes) (List.length trace)
 
+(* A pass that leaves the IR as it was, or is skipped, repeats the
+   previous snapshot physically; any pass that changed the entries or
+   the block count gets a snapshot of its own. *)
+let test_unchanged_pass_shares_snapshot () =
+  let module Snapshot = Jitbull_mir.Snapshot in
+  let _, trace =
+    optimized_mir ~disabled:[ "gvn" ] ~func:0
+      "function f(a, b) { var t = 0; for (var i = 0; i < a; i++) { t = t + (a + b) * (a + b); } return t; } for (var k = 0; k < 9; k++) f(k, 2);"
+  in
+  let pairs = List.combine (List.rev (List.tl (List.rev trace))) (List.tl trace) in
+  List.iter
+    (fun ((_, (a : Snapshot.t)), (pass, (b : Snapshot.t))) ->
+      check_bool (pass ^ " shares iff unchanged") true
+        (b == a = (Snapshot.same_entries a b && a.Snapshot.n_blocks = b.Snapshot.n_blocks)))
+    pairs;
+  check_bool "the skipped pass shares" true
+    (List.exists (fun ((_, a), (pass, b)) -> pass = "gvn" && a == b) pairs);
+  check_bool "some pass changed the IR" true (List.exists (fun ((_, a), (_, b)) -> a != b) pairs);
+  (* the comparison the pipeline shares by: a block more is a change even
+     with every entry the same *)
+  let g = Mir.create ~name:"blocks" ~arity:0 in
+  let s = Snapshot.take g in
+  check_bool "a fresh snapshot matches its graph" true (Snapshot.matches s g);
+  ignore (Mir.new_block g);
+  check_bool "same entries, one more block" true
+    (Snapshot.same_entries s (Snapshot.take g) && not (Snapshot.matches s g))
+
 let test_mandatory_passes () =
   check_bool "split mandatory" false (Pipeline.can_disable "splitcriticaledges");
   check_bool "renumber mandatory" false (Pipeline.can_disable "renumber");
@@ -417,6 +444,8 @@ let suite =
       Alcotest.test_case "empty block elimination" `Quick test_empty_block_elimination;
       Alcotest.test_case "disabled pass skipped" `Quick test_disabled_pass_is_skipped;
       Alcotest.test_case "snapshot per pass" `Quick test_every_pass_produces_snapshot;
+      Alcotest.test_case "unchanged pass shares its snapshot" `Quick
+        test_unchanged_pass_shares_snapshot;
       Alcotest.test_case "mandatory passes" `Quick test_mandatory_passes;
       Alcotest.test_case "semantic preservation" `Quick test_semantic_preservation;
       Alcotest.test_case "pass output golden" `Quick test_pass_output_golden;

@@ -615,6 +615,44 @@ let test_vm_global_allocation () =
     (Printf.sprintf "%.2f minor words per iteration within the bound" per_iteration)
     true (per_iteration <= global_words_bound)
 
+(* -- dna extraction allocation -- *)
+
+(* Posting-aware extraction over the 8-VDC DB of every Ion compile's
+   trace of the DB's own programs (each demonstrator on its own bug) and
+   of the benign programs of seeds 900-903. A changed pass recounts only
+   the sub-chains around what it changed, in per-domain scratch, and a
+   pass outside the posted set costs nothing. The whole-function
+   extractor this replaced took 5,561 minor words per compile on these
+   41 traces; the windowed one takes 1,403, and the bound is half the
+   former. *)
+let extract_words_bound = 2780.
+
+let test_dna_extraction_allocation () =
+  let db = vdc_db () in
+  let traces =
+    List.concat_map
+      (fun (d : V.t) ->
+        List.map (fun (_, _, _, t) -> t) (compiles ~vulns:(VC.make [ d.V.cve ]) d.V.source))
+      V.all
+    @ List.concat_map
+        (fun seed ->
+          List.map
+            (fun (_, _, _, t) -> t)
+            (compiles ~vulns:VC.none
+               (Generator.benign_params
+                  { Generator.p_seed = seed; p_funcs = 8; p_rounds = 40; p_depth = 2 })))
+        [ 900; 901; 902; 903 ]
+  in
+  let _, only = Db.posted db in
+  List.iter (fun t -> ignore (Dna.extract ~only t)) traces;
+  let before = Gc.minor_words () in
+  List.iter (fun t -> ignore (Dna.extract ~only t)) traces;
+  let per_compile = (Gc.minor_words () -. before) /. float_of_int (List.length traces) in
+  check_bool "compiles traced" true (List.length traces > 32);
+  check_bool
+    (Printf.sprintf "%.0f minor words per compile within the bound" per_compile)
+    true (per_compile <= extract_words_bound)
+
 let fresh_config ?compile_pool ~max_bailouts tag =
   let db = Db.create () in
   Db.add db (synthetic_entry ("CVE-ASYNC-" ^ tag));
@@ -963,6 +1001,7 @@ let suite =
       Alcotest.test_case "heap allocation after frees" `Quick test_heap_allocation_after_frees;
       Alcotest.test_case "host exit allocation" `Quick test_host_exit_allocation;
       Alcotest.test_case "vm global allocation" `Quick test_vm_global_allocation;
+      Alcotest.test_case "dna extraction allocation" `Quick test_dna_extraction_allocation;
       Alcotest.test_case "posting-aware extraction == full" `Quick
         test_posting_aware_equals_full;
       Alcotest.test_case "posted-set generation race" `Quick test_posted_generation_race;
