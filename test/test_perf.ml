@@ -622,10 +622,10 @@ let test_vm_global_allocation () =
    of the benign programs of seeds 900-903. A changed pass recounts only
    the sub-chains around what it changed, in per-domain scratch, and a
    pass outside the posted set costs nothing. The whole-function
-   extractor this replaced took 5,561 minor words per compile on these
-   41 traces; the windowed one takes 1,403, and the bound is half the
+   extractor this replaced took 5,557 minor words per compile on these
+   41 traces; the windowed one takes 771, and the bound is half the
    former. *)
-let extract_words_bound = 2780.
+let extract_words_bound = 2778.
 
 let test_dna_extraction_allocation () =
   let db = vdc_db () in
