@@ -37,7 +37,7 @@ type match_detail = {
   md_side : [ `Removed | `Added ];
   md_eq_chains : int;
   md_max_eq_chains : int;
-  md_common : (Delta.key * int) list;
+  md_common : (Delta.key * int) list Lazy.t;
 }
 
 (* The common sub-chains behind an EqChains score, sorted by key. Only
@@ -73,7 +73,7 @@ let matching_passes_detailed ?(params = default_params) ?obs (dna : Dna.t)
                     md_side = `Removed;
                     md_eq_chains = fst rm;
                     md_max_eq_chains = snd rm;
-                    md_common = side_common d.Delta.removed d'.Delta.removed;
+                    md_common = lazy (side_common d.Delta.removed d'.Delta.removed);
                   }
               else
                 let ad = side_score d.Delta.added d'.Delta.added in
@@ -84,7 +84,7 @@ let matching_passes_detailed ?(params = default_params) ?obs (dna : Dna.t)
                       md_side = `Added;
                       md_eq_chains = fst ad;
                       md_max_eq_chains = snd ad;
-                      md_common = side_common d.Delta.added d'.Delta.added;
+                      md_common = lazy (side_common d.Delta.added d'.Delta.added);
                     }
                 else None
             | None -> None)

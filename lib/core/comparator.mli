@@ -32,13 +32,16 @@ val similar : ?params:params -> Delta.t -> Delta.t -> bool
     the common sub-chains themselves ([md_common], key → min
     multiplicity, sorted by key; multiplicities sum to [md_eq_chains]) —
     the explanation layer's "matching sub-chains", which
-    [Jitbull.audit_matches] renders to strings. *)
+    [Jitbull.audit_matches] renders to strings. [md_common] is computed
+    only when forced: a verdict needs the pass names alone, and only an
+    audit record reads the chains. Force it on the domain that made the
+    query. *)
 type match_detail = {
   md_pass : string;
   md_side : [ `Removed | `Added ];
   md_eq_chains : int;
   md_max_eq_chains : int;
-  md_common : (Delta.key * int) list;
+  md_common : (Delta.key * int) list Lazy.t;
 }
 
 (** [side_common d d'] — the multiset intersection behind

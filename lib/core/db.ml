@@ -296,10 +296,12 @@ let indexed_matching ~params ?obs t (dna : Dna.t) =
   let detail e pass d x =
     let added = x mod 2 = 1 in
     let side (d : Delta.t) = if added then d.Delta.added else d.Delta.removed in
+    let dna' = t.arr.(e).dna in
     let common =
-      match List.assoc_opt pass t.arr.(e).dna.Dna.deltas with
-      | None -> []
-      | Some d' -> Comparator.side_common (side d) (side d')
+      lazy
+        (match List.assoc_opt pass dna'.Dna.deltas with
+        | None -> []
+        | Some d' -> Comparator.side_common (side d) (side d'))
     in
     {
       Comparator.md_pass = pass;

@@ -40,7 +40,7 @@ let audit_matches detailed =
                   | `Added -> "added");
                 pm_eq_chains = md.Comparator.md_eq_chains;
                 pm_max_eq_chains = md.Comparator.md_max_eq_chains;
-                pm_chains = chain_strings md.Comparator.md_common;
+                pm_chains = chain_strings (Lazy.force md.Comparator.md_common);
               })
             mds;
       })

@@ -61,20 +61,24 @@ let sequentialize_moves moves ~fresh_temp =
   done;
   List.rev !out
 
+(* The tables keyed by iid or block id are arrays, and instructions go
+   straight into one growable code array in layout order: only a
+   constant or a name is hashed, into its pool. *)
 let lower (g : Mir.t) : Lir.func =
-  let blocks = g.Mir.blocks in
-  (* virtual register per MIR instruction *)
-  let vreg_of : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  (* virtual register per MIR instruction, numbered in graph order; -1
+     for an iid the graph no longer holds *)
+  let vreg_of = Array.make g.Mir.next_iid (-1) in
   let next_vreg = ref 0 in
   let fresh_vreg () =
     let v = !next_vreg in
     incr next_vreg;
     v
   in
-  List.iter
-    (fun (i : Mir.instr) -> Hashtbl.replace vreg_of i.Mir.iid (fresh_vreg ()))
-    (Mir.all_instructions g);
-  let vr (i : Mir.instr) = Hashtbl.find vreg_of i.Mir.iid in
+  Mir.iter_instructions (fun i -> vreg_of.(i.Mir.iid) <- fresh_vreg ()) g;
+  let vr (i : Mir.instr) =
+    let v = if i.Mir.iid >= 0 && i.Mir.iid < Array.length vreg_of then vreg_of.(i.Mir.iid) else -1 in
+    if v < 0 then raise Not_found else v
+  in
   let consts = new_interner const_key in
   let names = new_interner Fun.id in
   let call_args = ref [] in
@@ -93,75 +97,95 @@ let lower (g : Mir.t) : Lir.func =
     incr fields_count;
     i
   in
-  (* per-block instruction lists; branch targets patched after layout *)
+  let code = ref (Array.make 64 (Lir.make_inst Lir.Kgoto)) in
+  let n_code = ref 0 in
+  let emit kind dst a b c imm imm2 =
+    let i = { Lir.kind; dst; a; b; c; imm; imm2 } in
+    if !n_code = Array.length !code then begin
+      let bigger = Array.make (2 * !n_code) i in
+      Array.blit !code 0 bigger 0 !n_code;
+      code := bigger
+    end;
+    !code.(!n_code) <- i;
+    incr n_code;
+    i
+  in
+  let emit_imm kind dst imm = ignore (emit kind dst (-1) (-1) (-1) imm (-1)) in
+  let emit1 kind dst a = ignore (emit kind dst a (-1) (-1) (-1) (-1)) in
+  let emit2 kind dst a b = ignore (emit kind dst a b (-1) (-1) (-1)) in
+  let emit3 kind dst a b c = ignore (emit kind dst a b c (-1) (-1)) in
+  (* the current instruction's operand registers *)
+  let ops = ref (Array.make 4 0) in
+  let n_ops = ref 0 in
+  let load_ops (i : Mir.instr) =
+    n_ops := 0;
+    List.iter
+      (fun o ->
+        if !n_ops = Array.length !ops then begin
+          let bigger = Array.make (2 * !n_ops) 0 in
+          Array.blit !ops 0 bigger 0 !n_ops;
+          ops := bigger
+        end;
+        !ops.(!n_ops) <- vr o;
+        incr n_ops)
+      i.Mir.operands
+  in
+  let op n = if n < !n_ops then !ops.(n) else invalid_arg "index out of bounds" in
+  let args () = Array.sub !ops 1 (!n_ops - 1) in
+  (* block starts by bid, and the branches to patch once all are known *)
+  let starts = Array.make g.Mir.next_bid 0 in
+  let branches = ref [] in
   let emit_block (b : Mir.block) =
-    let insts = ref [] in
-    let emit kind ~dst ?(a = -1) ?(b = -1) ?(c = -1) ?(imm = -1) ?(imm2 = -1) () =
-      let i = Lir.make_inst kind in
-      i.Lir.dst <- dst;
-      i.Lir.a <- a;
-      i.Lir.b <- b;
-      i.Lir.c <- c;
-      i.Lir.imm <- imm;
-      i.Lir.imm2 <- imm2;
-      insts := i :: !insts;
-      i
-    in
-    let pending_branch = ref None in
+    starts.(b.Mir.bid) <- !n_code;
+    (* phis emit nothing: they are destructed below via predecessor moves *)
     List.iter
       (fun (i : Mir.instr) ->
         let dst = vr i in
-        let ops = Array.of_list (List.map vr i.Mir.operands) in
-        let op n = ops.(n) in
+        load_ops i;
         match i.Mir.opcode with
-        | Mir.Phi -> ()  (* destructed below via predecessor moves *)
-        | Mir.Parameter n -> ignore (emit Lir.Kparam ~dst ~imm:n ())
-        | Mir.Constant v -> ignore (emit Lir.Kconst ~dst ~imm:(intern consts v) ())
-        | Mir.Unbox_number -> ignore (emit Lir.Kunbox_number ~dst ~a:(op 0) ())
-        | Mir.Unbox_int32 -> ignore (emit Lir.Kunbox_int32 ~dst ~a:(op 0) ())
-        | Mir.Guard_array -> ignore (emit Lir.Kguard_array ~dst ~a:(op 0) ())
-        | Mir.Bounds_check -> ignore (emit Lir.Kbounds_check ~dst ~a:(op 0) ~b:(op 1) ())
-        | Mir.Add -> ignore (emit Lir.Kadd ~dst ~a:(op 0) ~b:(op 1) ())
-        | Mir.Bin_num nop -> ignore (emit (Lir.Kbin nop) ~dst ~a:(op 0) ~b:(op 1) ())
-        | Mir.Compare cop -> ignore (emit (Lir.Kcompare cop) ~dst ~a:(op 0) ~b:(op 1) ())
-        | Mir.Negate -> ignore (emit Lir.Knegate ~dst ~a:(op 0) ())
-        | Mir.Bit_not -> ignore (emit Lir.Kbitnot ~dst ~a:(op 0) ())
-        | Mir.Not -> ignore (emit Lir.Knot ~dst ~a:(op 0) ())
-        | Mir.Typeof -> ignore (emit Lir.Ktypeof ~dst ~a:(op 0) ())
-        | Mir.To_number -> ignore (emit Lir.Ktonumber ~dst ~a:(op 0) ())
-        | Mir.New_array n -> ignore (emit Lir.Knew_array ~dst ~imm:n ())
-        | Mir.New_object fl -> ignore (emit Lir.Knew_object ~dst ~imm:(add_fields fl) ())
-        | Mir.Elements -> ignore (emit Lir.Kelements ~dst ~a:(op 0) ())
-        | Mir.Initialized_length -> ignore (emit Lir.Kinit_length ~dst ~a:(op 0) ())
-        | Mir.Load_element -> ignore (emit Lir.Kload_element ~dst ~a:(op 0) ~b:(op 1) ())
-        | Mir.Store_element ->
-          ignore (emit Lir.Kstore_element ~dst:(-1) ~a:(op 0) ~b:(op 1) ~c:(op 2) ())
-        | Mir.Array_length -> ignore (emit Lir.Karray_length ~dst ~a:(op 0) ())
-        | Mir.Set_array_length ->
-          ignore (emit Lir.Kset_array_length ~dst:(-1) ~a:(op 0) ~b:(op 1) ())
-        | Mir.Array_push -> ignore (emit Lir.Karray_push ~dst ~a:(op 0) ~b:(op 1) ())
-        | Mir.Array_pop -> ignore (emit Lir.Karray_pop ~dst ~a:(op 0) ())
+        | Mir.Phi -> ()
+        | Mir.Parameter n -> emit_imm Lir.Kparam dst n
+        | Mir.Constant v -> emit_imm Lir.Kconst dst (intern consts v)
+        | Mir.Unbox_number -> emit1 Lir.Kunbox_number dst (op 0)
+        | Mir.Unbox_int32 -> emit1 Lir.Kunbox_int32 dst (op 0)
+        | Mir.Guard_array -> emit1 Lir.Kguard_array dst (op 0)
+        | Mir.Bounds_check -> emit2 Lir.Kbounds_check dst (op 0) (op 1)
+        | Mir.Add -> emit2 Lir.Kadd dst (op 0) (op 1)
+        | Mir.Bin_num nop -> emit2 (Lir.Kbin nop) dst (op 0) (op 1)
+        | Mir.Compare cop -> emit2 (Lir.Kcompare cop) dst (op 0) (op 1)
+        | Mir.Negate -> emit1 Lir.Knegate dst (op 0)
+        | Mir.Bit_not -> emit1 Lir.Kbitnot dst (op 0)
+        | Mir.Not -> emit1 Lir.Knot dst (op 0)
+        | Mir.Typeof -> emit1 Lir.Ktypeof dst (op 0)
+        | Mir.To_number -> emit1 Lir.Ktonumber dst (op 0)
+        | Mir.New_array n -> emit_imm Lir.Knew_array dst n
+        | Mir.New_object fl -> emit_imm Lir.Knew_object dst (add_fields fl)
+        | Mir.Elements -> emit1 Lir.Kelements dst (op 0)
+        | Mir.Initialized_length -> emit1 Lir.Kinit_length dst (op 0)
+        | Mir.Load_element -> emit2 Lir.Kload_element dst (op 0) (op 1)
+        | Mir.Store_element -> emit3 Lir.Kstore_element (-1) (op 0) (op 1) (op 2)
+        | Mir.Array_length -> emit1 Lir.Karray_length dst (op 0)
+        | Mir.Set_array_length -> emit2 Lir.Kset_array_length (-1) (op 0) (op 1)
+        | Mir.Array_push -> emit2 Lir.Karray_push dst (op 0) (op 1)
+        | Mir.Array_pop -> emit1 Lir.Karray_pop dst (op 0)
         | Mir.Get_prop name ->
-          ignore (emit Lir.Kget_prop ~dst ~a:(op 0) ~imm:(intern names name) ())
+          ignore (emit Lir.Kget_prop dst (op 0) (-1) (-1) (intern names name) (-1))
         | Mir.Set_prop name ->
-          ignore (emit Lir.Kset_prop ~dst:(-1) ~a:(op 0) ~b:(op 1) ~imm:(intern names name) ())
-        | Mir.Get_index_generic -> ignore (emit Lir.Kget_index_gen ~dst ~a:(op 0) ~b:(op 1) ())
-        | Mir.Set_index_generic ->
-          ignore (emit Lir.Kset_index_gen ~dst:(-1) ~a:(op 0) ~b:(op 1) ~c:(op 2) ())
-        | Mir.Load_global name -> ignore (emit Lir.Kload_global ~dst ~imm:(intern names name) ())
+          ignore (emit Lir.Kset_prop (-1) (op 0) (op 1) (-1) (intern names name) (-1))
+        | Mir.Get_index_generic -> emit2 Lir.Kget_index_gen dst (op 0) (op 1)
+        | Mir.Set_index_generic -> emit3 Lir.Kset_index_gen (-1) (op 0) (op 1) (op 2)
+        | Mir.Load_global name -> emit_imm Lir.Kload_global dst (intern names name)
         | Mir.Store_global name ->
-          ignore (emit Lir.Kstore_global ~dst:(-1) ~a:(op 0) ~imm:(intern names name) ())
-        | Mir.Declare_global name ->
-          ignore (emit Lir.Kdeclare_global ~dst:(-1) ~imm:(intern names name) ())
+          ignore (emit Lir.Kstore_global (-1) (op 0) (-1) (-1) (intern names name) (-1))
+        | Mir.Declare_global name -> emit_imm Lir.Kdeclare_global (-1) (intern names name)
         | Mir.Call _ ->
-          let args = Array.sub ops 1 (Array.length ops - 1) in
-          ignore (emit Lir.Kcall ~dst ~a:(op 0) ~imm:(add_call_args args) ())
+          let callee = op 0 in
+          ignore (emit Lir.Kcall dst callee (-1) (-1) (add_call_args (args ())) (-1))
         | Mir.Call_method (name, _) ->
-          let args = Array.sub ops 1 (Array.length ops - 1) in
-          ignore
-            (emit Lir.Kcall_method ~dst ~a:(op 0) ~imm:(add_call_args args)
-               ~imm2:(intern names name) ())
-        | Mir.Goto _ | Mir.Test _ | Mir.Return | Mir.Unreachable ->
+          let recv = op 0 in
+          let imm = add_call_args (args ()) in
+          ignore (emit Lir.Kcall_method dst recv (-1) (-1) imm (intern names name))
+        | Mir.Goto _ | Mir.Test _ | Mir.Return | Mir.Unreachable -> (
           (* insert phi-moves for successors before the branch *)
           (match i.Mir.opcode with
           | Mir.Goto target when target.Mir.phis <> [] ->
@@ -178,56 +202,34 @@ let lower (g : Mir.t) : Lir.func =
                 target.Mir.phis
             in
             List.iter
-              (fun (d, s) -> ignore (emit Lir.Kmove ~dst:d ~a:s ()))
+              (fun (d, s) -> emit1 Lir.Kmove d s)
               (sequentialize_moves moves ~fresh_temp:fresh_vreg)
           | Mir.Test (t, f) when t.Mir.phis <> [] || f.Mir.phis <> [] ->
             lowering_error "critical edge: test successor of block%d has phis" b.Mir.bid
           | _ -> ());
-          (match i.Mir.opcode with
+          match i.Mir.opcode with
           | Mir.Goto target ->
-            pending_branch := Some (`Goto target.Mir.bid);
-            ignore (emit Lir.Kgoto ~dst:(-1) ())
+            let inst = emit Lir.Kgoto (-1) (-1) (-1) (-1) (-1) (-1) in
+            branches := (inst, target.Mir.bid, -1) :: !branches
           | Mir.Test (t, f) ->
-            pending_branch := Some (`Test (t.Mir.bid, f.Mir.bid));
-            ignore (emit Lir.Ktest ~dst:(-1) ~a:(op 0) ())
-          | Mir.Return -> ignore (emit Lir.Kreturn ~dst:(-1) ~a:(op 0) ())
-          | Mir.Unreachable -> ignore (emit Lir.Kreturn ~dst:(-1) ~a:(-1) ())
+            let inst = emit Lir.Ktest (-1) (op 0) (-1) (-1) (-1) (-1) in
+            branches := (inst, t.Mir.bid, f.Mir.bid) :: !branches
+          | Mir.Return -> emit1 Lir.Kreturn (-1) (op 0)
+          | Mir.Unreachable -> emit1 Lir.Kreturn (-1) (-1)
           | _ -> ()))
-      (Mir.instructions b);
-    (List.rev !insts, !pending_branch)
+      b.Mir.body
   in
-  let lowered = List.map (fun b -> (b, emit_block b)) blocks in
-  (* layout: concatenate block code, record start offsets *)
-  let starts : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let code = ref [] in
-  let offset = ref 0 in
-  List.iter
-    (fun ((b : Mir.block), (insts, _)) ->
-      Hashtbl.replace starts b.Mir.bid !offset;
-      offset := !offset + List.length insts;
-      code := List.rev_append insts !code)
-    lowered;
-  let code = Array.of_list (List.rev !code) in
+  List.iter emit_block g.Mir.blocks;
   (* patch branch targets *)
-  let pos = ref 0 in
   List.iter
-    (fun ((_ : Mir.block), (insts, branch)) ->
-      let n = List.length insts in
-      (match branch with
-      | Some (`Goto bid) ->
-        let inst = code.(!pos + n - 1) in
-        inst.Lir.imm <- Hashtbl.find starts bid
-      | Some (`Test (tbid, fbid)) ->
-        let inst = code.(!pos + n - 1) in
-        inst.Lir.imm <- Hashtbl.find starts tbid;
-        inst.Lir.b <- Hashtbl.find starts fbid
-      | None -> ());
-      pos := !pos + n)
-    lowered;
+    (fun ((inst : Lir.inst), t, f) ->
+      inst.Lir.imm <- starts.(t);
+      if f >= 0 then inst.Lir.b <- starts.(f))
+    !branches;
   {
     Lir.name = g.Mir.name;
     arity = g.Mir.arity;
-    code;
+    code = Array.sub !code 0 !n_code;
     consts = to_array consts;
     names = to_array names;
     call_args = Array.of_list (List.rev !call_args);

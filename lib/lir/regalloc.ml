@@ -112,13 +112,20 @@ let intervals (f : Lir.func) =
     (* per-block upward-exposed uses and defs, and the hull's def/use pcs *)
     let w = (nv + bits - 1) / bits in
     let use = Array.make (nb * w) 0 and def = Array.make (nb * w) 0 in
+    (* one source visitor for the whole walk, reading the current pc and
+       block from two cells *)
+    let cur_pc = ref 0 and cur_base = ref 0 in
+    let source v =
+      if v < nv then begin
+        if not (mem_bit def !cur_base v) then set_bit use !cur_base v;
+        touch !cur_pc v
+      end
+    in
     for pc = 0 to n - 1 do
       let i = code.(pc) and base = block_of.(pc) * w in
-      iter_sources f i (fun v ->
-          if v < nv then begin
-            if not (mem_bit def base v) then set_bit use base v;
-            touch pc v
-          end);
+      cur_pc := pc;
+      cur_base := base;
+      iter_sources f i source;
       let d = i.Lir.dst in
       if d >= 0 && d < nv then begin
         set_bit def base d;
@@ -231,7 +238,8 @@ let allocate (f : Lir.func) =
           i.Lir.a <- map i.Lir.a  (* b is a branch target *)
         | Lir.Kcall | Lir.Kcall_method ->
           i.Lir.a <- map i.Lir.a;
-          f.Lir.call_args.(i.Lir.imm) <- Array.map map f.Lir.call_args.(i.Lir.imm)
+          let args = f.Lir.call_args.(i.Lir.imm) in
+          Array.iteri (fun j r -> args.(j) <- map r) args
         | _ ->
           i.Lir.a <- map i.Lir.a;
           i.Lir.b <- map i.Lir.b;

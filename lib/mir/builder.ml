@@ -42,12 +42,13 @@ let block_boundaries (code : Op.t array) =
         let stop = if i + 1 < nb then starts.(i + 1) else n in
         { start = starts.(i); stop; bc_succs = [] })
   in
-  let index_of_pc = Hashtbl.create 16 in
-  Array.iteri (fun i b -> Hashtbl.add index_of_pc b.start i) blocks;
+  (* pc → index of the block starting there, -1 for any other pc *)
+  let index_of_pc = Array.make (n + 1) (-1) in
+  Array.iteri (fun i b -> index_of_pc.(b.start) <- i) blocks;
   let block_at pc =
-    match Hashtbl.find_opt index_of_pc pc with
-    | Some i -> i
-    | None -> build_error "jump target %d is not a block leader" pc
+    match if pc >= 0 && pc <= n then index_of_pc.(pc) else -1 with
+    | -1 -> build_error "jump target %d is not a block leader" pc
+    | i -> i
   in
   Array.iter
     (fun b ->
@@ -60,7 +61,7 @@ let block_boundaries (code : Op.t array) =
         | Op.Return | Op.Return_undefined -> []
         | _ -> [ block_at b.stop ]))
     blocks;
-  blocks
+  (blocks, index_of_pc)
 
 (* Reverse postorder over bytecode blocks; also classifies loop headers
    (targets of back edges, i.e. edges from a block no earlier in RPO). *)
@@ -100,7 +101,7 @@ type state = {
 let build (f : Op.func) ~feedback_row : Mir.t =
   let g = Mir.create ~name:f.Op.name ~arity:f.Op.arity in
   let code = f.Op.code in
-  let bc_blocks = block_boundaries code in
+  let bc_blocks, block_at_pc = block_boundaries code in
   let rpo, is_header = bc_rpo bc_blocks in
   let nb = Array.length bc_blocks in
   (* one MIR block per reachable bytecode block; a synthetic entry block
@@ -186,15 +187,19 @@ let build (f : Op.func) ~feedback_row : Mir.t =
           (fun st ->
             if List.length st.stack <> depth then build_error "stack depth mismatch at merge")
           pred_states;
-        let stack =
-          List.init depth (fun pos ->
-              merge_values (List.map (fun st -> List.nth st.stack pos) pred_states))
+        (* merge the stacks slot by slot, walking every predecessor's
+           stack in step *)
+        let rec merge_stacks stacks =
+          match stacks with
+          | [] :: _ | [] -> []
+          | _ ->
+            let v = merge_values (List.map List.hd stacks) in
+            v :: merge_stacks (List.map List.tl stacks)
         in
+        let stack = merge_stacks (List.map (fun st -> st.stack) pred_states) in
         { locals; stack }
     end
   in
-  let block_at_pc = Array.make (Array.length code + 1) (-1) in
-  Array.iteri (fun k bc -> block_at_pc.(bc.start) <- k) bc_blocks;
   let bc_index_of_pc target_pc =
     match block_at_pc.(target_pc) with
     | -1 -> build_error "no block starts at %d" target_pc

@@ -223,9 +223,12 @@ let forwarding (g : t) = { target = [||]; size_hint = g.next_iid }
 let forwarded fw i = i.iid < Array.length fw.target && fw.target.(i.iid) != no_instr
 let rec resolve fw i = if forwarded fw i then resolve fw fw.target.(i.iid) else i
 
+let rec any_forwarded fw = function
+  | [] -> false
+  | o :: rest -> forwarded fw o || any_forwarded fw rest
+
 let resolved_operands fw i =
-  if List.exists (forwarded fw) i.operands then List.map (resolve fw) i.operands
-  else i.operands
+  if any_forwarded fw i.operands then List.map (resolve fw) i.operands else i.operands
 
 let forward fw old_i new_i =
   let n = Array.length fw.target in

@@ -39,13 +39,16 @@ type label = {
   mutable holes : int list;  (* positions of rel32 placeholders *)
 }
 
+(* The code so far is [buf]'s first [len] bytes; [buf] doubles when
+   full, so an emitted byte costs a store and a length check. *)
 type t = {
-  buf : Buffer.t;
+  mutable buf : Bytes.t;
+  mutable len : int;
   mutable labels : label list;
 }
 
-let create () = { buf = Buffer.create 256; labels = [] }
-let pos t = Buffer.length t.buf
+let create () = { buf = Bytes.create 256; len = 0; labels = [] }
+let pos t = t.len
 
 let new_label t =
   let l = { target = -1; holes = [] } in
@@ -54,18 +57,28 @@ let new_label t =
 
 let bind t l = l.target <- pos t
 
-let byte t b = Buffer.add_char t.buf (Char.chr (b land 0xFF))
+let reserve t n =
+  if t.len + n > Bytes.length t.buf then begin
+    let bigger = Bytes.create (max (2 * Bytes.length t.buf) (t.len + n)) in
+    Bytes.blit t.buf 0 bigger 0 t.len;
+    t.buf <- bigger
+  end
 
+let byte t b =
+  reserve t 1;
+  Bytes.unsafe_set t.buf t.len (Char.unsafe_chr (b land 0xFF));
+  t.len <- t.len + 1
+
+(* the low 32 bits of [n], little-endian *)
 let le32 t n =
-  byte t n;
-  byte t (n asr 8);
-  byte t (n asr 16);
-  byte t (n asr 24)
+  reserve t 4;
+  Bytes.set_int32_le t.buf t.len (Int32.of_int n);
+  t.len <- t.len + 4
 
 let le64 t (n : int64) =
-  for i = 0 to 7 do
-    byte t (Int64.to_int (Int64.shift_right_logical n (8 * i)))
-  done
+  reserve t 8;
+  Bytes.set_int64_le t.buf t.len n;
+  t.len <- t.len + 8
 
 (* REX prefix; [reg] extends the ModRM reg field, [rm] the r/m field. *)
 let rex t ~w ~reg ~rm =
@@ -305,7 +318,7 @@ let jmp t l =
   hole t l
 
 let finalize t =
-  let code = Buffer.to_bytes t.buf in
+  let code = Bytes.sub t.buf 0 t.len in
   List.iter
     (fun l ->
       if l.holes <> [] then begin

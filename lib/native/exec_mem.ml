@@ -5,7 +5,10 @@
    bytes are never writable and executable at the same time, and the
    region is never written again.  [release] unmaps; it is idempotent so
    the deferred-unmap bookkeeping in {!Native} can call it from whichever
-   side (blacklist or last live activation) loses the race.
+   side (blacklist or last live activation) loses the race.  [recycle]
+   is the other way out: the pages stay mapped, RX, on a free list, and
+   a later [install] of the same page count refills them RX -> RW -> RX
+   instead of mapping fresh ones.
 
    The cumulative counters are process-global and atomic: engines on
    helper domains (QCheck stress runs several at once) all fund the same
@@ -20,6 +23,7 @@ external jb_page_size : unit -> int = "jb_page_size" [@@noalloc]
 external jb_map_rw : int -> nativeint = "jb_map_rw"
 external jb_fill : nativeint -> bytes -> int -> unit = "jb_fill" [@@noalloc]
 external jb_protect_rx : nativeint -> int -> bool = "jb_protect_rx" [@@noalloc]
+external jb_protect_rw : nativeint -> int -> bool = "jb_protect_rw" [@@noalloc]
 external jb_unmap : nativeint -> int -> unit = "jb_unmap" [@@noalloc]
 external jb_call : nativeint -> int -> regfile -> int = "jb_native_call" [@@noalloc]
 
@@ -40,12 +44,46 @@ type region = {
 
 let round_to_pages n = (n + page_size - 1) / page_size * page_size
 
+(* Recycled regions, (address, mapped size), RX and holding stale code
+   nobody calls; at most [max_free] of them, the rest unmapped. *)
+let max_free = 64
+let free_mu = Mutex.create ()
+let free : (nativeint * int) list ref = ref []
+let n_free = ref 0
+
+(* A free region of exactly [size] bytes, flipped to RW; None when there
+   is none. A region that will not flip is unmapped and skipped. *)
+let take_free size =
+  Mutex.protect free_mu (fun () ->
+      let rec take acc = function
+        | [] -> None
+        | ((addr, sz) as r) :: rest ->
+          if sz <> size then take (r :: acc) rest
+          else begin
+            free := List.rev_append acc rest;
+            decr n_free;
+            if jb_protect_rw addr size then Some addr
+            else begin
+              jb_unmap addr size;
+              Atomic.incr unmaps_total;
+              take acc rest
+            end
+          end
+      in
+      take [] !free)
+
 let install (code : bytes) =
   if not available then failwith "Exec_mem.install: no native backend";
   let code_size = Bytes.length code in
   let size = round_to_pages (max code_size 1) in
-  let addr = jb_map_rw size in
-  if Nativeint.equal addr 0n then failwith "Exec_mem.install: mmap failed";
+  let addr =
+    match take_free size with
+    | Some addr -> addr
+    | None ->
+      let addr = jb_map_rw size in
+      if Nativeint.equal addr 0n then failwith "Exec_mem.install: mmap failed";
+      addr
+  in
   jb_fill addr code code_size;
   if not (jb_protect_rx addr size) then begin
     jb_unmap addr size;
@@ -56,13 +94,34 @@ let install (code : bytes) =
   ignore (Atomic.fetch_and_add live_bytes size);
   { addr; size; code_size; mapped = true }
 
+let retire r =
+  r.mapped <- false;
+  Atomic.decr live_regions;
+  ignore (Atomic.fetch_and_add live_bytes (-r.size))
+
 let release r =
   if r.mapped then begin
-    r.mapped <- false;
+    retire r;
     jb_unmap r.addr r.size;
-    Atomic.incr unmaps_total;
-    Atomic.decr live_regions;
-    ignore (Atomic.fetch_and_add live_bytes (-r.size))
+    Atomic.incr unmaps_total
+  end
+
+let recycle r =
+  if r.mapped then begin
+    retire r;
+    let kept =
+      Mutex.protect free_mu (fun () ->
+          if !n_free >= max_free then false
+          else begin
+            free := (r.addr, r.size) :: !free;
+            incr n_free;
+            true
+          end)
+    in
+    if not kept then begin
+      jb_unmap r.addr r.size;
+      Atomic.incr unmaps_total
+    end
   end
 
 let call r off regs = jb_call r.addr off regs
@@ -75,6 +134,7 @@ type stats = {
   s_unmaps_total : int;
   s_live_regions : int;
   s_live_bytes : int;
+  s_free_regions : int;
 }
 
 let stats () =
@@ -83,4 +143,5 @@ let stats () =
     s_unmaps_total = Atomic.get unmaps_total;
     s_live_regions = Atomic.get live_regions;
     s_live_bytes = Atomic.get live_bytes;
+    s_free_regions = Mutex.protect free_mu (fun () -> !n_free);
   }

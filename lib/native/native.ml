@@ -100,7 +100,12 @@ let exits code =
 
 (* ---- compilation ---- *)
 
-let compile (f : Lir.func) : code =
+(* The side table [Nanbox.encode] is handed for an immediate constant:
+   only strings, objects and builtins are pushed onto a side table, and
+   those are preloaded instead, so this one is never written. *)
+let no_side = Nanbox.side_create ~size:1 ()
+
+let assemble (f : Lir.func) =
   let asm = Asm.create () in
   let insts = f.Lir.code in
   let len = Array.length insts in
@@ -120,23 +125,24 @@ let compile (f : Lir.func) : code =
           incr n_preload;
           preload := v :: !preload;
           Nanbox.tagged Nanbox.tag_side k
-        | v ->
-          let scratch = Nanbox.side_create () in
-          Nanbox.encode scratch v)
+        | v -> Nanbox.encode no_side v)
       f.Lir.consts
   in
   let pc_labels = Array.init len (fun _ -> Asm.new_label asm) in
   let offsets = Array.make len 0 in
   (* Exit stubs are shared per (pc, reason) and emitted after the main
-     body, in first-use order, so the layout is deterministic. *)
-  let exit_tbl = Hashtbl.create 16 in
+     body, in first-use order, so the layout is deterministic. Only the
+     instruction at [pc] asks for pc's exits, so the stubs of the pc
+     being lowered are all there is to look up: [pc_exits], by reason
+     (reasons are below 4), cleared at each pc. *)
+  let pc_exits = Array.make 4 None in
   let exit_order = ref [] in
   let exit_label pc reason =
-    match Hashtbl.find_opt exit_tbl (pc, reason) with
+    match pc_exits.(reason) with
     | Some l -> l
     | None ->
       let l = Asm.new_label asm in
-      Hashtbl.add exit_tbl (pc, reason) l;
+      pc_exits.(reason) <- Some l;
       exit_order := ((pc, reason), l) :: !exit_order;
       l
   in
@@ -225,6 +231,7 @@ let compile (f : Lir.func) : code =
     (fun pc (i : Lir.inst) ->
       offsets.(pc) <- Asm.pos asm;
       Asm.bind asm pc_labels.(pc);
+      Array.fill pc_exits 0 4 None;
       match i.Lir.kind with
       | Lir.Kconst ->
         if i.Lir.dst >= 0 then begin
@@ -419,22 +426,61 @@ let compile (f : Lir.func) : code =
       Asm.bind asm l;
       exit_now pc reason)
     (List.rev !exit_order);
-  let region = Exec_mem.install (Asm.finalize asm) in
-  {
-    func = f;
-    region;
-    offsets;
-    n_slots;
-    const_preload = Array.of_list (List.rev !preload);
-    counters = { c_return = 0; c_hostop = 0; c_bailout = 0; c_test = 0 };
-    prof_slot =
-      Profile.register_page ~addr:region.Exec_mem.addr
-        ~size:region.Exec_mem.code_size
-        ("native;" ^ f.Lir.name);
-    pool = [];
-    active = 0;
-    dead = false;
-  }
+  (Asm.finalize asm, offsets, n_slots, Array.of_list (List.rev !preload))
+
+let emit f =
+  let bytes, _, _, _ = assemble f in
+  bytes
+
+(* Code that became unreachable while still mapped: its region and
+   profiler slot, pushed by the code's finaliser and reclaimed by the
+   next [compile]. A finaliser runs at any allocation point, possibly
+   while this domain holds a lock, so it only pushes, without a lock. *)
+let unreachable : (Exec_mem.region * int) list Atomic.t = Atomic.make []
+
+let rec push_unreachable x =
+  let l = Atomic.get unreachable in
+  if not (Atomic.compare_and_set unreachable l (x :: l)) then push_unreachable x
+
+(* Hand every region pushed since the last call to {!Exec_mem.recycle},
+   after dropping its profiler slot, so a tick can never land in a page
+   being refilled under a new name. *)
+let reclaim () =
+  List.iter
+    (fun (region, slot) ->
+      Profile.drop_page slot;
+      Exec_mem.recycle region)
+    (Atomic.exchange unreachable [])
+
+let compile (f : Lir.func) : code =
+  let bytes, offsets, n_slots, const_preload = assemble f in
+  reclaim ();
+  let region = Exec_mem.install bytes in
+  let code =
+    {
+      func = f;
+      region;
+      offsets;
+      n_slots;
+      const_preload;
+      counters = { c_return = 0; c_hostop = 0; c_bailout = 0; c_test = 0 };
+      prof_slot =
+        Profile.register_page ~addr:region.Exec_mem.addr
+          ~size:region.Exec_mem.code_size
+          ("native;" ^ f.Lir.name);
+      pool = [];
+      active = 0;
+      dead = false;
+    }
+  in
+  (* a released code has unmapped its region already; an unreachable one
+     has no activation left. The finaliser holds the region, not the
+     code, so the code's memory goes in the same collection. *)
+  let slot = code.prof_slot in
+  Gc.finalise_last
+    (fun () -> if region.Exec_mem.mapped then push_unreachable (region, slot))
+    code;
+  code
 
 (* ---- activation pool & code-page lifecycle ---- *)
 

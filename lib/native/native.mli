@@ -22,11 +22,17 @@ val enabled : unit -> bool
 
 type code
 
-(** Lower a LIR function and install it into fresh RX memory.  Call only
+(** Lower a LIR function and install it into RX memory.  Call only
     after the go/no-go verdict admits the compile: a Forbid must never
     reach this point (tests assert no page is ever mapped for a
-    forbidden function). *)
+    forbidden function).  A code that becomes unreachable without a
+    {!release} gives its pages and profiler slot back at the next
+    [compile], which may refill those pages. *)
 val compile : Lir.func -> code
+
+(** The machine code {!compile} installs for a function, without
+    installing it. *)
+val emit : Lir.func -> bytes
 
 (** Execute.  Raises {!Lir.Bailout} with an executor-identical message
     on failed guards. *)

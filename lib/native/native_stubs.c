@@ -2,8 +2,9 @@
  * single call gate into generated code.
  *
  * W^X discipline lives here: pages are mapped RW (never executable),
- * filled from an OCaml buffer, then flipped to RX with mprotect.  There
- * is no code path that yields a writable+executable mapping.
+ * filled from an OCaml buffer, then flipped to RX with mprotect; a
+ * recycled page goes RX -> RW -> RX around its refill.  There is no code
+ * path that yields a writable+executable mapping.
  *
  * Generated code follows a minimal contract: it receives the register
  * file pointer in %rdi (SysV first argument), clobbers only caller-saved
@@ -75,6 +76,19 @@ CAMLprim value jb_protect_rx(value addr, value size)
 #ifdef JB_NATIVE
   return Val_bool(mprotect((void *)Nativeint_val(addr), Long_val(size),
                            PROT_READ | PROT_EXEC) == 0);
+#else
+  (void)addr; (void)size;
+  return Val_false;
+#endif
+}
+
+/* Flip a recycled RX mapping back to RW for a refill.  Never
+ * PROT_WRITE|PROT_EXEC: the page stops being executable first. */
+CAMLprim value jb_protect_rw(value addr, value size)
+{
+#ifdef JB_NATIVE
+  return Val_bool(mprotect((void *)Nativeint_val(addr), Long_val(size),
+                           PROT_READ | PROT_WRITE) == 0);
 #else
   (void)addr; (void)size;
   return Val_false;

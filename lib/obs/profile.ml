@@ -89,6 +89,8 @@ let register_page ~addr ~size name =
   if slot >= 0 then locked (fun () -> Hashtbl.replace pages slot name);
   slot
 
+let registered_pages () = locked (fun () -> Hashtbl.length pages)
+
 let drop_page slot =
   if slot >= 0 then begin
     let hits = c_drop_page slot in

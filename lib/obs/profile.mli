@@ -56,6 +56,9 @@ val register_page : addr:nativeint -> size:int -> string -> int
     into a retired-by-name table so the frame survives in {!report}. *)
 val drop_page : int -> unit
 
+(** Slots of the page table in use: pages registered and not dropped. *)
+val registered_pages : unit -> int
+
 (** {1 Results} *)
 
 val total_samples : unit -> int

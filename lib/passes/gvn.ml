@@ -19,6 +19,30 @@
 module Mir = Jitbull_mir.Mir
 module Domtree = Jitbull_mir.Domtree
 
+type key = {
+  tag : int;
+  payload : Mir_util.payload;
+  operands : int list;
+  combo : int;
+  loop : int;
+}
+
+module Key_table = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    a.tag = b.tag && a.combo = b.combo && a.loop = b.loop
+    && List.equal Int.equal a.operands b.operands
+    && Mir_util.equal_payload a.payload b.payload
+
+  let hash k =
+    List.fold_left
+      (fun h o -> (h * 31) + o)
+      ((((k.tag * 31) + Mir_util.hash_payload k.payload) * 31) + (k.combo * 7) + k.loop)
+      k.operands
+    land max_int
+end)
+
 let run (ctx : Pass.ctx) (g : Mir.t) =
   let vulns = ctx.Pass.vulns in
   (* CVE-2019-9810 and CVE-2019-17026 share the root bug (paper §III-B);
@@ -32,21 +56,21 @@ let run (ctx : Pass.ctx) (g : Mir.t) =
     | Mir.Set_array_length when ignore_setlength -> 0  (* BUG *)
     | _ -> Mir_util.default_clobbers op
   in
-  let deps = Mir_util.compute_load_deps ~clobbers g in
   let dom = Domtree.compute g in
+  let deps = Mir_util.compute_load_deps ~clobbers ~dom g in
   let fw = Mir.forwarding g in
-  (* congruence key: opcode tag, payload key (see {!Mir_util.payload_key}),
+  (* congruence key: opcode tag, payload (see {!Mir_util.payload}),
      resolved operand iids and the load dependency token (-1, -1 when the
      instruction is not a load) *)
-  let table : (int * string * int list * int * int, Mir.instr list) Hashtbl.t =
-    Hashtbl.create 64
-  in
+  let table : Mir.instr list Key_table.t = Key_table.create 64 in
   let key (i : Mir.instr) =
-    ( Mir.opcode_tag i.Mir.opcode,
-      Mir_util.payload_key i.Mir.opcode,
-      List.map (fun o -> (Mir.resolve fw o).Mir.iid) i.Mir.operands,
-      deps.Mir_util.combo.(i.Mir.iid),
-      deps.Mir_util.loop.(i.Mir.iid) )
+    {
+      tag = Mir.opcode_tag i.Mir.opcode;
+      payload = Mir_util.payload i.Mir.opcode;
+      operands = List.map (fun o -> (Mir.resolve fw o).Mir.iid) i.Mir.operands;
+      combo = deps.Mir_util.combo.(i.Mir.iid);
+      loop = deps.Mir_util.loop.(i.Mir.iid);
+    }
   in
   let eligible (i : Mir.instr) =
     match i.Mir.opcode with
@@ -56,20 +80,26 @@ let run (ctx : Pass.ctx) (g : Mir.t) =
       let eff = Mir.effects op in
       eff.Mir.is_movable && not eff.Mir.is_control
   in
+  (* the first candidate dominating [i] in block [b]; the walk is in
+     block order, so a candidate of [b] itself precedes [i] *)
+  let rec dominating (b : Mir.block) i = function
+    | [] -> None
+    | (r : Mir.instr) :: rest ->
+      if r.Mir.in_block = b.Mir.bid || Domtree.instr_dominates dom r b ~use_instr:i then Some r
+      else dominating b i rest
+  in
   List.iter
     (fun (b : Mir.block) ->
       List.iter
         (fun (i : Mir.instr) ->
           if eligible i then begin
             let k = key i in
-            let candidates = Option.value ~default:[] (Hashtbl.find_opt table k) in
-            match
-              List.find_opt
-                (fun (r : Mir.instr) -> Domtree.instr_dominates dom r b ~use_instr:i)
-                candidates
-            with
-            | Some rep -> Mir.forward fw i rep
-            | None -> Hashtbl.replace table k (i :: candidates)
+            match Key_table.find table k with
+            | candidates -> (
+              match dominating b i candidates with
+              | Some rep -> Mir.forward fw i rep
+              | None -> Key_table.replace table k (i :: candidates))
+            | exception Not_found -> Key_table.add table k [ i ]
           end)
         b.Mir.body)
     g.Mir.blocks;

@@ -4,6 +4,7 @@
 module Mir = Jitbull_mir.Mir
 module Domtree = Jitbull_mir.Domtree
 module Value = Jitbull_runtime.Value
+module Inttbl = Jitbull_util.Inttbl
 
 (* Remove [i] from its block (body or phi section) at once. The caller
    must have cleared all uses beforehand. *)
@@ -23,22 +24,44 @@ let insert_before_control (b : Mir.block) (i : Mir.instr) =
   b.Mir.body <- insert b.Mir.body;
   i.Mir.in_block <- b.Mir.bid
 
-(* The static payload of an opcode as GVN keys it, "" for an opcode its
-   tag alone identifies: the opcode name and the payload, a number
-   constant keyed on its exact bits (so -0 stays apart from 0, and two
-   numbers with one display stay apart; every NaN is one key), any other
-   constant on its type name and display. *)
-let payload_key (op : Mir.opcode) =
-  let base = Mir.opcode_name op in
+(* The static payload of an opcode as GVN keys it, [No_payload] for an
+   opcode its tag alone identifies: a number constant keyed on its exact
+   bits (so -0 stays apart from 0, and two numbers with one display stay
+   apart; every NaN is one key), any other constant on its type name and
+   display, a parameter on its index, a global, property or method on its
+   name. *)
+type payload =
+  | No_payload
+  | Number_bits of int64
+  | Display of string * string
+  | Index of int
+  | Name of string
+
+let payload (op : Mir.opcode) =
   match op with
   | Mir.Constant (Value.Number f) ->
-    base ^ ":number:" ^ Int64.to_string (Int64.bits_of_float (if Float.is_nan f then nan else f))
-  | Mir.Constant v -> String.concat ":" [ base; Value.type_name v; Value.to_display v ]
-  | Mir.Parameter n -> base ^ ":" ^ string_of_int n
-  | Mir.Load_global s | Mir.Store_global s | Mir.Get_prop s | Mir.Set_prop s ->
-    base ^ ":" ^ s
-  | Mir.Call_method (m, _) -> base ^ ":" ^ m
-  | _ -> ""
+    Number_bits (Int64.bits_of_float (if Float.is_nan f then nan else f))
+  | Mir.Constant v -> Display (Value.type_name v, Value.to_display v)
+  | Mir.Parameter n -> Index n
+  | Mir.Load_global s | Mir.Store_global s | Mir.Get_prop s | Mir.Set_prop s -> Name s
+  | Mir.Call_method (m, _) -> Name m
+  | _ -> No_payload
+
+let equal_payload a b =
+  match (a, b) with
+  | No_payload, No_payload -> true
+  | Number_bits x, Number_bits y -> Int64.equal x y
+  | Display (t, d), Display (t', d') -> String.equal t t' && String.equal d d'
+  | Index x, Index y -> x = y
+  | Name x, Name y -> String.equal x y
+  | _ -> false
+
+let hash_payload = function
+  | No_payload -> 0
+  | Number_bits x -> Hashtbl.hash x
+  | Display (t, d) -> Hashtbl.hash d + (31 * Hashtbl.hash t)
+  | Index x -> x
+  | Name x -> Hashtbl.hash x
 
 (* ---- alias dependency tokens ----
 
@@ -78,8 +101,7 @@ let default_clobbers (op : Mir.opcode) = class_mask (Mir.effects op).Mir.writes
    none). Loads with equal (combo, loop) see the same memory state. *)
 type load_deps = { combo : int array; loop : int array }
 
-let compute_load_deps ~clobbers (g : Mir.t) : load_deps =
-  let dom = Domtree.compute g in
+let compute_load_deps ~clobbers ~dom (g : Mir.t) : load_deps =
   let rpo = Mir.compute_rpo g in
   let nb = g.Mir.next_bid in
   (* the clobber mask of every instruction, once, and per block their
@@ -90,32 +112,41 @@ let compute_load_deps ~clobbers (g : Mir.t) : load_deps =
     block_clobber.(b.Mir.bid) <- block_clobber.(b.Mir.bid) lor clobber.(i.Mir.iid)
   in
   List.iter (fun (b : Mir.block) -> List.iter (mark b) b.Mir.body) rpo;
-  (* loops in RPO order of their header: (header bid, body membership,
-     classes stored in the body, body size) *)
+  (* loops in RPO order of their header: header bid, body membership,
+     classes stored in the body and body size, one array each *)
   let loops =
-    List.filter_map
-      (fun (h : Mir.block) ->
-        if not (List.exists (fun p -> Domtree.dominates dom h p) h.Mir.preds) then None
-        else begin
-          let body = Domtree.loop_body dom h in
-          let add m (b : Mir.block) =
-            if body.(b.Mir.bid) then m lor block_clobber.(b.Mir.bid) else m
-          in
-          let stored = List.fold_left add 0 rpo in
-          let size = Array.fold_left (fun n member -> if member then n + 1 else n) 0 body in
-          Some (h.Mir.bid, body, stored, size)
-        end)
+    List.filter
+      (fun (h : Mir.block) -> List.exists (fun p -> Domtree.dominates dom h p) h.Mir.preds)
       rpo
+    |> Array.of_list
+  in
+  let n_loops = Array.length loops in
+  let loop_header = Array.map (fun (h : Mir.block) -> h.Mir.bid) loops in
+  let loop_body = Array.map (Domtree.loop_body dom) loops in
+  let loop_stored =
+    Array.map
+      (fun body ->
+        List.fold_left
+          (fun m (b : Mir.block) -> if body.(b.Mir.bid) then m lor block_clobber.(b.Mir.bid) else m)
+          0 rpo)
+      loop_body
+  in
+  let loop_size =
+    Array.map (Array.fold_left (fun n member -> if member then n + 1 else n) 0) loop_body
   in
   let header_stored = Array.make nb 0 in
-  List.iter (fun (h, _, stored, _) -> header_stored.(h) <- stored) loops;
+  Array.iteri (fun l h -> header_stored.(h) <- loop_stored.(l)) loop_header;
   (* innermost = smallest body; the first in RPO on a tie *)
   let innermost_clobbering_loop bid reads =
-    fst
-      (List.fold_left
-         (fun ((_, best_size) as best) (h, body, stored, size) ->
-           if body.(bid) && stored land reads <> 0 && size < best_size then (h, size) else best)
-         (-1, max_int) loops)
+    let best = ref (-1) and best_size = ref max_int in
+    for l = 0 to n_loops - 1 do
+      if loop_body.(l).(bid) && loop_stored.(l) land reads <> 0 && loop_size.(l) < !best_size
+      then begin
+        best := loop_header.(l);
+        best_size := loop_size.(l)
+      end
+    done;
+    !best
   in
   (* Memory versions per alias class: [local] while a block is walked, its
      exit versions at [bid * n_classes + class] of [out_version]. Initial
@@ -135,20 +166,33 @@ let compute_load_deps ~clobbers (g : Mir.t) : load_deps =
     decr phi_counter;
     v
   in
-  (* the version vector of a load's read classes, interned: equal vectors
-     (same opcode, hence same read set) get equal ids *)
-  let combo_ids : (int list, int) Hashtbl.t = Hashtbl.create 16 in
+  (* the version vector of a load's read classes, interned one class at
+     a time: [id] of a vector's prefix and the next version map to the
+     longer prefix's id, so equal vectors (same opcode, hence same read
+     set) get equal ids. Versions are iids, -1 or phi versions above
+     [phi_counter]'s floor; [extend] packs a (prefix id, version) pair
+     into one nonzero int key. *)
+  let prefixes = Inttbl.create 64 and n_ids = ref 0 in
+  let extend prefix version =
+    let k = ((prefix + 1) lsl 32) lor (version land 0xFFFFFFFF) in
+    match Inttbl.find prefixes k with
+    | 0 ->
+      incr n_ids;
+      Inttbl.replace prefixes k !n_ids;
+      !n_ids
+    | id -> id
+  in
   let deps = { combo = Array.make g.Mir.next_iid (-1); loop = Array.make g.Mir.next_iid (-1) } in
   let local = Array.make n_classes 0 in
+  let rec combo id = function
+    | [] -> id
+    | cls :: rest -> combo (extend id local.(class_index cls)) rest
+  in
   let step (b : Mir.block) (i : Mir.instr) =
     (match (Mir.effects i.Mir.opcode).Mir.reads with
     | [] -> ()
     | reads ->
-      let versions = List.map (fun cls -> local.(class_index cls)) reads in
-      let fresh = Hashtbl.length combo_ids in
-      let id = Option.value ~default:fresh (Hashtbl.find_opt combo_ids versions) in
-      if id = fresh then Hashtbl.add combo_ids versions id;
-      deps.combo.(i.Mir.iid) <- id;
+      deps.combo.(i.Mir.iid) <- combo 0 reads;
       deps.loop.(i.Mir.iid) <- innermost_clobbering_loop b.Mir.bid (class_mask reads));
     for k = 0 to n_classes - 1 do
       if clobber.(i.Mir.iid) land (1 lsl k) <> 0 then local.(k) <- i.Mir.iid

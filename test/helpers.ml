@@ -167,3 +167,58 @@ let awkward_string_gen =
       ]
   in
   map (String.concat "") (list_size (int_range 0 6) piece)
+
+(* ---- the compile path, as the engine's tiers drive it ---- *)
+
+(* Lowering, register allocation and peephole: what both tiers run on
+   the MIR they admit. *)
+let lower_mir g =
+  let lir = Jitbull_lir.Lower.lower g in
+  Jitbull_lir.Regalloc.allocate lir;
+  ignore (Jitbull_lir.Peephole.run lir);
+  lir
+
+(* The baseline tier's compile: MIR built on fresh feedback (the tier
+   does not speculate), the mandatory structural passes only. *)
+let baseline_lir vulns (func : Jitbull_bytecode.Op.func) ~n_sites =
+  let feedback_row = Array.init n_sites (fun _ -> Jitbull_bytecode.Feedback.fresh_site ()) in
+  let g = Jitbull_mir.Builder.build func ~feedback_row in
+  let split = Jitbull_passes.Split_critical_edges.pass in
+  split.Jitbull_passes.Pass.run (Jitbull_passes.Pass.make_ctx vulns) g;
+  Jitbull_mir.Mir.renumber g;
+  lower_mir g
+
+(* The compiles of one function, on the feedback its program left on
+   the VM: [baseline ()] is the baseline tier's, [ion disabled] the Ion
+   tier's with the passes [disabled] off ([recompile_disabled] is the
+   go/no-go recompile); each call compiles afresh. *)
+type compiles = {
+  baseline : unit -> Jitbull_lir.Lir.func;
+  ion : string list -> Jitbull_lir.Lir.func;
+}
+
+(* One [compiles] per function of [source], after one VM run of it. *)
+let compiles_of vulns source =
+  let module Value = Jitbull_runtime.Value in
+  let bc = Compiler.compile (Parser.parse source) in
+  let vm = Vm.create bc in
+  (try ignore (Vm.run vm) with _ -> ());
+  let funcs = bc.Jitbull_bytecode.Op.funcs in
+  let build idx = Jitbull_mir.Builder.build funcs.(idx) ~feedback_row:vm.Vm.feedback.(idx) in
+  Array.mapi
+    (fun idx func ->
+      let inline_resolver callee =
+        match Hashtbl.find_opt vm.Vm.globals callee with
+        | Some (Value.Function c) when c <> idx -> Some (build c)
+        | _ -> None
+      in
+      {
+        baseline =
+          (fun () -> baseline_lir vulns func ~n_sites:(Array.length vm.Vm.feedback.(idx)));
+        ion =
+          (fun disabled ->
+            let g = build idx in
+            Jitbull_passes.Pipeline.run_quiet vulns ~inline_resolver ~disabled g;
+            lower_mir g);
+      })
+    funcs

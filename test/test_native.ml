@@ -568,6 +568,42 @@ let test_engine_blacklist_releases_pages =
       check_bool "the blacklisted function's page was unmapped" true
         (after.Exec_mem.s_unmaps_total > before.Exec_mem.s_unmaps_total))
 
+(* ---- dropped engines give their code pages back ---- *)
+
+(* An engine dropped without a blacklist or deopt never releases its
+   code: the code's finaliser hands its region and profiler slot to the
+   next compile, which recycles them. After fifty dropped engines and one
+   more compile, the live regions and profiler slots are where they
+   started, plus that compile's own. *)
+let test_dropped_engines_give_back_pages =
+  when_native (fun () ->
+      let src =
+        "function f(n) { var s = 0; for (var i = 0; i < n; i = i + 1) { s = s + i; } return s; }\n\
+         for (var k = 0; k < 12; k = k + 1) { print(f(10)); }"
+      in
+      let run () = snd (Engine.run_source native_cfg src) in
+      let live () = (Exec_mem.stats ()).Exec_mem.s_live_regions in
+      (* whatever earlier tests left unreachable is reclaimed by this
+         engine's compile *)
+      Gc.full_major ();
+      let kept = run () in
+      let live0 = live () and slots0 = Jitbull_obs.Profile.registered_pages () in
+      let maps0 = (Exec_mem.stats ()).Exec_mem.s_maps_total in
+      for _ = 1 to 50 do
+        ignore (Sys.opaque_identity (run ()))
+      done;
+      check_int "fifty installs" (maps0 + 50) (Exec_mem.stats ()).Exec_mem.s_maps_total;
+      Gc.full_major ();
+      let last = run () in
+      check_int "one install" 1 (Engine.stats last).Engine.native_installs;
+      let slot = if slots0 > 0 then 1 else 0 in
+      check_int "live regions back where they started" (live0 + 1) (live ());
+      check_int "profiler slots back where they started" (slots0 + slot)
+        (Jitbull_obs.Profile.registered_pages ());
+      check_bool "recycled regions held for reuse" true
+        ((Exec_mem.stats ()).Exec_mem.s_free_regions > 0);
+      ignore (Sys.opaque_identity (kept, last)))
+
 (* ---- a Forbid verdict never maps a page ---- *)
 
 let test_forbid_maps_no_page =
@@ -680,6 +716,8 @@ let suite =
       Alcotest.test_case "engine installs and exits" `Quick test_engine_installs_and_exits;
       Alcotest.test_case "blacklist releases pages" `Quick
         test_engine_blacklist_releases_pages;
+      Alcotest.test_case "dropped engines give back pages" `Quick
+        test_dropped_engines_give_back_pages;
       Alcotest.test_case "forbid maps no page" `Quick test_forbid_maps_no_page;
       Alcotest.test_case "forbid via harvested CVE" `Quick test_forbid_via_harvested_cve;
       Alcotest.test_case "env forced fallback" `Quick test_env_forced_fallback;

@@ -417,6 +417,76 @@ let test_pass_output_golden () =
       check_string (name ^ " buggy passes") buggy (pipeline_digest all source))
     programs pass_golden
 
+(* ---- golden compile output ----
+
+   What the compile emits, pinned past the MIR: for each function of each
+   corpus program, the LIR after register allocation and peephole of the
+   baseline compile, of the Ion compile and of the go/no-go recompile,
+   and the x86-64 bytes {!Jitbull_native.Native.emit} makes of the two
+   Ion ones. The LIR is serialized whole (constants, names, call
+   arguments and every operand field), so a change to a lowering table
+   or to the allocator that moves one register shows here. One digest
+   per program with no bugs active and one with all eight. These
+   constants were computed before the compile path's tables became
+   arrays, and that change left them as they were. *)
+
+let compile_digest vulns source =
+  let buf = Buffer.create 65536 in
+  let lir (l : Jitbull_lir.Lir.func) =
+    Buffer.add_string buf (Marshal.to_string l [ Marshal.No_sharing ])
+  in
+  let code l = Buffer.add_bytes buf (Jitbull_native.Native.emit l) in
+  Array.iter
+    (fun c ->
+      lir (c.baseline ());
+      let ion = c.ion [] and recompile = c.ion recompile_disabled in
+      lir ion;
+      code ion;
+      lir recompile;
+      code recompile)
+    (compiles_of vulns source);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* (program, digest with no bugs, digest with all eight bugs) *)
+let compile_golden =
+  [
+    ("CVE-2019-17026", "e256b66b559f3989b36476fd141280ae", "77ecff152b3ffdbfaedb9c7269e05064");
+    ("CVE-2019-9810", "36f393b568a4eabfef07bc93e14e49df", "98e483c090b0a4474c8d2de81823e8d2");
+    ("CVE-2019-9791", "55a4beb0c5b971fab2800bf371f1c85f", "98d854d771f12dd3811c815b3c619bc8");
+    ("CVE-2019-11707", "ead232249683e5f24af3dbc54e3949af", "c42ef232f20669888f68fbd4d5daa5df");
+    ("CVE-2019-9792", "5c7ee13e6428952c39d2b5e704325be2", "2e94b1deaec665d3401c777fc3a41fa1");
+    ("CVE-2019-9795", "1d2a730dfb24ae039f2013721d244218", "1093e6a812a0bb0fb48500c41aa1d91c");
+    ("CVE-2019-9813", "9576b70ff27ea6eb88cfdfa0431a64d0", "0cf995c9ee734621fff3e2a7b092bd78");
+    ("CVE-2020-26952", "5ebca4ab8a981dc695cc5daf072418f8", "5c6b147dcd7c0fd3c15841bbe01e5c2c");
+    ("benign00", "4d7facb289a2242e86e36a982d447593", "6f1470e4514d1fdf3d6bb7fa364d94a4");
+    ("benign01", "e6cf3cdf872bb4cfb0c568dfd2ac354c", "de236aab85e6a6508969bb46943c829f");
+    ("benign02", "dc1884d141754a12d3b305932767073c", "c180d1ea6c627f114bd95f44c32daea7");
+    ("benign03", "b5856bc919976fc389dc43f7c0186e09", "5c1e98f1460d3aedde94840c3ee78776");
+    ("benign04", "ff7f388bf1a0480ee5c6d2488ef8dc57", "5f69257a8711ff2d21fe7f9467362cdc");
+    ("benign05", "a5d81ce2e1230c25f96ec2b01a36a20b", "81124ae8adaaccfcecf3829c9252ef14");
+    ("benign06", "27e1812b95d9340a57602de1610bfc4a", "53945a1a1a76475277bac4160d0c7829");
+    ("benign07", "8d4458b84040ae65eb827e195ffe37cb", "cfb761b08a96bfff119be28835cbf6a8");
+    ("benign08", "bff85f834c64def97c5e36b102567b92", "440fbd61e27fea9f03ed8645a4f96913");
+    ("benign09", "98f6e926367f9bae47d99acf4530b1ef", "83f7f1f50be5fa30f1e5de504ba7b7ef");
+    ("benign10", "8de7564474c7c9df65d634cf1d78b766", "66a866e663e61af24014dc36a2342816");
+    ("benign11", "092248ebe3ea2f85d233851ed22cbecc", "8a866bf108243f059fc04a30acccd10a");
+    ("benign12", "eaa672cb63c959164e84a037c7fab800", "f52be9744eb0103fa918b1b4750efc5b");
+    ("benign13", "77f946a92df33e93e3391c62a8dc10f8", "62292d4d70eff877305e29e9b2d36c0d");
+    ("benign14", "9fd7f2ac2b439e22a4c2f5604d61848d", "e664128a2eb9b1f2f8dc7af562ac2baa");
+    ("benign15", "2419fbe8ae3746283f0858fab60cf1d4", "29ae3350e7a1eab7d6e2371687c9e4e3");
+  ]
+
+let test_compile_output_golden () =
+  let all = VC.make VC.all in
+  let programs = golden_programs () in
+  check_int "program count" (List.length compile_golden) (List.length programs);
+  List.iter2
+    (fun (name, source) (name', none, buggy) ->
+      check_string "program order" name' name;
+      check_string (name ^ " patched compile") none (compile_digest VC.none source);
+      check_string (name ^ " buggy compile") buggy (compile_digest all source))
+    programs compile_golden
+
 let suite =
   ( "passes",
     [
@@ -449,4 +519,5 @@ let suite =
       Alcotest.test_case "mandatory passes" `Quick test_mandatory_passes;
       Alcotest.test_case "semantic preservation" `Quick test_semantic_preservation;
       Alcotest.test_case "pass output golden" `Quick test_pass_output_golden;
+      Alcotest.test_case "compile output golden" `Quick test_compile_output_golden;
     ] )

@@ -118,6 +118,23 @@ let vdc_db () =
   ignore (V.harvest db VC.all);
   db
 
+(* A query result with its evidence forced, comparable with [=] (a
+   match's common sub-chains are computed only when forced). *)
+let forced (q : Db.query) =
+  ( List.map
+      (fun (cve, mds) ->
+        ( cve,
+          List.map
+            (fun (md : Comparator.match_detail) ->
+              ( md.Comparator.md_pass,
+                md.Comparator.md_side,
+                md.Comparator.md_eq_chains,
+                md.Comparator.md_max_eq_chains,
+                Lazy.force md.Comparator.md_common ))
+            mds ))
+      q.Db.q_matches,
+    (q.Db.q_prefilter_candidates, q.Db.q_prefilter_hits, q.Db.q_generation, q.Db.q_size) )
+
 (* Real DNAs as one more input: the 8-VDC DB queried with its own
    entries and with the DNAs of the benign programs of seeds 0-4 (their
    12 rounds raised to 40, past the Ion threshold, so they compile)
@@ -151,7 +168,7 @@ let test_indexed_equals_naive_real_dnas () =
   (* the same queries from helper domains at once: each domain's
      accumulator scratch must stay its own *)
   let module CQ = Jitbull_jit.Compile_queue in
-  let expected = List.map (fun dna -> (dna, Db.matching_detailed db dna)) queries in
+  let expected = List.map (fun dna -> (dna, forced (Db.matching_detailed db dna))) queries in
   let agreed = Atomic.make 0 in
   with_pool (fun pool ->
       for _ = 1 to 4 do
@@ -161,7 +178,7 @@ let test_indexed_equals_naive_real_dnas () =
             let dna = Dna.of_sexpr (Dna.to_sexpr dna) in
             ignore
               (CQ.submit pool (fun () ->
-                   if Db.matching_detailed db dna = q then Atomic.incr agreed)))
+                   if forced (Db.matching_detailed db dna) = q then Atomic.incr agreed)))
           expected
       done;
       CQ.wait_idle pool);
@@ -191,6 +208,44 @@ let test_query_allocation () =
   List.iter (fun dna -> ignore (Db.matching_detailed db dna)) queries;
   let per_query = (Gc.minor_words () -. before) /. float_of_int (List.length queries) in
   check_bool "minor words per query within the bound" true (per_query <= query_words_bound)
+
+(* Every function of the benign programs of seeds 900-903 (8 functions,
+   40 rounds, depth 2) compiled on its VM feedback: minor words per
+   baseline compile (build, split, lower, regalloc, peephole) and per Ion
+   compile (build with its inline callees, the 18 passes, lower,
+   regalloc, peephole). With hash tables keyed by iid, pc and vreg, a
+   string GVN key, per-instruction operand lists and a closure per
+   instruction in the passes' use forwarding, they took 16,155 and
+   24,801 words; with arrays and allocation-free walks about 12,000 and
+   19,100. Minor words repeat exactly, so the bounds carry no timing
+   noise. *)
+let baseline_compile_words_bound = 13_500.
+let ion_compile_words_bound = 21_000.
+
+let test_compile_allocation () =
+  let compiles =
+    List.concat_map
+      (fun seed ->
+        Array.to_list
+          (compiles_of VC.none
+             (Generator.benign_params
+                { Generator.p_seed = seed; p_funcs = 8; p_rounds = 40; p_depth = 2 })))
+      [ 900; 901; 902; 903 ]
+  in
+  let per_compile f =
+    let w0 = Gc.minor_words () in
+    List.iter (fun c -> ignore (Sys.opaque_identity (f c))) compiles;
+    (Gc.minor_words () -. w0) /. float_of_int (List.length compiles)
+  in
+  List.iter (fun c -> ignore (c.baseline ()); ignore (c.ion [])) compiles;
+  let baseline = per_compile (fun c -> c.baseline ()) in
+  let ion = per_compile (fun c -> c.ion []) in
+  check_bool
+    (Printf.sprintf "%.0f minor words per baseline compile within the bound" baseline)
+    true (baseline <= baseline_compile_words_bound);
+  check_bool
+    (Printf.sprintf "%.0f minor words per Ion compile within the bound" ion)
+    true (ion <= ion_compile_words_bound)
 
 (* [Parser.parse] of the benign programs of seeds 900-903 (8 functions, 40
    rounds, depth 2): the lexer allocates nothing per byte read or per
@@ -425,7 +480,7 @@ let test_posting_aware_equals_full () =
              prefilter counts *)
           let q = Db.matching_detailed db x.Jitbull.x_dna in
           check_bool (mode ^ ": posting-aware query == full query") true
-            (q = Db.matching_detailed db full);
+            (forced q = forced (Db.matching_detailed db full));
           if q.Db.q_matches <> [] then incr matched;
           check_bool (mode ^ ": analyzer verdict == full-DNA verdict") true
             (decide trace = full_verdict trace);
@@ -996,6 +1051,7 @@ let suite =
       Alcotest.test_case "indexed == naive on real DNAs" `Quick
         test_indexed_equals_naive_real_dnas;
       Alcotest.test_case "query allocation" `Quick test_query_allocation;
+      Alcotest.test_case "compile allocation" `Quick test_compile_allocation;
       Alcotest.test_case "parse allocation" `Quick test_parse_allocation;
       Alcotest.test_case "realm allocation" `Quick test_realm_allocation;
       Alcotest.test_case "heap allocation after frees" `Quick test_heap_allocation_after_frees;
