@@ -87,7 +87,7 @@ let cached_db n =
 let protected_config ?obs n =
   Jitbull.config ?obs ~vulns:(VC.make (first_n n cve_order)) (cached_db n)
 
-(* The workload sample the telemetry, ablation, concurrency and service
+(* The workload sample the telemetry, ablation and service
    sections run over. *)
 let sample =
   List.filter_map W.find [ "Richards"; "RayTrace"; "Splay"; "TypeScript"; "Microbench1" ]

@@ -19,7 +19,6 @@
                                  audit-trail cost, explain-capture A/B
      bench/main.exe ablation     Thr/Ratio/n-gram parameter sweep (beyond the paper)
      bench/main.exe overhead     decision cost vs DB size: indexed vs naive
-     bench/main.exe concurrency  off-main-thread Ion compilation (jobs=0/1/2/4)
      bench/main.exe native       native x86-64 Ion tier vs the LIR executor
                                  (numeric-loop corpus, byte-equal outputs)
      bench/main.exe profile      sampling profiler overhead A/B and attribution *)
@@ -37,7 +36,6 @@ let sections_in_order =
     ("telemetry", Telemetry.run);
     ("ablation", Ablation.run);
     ("overhead", Overhead.run);
-    ("concurrency", Concurrency.run);
     ("native", Native.run);
     ("profile", Native.profile);
   ]

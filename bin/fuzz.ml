@@ -27,7 +27,6 @@ open Cmdliner
 module F = Jitbull_fuzz
 module VC = Jitbull_passes.Vuln_config
 module Engine = Jitbull_jit.Engine
-module Compile_queue = Jitbull_jit.Compile_queue
 module Db = Jitbull_core.Db
 module Jitbull = Jitbull_core.Jitbull
 
@@ -102,163 +101,157 @@ let print_worker id (r : F.Sync.Worker.result) =
          (List.map (fun (c, e) -> Printf.sprintf "%s@%d" (VC.cve_name c) e) l))
 
 let run count seed0 aggressive vuln_names auto_db verbose corpus_dir guided minimize
-    time_budget jobs master worker connect port rounds serve_seconds workers
+    time_budget master worker connect port rounds serve_seconds workers
     distill_out =
   let vulns = parse_vulns vuln_names in
-  let pool = if jobs > 0 then Some (Compile_queue.create ~jobs ()) else None in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Compile_queue.shutdown pool)
-    (fun () ->
-      let config =
-        fast { Engine.default_config with Engine.vulns; compile_pool = pool }
+  let config = fast { Engine.default_config with Engine.vulns } in
+  match (distill_out, master, worker) with
+  | Some out, _, _ -> run_distill config corpus_dir out
+  | None, true, _ -> run_master config corpus_dir port serve_seconds
+  | None, false, Some id ->
+    let r =
+      F.Sync.Worker.run ~config ~rounds ~execs_per_round:count
+        ~rng_seed:seed0 ~id ~port:connect ()
+    in
+    print_worker id r;
+    if r.F.Sync.Worker.w_signals = [] then `Ok ()
+    else
+      `Error
+        ( false,
+          Printf.sprintf "%d signal%s"
+            (List.length r.F.Sync.Worker.w_signals)
+            (if List.length r.F.Sync.Worker.w_signals = 1 then "" else "s") )
+  | None, false, None when workers > 0 ->
+    (* in-process topology: one master + N worker threads *)
+    let m = F.Sync.Master.start ~config ?corpus_dir ~port () in
+    let results = Array.make workers None in
+    let threads =
+      List.init workers (fun i ->
+          Thread.create
+            (fun i ->
+              let id = Printf.sprintf "w%d" (i + 1) in
+              results.(i) <-
+                Some
+                  ( id,
+                    F.Sync.Worker.run ~config ~rounds ~execs_per_round:count
+                      ~rng_seed:(seed0 + i) ~id ~port:(F.Sync.Master.port m) () ))
+            i)
+    in
+    List.iter Thread.join threads;
+    let signals = ref [] in
+    Array.iter
+      (function
+        | None -> ()
+        | Some (id, r) ->
+          print_worker id r;
+          signals := !signals @ r.F.Sync.Worker.w_signals)
+      results;
+    Printf.printf "master: coverage %d, corpus %d, syncs %d\n"
+      (F.Sync.Master.coverage_count m)
+      (F.Sync.Master.corpus_size m) (F.Sync.Master.syncs m);
+    F.Sync.Master.stop m;
+    if !signals = [] then `Ok ()
+    else
+      `Error
+        ( false,
+          Printf.sprintf "%d signal%s" (List.length !signals)
+            (if List.length !signals = 1 then "" else "s") )
+  | None, false, None ->
+  let use_guided = guided || corpus_dir <> None in
+  let signals =
+    if use_guided then begin
+      let corpus = F.Corpus.create ?dir:corpus_dir () in
+      let seed_sources =
+        if aggressive then F.Harness.default_seed_sources ()
+        else List.init 8 (fun i -> F.Generator.benign ~seed:(seed0 + i))
       in
-      match (distill_out, master, worker) with
-      | Some out, _, _ -> run_distill config corpus_dir out
-      | None, true, _ -> run_master config corpus_dir port serve_seconds
-      | None, false, Some id ->
-        let r =
-          F.Sync.Worker.run ~config ~rounds ~execs_per_round:count
-            ~rng_seed:seed0 ~id ~port:connect ()
-        in
-        print_worker id r;
-        if r.F.Sync.Worker.w_signals = [] then `Ok ()
-        else
-          `Error
-            ( false,
-              Printf.sprintf "%d signal%s"
-                (List.length r.F.Sync.Worker.w_signals)
-                (if List.length r.F.Sync.Worker.w_signals = 1 then "" else "s") )
-      | None, false, None when workers > 0 ->
-        (* in-process topology: one master + N worker threads *)
-        let m = F.Sync.Master.start ~config ?corpus_dir ~port () in
-        let results = Array.make workers None in
-        let threads =
-          List.init workers (fun i ->
-              Thread.create
-                (fun i ->
-                  let id = Printf.sprintf "w%d" (i + 1) in
-                  results.(i) <-
-                    Some
-                      ( id,
-                        F.Sync.Worker.run ~config ~rounds ~execs_per_round:count
-                          ~rng_seed:(seed0 + i) ~id ~port:(F.Sync.Master.port m) () ))
-                i)
-        in
-        List.iter Thread.join threads;
-        let signals = ref [] in
-        Array.iter
-          (function
-            | None -> ()
-            | Some (id, r) ->
-              print_worker id r;
-              signals := !signals @ r.F.Sync.Worker.w_signals)
-          results;
-        Printf.printf "master: coverage %d, corpus %d, syncs %d\n"
-          (F.Sync.Master.coverage_count m)
-          (F.Sync.Master.corpus_size m) (F.Sync.Master.syncs m);
-        F.Sync.Master.stop m;
-        if !signals = [] then `Ok ()
-        else
-          `Error
-            ( false,
-              Printf.sprintf "%d signal%s" (List.length !signals)
-                (if List.length !signals = 1 then "" else "s") )
-      | None, false, None ->
-      let use_guided = guided || corpus_dir <> None in
-      let signals =
-        if use_guided then begin
-          let corpus = F.Corpus.create ?dir:corpus_dir () in
-          let seed_sources =
-            if aggressive then F.Harness.default_seed_sources ()
-            else List.init 8 (fun i -> F.Generator.benign ~seed:(seed0 + i))
-          in
-          let g =
-            F.Harness.guided_campaign ~config ~corpus ~rng_seed:seed0 ?time_budget
-              ~seed_sources ~max_execs:count ()
-          in
-          Printf.printf
-            "execs: %d  coverage: %d features  corpus: %d entries  signals: %d  (%.1f execs/s)\n"
-            g.F.Harness.g_execs g.F.Harness.g_coverage g.F.Harness.g_corpus_size
-            (List.length g.F.Harness.g_signals)
-            (float_of_int g.F.Harness.g_execs /. Float.max 1e-9 g.F.Harness.g_seconds);
-          print_yield g.F.Harness.g_yield;
-          g.F.Harness.g_signals
-        end
-        else begin
-          let profile = if aggressive then `Aggressive else `Benign in
-          let seeds = List.init count (fun i -> seed0 + i) in
-          let report = F.Harness.campaign ~profile ~seeds ~config () in
-          Printf.printf "programs: %d  agree: %d  signals: %d\n" report.F.Harness.total
-            report.F.Harness.agreements
-            (List.length report.F.Harness.signals);
-          report.F.Harness.signals
-        end
+      let g =
+        F.Harness.guided_campaign ~config ~corpus ~rng_seed:seed0 ?time_budget
+          ~seed_sources ~max_execs:count ()
       in
-      List.iter
-        (fun (f : F.Harness.finding) ->
-          Printf.printf "  %s %-6d %s\n"
-            (if use_guided then "exec" else "seed")
-            f.F.Harness.seed
-            (F.Oracle.verdict_summary f.F.Harness.verdict);
-          if verbose then print_string f.F.Harness.source)
-        signals;
-      let shrink_errors = ref 0 in
-      if minimize && signals <> [] then begin
-        let crash_dir =
-          match corpus_dir with
-          | Some d ->
-            let dir = Filename.concat d "crashes" in
-            if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-            Some dir
-          | None -> None
+      Printf.printf
+        "execs: %d  coverage: %d features  corpus: %d entries  signals: %d  (%.1f execs/s)\n"
+        g.F.Harness.g_execs g.F.Harness.g_coverage g.F.Harness.g_corpus_size
+        (List.length g.F.Harness.g_signals)
+        (float_of_int g.F.Harness.g_execs /. Float.max 1e-9 g.F.Harness.g_seconds);
+      print_yield g.F.Harness.g_yield;
+      g.F.Harness.g_signals
+    end
+    else begin
+      let profile = if aggressive then `Aggressive else `Benign in
+      let seeds = List.init count (fun i -> seed0 + i) in
+      let report = F.Harness.campaign ~profile ~seeds ~config () in
+      Printf.printf "programs: %d  agree: %d  signals: %d\n" report.F.Harness.total
+        report.F.Harness.agreements
+        (List.length report.F.Harness.signals);
+      report.F.Harness.signals
+    end
+  in
+  List.iter
+    (fun (f : F.Harness.finding) ->
+      Printf.printf "  %s %-6d %s\n"
+        (if use_guided then "exec" else "seed")
+        f.F.Harness.seed
+        (F.Oracle.verdict_summary f.F.Harness.verdict);
+      if verbose then print_string f.F.Harness.source)
+    signals;
+  let shrink_errors = ref 0 in
+  if minimize && signals <> [] then begin
+    let crash_dir =
+      match corpus_dir with
+      | Some d ->
+        let dir = Filename.concat d "crashes" in
+        if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+        Some dir
+      | None -> None
+    in
+    List.iter
+      (fun (f : F.Harness.finding) ->
+        let small =
+          F.Shrink.shrink_signal ~config ~seed:seed0 ~errors:shrink_errors
+            ~verdict:f.F.Harness.verdict f.F.Harness.source
         in
-        List.iter
-          (fun (f : F.Harness.finding) ->
-            let small =
-              F.Shrink.shrink_signal ~config ~seed:seed0 ~errors:shrink_errors
-                ~verdict:f.F.Harness.verdict f.F.Harness.source
-            in
-            Printf.printf "  minimized %d: %d -> %d bytes\n" f.F.Harness.seed
-              (String.length f.F.Harness.source)
-              (String.length small);
-            match crash_dir with
-            | Some dir -> write_file (Filename.concat dir (Printf.sprintf "min-%06d.js" f.F.Harness.seed)) small
-            | None -> if verbose then print_string small)
-          signals;
-        if !shrink_errors > 0 then
-          Printf.eprintf "warning: %d predicate crash%s during shrinking\n"
-            !shrink_errors
-            (if !shrink_errors = 1 then "" else "es")
-      end;
-      let unharvested =
-        match auto_db with
-        | Some path when signals <> [] ->
-          let db = if Sys.file_exists path then Db.load path else Db.create () in
-          let n = F.Harness.auto_harvest ~vulns ~db signals in
-          Db.save db path;
-          Printf.printf "auto-harvested %d DNA entries into %s\n" n path;
-          (* does the fuzz-fed database actually neutralize what was found? *)
-          let protected_cfg = fast (Jitbull.config ~vulns db) in
-          F.Harness.unharvested ~config:protected_cfg signals
-        | Some path ->
-          Printf.printf "no signals; %s unchanged\n" path;
-          []
-        | None -> signals
-      in
-      match (unharvested, !shrink_errors) with
-      | [], 0 -> `Ok ()
-      | [], n ->
-        (* the shrinker's oracle predicate crashed: the minimized
-           reproducers are untrustworthy — fail the run even though every
-           signal was harvested *)
-        `Error
-          (false, Printf.sprintf "%d predicate crash%s during shrinking" n
-                    (if n = 1 then "" else "es"))
-      | fs, _ ->
-        `Error
-          ( false,
-            Printf.sprintf "%d un-harvested signal%s" (List.length fs)
-              (if List.length fs = 1 then "" else "s") ))
+        Printf.printf "  minimized %d: %d -> %d bytes\n" f.F.Harness.seed
+          (String.length f.F.Harness.source)
+          (String.length small);
+        match crash_dir with
+        | Some dir -> write_file (Filename.concat dir (Printf.sprintf "min-%06d.js" f.F.Harness.seed)) small
+        | None -> if verbose then print_string small)
+      signals;
+    if !shrink_errors > 0 then
+      Printf.eprintf "warning: %d predicate crash%s during shrinking\n"
+        !shrink_errors
+        (if !shrink_errors = 1 then "" else "es")
+  end;
+  let unharvested =
+    match auto_db with
+    | Some path when signals <> [] ->
+      let db = if Sys.file_exists path then Db.load path else Db.create () in
+      let n = F.Harness.auto_harvest ~vulns ~db signals in
+      Db.save db path;
+      Printf.printf "auto-harvested %d DNA entries into %s\n" n path;
+      (* does the fuzz-fed database actually neutralize what was found? *)
+      let protected_cfg = fast (Jitbull.config ~vulns db) in
+      F.Harness.unharvested ~config:protected_cfg signals
+    | Some path ->
+      Printf.printf "no signals; %s unchanged\n" path;
+      []
+    | None -> signals
+  in
+  match (unharvested, !shrink_errors) with
+  | [], 0 -> `Ok ()
+  | [], n ->
+    (* the shrinker's oracle predicate crashed: the minimized
+       reproducers are untrustworthy — fail the run even though every
+       signal was harvested *)
+    `Error
+      (false, Printf.sprintf "%d predicate crash%s during shrinking" n
+                (if n = 1 then "" else "es"))
+  | fs, _ ->
+    `Error
+      ( false,
+        Printf.sprintf "%d un-harvested signal%s" (List.length fs)
+          (if List.length fs = 1 then "" else "s") )
 
 let count =
   Arg.(value & opt int 50 & info [ "count" ] ~docv:"N" ~doc:"Programs to execute.")
@@ -285,9 +278,6 @@ let minimize =
 let time_budget =
   Arg.(value & opt (some float) None & info [ "time-budget" ] ~docv:"S"
        ~doc:"Stop the guided campaign after $(docv) seconds.")
-let jobs =
-  Arg.(value & opt int 0 & info [ "jobs" ] ~docv:"N"
-       ~doc:"Background-compile the campaign engine with $(docv) helper domains.")
 let master =
   Arg.(value & flag & info [ "master" ]
        ~doc:"Serve the corpus-sync master ($(b,/fuzz/*), $(b,/push), $(b,/fleet)) \
@@ -321,7 +311,7 @@ let cmd =
     Term.(
       ret
         (const run $ count $ seed0 $ aggressive $ vuln_names $ auto_db $ verbose
-       $ corpus_dir $ guided $ minimize $ time_budget $ jobs $ master $ worker
+       $ corpus_dir $ guided $ minimize $ time_budget $ master $ worker
        $ connect $ port $ rounds $ serve_seconds $ workers $ distill_out))
 
 let () = exit (Cmd.eval cmd)

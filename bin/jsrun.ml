@@ -11,7 +11,6 @@
      jsrun --stats ...                  print engine statistics afterwards
      jsrun --metrics[=FILE] ...         telemetry snapshot at exit
      jsrun --trace-file out.jsonl ...   structured event trace (JSON lines)
-     jsrun --jobs N ...                 N helper domains for background Ion compiles
      jsrun --native / --no-native       x86-64 machine code for the Ion tier
                                         (default on; falls back to the LIR
                                         executor off x86-64 or under
@@ -34,7 +33,6 @@
 
 open Cmdliner
 module Engine = Jitbull_jit.Engine
-module Compile_queue = Jitbull_jit.Compile_queue
 module Interp = Jitbull_interp.Interp
 module Realm = Jitbull_runtime.Realm
 module Errors = Jitbull_runtime.Errors
@@ -152,7 +150,7 @@ let run file no_jit use_interp vuln_names db_path verdict_server push_interval
     client_id stats ion_threshold seed trace metrics
     trace_file audit_file audit_rotate_bytes explain
     serve_metrics serve_hold profile
-    jobs native quiet verbose =
+    native quiet verbose =
   setup_logging ~quiet ~verbose:(List.length verbose) trace;
   let source = read_file file in
   let vulns =
@@ -208,10 +206,6 @@ let run file no_jit use_interp vuln_names db_path verdict_server push_interval
         Some s
       | _ -> None
     in
-    let jobs =
-      match jobs with Some n -> max 0 n | None -> Compile_queue.default_jobs ()
-    in
-    let pool = if jobs > 0 then Some (Compile_queue.create ~jobs ()) else None in
     let remote = ref None in
     let finish () =
       (* stop sampling before teardown so shutdown work isn't profiled *)
@@ -230,7 +224,6 @@ let run file no_jit use_interp vuln_names db_path verdict_server push_interval
         end
       | None -> ());
       (match !remote with Some c -> Client.close c | None -> ());
-      (match pool with Some p -> Compile_queue.shutdown p | None -> ());
       (match explain with
       | Some filter -> report_explanations obs ~filter
       | None -> ());
@@ -271,15 +264,14 @@ let run file no_jit use_interp vuln_names db_path verdict_server push_interval
                 Engine.jit_enabled = not no_jit;
                 ion_threshold;
                 native;
-                compile_pool = pool;
               }
             | None, Some path ->
               let db = Db.load path in
-              let c = Jitbull.config ?obs ?compile_pool:pool ~vulns db in
+              let c = Jitbull.config ?obs ~vulns db in
               { c with Engine.jit_enabled = not no_jit; ion_threshold; native }
             | None, None ->
               { Engine.default_config with Engine.vulns; jit_enabled = not no_jit;
-                ion_threshold; native; obs; compile_pool = pool }
+                ion_threshold; native; obs }
           in
           let _, engine = Engine.run_source ~realm config source in
           if stats then begin
@@ -292,13 +284,7 @@ let run file no_jit use_interp vuln_names db_path verdict_server push_interval
               s.Engine.baseline_compiles s.Engine.ion_compiles s.Engine.nr_jit
               s.Engine.nr_disjit s.Engine.nr_nojit s.Engine.bailouts s.Engine.deopts;
             Printf.eprintf "native installs:   %d\n" s.Engine.native_installs;
-            Printf.eprintf "peephole removed:  %d\n" s.Engine.peephole_removed;
-            if jobs > 0 then
-              Printf.eprintf
-                "compile jobs: %d\nasync installs: %d  stale results: %d\n\
-                 main-thread stall: %.6fs\n"
-                jobs s.Engine.async_installs s.Engine.stale_results
-                s.Engine.main_stall_seconds
+            Printf.eprintf "peephole removed:  %d\n" s.Engine.peephole_removed
           end;
           `Ok ()
         end)
@@ -421,8 +407,8 @@ let serve_metrics =
        & info [ "serve-metrics" ] ~docv:"PORT"
            ~doc:"Serve live observability over HTTP on 127.0.0.1:$(docv) while \
                  the script runs: /metrics (Prometheus text), /healthz \
-                 (200/503 against queue-depth, stall, stale-result and \
-                 install-latency-p99 thresholds), /audit?n=K (recent \
+                 (200/503 against the main-thread compile-stall bound), \
+                 /audit?n=K (recent \
                  go/no-go decisions as JSON), /explain (recent-decisions \
                  index) and /explain?id=N (single-decision report, HTML or \
                  &format=text). PORT 0 picks a free port (printed to \
@@ -445,13 +431,6 @@ let profile =
                  pipeline, comparator and host-call frames. Without \
                  $(docv), prints to stderr. With --serve-metrics, the live \
                  profile is also served at /profile.")
-
-let jobs =
-  Arg.(value & opt (some int) None
-       & info [ "jobs" ] ~docv:"N"
-           ~doc:"Helper domains for background Ion compilation. 0 compiles \
-                 synchronously on the main thread. Defaults to the machine's \
-                 recommended domain count minus one, capped at 4.")
 
 let native =
   Arg.(value
@@ -488,7 +467,7 @@ let cmd =
                $ ion_threshold $ seed $ trace $ metrics $ trace_file $ audit_file
                $ audit_rotate_bytes $ explain
                $ serve_metrics $ serve_hold $ profile
-               $ jobs $ native
+               $ native
                $ quiet $ verbose))
 
 let () = exit (Cmd.eval cmd)

@@ -28,21 +28,6 @@ let create (program : Op.program) : t =
     (fun (f : Op.func) -> Array.init (Array.length f.Op.code) (fun _ -> fresh_site ()))
     program.Op.funcs
 
-let copy_site s =
-  {
-    saw_array_int = s.saw_array_int;
-    saw_other_index = s.saw_other_index;
-    saw_number = s.saw_number;
-    saw_non_number = s.saw_non_number;
-    saw_array_recv = s.saw_array_recv;
-    saw_other_recv = s.saw_other_recv;
-  }
-
-(* Snapshot of one function's row, taken at compile-enqueue time so a
-   helper domain reads frozen feedback while the interpreter keeps
-   mutating the live sites. *)
-let copy_row (row : site array) = Array.map copy_site row
-
 (* Site accessors used by the MIR builder. *)
 
 let site (t : t) ~func ~pc = t.(func).(pc)

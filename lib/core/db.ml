@@ -26,7 +26,7 @@ type t = {
           which is what lets {!delta_since} answer with a suffix *)
   lock : Rwlock.t;
       (** queries ([matching]/[entries]/…) run under the read side so
-          helper compile domains can consult the DB while [add] /
+          engines and jitbulld's domain can consult the DB while [add] /
           [remove_cve] — writers, rare by the paper's lifecycle — mutate
           it exclusively. [generation] is read under the same lock, so a
           policy-cache revalidation never observes a half-applied

@@ -12,10 +12,11 @@
 
     The database is domain-safe: queries ({!matching}, {!entries},
     {!generation}, …) take an internal reader lock while {!add} /
-    {!remove_cve} / {!apply} take the writer side, so helper compile
-    domains can run the go/no-go comparison concurrently with a DB
-    update arriving on the main thread. The engine treats a compile whose enqueue-time
-    {!generation} no longer matches as stale and re-analyzes.
+    {!remove_cve} / {!apply} take the writer side, so an engine can run
+    the go/no-go comparison while a DB update arrives on another domain
+    (a subscribed client applying a push, or jitbulld serving while it
+    installs). A verdict is cached only against the {!generation} it
+    was computed at.
 
     The index is one postings table per (pass, side) keyed by the packed
     sub-chain ints ({!Delta.key}); a query accumulates EqChains in a

@@ -28,7 +28,7 @@ type t = {
     difference of the whole-function multisets. A renumbering pass makes
     most entries dirty and costs one whole recount. Graphs, marks and
     counts live in per-domain scratch, so concurrent extractions on
-    helper domains stay apart.
+    several domains stay apart.
 
     [only] (default: every pass) restricts extraction to the passes it
     accepts: any other pass gets an empty Δ and costs nothing. The Δ of

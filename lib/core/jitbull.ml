@@ -259,11 +259,11 @@ let analyzer ?params (db : Db.t) : Engine.analyzer =
   | `Disable passes -> Engine.Disable_passes passes
   | `Forbid -> Engine.Forbid_jit
 
-let config ?params ?obs ?compile_pool ~vulns (db : Db.t) : Engine.config =
+let config ?params ?obs ~vulns (db : Db.t) : Engine.config =
   let analyzer, policy_cache =
     if Db.is_empty db then (None, None)
     else
       ( Some (analyzer ?params db),
         Some (Engine.Policy_cache.create ~generation:(fun () -> Db.generation db) ()) )
   in
-  { Engine.default_config with Engine.vulns; analyzer; obs; policy_cache; compile_pool }
+  { Engine.default_config with Engine.vulns; analyzer; obs; policy_cache }

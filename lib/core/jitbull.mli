@@ -99,7 +99,7 @@ val query :
 val analyzer :
   ?params:Comparator.params -> Db.t -> Jitbull_jit.Engine.analyzer
 
-(** [config ?params ?obs ?compile_pool ~vulns db] — an engine
+(** [config ?params ?obs ~vulns db] — an engine
     configuration with JITBULL installed, the vulnerability window's
     unpatched engine. When [db] is empty the analyzer and the policy
     cache are omitted entirely (zero overhead, paper §V). [obs] is the
@@ -109,15 +109,10 @@ val analyzer :
     its generation counter, so re-JITs of an already-decided function —
     across engines sharing this configuration — skip DNA extraction and
     comparison; any [Db.add]/[Db.remove_cve] invalidates it. With [obs],
-    each hit still leaves a [Cache_hit] audit record.
-
-    [compile_pool] hands the engine a helper-domain pool for
-    off-main-thread Ion compilation (see
-    {!Jitbull_jit.Compile_queue}); the caller owns and shuts it down. *)
+    each hit still leaves a [Cache_hit] audit record. *)
 val config :
   ?params:Comparator.params ->
   ?obs:Jitbull_obs.Obs.t ->
-  ?compile_pool:Jitbull_jit.Compile_queue.t ->
   vulns:Jitbull_passes.Vuln_config.t ->
   Db.t ->
   Jitbull_jit.Engine.config

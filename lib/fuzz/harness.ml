@@ -79,7 +79,7 @@ let default_seed_sources ?(benign = 4) ?(aggressive = 8) ?(vdc = true) () =
   @ (if vdc then vdc_seed_sources () else [])
 
 (* Does [source] exploit an engine where {e only} [cve] is live? Probing
-   with the analyzer/cache/pool stripped keeps attribution independent of
+   with the analyzer and cache stripped keeps attribution independent of
    whatever mitigation the campaign config carries. *)
 let exploits_single_cve ~base cve source =
   let config =
@@ -88,7 +88,6 @@ let exploits_single_cve ~base cve source =
       Engine.vulns = VC.make [ cve ];
       analyzer = None;
       policy_cache = None;
-      compile_pool = None;
       obs = None;
     }
   in

@@ -1,5 +1,4 @@
 module Engine = Jitbull_jit.Engine
-module Compile_queue = Jitbull_jit.Compile_queue
 module Interp = Jitbull_interp.Interp
 module Vm = Jitbull_bytecode.Vm
 module Compiler = Jitbull_bytecode.Compiler
@@ -197,8 +196,7 @@ let jit_result config source =
   | exception Errors.Shellcode_executed m -> Error ("SHELLCODE: " ^ m)
   | out, _ -> Ok out
 
-let check_metamorphic ?(config = default_config) ?subsets ?(jobs = 2) ?(alt_configs = [])
-    source =
+let check_metamorphic ?(config = default_config) ?subsets ?(alt_configs = []) source =
   match Interp.run_source source with
   | exception Errors.Type_error _ -> []
   | { Interp.output = reference; _ } ->
@@ -241,13 +239,5 @@ let check_metamorphic ?(config = default_config) ?subsets ?(jobs = 2) ?(alt_conf
           (Printf.sprintf "disable[%s]==full" (String.concat "," subset))
           (jit_result c source))
       subsets;
-    if jobs > 0 then begin
-      let pool = Compile_queue.create ~jobs () in
-      Fun.protect
-        ~finally:(fun () -> Compile_queue.shutdown pool)
-        (fun () ->
-          let c = { base with Engine.compile_pool = Some pool } in
-          expect (Printf.sprintf "sync==async[jobs=%d]" jobs) (jit_result c source))
-    end;
     List.iter (fun (name, c) -> expect name (jit_result c source)) alt_configs;
     List.rev !violations

@@ -68,11 +68,11 @@ val run_instrumented : ?config:Jitbull_jit.Engine.config -> string -> instrument
 
 type violation = {
   mv_invariant : string;
-      (** e.g. ["disable[gvn]==full"], ["sync==async[jobs=2]"] *)
+      (** e.g. ["disable[gvn]==full"], ["interp==jit"] *)
   mv_detail : string;
 }
 
-(** [check_metamorphic ?config ?subsets ?jobs ?alt_configs source] checks,
+(** [check_metamorphic ?config ?subsets ?alt_configs source] checks,
     against the reference interpreter's output:
     - interpreter == VM == JIT under [config];
     - tier agreement: when the native x86-64 backend is enabled (the
@@ -82,8 +82,6 @@ type violation = {
       where the backend is unavailable;
     - for each pass subset in [subsets] (default: every optional pass as
       a singleton), an engine forced to disable that subset agrees;
-    - sync == async: a compile pool with [jobs] helpers (default 2;
-      [0] skips) agrees;
     - each named engine in [alt_configs] agrees — callers pass a
       DB-growth chain here.
 
@@ -93,7 +91,6 @@ type violation = {
 val check_metamorphic :
   ?config:Jitbull_jit.Engine.config ->
   ?subsets:string list list ->
-  ?jobs:int ->
   ?alt_configs:(string * Jitbull_jit.Engine.config) list ->
   string ->
   violation list

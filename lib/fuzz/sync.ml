@@ -459,7 +459,6 @@ module Worker = struct
               Fleet.sn_client = id;
               sn_ts = Obs.now (Some obs);
               sn_totals = empty_totals;
-              sn_install_p99 = 0.;
               sn_metrics = Metrics.view_to_json (Obs.view (Some obs));
             }
           in

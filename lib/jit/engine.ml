@@ -52,8 +52,8 @@ type analyzer =
    trace, the Δ extraction and the DB comparison entirely; a Forbid hit
    even skips the Ion compile.
 
-   Lookups/stores come from helper compile domains as well as the main
-   thread, so every operation runs under the cache's mutex. *)
+   Engines on several domains may share one configuration, and with it
+   the cache, so every operation runs under the cache's mutex. *)
 module Policy_cache = struct
   type t = {
     table : (int, decision) Hashtbl.t;
@@ -103,9 +103,10 @@ module Policy_cache = struct
 
   (* [if_generation] makes the store conditional: a verdict computed
      against DB generation [g] is dropped when the DB has moved on by
-     store time — without the check, a helper domain racing [Db.add]
-     could cache an old-DB verdict under the new generation and every
-     later compile of that function would reuse it. The comparison runs
+     store time — without the check, a compile racing a [Db.add] on
+     another domain (a subscribed client applying a push) could cache an
+     old-DB verdict under the new generation and every later compile of
+     that function would reuse it. The comparison runs
      under the mutex, so it cannot itself race [revalidate]. *)
   let store ?if_generation t key decision =
     locked t (fun () ->
@@ -134,7 +135,6 @@ type config = {
   native : bool;
   obs : Obs.t option;
   policy_cache : Policy_cache.t option;
-  compile_pool : Compile_queue.t option;
 }
 
 let default_config =
@@ -149,7 +149,6 @@ let default_config =
     native = true;
     obs = None;
     policy_cache = None;
-    compile_pool = None;
   }
 
 type stats = {
@@ -161,8 +160,6 @@ type stats = {
   mutable bailouts : int;
   mutable deopts : int;
   mutable peephole_removed : int;  (* LIR instructions deleted from installed code *)
-  mutable async_installs : int;
-  mutable stale_results : int;
   mutable main_stall_seconds : float;
   mutable native_installs : int;  (* Ion installs backed by machine code *)
 }
@@ -172,28 +169,6 @@ type tier =
   | Baseline
   | Ion
   | Blacklisted
-
-(* What an Ion compile job hands to [apply]: directly when the job ran
-   inline, through the mailbox (installed at the next function-entry
-   safepoint) when it ran on a helper domain. *)
-type compile_result =
-  | A_install of {
-      decision : decision option;  (* [None] = no analyzer configured *)
-      lir : (Lir.func * int) option;
-          (* the code to install and its peephole removals; [None] when
-             the verdict forbids JIT *)
-      traced : bool;  (* a snapshot-traced compile ran (cache miss) *)
-    }
-  | A_error of exn * Printexc.raw_backtrace
-
-type inflight = {
-  job : Compile_queue.job;
-  enq_gen : int;  (* DB generation at enqueue; moved = result is stale *)
-  enq_time : float;
-  anchor : int option;  (* trace id of the tier_up_request event: the
-                           cross-domain parent of the compile spans and
-                           the install event *)
-}
 
 type t = {
   vm : Vm.t;
@@ -205,17 +180,6 @@ type t = {
      in this set may be rebound at runtime, so it must not be inlined *)
   reassigned_globals : (string, unit) Hashtbl.t;
   mutable sentinel_installed : bool;
-  (* ---- background-compilation state ----
-     Helper domains push finished results into [results] and raise
-     [results_ready]; the main thread polls the flag at every function
-     entry (the safepoint) and installs. [async_inflight] is touched by
-     the main thread only. *)
-  (* each mailbox item carries its publish time, so the main thread can
-     histogram the publish → safepoint-install latency *)
-  results : (int * float * compile_result) Queue.t;
-  results_mu : Mutex.t;
-  results_ready : bool Atomic.t;
-  async_inflight : (int, inflight) Hashtbl.t;
   (* ---- native Ion tier ----
      Per-function installed machine code; [None] runs the LIR executor.
      [native_fallback] is the reason the backend is off for this engine
@@ -246,16 +210,14 @@ let native_code_of t idx = t.native_codes.(idx)
 
 let func_field t idx = ("func", Jsonx.String t.vm.Vm.program.Op.funcs.(idx).Op.name)
 
-(* DB generation as seen through the policy cache; without a cache there
-   is no generation source and async results are never considered stale. *)
+(* DB generation as seen through the policy cache; 0 without a cache. *)
 let current_gen t =
   match t.config.policy_cache with
   | Some c -> Policy_cache.current_generation c
   | None -> 0
 
-(* Main-thread time spent blocked on compilation: every baseline compile,
-   plus the whole Ion compile in synchronous mode or only the [drain]
-   waits in background mode. *)
+(* Main-thread time spent blocked on compilation: every baseline and
+   every Ion compile. *)
 let stalled t f =
   let t0 = Clock.now () in
   Fun.protect
@@ -277,46 +239,13 @@ let executor_callbacks t : Executor.callbacks =
     declare_global = (fun name -> Vm.declare_global t.vm name);
   }
 
-(* The optimizing compile, over inputs frozen by [prepare] so it can run
-   on a helper domain as well as inline, in two steps: [optimize_ion]
-   builds the MIR and runs the pipeline, collecting the per-pass snapshot
-   trace the analyzer consumes when [traced] ([[]] otherwise: the paper's
-   zero-overhead empty-DB path); [lower_mir], shared with the baseline
-   tier, lowers, register-allocates and peepholes the MIR the verdict
-   admitted. Neither mutates engine state: the peephole count is returned
-   for the main thread to account. *)
-let optimize_ion config (func : Op.func) ~feedback_row ~resolver ~traced ~disabled =
-  let g = Builder.build func ~feedback_row in
-  let obs = config.obs and verify = config.verify_passes in
-  let trace =
-    if traced then
-      Pipeline.run config.vulns ?obs ~inline_resolver:resolver ~disabled ~verify g
-    else begin
-      Pipeline.run_quiet config.vulns ?obs ~inline_resolver:resolver ~disabled
-        ~verify g;
-      []
-    end
-  in
-  (g, trace)
-
+(* Lowering, register allocation and peephole, shared by both tiers;
+   returns the peephole's removal count with the code. *)
 let lower_mir g =
   let lir = Lower.lower g in
   Regalloc.allocate lir;
   let removed = Jitbull_lir.Peephole.run lir in
   (lir, removed)
-
-(* Drop a queued-but-unclaimed compile job for [idx], if any. A job that
-   already started runs to completion; its result is discarded as stale
-   at the safepoint. Main thread only. *)
-let cancel_inflight t idx =
-  match t.config.compile_pool with
-  | None -> ()
-  | Some pool -> (
-    match Hashtbl.find_opt t.async_inflight idx with
-    | Some info when Compile_queue.cancel pool info.job ->
-      Hashtbl.remove t.async_inflight idx;
-      Obs.incr t.config.obs "compile.cancelled"
-    | _ -> ())
 
 (* Drop the machine code backing function [idx], if any. The unmap is
    deferred by {!Native.release} while recursive native activations are
@@ -331,8 +260,8 @@ let release_native t idx =
 (* [install ~tier_native:true] backs the dispatch entry with generated
    x86-64 code when the backend is on; the LIR executor remains the
    automatic fallback (and the baseline tier, which never asks). Emission
-   happens here — on the main thread, strictly after the go/no-go verdict
-   admitted the compile — so a Forbid never maps a code page. *)
+   happens here — strictly after the go/no-go verdict admitted the
+   compile — so a Forbid never maps a code page. *)
 let install ?(tier_native = false) t idx (lir : Lir.func) =
   let cb = executor_callbacks t in
   let realm = t.vm.Vm.realm in
@@ -390,7 +319,6 @@ let install ?(tier_native = false) t idx (lir : Lir.func) =
         t.vm.Vm.dispatch.(idx) <- None;
         t.tiers.(idx) <- Blacklisted;
         release_native t idx;
-        cancel_inflight t idx;
         t.stats.deopts <- t.stats.deopts + 1;
         Obs.incr t.config.obs "engine.deopts";
         Obs.event t.config.obs "deopt"
@@ -415,14 +343,11 @@ let tier_up t idx tier_name =
 (* ---- the Ion tier-up ----
 
    One procedure — SpiderMonkey's [OptimizeMIR] with the go/no-go check
-   inside — used with or without a [compile_pool]:
-   - [prepare] runs on the main thread, once per tier-up: it freezes the
-     compile inputs, derives the policy key and consults the cache;
-   - the compile job reads only those frozen inputs, so the same closure
-     runs inline (no pool, or the queue refused it) or on a helper
-     domain;
-   - [apply] runs on the main thread: accounting, logging, install or
-     blacklist. *)
+   inside — run at the tier-up site: [compile_ion] reads the compile
+   inputs (the feedback row and the inline callees, collected once),
+   derives the policy key and consults the cache, optimizes, analyses and
+   lowers only the MIR the verdict admits; [settle] accounts for the
+   compile and installs or blacklists. *)
 
 let hash_mix h x = (h * 0x01000193) lxor x [@@inline]
 
@@ -435,8 +360,7 @@ let feedback_hash row =
 (* The callees the inliner may ask for: every name loaded by the function
    or, transitively, by a callee (the inliner re-scans inlined bodies)
    that is statically bound to another function and never reassigned.
-   Each appears once, in first-load order, with its feedback row
-   deep-copied so a helper domain never reads live VM state. *)
+   Each appears once, in first-load order, with its feedback row. *)
 let inline_callees t idx =
   let seen = Hashtbl.create 8 in
   let rec scan acc (f : Op.func) =
@@ -450,7 +374,7 @@ let inline_callees t idx =
           match Hashtbl.find_opt t.vm.Vm.globals name with
           | Some (Value.Function cidx) when cidx <> idx ->
             let cf = t.vm.Vm.program.Op.funcs.(cidx) in
-            scan ((name, cf, Feedback.copy_row t.vm.Vm.feedback.(cidx)) :: acc) cf
+            scan ((name, cf, t.vm.Vm.feedback.(cidx)) :: acc) cf
           | _ -> acc)
         | _ -> acc)
       acc f.Op.code
@@ -495,14 +419,13 @@ let blacklist t idx reason =
   t.vm.Vm.dispatch.(idx) <- None;
   t.tiers.(idx) <- Blacklisted;
   release_native t idx;
-  cancel_inflight t idx;
   Obs.incr t.config.obs "engine.blacklisted";
   Obs.event t.config.obs "blacklist"
     ~fields:[ func_field t idx; ("reason", Jsonx.String reason) ]
 
 (* Go/no-go verdict kind counters: one increment per decision reached
-   (fresh or cached, sync or async) — a cheap engine-event signal the
-   fuzzer's coverage map consumes alongside bailout/blacklist events. *)
+   (fresh or cached) — a cheap engine-event signal the fuzzer's coverage
+   map consumes alongside bailout/blacklist events. *)
 let record_verdict obs = function
   | Allow -> Obs.incr obs "engine.verdict.allow"
   | Disable_passes _ -> Obs.incr obs "engine.verdict.disable"
@@ -514,51 +437,49 @@ let compilable = function
   | Disable_passes ps -> List.for_all Pipeline.can_disable ps
   | Forbid_jit -> false
 
-(* Main thread: account for one finished compile and act on its verdict. *)
-let apply t idx = function
-  | A_error (e, bt) -> Printexc.raise_with_backtrace e bt
-  | A_install { decision; lir; traced } -> (
-    let obs = t.config.obs in
-    Option.iter
-      (fun (_, removed) -> t.stats.peephole_removed <- t.stats.peephole_removed + removed)
-      lir;
-    t.stats.nr_jit <- t.stats.nr_jit + 1;
-    t.stats.ion_compiles <- t.stats.ion_compiles + 1;
-    let name = t.vm.Vm.program.Op.funcs.(idx).Op.name in
-    let install_ion lir =
-      install ~tier_native:true t idx lir;
-      t.tiers.(idx) <- Ion;
-      tier_up t idx "ion"
-    in
-    match (decision, lir) with
-    | (None | Some Allow), Some (lir, _) -> install_ion lir
-    | Some (Disable_passes passes), Some (lir, _) ->
-      Log.info (fun m ->
-          m "JITBULL: recompiling %s without dangerous passes [%s]" name
-            (String.concat ", " passes));
-      (* a cached verdict compiled once, not a recompile after a trace *)
-      if traced then begin
-        t.stats.ion_compiles <- t.stats.ion_compiles + 1;
-        Obs.incr obs "engine.recompiles"
-      end;
-      t.stats.nr_disjit <- t.stats.nr_disjit + 1;
-      install_ion lir
-    | Some (Disable_passes passes), None ->
-      (* scenario 3: a mandatory pass matched — no JIT for this function *)
-      Log.info (fun m ->
-          m "JITBULL: mandatory pass among [%s] matched — no JIT for %s"
-            (String.concat ", " passes) name);
-      blacklist t idx "mandatory_pass"
-    | Some Forbid_jit, _ ->
-      Log.info (fun m -> m "JITBULL: JIT forbidden for %s" name);
-      blacklist t idx "forbid_jit"
-    | (None | Some Allow), None -> assert false)
+(* Account for one finished Ion compile and act on its verdict
+   ([decision] is [None] without an analyzer). [lir] is the code to
+   install and its peephole removals, [None] when the verdict forbids
+   JIT; [traced] says a snapshot-traced compile ran (a cache miss). *)
+let settle t idx ~traced decision lir =
+  let obs = t.config.obs in
+  Option.iter
+    (fun (_, removed) -> t.stats.peephole_removed <- t.stats.peephole_removed + removed)
+    lir;
+  t.stats.nr_jit <- t.stats.nr_jit + 1;
+  t.stats.ion_compiles <- t.stats.ion_compiles + 1;
+  let name = t.vm.Vm.program.Op.funcs.(idx).Op.name in
+  let install_ion lir =
+    install ~tier_native:true t idx lir;
+    t.tiers.(idx) <- Ion;
+    tier_up t idx "ion"
+  in
+  match (decision, lir) with
+  | (None | Some Allow), Some (lir, _) -> install_ion lir
+  | Some (Disable_passes passes), Some (lir, _) ->
+    Log.info (fun m ->
+        m "JITBULL: recompiling %s without dangerous passes [%s]" name
+          (String.concat ", " passes));
+    (* a cached verdict compiled once, not a recompile after a trace *)
+    if traced then begin
+      t.stats.ion_compiles <- t.stats.ion_compiles + 1;
+      Obs.incr obs "engine.recompiles"
+    end;
+    t.stats.nr_disjit <- t.stats.nr_disjit + 1;
+    install_ion lir
+  | Some (Disable_passes passes), None ->
+    (* scenario 3: a mandatory pass matched — no JIT for this function *)
+    Log.info (fun m ->
+        m "JITBULL: mandatory pass among [%s] matched — no JIT for %s"
+          (String.concat ", " passes) name);
+    blacklist t idx "mandatory_pass"
+  | Some Forbid_jit, _ ->
+    Log.info (fun m -> m "JITBULL: JIT forbidden for %s" name);
+    blacklist t idx "forbid_jit"
+  | (None | Some Allow), None -> assert false
 
-(* Main thread, once per tier-up: freeze the compile inputs — the feedback
-   row and the inline callees, collected once — and consult the policy
-   cache. Returns the compile job, or [None] when a cached verdict forbids
-   compiling, in which case the function is blacklisted at once. *)
-let prepare t idx : (unit -> compile_result) option =
+let compile_ion t idx =
+  stalled t @@ fun () ->
   ensure_sentinel t;
   let config = t.config in
   let obs = config.obs in
@@ -566,7 +487,7 @@ let prepare t idx : (unit -> compile_result) option =
   let name = func.Op.name in
   Log.debug (fun m ->
       m "ion-compiling %s (invocations reached %d)" name config.ion_threshold);
-  let feedback_row = Feedback.copy_row t.vm.Vm.feedback.(idx) in
+  let feedback_row = t.vm.Vm.feedback.(idx) in
   let callees = inline_callees t idx in
   let resolver callee =
     List.find_map
@@ -575,28 +496,32 @@ let prepare t idx : (unit -> compile_result) option =
         else None)
       callees
   in
+  (* MIR build and pipeline, collecting the per-pass snapshot trace the
+     analyzer consumes when [traced] ([[]] otherwise: the paper's
+     zero-overhead empty-DB path) *)
   let optimize ?(fields = []) ~traced disabled =
     Obs.span obs ~fields:(("func", Jsonx.String name) :: fields) "compile_ion"
       (fun () ->
-        optimize_ion config func ~feedback_row ~resolver ~traced ~disabled)
+        let g = Builder.build func ~feedback_row in
+        let verify = config.verify_passes in
+        if traced then
+          (g, Pipeline.run config.vulns ?obs ~inline_resolver:resolver ~disabled ~verify g)
+        else begin
+          Pipeline.run_quiet config.vulns ?obs ~inline_resolver:resolver ~disabled ~verify g;
+          (g, [])
+        end)
   in
   let disabled_field passes =
     ("disabled", Jsonx.List (List.map (fun p -> Jsonx.String p) passes))
   in
-  let job body () =
-    try body () with e -> A_error (e, Printexc.get_raw_backtrace ())
-  in
   (* the one lowering of the MIR this tier-up installs *)
-  let installed ?decision ~traced g =
-    let lir =
-      Obs.span obs ~fields:[ ("func", Jsonx.String name) ] "lower_ion" (fun () ->
-          lower_mir g)
-    in
-    A_install { decision; lir = Some lir; traced }
+  let lowered g =
+    Some
+      (Obs.span obs ~fields:[ ("func", Jsonx.String name) ] "lower_ion" (fun () ->
+           lower_mir g))
   in
   match config.analyzer with
-  | None ->
-    Some (job (fun () -> installed ~traced:false (fst (optimize ~traced:false []))))
+  | None -> settle t idx ~traced:false None (lowered (fst (optimize ~traced:false [])))
   | Some analyze -> (
     let ctx =
       {
@@ -619,10 +544,7 @@ let prepare t idx : (unit -> compile_result) option =
     | Some _, None -> Obs.incr obs "policy.cache_misses"
     | None, _ -> ());
     match cached with
-    | Some d when not (compilable d) ->
-      apply t idx
-        (A_install { decision = Some d; lir = None; traced = false });
-      None
+    | Some d when not (compilable d) -> settle t idx ~traced:false (Some d) None
     | Some d ->
       (* a cache hit skips the snapshot trace, the Δ extraction and the
          DB comparison; the audit trail got a [Cache_hit] record instead
@@ -632,31 +554,26 @@ let prepare t idx : (unit -> compile_result) option =
         ("cached_verdict", Jsonx.Bool true)
         :: (if passes = [] then [] else [ disabled_field passes ])
       in
-      Some
-        (job (fun () ->
-             installed ~decision:d ~traced:false
-               (fst (optimize ~fields ~traced:false passes))))
+      settle t idx ~traced:false (Some d)
+        (lowered (fst (optimize ~fields ~traced:false passes)))
     | None ->
       let g0 = current_gen t in
-      Some
-        (job (fun () ->
-             (* optimize → analyse → lower once: the verdict is reached on
-                the traced MIR, before anything is lowered *)
-             let g, trace =
-               optimize ~fields:[ ("traced", Jsonx.Bool true) ] ~traced:true []
-             in
-             let d = analyze ~ctx ~func_index:idx ~name ~trace in
-             (match cache with
-             | Some c -> Policy_cache.store ~if_generation:g0 c key d
-             | None -> ());
-             record_verdict obs d;
-             match d with
-             | Allow -> installed ~decision:d ~traced:true g
-             | Disable_passes passes when compilable d ->
-               installed ~decision:d ~traced:true
-                 (fst (optimize ~fields:[ disabled_field passes ] ~traced:false passes))
-             | Disable_passes _ | Forbid_jit ->
-               A_install { decision = Some d; lir = None; traced = true })))
+      (* optimize → analyse → lower once: the verdict is reached on the
+         traced MIR, before anything is lowered *)
+      let g, trace = optimize ~fields:[ ("traced", Jsonx.Bool true) ] ~traced:true [] in
+      let d = analyze ~ctx ~func_index:idx ~name ~trace in
+      (match cache with
+      | Some c -> Policy_cache.store ~if_generation:g0 c key d
+      | None -> ());
+      record_verdict obs d;
+      let lir =
+        match d with
+        | Allow -> lowered g
+        | Disable_passes passes when compilable d ->
+          lowered (fst (optimize ~fields:[ disabled_field passes ] ~traced:false passes))
+        | Disable_passes _ | Forbid_jit -> None
+      in
+      settle t idx ~traced:true (Some d) lir)
 
 let baseline_compile t idx =
   stalled t @@ fun () ->
@@ -688,156 +605,14 @@ let baseline_compile t idx =
   t.tiers.(idx) <- Baseline;
   tier_up t idx "baseline"
 
-(* ---- background (off-main-thread) Ion compilation ---- *)
-
-(* Helper-domain side: push a finished compile into the mailbox and raise
-   the flag the safepoint polls. *)
-let publish t idx result =
-  Mutex.lock t.results_mu;
-  Queue.push (idx, Clock.now (), result) t.results;
-  Mutex.unlock t.results_mu;
-  Atomic.set t.results_ready true
-
-let set_queue_depth t pool =
-  Obs.set_gauge t.config.obs "compile.queue_depth"
-    (float_of_int (Compile_queue.pending pool))
-
-(* Main-thread side: install one finished background compile. A result is
-   stale — counted and dropped — when the function was blacklisted
-   mid-compile or the DNA DB generation moved since enqueue (the verdict
-   may no longer hold; the next invocation re-enqueues against the new
-   generation). *)
-let apply_async t idx (info : inflight) ~published result =
-  let obs = t.config.obs in
-  let now = Clock.now () in
-  (* enqueue → install (the whole background round trip) and
-     publish → install (how long a finished compile waited for the main
-     thread to reach a safepoint) *)
-  Obs.observe obs ~bounds:Jitbull_obs.Metrics.queue_latency_bounds
-    "compile.queued_seconds"
-    (Float.max 0.0 (now -. info.enq_time));
-  Obs.observe obs ~bounds:Jitbull_obs.Metrics.queue_latency_bounds
-    "compile.install_latency_seconds"
-    (Float.max 0.0 (now -. published));
-  let stale why =
-    t.stats.stale_results <- t.stats.stale_results + 1;
-    Obs.incr obs "engine.stale_results";
-    Obs.event obs "stale_result" ?parent:info.anchor
-      ~fields:[ func_field t idx; ("why", Jsonx.String why) ]
-  in
-  if t.tiers.(idx) = Blacklisted then stale "blacklisted"
-  else if info.enq_gen <> current_gen t then stale "generation_moved"
-  else begin
-    apply t idx result;
-    (* the function ran baseline code until now: Ion means installed *)
-    if t.tiers.(idx) = Ion then begin
-      t.stats.async_installs <- t.stats.async_installs + 1;
-      Obs.incr obs "engine.async_installs";
-      Obs.event obs "async_install" ?parent:info.anchor ~fields:[ func_field t idx ]
-    end
-  end
-
-(* The safepoint: called at every function entry (and from [drain]).
-   Clears the flag before draining so a publish racing the drain leaves
-   the flag set for the next poll. *)
-let poll t =
-  if Atomic.get t.results_ready then begin
-    Atomic.set t.results_ready false;
-    Mutex.lock t.results_mu;
-    let batch = ref [] in
-    while not (Queue.is_empty t.results) do
-      batch := Queue.pop t.results :: !batch
-    done;
-    Mutex.unlock t.results_mu;
-    List.iter
-      (fun (idx, published, result) ->
-        match Hashtbl.find_opt t.async_inflight idx with
-        | Some info ->
-          Hashtbl.remove t.async_inflight idx;
-          apply_async t idx info ~published result
-        | None ->
-          (* the request was cancelled after the worker claimed it *)
-          t.stats.stale_results <- t.stats.stale_results + 1;
-          Obs.incr t.config.obs "engine.stale_results")
-      (List.rev !batch);
-    match t.config.compile_pool with
-    | Some pool -> set_queue_depth t pool
-    | None -> ()
-  end
-
-(* Tier-up to Ion. Without a pool the job runs inline. With one, the
-   function first stops interpreting (so its feedback row is frozen — the
-   baseline tier neither speculates nor collects feedback) and the job is
-   enqueued; the function keeps running baseline code until the result is
-   installed at a safepoint, and one with a compile in flight is left
-   alone. A full queue runs the job inline rather than drop the tier-up. *)
-let request_ion t idx =
-  match t.config.compile_pool with
-  | None ->
-    stalled t (fun () -> Option.iter (fun job -> apply t idx (job ())) (prepare t idx))
-  | Some pool when not (Hashtbl.mem t.async_inflight idx) -> (
-    if t.tiers.(idx) = Interpreted then baseline_compile t idx;
-    let obs = t.config.obs in
-    let name = t.vm.Vm.program.Op.funcs.(idx).Op.name in
-    (* The cross-domain trace edge: an anchored point event stands for
-       this tier-up request on the main thread; the helper-domain
-       queue-wait and compile spans, and the eventual install/stale event
-       at the safepoint, all carry its id as their parent. *)
-    let anchor = Obs.alloc_id obs in
-    let enq_rel = Obs.now obs in
-    Obs.event obs ?id:anchor ~fields:[ func_field t idx ] "tier_up_request";
-    match prepare t idx with
-    | None -> ()
-    | Some job -> (
-      (* measure the time spent waiting in the queue (a synthesized
-         [queue_wait] span whose start was stamped here), then run the job
-         under a [compile_task] span so every span it opens parents back
-         to the anchor *)
-      let task () =
-        let wait = Float.max 0.0 (Obs.now obs -. enq_rel) in
-        Obs.observe obs ~bounds:Jitbull_obs.Metrics.queue_latency_bounds
-          "compile.queue_wait_seconds" wait;
-        Obs.record_span obs ?parent:anchor ~ts:enq_rel ~dur:wait
-          ~fields:[ ("func", Jsonx.String name) ]
-          "queue_wait";
-        Obs.span obs ?parent:anchor
-          ~fields:[ ("func", Jsonx.String name) ]
-          "compile_task"
-          (fun () -> publish t idx (job ()))
-      in
-      match Compile_queue.try_submit pool task with
-      | Some cq_job ->
-        Hashtbl.replace t.async_inflight idx
-          { job = cq_job; enq_gen = current_gen t; enq_time = Clock.now (); anchor };
-        Obs.incr obs "compile.enqueued";
-        set_queue_depth t pool
-      | None ->
-        Obs.incr obs "compile.queue_full";
-        stalled t (fun () -> apply t idx (job ()))))
-  | Some _ -> ()
-
-let drain t =
-  match t.config.compile_pool with
-  | None -> ()
-  | Some pool ->
-    if Hashtbl.length t.async_inflight > 0 then
-      stalled t (fun () ->
-          while Hashtbl.length t.async_inflight > 0 do
-            Compile_queue.wait_idle pool;
-            poll t
-          done)
-
 let on_invoke t (_vm : Vm.t) idx count =
-  if t.config.jit_enabled then begin
-    (* safepoint: install any background compile that finished *)
-    poll t;
+  if t.config.jit_enabled then
     match t.tiers.(idx) with
     | Blacklisted | Ion -> ()
     | Interpreted ->
-      if count >= t.config.ion_threshold then request_ion t idx
+      if count >= t.config.ion_threshold then compile_ion t idx
       else if count >= t.config.baseline_threshold then baseline_compile t idx
-    | Baseline -> if count >= t.config.ion_threshold then request_ion t idx
-  end
+    | Baseline -> if count >= t.config.ion_threshold then compile_ion t idx
 
 let create ?realm config (program : Op.program) =
   let vm = Vm.create ?realm program in
@@ -856,8 +631,6 @@ let create ?realm config (program : Op.program) =
           bailouts = 0;
           deopts = 0;
           peephole_removed = 0;
-          async_installs = 0;
-          stale_results = 0;
           main_stall_seconds = 0.0;
           native_installs = 0;
         };
@@ -865,10 +638,6 @@ let create ?realm config (program : Op.program) =
       bailout_counts = Array.make n 0;
       reassigned_globals = compute_reassigned program;
       sentinel_installed = false;
-      results = Queue.create ();
-      results_mu = Mutex.create ();
-      results_ready = Atomic.make false;
-      async_inflight = Hashtbl.create 8;
       native_codes = Array.make n None;
       native_fallback =
         (if not config.native then Some "config"
@@ -883,10 +652,7 @@ let create ?realm config (program : Op.program) =
   vm.Vm.on_invoke <- Some (fun vm idx count -> on_invoke t vm idx count);
   t
 
-let run t =
-  let out = Vm.run t.vm in
-  drain t;
-  out
+let run t = Vm.run t.vm
 
 let run_source ?realm config source =
   let program = Parser.parse source in

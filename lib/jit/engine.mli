@@ -12,7 +12,7 @@
       [Recompile] flag) when all are disableable, else the function is
       blacklisted; [Forbid_jit] blacklists directly (no-JIT for that
       function only). As in [OptimizeMIR], the verdict is reached on MIR:
-      a compile job optimizes, analyses, then lowers (LIR lowering,
+      the compile optimizes, analyses, then lowers (LIR lowering,
       register allocation, peephole) only the MIR the verdict admits, so
       each installed function is lowered exactly once and a refused
       compile is never lowered.
@@ -21,14 +21,10 @@
       [max_bailouts] (replay-from-entry deoptimization; see DESIGN.md for
       the fidelity note).
 
-    Every Ion tier-up is one compile job over inputs frozen on the main
-    thread (the feedback row and the inline callees' rows, from which
-    the policy key also comes). Without a [compile_pool] the job runs
-    inline. With one it runs on a helper domain while the function keeps
-    executing baseline code, and the finished [(code, verdict)] is
-    installed at the next function-entry safepoint; a full queue runs
-    the same job inline. See DESIGN.md §9 for the staleness rules and
-    memory-model notes.
+    Every Ion tier-up runs on the main thread, at the function entry
+    that crossed [ion_threshold], through one procedure: the feedback
+    row and the inline callees' rows (from which the policy key also
+    comes) are read once, then optimize → analyse → lower → install.
 
     The heap sentinel standing in for JIT code pointers is installed when
     the first function is JIT-compiled; the VM checks it on every transfer
@@ -43,8 +39,7 @@ type decision =
 
 (** What the engine knows about the compile a verdict is being asked
     for: hashes of the function's bytecode and of the type-feedback row
-    the compile consumed (the copy frozen at tier-up), and the engine's
-    own telemetry ([config.obs]).
+    the compile consumed, and the engine's own telemetry ([config.obs]).
     The analyzer records the hashes in the audit trail so a decision can
     be tied to the exact program state it was made against, and writes
     its spans and audit record to [cc_obs], so one engine's [Fresh]
@@ -66,7 +61,7 @@ type analyzer =
     compiles (and across engines sharing one {!config}), keyed by a hash
     of the function's bytecode, its type-feedback row and the bytecode +
     feedback of the statically bound callees the inliner may resolve
-    (the frozen inline resolver's inputs). The [generation] closure —
+    (the inline resolver's inputs). The [generation] closure —
     typically the DNA database's mutation counter — is consulted on
     every access; when it moves, the whole cache is dropped, so
     [Db.add]/[Db.remove_cve] invalidate previously cached verdicts.
@@ -78,9 +73,8 @@ type analyzer =
     gets a [Cache_hit] record for that compile instead of a [Fresh] one.
     [policy.cache_hits] / [policy.cache_misses] count effectiveness.
 
-    All operations are domain-safe (internal mutex): helper compile
-    domains look up and store verdicts concurrently with the main
-    thread. *)
+    All operations are domain-safe (internal mutex): engines on several
+    domains may share one configuration, and with it the cache. *)
 module Policy_cache : sig
   type t
 
@@ -89,9 +83,10 @@ module Policy_cache : sig
   (** [lookup]/[store] are exposed for tests and tools; the engine drives
       them internally. Both revalidate against [generation] first.
       [store ~if_generation:g] drops the verdict when the generation has
-      moved past [g] — helper domains pass the generation they computed
-      the verdict against, so a verdict racing [Db.add] is never cached
-      under the post-mutation generation. *)
+      moved past [g] — the engine passes the generation it computed the
+      verdict against, so a verdict racing a [Db.add] on another domain
+      (a subscribed client applying a push) is never cached under the
+      post-mutation generation. *)
   val lookup : t -> int -> decision option
 
   val store : ?if_generation:int -> t -> int -> decision -> unit
@@ -134,15 +129,6 @@ type config = {
   policy_cache : Policy_cache.t option;
       (** memoized go/no-go verdicts; [None] (default) analyzes every Ion
           compile afresh. Only consulted when [analyzer] is present. *)
-  compile_pool : Compile_queue.t option;
-      (** helper-domain pool for off-main-thread Ion compilation; [None]
-          (default) runs the same compile job inline at the tier-up
-          site. The pool is owned by the caller (shareable across
-          engines) and must be {!Compile_queue.shutdown} by it.
-          Background mode also needs a
-          [policy_cache] with a DB-generation closure for results to be
-          invalidated by concurrent DB mutation — without one, finished
-          compiles are never considered stale. *)
 }
 
 val default_config : config
@@ -160,15 +146,9 @@ type stats = {
           installed code: every baseline compile, plus the one lowering
           of each installed Ion function (a forbidden or mandatory-pass
           compile is never lowered, a recompiled one is lowered once) *)
-  mutable async_installs : int;
-      (** background compiles installed at a safepoint *)
-  mutable stale_results : int;
-      (** background compiles discarded (function blacklisted or DB
-          generation moved mid-compile) *)
   mutable main_stall_seconds : float;
-      (** main-thread time blocked on compilation: every baseline
-          compile, plus the whole Ion compile in synchronous mode or only
-          the {!drain} waits in background mode *)
+      (** main-thread time blocked on compilation: every baseline and
+          every Ion compile *)
   mutable native_installs : int;
       (** Ion installs backed by native machine code (never counts a
           forbidden or blacklisted compile: emission is post-verdict) *)
@@ -192,8 +172,7 @@ val realm : t -> Jitbull_runtime.Realm.t
 
 val obs : t -> Jitbull_obs.Obs.t option
 
-(** Current tier of function [idx]. With a compile pool, a function stays
-    [Baseline] until its background compile is installed at a safepoint. *)
+(** Current tier of function [idx]. *)
 val tier_of : t -> int -> tier
 
 (** Machine code currently installed for function [idx], when the native
@@ -201,15 +180,8 @@ val tier_of : t -> int -> tier
     lifecycle). *)
 val native_code_of : t -> int -> Jitbull_native.Native.code option
 
-(** [drain t] blocks until every in-flight background compile has been
-    published and applied (installed or discarded as stale). No-op
-    without a [compile_pool]. {!run} drains before returning; tests
-    driving {!Jitbull_bytecode.Vm.call_function} directly use this as a
-    barrier. *)
-val drain : t -> unit
-
-(** [run t] executes the program's top level, waits for in-flight
-    background compiles, and returns everything printed. *)
+(** [run t] executes the program's top level and returns everything
+    printed. *)
 val run : t -> string
 
 (** [run_source ?realm config source] — parse, compile, create, run;

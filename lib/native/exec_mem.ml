@@ -11,9 +11,9 @@
    instead of mapping fresh ones.
 
    The cumulative counters are process-global and atomic: engines on
-   helper domains (QCheck stress runs several at once) all fund the same
-   totals, and the go/no-go security tests assert over them ("no page was
-   ever mapped for a forbidden compile"). *)
+   several domains all fund the same totals, and the go/no-go security
+   tests assert over them ("no page was ever mapped for a forbidden
+   compile"). *)
 
 type regfile =
   (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t

@@ -1,7 +1,7 @@
 (* Fleet telemetry aggregation — the server half of `POST /push`.
 
-   Engine clients push *cumulative* snapshots (audit verdict totals, a
-   locally-computed install-latency p99, their full metrics view) plus a
+   Engine clients push *cumulative* snapshots (audit verdict totals and
+   their full metrics view) plus a
    bounded audit-record delta, framed as JSONL: the first line is the snapshot object, each further line one audit
    record. The aggregator stores the latest snapshot per client, so
    fleet rollups are exactly the sum of the clients' local counters —
@@ -12,7 +12,6 @@ type snapshot = {
   sn_client : string;
   sn_ts : float;  (* client-side tracer seconds at push time *)
   sn_totals : Audit.totals;
-  sn_install_p99 : float;
   sn_metrics : Jsonx.t;  (* the client's Metrics.view_to_json *)
 }
 
@@ -30,7 +29,6 @@ let snapshot_to_json s =
             ("forbid", Jsonx.Int s.sn_totals.Audit.tt_forbid);
             ("cache_hits", Jsonx.Int s.sn_totals.Audit.tt_cache_hits);
           ] );
-      ("install_p99", Jsonx.Float s.sn_install_p99);
       ("metrics", s.sn_metrics);
     ]
 
@@ -47,7 +45,6 @@ let snapshot_of_json j =
         tt_forbid = Jsonx.to_int (Jsonx.member "forbid" t);
         tt_cache_hits = Jsonx.to_int (Jsonx.member "cache_hits" t);
       };
-    sn_install_p99 = Jsonx.to_float (Jsonx.member "install_p99" j);
     sn_metrics = Jsonx.member "metrics" j;
   }
 
@@ -179,12 +176,6 @@ let render_prometheus t =
         let tt = c.c_snapshot.sn_totals in
         line "jitbull_fleet_cache_hit_rate{client=\"%s\"} %.6f\n" (esc id)
           (rate tt.Audit.tt_cache_hits tt.Audit.tt_records))
-      cs;
-    line "# TYPE jitbull_fleet_install_latency_p99_seconds gauge\n";
-    List.iter
-      (fun (id, c) ->
-        line "jitbull_fleet_install_latency_p99_seconds{client=\"%s\"} %.6f\n"
-          (esc id) c.c_snapshot.sn_install_p99)
       cs
   end;
   let r = rollup t in
@@ -225,7 +216,6 @@ let to_json t =
                      ("pushes", Jsonx.Int c.c_pushes);
                      ("delta_records", Jsonx.Int c.c_delta_records);
                      ("totals", totals_json c.c_snapshot.sn_totals);
-                     ("install_p99", Jsonx.Float c.c_snapshot.sn_install_p99);
                      ("metrics", c.c_snapshot.sn_metrics);
                    ] ))
              cs) );
@@ -264,18 +254,17 @@ let render_html t =
   line
     "<table><tr><th>client</th><th>pushes</th><th>decisions</th>\
      <th>allow</th><th>disable</th><th>forbid</th><th>forbid rate</th>\
-     <th>cache hit rate</th><th>install p99 (s)</th></tr>\n";
+     <th>cache hit rate</th></tr>\n";
   List.iter
     (fun (id, c) ->
       let tt = c.c_snapshot.sn_totals in
       line
         "<tr><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td>\
-         <td>%d</td><td>%.4f</td><td>%.4f</td><td>%.6f</td></tr>\n"
+         <td>%d</td><td>%.4f</td><td>%.4f</td></tr>\n"
         (html_escape id) c.c_pushes tt.Audit.tt_records tt.Audit.tt_allow
         tt.Audit.tt_disable tt.Audit.tt_forbid
         (rate tt.Audit.tt_forbid tt.Audit.tt_records)
-        (rate tt.Audit.tt_cache_hits tt.Audit.tt_records)
-        c.c_snapshot.sn_install_p99)
+        (rate tt.Audit.tt_cache_hits tt.Audit.tt_records))
     cs;
   line "</table>\n<p><a href=\"/metrics\">/metrics</a> &middot; \
         <a href=\"/explain\">/explain</a> &middot; \

@@ -1,8 +1,8 @@
 (** Fleet telemetry aggregation — the state behind jitbulld's
     [POST /push] and [GET /fleet].
 
-    Engine clients push {e cumulative} snapshots (audit verdict totals,
-    a locally-computed install-latency p99, their metrics view) plus a
+    Engine clients push {e cumulative} snapshots (audit verdict totals
+    and their metrics view) plus a
     bounded audit-record delta, framed as JSONL: snapshot object first,
     one audit record per further line. The
     aggregator keeps the latest snapshot per client, so fleet rollups
@@ -13,7 +13,6 @@ type snapshot = {
   sn_client : string;  (** 1..128 bytes; labels the client's series *)
   sn_ts : float;  (** client-side tracer seconds at push time *)
   sn_totals : Audit.totals;
-  sn_install_p99 : float;
   sn_metrics : Jsonx.t;  (** the client's {!Metrics.view_to_json} *)
 }
 
@@ -43,7 +42,7 @@ val clients : t -> string list
 val rollup : t -> Audit.totals
 
 (** Per-client [jitbull_fleet_*] series (verdict mix, forbid rate,
-    cache-hit rate, install p99, push counts) plus the rollup sums. *)
+    cache-hit rate, push counts) plus the rollup sums. *)
 val render_prometheus : t -> string
 
 (** The same data as JSON (e2e tests, tooling). *)

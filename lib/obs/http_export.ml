@@ -16,20 +16,9 @@
    virtual hosts — good enough for a Prometheus scraper, the jitbulld
    verdict fleet, and a curl during an incident. *)
 
-type health_thresholds = {
-  max_queue_depth : int;
-  max_stall_seconds : float;
-  max_stale_results : int;
-  max_install_p99_seconds : float;
-}
-
-let default_thresholds =
-  {
-    max_queue_depth = 64;
-    max_stall_seconds = 1.0;
-    max_stale_results = 1000;
-    max_install_p99_seconds = 0.5;
-  }
+(* /healthz fails once the engine's cumulative main-thread compile stall
+   passes this many seconds. *)
+let max_stall_seconds = 1.0
 
 (* ---- request / response types ---- *)
 
@@ -478,67 +467,28 @@ let metrics_body obs =
   ^ Metrics.render_prometheus (Obs.view (Some obs))
   ^ Audit.render_prometheus (Obs.audit obs)
 
-type check = {
-  ck_name : string;
-  ck_value : float;
-  ck_threshold : float;
-  ck_ok : bool;
-}
-
-let health_checks thresholds obs =
-  let view = Obs.view (Some obs) in
-  let gauge name =
-    List.assoc_opt name view.Metrics.v_gauges |> Option.value ~default:0.0
+(* One check, kept in the [checks] list the report has always carried. *)
+let health_body obs =
+  let stall =
+    List.assoc_opt "engine.main_stall_seconds" (Obs.view (Some obs)).Metrics.v_gauges
+    |> Option.value ~default:0.0
   in
-  let counter name =
-    Metrics.find_counter view name |> Option.value ~default:0
-  in
-  let check name value threshold =
-    { ck_name = name; ck_value = value; ck_threshold = threshold; ck_ok = value <= threshold }
-  in
-  (* quantile over the live histogram, not a mean derived from the
-     snapshot: one slow install must not hide behind many fast ones.
-     [Metrics.histogram] is get-or-create — pass the engine's bounds so
-     an exporter-first probe registers the grid the engine expects *)
-  let install_p99 =
-    Metrics.quantile
-      (Metrics.histogram ~bounds:Metrics.queue_latency_bounds
-         (Obs.metrics obs) "compile.install_latency_seconds")
-      0.99
-  in
-  [
-    check "queue_depth"
-      (gauge "compile.queue_depth")
-      (float_of_int thresholds.max_queue_depth);
-    check "main_stall_seconds"
-      (gauge "engine.main_stall_seconds")
-      thresholds.max_stall_seconds;
-    check "stale_results"
-      (float_of_int (counter "engine.stale_results"))
-      (float_of_int thresholds.max_stale_results);
-    check "install_latency_p99_seconds" install_p99
-      thresholds.max_install_p99_seconds;
-  ]
-
-let health_body thresholds obs =
-  let checks = health_checks thresholds obs in
-  let ok = List.for_all (fun c -> c.ck_ok) checks in
+  let ok = stall <= max_stall_seconds in
   let json =
     Jsonx.Assoc
       [
         ("status", Jsonx.String (if ok then "ok" else "fail"));
         ( "checks",
           Jsonx.List
-            (List.map
-               (fun c ->
-                 Jsonx.Assoc
-                   [
-                     ("name", Jsonx.String c.ck_name);
-                     ("value", Jsonx.Float c.ck_value);
-                     ("threshold", Jsonx.Float c.ck_threshold);
-                     ("ok", Jsonx.Bool c.ck_ok);
-                   ])
-               checks) );
+            [
+              Jsonx.Assoc
+                [
+                  ("name", Jsonx.String "main_stall_seconds");
+                  ("value", Jsonx.Float stall);
+                  ("threshold", Jsonx.Float max_stall_seconds);
+                  ("ok", Jsonx.Bool ok);
+                ];
+            ] );
       ]
   in
   ((if ok then 200 else 503), Jsonx.to_string json)
@@ -614,12 +564,12 @@ let explain_response ~can_disable obs query =
 (* The observability routes, shared between the standalone exporter and
    jitbulld's service (which mounts them behind its own). [None] =
    not an obs route. *)
-let obs_routes ?(thresholds = default_thresholds) ?can_disable ~obs req =
+let obs_routes ?can_disable ~obs req =
   match req.rq_path with
   | "/metrics" ->
     Some (respond ~content_type:"text/plain; version=0.0.4" (metrics_body obs))
   | "/healthz" ->
-    let status, body = health_body thresholds obs in
+    let status, body = health_body obs in
     Some (respond ~status ~content_type:"application/json" body)
   | "/audit" -> Some (audit_response obs req.rq_query)
   | "/explain" -> Some (explain_response ~can_disable obs req.rq_query)
@@ -633,10 +583,10 @@ let obs_routes ?(thresholds = default_thresholds) ?can_disable ~obs req =
 
 type t = Server.t
 
-let start ?(thresholds = default_thresholds) ?can_disable ~obs ~port () =
+let start ?can_disable ~obs ~port () =
   Server.start ~workers:1
     ~handler:(fun req ->
-      match obs_routes ~thresholds ?can_disable ~obs req with
+      match obs_routes ?can_disable ~obs req with
       | Some resp -> resp
       | None -> not_found ())
     ~port ()

@@ -19,10 +19,9 @@
       ({!Metrics.render_prometheus}) followed by the audit aggregates,
       IR-diff counts included ({!Audit.render_prometheus}).
     - [/healthz] — JSON health report; 200 when every check passes,
-      503 otherwise. Checks (against {!health_thresholds}):
-      [compile.queue_depth] gauge, [engine.main_stall_seconds] gauge,
-      [engine.stale_results] counter, and the live p99 of
-      [compile.install_latency_seconds] ({!Metrics.quantile}).
+      503 otherwise. One check: the [engine.main_stall_seconds] gauge,
+      the cumulative main-thread compile stall, must stay at or below
+      1 s.
     - [/audit?n=K] — the K most recent audit records (default 32),
       newest first, as a JSON array of {!Audit.record_to_json} objects.
     - [/explain] — HTML index of recent decisions
@@ -39,17 +38,6 @@
     [Content-Type: application/json]. Anything else is 404. The handlers
     read snapshots only — serving never blocks the engine beyond the
     registry/ring mutexes. *)
-
-type health_thresholds = {
-  max_queue_depth : int;  (** compile queue depth at the last safepoint *)
-  max_stall_seconds : float;  (** cumulative main-thread compile stall *)
-  max_stale_results : int;  (** background compiles discarded as stale *)
-  max_install_p99_seconds : float;
-      (** p99 publish → safepoint-install latency *)
-}
-
-(** queue ≤ 64, stall ≤ 1s, stale ≤ 1000, install p99 ≤ 0.5s. *)
-val default_thresholds : health_thresholds
 
 (** {1 Requests and responses} *)
 
@@ -174,7 +162,6 @@ end
     [can_disable]) lets [/explain] reports name the mandatory pass
     behind a forbid verdict. *)
 val obs_routes :
-  ?thresholds:health_thresholds ->
   ?can_disable:(string -> bool) ->
   obs:Obs.t ->
   request ->
@@ -188,7 +175,6 @@ type t
     domain serving {!obs_routes} (404 otherwise) on 127.0.0.1:[port].
     Raises [Unix.Unix_error] if the bind fails. *)
 val start :
-  ?thresholds:health_thresholds ->
   ?can_disable:(string -> bool) ->
   obs:Obs.t ->
   port:int ->

@@ -1,6 +1,5 @@
-(* Thread-safety: counters are atomics (helper domains bump them during
-   background compiles, the VM dispatch loop bumps them on the main
-   thread); gauges are single-word stores, benign to race; histograms take
+(* Thread-safety: counters are atomics (server domains bump them while
+   the VM dispatch loop bumps them on the main thread); gauges are single-word stores, benign to race; histograms take
    a per-histogram mutex around the multi-field update; the registry
    itself takes one mutex around get-or-create and snapshot. *)
 
@@ -79,15 +78,6 @@ let default_latency_bounds =
   [|
     1e-6; 2e-6; 5e-6; 1e-5; 2e-5; 5e-5; 1e-4; 2e-4; 5e-4; 1e-3; 2e-3; 5e-3; 1e-2; 2e-2;
     5e-2; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0;
-  |]
-
-(* Queue waits and install latencies cluster well under the compile times
-   the default grid targets: extend the fine end down to 100ns but stop
-   at 1s — anything longer is a stall, not a queue. *)
-let queue_latency_bounds =
-  [|
-    1e-7; 2e-7; 5e-7; 1e-6; 2e-6; 5e-6; 1e-5; 2e-5; 5e-5; 1e-4; 2e-4; 5e-4; 1e-3; 2e-3;
-    5e-3; 1e-2; 2e-2; 5e-2; 0.1; 0.25; 0.5; 1.0;
   |]
 
 (* IR-size deltas and other small-count distributions: 0 gets its own

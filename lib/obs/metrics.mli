@@ -46,9 +46,6 @@ val quantile : histogram -> float -> float
 (** Latency buckets in seconds: 1µs … 10s on a 1-2-5 grid. *)
 val default_latency_bounds : float array
 
-(** Finer buckets for queue waits / install latencies: 100ns … 1s. *)
-val queue_latency_bounds : float array
-
 (** Count-valued buckets for IR-size deltas: 0, then 1 … 5000 on a
     1-2-5 grid. *)
 val size_bounds : float array

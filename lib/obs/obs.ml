@@ -28,13 +28,11 @@ let close = function
 
 let now = function None -> 0.0 | Some t -> Tracer.now t.tr
 
-let alloc_id = function None -> None | Some t -> Some (Tracer.alloc_id t.tr)
-
-let span obs ?fields ?fields_of ?parent name f =
+let span obs ?fields ?fields_of name f =
   match obs with
   | None -> f ()
   | Some t ->
-    Tracer.with_span t.tr ?fields ?fields_of ?parent
+    Tracer.with_span t.tr ?fields ?fields_of
       ~on_close:(fun dur -> Metrics.observe (Metrics.histogram t.m (name ^ ".seconds")) dur)
       name f
 
@@ -54,16 +52,10 @@ let time obs name f =
       finish ();
       raise e)
 
-let event obs ?fields ?id ?parent name =
+let event obs ?fields name =
   match obs with
   | None -> ()
-  | Some t -> Tracer.event t.tr ?fields ?id ?parent name
-
-let record_span obs ?fields ?parent ~ts ~dur name =
-  match obs with
-  | None -> ()
-  | Some t ->
-    ignore (Tracer.record t.tr ~ts ?parent ~kind:Tracer.Span ~dur ?fields name)
+  | Some t -> Tracer.event t.tr ?fields name
 
 let incr obs name =
   match obs with

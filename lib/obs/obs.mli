@@ -40,24 +40,17 @@ val set_audit_file : t -> ?max_bytes:int -> string -> unit
     no-op. *)
 val close : t option -> unit
 
-(** Tracer-relative seconds (0 when disabled) — for durations measured
-    across domains and recorded later (queue waits, install latency). *)
+(** Tracer-relative seconds (0 when disabled) — for durations recorded
+    outside a span (audit records, pushed snapshots). *)
 val now : t option -> float
-
-(** Fresh process-unique trace-event id, or [None] when disabled: the
-    cross-domain anchor (record on one domain with [event ?id], parent
-    under it from another with [span ?parent]). *)
-val alloc_id : t option -> int option
 
 (** [span obs name f] — timed span around [f]: records a trace event and
     observes the duration in histogram ["<name>.seconds"]. The span
-    parents to the calling domain's innermost open span unless [parent]
-    overrides it. *)
+    parents to the calling domain's innermost open span. *)
 val span :
   t option ->
   ?fields:(string * Jsonx.t) list ->
   ?fields_of:('a -> (string * Jsonx.t) list) ->
-  ?parent:int ->
   string ->
   (unit -> 'a) ->
   'a
@@ -66,27 +59,8 @@ val span :
     call sites where one event per call would flood the ring. *)
 val time : t option -> string -> (unit -> 'a) -> 'a
 
-(** Point event into the trace; [id]/[parent] as in {!Tracer.event}. *)
-val event :
-  t option ->
-  ?fields:(string * Jsonx.t) list ->
-  ?id:int ->
-  ?parent:int ->
-  string ->
-  unit
-
-(** Synthesize a span measured elsewhere: recorded at start time [ts]
-    (tracer-relative, from {!now}) with duration [dur], without touching
-    the calling domain's span stack. No histogram is implied — pair with
-    {!observe}. *)
-val record_span :
-  t option ->
-  ?fields:(string * Jsonx.t) list ->
-  ?parent:int ->
-  ts:float ->
-  dur:float ->
-  string ->
-  unit
+(** Point event into the trace, parented like {!span}. *)
+val event : t option -> ?fields:(string * Jsonx.t) list -> string -> unit
 
 val incr : t option -> string -> unit
 val add : t option -> string -> int -> unit

@@ -11,11 +11,10 @@
     {b Correlation.} Every event carries a process-unique [id] and an
     optional [parent] id. Within one domain, parents are implicit: the
     tracer keeps a per-domain stack of open spans (so nesting, default
-    parents and [depth] are exact even when helper domains record
+    parents and [depth] are exact even when several domains record
     concurrently). Across domains the edge is explicit: allocate an
-    anchor with {!alloc_id}, record it ([?id]) on the main thread, and
-    pass it as [?parent] from the helper — this is how a helper-domain
-    compile span links back to the main-thread tier-up event.
+    anchor with {!alloc_id}, record it ([?id]) on one domain, and pass
+    it as [?parent] from another.
 
     Recording is domain-safe: the {!Jitbull_util.Ring} and the file
     {!Sink} are serialized by an internal mutex. *)

@@ -143,11 +143,6 @@ let push t =
         Fleet.sn_client = t.client_id;
         sn_ts = Obs.now t.obs;
         sn_totals = Audit.totals audit;
-        sn_install_p99 =
-          Metrics.quantile
-            (Metrics.histogram ~bounds:Metrics.queue_latency_bounds
-               (Obs.metrics o) "compile.install_latency_seconds")
-            0.99;
         sn_metrics = Metrics.view_to_json (Obs.view t.obs);
       }
     in

@@ -1,7 +1,7 @@
 (** A small many-readers / one-writer lock for structures that are read
-    from helper domains while the main thread occasionally mutates them
-    (the DNA database, queried by background compiles and by the verdict
-    service's server domains).
+    from several domains while one occasionally mutates them (the DNA
+    database, queried by engines and by the verdict service's server
+    domains while installs and pushes land).
 
     Writers make progress: a reader is admitted only when no writer
     holds the lock {e and none is waiting for it}, so a DB-generation

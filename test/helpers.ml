@@ -121,23 +121,9 @@ let golden_programs () =
           Jitbull_fuzz.Generator.benign_params
             { Jitbull_fuzz.Generator.p_seed = i; p_funcs = 8; p_rounds = 40; p_depth = 2 } ))
 
-(* Helper-domain count for the tests that run the background compile pool
-   or otherwise go multi-domain; CI runs the suite at JITBULL_TEST_JOBS=1
-   and 2. 0 is clamped to 1: these tests exist to exercise the pool, and
-   jobs=0 semantics (no pool at all) are what every other test runs
-   under. *)
-let test_jobs =
-  match Sys.getenv_opt "JITBULL_TEST_JOBS" with
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 2)
-  | None -> 2
-
-let with_pool f =
-  let pool = Jitbull_jit.Compile_queue.create ~jobs:test_jobs () in
-  Fun.protect ~finally:(fun () -> Jitbull_jit.Compile_queue.shutdown pool) (fun () -> f pool)
-
-(* [f] with Ion compiles run inline, then on a [test_jobs]-wide pool:
-   the same compile job on the main thread and on helper domains. *)
-let in_both_compile_modes f = (f None, with_pool (fun pool -> f (Some pool)))
+(* Domains spawned by the tests that exercise cross-domain safety (the
+   tracer, the DB, the extractor's per-domain scratch). *)
+let test_domains = 2
 
 (* QCheck iteration counts are env-tunable: JITBULL_QCHECK_COUNT is a
    percentage applied to each site's default (100 = unchanged; nightly CI

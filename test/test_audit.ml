@@ -13,7 +13,6 @@ module Tracer = Jitbull_obs.Tracer
 module Metrics = Jitbull_obs.Metrics
 module Jsonx = Jitbull_obs.Jsonx
 module Http = Jitbull_obs.Http_export
-module CQ = Jitbull_jit.Compile_queue
 module Op = Jitbull_bytecode.Op
 module Vm = Jitbull_bytecode.Vm
 module Value = Jitbull_runtime.Value
@@ -309,65 +308,27 @@ let drive eng =
   let add = func_idx eng "add" and tri = func_idx eng "tri" in
   for i = 0 to 9 do
     ignore (Vm.call_function (Engine.vm eng) add [ num i; num (i + 1) ]);
-    ignore (Vm.call_function (Engine.vm eng) tri [ num (i mod 5) ]);
-    Engine.drain eng
+    ignore (Vm.call_function (Engine.vm eng) tri [ num (i mod 5) ])
   done
 
-(* func → verdict labels in decision order, from the retained records *)
-let verdict_sequences au =
-  List.fold_left
-    (fun acc (r : Audit.record) ->
-      let cur = Option.value ~default:[] (List.assoc_opt r.Audit.func_name acc) in
-      (r.Audit.func_name, cur @ [ Audit.verdict_label r.Audit.verdict ])
-      :: List.remove_assoc r.Audit.func_name acc)
-    [] (Audit.records au)
-
-let engine_of ?compile_pool db obs =
-  let cfg = Jitbull.config ?compile_pool ~obs ~vulns:VC.none db in
+let engine_of db obs =
+  let cfg = Jitbull.config ~obs ~vulns:VC.none db in
   let cfg = { cfg with Engine.baseline_threshold = 2; ion_threshold = 4 } in
   Engine.create cfg
     (Jitbull_bytecode.Compiler.compile (Jitbull_frontend.Parser.parse drive_src))
 
-let test_sync_async_audit_agree () =
-  let db = self_matching_db () in
-  let obs_s = Obs.create () and obs_a = Obs.create () in
-  let pool = CQ.create ~jobs:test_jobs () in
-  Fun.protect
-    ~finally:(fun () -> CQ.shutdown pool)
-    (fun () ->
-      drive (engine_of db obs_s);
-      drive (engine_of ~compile_pool:pool db obs_a));
-  let sync_seqs = verdict_sequences (Obs.audit obs_s) in
-  let async_seqs = verdict_sequences (Obs.audit obs_a) in
-  check_bool "sync run audited something" true (sync_seqs <> []);
-  (* every function decided in both runs got the same verdicts, in the
-     same per-function order *)
-  List.iter
-    (fun (func, seq) ->
-      match List.assoc_opt func async_seqs with
-      | Some aseq ->
-        Alcotest.(check (list string)) ("verdicts for " ^ func) seq aseq
-      | None -> ())
-    sync_seqs;
-  (* and the self-match actually flagged tri in both *)
-  List.iter
-    (fun seqs ->
-      match List.assoc_opt "tri" seqs with
-      | Some (v :: _) -> check_bool "tri flagged" true (v <> "allow")
-      | _ -> Alcotest.fail "tri was not audited")
-    [ sync_seqs; async_seqs ]
+(* ---- the trace file reconstructs the compile chain ---- *)
 
-(* ---- the trace file reconstructs the async compile chain ---- *)
-
+(* [tri]'s Ion tier-up read back from the trace file: the traced compile
+   with its pass spans inside, the go/no-go decision with its extraction
+   and comparison inside, then the compile the verdict admits, its one
+   lowering and the tier-up, in that order. *)
 let test_trace_chain_reconstruction () =
   let db = self_matching_db () in
   let obs = Obs.create () in
   let path = Filename.temp_file "jitbull_chain" ".jsonl" in
   Obs.set_trace_file obs path;
-  let pool = CQ.create ~jobs:test_jobs () in
-  Fun.protect
-    ~finally:(fun () -> CQ.shutdown pool)
-    (fun () -> drive (engine_of ~compile_pool:pool db obs));
+  drive (engine_of db obs);
   Obs.close (Some obs);
   let ic = open_in path in
   let events = ref [] in
@@ -378,51 +339,42 @@ let test_trace_chain_reconstruction () =
    with End_of_file -> close_in ic);
   let events = List.rev !events in
   Sys.remove path;
-  let named name = List.filter (fun (e : Tracer.event) -> String.equal e.Tracer.name name) events in
-  let tier_ups = named "tier_up_request" in
-  check_bool "tier_up_request recorded" true (tier_ups <> []);
-  (* walk each anchor: the whole enqueue → install chain must hang off it *)
-  let child_of name anchor =
-    List.find_opt
-      (fun (e : Tracer.event) -> e.Tracer.parent = Some anchor)
-      (named name)
-  in
-  let reconstructed =
+  let field k (e : Tracer.event) = List.assoc_opt k e.Tracer.fields in
+  let tri name =
     List.filter
-      (fun (t : Tracer.event) ->
-        let anchor = t.Tracer.id in
-        match (child_of "queue_wait" anchor, child_of "compile_task" anchor) with
-        | Some qw, Some task ->
-          check_bool "queue_wait is a span" true (qw.Tracer.kind = Tracer.Span);
-          check_bool "queue_wait duration non-negative" true (qw.Tracer.dur >= 0.0);
-          (* the Ion compile runs inside the task span on the helper *)
-          let compiled =
-            List.exists
-              (fun (e : Tracer.event) -> e.Tracer.parent = Some task.Tracer.id)
-              (named "compile_ion")
-          in
-          check_bool "compile_ion nested in the task" true compiled;
-          (* and the safepoint install (or stale drop) closes the chain *)
-          child_of "async_install" anchor <> None || child_of "stale_result" anchor <> None
-        | _ -> false)
-      tier_ups
+      (fun (e : Tracer.event) ->
+        String.equal e.Tracer.name name && field "func" e = Some (Jsonx.String "tri"))
+      events
   in
-  check_bool "at least one full tier-up chain reconstructed" true (reconstructed <> []);
-  (* helper-side spans genuinely carry the main-thread anchor as parent *)
-  List.iter
-    (fun (t : Tracer.event) ->
-      check_bool "anchor event is a point" true (t.Tracer.kind = Tracer.Point))
-    reconstructed;
-  (* the queue histograms observed those waits *)
-  let view = Obs.view (Some obs) in
-  check_bool "queued_seconds histogram populated" true
-    (match Metrics.find_histogram view "compile.queued_seconds" with
-    | Some hv -> hv.Metrics.hv_count > 0
-    | None -> false);
-  check_bool "install latency histogram populated" true
-    (match Metrics.find_histogram view "compile.install_latency_seconds" with
-    | Some hv -> hv.Metrics.hv_count > 0
-    | None -> false)
+  let children (p : Tracer.event) =
+    List.filter_map
+      (fun (e : Tracer.event) -> if e.Tracer.parent = Some p.Tracer.id then Some e.Tracer.name else None)
+      events
+  in
+  let in_order (es : Tracer.event list) =
+    let ts = List.map (fun (e : Tracer.event) -> e.Tracer.ts) es in
+    List.sort Float.compare ts = ts
+  in
+  match
+    ( tri "compile_ion",
+      tri "policy_decide",
+      tri "lower_ion",
+      List.filter (fun e -> field "tier" e = Some (Jsonx.String "ion")) (tri "tier_up") )
+  with
+  | [ traced; recompile ], [ decide ], [ lower ], [ tier_up ] ->
+    check_bool "the first compile is traced" true (field "traced" traced = Some (Jsonx.Bool true));
+    check_bool "pass spans nest in the traced compile" true
+      (List.exists (String.starts_with ~prefix:"pass.") (children traced));
+    check_bool "extraction and comparison nest in the decision" true
+      (List.mem "dna_extract" (children decide) && List.mem "db_compare" (children decide));
+    check_bool "the recompile names the disabled passes" true
+      (field "disabled" recompile <> None);
+    check_bool "compile, decide, recompile, lower, install" true
+      (in_order [ traced; decide; recompile; lower; tier_up ]);
+    check_bool "the tier-up is a point event" true (tier_up.Tracer.kind = Tracer.Point)
+  | c, d, l, t ->
+    Alcotest.failf "tri: %d compile_ion, %d policy_decide, %d lower_ion, %d ion tier_up"
+      (List.length c) (List.length d) (List.length l) (List.length t)
 
 (* ---- cache hits carry their provenance ---- *)
 
@@ -484,12 +436,13 @@ let test_http_endpoints () =
       let code, body = Http.fetch ~port "/healthz" in
       check_int "healthy engine is 200" 200 code;
       check_bool "healthz reports ok" true (has body "\"status\":\"ok\"");
-      (* push a health check over its threshold *)
-      Metrics.set (Metrics.gauge (Obs.metrics obs) "compile.queue_depth") 65.0;
+      (* push the compile stall past its 1 s bound *)
+      Metrics.set (Metrics.gauge (Obs.metrics obs) "engine.main_stall_seconds") 2.0;
       let code, body = Http.fetch ~port "/healthz" in
-      check_int "overloaded queue is 503" 503 code;
-      check_bool "healthz names the failing check" true (has body "queue_depth");
-      Metrics.set (Metrics.gauge (Obs.metrics obs) "compile.queue_depth") 0.0;
+      check_int "stalled engine is 503" 503 code;
+      check_bool "healthz names the failing check" true (has body "main_stall_seconds");
+      check_bool "healthz reports fail" true (has body "\"status\":\"fail\"");
+      Metrics.set (Metrics.gauge (Obs.metrics obs) "engine.main_stall_seconds") 0.0;
       let code, _ = Http.fetch ~port "/healthz" in
       check_int "recovers to 200" 200 code;
       let code, body = Http.fetch ~port "/audit?n=5" in
@@ -513,8 +466,6 @@ let suite =
         test_diff_eviction;
       Alcotest.test_case "VDC match: full evidence via query API and /audit" `Quick
         test_vdc_match_full_evidence;
-      Alcotest.test_case "sync and async audit verdicts agree" `Quick
-        test_sync_async_audit_agree;
       Alcotest.test_case "trace file reconstructs the compile chain" `Quick
         test_trace_chain_reconstruction;
       Alcotest.test_case "cache-hit provenance" `Quick test_cache_hit_provenance;

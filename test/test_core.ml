@@ -778,27 +778,25 @@ let qcheck_windowed_equals_oracles =
         (fun n -> windowed_agrees ~only n trace && windowed_agrees ~only:(fun _ -> true) n trace)
         [ 2; 3 ])
 
-(* The same property with extractions running at once on helper domains:
-   each domain's graphs, marks and counts stay its own. *)
+(* The same property with extractions running at once on spawned
+   domains, each over its share of the cases: each domain's graphs, marks
+   and counts stay its own. *)
 let test_windowed_on_helper_domains () =
-  let module CQ = Jitbull_jit.Compile_queue in
-  with_pool (fun pool ->
-      QCheck.Test.check_exn
-        (QCheck.Test.make ~count:(qcheck_count 30) ~name:"windowed extract on helper domains"
-           (QCheck.make
-              ~print:(fun ts -> String.concat "--\n" (List.map (fun (t, _) -> print_trace t) ts))
-              QCheck.Gen.(list_size (int_range 4 12) (pair (trace_gen_with ~repeats:true) only_gen)))
-           (fun cases ->
-             let agreed = Atomic.make 0 in
-             List.iter
-               (fun (trace, only) ->
-                 ignore
-                   (CQ.submit pool (fun () ->
-                        if List.for_all (fun n -> windowed_agrees ~only n trace) [ 2; 3 ] then
-                          Atomic.incr agreed)))
-               cases;
-             CQ.wait_idle pool;
-             Atomic.get agreed = List.length cases)))
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:(qcheck_count 30) ~name:"windowed extract on helper domains"
+       (QCheck.make
+          ~print:(fun ts -> String.concat "--\n" (List.map (fun (t, _) -> print_trace t) ts))
+          QCheck.Gen.(list_size (int_range 4 12) (pair (trace_gen_with ~repeats:true) only_gen)))
+       (fun cases ->
+         let share d = List.filteri (fun i _ -> i mod test_domains = d) cases in
+         List.init test_domains (fun d ->
+             Domain.spawn (fun () ->
+                 List.for_all
+                   (fun (trace, only) ->
+                     List.for_all (fun n -> windowed_agrees ~only n trace) [ 2; 3 ])
+                   (share d)))
+         |> List.map Domain.join
+         |> List.for_all Fun.id))
 
 let test_extract_carries_forward () =
   (* a pass that changes nothing leaves the multiset to the next pass:

@@ -12,7 +12,6 @@ module Audit = Jitbull_obs.Audit
 module Explain = Jitbull_obs.Explain
 module Jsonx = Jitbull_obs.Jsonx
 module Http = Jitbull_obs.Http_export
-module CQ = Jitbull_jit.Compile_queue
 module Op = Jitbull_bytecode.Op
 module Vm = Jitbull_bytecode.Vm
 module Value = Jitbull_runtime.Value
@@ -111,76 +110,27 @@ let drive eng =
   let add = func_idx eng "add" and tri = func_idx eng "tri" in
   for i = 0 to 9 do
     ignore (Vm.call_function (Engine.vm eng) add [ num i; num (i + 1) ]);
-    ignore (Vm.call_function (Engine.vm eng) tri [ num (i mod 5) ]);
-    Engine.drain eng
+    ignore (Vm.call_function (Engine.vm eng) tri [ num (i mod 5) ])
   done
 
-let engine_of ?compile_pool db obs =
-  let cfg = Jitbull.config ?compile_pool ~obs ~vulns:VC.none db in
+let engine_of db obs =
+  let cfg = Jitbull.config ~obs ~vulns:VC.none db in
   let cfg = { cfg with Engine.baseline_threshold = 2; ion_threshold = 4 } in
   Engine.create cfg (Compiler.compile (Parser.parse drive_src))
 
-(* Everything in a report except the volatile bits (seq, timestamps,
-   domain, capture wall time): verdict, full comparator evidence, and
-   the diff with chain ids materialized to strings. *)
-let canonical_report obs func =
-  let au = Obs.audit obs in
-  match Audit.by_function au func with
-  | [] -> Alcotest.fail ("no decisions for " ^ func)
-  | r :: _ ->
-    let e = Explain.resolve ~history:(Audit.records au) r in
-    let diff =
-      match e.Explain.ex_diff with
-      | None -> Alcotest.fail (func ^ ": IR diff not captured")
-      | Some d ->
-        List.map
-          (fun (p : Audit.pass_diff) ->
-            ( p.Audit.pd_pass,
-              (p.Audit.pd_instrs_before, p.Audit.pd_instrs_after),
-              (p.Audit.pd_blocks_before, p.Audit.pd_blocks_after),
-              (p.Audit.pd_opcodes_added, p.Audit.pd_opcodes_removed),
-              p.Audit.pd_chains_added,
-              p.Audit.pd_chains_removed ))
-          d.Audit.cd_passes
-    in
-    ( r.Audit.func_name,
-      Audit.verdict_label r.Audit.verdict,
-      r.Audit.matches,
-      (r.Audit.thr, r.Audit.ratio),
-      diff )
-
-let test_sync_async_reports_agree () =
-  let db = self_matching_db () in
-  let obs_s = Obs.create ~explain:true () in
-  let obs_a = Obs.create ~explain:true () in
-  let pool = CQ.create ~jobs:test_jobs () in
-  Fun.protect
-    ~finally:(fun () -> CQ.shutdown pool)
-    (fun () ->
-      drive (engine_of db obs_s);
-      drive (engine_of ~compile_pool:pool db obs_a));
-  let s = canonical_report obs_s "tri" and a = canonical_report obs_a "tri" in
-  check_bool "sync run flagged tri" true
-    (match s with _, v, _, _, _ -> v <> "allow");
-  check_bool "sync and async explanations carry identical evidence" true (s = a)
-
 (* ---- one record per compile: the diff rides in its Fresh record ---- *)
 
-(* Two engines share one config (hence its policy cache) on a
-   [test_jobs]-wide pool, so the second run's decisions are cache hits:
-   every analysis's record carries its diff, no replay carries one. *)
-let test_pool_run_diffs () =
+(* Two engines share one config (hence its policy cache), so the second
+   run's decisions are cache hits: every analysis's record carries its
+   diff, no replay carries one. *)
+let test_shared_cache_diffs () =
   let db = self_matching_db () in
   let obs = Obs.create ~explain:true () in
-  let pool = CQ.create ~jobs:test_jobs () in
-  let cfg = Jitbull.config ~compile_pool:pool ~obs ~vulns:VC.none db in
+  let cfg = Jitbull.config ~obs ~vulns:VC.none db in
   let cfg = { cfg with Engine.baseline_threshold = 2; ion_threshold = 4 } in
-  Fun.protect
-    ~finally:(fun () -> CQ.shutdown pool)
-    (fun () ->
-      for _ = 1 to 2 do
-        drive (Engine.create cfg (Compiler.compile (Parser.parse drive_src)))
-      done);
+  for _ = 1 to 2 do
+    drive (Engine.create cfg (Compiler.compile (Parser.parse drive_src)))
+  done;
   let records = Audit.records (Obs.audit obs) in
   let fresh, hits =
     List.partition (fun (r : Audit.record) -> r.Audit.source = Audit.Fresh) records
@@ -399,14 +349,12 @@ let suite =
     [
       Alcotest.test_case "every modeled CVE yields a causal report" `Quick
         test_every_cve_explained;
-      Alcotest.test_case "sync and async explanations agree" `Quick
-        test_sync_async_reports_agree;
       Alcotest.test_case "/explain endpoints and query hardening" `Quick
         test_http_explain;
       Alcotest.test_case "exporter robustness under abusive clients" `Quick
         test_http_robustness;
-      Alcotest.test_case "pool run: fresh records carry the diff" `Quick
-        test_pool_run_diffs;
+      Alcotest.test_case "shared cache: fresh records carry the diff" `Quick
+        test_shared_cache_diffs;
       Alcotest.test_case "evicted ids over HTTP" `Quick test_http_evicted_id;
       Alcotest.test_case "offline cache-hit evidence replay" `Quick
         test_cache_hit_resolution;

@@ -95,13 +95,8 @@ let test_propagate_rejects_hostile () =
 (* Trace ids and span ids stay unique when minted from concurrent
    domains (the tracer id counter is process-global and pid-seeded). *)
 let test_id_uniqueness_across_domains () =
-  let obs = Some (Obs.create ()) in
-  let alloc n =
-    List.init n (fun _ ->
-        match Obs.alloc_id obs with
-        | Some i -> i
-        | None -> Alcotest.fail "alloc_id on a live obs")
-  in
+  let tr = Obs.tracer (Obs.create ()) in
+  let alloc n = List.init n (fun _ -> Jitbull_obs.Tracer.alloc_id tr) in
   let d1 = Domain.spawn (fun () -> alloc 500) in
   let d2 = Domain.spawn (fun () -> List.init 200 (fun _ -> Propagate.fresh_trace_id ())) in
   let local_ids = alloc 500 in
@@ -248,6 +243,10 @@ let test_push_rejects_malformed () =
             Http.Conn.request conn ~meth:"POST" ~body:"{\"ts\": 1}" "/push"
           in
           check_int "snapshot without a client id is a 400" 400 status;
+          let status, _, _ =
+            Http.Conn.request conn ~meth:"POST" ~body:"{\"client\": \"c\", \"ts\": 1}" "/push"
+          in
+          check_int "snapshot without totals is a 400" 400 status;
           let status, _, _ = Http.Conn.request conn "/push" in
           check_bool "GET /push is rejected" true (status >= 400)))
 

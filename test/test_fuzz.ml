@@ -155,7 +155,7 @@ let test_metamorphic_clean_on_benign () =
   List.iter
     (fun seed ->
       let src = F.Generator.benign ~seed in
-      match F.Oracle.check_metamorphic ~config:all_vulnerable ~jobs:2 ~alt_configs src with
+      match F.Oracle.check_metamorphic ~config:all_vulnerable ~alt_configs src with
       | [] -> ()
       | v :: _ ->
         Alcotest.fail
@@ -169,7 +169,7 @@ let test_metamorphic_detects_vulnerable_engine () =
   let any =
     List.exists
       (fun src ->
-        F.Oracle.check_metamorphic ~config:all_vulnerable ~subsets:[] ~jobs:0 src <> [])
+        F.Oracle.check_metamorphic ~config:all_vulnerable ~subsets:[] src <> [])
       (F.Harness.vdc_seed_sources ())
   in
   check_bool "violations observed" true any

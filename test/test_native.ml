@@ -504,7 +504,7 @@ let test_metamorphic_tier_agreement () =
   (* the oracle's four-way leg: interp == vm == native == executor *)
   List.iter
     (fun src ->
-      match F.Oracle.check_metamorphic ~subsets:[] ~jobs:0 src with
+      match F.Oracle.check_metamorphic ~subsets:[] src with
       | [] -> ()
       | v :: _ ->
         Alcotest.fail

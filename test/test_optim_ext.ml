@@ -195,7 +195,7 @@ let test_engine_reports_peephole () =
    of reach, i.e. the baseline tier's alone. The program's own DNA under
    Thr = 0 (the exhaustive scan, where key-disjoint sides match) flags
    the mandatory renumber pass, which forbids JIT for its one Ion
-   tier-up. Run with Ion compiles inline and on helper domains. *)
+   tier-up. *)
 let forbid_src =
   "function f(n) { var s = 0; for (var i = 0; i < n; i++) { if (i % 3) { s = s + i; } } return s; } \
    var t = 0; for (var k = 0; k < 40; k++) { t = t + f(k); } print(t);"
@@ -206,33 +206,24 @@ let test_forbid_counts_no_ion_peephole () =
   let module Comparator = Jitbull_core.Comparator in
   let db = Db.create () in
   check_bool "self-harvest" true (Db.harvest db ~cve:"CVE-SELF" ~vulns:VC.none forbid_src > 0);
-  let no_ion, _ =
-    in_both_compile_modes (fun compile_pool ->
-        let config =
-          { Engine.default_config with Engine.ion_threshold = 1000; compile_pool }
-        in
-        let out, t = Engine.run_source config forbid_src in
-        check_int "Ion out of reach" 0 (Engine.stats t).Engine.ion_compiles;
-        (out, (Engine.stats t).Engine.peephole_removed))
+  let no_ion_out, no_ion =
+    let out, t =
+      Engine.run_source { Engine.default_config with Engine.ion_threshold = 1000 } forbid_src
+    in
+    check_int "Ion out of reach" 0 (Engine.stats t).Engine.ion_compiles;
+    (out, Engine.stats t)
   in
-  check_bool "the baseline tier's peephole removes something" true (snd no_ion > 0);
-  let sync, async =
-    in_both_compile_modes (fun compile_pool ->
-        let config =
-          Jitbull.config ~params:{ Comparator.thr = 0; ratio = 0.5 } ?compile_pool
-            ~vulns:VC.none db
-        in
-        let out, t = Engine.run_source config forbid_src in
-        let s = Engine.stats t in
-        check_int "one Ion tier-up" 1 s.Engine.ion_compiles;
-        check_int "forbidden" 1 s.Engine.nr_nojit;
-        (out, s.Engine.peephole_removed))
+  check_bool "the baseline tier's peephole removes something" true
+    (no_ion.Engine.peephole_removed > 0);
+  let config =
+    Jitbull.config ~params:{ Comparator.thr = 0; ratio = 0.5 } ~vulns:VC.none db
   in
-  List.iter
-    (fun (mode, (out, removed)) ->
-      check_string (mode ^ ": output") (fst no_ion) out;
-      check_int (mode ^ ": baseline removals only") (snd no_ion) removed)
-    [ ("inline", sync); ("helper domains", async) ]
+  let out, t = Engine.run_source config forbid_src in
+  let s = Engine.stats t in
+  check_int "one Ion tier-up" 1 s.Engine.ion_compiles;
+  check_int "forbidden" 1 s.Engine.nr_nojit;
+  check_string "output" no_ion_out out;
+  check_int "baseline removals only" no_ion.Engine.peephole_removed s.Engine.peephole_removed
 
 let suite =
   ( "optim-ext",

@@ -165,24 +165,27 @@ let test_indexed_equals_naive_real_dnas () =
         queries)
     (Comparator.default_params :: params_grid);
   check_bool "some real queries match" true (!matched > 0);
-  (* the same queries from helper domains at once: each domain's
+  (* the same queries from spawned domains at once: each domain's
      accumulator scratch must stay its own *)
-  let module CQ = Jitbull_jit.Compile_queue in
   let expected = List.map (fun dna -> (dna, forced (Db.matching_detailed db dna))) queries in
-  let agreed = Atomic.make 0 in
-  with_pool (fun pool ->
-      for _ = 1 to 4 do
-        List.iter
-          (fun (dna, q) ->
-            (* a copy per job: the jobs share the DB, not their inputs *)
-            let dna = Dna.of_sexpr (Dna.to_sexpr dna) in
-            ignore
-              (CQ.submit pool (fun () ->
-                   if forced (Db.matching_detailed db dna) = q then Atomic.incr agreed)))
-          expected
-      done;
-      CQ.wait_idle pool);
-  check_int "concurrent queries == sequential ones" (4 * List.length expected) (Atomic.get agreed)
+  let agreed =
+    List.init test_domains (fun _ ->
+        (* a copy per domain: the domains share the DB, not their inputs *)
+        let mine = List.map (fun (dna, q) -> (Dna.of_sexpr (Dna.to_sexpr dna), q)) expected in
+        Domain.spawn (fun () ->
+            let n = ref 0 in
+            for _ = 1 to 2 do
+              List.iter
+                (fun (dna, q) -> if forced (Db.matching_detailed db dna) = q then incr n)
+                mine
+            done;
+            !n))
+    |> List.map Domain.join
+    |> List.fold_left ( + ) 0
+  in
+  check_int "concurrent queries == sequential ones"
+    (test_domains * 2 * List.length expected)
+    agreed
 
 (* The 8-VDC DB queried with its own DNAs and those of the benign
    programs of seeds 900-903 (41 queries): a query allocates nothing per
@@ -418,14 +421,13 @@ module Errors = Jitbull_runtime.Errors
 (* Every snapshot trace the local analyzer sees over the 8-VDC DB: the
    demonstrators and their four variants on the vulnerable engine, the
    Octane analogues and benign generated programs (seeds 900-903,
-   disjoint from perfbench's) on the patched one — with Ion compiles
-   inline or on helper domains. No policy cache, so every tier-up is
-   analyzed. *)
-let analyzed_traces ?compile_pool db =
-  let mu = Mutex.create () and traces = ref [] in
+   disjoint from perfbench's) on the patched one. No policy cache, so
+   every tier-up is analyzed. *)
+let analyzed_traces db =
+  let traces = ref [] in
   let local = Jitbull.analyzer db in
   let recording ~ctx ~func_index ~name ~trace =
-    Mutex.protect mu (fun () -> traces := trace :: !traces);
+    traces := trace :: !traces;
     local ~ctx ~func_index ~name ~trace
   in
   let runs =
@@ -446,7 +448,7 @@ let analyzed_traces ?compile_pool db =
   List.iter
     (fun (vulns, source) ->
       let config =
-        { Engine.default_config with Engine.vulns; analyzer = Some recording; compile_pool }
+        { Engine.default_config with Engine.vulns; analyzer = Some recording }
       in
       try ignore (Engine.run_source config source)
       with Errors.Crash _ | Errors.Shellcode_executed _ | Errors.Type_error _ -> ())
@@ -464,32 +466,29 @@ let test_posting_aware_equals_full () =
     | `Disable ps -> Engine.Disable_passes ps
     | `Forbid -> Engine.Forbid_jit
   in
-  let sync, async = in_both_compile_modes (fun compile_pool -> analyzed_traces ?compile_pool db) in
+  let traces = analyzed_traces db in
+  check_bool "traces recorded" true (List.length traces > 100);
+  let matched = ref 0 and skipped = ref 0 in
   List.iter
-    (fun (mode, traces) ->
-      check_bool (mode ^ ": traces recorded") true (List.length traces > 100);
-      let matched = ref 0 and skipped = ref 0 in
-      List.iter
-        (fun trace ->
-          let full = Dna.extract trace in
-          let x = Jitbull.extract db trace in
-          check_bool "extracted against the current posted set" true
-            (x.Jitbull.x_posted_generation = Some (Db.generation db));
-          if Dna.nonempty_passes x.Jitbull.x_dna <> Dna.nonempty_passes full then incr skipped;
-          (* same CVEs, passes, sides, scores, common chains and
-             prefilter counts *)
-          let q = Db.matching_detailed db x.Jitbull.x_dna in
-          check_bool (mode ^ ": posting-aware query == full query") true
-            (forced q = forced (Db.matching_detailed db full));
-          if q.Db.q_matches <> [] then incr matched;
-          check_bool (mode ^ ": analyzer verdict == full-DNA verdict") true
-            (decide trace = full_verdict trace);
-          check_bool (mode ^ ": thr = 0 analyzer verdict == full-DNA verdict") true
-            (decide ~params:thr0 trace = full_verdict ~params:thr0 trace))
-        traces;
-      check_bool (mode ^ ": some traces match") true (!matched > 0);
-      check_bool (mode ^ ": some passes were skipped") true (!skipped > 0))
-    [ ("inline", sync); ("helper domains", async) ]
+    (fun trace ->
+      let full = Dna.extract trace in
+      let x = Jitbull.extract db trace in
+      check_bool "extracted against the current posted set" true
+        (x.Jitbull.x_posted_generation = Some (Db.generation db));
+      if Dna.nonempty_passes x.Jitbull.x_dna <> Dna.nonempty_passes full then incr skipped;
+      (* same CVEs, passes, sides, scores, common chains and prefilter
+         counts *)
+      let q = Db.matching_detailed db x.Jitbull.x_dna in
+      check_bool "posting-aware query == full query" true
+        (forced q = forced (Db.matching_detailed db full));
+      if q.Db.q_matches <> [] then incr matched;
+      check_bool "analyzer verdict == full-DNA verdict" true
+        (decide trace = full_verdict trace);
+      check_bool "thr = 0 analyzer verdict == full-DNA verdict" true
+        (decide ~params:thr0 trace = full_verdict ~params:thr0 trace))
+    traces;
+  check_bool "some traces match" true (!matched > 0);
+  check_bool "some passes were skipped" true (!skipped > 0)
 
 (* A DB write between the analyzer's posted-set read and its query: the
    DNA was extracted while only gvn had postings, then an entry posting
@@ -520,82 +519,12 @@ let test_posted_generation_race () =
   check_bool "re-extracted in full" true
     (Sexpr.to_string (Dna.to_sexpr dna) = Sexpr.to_string (Dna.to_sexpr full))
 
-(* ---- off-main-thread compilation ---- *)
+(* ---- driving an engine call by call ---- *)
 
-module CQ = Jitbull_jit.Compile_queue
 module Op = Jitbull_bytecode.Op
 module Value = Jitbull_runtime.Value
 module Clock = Jitbull_obs.Clock
 module Native = Jitbull_native.Native
-
-let test_queue_basic () =
-  with_pool (fun pool ->
-      check_bool "spawned some workers" true (CQ.jobs pool >= 1);
-      let hits = Atomic.make 0 in
-      let jobs =
-        List.init 20 (fun _ -> CQ.submit pool (fun () -> Atomic.incr hits))
-      in
-      CQ.wait_idle pool;
-      check_int "every job ran" 20 (Atomic.get hits);
-      check_bool "all jobs done" true
-        (List.for_all (fun j -> CQ.job_state j = CQ.Done) jobs);
-      let submitted, completed, cancelled = CQ.stats pool in
-      check_int "submitted" 20 submitted;
-      check_int "completed" 20 completed;
-      check_int "cancelled" 0 cancelled;
-      check_int "nothing pending" 0 (CQ.pending pool);
-      check_int "nothing in flight" 0 (CQ.in_flight pool));
-  (* a raising job must not kill its worker domain *)
-  with_pool (fun pool ->
-      ignore (CQ.submit pool (fun () -> failwith "worker must survive this"));
-      CQ.wait_idle pool;
-      let ran = Atomic.make false in
-      ignore (CQ.submit pool (fun () -> Atomic.set ran true));
-      CQ.wait_idle pool;
-      check_bool "worker survives a raising job" true (Atomic.get ran))
-
-(* Block every worker on a latch, so queued jobs stay queued and the
-   bounded queue's backpressure and cancellation are observable. *)
-let test_queue_backpressure_and_cancel () =
-  let pool = CQ.create ~capacity:2 ~jobs:test_jobs () in
-  Fun.protect
-    ~finally:(fun () -> CQ.shutdown pool)
-    (fun () ->
-      let n = CQ.jobs pool in
-      let gate = Atomic.make false in
-      let blocker () = while not (Atomic.get gate) do Domain.cpu_relax () done in
-      for _ = 1 to n do ignore (CQ.submit pool blocker) done;
-      while CQ.in_flight pool < n do Domain.cpu_relax () done;
-      (* workers busy: the next [capacity] jobs queue up, then the queue
-         refuses *)
-      let ran = Atomic.make 0 in
-      let q1 = CQ.submit pool (fun () -> Atomic.incr ran) in
-      let q2 = CQ.submit pool (fun () -> Atomic.incr ran) in
-      check_int "both queued" 2 (CQ.pending pool);
-      check_bool "queue full refuses" true
-        (CQ.try_submit pool (fun () -> Atomic.incr ran) = None);
-      check_bool "pending job cancels" true (CQ.cancel pool q1);
-      check_bool "cancelled state sticks" true (CQ.job_state q1 = CQ.Cancelled);
-      check_bool "second cancel is a no-op" false (CQ.cancel pool q1);
-      check_int "cancelled job leaves the runnable count" 1 (CQ.pending pool);
-      Atomic.set gate true;
-      CQ.wait_idle pool;
-      check_int "cancelled closure never ran" 1 (Atomic.get ran);
-      check_bool "survivor completed" true (CQ.job_state q2 = CQ.Done);
-      let _, _, cancelled = CQ.stats pool in
-      check_int "cancellation counted" 1 cancelled)
-
-let test_queue_shutdown_drains () =
-  let pool = CQ.create ~jobs:test_jobs () in
-  let hits = Atomic.make 0 in
-  for _ = 1 to 30 do ignore (CQ.submit pool (fun () -> Atomic.incr hits)) done;
-  CQ.shutdown pool;
-  check_int "shutdown drains queued jobs" 30 (Atomic.get hits);
-  check_bool "submit after shutdown refuses" true
-    (CQ.try_submit pool (fun () -> ()) = None);
-  CQ.shutdown pool (* idempotent *)
-
-(* -- async engine == sync engine -- *)
 
 let func_idx eng name =
   let funcs = (Engine.vm eng).Vm.program.Op.funcs in
@@ -708,24 +637,32 @@ let test_dna_extraction_allocation () =
     (Printf.sprintf "%.0f minor words per compile within the bound" per_compile)
     true (per_compile <= extract_words_bound)
 
-let fresh_config ?compile_pool ~max_bailouts tag =
+(* -- the tier-up procedure -- *)
+
+let engine_src =
+  "function at(i) { var a = [7, 8, 9]; return a[i]; }"
+
+(* Out-of-bounds reads bail the Ion code of [at] back to the interpreter,
+   which replays the call, until [max_bailouts] blacklists the function;
+   every call still returns the interpreter's value. *)
+let test_bailouts_blacklist () =
   let db = Db.create () in
-  Db.add db (synthetic_entry ("CVE-ASYNC-" ^ tag));
-  let cfg = Jitbull.config ?compile_pool ~vulns:VC.none db in
-  (db, { cfg with Engine.baseline_threshold = 2; ion_threshold = 4; max_bailouts })
-
-let async_src =
-  "function add(a, b) { return a + b; } \
-   function tri(x) { var t = 0; for (var i = 0; i < x; i++) { t = t + i; } return t; } \
-   function at(i) { var a = [7, 8, 9]; return a[i]; }"
-
-let make_engine config = Engine.create config (Compiler.compile (Parser.parse async_src))
+  Db.add db (synthetic_entry "CVE-BAILOUT");
+  let cfg = Jitbull.config ~vulns:VC.none db in
+  let cfg = { cfg with Engine.baseline_threshold = 2; ion_threshold = 4; max_bailouts = 3 } in
+  let eng = Engine.create cfg (Compiler.compile (Parser.parse engine_src)) in
+  let at = func_idx eng "at" in
+  let out = List.init 16 (fun i -> call eng at [ num (if i mod 2 = 0 then 1 else 5) ]) in
+  check_bool "every call returns the interpreter's value" true
+    (List.equal String.equal out (List.init 16 (fun i -> if i mod 2 = 0 then "8" else "undefined")));
+  check_bool "bailouts happened" true ((Engine.stats eng).Engine.bailouts > 3);
+  check_bool "the function is blacklisted" true (Engine.tier_of eng at = Engine.Blacklisted)
 
 (* One function per verdict kind, decided by a stub analyzer: a plain
    install, a recompile without a disableable pass, a blacklist for a
-   mandatory pass, and a forbid. Each mode runs two engines over one
-   policy cache, so the second pass applies every kind from the cache
-   (the forbid and mandatory ones without compiling at all). *)
+   mandatory pass, and a forbid. Two engines share one policy cache, so
+   the second applies every kind from the cache (the forbid and
+   mandatory ones without compiling at all). *)
 let verdict_src =
   "function allow(x) { return x + 1; } \
    function nogvn(x) { var t = 0; for (var i = 0; i < x; i++) { t = t + i; } return t; } \
@@ -741,284 +678,103 @@ let stub_analyzer ~ctx:_ ~func_index:_ ~name ~trace:_ =
   | "forbid" -> Engine.Forbid_jit
   | _ -> Engine.Allow
 
-let every_verdict_kind_agrees pool =
-  let run_mode compile_pool =
-    let obs = Jitbull_obs.Obs.create () in
-    let config =
-      {
-        Engine.default_config with
-        Engine.baseline_threshold = 2;
-        ion_threshold = 4;
-        analyzer = Some stub_analyzer;
-        policy_cache = Some (Engine.Policy_cache.create ());
-        compile_pool;
-        obs = Some obs;
-      }
-    in
-    List.init 2 (fun _ ->
-        let eng = Engine.create config (Compiler.compile (Parser.parse verdict_src)) in
-        let out =
-          List.concat_map
-            (fun i ->
-              let rs =
-                List.map (fun f -> call eng (func_idx eng f) [ num i ]) verdict_names
-              in
-              Engine.drain eng;
-              rs)
-            (List.init 10 Fun.id)
-        in
-        let s = Engine.stats eng in
-        ( out,
-          List.map (fun f -> Engine.tier_of eng (func_idx eng f)) verdict_names,
-          [
-            s.Engine.nr_jit; s.Engine.nr_disjit; s.Engine.nr_nojit;
-            s.Engine.ion_compiles;
-          ],
-          Jitbull_obs.Audit.total (Jitbull_obs.Obs.audit obs) ))
-  in
-  let sync_passes = run_mode None and async_passes = run_mode (Some pool) in
-  List.iteri
-    (fun i ((so, st, ss, sa), (ao, at, as_, aa)) ->
-      let pass = Printf.sprintf "pass %d: " (i + 1) in
-      check_bool (pass ^ "every call agrees") true (List.equal String.equal so ao);
-      check_bool (pass ^ "final tiers agree") true (st = at);
-      Alcotest.(check (list int))
-        (pass ^ "Nr_JIT/DisJIT/NoJIT/ion compiles agree") ss as_;
-      check_int (pass ^ "audit totals agree") sa aa)
-    (List.combine sync_passes async_passes);
-  match sync_passes with
-  | [ (_, tiers, stats, _); (_, tiers2, stats2, _) ] ->
-    check_bool "verdicts reached the tiers" true
-      (tiers = Engine.[ Ion; Ion; Blacklisted; Blacklisted ] && tiers2 = tiers);
-    (* the fresh Disable recompiles; its cached replay compiles once *)
-    Alcotest.(check (list int)) "fresh pass counts" [ 4; 1; 2; 5 ] stats;
-    Alcotest.(check (list int)) "cached pass counts" [ 4; 1; 2; 4 ] stats2
-  | _ -> assert false
-
-(* Drive the same call sequence through a synchronous and a background
-   engine, draining the pool after every call so installation points are
-   deterministic; every return value, every final tier and the policy
-   accounting must agree. (The only scheduling freedom left is that the
-   threshold-crossing call itself runs baseline in async mode while sync
-   mode already runs the fresh Ion code — invisible here because these
-   calls don't bail out.) *)
-let test_async_equals_sync () =
-  with_pool (fun pool ->
-      let _, sync_cfg = fresh_config ~max_bailouts:8 "S" in
-      let _, async_cfg = fresh_config ~compile_pool:pool ~max_bailouts:8 "A" in
-      let se = make_engine sync_cfg and ae = make_engine async_cfg in
-      let drive eng =
-        let add = func_idx eng "add" and tri = func_idx eng "tri" in
-        List.concat_map
-          (fun i ->
-            let r1 = call eng add [ num i; num (i + 1) ] in
-            let r2 = call eng tri [ num (i mod 5) ] in
-            Engine.drain eng;
-            [ r1; r2 ])
-          (List.init 10 Fun.id)
-      in
-      let sync_out = drive se and async_out = drive ae in
-      check_bool "every call agrees" true (List.equal String.equal sync_out async_out);
-      List.iter
-        (fun name ->
-          check_bool ("final tier agrees for " ^ name) true
-            (Engine.tier_of se (func_idx se name) = Engine.tier_of ae (func_idx ae name)))
-        [ "add"; "tri"; "at" ];
-      let ss = Engine.stats se and sa = Engine.stats ae in
-      check_int "Nr_JIT agrees" ss.Engine.nr_jit sa.Engine.nr_jit;
-      check_int "Nr_DisJIT agrees" ss.Engine.nr_disjit sa.Engine.nr_disjit;
-      check_int "Nr_NoJIT agrees" ss.Engine.nr_nojit sa.Engine.nr_nojit;
-      check_int "ion compiles agree" ss.Engine.ion_compiles sa.Engine.ion_compiles;
-      check_bool "installs went through the safepoint" true
-        (sa.Engine.async_installs >= 2);
-      check_int "nothing was stale" 0 sa.Engine.stale_results;
-      every_verdict_kind_agrees pool)
-
-(* A mid-compile [Db.add] moves the DB generation: the finished result
-   must be discarded (stale), the verdict computed against the old DB
-   must not be cached under the new generation, and the next invocation
-   re-enqueues and installs cleanly. *)
-let test_async_stale_result () =
-  with_pool (fun pool ->
-      let db, cfg = fresh_config ~compile_pool:pool ~max_bailouts:8 "STALE" in
-      let pc = Option.get cfg.Engine.policy_cache in
-      let eng = make_engine cfg in
-      let tri = func_idx eng "tri" in
-      for i = 1 to 4 do ignore (call eng tri [ num i ]) done;
-      (* the 4th call crossed ion_threshold: a compile is now in flight
-         against the current generation — invalidate it *)
-      Db.add db (synthetic_entry "CVE-ASYNC-STALE-2");
-      Engine.drain eng;
-      let s = Engine.stats eng in
-      check_int "result discarded as stale" 1 s.Engine.stale_results;
-      check_int "nothing installed" 0 s.Engine.async_installs;
-      check_bool "function still baseline" true (Engine.tier_of eng tri = Engine.Baseline);
-      check_string "semantics preserved across the discard" "10"
-        (call eng tri [ num 5 ]);
-      Engine.drain eng;
-      check_bool "re-enqueued compile installs" true (Engine.tier_of eng tri = Engine.Ion);
-      let s = Engine.stats eng in
-      check_int "one install after the retry" 1 s.Engine.async_installs;
-      check_bool "both compiles re-analyzed (no cache hit)" true
-        (Engine.Policy_cache.hits pc = 0 && Engine.Policy_cache.misses pc >= 2))
-
-(* Forced bailouts while compiles are in flight: out-of-bounds reads bail
-   Ion code back to the interpreter until the function is blacklisted;
-   values and the final tier must match the synchronous engine. *)
-let test_async_bailout_blacklist () =
-  with_pool (fun pool ->
-      let _, sync_cfg = fresh_config ~max_bailouts:3 "BS" in
-      let _, async_cfg = fresh_config ~compile_pool:pool ~max_bailouts:3 "BA" in
-      let se = make_engine sync_cfg and ae = make_engine async_cfg in
-      let drive eng =
-        let at = func_idx eng "at" in
-        List.init 16 (fun i ->
-            let r = call eng at [ num (if i mod 2 = 0 then 1 else 5) ] in
-            Engine.drain eng;
-            r)
-      in
-      let sync_out = drive se and async_out = drive ae in
-      check_bool "bailing calls agree" true (List.equal String.equal sync_out async_out);
-      check_bool "sync run blacklists" true
-        (Engine.tier_of se (func_idx se "at") = Engine.Blacklisted);
-      check_bool "async run blacklists too" true
-        (Engine.tier_of ae (func_idx ae "at") = Engine.Blacklisted);
-      check_bool "async saw bailouts" true ((Engine.stats ae).Engine.bailouts > 0))
-
-(* A full queue runs the compile job inline: two tier-ups of one function
-   (the second a policy-cache hit) must account exactly like the
-   synchronous engine — one lookup, one verdict and one audit record per
-   tier-up. The single worker and the single queue slot are held by
-   latch jobs for the whole run. *)
-let hot_twice ?compile_pool () =
-  let db = Db.create () in
-  Db.add db (synthetic_entry "CVE-QUEUE-FULL");
+let test_every_verdict_kind () =
   let obs = Jitbull_obs.Obs.create () in
-  let cfg = Jitbull.config ?compile_pool ~obs ~vulns:VC.none db in
+  let config =
+    {
+      Engine.default_config with
+      Engine.baseline_threshold = 2;
+      ion_threshold = 4;
+      analyzer = Some stub_analyzer;
+      policy_cache = Some (Engine.Policy_cache.create ());
+      obs = Some obs;
+    }
+  in
+  let expected =
+    List.concat_map
+      (fun i -> List.map string_of_int [ i + 1; i * (i - 1) / 2; i * 2; i - 1 ])
+      (List.init 10 Fun.id)
+  in
+  let run () =
+    let eng = Engine.create config (Compiler.compile (Parser.parse verdict_src)) in
+    let out =
+      List.concat_map
+        (fun i -> List.map (fun f -> call eng (func_idx eng f) [ num i ]) verdict_names)
+        (List.init 10 Fun.id)
+    in
+    check_bool "every call returns the interpreter's value" true
+      (List.equal String.equal out expected);
+    let s = Engine.stats eng in
+    ( List.map (fun f -> Engine.tier_of eng (func_idx eng f)) verdict_names,
+      [ s.Engine.nr_jit; s.Engine.nr_disjit; s.Engine.nr_nojit; s.Engine.ion_compiles ] )
+  in
+  let tiers, fresh = run () in
+  let cached_tiers, cached = run () in
+  check_bool "verdicts reached the tiers" true
+    (tiers = Engine.[ Ion; Ion; Blacklisted; Blacklisted ] && cached_tiers = tiers);
+  (* the fresh Disable recompiles; its cached replay compiles once *)
+  Alcotest.(check (list int)) "fresh Nr_JIT/DisJIT/NoJIT/ion compiles" [ 4; 1; 2; 5 ] fresh;
+  Alcotest.(check (list int)) "cached Nr_JIT/DisJIT/NoJIT/ion compiles" [ 4; 1; 2; 4 ] cached;
+  check_int "one Cache_hit record per cached tier-up" 4
+    (Jitbull_obs.Audit.total (Jitbull_obs.Obs.audit obs))
+
+(* A DB write landing while a compile is analyzed — a push applied by a
+   subscribed client's domain, staged here from inside the analyzer. The
+   verdict was computed against the old generation, so it must not be
+   cached under the new one, and the next tier-up re-analyzes. *)
+let test_mid_compile_db_add () =
+  let db = Db.create () in
+  Db.add db (synthetic_entry "CVE-MID-1");
+  let base = Jitbull.config ~vulns:VC.none db in
+  let analyze = Option.get base.Engine.analyzer in
+  let landed = ref false in
+  let analyzer ~ctx ~func_index ~name ~trace =
+    let d = analyze ~ctx ~func_index ~name ~trace in
+    if not !landed then begin
+      landed := true;
+      Db.add db (synthetic_entry "CVE-MID-2")
+    end;
+    d
+  in
+  let cfg =
+    { base with Engine.analyzer = Some analyzer; baseline_threshold = 2; ion_threshold = 4 }
+  in
+  let pc = Option.get cfg.Engine.policy_cache in
+  let out1 = fst (Engine.run_source cfg hot_src) in
+  check_int "the racing verdict was not cached" 0 (Engine.Policy_cache.length pc);
+  let out2 = fst (Engine.run_source cfg hot_src) in
+  check_string "output unchanged" out1 out2;
+  check_int "the next tier-up re-analyzed" 0 (Engine.Policy_cache.hits pc);
+  check_int "both tier-ups missed" 2 (Engine.Policy_cache.misses pc);
+  check_int "the re-analyzed verdict was cached" 1 (Engine.Policy_cache.length pc)
+
+(* Two tier-ups of one function, the second a policy-cache hit: one
+   lookup, one verdict and one audit record each. *)
+let test_cached_tier_up_accounting () =
+  let db = Db.create () in
+  Db.add db (synthetic_entry "CVE-ACCOUNTING");
+  let obs = Jitbull_obs.Obs.create () in
+  let cfg = Jitbull.config ~obs ~vulns:VC.none db in
   let cfg = { cfg with Engine.baseline_threshold = 2; ion_threshold = 4 } in
   let outs = List.init 2 (fun _ -> fst (Engine.run_source cfg hot_src)) in
+  check_bool "outputs agree" true (List.nth outs 0 = List.nth outs 1);
   let pc = Option.get cfg.Engine.policy_cache in
   let view = Jitbull_obs.Obs.view (Some obs) in
   let counter name =
     Option.value (Jitbull_obs.Metrics.find_counter view name) ~default:0
   in
-  ( outs,
-    counter "compile.queue_full",
+  List.iter
+    (fun (name, want, got) -> check_int name want got)
     [
-      ("Policy_cache.hits", Engine.Policy_cache.hits pc);
-      ("Policy_cache.misses", Engine.Policy_cache.misses pc);
-      ("policy.cache_hits", counter "policy.cache_hits");
-      ("policy.cache_misses", counter "policy.cache_misses");
-      ("engine.verdict.allow", counter "engine.verdict.allow");
-      ("engine.verdict.disable", counter "engine.verdict.disable");
-      ("engine.verdict.forbid", counter "engine.verdict.forbid");
-      ("Audit.total", Jitbull_obs.Audit.total (Jitbull_obs.Obs.audit obs));
-    ] )
-
-let test_queue_full_runs_the_job_inline () =
-  let pool = CQ.create ~capacity:1 ~jobs:1 () in
-  let gate = Atomic.make false in
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set gate true;
-      CQ.shutdown pool)
-    (fun () ->
-      let latch () = while not (Atomic.get gate) do Domain.cpu_relax () done in
-      ignore (CQ.submit pool latch);
-      while CQ.in_flight pool < 1 do Domain.cpu_relax () done;
-      ignore (CQ.submit pool latch);
-      check_bool "worker and queue slot are held" true
-        (CQ.try_submit pool (fun () -> ()) = None);
-      let sync_outs, _, sync_counts = hot_twice () in
-      let outs, queue_full, counts = hot_twice ~compile_pool:pool () in
-      check_int "both tier-ups found the queue full" 2 queue_full;
-      check_bool "outputs agree" true (List.equal String.equal sync_outs outs);
-      List.iter2
-        (fun (name, sync_v) (_, v) -> check_int (name ^ " equals sync") sync_v v)
-        sync_counts counts;
-      check_int "one miss then one hit" 1 (List.assoc "Policy_cache.hits" counts))
-
-(* -- QCheck stress: random interleavings of hot calls, forced bailouts
-   and DB mutations -- *)
-
-type stress_op = Call of int * int | Db_add | Drain
-
-let stress_op_gen =
-  QCheck.Gen.(
-    frequency
-      [
-        (10, map2 (fun f n -> Call (f, n)) (int_range 0 2) (int_range 0 6));
-        (1, return Db_add);
-        (2, return Drain);
-      ])
-
-let stress_gen = QCheck.Gen.list_size (QCheck.Gen.int_range 8 60) stress_op_gen
-
-let show_stress ops =
-  String.concat ";"
-    (List.map
-       (function
-         | Call (f, n) -> Printf.sprintf "call(%d,%d)" f n
-         | Db_add -> "db_add"
-         | Drain -> "drain")
-       ops)
-
-let qcheck_async_stress =
-  QCheck.Test.make ~count:(qcheck_count 20) ~name:"async final state equals the synchronous run"
-    (QCheck.make ~print:show_stress stress_gen)
-    (fun ops ->
-      with_pool (fun pool ->
-          let sync_dbt, sync_cfg = fresh_config ~max_bailouts:3 "QS" in
-          let async_dbt, async_cfg = fresh_config ~compile_pool:pool ~max_bailouts:3 "QA" in
-          let se = make_engine sync_cfg and ae = make_engine async_cfg in
-          let sync_db = ref 0 and async_db = ref 0 in
-          let apply eng db_src db_count op =
-            match op with
-            | Call (f, n) ->
-              let idx = func_idx eng [| "add"; "tri"; "at" |].(f) in
-              let args = if f = 0 then [ num n; num n ] else [ num n ] in
-              let r = call eng idx args in
-              (* drain after every call: installation points line up with
-                 the synchronous engine's, leaving only the one-call lag *)
-              Engine.drain eng;
-              Some r
-            | Db_add ->
-              incr db_count;
-              Db.add db_src (synthetic_entry (Printf.sprintf "CVE-STRESS-%d" !db_count));
-              None
-            | Drain ->
-              Engine.drain eng;
-              None
-          in
-          let sync_out = List.filter_map (apply se sync_dbt sync_db) ops in
-          let async_out = List.filter_map (apply ae async_dbt async_db) ops in
-          if not (List.equal String.equal sync_out async_out) then false
-          else begin
-            (* settle: identical extra calls until the tier lattice
-               converges — the threshold-crossing call itself runs one
-               tier behind in async mode, so bailout counts can trail by
-               one; repeated bailing calls push both runs over
-               max_bailouts *)
-            let converged () =
-              List.for_all
-                (fun name ->
-                  Engine.tier_of se (func_idx se name)
-                  = Engine.tier_of ae (func_idx ae name))
-                [ "add"; "tri"; "at" ]
-            in
-            let rounds = ref 0 in
-            while (not (converged ())) && !rounds < 12 do
-              incr rounds;
-              List.iter
-                (fun eng ->
-                  ignore (call eng (func_idx eng "add") [ num 1; num 2 ]);
-                  ignore (call eng (func_idx eng "tri") [ num 3 ]);
-                  ignore (call eng (func_idx eng "at") [ num 5 ]);
-                  Engine.drain eng)
-                [ se; ae ]
-            done;
-            converged ()
-          end))
+      ("Policy_cache.hits", 1, Engine.Policy_cache.hits pc);
+      ("Policy_cache.misses", 1, Engine.Policy_cache.misses pc);
+      ("policy.cache_hits", 1, counter "policy.cache_hits");
+      ("policy.cache_misses", 1, counter "policy.cache_misses");
+      ("engine.verdict.allow", 2, counter "engine.verdict.allow");
+      ("engine.verdict.disable", 0, counter "engine.verdict.disable");
+      ("engine.verdict.forbid", 0, counter "engine.verdict.forbid");
+      ("Audit.total", 2, Jitbull_obs.Audit.total (Jitbull_obs.Obs.audit obs));
+    ]
 
 (* -- deterministic durations via the injectable clock -- *)
 
@@ -1065,17 +821,10 @@ let suite =
       Alcotest.test_case "policy cache lookup/store/invalidate" `Quick test_policy_cache_unit;
       Alcotest.test_case "policy cache across engine runs" `Quick test_engine_cache_integration;
       Alcotest.test_case "no policy cache on empty DB" `Quick test_empty_db_no_policy_cache;
-      Alcotest.test_case "compile queue basics" `Quick test_queue_basic;
-      Alcotest.test_case "compile queue backpressure + cancel" `Quick
-        test_queue_backpressure_and_cancel;
-      Alcotest.test_case "compile queue shutdown drains" `Quick test_queue_shutdown_drains;
-      Alcotest.test_case "async engine == sync engine" `Quick test_async_equals_sync;
+      Alcotest.test_case "every verdict kind, fresh and cached" `Quick test_every_verdict_kind;
       Alcotest.test_case "mid-compile Db.add discards the result" `Quick
-        test_async_stale_result;
-      Alcotest.test_case "async bailouts blacklist like sync" `Quick
-        test_async_bailout_blacklist;
-      Alcotest.test_case "queue full runs the job inline" `Quick
-        test_queue_full_runs_the_job_inline;
-      qtest qcheck_async_stress;
+        test_mid_compile_db_add;
+      Alcotest.test_case "bailouts blacklist a function" `Quick test_bailouts_blacklist;
+      Alcotest.test_case "cached tier-up accounting" `Quick test_cached_tier_up_accounting;
       Alcotest.test_case "manual clock determinism" `Quick test_clock_manual_determinism;
     ] )

@@ -514,7 +514,7 @@ let test_push_invalidates_policy_cache () =
 (* One engine's decisions land in one trail: with the client's obs
    overridden by the engine's own (as a benchmark round does), the
    analyzer's Fresh records, its spans and the engine's Cache_hit
-   records all go to the engine's obs, inline and on helper domains. *)
+   records all go to the engine's obs. *)
 let test_engine_obs_owns_its_records () =
   let db = build_db () in
   with_service db (fun svc ->
@@ -525,24 +525,21 @@ let test_engine_obs_owns_its_records () =
       Fun.protect
         ~finally:(fun () -> Client.close client)
         (fun () ->
-          let check_mode compile_pool =
-            let base = Client.engine_config client ~vulns:VC.none () in
-            check_bool "the client's obs is the default" true
-              (match base.Engine.obs with Some o -> o == client_obs | None -> false);
-            let obs = Obs.create () in
-            let cfg = { base with Engine.obs = Some obs; compile_pool } in
-            ignore (Engine.run_source cfg equiv_source);
-            ignore (Engine.run_source cfg equiv_source);
-            check_bool "Fresh records in the engine's trail" true
-              (records_of obs Audit.Fresh <> []);
-            check_bool "Cache_hit records in the same trail" true
-              (records_of obs Audit.Cache_hit <> []);
-            check_bool "policy_decide spans in the engine's tracer" true
-              (List.exists
-                 (fun (e : Tracer.event) -> String.equal e.Tracer.name "policy_decide")
-                 (Tracer.events (Obs.tracer obs)))
-          in
-          ignore (in_both_compile_modes check_mode);
+          let base = Client.engine_config client ~vulns:VC.none () in
+          check_bool "the client's obs is the default" true
+            (match base.Engine.obs with Some o -> o == client_obs | None -> false);
+          let obs = Obs.create () in
+          let cfg = { base with Engine.obs = Some obs } in
+          ignore (Engine.run_source cfg equiv_source);
+          ignore (Engine.run_source cfg equiv_source);
+          check_bool "Fresh records in the engine's trail" true
+            (records_of obs Audit.Fresh <> []);
+          check_bool "Cache_hit records in the same trail" true
+            (records_of obs Audit.Cache_hit <> []);
+          check_bool "policy_decide spans in the engine's tracer" true
+            (List.exists
+               (fun (e : Tracer.event) -> String.equal e.Tracer.name "policy_decide")
+               (Tracer.events (Obs.tracer obs)));
           check_int "nothing in the client's trail" 0 (Audit.total (Obs.audit client_obs))))
 
 (* ---- the replica applies a payload atomically ---- *)

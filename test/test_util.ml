@@ -145,7 +145,7 @@ let test_bar () =
    (verdict queries from compile and server domains) with occasional
    writers (install/remove). The property: a writer always makes
    progress — [writes] write sections complete under continuous read
-   pressure from [test_jobs] domains, every reader observes only
+   pressure from [test_domains] domains, every reader observes only
    fully-applied writes (the pair invariant), and the final state
    reflects every write. A starvation-prone or deadlocking lock hangs
    this test rather than failing an assertion, so the reader loops are
@@ -160,7 +160,7 @@ let qcheck_rwlock_writer_progress =
       let stop = Atomic.make false in
       let torn = Atomic.make 0 in
       let readers =
-        List.init test_jobs (fun _ ->
+        List.init test_domains (fun _ ->
             Domain.spawn (fun () ->
                 let deadline = Unix.gettimeofday () +. 10.0 in
                 while
