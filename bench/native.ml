@@ -7,7 +7,8 @@ module Vm = Jitbull_bytecode.Vm
 module Value = Jitbull_runtime.Value
 
 (* Numeric-loop corpus: the shapes the native backend keeps entirely in
-   machine code (float arithmetic, int32 bit mixing, compares, branches).
+   machine code (float arithmetic, int32 bit mixing and [%], compares,
+   branches, element and length reads).
    Each script warms its [work] function past the Ion threshold; the
    measured call then runs a larger argument against installed code. *)
 let native_corpus =
@@ -50,6 +51,21 @@ let native_corpus =
        for (var k = 0; k < 8; k = k + 1) { w = work(100); }\n\
        print(w);\n",
       200000.0 );
+    ( "array_sum",
+      "function work(n) { var a = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, \
+       9, 3]; var s = 0; for (var i = 0; i < n; i = i + 1) { s = s + a[i & \
+       15] * a.length; } return s; }\n\
+       var w = 0;\n\
+       for (var k = 0; k < 8; k = k + 1) { w = work(100); }\n\
+       print(w);\n",
+      300000.0 );
+    ( "mod_loop",
+      "function work(n) { var s = 0; for (var i = 0; i < n; i = i + 1) { s \
+       = s + (i % 7) + (i % 13); } return s; }\n\
+       var w = 0;\n\
+       for (var k = 0; k < 8; k = k + 1) { w = work(100); }\n\
+       print(w);\n",
+      300000.0 );
   ]
 
 let run () =

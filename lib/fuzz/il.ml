@@ -318,30 +318,29 @@ let prog_work p =
    region is reused only by an allocation that fits in it, so the sum of
    all allocations bounds the bump pointer. An array literal takes two
    header cells and its elements. A [Set_len] regrows to at most twice
-   [max_set_len]; no length bound starts below [max_set_len], so a
-   [Set_len] never raises one. A store one past the end appends, and an
-   append at length [n] can regrow the array to [2n]: the checked store
-   trims the capacity back to the length, so every other append regrows
-   and appending [n] elements costs about [n{^2}/2] cells.
+   [max_set_len]. A store one past the end appends: within capacity in
+   place, and at capacity [c] by regrowing to [2c], for [2 + 2c] cells.
+   Since the last regrow at least [c/2] appends ran, so each append is
+   charged [append_cells]; an array whose length was just set to [n] (a
+   literal, a [Set_len], a global's initial [[0]]) can regrow after
+   fewer, so that event is charged [reset_cells n] more if the program
+   appends to its variable or slot anywhere (an array variable only
+   ever holds its own literals).
 
-   A store's cost thus depends on how long its array can be, so the
+   [Loop_n] runs as often as the length its bound was read from, so the
    estimate walks each body carrying an upper bound on every array's
-   length and on every length-tainted variable. No instruction rewrites
-   a tainted variable, so a [Loop_n] runs at most as often as the length
-   its bound was read from. A loop's bounds are the fixpoint of "entry
-   bounds plus the iteration count times one iteration's growth". Its
-   cells are the iteration count times the mean of one iteration's cells
-   at the entry bounds and at the fixpoint: an iteration's cells are a
-   convex function of how many iterations ran before it. A loop whose
-   growth feeds itself (a [.length] read bounding an inner loop that
-   appends to the same array) has no fixpoint and saturates.
+   length and on every length-tainted variable; no instruction rewrites
+   a tainted variable. A loop's bounds are the fixpoint of "entry bounds
+   plus the iteration count times one iteration's growth", and its cells
+   are the iteration count times one iteration's cells at the fixpoint.
+   A loop whose growth feeds itself (a [.length] read bounding an inner
+   loop that appends to the same array) has no fixpoint and saturates.
 
    Local arrays never leave their function, so each function is
    summarized once: its cells and its appends to each global slot per
-   call. Global lengths are bounded program-wide by [max_elems] plus
-   every append to the slot, iterated to a fixpoint, since main's
-   [Loop_n] may be bounded by a global's length. Each slot's initial
-   [[0]] takes three cells. *)
+   call. Global lengths are read only in [main], which carries them
+   among its bounds: each starts at [max_elems] and grows by the appends
+   of every store and call that [main] makes. *)
 module Imap = Map.Make (Int)
 
 let saturated = 1 lsl 40
@@ -349,74 +348,83 @@ let sat_add a b = min saturated (a + b)
 let sat_mul a b =
   if a = 0 || b = 0 then 0 else if a > saturated / b then saturated else a * b
 
+let append_cells = 6
+let reset_cells n = 2 + (2 * max n 1)
+
 let prog_cells p =
   let slots = max 1 p.globals in
-  let cells_of glen =
-    let funcs = Array.make (List.length p.funcs) (0, Array.make slots 0) in
-    (* [walk b body] is the cells and global appends of one run of [body]
-       from the bounds [b], and the bounds after it *)
-    let rec walk b body =
-      List.fold_left
-        (fun (c, g, b) i ->
-          let c', g', b = instr b i in
-          (sat_add c c', Array.map2 sat_add g g', b))
-        (0, Array.make slots 0, b)
-        body
-    and instr b i =
-      let none = Array.make slots 0 in
-      let get v = Option.value ~default:0 (Imap.find_opt v b) in
-      let append k = Array.init slots (fun j -> if j = k then 1 else 0) in
-      match i with
-      | Array_of (d, elems) ->
-        let n = List.length elems in
-        (2 + max 1 n, none, Imap.add d (max max_set_len n) b)
-      | Gnew (_, elems) -> (2 + max 1 (List.length elems), none, b)
-      | Set_len _ | Gset_len _ -> (2 + (2 * max_set_len), none, b)
-      | Set_elem (a, _, _) -> (2 + (2 * get a), none, Imap.add a (sat_add (get a) 1) b)
-      | Gset_elem (k, _, _) -> (2 + (2 * glen.(k)), append k, b)
-      | Get_len (d, a) -> (0, none, Imap.add d (get a) b)
-      | Gget_len (d, k) -> (0, none, Imap.add d glen.(k) b)
-      | Call (_, k, _) ->
-        let c, g = funcs.(k) in
-        (c, g, b)
-      | If (_, t, e) ->
-        let ct, gt, bt = walk b t and ce, ge, be = walk b e in
-        (max ct ce, Array.map2 max gt ge, Imap.union (fun _ x y -> Some (max x y)) bt be)
-      | Loop (_, k, body) -> loop b k body
-      | Loop_n (_, n, body) -> loop b (get n) body
-      | Const _ | Str_const _ | Bool_const _ | Binop _ | Cmp _ | Not _ | Copy _ | Update _
-      | Get_elem _ | Gget_elem _ | Print _ | Print_tag _ ->
-        (0, none, b)
-    and loop b0 m body =
-      let rec fix tries c0 b =
-        let c, g, b1 = walk b body in
-        let c0 = Option.value c0 ~default:c in
-        (* a walk only adds bounds, so [b1] has every key of [b] *)
-        let grown v = Imap.find v b1 - Imap.find v b in
-        let next = Imap.mapi (fun v x -> sat_add x (sat_mul m (grown v))) b0 in
-        if Imap.equal ( = ) next b then
-          ((sat_mul m (sat_add c0 c) + 1) / 2, Array.map (sat_mul m) g, b)
-        else if tries = 0 then (saturated, Array.make slots saturated, next)
-        else fix (tries - 1) (Some c0) next
-      in
-      fix 8 None b0
+  let global k = -1 - k in
+  (* the variables and slots ([global k]) that some store appends to *)
+  let rec appends acc = function
+    | Set_elem (a, _, _) -> a :: acc
+    | Gset_elem (k, _, _) -> global k :: acc
+    | If (_, t, e) -> List.fold_left appends (List.fold_left appends acc t) e
+    | Loop (_, _, body) | Loop_n (_, _, body) -> List.fold_left appends acc body
+    | _ -> acc
+  in
+  let appended =
+    List.fold_left (fun acc (f : func) -> List.fold_left appends acc f.body) [] p.funcs
+  in
+  let appended = List.fold_left appends appended p.main in
+  let reset v n = if List.mem v appended then reset_cells n else 0 in
+  let funcs = Array.make (List.length p.funcs) (0, Array.make slots 0) in
+  (* [walk b body] is the cells and global appends of one run of [body]
+     from the bounds [b], and the bounds after it *)
+  let rec walk b body =
+    List.fold_left
+      (fun (c, g, b) i ->
+        let c', g', b = instr b i in
+        (sat_add c c', Array.map2 sat_add g g', b))
+      (0, Array.make slots 0, b)
+      body
+  and instr b i =
+    let none = Array.make slots 0 in
+    let get v = Option.value ~default:0 (Imap.find_opt v b) in
+    let grow b v n = Imap.add v (sat_add (Option.value ~default:0 (Imap.find_opt v b)) n) b in
+    let literal v elems = 2 + max 1 (List.length elems) + reset v (List.length elems) in
+    let set_len v = 2 + (2 * max_set_len) + reset v max_set_len in
+    match i with
+    | Array_of (d, elems) ->
+      (literal d elems, none, Imap.add d (max max_set_len (List.length elems)) b)
+    | Gnew (k, elems) -> (literal (global k) elems, none, b)
+    | Set_len (a, _) -> (set_len a, none, b)
+    | Gset_len (k, _) -> (set_len (global k), none, b)
+    | Set_elem (a, _, _) -> (append_cells, none, grow b a 1)
+    | Gset_elem (k, _, _) ->
+      (append_cells, Array.init slots (fun j -> if j = k then 1 else 0), grow b (global k) 1)
+    | Get_len (d, a) -> (0, none, Imap.add d (get a) b)
+    | Gget_len (d, k) -> (0, none, Imap.add d (get (global k)) b)
+    | Call (_, k, _) ->
+      let c, g = funcs.(k) in
+      (c, g, snd (Array.fold_left (fun (k, b) n -> (k + 1, grow b (global k) n)) (0, b) g))
+    | If (_, t, e) ->
+      let ct, gt, bt = walk b t and ce, ge, be = walk b e in
+      (max ct ce, Array.map2 max gt ge, Imap.union (fun _ x y -> Some (max x y)) bt be)
+    | Loop (_, k, body) -> loop b k body
+    | Loop_n (_, n, body) -> loop b (get n) body
+    | Const _ | Str_const _ | Bool_const _ | Binop _ | Cmp _ | Not _ | Copy _ | Update _
+    | Get_elem _ | Gget_elem _ | Print _ | Print_tag _ ->
+      (0, none, b)
+  and loop b0 m body =
+    let rec fix tries b =
+      let c, g, b1 = walk b body in
+      (* a walk only adds bounds, so [b1] has every key of [b] *)
+      let grown v = Imap.find v b1 - Imap.find v b in
+      let next = Imap.mapi (fun v x -> sat_add x (sat_mul m (grown v))) b0 in
+      if Imap.equal ( = ) next b then (sat_mul m c, Array.map (sat_mul m) g, b)
+      else if tries = 0 then (saturated, Array.make slots saturated, next)
+      else fix (tries - 1) next
     in
-    List.iteri
-      (fun i (f : func) ->
-        let c, g, _ = walk Imap.empty f.body in
-        funcs.(i) <- (c, g))
-      p.funcs;
-    let c, g, _ = walk Imap.empty p.main in
-    (c, g)
+    fix 8 b0
   in
-  let rec global_fix tries glen =
-    let c, g = cells_of glen in
-    let glen' = Array.map (fun a -> sat_add max_elems a) g in
-    if glen' = glen then sat_add (3 * p.globals) c
-    else if tries = 0 then saturated
-    else global_fix (tries - 1) glen'
-  in
-  global_fix 8 (Array.make slots max_elems)
+  List.iteri
+    (fun i (f : func) ->
+      let c, g, _ = walk Imap.empty f.body in
+      funcs.(i) <- (c, g))
+    p.funcs;
+  let globals = List.init p.globals (fun k -> (global k, max_elems)) in
+  let c, _, _ = walk (Imap.of_list globals) p.main in
+  List.fold_left (fun c (k, _) -> sat_add c (3 + reset k 1)) c globals
 
 let typecheck p =
   try

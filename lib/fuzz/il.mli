@@ -117,11 +117,11 @@ val max_work : int
 val max_cells : int
 (** 131_072 ([2{^17}], half the 2{^18}-cell model heap) — budget for the
     worst-case estimate of the heap cells a program allocates: every
-    array literal, every [Set_len] regrowth and every append (whose
-    regrowth grows with the length its array can reach), multiplied
-    through loops and calls, with [Loop_n] bounded by the length its
-    bound was read from. {!typecheck} rejects programs over budget so
-    typed mutants never exhaust the model heap. *)
+    array literal, every [Set_len] regrowth and every append (a constant
+    each, amortized over the doubling regrowths), multiplied through
+    loops and calls, with [Loop_n] bounded by the length its bound was
+    read from. {!typecheck} rejects programs over budget so typed
+    mutants never exhaust the model heap. *)
 
 (** {2 Static semantics} *)
 

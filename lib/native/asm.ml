@@ -7,14 +7,16 @@
    Generated code addresses every LIR register slot as
    [%rdi + 8*slot] with a disp32 — uniform encodings keep the emitter
    (and its golden-byte tests) simple, and slot counts never approach
-   the 2^31/8 disp32 ceiling.  Only caller-saved registers are used, so
-   functions need no prologue: the emitter never touches rsp, rbp, rbx
-   or r12-r15. *)
+   the 2^31/8 disp32 ceiling.  Heap reads address [base + disp32] and
+   [base + 8*index] off the heap descriptor in %rsi and the tables it
+   points to.  Only caller-saved registers are used, so functions need
+   no prologue: the emitter never touches rsp, rbp, rbx or r12-r15. *)
 
 (* GPR numbers in ModRM encoding order. *)
 let rax = 0
 let rcx = 1
 let rdx = 2
+let rsi = 6
 let rdi = 7
 let r8 = 8
 let r11 = 11
@@ -29,6 +31,7 @@ let cc_ae = 0x3
 let cc_e = 0x4
 let cc_ne = 0x5
 let cc_a = 0x7
+let cc_s = 0x8
 let cc_p = 0xA
 let cc_np = 0xB
 let cc_l = 0xC
@@ -118,6 +121,29 @@ let mov_slot_r t slot r =
   byte t 0x89;
   modrm_rdi_disp t ~reg:r ~disp:(8 * slot)
 
+(* mov r64, [base + disp32]; any base but rsp and r12 (which need a SIB) *)
+let mov_r_mem t r ~base ~disp =
+  assert (base land 7 <> 4);
+  rex_w t ~reg:r ~rm:base;
+  byte t 0x8B;
+  byte t (0x80 lor ((r land 7) lsl 3) lor (base land 7));
+  le32 t disp
+
+(* mov r64, [base + 8*index]; a base of rbp or r13 would mean no base,
+   and an index of rsp no index *)
+let mov_r_index t r ~base ~index =
+  assert (base land 7 <> 5 && index <> 4);
+  byte t (0x48 lor ((r lsr 3) lsl 2) lor ((index lsr 3) lsl 1) lor (base lsr 3));
+  byte t 0x8B;
+  byte t (0x04 lor ((r land 7) lsl 3));
+  byte t (0xC0 lor ((index land 7) lsl 3) lor (base land 7))
+
+(* mov r32, r32 (zero-extends into the 64-bit register) *)
+let mov_rr32 t ~dst ~src =
+  rex_opt t ~reg:src ~rm:dst;
+  byte t 0x89;
+  modrm_direct t ~reg:src ~rm:dst
+
 (* mov r64, r64 *)
 let mov_rr t ~dst ~src =
   rex_w t ~reg:src ~rm:dst;
@@ -173,6 +199,29 @@ let and_rr32 t a b = alu32 t ~opcode:0x21 a b
 let or_rr32 t a b = alu32 t ~opcode:0x09 a b
 let xor_rr32 t a b = alu32 t ~opcode:0x31 a b
 
+(* 64-bit ALU with a sign-extended imm32: /0 add, /4 and, /7 cmp *)
+let alu_imm t ~ext r imm =
+  rex_w t ~reg:0 ~rm:r;
+  byte t 0x81;
+  modrm_direct t ~reg:ext ~rm:r;
+  le32 t imm
+
+let add_r_imm t r imm = alu_imm t ~ext:0 r imm
+let and_r_imm t r imm = alu_imm t ~ext:4 r imm
+let cmp_r_imm t r imm = alu_imm t ~ext:7 r imm
+
+(* test a, b (64-bit) *)
+let test_rr t a b =
+  rex_w t ~reg:b ~rm:a;
+  byte t 0x85;
+  modrm_direct t ~reg:b ~rm:a
+
+(* div r32: edx:eax / r32, quotient to eax, remainder to edx *)
+let div_r32 t r =
+  rex_opt t ~reg:0 ~rm:r;
+  byte t 0xF7;
+  modrm_direct t ~reg:6 ~rm:r
+
 (* cmp r32, imm32 *)
 let cmp_r32_imm t r imm =
   rex_opt t ~reg:0 ~rm:r;
@@ -180,12 +229,16 @@ let cmp_r32_imm t r imm =
   modrm_direct t ~reg:7 ~rm:r;
   le32 t imm
 
-(* shr r64, imm8 *)
-let shr_r_imm t r imm =
+(* 64-bit shifts by imm8: /4 shl, /5 shr, /7 sar *)
+let shift_imm t ~ext r imm =
   rex_w t ~reg:0 ~rm:r;
   byte t 0xC1;
-  modrm_direct t ~reg:5 ~rm:r;
+  modrm_direct t ~reg:ext ~rm:r;
   byte t imm
+
+let shl_r_imm t r imm = shift_imm t ~ext:4 r imm
+let shr_r_imm t r imm = shift_imm t ~ext:5 r imm
+let sar_r_imm t r imm = shift_imm t ~ext:7 r imm
 
 (* 32-bit shifts by %cl: /4 shl, /5 shr, /7 sar *)
 let shift_cl32 t ~ext r =

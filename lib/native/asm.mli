@@ -5,13 +5,15 @@
 
     Only the forms the LIR lowering needs are provided, all with fixed,
     golden-byte-testable encodings: slot loads/stores use a uniform
-    [\[%rdi + disp32\]] addressing mode, and every instruction clobbers
+    [\[%rdi + disp32\]] addressing mode, heap reads [\[base + disp32\]]
+    and [\[base + 8*index\]], and every instruction clobbers
     caller-saved registers only. *)
 
 (* GPR / XMM numbers in hardware encoding order. *)
 val rax : int
 val rcx : int
 val rdx : int
+val rsi : int
 val rdi : int
 val r8 : int
 val r11 : int
@@ -24,6 +26,7 @@ val cc_ae : int
 val cc_e : int
 val cc_ne : int
 val cc_a : int
+val cc_s : int
 val cc_p : int
 val cc_np : int
 val cc_l : int
@@ -46,7 +49,12 @@ val mov_r_slot : t -> int -> int -> unit  (** mov r64, [rdi+8*slot] *)
 
 val mov_slot_r : t -> int -> int -> unit  (** mov [rdi+8*slot], r64 *)
 
+val mov_r_mem : t -> int -> base:int -> disp:int -> unit  (** mov r64, [base+disp32] *)
+
+val mov_r_index : t -> int -> base:int -> index:int -> unit  (** mov r64, [base+8*index] *)
+
 val mov_rr : t -> dst:int -> src:int -> unit
+val mov_rr32 : t -> dst:int -> src:int -> unit
 val movabs : t -> int -> int64 -> unit
 val mov_eax_imm : t -> int -> unit
 val mov_r8_imm : t -> int -> int -> unit
@@ -61,7 +69,17 @@ val and_rr32 : t -> int -> int -> unit
 val or_rr32 : t -> int -> int -> unit
 val xor_rr32 : t -> int -> int -> unit
 val cmp_r32_imm : t -> int -> int -> unit
+
+(** 64-bit forms with a sign-extended imm32 *)
+
+val add_r_imm : t -> int -> int -> unit
+val and_r_imm : t -> int -> int -> unit
+val cmp_r_imm : t -> int -> int -> unit
+val test_rr : t -> int -> int -> unit
+val div_r32 : t -> int -> unit
+val shl_r_imm : t -> int -> int -> unit
 val shr_r_imm : t -> int -> int -> unit
+val sar_r_imm : t -> int -> int -> unit
 val shl_cl32 : t -> int -> unit
 val shr_cl32 : t -> int -> unit
 val sar_cl32 : t -> int -> unit

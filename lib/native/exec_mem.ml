@@ -15,8 +15,7 @@
    tests assert over them ("no page was ever mapped for a forbidden
    compile"). *)
 
-type regfile =
-  (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type regfile = Jitbull_runtime.Nanbox.words
 
 external jb_native_available : unit -> bool = "jb_native_available" [@@noalloc]
 external jb_page_size : unit -> int = "jb_page_size" [@@noalloc]
@@ -25,7 +24,8 @@ external jb_fill : nativeint -> bytes -> int -> unit = "jb_fill" [@@noalloc]
 external jb_protect_rx : nativeint -> int -> bool = "jb_protect_rx" [@@noalloc]
 external jb_protect_rw : nativeint -> int -> bool = "jb_protect_rw" [@@noalloc]
 external jb_unmap : nativeint -> int -> unit = "jb_unmap" [@@noalloc]
-external jb_call : nativeint -> int -> regfile -> int = "jb_native_call" [@@noalloc]
+external jb_call : nativeint -> int -> regfile -> Jitbull_runtime.Nanbox.words -> int
+  = "jb_native_call" [@@noalloc]
 
 let available = jb_native_available ()
 let page_size = jb_page_size ()
@@ -124,7 +124,7 @@ let recycle r =
     end
   end
 
-let call r off regs = jb_call r.addr off regs
+let call r off regs heap = jb_call r.addr off regs heap
 
 let make_regfile slots =
   Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (max slots 1)

@@ -9,8 +9,7 @@
 (** The unboxed register file generated code runs over: NaN-boxed 64-bit
     values in C-allocated (GC-stable) memory, addressed as
     [\[%rdi + 8*slot\]]. *)
-type regfile =
-  (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type regfile = Jitbull_runtime.Nanbox.words
 
 (** Whether the backend can run here: compiled for x86-64 on a POSIX
     host.  When [false], {!install} fails and callers must keep using
@@ -39,10 +38,12 @@ val release : region -> unit
     released region.  Takes a lock: not for a finaliser. *)
 val recycle : region -> unit
 
-(** [call r off regs] enters the generated code at byte offset [off]
-    with [regs] in the first argument register, returning the packed
-    [(lir_pc lsl 4) lor reason] exit code.  Allocation-free. *)
-val call : region -> int -> regfile -> int
+(** [call r off regs heap] enters the generated code at byte offset
+    [off] with [regs] in the first argument register and the heap
+    mirror's descriptor ({!Jitbull_runtime.Heap.mirror}) in the second,
+    returning the packed [(lir_pc lsl 4) lor reason] exit code.
+    Allocation-free. *)
+val call : region -> int -> regfile -> Jitbull_runtime.Nanbox.words -> int
 
 val make_regfile : int -> regfile
 

@@ -2,8 +2,14 @@
    an unboxed NaN-boxed register file.
 
    Design: generated code covers the numeric core — const/move/guards/
-   bounds checks/float arithmetic/compares/branches, and an array's
-   elements handle — and *exits to the host* for everything else.  Every
+   bounds checks/float arithmetic/compares/branches, an int32 [%], an
+   array's elements handle, and the heap reads [load_element],
+   [init_length] and [array_length] — and *exits to the host* for
+   everything else.  The heap reads go through the realm heap's NaN-boxed
+   mirror ({!Heap.mirror}), whose descriptor the call gate passes in
+   %rsi; every address they form is checked against the descriptor's
+   handle count and heap size first, and anything out of range, or a
+   cell the mirror cannot carry, is left to the host.  Every
    exit returns a packed [(lir_pc lsl 4) lor reason] in rax; the host
    performs the operation on decoded values (sharing the executor's
    raw_number/Value_ops semantics bit for bit, including the
@@ -22,6 +28,7 @@
 module Value = Jitbull_runtime.Value
 module Value_ops = Jitbull_runtime.Value_ops
 module Heap = Jitbull_runtime.Heap
+module Nanbox = Jitbull_runtime.Nanbox
 module Realm = Jitbull_runtime.Realm
 module Builtins = Jitbull_runtime.Builtins
 module Errors = Jitbull_runtime.Errors
@@ -188,6 +195,32 @@ let assemble (f : Lir.func) =
     Asm.cmp_r32_imm asm Asm.rcx Nanbox.tag_array;
     Asm.jcc asm Asm.cc_ne fail
   in
+  (* r8 <- the mirror's base address for the array whose bits are in
+     rax; [fail] unless its handle is below the mirror's handle count
+     (clobbers rcx, rdx). *)
+  let array_base fail =
+    Asm.mov_rr asm ~dst:Asm.rcx ~src:Asm.rax;
+    Asm.shl_r_imm asm Asm.rcx (64 - Nanbox.tag_shift);
+    Asm.shr_r_imm asm Asm.rcx (64 - Nanbox.tag_shift);
+    Asm.mov_r_mem asm Asm.rdx ~base:Asm.rsi ~disp:(8 * Heap.desc_next_handle);
+    Asm.cmp_rr asm Asm.rcx Asm.rdx;
+    Asm.jcc asm Asm.cc_ae fail;
+    Asm.mov_r_mem asm Asm.rdx ~base:Asm.rsi ~disp:(8 * Heap.desc_handles);
+    Asm.mov_r_index asm Asm.r8 ~base:Asm.rdx ~index:Asm.rcx
+  in
+  (* rax <- the mirror's bits for cell r8; [fail] unless r8 is in
+     [0, size_limit) — one unsigned compare (clobbers rcx, rdx, r8). *)
+  let read_cell fail =
+    Asm.mov_r_mem asm Asm.rdx ~base:Asm.rsi ~disp:(8 * Heap.desc_size_limit);
+    Asm.cmp_rr asm Asm.r8 Asm.rdx;
+    Asm.jcc asm Asm.cc_ae fail;
+    Asm.mov_rr asm ~dst:Asm.rcx ~src:Asm.r8;
+    Asm.shr_r_imm asm Asm.rcx Heap.page_bits;
+    Asm.mov_r_mem asm Asm.rdx ~base:Asm.rsi ~disp:(8 * Heap.desc_pages);
+    Asm.mov_r_index asm Asm.rdx ~base:Asm.rdx ~index:Asm.rcx;
+    Asm.and_r_imm asm Asm.r8 ((1 lsl Heap.page_bits) - 1);
+    Asm.mov_r_index asm Asm.rax ~base:Asm.rdx ~index:Asm.r8
+  in
   (* Boxed boolean from the flag byte in al. *)
   let box_bool (i : Lir.inst) =
     Asm.movzx_eax_al asm;
@@ -327,8 +360,27 @@ let assemble (f : Lir.func) =
           Asm.movq_r_x asm Asm.rax Asm.xmm0;
           store_dst i Asm.rax
         | Mir.NMod ->
-          (* fmod semantics differ from hardware remainders; host op *)
-          exit_now pc reason_hostop
+          (* fmod and a 32-bit [div] agree on a dividend that is an
+             exact int32 with a clear sign bit (so not -0) and a divisor
+             that is an exact int32 of at least 1; the rest is
+             [Float.rem] on the host *)
+          let host = exit_label pc reason_hostop in
+          load_number i.Lir.a Asm.rax host;
+          Asm.mov_r_slot asm Asm.rdx i.Lir.b;
+          check_number Asm.rdx host;
+          Asm.test_rr asm Asm.rax Asm.rax;
+          Asm.jcc asm Asm.cc_s host;
+          to_int32_exact ~src:Asm.rax ~dst:Asm.r8 host;
+          to_int32_exact ~src:Asm.rdx ~dst:Asm.rcx host;
+          Asm.cmp_r_imm asm Asm.rcx 1;
+          Asm.jcc asm Asm.cc_l host;
+          Asm.mov_rr32 asm ~dst:Asm.rax ~src:Asm.r8;
+          Asm.xor_rr32 asm Asm.rdx Asm.rdx;
+          Asm.div_r32 asm Asm.rcx;
+          (* the remainder in edx, zero-extended *)
+          Asm.cvtsi2sd asm Asm.xmm0 Asm.rdx;
+          Asm.movq_r_x asm Asm.rax Asm.xmm0;
+          store_dst i Asm.rax
         | Mir.NBit_and | Mir.NBit_or | Mir.NBit_xor | Mir.NShl | Mir.NShr
         | Mir.NUshr ->
           (* int32 fast path only when both operands are exactly
@@ -410,12 +462,49 @@ let assemble (f : Lir.func) =
         Asm.test_al_al asm;
         Asm.jcc asm Asm.cc_ne pc_labels.(i.Lir.imm);
         Asm.jmp asm pc_labels.(i.Lir.b)
+      | Lir.Kload_element ->
+        (* a number index, truncated as [int_of_float] does; the host
+           takes a cell the mirror cannot carry and every address
+           outside the heap (and raises the executor's error there) *)
+        let host = exit_label pc reason_hostop in
+        load_array i.Lir.a host;
+        array_base host;
+        load_number i.Lir.b Asm.rax host;
+        Asm.movq_x_r asm Asm.xmm0 Asm.rax;
+        Asm.cvttsd2si asm Asm.rax Asm.xmm0;
+        Asm.add_rr asm Asm.r8 Asm.rax;
+        Asm.add_r_imm asm Asm.r8 2;
+        read_cell host;
+        Asm.cmp_r_imm asm Asm.rax (Int64.to_int Nanbox.bits_host);
+        Asm.jcc asm Asm.cc_e host;
+        store_dst i Asm.rax
+      | Lir.Kinit_length | Lir.Karray_length ->
+        (* [Heap.length] bit for bit: a header that is not a number
+           reads 0; a number goes through [int_of_float]'s cvttsd2si and
+           its 63-bit tagging (shl, sar), which also sends NaN to 0 *)
+        let host = exit_label pc reason_hostop in
+        let zero = Asm.new_label asm and done_l = Asm.new_label asm in
+        load_array i.Lir.a host;
+        array_base host;
+        read_cell host;
+        Asm.movabs asm Asm.r11 Nanbox.bits_min_tag;
+        Asm.cmp_rr asm Asm.rax Asm.r11;
+        Asm.jcc asm Asm.cc_ae zero;
+        Asm.movq_x_r asm Asm.xmm0 Asm.rax;
+        Asm.cvttsd2si asm Asm.rax Asm.xmm0;
+        Asm.shl_r_imm asm Asm.rax 1;
+        Asm.sar_r_imm asm Asm.rax 1;
+        Asm.cvtsi2sd asm Asm.xmm0 Asm.rax;
+        Asm.movq_r_x asm Asm.rax Asm.xmm0;
+        Asm.jmp asm done_l;
+        Asm.bind asm zero;
+        Asm.xor_rr asm Asm.rax Asm.rax;
+        Asm.bind asm done_l;
+        store_dst i Asm.rax
       | Lir.Kgoto -> Asm.jmp asm pc_labels.(i.Lir.imm)
       | Lir.Kreturn -> exit_now pc reason_return
       | Lir.Kbitnot | Lir.Ktypeof | Lir.Ktonumber | Lir.Knew_array
-      | Lir.Knew_object | Lir.Kinit_length
-      | Lir.Kload_element | Lir.Kstore_element | Lir.Karray_length
-      | Lir.Kset_array_length | Lir.Karray_push | Lir.Karray_pop
+      | Lir.Knew_object | Lir.Kstore_element | Lir.Kset_array_length | Lir.Karray_push | Lir.Karray_pop
       | Lir.Kget_prop | Lir.Kset_prop | Lir.Kget_index_gen
       | Lir.Kset_index_gen | Lir.Kload_global | Lir.Kstore_global
       | Lir.Kdeclare_global | Lir.Kcall | Lir.Kcall_method ->
@@ -662,8 +751,8 @@ let host_op code act (realm : Realm.t) (cb : Executor.callbacks) pc =
 (* The exit loop: run from byte offset [off] until the code returns or
    bails out.  A host exit allocates no closure of its own — the
    profiler tag is only set while profiling runs. *)
-let rec loop code act realm cb off =
-  let packed = Exec_mem.call code.region off act.regs in
+let rec loop code act realm cb heap off =
+  let packed = Exec_mem.call code.region off act.regs heap in
   let pc = packed lsr 4 in
   let reason = packed land 0xF in
   let c = code.counters in
@@ -677,12 +766,12 @@ let rec loop code act realm cb off =
     if Profile.running () then
       Profile.with_tag prof_host (fun () -> host_op code act realm cb pc)
     else host_op code act realm cb pc;
-    loop code act realm cb code.offsets.(pc + 1)
+    loop code act realm cb heap code.offsets.(pc + 1)
   end
   else if reason = reason_test then begin
     c.c_test <- c.c_test + 1;
     let truthy = Value_ops.to_boolean (get act i.Lir.a) in
-    loop code act realm cb code.offsets.(if truthy then i.Lir.imm else i.Lir.b)
+    loop code act realm cb heap code.offsets.(if truthy then i.Lir.imm else i.Lir.b)
   end
   else begin
     c.c_bailout <- c.c_bailout + 1;
@@ -697,11 +786,12 @@ let rec stage act slot last = function
 
 let run code (realm : Realm.t) (cb : Executor.callbacks) (args : Value.t list) :
     Value.t =
+  let heap = Heap.mirror realm.Realm.heap in
   let act = acquire code in
   match
     Bigarray.Array1.fill act.regs Nanbox.bits_undefined;
     stage act (code.n_slots - code.func.Lir.arity) code.n_slots args;
-    loop code act realm cb code.offsets.(0)
+    loop code act realm cb heap code.offsets.(0)
   with
   | v -> release_activation code act; v
   | exception e -> release_activation code act; raise e

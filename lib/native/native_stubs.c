@@ -7,10 +7,11 @@
  * path that yields a writable+executable mapping.
  *
  * Generated code follows a minimal contract: it receives the register
- * file pointer in %rdi (SysV first argument), clobbers only caller-saved
- * registers, touches no stack beyond its own return address, and returns
- * a packed (lir_pc << 4) | reason exit code in %rax.  That makes the
- * call gate a plain C function-pointer call.
+ * file pointer in %rdi and the realm heap's mirror descriptor in %rsi
+ * (SysV first and second arguments), clobbers only caller-saved
+ * registers other than those two, touches no stack beyond its own return
+ * address, and returns a packed (lir_pc << 4) | reason exit code in
+ * %rax.  That makes the call gate a plain C function-pointer call.
  */
 
 #include <caml/mlvalues.h>
@@ -105,17 +106,17 @@ CAMLprim value jb_unmap(value addr, value size)
   return Val_unit;
 }
 
-/* Enter generated code at [base + off] with the register file as the
- * sole argument.  The packed exit code fits comfortably in an OCaml
- * immediate (pc is bounded by the LIR length). */
-CAMLprim value jb_native_call(value base, value off, value regs)
+/* Enter generated code at [base + off] with the register file and the
+ * heap descriptor as its arguments.  The packed exit code fits
+ * comfortably in an OCaml immediate (pc is bounded by the LIR length). */
+CAMLprim value jb_native_call(value base, value off, value regs, value heap)
 {
 #ifdef JB_NATIVE
-  int64_t (*fn)(int64_t *) =
-      (int64_t (*)(int64_t *))((char *)Nativeint_val(base) + Long_val(off));
-  return Val_long(fn((int64_t *)Caml_ba_data_val(regs)));
+  int64_t (*fn)(int64_t *, int64_t *) =
+      (int64_t (*)(int64_t *, int64_t *))((char *)Nativeint_val(base) + Long_val(off));
+  return Val_long(fn((int64_t *)Caml_ba_data_val(regs), (int64_t *)Caml_ba_data_val(heap)));
 #else
-  (void)base; (void)off; (void)regs;
+  (void)base; (void)off; (void)regs; (void)heap;
   return Val_long(-1);
 #endif
 }

@@ -17,6 +17,35 @@ let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
 let empty : Value.t array = Array.make page_size Value.Undefined
 
+(* The mirror: a NaN-boxed copy ({!Nanbox.cell_bits}) of every cell and
+   of the handle table, outside the OCaml heap, for generated code to
+   read. Its pages shadow the heap's: a never-written heap page is
+   [mirror_empty], one shared page of [Undefined] bits. The descriptor
+   [desc] is what generated code is handed; its fields, in order, are the
+   address of the page address table, the address of the handle table,
+   [next_handle] and [size_limit]. It never moves, so growing the handle
+   table rewrites a field and invalidates no emitted code. *)
+external bigarray_addr : Nanbox.words -> int64 = "jb_bigarray_addr"
+
+let desc_pages = 0
+let desc_handles = 1
+let desc_next_handle = 2
+let desc_size_limit = 3
+
+let new_words n fill =
+  let b = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout n in
+  Bigarray.Array1.fill b fill;
+  b
+
+let mirror_empty = new_words page_size Nanbox.bits_undefined
+
+type mirror = {
+  desc : Nanbox.words;
+  mpages : Nanbox.words array;       (* mirror page per heap page *)
+  page_addrs : Nanbox.words;         (* their data addresses *)
+  mutable handles : Nanbox.words;    (* handle -> base address *)
+}
+
 type t = {
   pages : Value.t array array;
   size_limit : int;                  (* logical cell count *)
@@ -26,6 +55,7 @@ type t = {
   mutable table : int array;         (* handle -> base address *)
   mutable next_handle : int;
   mutable sentinel_addr : int;       (* -1 when not allocated *)
+  mutable mirror : mirror option;    (* built by the first [mirror] *)
 }
 
 let size t = t.size_limit
@@ -43,24 +73,50 @@ let create ?(size_limit = 1 lsl 18) () =
     table = Array.make 64 (-1);
     next_handle = 0;
     sentinel_addr = -1;
+    mirror = None;
   }
 
 (* An address outside [0, size) fails an array bounds check here, as it
    did on the flat array: a negative one indexes past the page table. *)
 let cell t a = t.pages.(a lsr page_bits).(a land page_mask)
 
+(* A heap page's mirror page, filled from its cells. *)
+let mirror_page m p (page : Value.t array) =
+  let mp = new_words page_size Nanbox.bits_undefined in
+  Array.iteri (fun k v -> Bigarray.Array1.unsafe_set mp k (Nanbox.cell_bits v)) page;
+  m.mpages.(p) <- mp;
+  m.page_addrs.{p} <- bigarray_addr mp
+
+(* Every cell write is followed by [mirror_write], once the write to the
+   page has passed its bounds check: a mirror page is never shorter than
+   its heap page. *)
+let[@inline] mirror_write t a v =
+  match t.mirror with
+  | None -> ()
+  | Some m ->
+    Bigarray.Array1.unsafe_set
+      (Array.unsafe_get m.mpages (a lsr page_bits))
+      (a land page_mask) (Nanbox.cell_bits v)
+
 (* Writing [Undefined] over a never-written page changes nothing. *)
 let materialize t a v =
   match v with
   | Value.Undefined -> ()
   | _ ->
+    let p = a lsr page_bits in
     let page = Array.make page_size Value.Undefined in
-    t.pages.(a lsr page_bits) <- page;
-    page.(a land page_mask) <- v
+    t.pages.(p) <- page;
+    (match t.mirror with None -> () | Some m -> mirror_page m p page);
+    page.(a land page_mask) <- v;
+    mirror_write t a v
 
 let set_cell t a v =
   let page = t.pages.(a lsr page_bits) in
-  if page != empty then page.(a land page_mask) <- v else materialize t a v
+  if page != empty then begin
+    page.(a land page_mask) <- v;
+    mirror_write t a v
+  end
+  else materialize t a v
 
 (* The element accessors have already bounded [a] above by [size], so a
    non-negative [a] indexes without the array bounds checks. A negative
@@ -74,7 +130,11 @@ let cell_in t a =
 let set_cell_in t a v =
   if a >= 0 then begin
     let page = Array.unsafe_get t.pages (a lsr page_bits) in
-    if page != empty then Array.unsafe_set page (a land page_mask) v else materialize t a v
+    if page != empty then begin
+      Array.unsafe_set page (a land page_mask) v;
+      mirror_write t a v
+    end
+    else materialize t a v
   end
   else set_cell t a v
 
@@ -138,15 +198,32 @@ let blit t src dst n =
       set_cell t (dst + i) (cell t (src + i))
     done
 
+let mirror_handles m (table : int array) =
+  let handles = new_words (Array.length table) (-1L) in
+  Array.iteri (fun h base -> handles.{h} <- Int64.of_int base) table;
+  m.handles <- handles;
+  m.desc.{desc_handles} <- bigarray_addr handles
+
 let fresh_handle t =
   let h = t.next_handle in
   t.next_handle <- h + 1;
   if h >= Array.length t.table then begin
     let table = Array.make (2 * Array.length t.table) (-1) in
     Array.blit t.table 0 table 0 (Array.length t.table);
-    t.table <- table
+    t.table <- table;
+    match t.mirror with None -> () | Some m -> mirror_handles m table
   end;
   h
+
+(* Point handle [h] at [base]. The mirror learns a new handle only once
+   its base is in place. *)
+let set_base t h base =
+  t.table.(h) <- base;
+  match t.mirror with
+  | None -> ()
+  | Some m ->
+    m.handles.{h} <- Int64.of_int base;
+    m.desc.{desc_next_handle} <- Int64.of_int t.next_handle
 
 let write_header t base ~length ~capacity =
   set_cell t base (Value.Number (float_of_int length));
@@ -164,10 +241,39 @@ let alloc_array t ~length =
   let capacity = max length 1 in
   let base = alloc_region t ~length ~capacity in
   let h = fresh_handle t in
-  t.table.(h) <- base;
+  set_base t h base;
   h
 
 let base_addr t h = t.table.(h)
+
+let mirror t =
+  match t.mirror with
+  | Some m -> m.desc
+  | None ->
+    let n = Array.length t.pages in
+    let m =
+      {
+        desc = new_words 4 0L;
+        mpages = Array.make n mirror_empty;
+        page_addrs = new_words n (bigarray_addr mirror_empty);
+        handles = mirror_empty;
+      }
+    in
+    Array.iteri (fun p page -> if page != empty then mirror_page m p page) t.pages;
+    mirror_handles m t.table;
+    m.desc.{desc_pages} <- bigarray_addr m.page_addrs;
+    m.desc.{desc_next_handle} <- Int64.of_int t.next_handle;
+    m.desc.{desc_size_limit} <- Int64.of_int t.size_limit;
+    t.mirror <- Some m;
+    m.desc
+
+let mirror_of t =
+  match t.mirror with Some m -> m | None -> invalid_arg "Heap: no mirror"
+
+let mirror_cell t a =
+  Bigarray.Array1.get (mirror_of t).mpages.(a lsr page_bits) (a land page_mask)
+
+let mirror_base t h = (mirror_of t).handles.{h}
 
 (* The sentinel lives in the top two cells of the heap: a forged
    read/write primitive built from a corrupted array length (whose reach
@@ -233,7 +339,7 @@ let set_length t h n =
     for i = old_len to n - 1 do
       set_cell t (new_base + 2 + i) Value.Undefined
     done;
-    t.table.(h) <- new_base;
+    set_base t h new_base;
     free_cells t base (2 + cap)
   end
 
@@ -254,9 +360,16 @@ let set t h i v =
     if addr < size t then set_cell_in t addr v
   end
   else if i = len then begin
-    set_length t h (len + 1);
-    let base = t.table.(h) in
-    set_cell t (base + 2 + i) v
+    if len >= 0 && len < header_int t (base + 1) then begin
+      (* an append within capacity writes in place, as [push] does *)
+      set_cell t addr v;
+      set_cell t base (Value.Number (float_of_int (len + 1)))
+    end
+    else begin
+      set_length t h (len + 1);
+      let base = t.table.(h) in
+      set_cell t (base + 2 + i) v
+    end
   end
   (* sparse writes further out are ignored: the subset only supports dense
      arrays *)

@@ -66,6 +66,41 @@ val alloc_array : t -> length:int -> int
     storage (diagnostics and exploit-facing introspection). *)
 val base_addr : t -> int -> int
 
+(** {2 The mirror generated code reads}
+
+    Native code cannot read boxed cells, so on demand the heap keeps a
+    second copy of every cell and of the handle table in NaN-boxed int64
+    words ({!Nanbox.cell_bits}; a string, object or builtin cell reads
+    {!Nanbox.bits_host}). The copy lives outside the OCaml heap, in pages
+    that shadow the heap's, and every cell write updates it. Until the
+    first {!mirror} there is none, and a write pays one branch for it. *)
+
+(** [mirror t] builds the mirror on the first call and returns its
+    descriptor, four int64 words that never move: the address of a table
+    of [size t / page size] (rounded up) page addresses, each page a
+    run of [2{^page bits}] cells; the address of the handle → base table;
+    the number of handles; and [size t]. Generated code is handed the
+    descriptor's address and finds both tables through it, so a handle
+    table that grows invalidates no code. *)
+val mirror : t -> Nanbox.words
+
+(** [page_bits] is the log2 of the cells in a page. *)
+val page_bits : int
+
+(** The descriptor's word indices, in the order above. *)
+
+val desc_pages : int
+val desc_handles : int
+val desc_next_handle : int
+val desc_size_limit : int
+
+(** [mirror_cell t a] is the mirror's bits for cell [a], and
+    [mirror_base t h] its base address for handle [h] (tests; the mirror
+    must exist). *)
+val mirror_cell : t -> int -> int64
+
+val mirror_base : t -> int -> int64
+
 (** [alloc_sentinel t] installs the JIT-code-pointer sentinel in the top
     two cells and returns its address. Called by the engine when the
     first function is JIT-compiled. *)
@@ -91,8 +126,8 @@ val capacity : t -> int -> int
 val set_length : t -> int -> int -> unit
 
 (** Checked element access; [get] returns [Undefined] out of bounds, [set]
-    grows the array when writing one-past-the-end (dense-array append) and
-    ignores writes further out. *)
+    appends when writing one-past-the-end (in place within capacity, as
+    [push] does; past it, by doubling) and ignores writes further out. *)
 
 val get : t -> int -> int -> Value.t
 val set : t -> int -> int -> Value.t -> unit

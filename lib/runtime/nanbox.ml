@@ -14,9 +14,16 @@
    - 0xFFFE  Function    payload = function-table index
    - 0xFFFF  side ref    payload = index into the activation's side table
              (String / Object / Builtin — values the 48-bit payload
-             cannot carry; the OCaml side table keeps them GC-rooted) *)
+             cannot carry; the OCaml side table keeps them GC-rooted)
 
-module Value = Jitbull_runtime.Value
+   The heap's mirror ({!Heap.mirror}) stores cells in the same layout,
+   except that a string, object or builtin, which has no side table
+   there, becomes [bits_host]: the all-ones side ref, which no side
+   table reaches, and which tells generated code to ask the host. *)
+
+(* NaN-boxed words in C memory: a register file, or the heap mirror's
+   pages and tables. *)
+type words = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let tag_shift = 48
 let tag_singleton = 0xFFFC
@@ -31,6 +38,7 @@ let bits_false = 0xFFFC000000000002L
 let bits_true = 0xFFFC000000000003L
 let canonical_nan = 0x7FF8000000000000L
 let payload_mask = 0x0000FFFFFFFFFFFFL
+let bits_host = -1L
 
 (* Per-activation side table; slots [0, preload) hold the function's
    non-immediate constants and survive {!reset}.  A compaction fills
@@ -68,18 +76,22 @@ let[@inline] is_number bits = Int64.unsigned_compare bits bits_min_tag < 0
 let[@inline] is_side bits =
   Int64.shift_right_logical bits tag_shift = Int64.of_int tag_side
 
-let[@inline] encode side (v : Value.t) : int64 =
+let[@inline] cell_bits (v : Value.t) : int64 =
   match v with
-  | Value.Number f ->
-    if Float.is_nan f then canonical_nan else Int64.bits_of_float f
+  | Value.Number f -> if Float.is_nan f then canonical_nan else Int64.bits_of_float f
   | Value.Undefined -> bits_undefined
   | Value.Null -> bits_null
   | Value.Bool false -> bits_false
   | Value.Bool true -> bits_true
   | Value.Array h -> tagged tag_array h
   | Value.Function i -> tagged tag_function i
+  | Value.String _ | Value.Object _ | Value.Builtin _ -> bits_host
+
+let[@inline] encode side (v : Value.t) : int64 =
+  match v with
   | Value.String _ | Value.Object _ | Value.Builtin _ ->
     tagged tag_side (side_push side v)
+  | v -> cell_bits v
 
 let[@inline] decode side (bits : int64) : Value.t =
   if is_number bits then Value.Number (Int64.float_of_bits bits)
@@ -99,7 +111,7 @@ let[@inline] decode side (bits : int64) : Value.t =
 (* Before a full table grows: copy the preload, and each value a register
    other than [skip] (about to be overwritten) references, into the spare
    table; renumber those registers and swap the tables. *)
-let compact side (regs : Exec_mem.regfile) ~skip =
+let compact side (regs : words) ~skip =
   let size = side.preload + Bigarray.Array1.dim regs in
   if Array.length side.spare < size then side.spare <- Array.make size Value.Undefined;
   let spare = side.spare and n = ref side.preload in
@@ -117,8 +129,8 @@ let compact side (regs : Exec_mem.regfile) ~skip =
   side.items <- spare;
   side.n <- !n
 
-let load side (regs : Exec_mem.regfile) r = decode side regs.{r}
+let load side (regs : words) r = decode side regs.{r}
 
-let store side (regs : Exec_mem.regfile) r v =
+let store side (regs : words) r v =
   if side.n = Array.length side.items then compact side regs ~skip:r;
   regs.{r} <- encode side v

@@ -162,10 +162,9 @@ let test_typecheck_rejects () =
     cases
 
 (* The heap estimate: array literals multiplied through nested loops,
-   and appends whose cost grows with the length they reach (every other
-   append regrows the array to twice its length), each rejected at a
-   size whose smaller sibling is accepted. Both are well inside the work
-   budget. *)
+   and appends, each charged a constant since an append within capacity
+   writes in place, each rejected at a size whose smaller sibling is
+   accepted. Both are well inside the work budget. *)
 let test_heap_estimate () =
   let open Il in
   let literals k =
@@ -184,7 +183,7 @@ let test_heap_estimate () =
         [
           Const (0, 1.);
           Array_of (1, [ 0 ]);
-          Loop (2, k, [ Loop (3, k, [ Get_len (4, 1); Set_elem (1, 4, 0) ]) ]);
+          Loop (2, k, [ Loop (3, k, [ Loop (4, k, [ Get_len (5, 1); Set_elem (1, 5, 0) ]) ]) ]);
         ];
     }
   in
@@ -201,8 +200,38 @@ let test_heap_estimate () =
   in
   accepted "64*64*1 literals" (literals 1);
   heap_rejected "64*64*8 literals" (literals 8);
-  accepted "16*16 appends" (appends 16);
-  heap_rejected "64*64 appends" (appends 64)
+  accepted "16*16*16 appends" (appends 16);
+  heap_rejected "32*32*32 appends" (appends 32)
+
+(* [main] reads a global's length after calls that append to it, and
+   bounds a loop appending to the same global by that length: the
+   length is bounded where it is read, so the estimate has a fixpoint
+   and accepts the program, which runs alike on every tier. *)
+let test_global_append_loop () =
+  let open Il in
+  let k = 32 in
+  let p =
+    {
+      globals = 1;
+      funcs =
+        [ { arity = 0; ret = None;
+            body = [ Const (0, 0.); Loop (1, k, [ Gset_elem (0, 1, 0) ]) ] } ];
+      main =
+        [
+          Loop (0, k, [ Call (1, 0, []) ]);
+          Gget_len (2, 0);
+          Loop_n (3, 2, [ Gget_len (4, 0); Gset_elem (0, 4, 3) ]);
+          Gget_len (5, 0);
+          Print 5;
+        ];
+    }
+  in
+  (match typecheck p with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "rejected: %s" msg);
+  let src = to_source p in
+  check_string "interp = vm" (interp_output src) (vm_output src);
+  check_string "final length" "64\n" (interp_output src)
 
 let test_lowering_runs () =
   (* Lowered seeds must run identically under interpreter and VM (the
@@ -355,6 +384,7 @@ let suite =
       Alcotest.test_case "parse rejects garbage" `Quick test_parse_rejects_garbage;
       Alcotest.test_case "typecheck rejects" `Quick test_typecheck_rejects;
       Alcotest.test_case "heap estimate" `Quick test_heap_estimate;
+      Alcotest.test_case "global append loop accepted" `Quick test_global_append_loop;
       Alcotest.test_case "lowering runs" `Quick test_lowering_runs;
       Alcotest.test_case "mutants typecheck" `Quick test_mutants_typecheck;
       Alcotest.test_case "mutate deterministic" `Quick test_mutate_deterministic;

@@ -13,7 +13,7 @@ open Helpers
 module Native = Jitbull_native.Native
 module Exec_mem = Jitbull_native.Exec_mem
 module Asm = Jitbull_native.Asm
-module Nanbox = Jitbull_native.Nanbox
+module Nanbox = Jitbull_runtime.Nanbox
 module Value = Jitbull_runtime.Value
 module Db = Jitbull_core.Db
 module Jitbull = Jitbull_core.Jitbull
@@ -65,7 +65,22 @@ let test_encoder_golden () =
   golden "movzx eax, al" "0f b6 c0" Asm.movzx_eax_al;
   golden "shl edx, cl" "d3 e2" (fun a -> Asm.shl_cl32 a Asm.rdx);
   golden "sar edx, cl" "d3 fa" (fun a -> Asm.sar_cl32 a Asm.rdx);
-  golden "movsxd r11, eax" "4c 63 d8" (fun a -> Asm.movsxd a ~dst:Asm.r11 ~src:Asm.rax)
+  golden "movsxd r11, eax" "4c 63 d8" (fun a -> Asm.movsxd a ~dst:Asm.r11 ~src:Asm.rax);
+  (* the heap reads' forms *)
+  golden "mov rdx, [rsi+16]" "48 8b 96 10 00 00 00" (fun a ->
+      Asm.mov_r_mem a Asm.rdx ~base:Asm.rsi ~disp:16);
+  golden "mov r8, [rdx+8*rcx]" "4c 8b 04 ca" (fun a ->
+      Asm.mov_r_index a Asm.r8 ~base:Asm.rdx ~index:Asm.rcx);
+  golden "mov rax, [rdx+8*r8]" "4a 8b 04 c2" (fun a ->
+      Asm.mov_r_index a Asm.rax ~base:Asm.rdx ~index:Asm.r8);
+  golden "and r8, 1023" "49 81 e0 ff 03 00 00" (fun a -> Asm.and_r_imm a Asm.r8 1023);
+  golden "cmp rax, -1" "48 81 f8 ff ff ff ff" (fun a -> Asm.cmp_r_imm a Asm.rax (-1));
+  golden "add r8, 2" "49 81 c0 02 00 00 00" (fun a -> Asm.add_r_imm a Asm.r8 2);
+  golden "test rax, rax" "48 85 c0" (fun a -> Asm.test_rr a Asm.rax Asm.rax);
+  golden "div ecx" "f7 f1" (fun a -> Asm.div_r32 a Asm.rcx);
+  golden "mov eax, r8d" "44 89 c0" (fun a -> Asm.mov_rr32 a ~dst:Asm.rax ~src:Asm.r8);
+  golden "shl rcx, 16" "48 c1 e1 10" (fun a -> Asm.shl_r_imm a Asm.rcx 16);
+  golden "sar rax, 1" "48 c1 f8 01" (fun a -> Asm.sar_r_imm a Asm.rax 1)
 
 let test_encoder_rel32_patching () =
   (* forward: the 6-byte jcc skips the first ret (rel32 = +1) *)
@@ -240,7 +255,7 @@ let test_exec_mem_wx_lifecycle =
           | None -> false));
       (* the sealed page actually runs *)
       let regs = Exec_mem.make_regfile 4 in
-      check_int "generated code returns" 0x42 (Exec_mem.call region 0 regs);
+      check_int "generated code returns" 0x42 (Exec_mem.call region 0 regs regs);
       Exec_mem.release region;
       check_bool "unmapped" false region.Exec_mem.mapped;
       let after = Exec_mem.stats () in
@@ -317,6 +332,29 @@ let edge_corpus =
        s = '' + f(5, 0/0) + f(0/0, 2) + 1/f(-0, 3) + f(5, 1/0) + f(5, -1/0)\n\
          + f(1/0, 5) + f(5, 0) + f(-5, 3) + 1/f(-6, 3) + f(5.5, 2);\n\
      } print(s);";
+    (* % past the int32 fast path: a negative or -0 dividend, a zero or
+       negative divisor, int32 overflow, fractions, NaN and infinities;
+       1/r shows the sign of a zero result *)
+    "function f(x, y) { return x % y; } var s = '';\n\
+     for (var k = 0; k < 20; k = k + 1) {\n\
+       s = '' + 1/f(-0, 5) + ' ' + 1/f(-4, 2) + ' ' + f(k, 0) + ' ' + f(-7, 3) + ' '\n\
+         + 1/f(-2147483648, -1) + ' ' + f(2147483648, 7) + ' ' + f(5.5, 2) + ' '\n\
+         + f(0/0, 3) + ' ' + f(3, 0/0) + ' ' + f(1/0, 3) + ' ' + f(-1/0, 3) + ' '\n\
+         + f(3, 1/0) + ' ' + f(3, -1/0) + ' ' + f(k, 7) + ' ' + 1/f(0, 7) + ' '\n\
+         + f(2147483647, 2147483647) + ' ' + f(2147483646, 2147483647) + ' ' + f(7, -3);\n\
+     } print(s);";
+    (* element reads of a hole, a string, a function, a nested array
+       (its length shown, not its handle) and the singletons, and
+       lengths read in the loop *)
+    "function g() { return 1; }\n\
+     function f(a) { var s = ''; for (var i = 0; i < a.length; i = i + 1) {\n\
+       var e = a[i]; if (typeof e == 'object' && e) { e = e.length; } s = s + e + ','; }\n\
+       return s + a.length; }\n\
+     var a = [1, 'str', g, [2, 3], 0/0, -0, true, null]; a.length = 10; a[9] = 2.5;\n\
+     var r = ''; for (var k = 0; k < 20; k = k + 1) { r = f(a); } print(r);";
+    "function f(a, i) { var o = a[i]; return o.k; }\n\
+     var a = [{ k: 1 }, { k: 'two' }]; var r = '';\n\
+     for (var k = 0; k < 20; k = k + 1) { r = '' + f(a, k % 2) + f(a, 1); } print(r);";
     (* a length read after the host grew the array *)
     "function f(a, n) { for (var i = 0; i < n; i = i + 1) { a.push(i); }\n\
      return a.length + a[n - 1]; }\n\
@@ -449,6 +487,68 @@ let test_unguarded_exits =
           Native.release code)
         [ Lir.Kelements; Lir.Kinit_length; Lir.Karray_length; Lir.Kload_element;
           Lir.Kstore_element; Lir.Kbin Jitbull_mir.Mir.NMod ])
+
+(* The heap reads in machine code against the host's: after a random
+   heap-op sequence (forged headers, shrinks, grows, unchecked writes
+   past the end) with the mirror built at a random step, [load_element]
+   on every handle, one past them included, at every index in
+   [[-4, size + 4)] and a few non-integral ones, and [array_length] and
+   [init_length] on every handle, give the executor's value or raise its
+   exception. *)
+let qcheck_native_reads_agree size_limit =
+  let module Lir = Jitbull_lir.Lir in
+  let module Heap = Jitbull_runtime.Heap in
+  let module Realm = Jitbull_runtime.Realm in
+  let inst kind ~dst ~a ~b ~imm = { (Lir.make_inst kind) with Lir.dst; a; b; c = b; imm } in
+  let func kind =
+    {
+      Lir.name = "read"; arity = 2; consts = [||]; names = [||];
+      call_args = [||]; fields = Array.make 4 []; n_regs = 3; spill_count = 0;
+      code =
+        [| inst Lir.Kparam ~dst:0 ~a:(-1) ~b:(-1) ~imm:0;
+           inst Lir.Kparam ~dst:1 ~a:(-1) ~b:(-1) ~imm:1;
+           inst kind ~dst:2 ~a:0 ~b:1 ~imm:0;
+           inst Lir.Kreturn ~dst:(-1) ~a:2 ~b:(-1) ~imm:0 |];
+    }
+  in
+  let kinds = [ Lir.Kload_element; Lir.Karray_length; Lir.Kinit_length ] in
+  let funcs = List.map func kinds in
+  let codes = lazy (List.map Native.compile funcs) in
+  QCheck.Test.make ~count:(qcheck_count 20)
+    ~name:(Printf.sprintf "native heap reads == executor (size %d)" size_limit)
+    (Test_runtime.mirror_ops_arb size_limit)
+    (fun (at, ops) ->
+      (not (Native.enabled ()))
+      ||
+      let realm = Realm.create ~size_limit () in
+      ignore
+        (Test_runtime.Run_heap.run ~heap:realm.Realm.heap ~size_limit ops ~hook:(fun k t ->
+             if k = at then ignore (Heap.mirror t)));
+      let n = Int64.to_int (Heap.mirror realm.Realm.heap).{Heap.desc_next_handle} in
+      let show run args =
+        try Value.to_display (run realm args) with e -> Printexc.to_string e
+      in
+      let indices =
+        List.init (size_limit + 8) (fun k -> float_of_int (k - 4))
+        @ [ Float.nan; -0.; 1.5; 2147483648.; 4.6e18; 1e300; Float.infinity ]
+      in
+      List.for_all2
+        (fun f code ->
+          let agree args =
+            let native = show (fun realm args -> Native.run code realm no_callbacks args) args
+            and host = show (fun realm args -> Executor.run f realm no_callbacks args) args in
+            native = host
+            || QCheck.Test.fail_reportf "%s %s: native %s, executor %s"
+                 (Lir.kind_name (f.Lir.code.(2)).Lir.kind)
+                 (String.concat ", " (List.map Value.to_display args)) native host
+          in
+          List.for_all
+            (fun h ->
+              if (f.Lir.code.(2)).Lir.kind = Lir.Kload_element then
+                List.for_all (fun i -> agree [ Value.Array h; Value.Number i ]) indices
+              else agree [ Value.Array h; Value.Undefined ])
+            (List.init (n + 1) Fun.id))
+        funcs (Lazy.force codes))
 
 (* [elements] on an array is machine code: a hand-built loop taking an
    array's elements 100 times, with no guard in front, returns natively
@@ -709,6 +809,8 @@ let suite =
       Alcotest.test_case "edge corpus equivalence" `Quick test_edge_corpus_equivalence;
       Alcotest.test_case "unguarded exits == executor" `Quick test_unguarded_exits;
       Alcotest.test_case "elements stay native" `Quick test_elements_stay_native;
+      qtest (qcheck_native_reads_agree 64);
+      qtest (qcheck_native_reads_agree 1000);
       Alcotest.test_case "string loop equivalence" `Quick test_string_loop_equivalence;
       qtest qcheck_native_vs_executor;
       Alcotest.test_case "metamorphic tier agreement" `Quick

@@ -540,18 +540,19 @@ let call eng idx args = Value.to_display (Vm.call_function (Engine.vm eng) idx a
 
 (* -- host exit allocation -- *)
 
-(* A native loop that exits to the host for two element loads, a property
-   load and three [%]s per iteration: the call gate allocates nothing of
-   its own, so the words left are the call's own (its argument list and
-   result), spread over the loop's 30,002 exits; they come to 0.001 words
-   an exit. When every exit allocated a profiler closure, three accessor
-   closures and boxed NaN-box bits and every property hit an option, the
-   loop took 34.8 minor words per exit. *)
+(* A native loop that exits to the host for an element load (an object
+   cell, which the heap mirror leaves to the host), a property load and
+   a fractional [%] per iteration: the call gate allocates nothing of its
+   own, so the words left are the call's own (its argument list and
+   result), spread over the loop's 15,000 exits. When every exit
+   allocated a profiler closure, three accessor closures and boxed
+   NaN-box bits and every property hit an option, the loop took 34.8
+   minor words per exit. *)
 let exit_words_bound = 1.
 
 let exit_src =
   "function f(a, os, n) { var s = 0;\n\
-   for (var i = 0; i < n; i = i + 1) { s = (s + a[i % 8] + os[i % 2].k) % 1000; }\n\
+   for (var i = 0; i < n; i = i + 1) { s = (s + a[i % 8] + os[i % 2].k) % 1000.5; }\n\
    return s; }\n\
    var a = [1, 2, 3, 4, 5, 6, 7, 8]; var os = [{ k: 3 }, { k: 4 }]; var r = 0;\n\
    for (var k = 0; k < 10; k = k + 1) { r = f(a, os, 50); } print(r);"
@@ -570,6 +571,34 @@ let test_host_exit_allocation () =
     check_bool
       (Printf.sprintf "%.2f minor words per host exit within the bound" per_exit)
       true (per_exit <= exit_words_bound)
+
+(* -- heap reads and int32 % in machine code -- *)
+
+(* An element load and two [%]s per iteration and a length read, every
+   operand a non-negative int32: the installed code runs the whole call
+   without a host exit. When these kinds all exited to the host, this
+   call made 150,011 host exits. *)
+let native_read_src =
+  "function f(a, n) { var s = 0;\n\
+   for (var i = 0; i < n; i = i + 1) { s = (s + a[i % a.length]) % 1000; }\n\
+   return s; }\n\
+   var a = [1, 2, 3, 4, 5, 6, 7, 8]; var r = 0;\n\
+   for (var k = 0; k < 10; k = k + 1) { r = f(a, 50); } print(r);"
+
+let test_native_reads_exact () =
+  let _, eng = Engine.run_source { jit_config with Engine.native = true } native_read_src in
+  match Engine.native_code_of eng (func_idx eng "f") with
+  | None -> check_bool "f runs natively wherever the backend is on" false (Native.enabled ())
+  | Some code ->
+    let vm = Engine.vm eng in
+    let exits () = Native.exits code in
+    let e0 = exits () in
+    let r = call eng (func_idx eng "f") [ Vm.load_global vm "a"; num 50_003 ] in
+    let e1 = exits () in
+    check_string "result" "6" r;
+    check_int "host exits" 0 (e1.Native.t_hostop - e0.Native.t_hostop);
+    check_int "bailouts" 0 (e1.Native.t_bailout - e0.Native.t_bailout);
+    check_int "one return" 1 (e1.Native.t_return - e0.Native.t_return)
 
 (* -- vm global allocation -- *)
 
@@ -811,6 +840,7 @@ let suite =
       Alcotest.test_case "parse allocation" `Quick test_parse_allocation;
       Alcotest.test_case "realm allocation" `Quick test_realm_allocation;
       Alcotest.test_case "heap allocation after frees" `Quick test_heap_allocation_after_frees;
+      Alcotest.test_case "native heap reads exact" `Quick test_native_reads_exact;
       Alcotest.test_case "host exit allocation" `Quick test_host_exit_allocation;
       Alcotest.test_case "vm global allocation" `Quick test_vm_global_allocation;
       Alcotest.test_case "dna extraction allocation" `Quick test_dna_extraction_allocation;

@@ -4,6 +4,7 @@ open Helpers
 module Value = Jitbull_runtime.Value
 module Value_ops = Jitbull_runtime.Value_ops
 module Heap = Jitbull_runtime.Heap
+module Nanbox = Jitbull_runtime.Nanbox
 module Realm = Jitbull_runtime.Realm
 module Builtins = Jitbull_runtime.Builtins
 module Errors = Jitbull_runtime.Errors
@@ -353,9 +354,15 @@ module Reference = struct
       if addr < size t then t.cells.(addr) <- v
     end
     else if i = len then begin
-      set_length t h (len + 1);
-      let base = t.table.(h) in
-      t.cells.(base + 2 + i) <- v
+      if len >= 0 && len < header_int t (base + 1) then begin
+        t.cells.(addr) <- v;
+        t.cells.(base) <- Value.Number (float_of_int (len + 1))
+      end
+      else begin
+        set_length t h (len + 1);
+        let base = t.table.(h) in
+        t.cells.(base + 2 + i) <- v
+      end
     end
 
   let get_unchecked t h i =
@@ -531,8 +538,10 @@ module Run (M : sig
   val cells_used : t -> int
 end) =
 struct
-  let run ~size_limit ops =
-    let t = M.create ~size_limit in
+  (* [hook k t] runs before step [k], and once more after the last; a
+     given [heap] is used instead of a fresh one *)
+  let run ?(hook = fun _ _ -> ()) ?heap ~size_limit ops =
+    let t = match heap with Some t -> t | None -> M.create ~size_limit in
     let handles = ref 0 in
     let out = Buffer.create 1024 in
     let handle k = if k < 0 then max 0 (!handles - 1) else k mod (!handles + 1) in
@@ -574,12 +583,14 @@ struct
         Printf.sprintf "base %d length %d capacity %d" (M.base_addr t h) (M.length t h)
           (M.capacity t h)
     in
-    List.iter
-      (fun op ->
+    List.iteri
+      (fun k op ->
+        hook k t;
         let r = outcome (fun () -> step op) in
         Printf.bprintf out "%s -> %s | used %d size %d intact %b\n" (show_op op) r
           (M.cells_used t) (M.size t) (M.sentinel_intact t))
       ops;
+    hook (List.length ops) t;
     if !handles > 0 then begin
       let stride = if size_limit <= 4096 then 1 else 1009 in
       let sweep a =
@@ -663,6 +674,65 @@ let qcheck_heap_equals_reference size_limit =
       expected = got
       || QCheck.Test.fail_reportf "paged heap diverges from the flat reference:\n%s\nvs\n%s"
            got expected)
+
+(* A random heap-op sequence, and the step before which the mirror is
+   built (past the last step: after it). *)
+let mirror_ops_arb size_limit =
+  let gen =
+    QCheck.Gen.(pair (int_bound 64) (list_size (int_range 1 60) (heap_op_gen ~size_limit)))
+  in
+  QCheck.make
+    ~print:(fun (at, ops) ->
+      Printf.sprintf "mirror before step %d of\n%s" at (String.concat "\n" (List.map show_op ops)))
+    gen
+
+(* The mirror native code reads, built at a random step and kept up to
+   date by the steps after it: at the end of the sequence every cell's
+   mirror bits are its [Nanbox.cell_bits], every handle's mirror base is
+   its base, and the descriptor counts the handles and the cells. *)
+let qcheck_mirror_equals_heap size_limit =
+  QCheck.Test.make ~count:(qcheck_count 100)
+    ~name:(Printf.sprintf "heap mirror equals the heap (size %d)" size_limit)
+    (mirror_ops_arb size_limit)
+    (fun (at, ops) ->
+      let t = Heap.create ~size_limit () in
+      ignore (Run_heap.run ~heap:t ~size_limit ops ~hook:(fun k t ->
+          if k = at then ignore (Heap.mirror t)));
+      let desc = Heap.mirror t in
+      let n = Int64.to_int desc.{Heap.desc_next_handle} in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      if Int64.to_int desc.{Heap.desc_size_limit} <> size_limit then fail "size";
+      (match Heap.base_addr t n with
+      | -1 | (exception Invalid_argument _) -> ()
+      | _ -> fail "handle %d is allocated past the mirror's count" n);
+      for h = 0 to n - 1 do
+        if Heap.mirror_base t h <> Int64.of_int (Heap.base_addr t h) then
+          fail "handle %d: mirror base %Ld, base %d" h (Heap.mirror_base t h) (Heap.base_addr t h)
+      done;
+      if n > 0 then begin
+        let base0 = Heap.base_addr t 0 in
+        for a = 0 to size_limit - 1 do
+          let v = Heap.get_unchecked t 0 (a - base0 - 2) in
+          if Heap.mirror_cell t a <> Nanbox.cell_bits v then
+            fail "cell %d: mirror %Lx, cell %s" a (Heap.mirror_cell t a) (show_value v)
+        done
+      end;
+      true)
+
+(* An indexed append within capacity writes in place, as [push] does:
+   400 appends by [a[a.length] = x] take as many heap cells as 400
+   [push]es (they took 80,804 when each trimmed the capacity to the
+   length and regrew). *)
+let test_indexed_append_cells () =
+  let cells append =
+    interp_output
+      (Printf.sprintf
+         "var a = [0]; var c0 = __heapCells();\n\
+          for (var i = 1; i <= 400; i = i + 1) { %s; } print(__heapCells() - c0);"
+         append)
+  in
+  check_string "indexed appends" "1040\n" (cells "a[a.length] = i");
+  check_string "pushes" "1040\n" (cells "a.push(i)")
 
 (* ---- builtins ---- *)
 
@@ -748,11 +818,13 @@ let suite =
       Alcotest.test_case "heap sentinel" `Quick test_heap_sentinel;
       Alcotest.test_case "heap exhaustion" `Quick test_heap_exhaustion;
       Alcotest.test_case "heap corrupted header" `Quick test_heap_corrupted_header_is_tolerated;
+      Alcotest.test_case "indexed append cells" `Quick test_indexed_append_cells;
     ]
     @ Alcotest.test_case "heap edges equal flat reference" `Quick test_heap_edges
       :: List.map
         (fun size_limit -> qtest (qcheck_heap_equals_reference size_limit))
         [ 64; 1000; 4096; 1 lsl 18 ]
+    @ List.map (fun size_limit -> qtest (qcheck_mirror_equals_heap size_limit)) [ 64; 1000; 4096 ]
     @ [
       Alcotest.test_case "Math builtins" `Quick test_math_builtins;
       Alcotest.test_case "string methods" `Quick test_string_methods;
