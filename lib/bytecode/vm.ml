@@ -317,6 +317,4 @@ let run vm =
   ignore (interpret vm ~func_index:(-1) vm.program.Op.main []);
   Realm.output vm.realm
 
-let run_program ?realm program =
-  let vm = create ?realm program in
-  run vm
+let run_program program = run (create program)

@@ -75,5 +75,5 @@ val interpret : t -> func_index:int -> Op.func -> Value.t list -> Value.t
     output. *)
 val run : t -> string
 
-(** [run_program ?realm program] — create + run. *)
-val run_program : ?realm:Jitbull_runtime.Realm.t -> Op.program -> string
+(** [run_program program] — create + run on a fresh realm. *)
+val run_program : Op.program -> string

@@ -8,6 +8,10 @@
     [Ratio = 0.5], tuned for detection rate over false positives. Sides
     and a match's evidence hold packed sub-chain keys ({!Delta.key}). *)
 
+(** [thr] must be ≥ 1 for a DB query: {!Db.matching_detailed} raises
+    [Invalid_argument] below that, since a non-positive threshold matches
+    key-disjoint (even empty) sides, which its overlap index cannot see.
+    The naive folds below accept any value. *)
 type params = {
   thr : int;
   ratio : float;

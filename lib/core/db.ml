@@ -211,14 +211,6 @@ type query = {
   q_size : int;
 }
 
-let naive_matching_detailed ?params ?obs t (dna : Dna.t) =
-  List.filter_map
-    (fun e ->
-      match Comparator.matching_passes_detailed ?params ?obs dna e.dna with
-      | [] -> None
-      | mds -> Some (e.cve, mds))
-    (entries_unlocked t)
-
 (* A query's EqChains accumulator, per domain: [cells] by
    [entry * width + column] ([width] = 2 × pass slots), all zero between
    queries, and [touched], the cells the running query made nonzero
@@ -337,16 +329,12 @@ let indexed_matching ~params ?obs t (dna : Dna.t) =
 
 let matching_detailed ?(params = Comparator.default_params) ?obs t (dna : Dna.t) =
   let module Obs = Jitbull_obs.Obs in
+  if params.Comparator.thr < 1 then
+    invalid_arg "Db.matching_detailed: Thr < 1 matches key-disjoint sides";
   Rwlock.with_read t.lock (fun () ->
       let matches, candidates, hits =
-        if params.Comparator.thr < 1 then
-          (* Thr ≤ 0 lets key-disjoint (even empty) sides match, which the
-             overlap-driven index cannot see — use the exhaustive scan
-             (no prefilter: every entry is a candidate and a survivor) *)
-          (naive_matching_detailed ~params ?obs t dna, t.count, t.count)
-        else
-          Obs.time obs "comparator.indexed.seconds" (fun () ->
-              indexed_matching ~params ?obs t dna)
+        Obs.time obs "comparator.indexed.seconds" (fun () ->
+            indexed_matching ~params ?obs t dna)
       in
       {
         q_matches = matches;

@@ -13,9 +13,9 @@
     The database is domain-safe: queries ({!matching}, {!entries},
     {!generation}, …) take an internal reader lock while {!add} /
     {!remove_cve} / {!apply} take the writer side, so an engine can run
-    the go/no-go comparison while a DB update arrives on another domain
-    (a subscribed client applying a push, or jitbulld serving while it
-    installs). A verdict is cached only against the {!generation} it
+    the go/no-go comparison while a client's subscriber thread applies a
+    push, and jitbulld's handler domains can serve [/delta] while another
+    installs. A verdict is cached only against the {!generation} it
     was computed at.
 
     The index is one postings table per (pass, side) keyed by the packed
@@ -84,9 +84,9 @@ val cves : t -> string list  (** distinct, insertion order *)
     [comparator.prefilter_candidates] / [comparator.prefilter_hits] /
     [comparator.matches] counters.
 
-    [params.thr < 1] falls back to the naive scan (a non-positive
-    threshold matches key-disjoint sides, invisible to an overlap
-    index). *)
+    Raises [Invalid_argument] when [params.thr < 1]: a non-positive
+    threshold matches key-disjoint sides, which an overlap index cannot
+    see ({!Comparator.matching_passes} still folds them). *)
 val matching :
   ?params:Comparator.params ->
   ?obs:Jitbull_obs.Obs.t ->
@@ -100,15 +100,15 @@ type query = {
   q_matches : (string * Comparator.match_detail list) list;
       (** as {!matching}, with each pass's side and EqChains scores *)
   q_prefilter_candidates : int;
-      (** (entry, pass, side) cells sharing ≥1 sub-chain key (naive
-          fallback: entries scanned) *)
+      (** (entry, pass, side) cells sharing ≥1 sub-chain key *)
   q_prefilter_hits : int;  (** cells surviving the Thr prefilter *)
   q_generation : int;  (** DB generation the answer is valid against *)
   q_size : int;  (** entries at query time *)
 }
 
 (** {!matching} with the evidence kept: [(matching_detailed t dna).q_matches]
-    with details dropped equals [matching t dna] exactly. *)
+    with details dropped equals [matching t dna] exactly. Raises
+    [Invalid_argument] when [params.thr < 1]. *)
 val matching_detailed :
   ?params:Comparator.params -> ?obs:Jitbull_obs.Obs.t -> t -> Dna.t -> query
 

@@ -148,14 +148,11 @@ type extraction = {
   x_posted_generation : int option;
 }
 
-(* Posting-aware unless the comparison could match a pass the DB has no
-   postings for (Thr < 1 matches key-disjoint sides) or explain capture
-   wants every pass's chains for /explain. *)
-let extract ?params ?obs (db : Db.t) trace =
-  let p = Option.value ~default:Comparator.default_params params in
-  let full = p.Comparator.thr < 1 || Option.fold ~none:false ~some:Obs.explain obs in
+(* Posting-aware unless explain capture wants every pass's chains for
+   /explain. *)
+let extract ?obs (db : Db.t) trace =
   Obs.span obs "dna_extract" (fun () ->
-      if full then { x_dna = Dna.extract trace; x_posted_generation = None }
+      if Option.fold ~none:false ~some:Obs.explain obs then { x_dna = Dna.extract trace; x_posted_generation = None }
       else
         let g, only = Db.posted db in
         { x_dna = Dna.extract ~only trace; x_posted_generation = Some g })
@@ -214,7 +211,7 @@ let analyzer ?params (db : Db.t) : Engine.analyzer =
       ~fields:[ ("func", Jsonx.String name) ]
       ~fields_of:verdict_fields "policy_decide"
       (fun () ->
-        let dna, query = query ?params ?obs db ~trace (extract ?params ?obs db trace) in
+        let dna, query = query ?params ?obs db ~trace (extract ?obs db trace) in
         dna_ref := dna;
         query_ref := query;
         let matched = Db.drop_details query.Db.q_matches in

@@ -11,8 +11,8 @@
     Algorithm 2 compares Δᵢ only with the same pass of a DB entry, so the
     analyzer extracts Δs only for the passes the DB has postings for
     ({!Db.posted}, {!extract}); a DB write racing the query triggers one
-    full re-extraction ({!query}). It extracts in full when
-    [params.thr < 1] or explain capture is on.
+    full re-extraction ({!query}). It extracts in full when explain
+    capture is on.
 
     The per-decision record is the audit trail of an installed
     {!Jitbull_obs.Obs.t}: every analysis appends one
@@ -58,13 +58,11 @@ type extraction = {
           were extracted, every other Δ is empty; [None]: full DNA *)
 }
 
-(** [extract ?params ?obs db trace] — the DNA of [trace], posting-aware
-    ([Dna.extract ~only] over {!Db.posted}) unless [params.thr < 1] (the
-    exhaustive scan then matches key-disjoint sides, so any pass can
-    match) or [obs] has explain capture on (whose [/explain] chains need
-    every pass). A [dna_extract] span with [obs]. *)
+(** [extract ?obs db trace] — the DNA of [trace], posting-aware
+    ([Dna.extract ~only] over {!Db.posted}) unless [obs] has explain
+    capture on (whose [/explain] chains need every pass). A [dna_extract]
+    span with [obs]. *)
 val extract :
-  ?params:Comparator.params ->
   ?obs:Jitbull_obs.Obs.t ->
   Db.t ->
   (string * Jitbull_mir.Snapshot.t) list ->

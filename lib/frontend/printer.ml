@@ -331,11 +331,7 @@ let with_ctx compact f =
   f ctx;
   Buffer.contents ctx.buf
 
-let expr_to_string ?(compact = false) e = with_ctx compact (fun ctx -> emit_expr ctx 1 e)
-
-let stmt_to_string ?(compact = false) s = with_ctx compact (fun ctx -> emit_stmt ctx 0 s)
-
-let func_to_string ?(compact = false) f = with_ctx compact (fun ctx -> emit_func ctx f)
+let expr_to_string e = with_ctx false (fun ctx -> emit_expr ctx 1 e)
 
 let program_to_string ?(compact = false) (p : Ast.program) =
   with_ctx compact (fun ctx ->

@@ -5,7 +5,6 @@
     which is what the Terser-style "minifying" variant generator prints.
     Output re-parses to an equal AST (round-trip property, tested). *)
 
-val expr_to_string : ?compact:bool -> Ast.expr -> string
-val stmt_to_string : ?compact:bool -> Ast.stmt -> string
-val func_to_string : ?compact:bool -> Ast.func -> string
+(** Readable source; only whole programs have a compact form. *)
+val expr_to_string : Ast.expr -> string
 val program_to_string : ?compact:bool -> Ast.program -> string

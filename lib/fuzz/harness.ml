@@ -73,10 +73,10 @@ type guided = {
 let vdc_seed_sources () =
   List.map (fun (d : Demonstrators.t) -> d.Demonstrators.source) Demonstrators.all
 
-let default_seed_sources ?(benign = 4) ?(aggressive = 8) ?(vdc = true) () =
-  List.init benign (fun i -> Generator.benign ~seed:i)
-  @ List.init aggressive (fun i -> Generator.aggressive ~seed:i)
-  @ (if vdc then vdc_seed_sources () else [])
+let default_seed_sources () =
+  List.init 4 (fun i -> Generator.benign ~seed:i)
+  @ List.init 8 (fun i -> Generator.aggressive ~seed:i)
+  @ vdc_seed_sources ()
 
 (* Does [source] exploit an engine where {e only} [cve] is live? Probing
    with the analyzer and cache stripped keeps attribution independent of

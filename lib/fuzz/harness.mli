@@ -69,10 +69,10 @@ type guided = {
 (** The VDC catalog's demonstrator sources, in catalog order. *)
 val vdc_seed_sources : unit -> string list
 
-(** Default seed schedule of {!guided_campaign}: a few benign programs,
-    the first aggressive gadget compositions, then the VDC catalog. *)
-val default_seed_sources :
-  ?benign:int -> ?aggressive:int -> ?vdc:bool -> unit -> string list
+(** Default seed schedule of {!guided_campaign}: the benign programs of
+    seeds 0–3, the aggressive gadget compositions of seeds 0–7, then the
+    VDC catalog. *)
+val default_seed_sources : unit -> string list
 
 (** [guided_campaign ?config ... ~max_execs ()] — the coverage-guided
     loop: replay any inputs already in [corpus], run the seed schedule

@@ -69,26 +69,37 @@ let heap_exhausted = Runtime_error "heap exhausted"
    small fraction of this. *)
 let max_steps = 10_000_000
 
-let run ?(config = default_config) source =
+(* The engine tier, its exceptions as verdicts. *)
+let jit_tier config source =
+  match Engine.run_source config source with
+  | exception Errors.Crash m -> Error (Crash m)
+  | exception Errors.Shellcode_executed m -> Error (Shellcode m)
+  | exception Errors.Heap_exhausted -> Error heap_exhausted
+  | exception Errors.Type_error m -> Error (Runtime_error ("jit tier: " ^ m))
+  (* a vulnerable pass's wild write can corrupt heap metadata badly
+     enough that the model itself indexes out of bounds — the moral
+     equivalent of a segfault, and only reachable on this tier *)
+  | exception Invalid_argument m -> Error (Crash ("memory corruption: " ^ m))
+  | result -> Ok result
+
+(* The reference interpreter, the bytecode VM, then [config]'s engine,
+   each tier's exceptions classified as verdicts; the engine comes back
+   when it ran to the end. *)
+let three_tiers config source =
   match Interp.run_source ~max_steps source with
-  | exception Errors.Type_error m -> Runtime_error m
-  | exception Errors.Heap_exhausted -> heap_exhausted
-  | exception Interp.Timeout -> Runtime_error "step limit"
+  | exception Errors.Type_error m -> (Runtime_error m, None)
+  | exception Errors.Heap_exhausted -> (heap_exhausted, None)
+  | exception Interp.Timeout -> (Runtime_error "step limit", None)
   | { Interp.output = reference; _ } -> (
     match Vm.run_program (Compiler.compile (Parser.parse source)) with
-    | exception Errors.Heap_exhausted -> heap_exhausted
-    | exception Errors.Type_error m -> Runtime_error ("vm tier: " ^ m)
+    | exception Errors.Heap_exhausted -> (heap_exhausted, None)
+    | exception Errors.Type_error m -> (Runtime_error ("vm tier: " ^ m), None)
     | vm_out -> (
-      match Engine.run_source config source with
-      | exception Errors.Crash m -> Crash m
-      | exception Errors.Shellcode_executed m -> Shellcode m
-      | exception Errors.Heap_exhausted -> heap_exhausted
-      | exception Errors.Type_error m -> Runtime_error ("jit tier: " ^ m)
-      (* a vulnerable pass's wild write can corrupt heap metadata badly
-         enough that the model itself indexes out of bounds — the moral
-         equivalent of a segfault, and only reachable on this tier *)
-      | exception Invalid_argument m -> Crash ("memory corruption: " ^ m)
-      | jit_out, _ -> classify ~reference ~vm_out ~jit_out))
+      match jit_tier config source with
+      | Error v -> (v, None)
+      | Ok (jit_out, engine) -> (classify ~reference ~vm_out ~jit_out, Some engine)))
+
+let run ?(config = default_config) source = fst (three_tiers config source)
 
 (* ---- instrumented runs: the coverage-guided fuzzer's input ---- *)
 
@@ -131,55 +142,36 @@ let run_instrumented ?(config = default_config) source =
   match Parser.parse source with
   | exception _ ->
     { i_verdict = Runtime_error "parse error"; i_bytecode = None; i_dnas = []; i_events = [] }
-  | prog -> (
+  | prog ->
     let bc = Compiler.compile prog in
-    match Interp.run_source ~max_steps source with
-    | exception Errors.Type_error m ->
-      { i_verdict = Runtime_error m; i_bytecode = Some bc; i_dnas = []; i_events = [] }
-    | exception Errors.Heap_exhausted ->
-      { i_verdict = heap_exhausted; i_bytecode = Some bc; i_dnas = []; i_events = [] }
-    | exception Interp.Timeout ->
-      { i_verdict = Runtime_error "step limit"; i_bytecode = Some bc; i_dnas = []; i_events = [] }
-    | { Interp.output = reference; _ } -> (
-      match Vm.run_program (Compiler.compile (Parser.parse source)) with
-      | exception Errors.Heap_exhausted ->
-        { i_verdict = heap_exhausted; i_bytecode = Some bc; i_dnas = []; i_events = [] }
-      | exception Errors.Type_error m ->
-        { i_verdict = Runtime_error ("vm tier: " ^ m); i_bytecode = Some bc; i_dnas = []; i_events = [] }
-      | vm_out ->
-      let obs = Obs.create ~capacity:16 ~audit_capacity:8 () in
-      let dnas = ref [] in
-      let dnas_mu = Mutex.create () in
-      let inner = config.Engine.analyzer in
-      (* Wrap the configured analyzer (or a pass-through Allow) so every
-         traced Ion compile also contributes its DNA to the coverage
-         signal, without changing any engine decision. *)
-      let analyzer ~ctx ~func_index ~name ~trace =
-        let dna = Dna.extract trace in
-        if Dna.nonempty_passes dna <> [] then begin
-          Mutex.lock dnas_mu;
-          dnas := dna :: !dnas;
-          Mutex.unlock dnas_mu
-        end;
-        match inner with
-        | Some analyze -> analyze ~ctx ~func_index ~name ~trace
-        | None -> Engine.Allow
-      in
-      let config' =
-        { config with Engine.analyzer = Some analyzer; obs = Some obs; policy_cache = None }
-      in
-      let verdict, stats =
-        match Engine.run_source config' source with
-        | exception Errors.Crash m -> (Crash m, None)
-        | exception Errors.Shellcode_executed m -> (Shellcode m, None)
-        | exception Errors.Heap_exhausted -> (heap_exhausted, None)
-        | exception Errors.Type_error m -> (Runtime_error ("jit tier: " ^ m), None)
-        | exception Invalid_argument m -> (Crash ("memory corruption: " ^ m), None)
-        | jit_out, engine ->
-          (classify ~reference ~vm_out ~jit_out, Some (Engine.stats engine))
-      in
-      let events = event_flags stats (Obs.view (Some obs)) in
-      { i_verdict = verdict; i_bytecode = Some bc; i_dnas = List.rev !dnas; i_events = events }))
+    let obs = Obs.create ~capacity:16 ~audit_capacity:8 () in
+    let dnas = ref [] in
+    let dnas_mu = Mutex.create () in
+    let inner = config.Engine.analyzer in
+    (* Wrap the configured analyzer (or a pass-through Allow) so every
+       traced Ion compile also contributes its DNA to the coverage
+       signal, without changing any engine decision. *)
+    let analyzer ~ctx ~func_index ~name ~trace =
+      let dna = Dna.extract trace in
+      if Dna.nonempty_passes dna <> [] then begin
+        Mutex.lock dnas_mu;
+        dnas := dna :: !dnas;
+        Mutex.unlock dnas_mu
+      end;
+      match inner with
+      | Some analyze -> analyze ~ctx ~func_index ~name ~trace
+      | None -> Engine.Allow
+    in
+    let config' =
+      { config with Engine.analyzer = Some analyzer; obs = Some obs; policy_cache = None }
+    in
+    let verdict, engine = three_tiers config' source in
+    {
+      i_verdict = verdict;
+      i_bytecode = Some bc;
+      i_dnas = List.rev !dnas;
+      i_events = event_flags (Option.map Engine.stats engine) (Obs.view (Some obs));
+    }
 
 (* ---- metamorphic invariants ---- *)
 
@@ -191,10 +183,9 @@ type violation = {
 let trunc s = if String.length s <= 160 then s else String.sub s 0 157 ^ "..."
 
 let jit_result config source =
-  match Engine.run_source config source with
-  | exception Errors.Crash m -> Error ("CRASH: " ^ m)
-  | exception Errors.Shellcode_executed m -> Error ("SHELLCODE: " ^ m)
-  | out, _ -> Ok out
+  match jit_tier config source with
+  | Ok (out, _) -> Ok out
+  | Error v -> Error (verdict_summary v)
 
 let check_metamorphic ?(config = default_config) ?subsets ?(alt_configs = []) source =
   match Interp.run_source source with

@@ -85,9 +85,11 @@ type violation = {
     - each named engine in [alt_configs] agrees — callers pass a
       DB-growth chain here.
 
-    Returns the violated invariants (empty = all hold). A source whose
-    reference tier raises a JS-level error is vacuous (returns []). The
-    policy cache is bypassed throughout. *)
+    Returns the violated invariants (empty = all hold). An engine that
+    raises (a crash, shellcode, a runtime error, heap exhaustion) violates
+    its invariant, with the {!verdict_summary} of {!run}'s verdict for it
+    as the detail. A source whose reference tier raises a JS-level error
+    is vacuous (returns []). The policy cache is bypassed throughout. *)
 val check_metamorphic :
   ?config:Jitbull_jit.Engine.config ->
   ?subsets:string list list ->

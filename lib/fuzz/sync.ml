@@ -57,7 +57,6 @@ module Master = struct
     chunk : int;
     lease_timeout : float;
     fleet : Fleet.t;
-    obs : Obs.t option;
     mutable syncs : int;
   }
 
@@ -128,7 +127,6 @@ module Master = struct
             t.syncs <- t.syncs + 1;
             (fresh, missing, Coverage.count t.coverage))
       in
-      Obs.incr t.obs "fuzz.corpus_syncs";
       json
         (Jsonx.to_string
            (Jsonx.Assoc
@@ -169,7 +167,6 @@ module Master = struct
                 (true, e.Corpus.id)
               end)
         in
-        if admitted then Obs.incr t.obs "fuzz.uploads_admitted";
         json
           (Jsonx.to_string
              (Jsonx.Assoc [ ("admitted", Jsonx.Bool admitted); ("id", Jsonx.Int id) ]))
@@ -219,32 +216,6 @@ module Master = struct
     in
     json body
 
-  (* ---- fleet telemetry: the jitbulld /push + /fleet pair ---- *)
-
-  let push_response t body =
-    match Fleet.decode_push body with
-    | Error msg -> json_error 400 ("bad push: " ^ msg)
-    | Ok (s, deltas) ->
-      Fleet.apply t.fleet s ~deltas;
-      json
-        (Jsonx.to_string
-           (Jsonx.Assoc
-              [
-                ("ok", Jsonx.Bool true);
-                ("clients", Jsonx.Int (List.length (Fleet.clients t.fleet)));
-              ]))
-
-  let fleet_response t query =
-    match List.assoc_opt "format" query with
-    | Some "html" ->
-      Http.respond ~content_type:"text/html; charset=utf-8" (Fleet.render_html t.fleet)
-    | Some "json" ->
-      Http.respond ~content_type:"application/json"
-        (Jsonx.to_string (Fleet.to_json t.fleet))
-    | _ ->
-      Http.respond ~content_type:"text/plain; version=0.0.4"
-        (Fleet.render_prometheus t.fleet)
-
   let handle t (req : Http.request) =
     match (req.Http.rq_path, req.Http.rq_meth) with
     | "/fuzz/work", "GET" -> work_response t req.Http.rq_query
@@ -253,16 +224,16 @@ module Master = struct
     | "/fuzz/interesting", "POST" -> interesting_response t req.Http.rq_body
     | "/fuzz/corpus", "GET" -> corpus_response t req.Http.rq_query
     | "/fuzz/stats", "GET" -> stats_response t
-    | "/push", "POST" -> push_response t req.Http.rq_body
+    | "/push", "POST" -> fst (Fleet.push_response t.fleet req.Http.rq_body)
     | "/push", _ -> json_error 405 "POST required"
-    | "/fleet", _ -> fleet_response t req.Http.rq_query
+    | "/fleet", _ -> Fleet.fleet_response t.fleet req.Http.rq_query
     | ("/fuzz/work" | "/fuzz/corpus" | "/fuzz/stats"), _ -> json_error 405 "GET required"
     | ("/fuzz/done" | "/fuzz/coverage" | "/fuzz/interesting"), _ ->
       json_error 405 "POST required"
     | _ -> Http.not_found ()
 
   let start ?(config = Oracle.default_config) ?corpus_dir ?(chunk = 64)
-      ?(lease_timeout = 30.) ?obs ~port () =
+      ?(lease_timeout = 30.) ~port () =
     let corpus = Corpus.create ?dir:corpus_dir () in
     let coverage = Coverage.create () in
     let known = Hashtbl.create 256 in
@@ -287,7 +258,6 @@ module Master = struct
           chunk;
           lease_timeout;
           fleet = Fleet.create ();
-          obs;
           syncs = 0;
         }
     in
@@ -334,7 +304,7 @@ module Worker = struct
     { Audit.tt_records = 0; tt_allow = 0; tt_disable = 0; tt_forbid = 0; tt_cache_hits = 0 }
 
   let run ?(config = Oracle.default_config) ?(rounds = 2)
-      ?(execs_per_round = 200) ?chunk ?rng_seed ?(track_cves = false) ~id ~port () =
+      ?(execs_per_round = 200) ?rng_seed ?(track_cves = false) ~id ~port () =
     let conn = Http.Conn.connect ~port () in
     Fun.protect
       ~finally:(fun () -> Http.Conn.close conn)
@@ -360,8 +330,7 @@ module Worker = struct
         let since = ref 0 in
         for round = 0 to rounds - 1 do
           (* 1. lease a seed range *)
-          let chunk_q = match chunk with None -> "" | Some n -> Printf.sprintf "&n=%d" n in
-          let w = get conn (Printf.sprintf "/fuzz/work?worker=%s%s" id chunk_q) in
+          let w = get conn ("/fuzz/work?worker=" ^ id) in
           let lo = Jsonx.to_int (Jsonx.member "lo" w) in
           let hi = Jsonx.to_int (Jsonx.member "hi" w) in
           (* 2. local campaign over the leased generator range; the first

@@ -25,7 +25,8 @@
       [POST /push]; the master serves the per-worker series on
       [GET /fleet] exactly like jitbulld.
 
-    Every sync bumps the [fuzz.corpus_syncs] counter on both sides.
+    Every sync bumps the worker's [fuzz.corpus_syncs] counter (pushed
+    to the master's [/fleet]) and the master's {!Master.syncs}.
     With a [corpus_dir] the master's corpus is write-through persistent
     ({!Corpus}), and a restarted master replays it into a fresh coverage
     map — distilled entries survive. *)
@@ -47,7 +48,6 @@ module Master : sig
     ?corpus_dir:string ->
     ?chunk:int ->
     ?lease_timeout:float ->
-    ?obs:Jitbull_obs.Obs.t ->
     port:int ->
     unit ->
     t
@@ -57,7 +57,7 @@ module Master : sig
   val corpus_size : t -> int
   val corpus_entries : t -> Corpus.entry list
 
-  (** Coverage syncs served so far ([fuzz.corpus_syncs]). *)
+  (** Coverage syncs served so far. *)
   val syncs : t -> int
 
   (** Close the listening socket and join the serving domains.
@@ -93,7 +93,6 @@ module Worker : sig
     ?config:Jitbull_jit.Engine.config ->
     ?rounds:int ->
     ?execs_per_round:int ->
-    ?chunk:int ->
     ?rng_seed:int ->
     ?track_cves:bool ->
     id:string ->

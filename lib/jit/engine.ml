@@ -58,7 +58,6 @@ module Policy_cache = struct
   type t = {
     table : (int, decision) Hashtbl.t;
     generation : unit -> int;
-    max_entries : int;
     mu : Mutex.t;
     mutable gen_seen : int;
     mutable hits : int;
@@ -66,11 +65,13 @@ module Policy_cache = struct
     mutable invalidations : int;
   }
 
-  let create ?(max_entries = 4096) ?(generation = fun () -> 0) () =
+  (* past this many verdicts the table is cleared rather than grown *)
+  let max_entries = 4096
+
+  let create ?(generation = fun () -> 0) () =
     {
       table = Hashtbl.create 64;
       generation;
-      max_entries;
       mu = Mutex.create ();
       gen_seen = generation ();
       hits = 0;
@@ -114,7 +115,7 @@ module Policy_cache = struct
         match if_generation with
         | Some g when g <> t.gen_seen -> ()
         | _ ->
-          if Hashtbl.length t.table >= t.max_entries then Hashtbl.reset t.table;
+          if Hashtbl.length t.table >= max_entries then Hashtbl.reset t.table;
           Hashtbl.replace t.table key decision)
 
   let hits t = locked t (fun () -> t.hits)

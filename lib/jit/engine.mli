@@ -78,7 +78,8 @@ type analyzer =
 module Policy_cache : sig
   type t
 
-  val create : ?max_entries:int -> ?generation:(unit -> int) -> unit -> t
+  (** A cache of at most 4096 verdicts (cleared, not grown, past that). *)
+  val create : ?generation:(unit -> int) -> unit -> t
 
   (** [lookup]/[store] are exposed for tests and tools; the engine drives
       them internally. Both revalidate against [generation] first.

@@ -5,12 +5,13 @@
    every label has a position.
 
    Generated code addresses every LIR register slot as
-   [%rdi + 8*slot] with a disp32 — uniform encodings keep the emitter
-   (and its golden-byte tests) simple, and slot counts never approach
-   the 2^31/8 disp32 ceiling.  Heap reads address [base + disp32] and
-   [base + 8*index] off the heap descriptor in %rsi and the tables it
-   points to.  Only caller-saved registers are used, so functions need
-   no prologue: the emitter never touches rsp, rbp, rbx or r12-r15. *)
+   [%rdi + 8*slot], with a disp8 when the displacement fits in a signed
+   byte (the first 16 slots) and a disp32 otherwise; slot counts never
+   approach the 2^31/8 disp32 ceiling.  Heap reads address [base + disp]
+   (same rule) and [base + 8*index] off the heap descriptor in %rsi and
+   the tables it points to.  Only caller-saved registers are used, so
+   functions need no prologue: the emitter never touches rsp, rbp, rbx
+   or r12-r15. *)
 
 (* GPR numbers in ModRM encoding order. *)
 let rax = 0
@@ -102,10 +103,20 @@ let rex_opt t ~reg ~rm = if reg >= 8 || rm >= 8 then rex t ~w:false ~reg ~rm
 let modrm_direct t ~reg ~rm =
   byte t (0xC0 lor ((reg land 7) lsl 3) lor (rm land 7))
 
-(* ModRM for [rdi + disp32]; rdi (=7) needs no SIB byte. *)
-let modrm_rdi_disp t ~reg ~disp =
-  byte t (0x80 lor ((reg land 7) lsl 3) lor rdi);
-  le32 t disp
+(* ModRM for [base + disp]: mod 01 with a disp8 when [disp] fits in a
+   signed byte, mod 10 with a disp32 otherwise. A base of rsp or r12
+   would need a SIB byte; rbp and r13 are fine with either mod. *)
+let modrm_disp t ~reg ~base ~disp =
+  assert (base land 7 <> 4);
+  let fields = ((reg land 7) lsl 3) lor (base land 7) in
+  if disp >= -128 && disp <= 127 then begin
+    byte t (0x40 lor fields);
+    byte t disp
+  end
+  else begin
+    byte t (0x80 lor fields);
+    le32 t disp
+  end
 
 (* ---- moves ---- *)
 
@@ -113,21 +124,19 @@ let modrm_rdi_disp t ~reg ~disp =
 let mov_r_slot t r slot =
   rex_w t ~reg:r ~rm:rdi;
   byte t 0x8B;
-  modrm_rdi_disp t ~reg:r ~disp:(8 * slot)
+  modrm_disp t ~reg:r ~base:rdi ~disp:(8 * slot)
 
 (* mov [rdi + 8*slot], r64 *)
 let mov_slot_r t slot r =
   rex_w t ~reg:r ~rm:rdi;
   byte t 0x89;
-  modrm_rdi_disp t ~reg:r ~disp:(8 * slot)
+  modrm_disp t ~reg:r ~base:rdi ~disp:(8 * slot)
 
-(* mov r64, [base + disp32]; any base but rsp and r12 (which need a SIB) *)
+(* mov r64, [base + disp]; any base but rsp and r12 *)
 let mov_r_mem t r ~base ~disp =
-  assert (base land 7 <> 4);
   rex_w t ~reg:r ~rm:base;
   byte t 0x8B;
-  byte t (0x80 lor ((r land 7) lsl 3) lor (base land 7));
-  le32 t disp
+  modrm_disp t ~reg:r ~base ~disp
 
 (* mov r64, [base + 8*index]; a base of rbp or r13 would mean no base,
    and an index of rsp no index *)

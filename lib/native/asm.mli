@@ -4,9 +4,10 @@
     label positions and returns the finished code bytes.
 
     Only the forms the LIR lowering needs are provided, all with fixed,
-    golden-byte-testable encodings: slot loads/stores use a uniform
-    [\[%rdi + disp32\]] addressing mode, heap reads [\[base + disp32\]]
-    and [\[base + 8*index\]], and every instruction clobbers
+    golden-byte-testable encodings: slot loads/stores address
+    [\[%rdi + disp\]], heap reads [\[base + disp\]] and
+    [\[base + 8*index\]], a displacement taking a disp8 when it fits
+    in [-128, 127] and a disp32 otherwise; every instruction clobbers
     caller-saved registers only. *)
 
 (* GPR / XMM numbers in hardware encoding order. *)
@@ -49,7 +50,7 @@ val mov_r_slot : t -> int -> int -> unit  (** mov r64, [rdi+8*slot] *)
 
 val mov_slot_r : t -> int -> int -> unit  (** mov [rdi+8*slot], r64 *)
 
-val mov_r_mem : t -> int -> base:int -> disp:int -> unit  (** mov r64, [base+disp32] *)
+val mov_r_mem : t -> int -> base:int -> disp:int -> unit  (** mov r64, [base+disp] *)
 
 val mov_r_index : t -> int -> base:int -> index:int -> unit  (** mov r64, [base+8*index] *)
 

@@ -1,8 +1,9 @@
 (* The go/no-go audit trail. One structured record per policy decision,
    kept in a bounded ring with cumulative aggregates that survive ring
    eviction, an optional JSON-lines file sink, and query / rendering
-   helpers. Like the tracer, one mutex covers ring, sink and aggregates,
-   serializing helper compile domains and the main thread.
+   helpers. Like the tracer, one mutex covers ring, sink and aggregates:
+   jitbulld's handler domains relay pushed records into one trail, and a
+   client's pusher thread reads the trail its engine appends to.
 
    This module deliberately speaks its own vocabulary ([verdict],
    [pass_match]) rather than the engine's: [lib/obs] sits below

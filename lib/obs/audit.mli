@@ -8,8 +8,9 @@
     [Cache_hit] record per policy-cache hit.
 
     Records live in a bounded {!Jitbull_util.Ring} (oldest evicted)
-    guarded by a mutex — helper compile domains append concurrently with
-    the main thread — and can additionally be streamed to a JSON-lines
+    guarded by a mutex — jitbulld's handler domains relay pushed records
+    into one trail, and a client's pusher thread reads the trail its
+    engine appends to — and can additionally be streamed to a JSON-lines
     {!Sink}; a sink that fails to write detaches without disturbing the
     ring. Cumulative
     aggregates (verdict totals, per-CVE match counts, per-function

@@ -7,7 +7,6 @@ let wall : source = Unix.gettimeofday
    not the source it resolved to at creation time. *)
 let installed : source Atomic.t = Atomic.make wall
 
-let set_source s = Atomic.set installed s
 let source () = Atomic.get installed
 let now () = (Atomic.get installed) ()
 

@@ -3,13 +3,11 @@
     The tracer's spans, [Obs.time] histograms, the engine's stall
     accounting and the benchmark harness all read {!now} instead of
     calling [Unix.gettimeofday] directly, so tests can install a manual
-    source and get deterministic durations, and a monotonic source (e.g.
-    a [clock_gettime(CLOCK_MONOTONIC)] binding, when one is available)
-    can be swapped in process-wide with {!set_source}.
+    source with {!with_source} and get deterministic durations.
 
     The installed source is consulted on every {!now} call — components
     capture the {!now} function, not the source it currently resolves
-    to — and is stored in an [Atomic.t], so swapping is safe while helper
+    to — and is stored in an [Atomic.t], so swapping is safe while other
     domains are timing spans. *)
 
 type source = unit -> float
@@ -18,9 +16,7 @@ type source = unit -> float
 (** [Unix.gettimeofday] — the default source. *)
 val wall : source
 
-(** Install / read the process-wide source. *)
-
-val set_source : source -> unit
+(** The process-wide source currently installed. *)
 val source : unit -> source
 
 (** [now ()] — current time per the installed source. *)

@@ -1,4 +1,5 @@
-(* Fleet telemetry aggregation — the server half of `POST /push`.
+(* Fleet telemetry aggregation — the server half of `POST /push` and
+   `GET /fleet`, served by jitbulld and the fuzz master alike.
 
    Engine clients push *cumulative* snapshots (audit verdict totals and
    their full metrics view) plus a
@@ -270,3 +271,24 @@ let render_html t =
         <a href=\"/explain\">/explain</a> &middot; \
         <a href=\"/fleet\">/fleet</a> (Prometheus)</p></body></html>\n";
   Buffer.contents buf
+
+(* ---- the routes ---- *)
+
+module Http = Http_export
+
+let push_response t body =
+  match decode_push body with
+  | Error msg -> (Http.bad_request ("bad push: " ^ msg), None)
+  | Ok (s, deltas) ->
+    apply t s ~deltas;
+    ( Http.respond ~content_type:"application/json"
+        (Jsonx.to_string
+           (Jsonx.Assoc
+              [ ("ok", Jsonx.Bool true); ("clients", Jsonx.Int (List.length (clients t))) ])),
+      Some (s, deltas) )
+
+let fleet_response t query =
+  match List.assoc_opt "format" query with
+  | Some "html" -> Http.respond ~content_type:"text/html; charset=utf-8" (render_html t)
+  | Some "json" -> Http.respond ~content_type:"application/json" (Jsonx.to_string (to_json t))
+  | _ -> Http.respond ~content_type:"text/plain; version=0.0.4" (render_prometheus t)

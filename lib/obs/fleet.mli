@@ -1,5 +1,6 @@
-(** Fleet telemetry aggregation — the state behind jitbulld's
-    [POST /push] and [GET /fleet].
+(** Fleet telemetry aggregation — the state and the handlers behind
+    [POST /push] and [GET /fleet], served by jitbulld and the fuzz
+    master ([Sync.Master]) alike.
 
     Engine clients push {e cumulative} snapshots (audit verdict totals
     and their metrics view) plus a
@@ -50,3 +51,17 @@ val to_json : t -> Jsonx.t
 
 (** The operator dashboard served at [/fleet?format=html]. *)
 val render_html : t -> string
+
+(** {2 Routes} *)
+
+(** [push_response t body] — [POST /push]: {!decode_push}, then {!apply};
+    the reply is [{"ok": true, "clients": n}], or a JSON 400 on a
+    malformed body. The applied push is returned beside the reply, so a
+    caller can relay its records or count it. *)
+val push_response :
+  t -> string -> Http_export.response * (snapshot * Audit.record list) option
+
+(** [fleet_response t query] — [GET /fleet]: {!render_prometheus} by
+    default, {!render_html} for [?format=html], {!to_json} for
+    [?format=json]. *)
+val fleet_response : t -> (string * string) list -> Http_export.response

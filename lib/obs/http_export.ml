@@ -228,10 +228,13 @@ module Server = struct
       (if keep_alive then "keep-alive" else "close")
       rs.rs_body
 
+  (* keep-alive requests served on one connection (a runaway-client
+     bound; the final response carries [Connection: close]) *)
+  let max_requests = 10_000
+
   (* One connection: serve requests until the client closes, asks to
-     close, errors, or exhausts [max_requests] (a runaway-client bound;
-     the final response carries [Connection: close]). *)
-  let serve_conn t ~max_requests ~handler client =
+     close, errors, or exhausts [max_requests]. *)
+  let serve_conn t ~handler client =
     let r = reader client in
     let served = ref 0 in
     let continue = ref true in
@@ -287,7 +290,7 @@ module Server = struct
      request reads EOF and exits. A connection is registered and
      unregistered under [live_mu], and closed only after unregistering,
      so [stop] never shuts down a descriptor number that was reused. *)
-  let worker_loop t ~max_requests ~handler =
+  let worker_loop t ~handler =
     while not (Atomic.get t.stop_flag) do
       match Unix.accept t.listen_fd with
       | client, _ ->
@@ -303,7 +306,7 @@ module Server = struct
              (fun () ->
                (* a connection accepted after [stop]'s sweep sees the flag
                   before its first read *)
-               (try serve_conn t ~max_requests ~handler client with _ -> ());
+               (try serve_conn t ~handler client with _ -> ());
                Mutex.lock t.live_mu;
                Hashtbl.remove t.live client;
                Mutex.unlock t.live_mu;
@@ -316,7 +319,7 @@ module Server = struct
         if not (Atomic.get t.stop_flag) then Unix.sleepf 0.01
     done
 
-  let start ?(workers = 1) ?(max_requests_per_conn = 10_000) ~handler ~port () =
+  let start ?(workers = 1) ~handler ~port () =
     let workers = max 1 workers in
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     (try
@@ -343,11 +346,7 @@ module Server = struct
         live = Hashtbl.create 16;
       }
     in
-    let doms =
-      List.init workers (fun _ ->
-          Domain.spawn (fun () ->
-              worker_loop t ~max_requests:max_requests_per_conn ~handler))
-    in
+    let doms = List.init workers (fun _ -> Domain.spawn (fun () -> worker_loop t ~handler)) in
     { t with doms }
 
   let port t = t.s_port

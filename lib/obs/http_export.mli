@@ -87,12 +87,11 @@ module Server : sig
       [workers] accept domains sharing the listening socket, each
       serving every connection it accepts on a dedicated thread.
       Each connection is served keep-alive until the client closes,
-      sends [Connection: close], or exhausts [max_requests_per_conn].
+      sends [Connection: close], or has sent 10,000 requests.
       Handler exceptions become 500 responses; the connection survives.
       Raises [Unix.Unix_error] if the bind fails. *)
   val start :
     ?workers:int ->
-    ?max_requests_per_conn:int ->
     handler:(request -> response) ->
     port:int ->
     unit ->

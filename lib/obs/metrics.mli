@@ -8,8 +8,8 @@
 
     The registry is domain-safe: counters are atomics, histograms update
     under a per-histogram mutex, and get-or-create / {!snapshot} lock the
-    registry — helper compile domains record concurrently with the main
-    thread. Gauges are single-word stores (a racing [set] is
+    registry — jitbulld's handler domains, and a client's subscriber and
+    pusher threads beside its engine, record into one registry. Gauges are single-word stores (a racing [set] is
     last-write-wins). *)
 
 type counter

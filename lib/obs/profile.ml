@@ -70,9 +70,13 @@ let with_tag id f =
       raise e
   end
 
-let start ?(hz = 997) () =
+(* samples per second, off round frequencies to dodge lockstep with
+   periodic work *)
+let hz = 997
+
+let start () =
   if Atomic.get enabled then true
-  else if c_start (max 1 hz) then begin
+  else if c_start hz then begin
     Atomic.set enabled true;
     true
   end

@@ -18,11 +18,11 @@
 
 val available : unit -> bool
 
-(** Install the SIGPROF handler and arm the CPU-time timer at [hz]
-    samples/second (default 997 — off round frequencies to dodge
-    lockstep with periodic work). [false] when sampling is unsupported
-    or the timer could not be armed. Idempotent while running. *)
-val start : ?hz:int -> unit -> bool
+(** Install the SIGPROF handler and arm the CPU-time timer at 997
+    samples/second (off round frequencies to dodge lockstep with
+    periodic work). [false] when sampling is unsupported or the timer
+    could not be armed. Idempotent while running. *)
+val start : unit -> bool
 
 (** Disarm the timer and ignore stragglers. Counters survive for
     {!report}. *)

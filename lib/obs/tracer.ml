@@ -16,18 +16,15 @@ type event = {
   fields : (string * Jsonx.t) list;
 }
 
-(* One mutex per tracer serializes the ring and the file sink; helper
-   compile domains record spans concurrently with the main thread.
+(* One mutex per tracer serializes the ring and the file sink: jitbulld's
+   handler domains and a client's subscriber and pusher threads record
+   into one tracer concurrently.
 
-   Correlation state is split in two:
-   - ids come from a process-wide atomic, so an id handed out by one
-     tracer (or captured on the main thread and carried into a helper
-     domain) can never collide with an id allocated anywhere else;
-   - the open-span stack lives in domain-local storage, so nesting —
-     and therefore default parents and depths — is exact per domain
-     even when several domains record into one tracer concurrently.
-     Cross-domain edges are explicit: the enqueuing side allocates an
-     anchor id and the helper passes it as [?parent]. *)
+   Event ids come from one process-wide atomic counter, while the stack
+   of open spans lives in domain-local storage and is shared by every
+   tracer on that domain, so ids stay unique across tracers, and nesting
+   (default parents and depths) is exact per domain even when several
+   domains record into one tracer. *)
 type t = {
   ring : event Ring.t;  (* its total doubles as next seq *)
   mutable sink : Sink.t option;
@@ -36,24 +33,15 @@ type t = {
   start : float;
 }
 
-(* Seeded from the pid so span ids are unique across *processes* too:
-   fleet trace files from an engine and a jitbulld can be merged without
-   id collisions, and cross-process parent links (Propagate) stay
-   unambiguous. 24 pid bits above a 32-bit counter keeps every id below
-   2^56, so it round-trips through traceparent's 16-hex encoding and
-   OCaml's int alike. *)
-let next_id = Atomic.make (((Unix.getpid () land 0xFFFFFF) lsl 32) lor 1)
-
-let alloc_id (_ : t) = Atomic.fetch_and_add next_id 1
+let next_id = Atomic.make 1
+let fresh_id () = Atomic.fetch_and_add next_id 1
 
 (* Per-domain stack of open span ids, innermost first. *)
 let context_key : int list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
 let stack () = Domain.DLS.get context_key
-
-let current_span (_ : t) =
-  match !(stack ()) with [] -> None | id :: _ -> Some id
+let innermost st = match st with [] -> None | id :: _ -> Some id
 
 let create ?(capacity = 4096) ?(clock : (unit -> float) option) () =
   let clock = match clock with Some c -> c | None -> Clock.now in
@@ -66,7 +54,6 @@ let create ?(capacity = 4096) ?(clock : (unit -> float) option) () =
   }
 
 let now t = t.clock () -. t.start
-let depth (_ : t) = List.length !(stack ())
 
 let set_file_sink t path =
   let sink = Sink.create ~what:"trace" path in
@@ -118,24 +105,22 @@ let event_of_json j =
     fields;
   }
 
-let record t ?ts ?id ?parent ?depth:d ?(kind = Point) ?(dur = 0.0) ?(fields = []) name =
-  let ts = match ts with Some x -> x | None -> now t in
-  let id = match id with Some i -> i | None -> alloc_id t in
-  let parent = match parent with Some _ -> parent | None -> current_span t in
-  let depth = match d with Some d -> d | None -> depth t in
+let record t ~ts ~id ~parent ~depth ~kind ~dur ~fields name =
   Mutex.protect t.mu (fun () ->
       let e = { seq = Ring.total t.ring; ts; id; parent; kind; name; dur; depth; fields } in
       Ring.push t.ring e;
-      Option.iter (fun s -> Sink.write s (Jsonx.to_string (event_to_json e))) t.sink);
-  id
+      Option.iter (fun s -> Sink.write s (Jsonx.to_string (event_to_json e))) t.sink)
 
-let event t ?fields ?id ?parent name = ignore (record t ?fields ?id ?parent name)
+let event t ?(fields = []) name =
+  let st = !(stack ()) in
+  record t ~ts:(now t) ~id:(fresh_id ()) ~parent:(innermost st) ~depth:(List.length st)
+    ~kind:Point ~dur:0.0 ~fields name
 
-let with_span t ?(fields = []) ?fields_of ?parent ?on_close name f =
+let with_span t ?(fields = []) ?fields_of ?on_close name f =
   let t0 = now t in
-  let id = alloc_id t in
-  let parent = match parent with Some _ -> parent | None -> current_span t in
+  let id = fresh_id () in
   let st = stack () in
+  let parent = innermost !st in
   st := id :: !st;
   let span_depth = List.length !st in
   let finish extra =
@@ -148,9 +133,8 @@ let with_span t ?(fields = []) ?fields_of ?parent ?on_close name f =
       st := (match List.find_index (Int.equal id) other with
             | Some i -> List.filteri (fun j _ -> j > i) other
             | None -> other));
-    ignore
-      (record t ~ts:t0 ~id ?parent ~depth:span_depth ~kind:Span ~dur
-         ~fields:(fields @ extra) name);
+    record t ~ts:t0 ~id ~parent ~depth:span_depth ~kind:Span ~dur
+      ~fields:(fields @ extra) name;
     match on_close with Some g -> g dur | None -> ()
   in
   match f () with

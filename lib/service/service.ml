@@ -2,7 +2,6 @@ module Http = Jitbull_obs.Http_export
 module Obs = Jitbull_obs.Obs
 module Jsonx = Jitbull_obs.Jsonx
 module Audit = Jitbull_obs.Audit
-module Propagate = Jitbull_obs.Propagate
 module Fleet = Jitbull_obs.Fleet
 module Sexpr = Jitbull_util.Sexpr
 module Db = Jitbull_core.Db
@@ -150,39 +149,21 @@ let remove_response t query =
 (* ---- fleet telemetry (POST /push, GET /fleet) ---- *)
 
 let push_response t body =
-  match Fleet.decode_push body with
-  | Error msg -> json_error 400 ("bad push: " ^ msg)
-  | Ok (s, deltas) ->
-    Fleet.apply t.fleet s ~deltas;
-    (* the fleet's decisions land in this daemon's own trail (and its
-       --audit-file), labeled with the client that made them *)
-    Option.iter
-      (fun o ->
-        List.iter
-          (fun r -> ignore (Audit.relay (Obs.audit o) ~client_id:s.Fleet.sn_client r))
-          deltas)
-      t.obs;
-    Obs.incr t.obs "service.pushes_total";
-    Obs.add t.obs "service.push_delta_records" (List.length deltas);
-    Http.respond ~content_type:"application/json"
-      (Jsonx.to_string
-         (Jsonx.Assoc
-            [
-              ("ok", Jsonx.Bool true);
-              ("clients", Jsonx.Int (List.length (Fleet.clients t.fleet)));
-            ]))
-
-let fleet_response t query =
-  match List.assoc_opt "format" query with
-  | Some "html" ->
-    Http.respond ~content_type:"text/html; charset=utf-8"
-      (Fleet.render_html t.fleet)
-  | Some "json" ->
-    Http.respond ~content_type:"application/json"
-      (Jsonx.to_string (Fleet.to_json t.fleet))
-  | _ ->
-    Http.respond ~content_type:"text/plain; version=0.0.4"
-      (Fleet.render_prometheus t.fleet)
+  let resp, pushed = Fleet.push_response t.fleet body in
+  Option.iter
+    (fun (s, deltas) ->
+      (* the fleet's decisions land in this daemon's own trail (and its
+         --audit-file), labeled with the client that made them *)
+      Option.iter
+        (fun o ->
+          List.iter
+            (fun r -> ignore (Audit.relay (Obs.audit o) ~client_id:s.Fleet.sn_client r))
+            deltas)
+        t.obs;
+      Obs.incr t.obs "service.pushes_total";
+      Obs.add t.obs "service.push_delta_records" (List.length deltas))
+    pushed;
+  resp
 
 (* ---- routing ---- *)
 
@@ -191,47 +172,38 @@ let handle t (req : Http.request) =
     Obs.incr t.obs "service.requests_total";
     Obs.incr t.obs ("service.requests." ^ ep)
   in
-  (* A present-but-malformed trace context is a client error on any
-     route — hostile header values must not silently drop provenance. *)
-  match
-    Option.map Propagate.decode (List.assoc_opt Propagate.header_name req.Http.rq_headers)
-  with
-  | Some (Error msg) -> json_error 400 msg
-  | None | Some (Ok _) -> (
-    match (req.Http.rq_path, req.Http.rq_meth) with
-    | "/push", "POST" ->
-      count "push";
-      push_response t req.Http.rq_body
-    | "/push", _ -> json_error 405 "POST required"
-    | "/fleet", _ ->
-      count "fleet";
-      fleet_response t req.Http.rq_query
-    | "/subscribe", _ ->
-      count "subscribe";
-      subscribe_response t req.Http.rq_query
-    | "/delta", _ ->
-      count "delta";
-      delta_response t req.Http.rq_query
-    | "/gen", _ ->
-      count "gen";
-      Http.respond ~content_type:"application/json"
-        (gen_json (Db.generation t.db))
-    | "/install", "POST" ->
-      count "install";
-      install_response t req.Http.rq_body
-    | "/remove", "POST" ->
-      count "remove";
-      remove_response t req.Http.rq_query
-    | _ -> (
-      match t.obs with
-      | Some obs -> (
-        match Http.obs_routes ~obs req with
-        | Some resp ->
-          count
-            (String.sub req.Http.rq_path 1 (String.length req.Http.rq_path - 1));
-          resp
-        | None -> Http.not_found ())
-      | None -> Http.not_found ()))
+  match (req.Http.rq_path, req.Http.rq_meth) with
+  | "/push", "POST" ->
+    count "push";
+    push_response t req.Http.rq_body
+  | "/push", _ -> json_error 405 "POST required"
+  | "/fleet", _ ->
+    count "fleet";
+    Fleet.fleet_response t.fleet req.Http.rq_query
+  | "/subscribe", _ ->
+    count "subscribe";
+    subscribe_response t req.Http.rq_query
+  | "/delta", _ ->
+    count "delta";
+    delta_response t req.Http.rq_query
+  | "/gen", _ ->
+    count "gen";
+    Http.respond ~content_type:"application/json" (gen_json (Db.generation t.db))
+  | "/install", "POST" ->
+    count "install";
+    install_response t req.Http.rq_body
+  | "/remove", "POST" ->
+    count "remove";
+    remove_response t req.Http.rq_query
+  | _ -> (
+    match t.obs with
+    | Some obs -> (
+      match Http.obs_routes ~obs req with
+      | Some resp ->
+        count (String.sub req.Http.rq_path 1 (String.length req.Http.rq_path - 1));
+        resp
+      | None -> Http.not_found ())
+    | None -> Http.not_found ())
 
 let create ?(workers = 4) ?obs ~db ~port () =
   let t =

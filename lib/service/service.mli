@@ -28,9 +28,6 @@
     - With [obs]: the observability routes ([/metrics], [/healthz], …)
       mounted behind the service's own.
 
-    A request carrying a malformed W3C-traceparent-style header
-    ({!Jitbull_obs.Propagate}) is a 400 on any route.
-
     Metrics (via [obs]): [service.requests_total] and per-endpoint
     [service.requests.<endpoint>] counters, [service.gen_pushes_total],
     [service.pushes_total], [service.push_delta_records]. *)

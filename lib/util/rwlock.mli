@@ -1,11 +1,13 @@
 (** A small many-readers / one-writer lock for structures that are read
-    from several domains while one occasionally mutates them (the DNA
-    database, queried by engines and by the verdict service's server
-    domains while installs and pushes land).
+    from several domains while one occasionally mutates them: the DNA
+    database, which jitbulld's handler domains read ([/delta],
+    [/subscribe]) while [/install] and [/remove] write it, and which a
+    client's engine queries while its subscriber thread applies pushed
+    entries.
 
     Writers make progress: a reader is admitted only when no writer
     holds the lock {e and none is waiting for it}, so a DB-generation
-    bump is never starved by a continuous stream of verdict queries —
+    bump is never starved by a continuous stream of queries —
     the writer waits for at most the readers that were already inside
     when it queued up (a property [test/test_util.ml] stress-tests
     across domains).

@@ -43,8 +43,8 @@ let render ~headers ?(aligns = []) rows =
     rows;
   Buffer.contents buf
 
-let print ~headers ?aligns rows =
-  print_string (render ~headers ?aligns rows);
+let print ~headers rows =
+  print_string (render ~headers rows);
   print_newline ()
 
 let bar ~width ~max_value value =

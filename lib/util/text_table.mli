@@ -13,9 +13,9 @@ type align =
     header are padded with empty cells. *)
 val render : headers:string list -> ?aligns:align list -> string list list -> string
 
-(** [print ~headers ?aligns rows] renders to stdout with a trailing
+(** [print ~headers rows] renders to stdout with a trailing
     newline. *)
-val print : headers:string list -> ?aligns:align list -> string list list -> unit
+val print : headers:string list -> string list list -> unit
 
 (** [bar ~width ~max_value value] draws a proportional '#' bar, used for the
     figure-style outputs. [max_value <= 0] yields an empty bar. *)

@@ -1,15 +1,13 @@
-(* The fleet observability plane: traceparent codec round-trip and
-   hostile-input rejection (property tests), wire-level 400s on
-   malformed headers, /push + /fleet aggregation with per-client labels
-   and exact rollups (and the pushed records relayed into the daemon's
-   own audit trail), the sampling profiler's attribution mechanics,
-   audit-sink rotation, and the build-info /metrics series. *)
+(* The fleet observability plane: unknown routes answer a JSON 404,
+   /push + /fleet aggregation with per-client labels and exact rollups
+   (and the pushed records relayed into the daemon's own audit trail),
+   the sampling profiler's attribution mechanics, audit-sink rotation,
+   and the build-info /metrics series. *)
 
 open Helpers
 module Obs = Jitbull_obs.Obs
 module Audit = Jitbull_obs.Audit
 module Fleet = Jitbull_obs.Fleet
-module Propagate = Jitbull_obs.Propagate
 module Profile = Jitbull_obs.Profile
 module Jsonx = Jitbull_obs.Jsonx
 module Http = Jitbull_obs.Http_export
@@ -40,98 +38,11 @@ let with_conn svc f =
   let conn = Http.Conn.connect ~port:(Service.port svc) () in
   Fun.protect ~finally:(fun () -> Http.Conn.close conn) (fun () -> f conn)
 
-(* ---- propagation codec: property round-trip + hostile rejection ---- *)
+(* ---- wire: an unknown route is a JSON 404 ---- *)
 
-let qcheck_propagate_roundtrip =
-  QCheck.Test.make
-    ~count:(qcheck_count 200)
-    ~name:"propagate: decode is a strict inverse of encode"
-    QCheck.(triple pos_int pos_int pos_int)
-    (fun (a, b, p) ->
-      let trace_id = Printf.sprintf "%016x%016x" (max a 1) b in
-      let ctx = { Propagate.trace_id; parent_id = max p 1 } in
-      let header = Propagate.encode ctx in
-      String.length header = 55
-      && (match Propagate.decode header with
-         | Ok c -> c = ctx
-         | Error _ -> false))
-
-let test_propagate_rejects_hostile () =
-  let good =
-    Propagate.encode
-      { Propagate.trace_id = Propagate.fresh_trace_id (); parent_id = 42 }
-  in
-  (match Propagate.decode good with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail ("valid header rejected: " ^ m));
-  let bad =
-    [
-      "";
-      "00";
-      "garbage";
-      (* wrong version *)
-      "01-0123456789abcdef0123456789abcdef-0123456789abcdef-01";
-      (* uppercase hex *)
-      "00-0123456789ABCDEF0123456789abcdef-0123456789abcdef-01";
-      (* all-zero trace id *)
-      "00-00000000000000000000000000000000-0123456789abcdef-01";
-      (* zero parent id *)
-      "00-0123456789abcdef0123456789abcdef-0000000000000000-01";
-      (* bad delimiters *)
-      "00_0123456789abcdef0123456789abcdef_0123456789abcdef_01";
-      (* trailing junk *)
-      good ^ "x";
-      (* truncated *)
-      String.sub good 0 (String.length good - 1);
-    ]
-  in
-  List.iter
-    (fun h ->
-      match Propagate.decode h with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "hostile header accepted: %S" h)
-    bad
-
-(* Trace ids and span ids stay unique when minted from concurrent
-   domains (the tracer id counter is process-global and pid-seeded). *)
-let test_id_uniqueness_across_domains () =
-  let tr = Obs.tracer (Obs.create ()) in
-  let alloc n = List.init n (fun _ -> Jitbull_obs.Tracer.alloc_id tr) in
-  let d1 = Domain.spawn (fun () -> alloc 500) in
-  let d2 = Domain.spawn (fun () -> List.init 200 (fun _ -> Propagate.fresh_trace_id ())) in
-  let local_ids = alloc 500 in
-  let remote_ids = Domain.join d1 in
-  let remote_tids = Domain.join d2 in
-  let local_tids = List.init 200 (fun _ -> Propagate.fresh_trace_id ()) in
-  let ids = local_ids @ remote_ids in
-  let tbl = Hashtbl.create 2048 in
-  List.iter (fun i -> Hashtbl.replace tbl i ()) ids;
-  check_int "span ids unique across domains" (List.length ids) (Hashtbl.length tbl);
-  let tids = local_tids @ remote_tids in
-  let ttbl = Hashtbl.create 1024 in
-  List.iter (fun s -> Hashtbl.replace ttbl s ()) tids;
-  check_int "trace ids unique across domains" (List.length tids) (Hashtbl.length ttbl);
-  check_bool "trace ids well-formed" true (List.for_all Propagate.valid_trace_id tids)
-
-(* ---- wire: malformed traceparent is a 400 on any route ---- *)
-
-let test_traceparent_wire_validation () =
+let test_unknown_route_json_404 () =
   with_service (self_matching_db ()) (fun svc ->
       with_conn svc (fun conn ->
-          let status, headers, _ =
-            Http.Conn.request conn ~headers:[ (Propagate.header_name, "zz") ] "/gen"
-          in
-          check_int "malformed traceparent is a 400" 400 status;
-          check_string "400 body is JSON" "application/json"
-            (List.assoc "content-type" headers);
-          let good =
-            Propagate.encode
-              { Propagate.trace_id = Propagate.fresh_trace_id (); parent_id = 7 }
-          in
-          let status, _, _ =
-            Http.Conn.request conn ~headers:[ (Propagate.header_name, good) ] "/gen"
-          in
-          check_int "well-formed traceparent passes" 200 status;
           let status, headers, body = Http.Conn.request conn "/no-such-route" in
           check_int "unknown route is a 404" 404 status;
           check_string "404 body is JSON" "application/json"
@@ -334,13 +245,8 @@ let test_metrics_build_info () =
 let suite =
   ( "fleet",
     [
-      qtest qcheck_propagate_roundtrip;
-      Alcotest.test_case "propagate rejects hostile headers" `Quick
-        test_propagate_rejects_hostile;
-      Alcotest.test_case "ids unique across domains" `Quick
-        test_id_uniqueness_across_domains;
-      Alcotest.test_case "traceparent wire validation" `Quick
-        test_traceparent_wire_validation;
+      Alcotest.test_case "unknown route is a JSON 404" `Quick
+        test_unknown_route_json_404;
       Alcotest.test_case "fleet aggregation end to end" `Slow
         test_fleet_aggregation_e2e;
       Alcotest.test_case "push rejects malformed bodies" `Quick

@@ -39,12 +39,15 @@ let golden name expected build =
   check_string name expected (hex (Asm.finalize a))
 
 let test_encoder_golden () =
-  golden "mov rax, [rdi+24]" "48 8b 87 18 00 00 00" (fun a ->
-      Asm.mov_r_slot a Asm.rax 3);
-  golden "mov [rdi+24], rcx" "48 89 8f 18 00 00 00" (fun a ->
-      Asm.mov_slot_r a 3 Asm.rcx);
-  golden "mov r8, [rdi+0]" "4c 8b 87 00 00 00 00" (fun a ->
-      Asm.mov_r_slot a Asm.r8 0);
+  (* a slot displacement takes a disp8 up to slot 15, a disp32 past it *)
+  golden "mov rax, [rdi+24]" "48 8b 47 18" (fun a -> Asm.mov_r_slot a Asm.rax 3);
+  golden "mov [rdi+24], rcx" "48 89 4f 18" (fun a -> Asm.mov_slot_r a 3 Asm.rcx);
+  golden "mov r8, [rdi+0]" "4c 8b 47 00" (fun a -> Asm.mov_r_slot a Asm.r8 0);
+  golden "mov rax, [rdi+120]" "48 8b 47 78" (fun a -> Asm.mov_r_slot a Asm.rax 15);
+  golden "mov rax, [rdi+128]" "48 8b 87 80 00 00 00" (fun a ->
+      Asm.mov_r_slot a Asm.rax 16);
+  golden "mov [rdi+128], r8" "4c 89 87 80 00 00 00" (fun a ->
+      Asm.mov_slot_r a 16 Asm.r8);
   golden "movabs rcx, canonical-NaN" "48 b9 00 00 00 00 00 00 f8 7f" (fun a ->
       Asm.movabs a Asm.rcx 0x7FF8000000000000L);
   golden "movabs r11, imm" "49 bb ff 00 00 00 00 00 00 00" (fun a ->
@@ -67,8 +70,18 @@ let test_encoder_golden () =
   golden "sar edx, cl" "d3 fa" (fun a -> Asm.sar_cl32 a Asm.rdx);
   golden "movsxd r11, eax" "4c 63 d8" (fun a -> Asm.movsxd a ~dst:Asm.r11 ~src:Asm.rax);
   (* the heap reads' forms *)
-  golden "mov rdx, [rsi+16]" "48 8b 96 10 00 00 00" (fun a ->
+  golden "mov rdx, [rsi+16]" "48 8b 56 10" (fun a ->
       Asm.mov_r_mem a Asm.rdx ~base:Asm.rsi ~disp:16);
+  golden "mov rdx, [rsi-128]" "48 8b 56 80" (fun a ->
+      Asm.mov_r_mem a Asm.rdx ~base:Asm.rsi ~disp:(-128));
+  golden "mov rdx, [rsi+127]" "48 8b 56 7f" (fun a ->
+      Asm.mov_r_mem a Asm.rdx ~base:Asm.rsi ~disp:127);
+  golden "mov rdx, [rsi+128]" "48 8b 96 80 00 00 00" (fun a ->
+      Asm.mov_r_mem a Asm.rdx ~base:Asm.rsi ~disp:128);
+  golden "mov rdx, [rsi-129]" "48 8b 96 7f ff ff ff" (fun a ->
+      Asm.mov_r_mem a Asm.rdx ~base:Asm.rsi ~disp:(-129));
+  golden "mov rax, [r8+8]" "49 8b 40 08" (fun a ->
+      Asm.mov_r_mem a Asm.rax ~base:Asm.r8 ~disp:8);
   golden "mov r8, [rdx+8*rcx]" "4c 8b 04 ca" (fun a ->
       Asm.mov_r_index a Asm.r8 ~base:Asm.rdx ~index:Asm.rcx);
   golden "mov rax, [rdx+8*r8]" "4a 8b 04 c2" (fun a ->

@@ -141,7 +141,7 @@ let test_ring_eviction () =
   check_bool "seq strictly increasing" true
     (List.for_all2 ( < ) (List.filteri (fun i _ -> i < 3) seqs) (List.tl seqs))
 
-(* ---- correlation: ids, parents, cross-domain anchors ---- *)
+(* ---- correlation: ids and parents ---- *)
 
 let contains_sub hay needle =
   let nl = String.length needle and l = String.length hay in
@@ -152,37 +152,27 @@ let contains_sub hay needle =
 
 let test_span_ids_and_parents () =
   let tr = Tracer.create ~clock:(fake_clock ()) () in
-  check_bool "no open span at top level" true (Tracer.current_span tr = None);
-  let outer_seen = ref 0 in
   Tracer.with_span tr "outer" (fun () ->
-      outer_seen := Option.get (Tracer.current_span tr);
       Tracer.event tr "point";
-      Tracer.with_span tr "inner" (fun () ->
-          check_bool "inner is now innermost" true
-            (Tracer.current_span tr <> Some !outer_seen)));
-  (* the explicit cross-domain edge: anchor on this domain, span under it
-     from a helper domain *)
-  let anchor = Tracer.alloc_id tr in
-  Tracer.event tr ~id:anchor "tier_up";
-  Domain.join
-    (Domain.spawn (fun () ->
-         Tracer.with_span tr ~parent:anchor "helper" (fun () ->
-             Tracer.event tr "child")));
+      Tracer.with_span tr "inner" (fun () -> Tracer.event tr "innermost"));
+  Tracer.event tr "after";
   let events = Tracer.events tr in
   let find name =
     List.find (fun (e : Tracer.event) -> String.equal e.Tracer.name name) events
   in
   let outer = find "outer" and inner = find "inner" and point = find "point" in
-  let tier_up = find "tier_up" and helper = find "helper" and child = find "child" in
-  check_int "current_span saw outer's id" outer.Tracer.id !outer_seen;
+  let innermost = find "innermost" and after = find "after" in
   check_bool "outer is top-level" true (outer.Tracer.parent = None);
   check_bool "point parents to outer" true (point.Tracer.parent = Some outer.Tracer.id);
   check_bool "inner parents to outer" true (inner.Tracer.parent = Some outer.Tracer.id);
-  check_int "anchor id recorded as given" anchor tier_up.Tracer.id;
-  check_bool "helper-domain span parents to the anchor" true
-    (helper.Tracer.parent = Some anchor);
-  check_bool "helper's child parents to helper (own-domain stack)" true
-    (child.Tracer.parent = Some helper.Tracer.id);
+  check_bool "innermost parents to inner" true
+    (innermost.Tracer.parent = Some inner.Tracer.id);
+  check_bool "closed spans leave no parent behind" true (after.Tracer.parent = None);
+  check_int "outer depth" 1 outer.Tracer.depth;
+  check_int "inner depth" 2 inner.Tracer.depth;
+  check_int "point depth" 1 point.Tracer.depth;
+  check_int "innermost depth" 2 innermost.Tracer.depth;
+  check_int "top-level event depth" 0 after.Tracer.depth;
   let ids = List.map (fun (e : Tracer.event) -> e.Tracer.id) events in
   check_bool "ids are non-zero" true (List.for_all (fun i -> i > 0) ids);
   check_int "ids are unique" (List.length ids)

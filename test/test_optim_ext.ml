@@ -201,11 +201,6 @@ let forbid_src =
    var t = 0; for (var k = 0; k < 40; k++) { t = t + f(k); } print(t);"
 
 let test_forbid_counts_no_ion_peephole () =
-  let module Db = Jitbull_core.Db in
-  let module Jitbull = Jitbull_core.Jitbull in
-  let module Comparator = Jitbull_core.Comparator in
-  let db = Db.create () in
-  check_bool "self-harvest" true (Db.harvest db ~cve:"CVE-SELF" ~vulns:VC.none forbid_src > 0);
   let no_ion_out, no_ion =
     let out, t =
       Engine.run_source { Engine.default_config with Engine.ion_threshold = 1000 } forbid_src
@@ -216,7 +211,10 @@ let test_forbid_counts_no_ion_peephole () =
   check_bool "the baseline tier's peephole removes something" true
     (no_ion.Engine.peephole_removed > 0);
   let config =
-    Jitbull.config ~params:{ Comparator.thr = 0; ratio = 0.5 } ~vulns:VC.none db
+    {
+      Engine.default_config with
+      Engine.analyzer = Some (fun ~ctx:_ ~func_index:_ ~name:_ ~trace:_ -> Engine.Forbid_jit);
+    }
   in
   let out, t = Engine.run_source config forbid_src in
   let s = Engine.stats t in

@@ -75,12 +75,10 @@ let db_gen =
        (fun i dna -> { Db.cve = "CVE-" ^ string_of_int (i mod 3); dna })
        (int_range 0 9) dna_gen)
 
-(* thr = 0 exercises the naive-fallback path: a non-positive threshold
-   matches key-disjoint sides, which no overlap index can see *)
 let params_grid =
   List.concat_map
     (fun thr -> List.map (fun ratio -> { Comparator.thr; ratio }) [ 0.25; 0.5; 0.75 ])
-    [ 0; 1; 2; 3 ]
+    [ 1; 2; 3 ]
 
 let params_gen = QCheck.Gen.oneofl params_grid
 
@@ -111,6 +109,17 @@ let qcheck_indexed_equals_naive_after_removal =
       let db = build_db entries in
       Db.remove_cve db "CVE-1";
       Db.matching ~params db dna = naive_matching ~params db dna)
+
+(* A non-positive Thr would match key-disjoint sides, which the overlap
+   index cannot see: the query refuses it rather than answer wrongly. *)
+let test_query_rejects_thr0 () =
+  let dna = { Dna.func_name = "f"; deltas = [] } in
+  let db = build_db [ { Db.cve = "CVE-0"; dna } ] in
+  let params = { Comparator.thr = 0; ratio = 0.5 } in
+  (match Db.matching_detailed ~params db dna with
+  | _ -> Alcotest.fail "thr = 0 answered"
+  | exception Invalid_argument _ -> ());
+  check_bool "thr = 1 answers" true (Db.matching ~params:{ params with Comparator.thr = 1 } db dna = [])
 
 (* The DNA DB of the 8 VDCs, each harvested on its own vulnerable engine. *)
 let vdc_db () =
@@ -458,10 +467,9 @@ let analyzed_traces db =
 let test_posting_aware_equals_full () =
   let db = vdc_db () in
   let ctx = { Engine.cc_bytecode_hash = 0; cc_feedback_hash = 0; cc_obs = None } in
-  let thr0 = { Comparator.thr = 0; ratio = 0.5 } in
-  let decide ?params trace = Jitbull.analyzer ?params db ~ctx ~func_index:0 ~name:"f" ~trace in
-  let full_verdict ?params trace =
-    match snd (Jitbull.verdict_of_matches (Db.matching ?params db (Dna.extract trace))) with
+  let decide trace = Jitbull.analyzer db ~ctx ~func_index:0 ~name:"f" ~trace in
+  let full_verdict trace =
+    match snd (Jitbull.verdict_of_matches (Db.matching db (Dna.extract trace))) with
     | `Allow -> Engine.Allow
     | `Disable ps -> Engine.Disable_passes ps
     | `Forbid -> Engine.Forbid_jit
@@ -483,9 +491,7 @@ let test_posting_aware_equals_full () =
         (forced q = forced (Db.matching_detailed db full));
       if q.Db.q_matches <> [] then incr matched;
       check_bool "analyzer verdict == full-DNA verdict" true
-        (decide trace = full_verdict trace);
-      check_bool "thr = 0 analyzer verdict == full-DNA verdict" true
-        (decide ~params:thr0 trace = full_verdict ~params:thr0 trace))
+        (decide trace = full_verdict trace))
     traces;
   check_bool "some traces match" true (!matched > 0);
   check_bool "some passes were skipped" true (!skipped > 0)
@@ -833,6 +839,7 @@ let suite =
       Alcotest.test_case "interner id stability" `Quick test_intern_stability;
       qtest qcheck_indexed_equals_naive;
       qtest qcheck_indexed_equals_naive_after_removal;
+      Alcotest.test_case "query rejects thr = 0" `Quick test_query_rejects_thr0;
       Alcotest.test_case "indexed == naive on real DNAs" `Quick
         test_indexed_equals_naive_real_dnas;
       Alcotest.test_case "query allocation" `Quick test_query_allocation;
